@@ -27,7 +27,6 @@ import re
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -393,12 +392,14 @@ def _run_stage_scan(o):
     partial = 0.0
     truncated = 0
     for rec in scan.records:
-        partial += float(rec.value)
+        # a truncated stage has no swept value: blank measure, no summand
+        measure = None if rec.value is None else float(rec.value)
+        partial += measure or 0.0
         truncated += rec.truncated
         rows.append({
             "n": rec.n, "count": rec.count,
             "lower": float(rec.lower), "upper": float(rec.upper),
-            "measure": float(rec.value), "partial_sum": partial,
+            "measure": measure, "partial_sum": partial,
             "method": rec.method, "truncated": rec.truncated,
         })
     summary = ("stage measures n=%d..%d: partial sum %.6g"
@@ -455,33 +456,12 @@ def _run_ubiquity(o):
     return columns, rows, summary
 
 
-def _schmidt_count(args):
-    seed, index, N, psi = args
-    x = ct.sample_x(seed, index)
-    return index, x, ct.count_R(x, N, psi)
-
-
 def _run_schmidt(o):
     psi = _parse_form(o["psi"])
     if o["samples"] < 1:
         raise UsageError("samples must be >= 1")
-    if o["workers"] > 1 and o["samples"] > 1:
-        pred = ct.schmidt_prediction(psi, o["N"])
-        jobs = [(o["seed"], i, o["N"], psi) for i in range(o["samples"])]
-        with ProcessPoolExecutor(max_workers=o["workers"]) as pool:
-            got = sorted(pool.map(_schmidt_count, jobs, chunksize=8))
-        records = []
-        for i, x, c in got:
-            ratio = c / pred.value if pred.value > 0 else math.inf
-            records.append(ct.CountRecord(x, o["N"], c, pred.value, ratio))
-        ratios = [r.ratio for r in records]
-        mean = sum(ratios) / len(ratios)
-        var = sum((r - mean) ** 2 for r in ratios) / len(ratios)
-        result = ct.SchmidtSummary(psi, o["N"], o["seed"], mean,
-                                   math.sqrt(var), tuple(records),
-                                   pred.condition_ok)
-    else:
-        result = ct.schmidt_experiment(psi, o["N"], o["samples"], o["seed"])
+    result = ct.schmidt_experiment(psi, o["N"], o["samples"], o["seed"],
+                                   workers=o["workers"])
     rows = [{"index": i, "x": r.x, "count": r.count,
              "prediction": r.prediction, "ratio": r.ratio}
             for i, r in enumerate(result.records)]

@@ -16,9 +16,10 @@ bit.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -108,15 +109,29 @@ def sample_x(seed: int, index: int) -> float:
     return float(gen.random())
 
 
+def _count_sample(args) -> tuple[float, int]:
+    seed, index, N, psi = args
+    x = sample_x(seed, index)
+    return x, count_R(x, N, psi)
+
+
 def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
-                       seed: int) -> SchmidtSummary:
+                       seed: int, workers: int = 1) -> SchmidtSummary:
+    """Counts for samples 0..samples-1 of the seeded stream, each against
+    the prediction.  With workers > 1 the samples run in a process pool;
+    the sub-seed contract makes the records identical to a serial run.
+    """
     if samples < 0:
         raise UsageError("samples must be >= 0")
     pred = schmidt_prediction(psi, N)
+    jobs = [(seed, i, N, psi) for i in range(samples)]
+    if workers > 1 and samples > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counted = list(pool.map(_count_sample, jobs, chunksize=8))
+    else:
+        counted = map(_count_sample, jobs)
     records = []
-    for i in range(samples):
-        x = sample_x(seed, i)
-        c = count_R(x, N, psi)
+    for x, c in counted:
         ratio = c / pred.value if pred.value > 0 else math.inf
         records.append(CountRecord(x, N, c, pred.value, ratio))
     ratios = [r.ratio for r in records]

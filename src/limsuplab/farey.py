@@ -54,7 +54,7 @@ def coprime_count(limit: int) -> int:
     return totient_sum(limit) + 1
 
 
-def reduced_fractions(qmax: int, validate: bool = True):
+def reduced_fractions(qmax: int):
     """All reduced fractions a/b in [0,1] with b <= qmax, sorted.
 
     Returns (num, den) int64 arrays.  Includes 0/1 and 1/1.  Raises if
@@ -90,11 +90,10 @@ def reduced_fractions(qmax: int, validate: bool = True):
     den = np.concatenate(dens)
     order = np.argsort(num / den, kind="stable")
     num, den = num[order], den[order]
-    if validate:
-        det = num[1:] * den[:-1] - num[:-1] * den[1:]
-        if not np.all(det == 1):
-            raise InternalInvariantError(
-                "Farey adjacency failed: generation or sort is broken")
+    det = num[1:] * den[:-1] - num[:-1] * den[1:]
+    if not np.all(det == 1):
+        raise InternalInvariantError(
+            "Farey adjacency failed: generation or sort is broken")
     return num, den
 
 

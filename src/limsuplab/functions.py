@@ -40,12 +40,11 @@ RationalLike = Union[int, Fraction, str]
 _E = math.e
 
 
-def _frac(x: RationalLike) -> Fraction:
+def exact(x: RationalLike, name: str) -> Fraction:
     """Coerce to an exact Fraction; floats are refused on purpose."""
     if isinstance(x, float):
-        raise UsageError(
-            "exponents and scales must be exact (int, Fraction, or string "
-            "like '2/3'); got float %r" % x)
+        raise UsageError("%s must be exact (int, Fraction, or string like "
+                         "'2/3'); got float %r" % (name, x))
     return Fraction(x)
 
 
@@ -95,7 +94,7 @@ class FunctionForm:
 
     def __post_init__(self):
         for name in ("scale", "power", "log_power", "loglog_power"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, exact(getattr(self, name), name))
         if self.family is Family.ZERO:
             if (self.scale, self.power, self.log_power, self.loglog_power) \
                     != (0, 0, 0, 0) or self.omega is not None:
@@ -106,7 +105,7 @@ class FunctionForm:
         if self.family is Family.EXP_POWER:
             if self.omega is None:
                 raise UsageError("exp-power form needs omega")
-            object.__setattr__(self, "omega", _frac(self.omega))
+            object.__setattr__(self, "omega", exact(self.omega, "omega"))
             if self.omega <= 0:
                 raise UsageError("omega must be positive, got %s" % self.omega)
             if self.regime is not Regime.LARGE:
@@ -191,13 +190,13 @@ class FunctionForm:
 def power_log(scale: RationalLike = 1, power: RationalLike = 0,
               log_power: RationalLike = 0, loglog_power: RationalLike = 0,
               regime: Regime = Regime.LARGE) -> FunctionForm:
-    return FunctionForm(_frac(scale), _frac(power), _frac(log_power),
-                        _frac(loglog_power), Family.POWER_LOG, None, regime)
+    return FunctionForm(scale, power, log_power, loglog_power,
+                        Family.POWER_LOG, None, regime)
 
 
 def exp_power(omega: RationalLike) -> FunctionForm:
     return FunctionForm(Fraction(1), Fraction(0), Fraction(0), Fraction(0),
-                        Family.EXP_POWER, _frac(omega), Regime.LARGE)
+                        Family.EXP_POWER, omega, Regime.LARGE)
 
 
 def zero(regime: Regime = Regime.LARGE) -> FunctionForm:
@@ -235,9 +234,6 @@ def dimension_gauge(scale: RationalLike = 1, power: RationalLike = 0,
             "dimension gauge must vanish at 0+; exponents %s do not"
             % (form.exponent_triple,))
     return form
-
-
-IDENTITY_GAUGE = dimension_gauge(power=1)
 
 
 # -- evaluation ----------------------------------------------------------
@@ -507,7 +503,8 @@ class SeriesSpec:
     start: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "weight_power", _frac(self.weight_power))
+        object.__setattr__(self, "weight_power",
+                           exact(self.weight_power, "weight_power"))
         if self.inner.family is Family.ZERO:
             raise UsageError("the zero function has no series classification")
         if self.inner.regime is not Regime.LARGE:
@@ -661,7 +658,7 @@ def series_classify(series: SeriesSpec) -> Classification:
 def classify_exponents(A: RationalLike, B: RationalLike = 0,
                        C: RationalLike = 0) -> Verdict:
     """Verdict for a bare exponent triple (no composition step)."""
-    ok = _triple_convergent(_frac(A), _frac(B), _frac(C))
+    ok = _triple_convergent(exact(A, "A"), exact(B, "B"), exact(C, "C"))
     return Verdict.CONVERGENT if ok else Verdict.DIVERGENT
 
 
@@ -676,7 +673,7 @@ def critical_exponent(psi: FunctionForm, weight_power: RationalLike) \
     critical s itself, because convergence at s' > s_crit holds strictly
     componentwise.
     """
-    u = _frac(weight_power)
+    u = exact(weight_power, "weight_power")
     if psi.family is Family.ZERO:
         raise UsageError("the zero function has no critical exponent")
     if psi.regime is not Regime.LARGE:
@@ -717,7 +714,7 @@ def log_critical_exponent(omega: RationalLike, n: int) -> Fraction:
     r^(n-1) * r^(-omega s), convergent iff s > n/omega; the infimum is
     exact and rational.
     """
-    w = _frac(omega)
+    w = exact(omega, "omega")
     if w <= 0 or n < 1:
         raise UsageError("need omega > 0 and n >= 1")
     # cross-check via the reduction machinery at two probe values
@@ -741,8 +738,8 @@ def refined_log_gauge_verdict(omega: RationalLike, n: int,
     reduced series is comparable to sum 1/(r (log r)^(1+eps)), so the
     verdict flips exactly at eps = 0.
     """
-    w = _frac(omega)
-    eps = _frac(epsilon)
+    w = exact(omega, "omega")
+    eps = exact(epsilon, "epsilon")
     gauge = dimension_gauge(log_power=-Fraction(n) / w,
                             loglog_power=-(1 + eps))
     return series_classify(SeriesSpec(Fraction(n - 1), exp_power(w), gauge))
@@ -825,7 +822,7 @@ def compute_G(outer: Optional[FunctionForm], psi: FunctionForm,
     along geometric subsequences equals the plain limit of the reduced
     form: zero, a positive constant (reported), or infinity.
     """
-    d = _frac(delta)
+    d = exact(delta, "delta")
     if d <= 0:
         raise UsageError("delta must be positive")
     if psi.family is Family.ZERO or (outer is not None

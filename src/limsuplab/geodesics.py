@@ -93,9 +93,6 @@ MAX_SAMPLES = 2_000_000
 Direction = Union[float, Fraction, Sequence[int]]
 Word = Tuple[Tuple[int, int], Tuple[int, int]]
 
-_IDENTITY: Word = ((1, 0), (0, 1))
-
-
 class StepTooCoarseWarning(UserWarning):
     """Sampling skipped a cusp excursion predicted from the CF data."""
 
@@ -151,6 +148,22 @@ def _convergent_arrays(quots: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int
     return tuple(p), tuple(q)
 
 
+def _float_prefix(xf: float, depth: int) -> Tuple[List[int], List[int], List[int]]:
+    """Quotients (up to depth) of both ends of the half-ulp interval
+    around xf, and their common prefix: the quotients shared by every
+    real the float stands for.  Both ends lie strictly inside (0, 1)
+    whenever xf does, because xf is a whole multiple of its ulp."""
+    half = Fraction(math.ulp(xf)) / 2
+    lo_q, _ = _euclid_quotients(Fraction(xf) - half, depth)
+    hi_q, _ = _euclid_quotients(Fraction(xf) + half, depth)
+    common: List[int] = []
+    for a, b in zip(lo_q, hi_q):
+        if a != b:
+            break
+        common.append(a)
+    return lo_q, hi_q, common
+
+
 def cf_expand(x: Union[float, Fraction], depth: int) -> CFExpansion:
     """Continued-fraction expansion of x in (0, 1), certified.
 
@@ -171,19 +184,7 @@ def cf_expand(x: Union[float, Fraction], depth: int) -> CFExpansion:
     xf = float(x)
     if not 0.0 < xf < 1.0:
         raise UsageError("x must lie in (0, 1), got %r" % (x,))
-    half = Fraction(math.ulp(xf)) / 2
-    lo = Fraction(xf) - half
-    hi = Fraction(xf) + half
-    if lo <= 0 or hi >= 1:
-        raise UsageError("x is too close to the boundary of (0, 1) to certify")
-    lo_q, _ = _euclid_quotients(lo, depth + 1)
-    hi_q, _ = _euclid_quotients(hi, depth + 1)
-    quots: List[int] = []
-    for a, b in zip(lo_q, hi_q):
-        if a != b:
-            break
-        quots.append(a)
-    quots = quots[:depth]
+    _, _, quots = _float_prefix(xf, depth)
     p, q = _convergent_arrays(quots)
     return CFExpansion(xf, tuple(quots), p, q, False, len(quots) < depth)
 
@@ -441,14 +442,7 @@ def _direction_data(direction: Direction) -> _DirectionData:
         xf = float(direction)
         if not 0.0 < xf < 1.0:
             raise UsageError("direction must lie in (0, 1), got %r" % (direction,))
-        half = Fraction(math.ulp(xf)) / 2
-        lo_q, _ = _euclid_quotients(Fraction(xf) - half, 4096)
-        hi_q, _ = _euclid_quotients(Fraction(xf) + half, 4096)
-        common: List[int] = []
-        for a, b in zip(lo_q, hi_q):
-            if a != b:
-                break
-            common.append(a)
+        lo_q, hi_q, common = _float_prefix(xf, 4096)
         alpha_lo = _alpha_sweep(lo_q) if lo_q else [0.0]
         alpha_hi = _alpha_sweep(hi_q) if hi_q else [0.0]
         # alpha_j is a monotone function of x on the depth-(j-1) cylinder
@@ -590,17 +584,16 @@ def _bisect_boundary(pen_of, t_zero: float, t_pos: float) -> float:
     return 0.5 * (t_zero + t_pos)
 
 
-def _polish_peak(pen_of, lo: float, hi: float) -> Tuple[float, float]:
-    """Ternary search for the peak of a locally concave penetration."""
-    for _ in range(90):
+def _ternary_argmax(f, lo: float, hi: float, steps: int) -> float:
+    """Ternary search for the peak of a locally unimodal f on [lo, hi]."""
+    for _ in range(steps):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if pen_of(m1) < pen_of(m2):
+        if f(m1) < f(m2):
             lo = m1
         else:
             hi = m2
-    t = 0.5 * (lo + hi)
-    return t, pen_of(t)
+    return 0.5 * (lo + hi)
 
 
 def excursions(x: float, T: float, sample_step: Optional[float] = None
@@ -640,8 +633,8 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
         ts.append(T)
     pens = [pen_at(t) for t in ts]
 
-    exact = Fraction(xf)
-    cf = cf_expand(exact, 1 << 30)
+    data = _direction_data(Fraction(xf))
+    conv_p, conv_q = _convergent_arrays(data.quots)
 
     records: List[ExcursionRecord] = []
     j = 0
@@ -661,7 +654,8 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
         k_best = max(range(j0, j1 + 1), key=lambda k: pens[k])
         lo = max(t_enter, ts[k_best] - step)
         hi = min(t_exit, ts[k_best] + step)
-        t_peak, peak = _polish_peak(pen_at, lo, hi)
+        t_peak = _ternary_argmax(pen_at, lo, hi, 90)
+        peak = pen_at(t_peak)
         if peak <= 0.0:  # pragma: no cover - a positive sample is inside
             continue
         t_peak = min(max(t_peak, t_enter), t_exit)
@@ -669,7 +663,7 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
         c, d = word[1]
         match: Optional[int] = None
         qc, pc = abs(c), abs(d)
-        for n_idx, (pn, qn) in enumerate(zip(cf.p, cf.q)):
+        for n_idx, (pn, qn) in enumerate(zip(conv_p, conv_q)):
             if qn == qc and pn == pc:
                 match = n_idx
                 break
@@ -677,10 +671,7 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
                                        t_peak, t_exit, peak))
 
     skipped = 0
-    exact = _DirectionData(list(cf.quotients), xf,
-                           _alpha_sweep(cf.quotients), len(cf.quotients) - 1,
-                           True)
-    for rec in _excursion_stream(exact, T):
+    for rec in _excursion_stream(data, T):
         _, t_enter, _, t_exit, _ = rec
         if t_enter >= ts[-1]:
             continue
@@ -744,14 +735,7 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
         v_best, k_best = max(vals)
         a_lo = lo + (hi - lo) * max(k_best - 1, 0) / grid
         a_hi = lo + (hi - lo) * min(k_best + 1, grid) / grid
-        for _ in range(70):
-            m1 = a_lo + (a_hi - a_lo) / 3.0
-            m2 = a_hi - (a_hi - a_lo) / 3.0
-            if f(m1) < f(m2):
-                a_lo = m1
-            else:
-                a_hi = m2
-        best = max(best, v_best, f(0.5 * (a_lo + a_hi)))
+        best = max(best, v_best, f(_ternary_argmax(f, a_lo, a_hi, 70)))
     return best
 
 

@@ -31,22 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from limsuplab import farey
+from limsuplab import functions as fn
 from limsuplab.errors import InternalInvariantError, ResourceCapError, UsageError
 
 DEFAULT_BALL_CAP = 2_000_000
 _ROW_BLOCK = 1024
-
-
-def _frac(x, name: str) -> Fraction:
-    if isinstance(x, float):
-        raise UsageError("%s must be exact (int/Fraction), got float %r"
-                         % (name, x))
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ def ball_at(p: int, q: int) -> Horoball:
 def q_window(r_lo: Fraction, r_hi: Fraction) -> tuple[int, int]:
     """Integer range [q_min, q_max] with r_lo <= 1/(2q^2) < r_hi;
     empty when q_min > q_max."""
-    r_lo, r_hi = _frac(r_lo, "r_lo"), _frac(r_hi, "r_hi")
+    r_lo, r_hi = fn.exact(r_lo, "r_lo"), fn.exact(r_hi, "r_hi")
     if not (0 < r_lo < r_hi):
         raise UsageError("need 0 < r_lo < r_hi")
     m_hi = Fraction(1, 2) / r_lo     # q^2 <= m_hi
@@ -93,8 +86,8 @@ def enumerate_horoballs(base_window: tuple, r_lo, r_hi,
                         cap: int = DEFAULT_BALL_CAP) -> list[Horoball]:
     """All Ford circles with base in the half-open window and radius in
     [r_lo, r_hi), ordered by denominator then base."""
-    b_lo = _frac(base_window[0], "base lo")
-    b_hi = _frac(base_window[1], "base hi")
+    b_lo = fn.exact(base_window[0], "base lo")
+    b_hi = fn.exact(base_window[1], "base hi")
     if b_lo >= b_hi:
         return []
     q_min, q_max = q_window(r_lo, r_hi)
@@ -118,8 +111,8 @@ def enumerate_horoballs(base_window: tuple, r_lo, r_hi,
 
 def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
     """len(enumerate_horoballs(...)) without building the list."""
-    b_lo = _frac(base_window[0], "base lo")
-    b_hi = _frac(base_window[1], "base hi")
+    b_lo = fn.exact(base_window[0], "base lo")
+    b_hi = fn.exact(base_window[1], "base hi")
     if b_lo >= b_hi:
         return 0
     q_min, q_max = q_window(r_lo, r_hi)
@@ -155,19 +148,18 @@ def horoball_count_ratio(base_window: tuple, R, lam) -> CountReport:
     between consecutive admissible radii); a zero-measure base window is
     a degenerate request and rejected.
     """
-    R = _frac(R, "R")
-    lam = _frac(lam, "lambda")
+    R = fn.exact(R, "R")
+    lam = fn.exact(lam, "lambda")
     if R <= 0:
         raise UsageError("R must be positive")
     if not 0 < lam < 1:
         raise UsageError("lambda must lie in (0, 1)")
-    b_lo = _frac(base_window[0], "base lo")
-    b_hi = _frac(base_window[1], "base hi")
+    b_lo = fn.exact(base_window[0], "base lo")
+    b_hi = fn.exact(base_window[1], "base hi")
     if b_hi <= b_lo:
         raise UsageError("degenerate base window: m(B) = 0")
     q_min, q_max = q_window(lam * R, R)
-    count = (count_horoballs((b_lo, b_hi), lam * R, R)
-             if q_min <= q_max else 0)
+    count = count_horoballs((b_lo, b_hi), lam * R, R)
     ratio = float(Fraction(count) * R / (b_hi - b_lo))
     return CountReport(R, lam, (b_lo, b_hi), q_min, q_max, count, ratio)
 

@@ -49,13 +49,6 @@ SUBSET_SWEEP_CAP = 64_000_000
 _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise UsageError("float weights/scales are not accepted; "
-                         "pass int, Fraction or str")
-    return Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # systems
 
@@ -74,14 +67,10 @@ class ResonantSystem:
     ford_scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "ford_scale", _frac(self.ford_scale))
+        object.__setattr__(self, "ford_scale",
+                           fn.exact(self.ford_scale, "ford_scale"))
         if self.ford_scale <= 0:
             raise UsageError("ford_scale must be positive")
-
-    @property
-    def reduced(self) -> bool:
-        """True when enumeration only ever visits reduced fractions."""
-        return self.coprime_only or self.kind is SystemKind.FORD
 
     def weight_of(self, q: int) -> Fraction:
         if self.kind is SystemKind.RATIONALS:
@@ -90,7 +79,7 @@ class ResonantSystem:
 
     def q_interval(self, w_lo: Fraction, w_hi: Fraction) -> tuple[int, int]:
         """Inclusive denominator range with weight in (w_lo, w_hi]."""
-        w_lo, w_hi = _frac(w_lo), _frac(w_hi)
+        w_lo, w_hi = fn.exact(w_lo, "w_lo"), fn.exact(w_hi, "w_hi")
         if self.kind is SystemKind.RATIONALS:
             q_hi = w_hi.numerator // w_hi.denominator
             q_lo = w_lo.numerator // w_lo.denominator + 1
@@ -111,13 +100,6 @@ class ResonantSystem:
         for p in range(0, q + 1):
             if math.gcd(p, q) == 1:
                 yield p
-
-    def count_at(self, q: int) -> int:
-        if self.kind is SystemKind.RATIONALS and not self.coprime_only:
-            return q + 1
-        if q == 1:
-            return 2  # 0/1 and 1/1
-        return int(_totient_cumsum(q)[q] - _totient_cumsum(q)[q - 1])
 
     def count_window(self, w_lo: Fraction, w_hi: Fraction) -> int:
         """Exact number of (point, weight) pairs with weight in (w_lo, w_hi]."""
@@ -140,7 +122,7 @@ def classical_rationals(coprime_only: bool = False) -> ResonantSystem:
 
 def ford_horoballs(scale=1) -> ResonantSystem:
     """Rationals weighted by twice the curvature scale: weight = 2*scale*q^2."""
-    return ResonantSystem(SystemKind.FORD, ford_scale=_frac(scale))
+    return ResonantSystem(SystemKind.FORD, ford_scale=scale)
 
 
 def _totient_cumsum(limit: int) -> np.ndarray:
@@ -170,14 +152,14 @@ class MeasureModel:
 
     def __post_init__(self):
         for name in ("delta", "lower", "upper", "scale_radius"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, fn.exact(getattr(self, name), name))
         if not (0 < self.lower <= self.upper):
             raise UsageError("need 0 < lower <= upper")
         if self.delta <= 0 or self.scale_radius <= 0:
             raise UsageError("delta and scale_radius must be positive")
 
     def bounds(self, radius: Fraction) -> tuple[Fraction, Fraction]:
-        radius = _frac(radius)
+        radius = fn.exact(radius, "radius")
         if not (0 < radius <= self.scale_radius):
             raise UsageError("radius outside the model's validity range")
         if self.delta.denominator != 1:
@@ -198,7 +180,7 @@ def unit_interval_model() -> MeasureModel:
 
 def ball_measure(center, radius) -> Fraction:
     """Lebesgue measure of B(center, radius) intersected with [0,1]."""
-    center, radius = _frac(center), _frac(radius)
+    center, radius = fn.exact(center, "center"), fn.exact(radius, "radius")
     lo = max(center - radius, Fraction(0))
     hi = min(center + radius, Fraction(1))
     return max(hi - lo, Fraction(0))
@@ -226,7 +208,7 @@ class StageSpec:
     k: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _frac(self.k))
+        object.__setattr__(self, "k", fn.exact(self.k, "k"))
         if self.k <= 1:
             raise UsageError("stage ratio k must exceed 1")
         if self.form.regime is not fn.Regime.LARGE:
@@ -250,11 +232,11 @@ class StageSpec:
 
 
 def per_point_stage(psi: fn.FunctionForm, k) -> StageSpec:
-    return StageSpec(StageMode.PER_POINT, psi, _frac(k))
+    return StageSpec(StageMode.PER_POINT, psi, k)
 
 
 def uniform_stage(rho: fn.FunctionForm, k) -> StageSpec:
-    return StageSpec(StageMode.UNIFORM, rho, _frac(k))
+    return StageSpec(StageMode.UNIFORM, rho, k)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +249,7 @@ def enumerate_system(system: ResonantSystem, w_lo, w_hi,
     """(point, weight) pairs with weight in (w_lo, w_hi], ordered by
     weight then point.  Raises ResourceCapError before yielding anything
     if the window holds more than cap pairs."""
-    w_lo, w_hi = _frac(w_lo), _frac(w_hi)
+    w_lo, w_hi = fn.exact(w_lo, "w_lo"), fn.exact(w_hi, "w_hi")
     total = system.count_window(w_lo, w_hi)
     if total > cap:
         raise ResourceCapError(
@@ -360,23 +342,23 @@ def _radius_vector(stage: StageSpec, weights: np.ndarray) -> np.ndarray:
 def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     """Reduced-centre description of stage n.
 
-    Returns (b_vals, radii, q_hi) where b_vals are the denominators of
-    the reduced centres, radii the per-denominator ball radii.  The
-    union of balls over reduced centres equals the stage set exactly
-    (the raw ball at p/q = a/b has radius at most the reduced ball's,
-    because the radius function is nonincreasing on the window and the
-    reduced ball uses the smallest weight the centre attains).
+    Returns (b_vals, radii): the denominators of the reduced centres and
+    the per-denominator ball radii.  The union of balls over reduced
+    centres equals the stage set exactly (the raw ball at p/q = a/b has
+    radius at most the reduced ball's, because the radius function is
+    nonincreasing on the window and the reduced ball uses the smallest
+    weight the centre attains).
     """
     w_lo, w_hi = stage.window(n)
     q_lo, q_hi = system.q_interval(w_lo, w_hi)
     if q_lo > q_hi:
-        return np.zeros(0, dtype=np.int64), np.zeros(0), 0
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     if stage.mode is StageMode.UNIFORM:
         # weights fill (0, k^n], so every denominator from 1 up appears
         r = stage.radius_float(stage.k ** n)
         b_vals = np.arange(1, q_hi + 1, dtype=np.int64)
         radii = np.full(len(b_vals), r)
-        return b_vals, radii, q_hi
+        return b_vals, radii
     # per-point windows
     if system.kind is SystemKind.RATIONALS and not system.coprime_only:
         # all reduced denominators up to q_hi appear, via their smallest
@@ -387,23 +369,20 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
         keep = qmin > 0
         b_vals, qmin = b_vals[keep], qmin[keep]
         radii = _radius_vector(stage, qmin.astype(np.float64))
-        return b_vals, radii, q_hi
+        return b_vals, radii
     # reduced systems: denominators live in the window themselves
     b_vals = np.arange(q_lo, q_hi + 1, dtype=np.int64)
     if system.kind is SystemKind.FORD:
         weights = 2.0 * float(system.ford_scale) * b_vals.astype(np.float64) ** 2
     else:
         weights = b_vals.astype(np.float64)
-    radii = _radius_vector(stage, weights)
-    return b_vals, radii, q_hi
+    return b_vals, _radius_vector(stage, weights)
 
 
-def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray,
-                clip_lo: float = 0.0, clip_hi: float = 1.0
-                ) -> tuple[float, int]:
+def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
     """Measure of union of balls at reduced fractions a/b (gcd(a,b)=1,
-    a/b in [0,1]) with per-denominator radii, clipped to [clip_lo,
-    clip_hi].  Chunked over x-cells so memory stays bounded.
+    a/b in [0,1]) with per-denominator radii, clipped to [0, 1].
+    Chunked over x-cells so memory stays bounded.
 
     Returns (measure, number of reduced balls processed).
     """
@@ -413,7 +392,7 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray,
     flat_sweep = float(b_vals.astype(np.float64).sum())
     ncells = max(1, math.ceil(flat_sweep /
                               max(_CELL_BUDGET - flat_fixed, _CELL_BUDGET / 8)))
-    edges = np.linspace(clip_lo, clip_hi, ncells + 1)
+    edges = np.linspace(0.0, 1.0, ncells + 1)
     total = 0.0
     n_balls = 0
     for i in range(ncells):
@@ -442,37 +421,25 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray,
     return total, n_balls
 
 
-def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int) -> float:
+def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
+                 radii: np.ndarray, counts: np.ndarray) -> float:
     """Sum over denominators of (ball count) * (ball length), capped at 1
-    per denominator and at 1 overall: a certified measure upper bound."""
-    w_lo, w_hi = stage.window(n)
-    q_lo, q_hi = system.q_interval(w_lo, w_hi)
-    if q_lo > q_hi:
-        return 0.0
-    qs = np.arange(q_lo, q_hi + 1, dtype=np.int64)
-    if stage.mode is StageMode.UNIFORM:
-        r = np.full(len(qs), stage.radius_float(stage.k ** n))
-    else:
-        if system.kind is SystemKind.FORD:
-            weights = 2.0 * float(system.ford_scale) * qs.astype(np.float64) ** 2
-        else:
-            weights = qs.astype(np.float64)
-        r = _radius_vector(stage, weights)
-    raw_counts = (system.kind is SystemKind.RATIONALS
-                  and not system.coprime_only
-                  and stage.mode is StageMode.PER_POINT)
-    if raw_counts:
-        counts = (qs + 1).astype(np.float64)
-    else:
-        # the union over reduced centres is the same set, so counting
-        # phi(q) balls per denominator still bounds it from above
-        cum = _totient_cumsum(q_hi)
-        counts = (cum[q_lo:q_hi + 1] - cum[q_lo - 1:q_hi]).astype(np.float64)
-        if q_lo <= 1 <= q_hi:
-            counts[0] += 1
-    per_q = np.minimum(1.0, 2.0 * r * counts)
+    per denominator and at 1 overall: a certified measure upper bound.
+
+    radii and counts are the stage plan's per-denominator arrays.  The
+    union over reduced centres is the same set, so phi(q) balls per
+    denominator bound it from above; only raw per-point rationals, whose
+    plan regroups denominators by their reduced form, count the q + 1
+    raw balls of radius psi(q) instead.
+    """
+    if (system.kind is SystemKind.RATIONALS and not system.coprime_only
+            and stage.mode is StageMode.PER_POINT):
+        q_lo, q_hi = system.q_interval(*stage.window(n))
+        qs = np.arange(q_lo, q_hi + 1, dtype=np.float64)
+        radii, counts = _radius_vector(stage, qs), qs + 1.0
+    per_q = np.minimum(1.0, 2.0 * radii * counts)
     # one-ulp-per-term slack keeps the bound certified despite rounding
-    slack = len(qs) * 4e-16 + float(np.abs(per_q).max(initial=0.0)) * 1e-12
+    slack = len(per_q) * 4e-16 + float(np.abs(per_q).max(initial=0.0)) * 1e-12
     return min(1.0, float(per_q.sum()) + slack)
 
 
@@ -517,31 +484,30 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         raise UsageError("empty stage range")
     records = []
     for n in range(n_lo, n_hi + 1):
-        w_lo, w_hi = stage.window(n)
-        pairs = system.count_window(w_lo, w_hi)
-        b_vals, radii, _ = _stage_ball_plan(system, stage, n)
-        count = int(_reduced_ball_counts(b_vals).sum())
-        upper = _per_q_upper(system, stage, n)
+        pairs = system.count_window(*stage.window(n))
+        b_vals, radii = _stage_ball_plan(system, stage, n)
+        counts = _reduced_ball_counts(b_vals)
+        count = int(counts.sum())
         if count == 0:
             records.append(StageMeasure(n, 0, pairs, 0.0, 0.0, 0.0,
                                         "empty", False))
             continue
-        if count <= full_cap:
-            value, swept = _cell_sweep(b_vals, radii)
-            budget = farey.union_length_error_budget(swept)
-            records.append(StageMeasure(
-                n, count, pairs,
-                max(0.0, value - budget), min(upper, value + budget),
-                value, "full-sweep", False))
-            continue
-        if subset_cap > 0:
-            b_sub, r_sub = _truncate_plan(b_vals, radii, subset_cap)
-            value, swept = _cell_sweep(b_sub, r_sub)
-            budget = farey.union_length_error_budget(swept)
-            records.append(StageMeasure(
-                n, count, pairs, max(0.0, value - budget), upper,
-                None, "subset-sweep", True))
-        else:
+        upper = _per_q_upper(system, stage, n, radii, counts)
+        full = count <= full_cap
+        if not full and subset_cap <= 0:
             records.append(StageMeasure(
                 n, count, pairs, 0.0, upper, None, "per-q-upper", True))
+            continue
+        if not full:
+            b_vals, radii = _truncate_plan(b_vals, radii, subset_cap)
+        value, swept = _cell_sweep(b_vals, radii)
+        budget = farey.union_length_error_budget(swept)
+        lower = max(0.0, value - budget)
+        if full:
+            records.append(StageMeasure(
+                n, count, pairs, lower, min(upper, value + budget), value,
+                "full-sweep", False))
+        else:
+            records.append(StageMeasure(
+                n, count, pairs, lower, upper, None, "subset-sweep", True))
     return StageScan(system, stage, tuple(records))

@@ -44,13 +44,6 @@ MAX_UNIFORM_Q = 8192          # ~2e7 Farey points; ~1 GB working set
 MAX_COVER_SIEVE = 100_000_000
 
 
-def _frac(x, name: str) -> Fraction:
-    if isinstance(x, float):
-        raise UsageError("%s must be exact (int/Fraction), got float %r"
-                         % (name, x))
-    return Fraction(x)
-
-
 class UniformStageEngine:
     """Exact union-measure queries for one uniform stage: Farey centres
     up to q_max, common ball radius `radius`."""
@@ -62,7 +55,7 @@ class UniformStageEngine:
                 "uniform stage needs denominators up to %d (cap %d)"
                 % (q_max, cap))
         self.q_max = q_max
-        self.radius = _frac(radius, "radius")
+        self.radius = fn.exact(radius, "radius")
         self.empty = q_max < 1 or self.radius <= 0
         if self.empty:
             return
@@ -119,7 +112,7 @@ class UniformStageEngine:
     def union_measure(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact Lebesgue measure of (union of balls) intersected with
         [lo, hi]."""
-        lo, hi = _frac(lo, "lo"), _frac(hi, "hi")
+        lo, hi = fn.exact(lo, "lo"), fn.exact(hi, "hi")
         if hi <= lo:
             return Fraction(0)
         if self.empty:
@@ -188,16 +181,9 @@ def ubiquity_ratio(system: sy.ResonantSystem, rho: fn.FunctionForm,
 
     `ball` is (center, radius), both exact, with the ball inside [0,1].
     """
-    k = _frac(k, "k")
-    if k <= 1:
-        raise UsageError("k must exceed 1")
-    model = model or sy.unit_interval_model()
-    center, b_radius = _frac(ball[0], "center"), _frac(ball[1], "radius")
-    _check_ball(center, b_radius, model)
-    engine = UniformStageEngine(_uniform_q_max(system, k, n),
-                                _uniform_radius(rho, k, n), cap=q_cap)
-    inter = engine.union_measure(center - b_radius, center + b_radius)
-    return inter / (2 * b_radius)
+    report, = estimate_kappa(system, rho, k, [ball], [n], model=model,
+                             q_cap=q_cap)
+    return report.kappa_hat
 
 
 @dataclass(frozen=True)
@@ -221,10 +207,10 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
     One engine is built per stage and shared across the ball sample, so
     the cost is dominated by the largest stage, not the sample size.
     """
-    k = _frac(k, "k")
+    k = fn.exact(k, "k")
     if k <= 1:
         raise UsageError("k must exceed 1")
-    target = _frac(target, "target")
+    target = fn.exact(target, "target")
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise UsageError("empty stage range")
@@ -233,7 +219,7 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
     model = model or sy.unit_interval_model()
     checked = []
     for ball in balls:
-        c, r = _frac(ball[0], "center"), _frac(ball[1], "radius")
+        c, r = fn.exact(ball[0], "center"), fn.exact(ball[1], "radius")
         _check_ball(c, r, model)
         checked.append((c, r))
 
@@ -271,7 +257,7 @@ def natural_cover_sum(f: Optional[fn.FunctionForm], psi: fn.FunctionForm,
     f = None means the identity.  This is the natural-cover estimate of
     the Hausdorff f-content of the tail limsup set.
     """
-    k = _frac(k, "k")
+    k = fn.exact(k, "k")
     if k <= 1:
         raise UsageError("k must exceed 1")
     if not (1 <= m_start <= m_end):

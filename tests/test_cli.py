@@ -208,6 +208,24 @@ class TestRows:
             assert row["lower"] <= row["measure"] <= row["upper"]
             assert not row["truncated"]
 
+    def test_stage_scan_truncated_stages_leave_measure_blank(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "t.csv"
+        code, summary, err = run_main(
+            ["stage-scan", "--psi", "r^-3", "--k", "2", "--n-lo", "14",
+             "--n-hi", "15", "--subset-cap", "0", "--output", str(out)],
+            capsys)
+        assert (code, err) == (0, "")
+        assert summary.endswith("(2 truncated stages)")
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if not ln.startswith("#")]
+        header = rows[0]
+        body = [dict(zip(header, row)) for row in rows[1:]]
+        assert [r["n"] for r in body] == ["14", "15"]
+        for r in body:
+            assert r["method"] == "per-q-upper" and r["truncated"] == "true"
+            assert r["measure"] == "" and r["partial_sum"] == "0.0"
+
     def test_ubiquity_ratios_exact_and_high(self, tmp_path):
         env = run_env(["ubiquity", "--rho", "6 * r^-2", "--k", "6",
                        "--n-lo", "2", "--n-hi", "3", "--balls", "3",

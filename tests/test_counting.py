@@ -171,6 +171,9 @@ def test_experiment_reproducible_and_splittable():
     s1 = schmidt_experiment(PSI_QUARTER, 1000, 12, seed=99)
     s2 = schmidt_experiment(PSI_QUARTER, 1000, 12, seed=99)
     assert s1.records == s2.records
+    # the process pool reproduces the serial run record for record
+    pooled = schmidt_experiment(PSI_QUARTER, 1000, 12, seed=99, workers=2)
+    assert pooled.records == s1.records
     # stream i is addressable without generating streams 0..i-1
     for i in (11, 3, 7):
         assert s1.records[i].x == sample_x(99, i)

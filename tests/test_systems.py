@@ -221,15 +221,16 @@ class TestStageMeasureScan:
         assert rec.lower > 0
 
     def test_upper_only_mode(self):
-        system = sy.classical_rationals()
-        stage = sy.per_point_stage(fn.approximating(power=-2), 2)
-        exact = float(delta_measure(system, stage, 5))
-        scan = sy.stage_measure_scan(system, stage, 5, 5,
-                                     full_cap=10, subset_cap=0)
-        rec = scan.records[0]
-        assert rec.method == "per-q-upper"
-        assert rec.lower == 0.0
-        assert exact <= rec.upper <= 1.0
+        # every stage kind: raw, coprime and Ford per-point stages, and
+        # uniform stages, each bounded by its per-denominator ball sums
+        for system, stage, n_hi in SCAN_CASES:
+            scan = sy.stage_measure_scan(system, stage, 1, n_hi,
+                                         full_cap=0, subset_cap=0)
+            for rec in scan.records:
+                exact = float(delta_measure(system, stage, rec.n))
+                assert rec.method == "per-q-upper", rec
+                assert rec.lower == 0.0 and rec.value is None
+                assert exact <= rec.upper <= 1.0, rec
 
     def test_domain_guard(self):
         system = sy.classical_rationals()
