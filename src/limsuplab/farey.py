@@ -9,9 +9,15 @@ most Q satisfy a'b - ab' = 1, so the gap is exactly 1/(bb').  Everything
 performance-critical here is vectorised numpy over int64/float64 with
 the exactness argument spelled out where it matters:
 
-* sorting reduced fractions by their float64 value is exact for
-  Q <= 3_000_000, because distinct fractions with denominators <= Q
-  differ by at least 1/Q^2, far above the 2^-53 relative float error;
+* F_Q is built from its left half a/b <= 1/2: one boolean mask over
+  rows b and columns a <= b/2 strikes every pair sharing a prime, and
+  the right half is the exact reflection a/b -> (b - a)/b of the left
+  (1/2 is its own mirror and appears once);
+* sorting that half by float64 value is exact for Q <= 3_000_000,
+  because distinct fractions with denominators <= Q differ by at least
+  1/Q^2, far above the 2^-53 relative float error.  The keys are
+  therefore distinct, so every sort algorithm yields the same
+  permutation and no stable sort is needed;
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
 * float sweep measures carry an explicit error budget of a few ulps per
@@ -20,24 +26,56 @@ the exactness argument spelled out where it matters:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from limsuplab.errors import InternalInvariantError, UsageError
+from limsuplab.errors import (InternalInvariantError, ResourceCapError,
+                              UsageError)
 
 # float64 sorting of a/b is order-exact up to this denominator bound
 FLOAT_ORDER_SAFE_QMAX = 3_000_000
+# largest totient sieve any caller may request (phi and its cumsum take
+# 8 bytes per entry each)
+MAX_SIEVE = 100_000_000
 
-_CHUNK = 1 << 22  # elements per generation chunk, ~32 MB of scratch
+
+def check_sieve(limit: int, what: str) -> None:
+    """Refuse, before allocating, a sieve beyond MAX_SIEVE."""
+    if limit > MAX_SIEVE:
+        raise ResourceCapError("%s needs a totient sieve up to %d (cap %d)"
+                               % (what, limit, MAX_SIEVE))
+
+
+def _primes(limit: int) -> np.ndarray:
+    """Primes p <= limit, ascending (Eratosthenes)."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return np.flatnonzero(is_prime)
 
 
 def totient_sieve(limit: int) -> np.ndarray:
     """phi[0..limit] as int64 (phi[0] = 0)."""
     if limit < 0:
         raise UsageError("limit must be nonnegative")
+    check_sieve(limit, "totient_sieve")
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
+    # rest[n] = n with every prime <= sqrt(limit) divided out; int32 is
+    # exact because limit <= MAX_SIEVE < 2^31
+    rest = np.arange(limit + 1, dtype=np.int32)
+    for p in _primes(math.isqrt(limit)).tolist():
+        phi[p::p] -= phi[p::p] // p
+        pk = p
+        while pk <= limit:
+            rest[pk::pk] //= p
+            pk *= p
+    # at most one prime factor above sqrt(limit) is left, and it divides
+    # phi[n] here: phi[n] = P * phi(n / P) so far
+    big = np.flatnonzero(rest > 1)
+    phi[big] -= phi[big] // rest[big]
     return phi
 
 
@@ -66,30 +104,23 @@ def reduced_fractions(qmax: int):
         raise UsageError(
             "qmax=%d exceeds the float64 order-exactness bound %d"
             % (qmax, FLOAT_ORDER_SAFE_QMAX))
-    nums = [np.array([0, 1], dtype=np.int64)]
-    dens = [np.array([1, 1], dtype=np.int64)]
-    b = 2
-    while b <= qmax:
-        b_end = b
-        total = 0
-        while b_end <= qmax and total + b_end <= _CHUNK:
-            total += b_end
-            b_end += 1
-        if total == 0:  # single huge b
-            b_end = b + 1
-        counts = np.arange(b, b_end, dtype=np.int64) - 1  # a in [1, b-1]
-        den_chunk = np.repeat(np.arange(b, b_end, dtype=np.int64), counts)
-        starts = np.cumsum(counts) - counts
-        num_chunk = np.arange(len(den_chunk), dtype=np.int64) \
-            - np.repeat(starts, counts) + 1
-        keep = np.gcd(num_chunk, den_chunk) == 1
-        nums.append(num_chunk[keep])
-        dens.append(den_chunk[keep])
-        b = b_end
-    num = np.concatenate(nums)
-    den = np.concatenate(dens)
-    order = np.argsort(num / den, kind="stable")
+    # ok[b, a] for 0 <= a <= b/2: strike pairs sharing a prime, the
+    # empty row b = 0 and every a above b/2
+    half = qmax // 2
+    ok = np.ones((qmax + 1, half + 1), dtype=bool)
+    ok[0] = False
+    for p in _primes(qmax).tolist():
+        ok[p::p, 0::p] = False
+    ok &= 2 * np.arange(half + 1) <= np.arange(qmax + 1)[:, None]
+    den, num = np.nonzero(ok)
+    del ok
+    order = np.argsort(num / den)
     num, den = num[order], den[order]
+    # mirror a/b -> (b - a)/b; the last left term 1/2 (qmax >= 2) is its
+    # own mirror
+    mirror = slice(len(num) - 1 - (qmax >= 2), None, -1)
+    num = np.concatenate((num, den[mirror] - num[mirror]))
+    den = np.concatenate((den, den[mirror]))
     det = num[1:] * den[:-1] - num[:-1] * den[1:]
     if not np.all(det == 1):
         raise InternalInvariantError(

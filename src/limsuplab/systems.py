@@ -12,10 +12,11 @@ spec* turns a system into a nested sequence of finite unions of balls:
 The module provides exact enumeration (small stages, Fraction
 arithmetic, loud failure beyond a pair cap) and a scan that certifies
 two-sided bounds on the Lebesgue measure of every stage in a range.
-The scan never raises on size: stages too large to sweep exhaustively
-get a certified lower bound from a denominator-truncated subfamily
-(a subset of the union can only be smaller) and an upper bound from
-per-denominator ball counts (a union is at most the sum of lengths).
+Stages too large to sweep exhaustively get a certified lower bound from
+a denominator-truncated subfamily (a subset of the union can only be
+smaller) and an upper bound from per-denominator ball counts (a union
+is at most the sum of lengths).  Only a stage whose denominators pass
+farey.MAX_SIEVE is refused, before anything is allocated.
 
 Duplicate centres are collapsed before sweeping: every ball of the
 stage sits inside the ball at the reduced centre whose radius comes
@@ -126,9 +127,11 @@ def ford_horoballs(scale=1) -> ResonantSystem:
 
 
 def _totient_cumsum(limit: int) -> np.ndarray:
-    # pad to a power of two so one sieve serves a whole range of stages
-    padded = 1 << max(limit - 1, 1).bit_length()
-    return _totient_cumsum_padded(padded)
+    # pad to a power of two so one sieve serves a whole range of stages,
+    # but not past the sieve cap; a limit above the cap reaches the
+    # sieve unpadded, which refuses it
+    padded = min(1 << max(limit - 1, 1).bit_length(), farey.MAX_SIEVE)
+    return _totient_cumsum_padded(max(padded, limit))
 
 
 @lru_cache(maxsize=4)
@@ -474,14 +477,20 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
                        subset_cap: int = SUBSET_SWEEP_CAP) -> StageScan:
     """Certified measure brackets for stages n_lo..n_hi.
 
-    Never raises on stage size: a stage whose reduced-ball count exceeds
-    full_cap is reported from a truncated subfamily (lower bound) plus
-    per-denominator sums (upper bound), flagged truncated.  Setting
-    subset_cap to 0 skips sweeping for oversized stages entirely and
-    reports the trivial lower bound 0 with the certified upper bound.
+    A stage whose reduced-ball count exceeds full_cap is reported from a
+    truncated subfamily (lower bound) plus per-denominator sums (upper
+    bound), flagged truncated.  Setting subset_cap to 0 skips sweeping
+    for oversized stages entirely and reports the trivial lower bound 0
+    with the certified upper bound.  Raises ResourceCapError, before any
+    stage is computed, when a stage's denominators exceed
+    farey.MAX_SIEVE: every plan holds arrays and a totient sieve of that
+    length.
     """
     if n_hi < n_lo:
         raise UsageError("empty stage range")
+    # windows grow with n, so the last stage has the largest q_hi
+    _, q_top = system.q_interval(*stage.window(n_hi))
+    farey.check_sieve(q_top, "stage %d" % n_hi)
     records = []
     for n in range(n_lo, n_hi + 1):
         pairs = system.count_window(*stage.window(n))

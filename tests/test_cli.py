@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from limsuplab import cli
+from limsuplab import systems as sy
 from limsuplab.errors import UsageError
 
 GOLDEN_CHAIN = ",".join(["1"] * 120)
@@ -88,6 +89,21 @@ class TestExitStatuses:
              "--output", str(tmp_path / "x.csv")], capsys)
         assert code == 2
         assert "cap" in err
+
+    def test_stage_beyond_sieve_cap_is_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        # stage 31 spans q <= 2^31; the scan must refuse it up front, so
+        # building its plan here would be the defect (and a 16 GB array)
+        def no_plan(*args):
+            raise AssertionError("stage plan built past the sieve cap")
+        monkeypatch.setattr(sy, "_stage_ball_plan", no_plan)
+        code, _, err = run_main(
+            ["stage-scan", "--psi", "r^-3", "--k", "2", "--n-lo", "31",
+             "--n-hi", "31", "--subset-cap", "0",
+             "--output", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err.startswith("resource cap:") and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_precision_exhausted_is_2(self, tmp_path, capsys):
         code, _, _ = run_main(

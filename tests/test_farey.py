@@ -6,10 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from limsuplab import farey
 from limsuplab import intervals as iv
-from limsuplab.errors import UsageError
+from limsuplab.errors import ResourceCapError, UsageError
+
+# property tests replay the same examples on every run
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=25)
 
 
 def phi_brute(n):
@@ -23,10 +29,24 @@ def farey_brute(qmax):
 
 
 class TestTotients:
-    def test_sieve_matches_brute_force(self):
-        phi = farey.totient_sieve(200)
-        for n in range(1, 201):
-            assert phi[n] == phi_brute(n), n
+    # 49 and 121 are prime squares; 200 keeps the old fixed case
+    @PROPERTY
+    @given(st.integers(0, 250))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(49)
+    @example(121)
+    @example(200)
+    def test_sieve_matches_brute_force(self, limit):
+        phi = farey.totient_sieve(limit)
+        assert phi.dtype == np.int64
+        assert phi.tolist() == [0] + [phi_brute(n)
+                                      for n in range(1, limit + 1)]
+
+    def test_sieve_refuses_beyond_cap_before_allocating(self):
+        with pytest.raises(ResourceCapError):
+            farey.totient_sieve(farey.MAX_SIEVE + 1)
 
     def test_sum(self):
         # 1,1,2,2,4,2,6,4,6,4 for q = 1..10
@@ -40,18 +60,30 @@ class TestTotients:
 
 
 class TestReducedFractions:
-    def test_small_sequence_exact(self):
-        num, den = farey.reduced_fractions(5)
-        got = [Fraction(int(a), int(b)) for a, b in zip(num, den)]
-        assert got == farey_brute(5)
+    # Q = 1 has no middle term 1/2 to leave out of the mirror; Q = 2, 3
+    # have one
+    @PROPERTY
+    @given(st.integers(1, 60))
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(5)
+    def test_small_sequence_exact(self, qmax):
+        num, den = farey.reduced_fractions(qmax)
+        assert num.dtype == den.dtype == np.int64
+        assert list(zip(num.tolist(), den.tolist())) == \
+            [(f.numerator, f.denominator) for f in farey_brute(qmax)]
 
     def test_sorted_and_reduced(self):
-        num, den = farey.reduced_fractions(137)
-        g = np.gcd(num, den)
-        assert np.all(g == 1)
-        vals = num / den
-        assert np.all(np.diff(vals) > 0)
-        assert len(num) == farey.coprime_count(137)
+        # sorted, reduced, in [0, 1] and of length |F_Q| pin down F_Q
+        for qmax in (137, 2244):
+            num, den = farey.reduced_fractions(qmax)
+            assert np.all(np.gcd(num, den) == 1)
+            assert 1 <= den.min() and den.max() == qmax
+            vals = num / den
+            assert vals[0] == 0 and vals[-1] == 1
+            assert np.all(np.diff(vals) > 0)
+            assert len(num) == farey.coprime_count(qmax)
 
     def test_neighbour_determinant(self):
         num, den = farey.reduced_fractions(300)

@@ -1,10 +1,15 @@
 """Uniform-stage ratio tests: the exact engine against the interval-set
 oracle, the covering-constant examples, and the cover-sum trends."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import limsuplab.farey as farey
 import limsuplab.functions as fn
 import limsuplab.intervals as iv
 import limsuplab.systems as sy
@@ -57,7 +62,7 @@ def test_engine_full_merge():
     (36, Fraction(1, 216)), (25, Fraction(3, 1000)),
 ])
 def test_engine_matches_interval_oracle(q_max, rad):
-    nums, dens = __import__("limsuplab.farey", fromlist=["farey"]).reduced_fractions(q_max)
+    nums, dens = farey.reduced_fractions(q_max)
     centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
     oracle = iv.interval_set([(c - rad, c + rad) for c in centers])
     eng = ub.UniformStageEngine(q_max, rad)
@@ -65,6 +70,81 @@ def test_engine_matches_interval_oracle(q_max, rad):
                    (Fraction(1, 3), Fraction(5, 12)), (Fraction(9, 10), Fraction(1))]:
         want = iv.measure(iv.intersect(oracle, iv.interval_set([(lo, hi)])))
         assert eng.union_measure(lo, hi) == want
+
+
+def _unit(x):
+    """Affine map [-1, 2] -> [0, 1], so the clipping interval oracle also
+    measures the parts of balls and queries outside [0, 1] (scale 1/3)."""
+    return (x + 1) / 3
+
+
+# a query end: an int indexes the sorted block edges, a Fraction is free
+QUERY_END = st.one_of(st.integers(min_value=0),
+                      st.fractions(Fraction(-1, 4), Fraction(5, 4),
+                                   max_denominator=97))
+
+
+# radius 1/den: den > 2 q_max^2 merges nothing, den <= 2 merges
+# everything, and the range between merges some gaps only
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(q_max=st.integers(1, 40), den=st.integers(1, 4 * 40 * 40),
+       picks=st.lists(st.tuples(QUERY_END, QUERY_END), max_size=6))
+@example(q_max=12, den=1000, picks=[])       # no merging
+@example(q_max=12, den=150, picks=[])        # partial merging
+@example(q_max=12, den=2, picks=[])          # one block
+def test_engine_union_measure_property(q_max, den, picks):
+    rad = Fraction(1, den)
+    nums, dens = farey.reduced_fractions(q_max)
+    centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+    oracle = iv.interval_set([(_unit(c - rad), _unit(c + rad))
+                              for c in centers])
+    eng = ub.UniformStageEngine(q_max, rad)
+    edges = sorted({c + s * rad for c in centers for s in (-1, 1)})
+
+    def end(x):
+        return edges[x % len(edges)] if isinstance(x, int) else x
+
+    # whole stage, ends beyond [0, 1], a middle block edge
+    fixed = [edges[0], edges[-1], edges[len(edges) // 2],
+             Fraction(-1, 4), Fraction(5, 4), Fraction(0), Fraction(1)]
+    queries = [(a, b) for a in fixed for b in fixed if a < b]
+    queries += [tuple(sorted((end(a), end(b)))) for a, b in picks]
+    for lo, hi in queries:
+        want = 3 * iv.measure(iv.intersect(
+            oracle, iv.interval_set([(_unit(lo), _unit(hi))])))
+        assert eng.union_measure(lo, hi) == want, (lo, hi)
+
+
+def test_ford_engine_matches_per_denominator_count():
+    # Ford stage rho = r^-1, k = 6, n = 6: 2q^2 <= 6^6 gives q <= 152,
+    # and 2 rho(6^6) = 2/6^6 < 1/(152 * 151), the smallest Farey gap, so
+    # the balls are disjoint and every block is one point
+    system, k, n = sy.ford_horoballs(), Fraction(6), 6
+    q_max = ub._uniform_q_max(system, k, n)
+    rad = ub._uniform_radius(fn.radius_law(1, -1), k, n)
+    assert (q_max, rad) == (152, Fraction(1, 6 ** 6))
+    eng = ub.UniformStageEngine(q_max, rad)
+    assert eng.block_count == farey.coprime_count(q_max)
+
+    def per_denominator(lo, hi):
+        total = Fraction(0)
+        for b in range(1, q_max + 1):
+            for a in range(max(0, math.ceil((lo - rad) * b)),
+                           min(b, math.floor((hi + rad) * b)) + 1):
+                if math.gcd(a, b) == 1:
+                    c = Fraction(a, b)
+                    total += max(min(c + rad, hi) - max(c - rad, lo), 0)
+        return total
+
+    rng = random.Random(11)
+    queries = [(Fraction(0), Fraction(1)), (Fraction(1, 3) - rad / 2,
+                                            Fraction(1, 2) + rad / 3)]
+    for _ in range(6):
+        c = Fraction(rng.randrange(1, 10 ** 6), 10 ** 6)
+        r = min(c, 1 - c, Fraction(rng.randrange(1, 2000), 10 ** 4))
+        queries.append((c - r, c + r))
+    for lo, hi in queries:
+        assert eng.union_measure(lo, hi) == per_denominator(lo, hi)
 
 
 # -- ubiquity_ratio ----------------------------------------------------------
