@@ -4,16 +4,16 @@ The package is organised around one experimental loop: pick a family of
 resonant points (rational numbers, horoball bases), shrink a ball around
 each one at a prescribed rate, and study the set of points that land in
 infinitely many of the balls.  Everything else -- symbolic convergence
-tests, interval unions, density ratios, Diophantine counting, geodesic
+tests, union measures, density ratios, Diophantine counting, geodesic
 excursions -- exists to make the quantitative side of that loop checkable
 on a laptop.
 
 Modules
 -------
 functions   symbolic power/log/loglog forms, series verdicts, critical exponents
-intervals   finite unions of subintervals of [0,1], exact or float endpoints
+farey       totient sieve, Farey sequences, the float union-length sweep
 systems     resonant systems, stage sets, stage measure scans
-ubiquity    local density ratios of stage sets against a comparison measure
+ubiquity    local density ratios of stage sets against Lebesgue measure
 counting    Diophantine counting and its mean-value prediction
 geodesics   continued fractions, the modular surface, cusp excursions
 horoballs   Ford configuration: enumeration, counting bands, tangency checks

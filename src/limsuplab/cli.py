@@ -551,14 +551,14 @@ def _run_horoballs(o):
         raise UsageError("points must be >= 1")
     if not 0 < o["factor"] < 1:
         raise UsageError("factor must lie in (0, 1)")
-    rows = []
-    R = o["r_hi"]
-    for _ in range(o["points"]):
-        rep = hb.horoball_count_ratio(base, R, o["lam"])
-        rows.append({"R": R, "log10_R": math.log10(R),
-                     "q_min": rep.q_min, "q_max": rep.q_max,
-                     "count": rep.count, "ratio": float(rep.ratio)})
-        R *= o["factor"]
+    Rs = [o["r_hi"] * o["factor"] ** i for i in range(o["points"])]
+    # the smallest R has the widest window, so counting it first refuses
+    # an oversized run before any count runs
+    reps = {R: hb.horoball_count_ratio(base, R, o["lam"]) for R in Rs[::-1]}
+    rows = [{"R": R, "log10_R": math.log10(R),
+             "q_min": reps[R].q_min, "q_max": reps[R].q_max,
+             "count": reps[R].count, "ratio": float(reps[R].ratio)}
+            for R in Rs]
     ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
     if ratios:
         spread = max(ratios) / min(ratios)

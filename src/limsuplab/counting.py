@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -74,21 +73,6 @@ def count_R(x, N: int, psi: fn.FunctionForm) -> int:
     qs = np.arange(1, N + 1, dtype=np.float64)
     dist = np.abs(qs * xf - np.rint(qs * xf))
     return int(np.count_nonzero(dist < _q_psi(psi, N)))
-
-
-def count_R_exact(x: Fraction, N: int, psi: fn.FunctionForm) -> int:
-    """Fraction-arithmetic twin of count_R for rational x and
-    rational-valued psi; the float path's oracle."""
-    if not fn.is_rational_valued(psi):
-        raise UsageError("exact counting needs a rational-valued psi")
-    x = Fraction(x)
-    count = 0
-    for q in range(1, N + 1):
-        t = q * x
-        p = round(t)
-        if abs(t - p) < q * fn.evaluate_rational(psi, q):
-            count += 1
-    return count
 
 
 def schmidt_prediction(psi: fn.FunctionForm, N: int) -> SchmidtPrediction:

@@ -39,6 +39,10 @@ from limsuplab import functions as fn
 from limsuplab.errors import InternalInvariantError, ResourceCapError, UsageError
 
 DEFAULT_BALL_CAP = 2_000_000
+# count_horoballs takes a gcd per candidate base: the widest window of a
+# 24-point `horoballs` run (R = 2^-26, lam = 1/4) bounds 5.03e7 bases and
+# took 3.5 s on 2 vCPUs, and each further halving of R doubles both
+MAX_COUNT_BASES = 64_000_000
 _ROW_BLOCK = 1024
 
 
@@ -82,6 +86,21 @@ def _base_range(q: int, b_lo: Fraction, b_hi: Fraction) -> tuple[int, int]:
     return math.ceil(q * b_lo), math.ceil(q * b_hi) - 1
 
 
+def _check_bases(b_lo: Fraction, b_hi: Fraction, q_min: int, q_max: int,
+                 cap: int) -> None:
+    """Refuse, before any loop, a window holding more than cap candidate
+    bases, by a coarse O(1) bound: each q contributes fewer than
+    width*q + 1 numerators."""
+    if q_max < q_min:
+        return
+    q_sum = (q_max * (q_max + 1) - (q_min - 1) * q_min) // 2
+    bound = (b_hi - b_lo) * q_sum + (q_max - q_min + 1)
+    if bound > cap:
+        raise ResourceCapError(
+            "window holds up to ~%d bases (cap %d); shrink it"
+            % (math.ceil(bound), cap))
+
+
 def enumerate_horoballs(base_window: tuple, r_lo, r_hi,
                         cap: int = DEFAULT_BALL_CAP) -> list[Horoball]:
     """All Ford circles with base in the half-open window and radius in
@@ -91,15 +110,7 @@ def enumerate_horoballs(base_window: tuple, r_lo, r_hi,
     if b_lo >= b_hi:
         return []
     q_min, q_max = q_window(r_lo, r_hi)
-    if q_max >= q_min:
-        # coarse O(1) bound: each q contributes < width*q + 1 numerators
-        width = b_hi - b_lo
-        q_sum = (q_max * (q_max + 1) - (q_min - 1) * q_min) // 2
-        bound = width * q_sum + (q_max - q_min + 1)
-        if bound > cap:
-            raise ResourceCapError(
-                "window holds up to ~%d bases (cap %d); shrink it or raise "
-                "the cap" % (math.ceil(bound), cap))
+    _check_bases(b_lo, b_hi, q_min, q_max, cap)
     out = []
     for q in range(q_min, q_max + 1):
         p_lo, p_hi = _base_range(q, b_lo, b_hi)
@@ -110,12 +121,14 @@ def enumerate_horoballs(base_window: tuple, r_lo, r_hi,
 
 
 def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
-    """len(enumerate_horoballs(...)) without building the list."""
+    """len(enumerate_horoballs(...)) without building the list; refuses
+    a window of more than MAX_COUNT_BASES candidate bases."""
     b_lo = fn.exact(base_window[0], "base lo")
     b_hi = fn.exact(base_window[1], "base hi")
     if b_lo >= b_hi:
         return 0
     q_min, q_max = q_window(r_lo, r_hi)
+    _check_bases(b_lo, b_hi, q_min, q_max, MAX_COUNT_BASES)
     total = 0
     for q in range(q_min, q_max + 1):
         p_lo, p_hi = _base_range(q, b_lo, b_hi)

@@ -9,14 +9,13 @@ spec* turns a system into a nested sequence of finite unions of balls:
   geometric window (k^(n-1), k^n];
 * uniform stages collect B(p/q, rho(k^n)) over all weights <= k^n.
 
-The module provides exact enumeration (small stages, Fraction
-arithmetic, loud failure beyond a pair cap) and a scan that certifies
-two-sided bounds on the Lebesgue measure of every stage in a range.
-Stages too large to sweep exhaustively get a certified lower bound from
-a denominator-truncated subfamily (a subset of the union can only be
-smaller) and an upper bound from per-denominator ball counts (a union
-is at most the sum of lengths).  Only a stage whose denominators pass
-farey.MAX_SIEVE is refused, before anything is allocated.
+The scan certifies two-sided bounds on the Lebesgue measure of every
+stage in a range.  Stages too large to sweep exhaustively get a
+certified lower bound from a denominator-truncated subfamily (a subset
+of the union can only be smaller) and an upper bound from
+per-denominator ball counts (a union is at most the sum of lengths).
+Only a stage whose denominators pass farey.MAX_SIEVE is refused, before
+anything is allocated.
 
 Duplicate centres are collapsed before sweeping: every ball of the
 stage sits inside the ball at the reduced centre whose radius comes
@@ -32,16 +31,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from limsuplab import farey
 from limsuplab import functions as fn
-from limsuplab import intervals as iv
 from limsuplab.errors import ResourceCapError, UsageError
 
-DEFAULT_PAIR_CAP = 10 ** 8
 # float sweep budgets: full stages below FULL_SWEEP_CAP reduced balls are
 # swept exhaustively; larger stages fall back to the densest prefix of
 # denominators that stays below SUBSET_SWEEP_CAP balls.
@@ -93,15 +90,6 @@ class ResonantSystem:
             return math.isqrt(ratio.numerator // ratio.denominator)
         return q_below(w_lo) + 1, q_below(w_hi)
 
-    def points_at(self, q: int) -> Iterator[int]:
-        """Numerators p for denominator q, ascending."""
-        if self.kind is SystemKind.RATIONALS and not self.coprime_only:
-            yield from range(0, q + 1)
-            return
-        for p in range(0, q + 1):
-            if math.gcd(p, q) == 1:
-                yield p
-
     def count_window(self, w_lo: Fraction, w_hi: Fraction) -> int:
         """Exact number of (point, weight) pairs with weight in (w_lo, w_hi]."""
         q_lo, q_hi = self.q_interval(w_lo, w_hi)
@@ -137,56 +125,6 @@ def _totient_cumsum(limit: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _totient_cumsum_padded(padded: int) -> np.ndarray:
     return np.cumsum(farey.totient_sieve(padded))
-
-
-# ---------------------------------------------------------------------------
-# ambient measure model
-
-
-@dataclass(frozen=True)
-class MeasureModel:
-    """Power-law control on ball measures: a r^delta <= m(B) <= b r^delta
-    for radii up to scale_radius, with m supported on [0,1]."""
-
-    delta: Fraction = Fraction(1)
-    lower: Fraction = Fraction(1)
-    upper: Fraction = Fraction(2)
-    scale_radius: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        for name in ("delta", "lower", "upper", "scale_radius"):
-            object.__setattr__(self, name, fn.exact(getattr(self, name), name))
-        if not (0 < self.lower <= self.upper):
-            raise UsageError("need 0 < lower <= upper")
-        if self.delta <= 0 or self.scale_radius <= 0:
-            raise UsageError("delta and scale_radius must be positive")
-
-    def bounds(self, radius: Fraction) -> tuple[Fraction, Fraction]:
-        radius = fn.exact(radius, "radius")
-        if not (0 < radius <= self.scale_radius):
-            raise UsageError("radius outside the model's validity range")
-        if self.delta.denominator != 1:
-            raise UsageError("exact bounds need an integer exponent")
-        r_pow = radius ** self.delta.numerator
-        return self.lower * r_pow, self.upper * r_pow
-
-    def check_ball(self, center: Fraction, radius: Fraction) -> bool:
-        """Exact verification of the two-sided bound on one ball."""
-        lo, hi = self.bounds(radius)
-        m = ball_measure(center, radius)
-        return lo <= m <= hi
-
-
-def unit_interval_model() -> MeasureModel:
-    return MeasureModel()
-
-
-def ball_measure(center, radius) -> Fraction:
-    """Lebesgue measure of B(center, radius) intersected with [0,1]."""
-    center, radius = fn.exact(center, "center"), fn.exact(radius, "radius")
-    lo = max(center - radius, Fraction(0))
-    hi = min(center + radius, Fraction(1))
-    return max(hi - lo, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,58 +181,6 @@ def uniform_stage(rho: fn.FunctionForm, k) -> StageSpec:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and exact stage sets
-
-
-def enumerate_system(system: ResonantSystem, w_lo, w_hi,
-                     cap: int = DEFAULT_PAIR_CAP
-                     ) -> Iterator[tuple[Fraction, Fraction]]:
-    """(point, weight) pairs with weight in (w_lo, w_hi], ordered by
-    weight then point.  Raises ResourceCapError before yielding anything
-    if the window holds more than cap pairs."""
-    w_lo, w_hi = fn.exact(w_lo, "w_lo"), fn.exact(w_hi, "w_hi")
-    total = system.count_window(w_lo, w_hi)
-    if total > cap:
-        raise ResourceCapError(
-            "window (%s, %s] holds %d pairs, cap is %d"
-            % (w_lo, w_hi, total, cap))
-    q_lo, q_hi = system.q_interval(w_lo, w_hi)
-    for q in range(q_lo, q_hi + 1):
-        w = system.weight_of(q)
-        for p in system.points_at(q):
-            yield Fraction(p, q), w
-
-
-def enumerate_stage(system: ResonantSystem, stage: StageSpec, n: int,
-                    cap: int = DEFAULT_PAIR_CAP
-                    ) -> Iterator[tuple[Fraction, Fraction]]:
-    w_lo, w_hi = stage.window(n)
-    return enumerate_system(system, w_lo, w_hi, cap=cap)
-
-
-def delta_stage(system: ResonantSystem, stage: StageSpec, n: int,
-                cap: int = DEFAULT_PAIR_CAP) -> iv.IntervalSet:
-    """Stage n as an IntervalSet.
-
-    Exact (Fraction endpoints) whenever the radius function is
-    rational-valued at rational weights; float mode otherwise.
-    """
-    exact = fn.is_rational_valued(stage.form)
-    mode = iv.Mode.EXACT if exact else iv.Mode.FLOAT
-    centers, radii = [], []
-    for point, weight in enumerate_stage(system, stage, n, cap=cap):
-        if stage.mode is StageMode.UNIFORM:
-            weight = stage.k ** n  # uniform radius at the stage scale
-        if exact:
-            r = stage.radius_exact(weight)
-        else:
-            r = stage.radius_float(weight)
-        centers.append(point if exact else float(point))
-        radii.append(r)
-    return iv.from_balls(centers, radii, mode=mode)
-
-
-# ---------------------------------------------------------------------------
 # measure scan
 
 
@@ -317,19 +203,6 @@ class StageScan:
     system: ResonantSystem
     stage: StageSpec
     records: tuple[StageMeasure, ...]
-
-    def lowers(self) -> list[float]:
-        return [r.lower for r in self.records]
-
-    def uppers(self) -> list[float]:
-        return [r.upper for r in self.records]
-
-    def tail_upper_sum(self) -> float:
-        """Upper bound on the summed measures of the scanned stages."""
-        return float(sum(r.upper for r in self.records))
-
-    def min_lower(self) -> float:
-        return min((r.lower for r in self.records), default=0.0)
 
 
 def _radius_vector(stage: StageSpec, weights: np.ndarray) -> np.ndarray:

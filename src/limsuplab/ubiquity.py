@@ -169,28 +169,22 @@ def _uniform_radius(rho: fn.FunctionForm, k: Fraction, n: int) -> Fraction:
     return fn.evaluate_rational(rho, k ** n)
 
 
-def _check_ball(center: Fraction, radius: Fraction,
-                model: sy.MeasureModel) -> None:
+def _check_ball(center: Fraction, radius: Fraction) -> None:
     if radius <= 0:
         raise UsageError("ball radius must be positive")
-    if radius > model.scale_radius:
-        raise UsageError("ball radius %s exceeds the model's r_o = %s"
-                         % (radius, model.scale_radius))
     if center - radius < 0 or center + radius > 1:
         raise UsageError("ball must sit inside [0,1]")
 
 
 def ubiquity_ratio(system: sy.ResonantSystem, rho: fn.FunctionForm,
                    k, n: int, ball: tuple,
-                   model: Optional[sy.MeasureModel] = None,
                    q_cap: int = MAX_UNIFORM_Q) -> Fraction:
     """m(B intersect union of B(x, rho(k^n)) over weights <= k^n) / m(B),
     as an exact Fraction.
 
     `ball` is (center, radius), both exact, with the ball inside [0,1].
     """
-    report, = estimate_kappa(system, rho, k, [ball], [n], model=model,
-                             q_cap=q_cap)
+    report, = estimate_kappa(system, rho, k, [ball], [n], q_cap=q_cap)
     return report.kappa_hat
 
 
@@ -208,7 +202,6 @@ class UbiquityReport:
 def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
                    k, balls: Sequence[tuple], n_range,
                    target=Fraction(1, 2),
-                   model: Optional[sy.MeasureModel] = None,
                    q_cap: int = MAX_UNIFORM_Q) -> list[UbiquityReport]:
     """Per-ball infimum of the stage ratios over the n-range.
 
@@ -224,11 +217,10 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
         raise UsageError("empty stage range")
     if not balls:
         raise UsageError("empty ball sample")
-    model = model or sy.unit_interval_model()
     checked = []
     for ball in balls:
         c, r = fn.exact(ball[0], "center"), fn.exact(ball[1], "radius")
-        _check_ball(c, r, model)
+        _check_ball(c, r)
         checked.append((c, r))
 
     per_ball: list[list[tuple[int, Fraction]]] = [[] for _ in checked]

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from limsuplab import cli
+from limsuplab import horoballs as hb
 from limsuplab import systems as sy
 from limsuplab.errors import UsageError
 
@@ -104,6 +105,20 @@ class TestExitStatuses:
         assert code == 2
         assert err.startswith("resource cap:") and "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_horoballs_beyond_count_cap_is_2(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the 30th radius, 2^-32, bounds 3.2e9 candidate bases; the run
+        # must refuse it before counting any radius
+        def no_count(*args):
+            raise AssertionError("bases counted past the cap")
+        monkeypatch.setattr(hb, "_base_range", no_count)
+        code, _, err = run_main(
+            ["horoballs", "--points", "30",
+             "--output", str(tmp_path / "h.csv")], capsys)
+        assert code == 2
+        assert err.startswith("resource cap:") and "Traceback" not in err
+        assert not (tmp_path / "h.csv").exists()
 
     def test_precision_exhausted_is_2(self, tmp_path, capsys):
         code, _, _ = run_main(

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import limsuplab.functions as fn
-from limsuplab.counting import (CountRecord, count_R, count_R_exact,
-                                sample_x, schmidt_experiment,
-                                schmidt_prediction)
+from limsuplab.counting import (CountRecord, count_R, sample_x,
+                                schmidt_experiment, schmidt_prediction)
 from limsuplab.errors import UsageError
+from oracles import count_R_exact
 
 PSI_QUARTER = fn.approximating(Fraction(1, 4), -1)   # 1/(4q)
 PSI_CUBE = fn.approximating(1, -3)                   # q^-3
@@ -79,6 +81,24 @@ def test_exact_count_agrees_on_rationals():
 def test_exact_count_rejects_log_radii():
     with pytest.raises(UsageError):
         count_R_exact(Fraction(1, 3), 10, fn.approximating(1, -2, -1))
+
+
+# x = m / 2^20 and q <= 400 make q x exact in float64 (29 bits), and
+# psi = c q^-e with c = a/b, b odd, keeps every threshold q psi(q) =
+# a / (b q^(e-1)) off the dyadic distances |q x - p|, by at least
+# 1 / (2^20 b q^(e-1)): a relative gap near 1e-7, far above the few ulps
+# of the float threshold, so no hit can flip
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(m=st.integers(0, 2 ** 20), N=st.integers(1, 400),
+       c=st.sampled_from([Fraction(a, b) for b in (3, 5, 7, 11, 13)
+                          for a in range(1, b)]),
+       e=st.integers(1, 3))
+@example(m=2 ** 19, N=400, c=Fraction(1, 3), e=1)
+@example(m=0, N=400, c=Fraction(2, 13), e=3)
+def test_float_count_matches_exact_on_dyadics(m, N, c, e):
+    x = Fraction(m, 2 ** 20)
+    psi = fn.approximating(c, -e)
+    assert count_R(float(x), N, psi) == count_R_exact(x, N, psi)
 
 
 def test_rational_point_floor_bound():

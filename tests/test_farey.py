@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limsuplab import farey
-from limsuplab import intervals as iv
 from limsuplab.errors import ResourceCapError, UsageError
+from oracles import exact_union_measure
 
 # property tests replay the same examples on every run
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -112,26 +112,37 @@ class TestMinMultiple:
             assert got == want, (b, lo, hi)
 
 
-def union_oracle(pairs):
-    """Exact union measure of float intervals clipped to [0,1]."""
-    exact = [(Fraction(lo), Fraction(hi)) for lo, hi in pairs]
-    s = iv.interval_set(exact, mode=iv.Mode.EXACT)
-    return float(iv.measure(s))
+# a point on a 1/16 grid (so intervals touch, nest and vanish often) or
+# anywhere, both reaching past [0, 1]
+POINT = st.one_of(st.integers(-8, 24).map(lambda i: i / 16),
+                  st.floats(-0.5, 1.5))
+LENGTH = st.one_of(st.just(0.0), st.integers(1, 8).map(lambda i: i / 16),
+                   st.floats(0, 0.5))
 
 
 class TestUnionLength:
     def test_empty(self):
         assert farey.union_length(np.array([]), np.array([])) == 0.0
 
-    def test_matches_exact_oracle(self):
-        rng = random.Random(321)
-        for trial in range(50):
-            n = rng.randint(1, 60)
-            lo = np.array([rng.uniform(-0.2, 1.1) for _ in range(n)])
-            hi = lo + np.array([rng.uniform(0, 0.3) for _ in range(n)])
-            got = farey.union_length(lo, hi)
-            want = union_oracle(zip(lo.tolist(), hi.tolist()))
-            assert got == pytest.approx(want, abs=1e-12), trial
+    # the sweep's value stays within its certified budget of the exact
+    # measure of the same float intervals
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(pieces=st.lists(st.tuples(POINT, LENGTH), min_size=1,
+                           max_size=60),
+           window=st.tuples(POINT, POINT).map(sorted))
+    @example(pieces=[(0.0, 0.25), (0.25, 0.25)], window=[0.0, 1.0])
+    @example(pieces=[(0.125, 0.75), (0.25, 0.125)], window=[0.0, 1.0])
+    @example(pieces=[(0.5, 0.0), (0.75, 0.0)], window=[0.0, 1.0])
+    @example(pieces=[(-0.25, 1.5)], window=[-0.5, 1.5])
+    @example(pieces=[(0.25, 0.5)], window=[1.125, 1.5])
+    def test_matches_exact_oracle(self, pieces, window):
+        lo = np.array([a for a, _ in pieces])
+        hi = lo + np.array([w for _, w in pieces])
+        got = farey.union_length(lo, hi, *window)
+        want = exact_union_measure(zip(lo.tolist(), hi.tolist()), *window)
+        budget = farey.union_length_error_budget(len(pieces))
+        assert abs(Fraction(got) - want) <= budget
 
     def test_clip_window(self):
         lo = np.array([0.0, 0.5])

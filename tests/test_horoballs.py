@@ -86,6 +86,8 @@ def test_enumerate_resource_cap():
     with pytest.raises(ResourceCapError):
         hb.enumerate_horoballs((0, 1), Fraction(1, 10 ** 14), Fraction(1, 2),
                                cap=1000)
+    with pytest.raises(ResourceCapError):
+        hb.count_horoballs((0, 1), Fraction(1, 10 ** 14), Fraction(1, 2))
 
 
 def test_ball_at_validation():

@@ -1,99 +1,99 @@
-"""Interval-union bookkeeping: normalisation, measure, ball clipping.
+"""Interval-union measure: the exact oracle every union kernel is tested
+against, checked by hand values and a dumb grid-membership count, plus
+the ball queries m(B ∩ union) the ubiquity ratios are made of.
 
-Property checks are seeded random sweeps cross-checked against a dumb
-grid-membership oracle.
+Property checks are seeded random sweeps.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from limsuplab import intervals as iv
+from limsuplab import farey
+from limsuplab import ubiquity as ub
 from limsuplab.errors import UsageError
+from oracles import exact_union_measure
 
 F = Fraction
 
 
 def test_normalize_sorts_and_merges_touching():
-    s = iv.interval_set([(F(1, 2), F(3, 4)), (F(0), F(1, 2))])
-    assert s.intervals == ((F(0), F(3, 4)),)
+    pairs = [(F(1, 2), F(3, 4)), (F(0), F(1, 2))]
+    assert exact_union_measure(pairs) == F(3, 4)
 
 
 def test_normalize_merges_overlap():
-    s = iv.interval_set([(F(0), F(2, 3)), (F(1, 3), F(3, 4)),
-                         (F(9, 10), F(1))])
-    assert s.intervals == ((F(0), F(3, 4)), (F(9, 10), F(1)))
+    pairs = [(F(0), F(2, 3)), (F(1, 3), F(3, 4)), (F(9, 10), F(1))]
+    assert exact_union_measure(pairs) == F(3, 4) + F(1, 10)
 
 
 def test_clip_to_unit_interval():
-    s = iv.interval_set([(F(-1), F(2))])
-    assert s.intervals == ((F(0), F(1)),)
-    assert iv.measure(s) == 1
+    assert exact_union_measure([(F(-1), F(2))]) == 1
+    assert exact_union_measure([(F(-1), F(2))], F(-1, 2), F(3, 2)) == 2
 
 
 def test_degenerate_dropped():
-    s = iv.interval_set([(F(1, 2), F(1, 2)), (F(3, 4), F(1, 4))])
-    assert s.empty
-    assert iv.measure(s) == 0
+    assert exact_union_measure([(F(1, 2), F(1, 2)), (F(3, 4), F(1, 4))]) == 0
 
 
 def test_outside_dropped():
-    s = iv.interval_set([(F(-3), F(-2)), (F(2), F(3))])
-    assert s.empty
+    pairs = [(F(-3), F(-2)), (F(2), F(3))]
+    assert exact_union_measure(pairs) == 0
+    assert exact_union_measure(pairs, -3, 3) == 2
 
 
 def test_measure_exact():
-    s = iv.interval_set([(F(0), F(1, 3)), (F(1, 2), F(7, 12))])
-    assert iv.measure(s) == F(1, 3) + F(1, 12)
-    assert isinstance(iv.measure(s), Fraction)
+    got = exact_union_measure([(F(0), F(1, 3)), (F(1, 2), F(7, 12))])
+    assert got == F(1, 3) + F(1, 12)
+    assert isinstance(got, Fraction)
 
 
 def test_exact_mode_rejects_floats():
+    # the exact engine refuses floats; the oracle reads them exactly
     with pytest.raises(UsageError):
-        iv.interval_set([(0.1, 0.2)])
-    iv.interval_set([(0.1, 0.2)], iv.Mode.FLOAT)  # fine
+        ub.UniformStageEngine(3, 0.1)
+    with pytest.raises(UsageError):
+        ub.UniformStageEngine(3, F(1, 10)).union_measure(0.1, F(1, 2))
+    assert exact_union_measure([(0.1, 0.2)]) == F(0.2) - F(0.1) != F(1, 10)
 
 
 def test_intersect_ball_basic():
-    s = iv.whole_interval()
-    out = iv.intersect_ball(s, F(1, 2), F(1, 4))
-    assert out.intervals == ((F(1, 4), F(3, 4)),)
+    assert exact_union_measure([(F(0), F(1))], F(1, 4), F(3, 4)) == F(1, 2)
 
 
 def test_intersect_ball_zero_radius_empty():
-    s = iv.whole_interval()
-    assert iv.intersect_ball(s, F(1, 2), F(0)).empty
+    assert exact_union_measure([(F(0), F(1))], F(1, 2), F(1, 2)) == 0
+    assert ub.UniformStageEngine(3, F(1, 10)).union_measure(
+        F(1, 2), F(1, 2)) == 0
 
 
 def test_intersect_ball_clips_at_edges():
-    s = iv.whole_interval()
-    out = iv.intersect_ball(s, F(0), F(1, 8))
-    assert out.intervals == ((F(0), F(1, 8)),)
+    assert exact_union_measure([(F(0), F(1))], F(-1, 8), F(1, 8)) == F(1, 8)
 
 
 def test_intersect_ball_across_gaps():
-    s = iv.interval_set([(F(0), F(1, 4)), (F(1, 2), F(3, 4))])
-    out = iv.intersect_ball(s, F(3, 8), F(1, 4))
-    assert out.intervals == ((F(1, 8), F(1, 4)), (F(1, 2), F(5, 8)))
-    assert iv.measure(out) == F(1, 4)
+    pairs = [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]
+    assert exact_union_measure(pairs, F(1, 8), F(5, 8)) == F(1, 4)
 
 
 def test_from_balls_shared_radius():
-    s = iv.from_balls([F(1, 4), F(3, 4)], F(1, 8))
-    assert iv.measure(s) == F(1, 2)
-    t = iv.from_balls([F(1, 4), F(3, 8)], F(1, 8))
-    assert len(t) == 1  # overlapping balls merge
+    r = F(1, 8)
+    apart = [(c - r, c + r) for c in (F(1, 4), F(3, 4))]
+    assert exact_union_measure(apart) == F(1, 2)
+    overlapping = [(c - r, c + r) for c in (F(1, 4), F(3, 8))]
+    assert exact_union_measure(overlapping) == F(3, 8)  # [1/8, 1/2]
 
 
-def grid_measure_oracle(pairs, n=4096):
+def grid_measure_oracle(pairs, n=4096, lo=F(0), hi=F(1)):
     """Dumb membership-count oracle: measure to within a few grid cells."""
     hits = 0
     for i in range(n):
-        x = F(2 * i + 1, 2 * n)  # cell midpoints
-        if any(lo <= x <= hi for lo, hi in pairs):
+        x = lo + (hi - lo) * F(2 * i + 1, 2 * n)  # cell midpoints
+        if any(a <= x <= b for a, b in pairs):
             hits += 1
-    return F(hits, n)
+    return (hi - lo) * F(hits, n)
 
 
 def test_measure_against_grid_oracle():
@@ -104,10 +104,10 @@ def test_measure_against_grid_oracle():
             lo = F(rng.randint(0, 400), 400)
             hi = lo + F(rng.randint(0, 100), 400)
             pairs.append((lo, hi))
-        s = iv.interval_set(pairs)
-        got = iv.measure(s)
-        est = grid_measure_oracle(s.intervals)
-        assert abs(got - est) <= F(12, 4096)
+        # no endpoint k/400 is a midpoint (2i+1)/8192, so each of the at
+        # most 12 pieces of the union is off by under one cell
+        est = grid_measure_oracle(pairs)
+        assert abs(exact_union_measure(pairs) - est) <= F(12, 4096)
 
 
 def test_normalized_invariants_random():
@@ -118,60 +118,52 @@ def test_normalized_invariants_random():
             lo = F(rng.randint(-100, 500), 400)
             hi = F(rng.randint(-100, 500), 400)
             pairs.append((lo, hi))
-        s = iv.interval_set(pairs)
-        for (lo, hi) in s.intervals:
-            assert F(0) <= lo < hi <= F(1)
-        for (a, b), (c, d) in zip(s.intervals, s.intervals[1:]):
-            assert b < c  # strict gap: touching pieces were merged
-        assert iv.measure(s) <= 1
+        got = exact_union_measure(pairs)
+        lengths = [max(min(b, F(1)) - max(a, F(0)), F(0)) for a, b in pairs]
+        # a union is at least its largest piece and at most their sum
+        assert max(lengths, default=0) <= got <= min(sum(lengths), F(1))
 
 
 def test_measure_additive_on_disjoint_union():
     rng = random.Random(5150)
     for _ in range(30):
-        a = iv.interval_set([(F(rng.randint(0, 40), 100),
-                              F(rng.randint(0, 40), 100))
-                             for _ in range(4)])
-        b = iv.interval_set([(F(rng.randint(60, 100), 100),
-                              F(rng.randint(60, 100), 100))
-                             for _ in range(4)])
-        u = iv.union(a, b)
-        if not iv.intersect(a, b).empty:
-            continue
-        # disjoint by construction unless the 40/60 gap was bridged
-        assert iv.measure(u) == iv.measure(a) + iv.measure(b)
+        a = [(F(rng.randint(0, 40), 100), F(rng.randint(0, 40), 100))
+             for _ in range(4)]
+        b = [(F(rng.randint(60, 100), 100), F(rng.randint(60, 100), 100))
+             for _ in range(4)]
+        assert exact_union_measure(a + b) == \
+            exact_union_measure(a) + exact_union_measure(b)
 
 
 def test_intersect_ball_monotone_in_radius():
     rng = random.Random(31)
-    base = iv.interval_set([(F(0), F(1, 3)), (F(2, 5), F(9, 10))])
+    base = [(F(0), F(1, 3)), (F(2, 5), F(9, 10))]
     for _ in range(40):
         c = F(rng.randint(0, 100), 100)
         r1 = F(rng.randint(0, 50), 200)
         r2 = r1 + F(rng.randint(0, 50), 200)
-        m1 = iv.measure(iv.intersect_ball(base, c, r1))
-        m2 = iv.measure(iv.intersect_ball(base, c, r2))
+        m1 = exact_union_measure(base, c - r1, c + r1)
+        m2 = exact_union_measure(base, c - r2, c + r2)
         assert m1 <= m2
 
 
 def test_intersection_commutes_with_oracle():
+    # m(union ∩ [lo, hi]) against the grid count inside the window, and
+    # additive when the window is cut in two
     rng = random.Random(88)
     for _ in range(25):
-        a = iv.interval_set([(F(rng.randint(0, 400), 400),
-                              F(rng.randint(0, 400), 400))
-                             for _ in range(5)])
-        b = iv.interval_set([(F(rng.randint(0, 400), 400),
-                              F(rng.randint(0, 400), 400))
-                             for _ in range(5)])
-        got = iv.intersect(a, b)
-        # point-membership oracle on a fine grid
-        for i in range(0, 800, 7):
-            x = F(i, 800) + F(1, 1600)
-            want = iv.contains_point(a, x) and iv.contains_point(b, x)
-            assert iv.contains_point(got, x) == want
+        pairs = [(F(rng.randint(0, 400), 400), F(rng.randint(0, 400), 400))
+                 for _ in range(5)]
+        lo, mid, hi = sorted(F(rng.randint(-40, 440), 400) for _ in range(3))
+        got = exact_union_measure(pairs, lo, hi)
+        if hi > lo:
+            est = grid_measure_oracle(pairs, 800, lo, hi)
+            assert abs(got - est) <= 10 * (hi - lo) / 800
+        assert got == (exact_union_measure(pairs, lo, mid)
+                       + exact_union_measure(pairs, mid, hi))
 
 
 def test_float_mode_measures():
-    s = iv.interval_set([(0.1, 0.3), (0.2, 0.4)], iv.Mode.FLOAT)
-    assert iv.measure(s) == pytest.approx(0.3)
-    assert s.mode is iv.Mode.FLOAT
+    lo, hi = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+    assert farey.union_length(lo, hi) == pytest.approx(0.3)
+    assert exact_union_measure(zip(lo, hi)) == F(0.4) - F(0.1)

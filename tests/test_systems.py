@@ -1,36 +1,29 @@
 """Resonant systems, stage sets and the measure scan.
 
-The scan is checked against delta_stage, which enumerates every raw
-(point, weight) pair with exact Fraction arithmetic and therefore knows
-nothing about the reduced-centre dedup the scan relies on.
+The scan is checked against the exact oracles in `oracles.py`, which
+list every raw (point, weight) pair with Fraction arithmetic and
+therefore know nothing about the reduced-centre dedup the scan relies
+on.
 """
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from limsuplab import farey
 from limsuplab import functions as fn
-from limsuplab import intervals as iv
 from limsuplab import systems as sy
 from limsuplab.errors import ResourceCapError, UsageError
-
-
-def brute_window_pairs(system, w_lo, w_hi, q_stop=200):
-    out = []
-    for q in range(1, q_stop):
-        w = system.weight_of(q)
-        if w_lo < w <= w_hi:
-            for p in system.points_at(q):
-                out.append((Fraction(p, q), w))
-    return out
+from oracles import exact_union_measure, stage_balls, window_pairs
 
 
 class TestSystems:
     def test_rationals_window(self):
         s = sy.classical_rationals()
-        pairs = list(sy.enumerate_system(s, 1, 3))
+        pairs = window_pairs(s, 1, 3)
         # q=2: 0/2, 1/2, 2/2 ; q=3: 0/3..3/3
         assert len(pairs) == 7
         assert pairs[0] == (Fraction(0), Fraction(2))
@@ -39,17 +32,18 @@ class TestSystems:
 
     def test_coprime_window(self):
         s = sy.classical_rationals(coprime_only=True)
-        pairs = list(sy.enumerate_system(s, 1, 3))
+        pairs = window_pairs(s, 1, 3)
         assert [p for p, _ in pairs] == [Fraction(1, 2), Fraction(1, 3),
                                          Fraction(2, 3)]
         assert s.count_window(1, 3) == 3
 
     def test_ford_window(self):
         s = sy.ford_horoballs(1)
-        pairs = list(sy.enumerate_system(s, 0, 8))
+        pairs = window_pairs(s, 0, 8)
         assert pairs == [(Fraction(0), Fraction(2)),
                          (Fraction(1), Fraction(2)),
                          (Fraction(1, 2), Fraction(8))]
+        assert s.count_window(0, 8) == 3
 
     def test_count_window_matches_enumeration(self):
         rng = random.Random(5)
@@ -59,50 +53,30 @@ class TestSystems:
             s = rng.choice(systems)
             lo = Fraction(rng.randint(0, 40), rng.randint(1, 3))
             hi = lo + Fraction(rng.randint(1, 60), rng.randint(1, 3))
-            want = brute_window_pairs(s, lo, hi)
-            got = list(sy.enumerate_system(s, lo, hi))
-            assert got == want, (s.kind, lo, hi)
-            assert s.count_window(lo, hi) == len(want)
+            want = window_pairs(s, lo, hi)
+            assert s.count_window(lo, hi) == len(want), (s.kind, lo, hi)
+            # every denominator of the q-range, and no other, has a point
+            q_lo, q_hi = s.q_interval(lo, hi)
+            assert sorted({w for _, w in want}) == \
+                [s.weight_of(q) for q in range(q_lo, q_hi + 1)]
 
     def test_enumeration_order_is_weight_then_point(self):
         s = sy.classical_rationals()
-        pairs = list(sy.enumerate_system(s, 0, 4))
+        pairs = window_pairs(s, 0, 4)
         assert pairs == sorted(pairs, key=lambda t: (t[1], t[0]))
 
     def test_cap_failure_is_loud(self):
-        s = sy.classical_rationals()
+        # the reduced count needs a totient sieve past its cap: refused
+        # before the sieve is allocated
+        s = sy.classical_rationals(coprime_only=True)
         with pytest.raises(ResourceCapError):
-            list(sy.enumerate_system(s, 0, 100, cap=10))
+            s.count_window(0, farey.MAX_SIEVE + 1)
 
     def test_ford_scale_validation(self):
         with pytest.raises(UsageError):
             sy.ford_horoballs(0)
         with pytest.raises(UsageError):
             sy.ford_horoballs(0.5)  # floats refused
-
-
-class TestMeasureModel:
-    def test_unit_interval_model_holds(self):
-        m = sy.unit_interval_model()
-        rng = random.Random(11)
-        for _ in range(300):
-            c = Fraction(rng.randint(0, 64), 64)
-            r = Fraction(rng.randint(1, 32), 64)
-            assert m.check_ball(c, r), (c, r)
-
-    def test_interior_ball_is_tight_above(self):
-        m = sy.unit_interval_model()
-        assert sy.ball_measure(Fraction(1, 2), Fraction(1, 4)) == Fraction(1, 2)
-        lo, hi = m.bounds(Fraction(1, 4))
-        assert hi == Fraction(1, 2)
-
-    def test_edge_ball_is_tight_below(self):
-        lo, _ = sy.unit_interval_model().bounds(Fraction(1, 4))
-        assert sy.ball_measure(Fraction(0), Fraction(1, 4)) == lo == Fraction(1, 4)
-
-    def test_radius_out_of_range(self):
-        with pytest.raises(UsageError):
-            sy.unit_interval_model().bounds(Fraction(3, 4))
 
 
 class TestStageSpec:
@@ -122,59 +96,58 @@ class TestStageSpec:
             st.window(0)
 
 
-def merge_balls_oracle(balls):
-    """Exact union of (center, radius) Fractions, clipped to [0,1]."""
-    segs = []
-    for c, r in balls:
-        lo, hi = max(c - r, Fraction(0)), min(c + r, Fraction(1))
-        if lo < hi:
-            segs.append((lo, hi))
-    segs.sort()
-    merged = []
-    for lo, hi in segs:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return sum((hi - lo for lo, hi in merged), Fraction(0))
-
-
-def delta_measure(system, stage, n):
-    return iv.measure(sy.delta_stage(system, stage, n))
+def exact_stage_measure(system, stage, n):
+    return exact_union_measure([(c - r, c + r)
+                                for c, r in stage_balls(system, stage, n)])
 
 
 class TestDeltaStage:
+    """Stage sets Delta_n: the raw oracle against hand values, and the
+    scan on the stages the oracle cannot list exactly."""
+
     def test_exact_small_stage(self):
+        # window (2, 4]: radius 1/27 at thirds, 1/64 at quarters; the
+        # balls at 0 and 1 nest, and no other two meet
         system = sy.classical_rationals()
         stage = sy.per_point_stage(fn.approximating(power=-3), 2)
-        got = sy.delta_stage(system, stage, 2)
-        assert got.mode is iv.Mode.EXACT
-        balls = [(p, Fraction(1, int(w) ** 3))
-                 for p, w in sy.enumerate_stage(system, stage, 2)]
-        assert iv.measure(got) == merge_balls_oracle(balls)
+        exact = exact_stage_measure(system, stage, 2)
+        assert exact == 6 * Fraction(1, 27) + 6 * Fraction(1, 64) \
+            == Fraction(91, 288)
+        rec, = sy.stage_measure_scan(system, stage, 2, 2).records
+        assert rec.lower <= exact <= rec.upper
 
     def test_uniform_stage_radius_is_stagewide(self):
         system = sy.classical_rationals(coprime_only=True)
         stage = sy.uniform_stage(fn.radius_law(scale=6, power=-2), 6)
-        got = sy.delta_stage(system, stage, 1)
-        r = Fraction(6, 36)
-        balls = [(p, r) for p, _ in sy.enumerate_stage(system, stage, 1)]
-        assert iv.measure(got) == merge_balls_oracle(balls)
+        assert {r for _, r in stage_balls(system, stage, 1)} == \
+            {Fraction(6, 36)}
+        _, radii = sy._stage_ball_plan(system, stage, 1)
+        assert set(radii.tolist()) == {1 / 6}
 
     def test_float_mode_for_log_radius(self):
+        # psi(q) = 1/(q^2 log q) has no exact values, but on the window
+        # (4, 8] log q lies in (8/5, 21/10), so the stage sits between
+        # the exact stages of radius (10/21) q^-2 and (5/8) q^-2
         system = sy.classical_rationals()
-        psi = fn.approximating(power=-2, log_power=-1)
-        stage = sy.per_point_stage(psi, 2)
-        got = sy.delta_stage(system, stage, 3)
-        assert got.mode is iv.Mode.FLOAT
-        assert 0 < iv.measure(got) < 1
+        stage = sy.per_point_stage(fn.approximating(power=-2,
+                                                    log_power=-1), 2)
+        inner, outer = (exact_stage_measure(
+            system, sy.per_point_stage(fn.approximating(c, -2), 2), 3)
+            for c in (Fraction(10, 21), Fraction(5, 8)))
+        rec, = sy.stage_measure_scan(system, stage, 3, 3).records
+        assert rec.method == "full-sweep"
+        assert 0 < rec.lower <= outer and inner <= rec.upper < 1
+        assert inner <= rec.value <= outer
 
-    def test_cap(self):
-        system = sy.classical_rationals()
+    def test_cap(self, monkeypatch):
+        # stage 31 spans q <= 2^31, past farey.MAX_SIEVE: refused before
+        # any stage of the range is planned
+        def no_plan(*args):
+            raise AssertionError("stage planned past the sieve cap")
+        monkeypatch.setattr(sy, "_stage_ball_plan", no_plan)
         stage = sy.per_point_stage(fn.approximating(power=-2), 2)
         with pytest.raises(ResourceCapError):
-            sy.delta_stage(system, stage, 8, cap=100)
-
+            sy.stage_measure_scan(sy.classical_rationals(), stage, 1, 31)
 
 SCAN_CASES = [
     (sy.classical_rationals(), sy.per_point_stage(fn.approximating(power=-2), 2), 4),
@@ -186,17 +159,68 @@ SCAN_CASES = [
 ]
 
 
+# the scan's three ways to certify a stage: swept whole, swept over a
+# denominator prefix of subset_cap balls, and per-denominator sums only
+SETTINGS = [({}, "full-sweep"), ({"full_cap": 1}, "subset-sweep"),
+            ({"full_cap": 0, "subset_cap": 0}, "per-q-upper")]
+MAX_STAGE_PAIRS = 1500
+
+
+@st.composite
+def scan_cases(draw):
+    """(system, stage, n_hi) whose stage n_hi has at most MAX_STAGE_PAIRS
+    raw pairs, so the oracle can list it."""
+    system = draw(st.sampled_from([sy.classical_rationals(),
+                                   sy.classical_rationals(True),
+                                   sy.ford_horoballs(1)]))
+    k = draw(st.sampled_from([Fraction(3, 2), 2, 3, 4, 6]))
+    power = -draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        stage = sy.uniform_stage(
+            fn.radius_law(draw(st.integers(1, 6)), power), k)
+    else:
+        stage = sy.per_point_stage(fn.approximating(1, power), k)
+    n_hi = draw(st.integers(1, 10))
+    while n_hi > 1 and (system.count_window(*stage.window(n_hi))
+                        > MAX_STAGE_PAIRS):
+        n_hi -= 1
+    return system, stage, n_hi
+
+
+def check_scan_brackets(system, stage, n_hi, subset_cap):
+    """Scan stages 1..n_hi in each of the three SETTINGS and check every
+    record against the exact oracle."""
+    balls = {n: stage_balls(system, stage, n) for n in range(1, n_hi + 1)}
+    exact = {n: exact_union_measure([(c - r, c + r) for c, r in b])
+             for n, b in balls.items()}
+    for caps, method in SETTINGS:
+        caps = {"subset_cap": subset_cap, **caps}
+        full_cap = caps.get("full_cap", sy.FULL_SWEEP_CAP)
+        scan = sy.stage_measure_scan(system, stage, 1, n_hi, **caps)
+        for rec in scan.records:
+            assert rec.lower <= exact[rec.n] <= rec.upper, (caps, rec)
+            assert rec.pairs == len(balls[rec.n])
+            if rec.count == 0:
+                assert rec.method == "empty"
+            elif rec.count <= full_cap:
+                assert rec.method == "full-sweep" and not rec.truncated
+                assert rec.value == pytest.approx(float(exact[rec.n]),
+                                                  abs=1e-10)
+            else:
+                assert rec.method == method and rec.truncated
+                assert rec.value is None
+
+
 class TestStageMeasureScan:
     @pytest.mark.parametrize("system,stage,n_hi", SCAN_CASES)
     def test_brackets_exact_measure(self, system, stage, n_hi):
-        scan = sy.stage_measure_scan(system, stage, 1, n_hi)
-        for rec in scan.records:
-            exact = float(delta_measure(system, stage, rec.n))
-            assert rec.lower <= exact <= rec.upper, rec
-            assert rec.value == pytest.approx(exact, abs=1e-10)
-            assert rec.method == "full-sweep"
-            assert not rec.truncated
-            assert rec.pairs == system.count_window(*stage.window(rec.n))
+        check_scan_brackets(system, stage, n_hi, subset_cap=40)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=40)
+    @given(case=scan_cases(), subset_cap=st.integers(1, 300))
+    def test_brackets_exact_measure_random_stages(self, case, subset_cap):
+        check_scan_brackets(*case, subset_cap)
 
     def test_counts_are_reduced_ball_counts(self):
         system = sy.classical_rationals()
@@ -211,7 +235,7 @@ class TestStageMeasureScan:
     def test_truncated_stage_still_bracketed(self):
         system = sy.classical_rationals()
         stage = sy.per_point_stage(fn.approximating(power=-2), 2)
-        exact = float(delta_measure(system, stage, 5))
+        exact = exact_stage_measure(system, stage, 5)
         scan = sy.stage_measure_scan(system, stage, 5, 5,
                                      full_cap=10, subset_cap=40)
         rec = scan.records[0]
@@ -227,7 +251,7 @@ class TestStageMeasureScan:
             scan = sy.stage_measure_scan(system, stage, 1, n_hi,
                                          full_cap=0, subset_cap=0)
             for rec in scan.records:
-                exact = float(delta_measure(system, stage, rec.n))
+                exact = exact_stage_measure(system, stage, rec.n)
                 assert rec.method == "per-q-upper", rec
                 assert rec.lower == 0.0 and rec.value is None
                 assert exact <= rec.upper <= 1.0, rec
@@ -238,11 +262,3 @@ class TestStageMeasureScan:
         stage = sy.per_point_stage(psi, 2)
         with pytest.raises(UsageError):
             sy.stage_measure_scan(system, stage, 1, 1)
-
-    def test_scan_helpers(self):
-        system = sy.classical_rationals()
-        stage = sy.per_point_stage(fn.approximating(power=-3), 2)
-        scan = sy.stage_measure_scan(system, stage, 2, 5)
-        assert scan.tail_upper_sum() == pytest.approx(sum(scan.uppers()))
-        assert scan.min_lower() == min(scan.lowers())
-        assert len(scan.records) == 4

@@ -1,4 +1,4 @@
-"""Uniform-stage ratio tests: the exact engine against the interval-set
+"""Uniform-stage ratio tests: the exact engine against the exact union
 oracle, the covering-constant examples, and the cover-sum trends."""
 
 import math
@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import limsuplab.farey as farey
 import limsuplab.functions as fn
-import limsuplab.intervals as iv
 import limsuplab.systems as sy
 import limsuplab.ubiquity as ub
 from limsuplab.errors import ResourceCapError, UsageError
+from oracles import exact_union_measure, stage_balls
 
 RHO_LEMMA = fn.radius_law(6, -2)          # 6/r^2 -> rho(k^n) = 6^(1-2n)
 HALF = Fraction(1, 2)
@@ -22,11 +22,11 @@ FULL_BALL = (HALF, HALF)                  # B = [0, 1]
 
 
 def oracle_ratio(system, rho, k, n, ball):
-    """Reference value through the generic interval machinery."""
-    stage = sy.uniform_stage(rho, k)
-    ds = sy.delta_stage(system, stage, n)
+    """Reference value from the raw stage balls."""
+    balls = stage_balls(system, sy.uniform_stage(rho, k), n)
     c, r = ball
-    return iv.measure(iv.intersect_ball(ds, c, r)) / (2 * r)
+    return exact_union_measure([(x - s, x + s) for x, s in balls],
+                               c - r, c + r) / (2 * r)
 
 
 # -- engine internals --------------------------------------------------------
@@ -64,18 +64,11 @@ def test_engine_full_merge():
 def test_engine_matches_interval_oracle(q_max, rad):
     nums, dens = farey.reduced_fractions(q_max)
     centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
-    oracle = iv.interval_set([(c - rad, c + rad) for c in centers])
+    balls = [(c - rad, c + rad) for c in centers]
     eng = ub.UniformStageEngine(q_max, rad)
     for lo, hi in [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(2, 3)),
                    (Fraction(1, 3), Fraction(5, 12)), (Fraction(9, 10), Fraction(1))]:
-        want = iv.measure(iv.intersect(oracle, iv.interval_set([(lo, hi)])))
-        assert eng.union_measure(lo, hi) == want
-
-
-def _unit(x):
-    """Affine map [-1, 2] -> [0, 1], so the clipping interval oracle also
-    measures the parts of balls and queries outside [0, 1] (scale 1/3)."""
-    return (x + 1) / 3
+        assert eng.union_measure(lo, hi) == exact_union_measure(balls, lo, hi)
 
 
 # a query end: an int indexes the sorted block edges, a Fraction is free
@@ -96,8 +89,7 @@ def test_engine_union_measure_property(q_max, den, picks):
     rad = Fraction(1, den)
     nums, dens = farey.reduced_fractions(q_max)
     centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
-    oracle = iv.interval_set([(_unit(c - rad), _unit(c + rad))
-                              for c in centers])
+    balls = [(c - rad, c + rad) for c in centers]
     eng = ub.UniformStageEngine(q_max, rad)
     edges = sorted({c + s * rad for c in centers for s in (-1, 1)})
 
@@ -110,9 +102,8 @@ def test_engine_union_measure_property(q_max, den, picks):
     queries = [(a, b) for a in fixed for b in fixed if a < b]
     queries += [tuple(sorted((end(a), end(b)))) for a, b in picks]
     for lo, hi in queries:
-        want = 3 * iv.measure(iv.intersect(
-            oracle, iv.interval_set([(_unit(lo), _unit(hi))])))
-        assert eng.union_measure(lo, hi) == want, (lo, hi)
+        assert eng.union_measure(lo, hi) == \
+            exact_union_measure(balls, lo, hi), (lo, hi)
 
 
 def test_ford_engine_matches_per_denominator_count():
