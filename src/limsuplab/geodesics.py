@@ -34,15 +34,39 @@ Certification: a float carries no more than its half-ulp interval, so
 the certified quotient prefix of a float direction is the common Euclid
 prefix of the two interval endpoints.  Long-horizon directions must be
 given exactly (a Fraction) or symbolically (the quotient sequence
-itself).
+itself).  A quotient above the largest float, or one whose excursion
+would overflow the crossing formulas while peaking by the horizon, is
+refused with PrecisionExhausted naming its index.
+
+Every returned float is the one the plain scalar evaluation gives, bit
+for bit (tests/oracles.py keeps that evaluation).  The state recursion
+(log q_n, q_{n-1}/q_n, p_n/q_n, xi_n) runs once, in order, since each
+step divides by or takes the log of the one before; each excursion is
+then evaluated from the stored state on its own (_excursion_at).
+Transcendentals come from libm through ``math``, never from numpy: on
+common hosts numpy's SIMD exp, log1p, arccosh and log differ from libm
+in the last bit on a share of inputs, which would move the repr floats
+in artifacts.  numpy does only correctly rounded operations (+ - * /,
+floor), for the column-wise sampling grid, plus the ranking bound of
+the log law, which orders work and never enters a result.
+
+The log law evaluates only excursions that can win.  On excursion n
+the score (pen - alpha t)/log t is at most g(t) = (log H_n - alpha t) /
+log t, and g decreases for t > e because log H_n > 0.  Since t_enter >=
+2 log q_n - 2.1 (see _orbit), g at lo_n = max(e+, 2 log q_n - 2.1 -
+1e-6) bounds the whole excursion from the state alone, before any entry
+time is computed.  Excursions are taken in decreasing order of that
+bound until it falls to the best score found.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 import warnings
 
 import numpy as np
@@ -89,6 +113,18 @@ _LN2 = math.log(2.0)
 _ALPHA_TAIL = 25
 _REDUCE_CAP = 100_000
 MAX_SAMPLES = 2_000_000
+_FLOAT_MAX = int(sys.float_info.max)
+# Peak heights past this bound square to infinity in the crossing
+# formulas (near 2^511); such an excursion peaks after 2 log q_n +
+# log H_n - 2.1 > 344, so it is refused only when it can peak by T.
+_H_MAX = 2.0 ** 500
+# The sampled grid is reduced column-wise in chunks of this many times,
+# so its scratch arrays stay a few MB whatever the sample count.
+_GRID_CHUNK = 1 << 14
+# Below this height a coordinate in the vectorised reduction could
+# overflow; such a chunk takes the scalar path, which raises where it
+# always did.
+_GRID_MIN_IM = 1e-300
 
 Direction = Union[float, Fraction, Sequence[int]]
 Word = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -128,23 +164,29 @@ class CFExpansion:
 
 def _euclid_quotients(x: Fraction, depth: int) -> Tuple[List[int], bool]:
     """Exact partial quotients of x in (0, 1); True if the expansion
-    ended within ``depth``."""
+    ended within ``depth``.  One divmod per quotient: ``//`` and ``%``
+    would each run the big-integer division."""
     num, den = x.numerator, x.denominator
     out: List[int] = []
-    while num and len(out) < depth:
-        a, num, den = den // num, den % num, num
-        out.append(a)
+    append = out.append
+    for _ in range(depth):
+        if not num:
+            break
+        a, rem = divmod(den, num)
+        append(a)
+        den, num = num, rem
     return out, num == 0
 
 
 def _convergent_arrays(quots: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    p = [0]
-    q = [1]
-    pm, qm = 1, 0  # p_{-1}, q_{-1}
+    p0, p1, q0, q1 = 1, 0, 0, 1  # p_{-1}, p_0, q_{-1}, q_0
+    p = [p1]
+    q = [q1]
     for a in quots:
-        p.append(a * p[-1] + pm)
-        q.append(a * q[-1] + qm)
-        pm, qm = p[-2], q[-2]
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        p.append(p1)
+        q.append(q1)
     return tuple(p), tuple(q)
 
 
@@ -407,12 +449,21 @@ def _acosh_one_plus(ln_x: float) -> float:
 
 
 def _alpha_sweep(quots: Sequence[int]) -> List[float]:
-    """alpha[j] = [a_j; a_{j+1}, ..., a_M] for j = 1..M, one backward pass."""
+    """alpha[j] = [a_j; a_{j+1}, ..., a_M] for j = 1..M, one backward pass.
+
+    Raises PrecisionExhausted, naming the first quotient above the
+    largest float, when a quotient has no float value."""
     M = len(quots)
     alpha = [0.0] * (M + 1)
-    alpha[M] = float(quots[M - 1])
-    for j in range(M - 1, 0, -1):
-        alpha[j] = quots[j - 1] + 1.0 / alpha[j + 1]
+    try:
+        alpha[M] = float(quots[M - 1])
+        for j in range(M - 1, 0, -1):
+            alpha[j] = quots[j - 1] + 1.0 / alpha[j + 1]
+    except OverflowError:
+        j = next(j for j, a in enumerate(quots, 1) if a > _FLOAT_MAX)
+        raise PrecisionExhausted(
+            "partial quotient a_%d (%d bits) is beyond float range"
+            % (j, quots[j - 1].bit_length())) from None
     return alpha
 
 
@@ -467,80 +518,67 @@ def _direction_data(direction: Direction) -> _DirectionData:
                           len(quots) - 1 - _ALPHA_TAIL, False)
 
 
-def _excursion_stream(data: _DirectionData,
-                      T: float) -> Iterator[Tuple[int, float, float, float, float]]:
-    """Yield (n, t_enter, t_peak, t_exit, log H_n) for excursions with
-    0 < t_peak <= T, in convergent order.
+@dataclass(frozen=True)
+class _Orbit:
+    """The bounded-ratio state at n = 0..len(L)-1: every convergent whose
+    excursion can peak by the horizon."""
+    alpha: List[float]    # alpha[j] = [a_j; a_{j+1}, ...]
+    L: array              # log q_n
+    beta: array           # q_{n-1}/q_n
+    r_prev: array         # p_{n-1}/q_{n-1}  (0 while beta = 0)
+    r: array              # p_n/q_n
+    xi: array
+
+
+def _orbit(data: _DirectionData, T: float) -> _Orbit:
+    """Run the state recursion from n = 0 until the horizon closes.
 
     Stops once 2 log q_n - 2.5 > T: every later excursion satisfies
     t_enter >= 2 log q_n - 2.1 > T, because the crossing distance is at
     least (1 - Im w0)^2 >= 1/4 once n >= 1.  The check runs after each
-    state advance so one certified quotient beyond the last emitted
-    record is enough to close the horizon.  Raises PrecisionExhausted
-    when the certified data runs out first and running out is not the
-    clean end of a complete expansion.
+    state advance so one certified quotient beyond the last state is
+    enough to close the horizon.  Raises PrecisionExhausted when the
+    certified data runs out first and running out is not the clean end
+    of a complete expansion.
     """
     quots = data.quots
     alpha = data.alpha
     n_cap = data.n_cap
-    x0 = data.x0
-
+    if n_cap < 0:
+        raise PrecisionExhausted(
+            "certified quotients exhausted at index 0 before reaching "
+            "T = %r; pass a Fraction or a longer quotient sequence" % (T,))
     log = math.log
-    exp = math.exp
-    sqrt = math.sqrt
-
-    L = 0.0         # log q_n
-    beta = 0.0      # q_{n-1}/q_n
-    r_prev = 0.0    # p_{n-1}/q_{n-1}  (unused while beta = 0)
-    r = 0.0         # p_n/q_n
-    xi = x0
+    Ls, betas, r_prevs, rs, xis = (array("d") for _ in range(5))
+    L = beta = r_prev = r = 0.0
+    xi = data.x0
     n = 0
     while True:
-        if n > n_cap:
-            # only reachable when there was no certified data at all
-            raise PrecisionExhausted(
-                "certified quotients exhausted at index %d before reaching "
-                "T = %r; pass a Fraction or a longer quotient sequence" % (n, T))
-        a_next = alpha[n + 1]
-        H = 0.5 * (a_next + xi)
-        if H > 1.0:
-            ln_q2 = 2.0 * L + math.log1p(r * r)
-            im_w = exp(-ln_q2)
-            re_w = -beta * (1.0 + r_prev * r) / (1.0 + r * r)
-            c_star = 0.5 * (a_next - xi)
-            dx = re_w - c_star
-            num_peak = dx * dx + (im_w - H) * (im_w - H)
-            t_peak = _acosh_one_plus(log(num_peak) + ln_q2 - log(2.0 * H))
-            if 0.0 < t_peak <= T:
-                s = sqrt(H * H - 1.0)
-                t_cross = []
-                for side in (s, -s):
-                    num = (dx + side) ** 2 + (1.0 - im_w) ** 2
-                    if num == 0.0:
-                        t_cross.append(0.0)
-                    else:
-                        t_cross.append(_acosh_one_plus(log(num) + ln_q2 - _LN2))
-                t_enter, t_exit = min(t_cross), max(t_cross)
-                yield (n, t_enter, min(max(t_peak, t_enter), t_exit), t_exit, log(H))
+        Ls.append(L)
+        betas.append(beta)
+        r_prevs.append(r_prev)
+        rs.append(r)
+        xis.append(xi)
         if n == n_cap:
             if data.exhaust_ok:
-                return
+                break
             # a_{n+1} > alpha_{n+1} - 1, so q_{n+1} > q_n (alpha - 1 + beta)
             # bounds every later entry time below even though the next
             # quotient itself is not certified.
             growth = alpha[n + 1] - 1.0 + beta
             if growth > 1.0 and 2.0 * (L + log(growth)) - 2.1 > T:
-                return
+                break
             raise PrecisionExhausted(
                 "certified quotients exhausted at index %d before reaching "
                 "T = %r; pass a Fraction or a longer quotient sequence"
                 % (n + 1, T))
         # advance the bounded-ratio state from n to n+1
         a = quots[n]
-        beta_new = 1.0 / (a + beta)
-        L += log(a + beta)
+        s = a + beta
+        beta_new = 1.0 / s
+        L += log(s)
         if n == 0:
-            r_prev, r = 0.0, 1.0 / a       # p_1/q_1 = 1/a_1
+            r = 1.0 / a                    # p_1/q_1 = 1/a_1
         else:
             bb = beta * beta_new           # q_{n-1}/q_{n+1}
             r_prev, r = r, r * (1.0 - bb) + r_prev * bb
@@ -548,7 +586,59 @@ def _excursion_stream(data: _DirectionData,
         xi = 1.0 / (a + xi)
         n += 1
         if 2.0 * L - 2.5 > T:
-            return
+            break
+    return _Orbit(alpha, Ls, betas, r_prevs, rs, xis)
+
+
+def _excursion_at(orbit: _Orbit, n: int, T: float
+                  ) -> Optional[Tuple[float, float, float, float]]:
+    """(t_enter, t_peak, t_exit, log H_n) of the n-th excursion, or None
+    when there is none (H_n <= 1) or its peak is not in (0, T]."""
+    a_next = orbit.alpha[n + 1]
+    xi = orbit.xi[n]
+    H = 0.5 * (a_next + xi)
+    if not H > 1.0:
+        return None
+    log = math.log
+    L = orbit.L[n]
+    if H > _H_MAX:
+        # at the peak |w0 - w|^2 >= (H - 1)^2 >= H^2/4 and Im w0 <= e^{-2L},
+        # so X >= H e^{2L}/8 and t_peak >= log X >= 2L + log H - 2.08
+        if 2.0 * L + log(H) - 2.1 > T:
+            return None
+        raise PrecisionExhausted(
+            "partial quotient a_%d is too large for float excursion "
+            "times (peak height %.3g)" % (n + 1, H))
+    r = orbit.r[n]
+    ln_q2 = 2.0 * L + math.log1p(r * r)
+    im_w = math.exp(-ln_q2)
+    re_w = -orbit.beta[n] * (1.0 + orbit.r_prev[n] * r) / (1.0 + r * r)
+    c_star = 0.5 * (a_next - xi)
+    dx = re_w - c_star
+    num_peak = dx * dx + (im_w - H) * (im_w - H)
+    t_peak = _acosh_one_plus(log(num_peak) + ln_q2 - log(2.0 * H))
+    if not 0.0 < t_peak <= T:
+        return None
+    s = math.sqrt(H * H - 1.0)
+    t_cross = []
+    for side in (s, -s):
+        num = (dx + side) ** 2 + (1.0 - im_w) ** 2
+        if num == 0.0:
+            t_cross.append(0.0)
+        else:
+            t_cross.append(_acosh_one_plus(log(num) + ln_q2 - _LN2))
+    t_enter, t_exit = min(t_cross), max(t_cross)
+    return t_enter, min(max(t_peak, t_enter), t_exit), t_exit, log(H)
+
+
+def _excursion_records(data: _DirectionData, T: float) -> List[ExcursionRecord]:
+    orbit = _orbit(data, T)
+    records: List[ExcursionRecord] = []
+    for n in range(len(orbit.L)):
+        ex = _excursion_at(orbit, n, T)
+        if ex is not None:
+            records.append(ExcursionRecord(len(records), n, *ex))
+    return records
 
 
 def predicted_excursions(direction: Direction, T: float) -> List[ExcursionRecord]:
@@ -561,12 +651,7 @@ def predicted_excursions(direction: Direction, T: float) -> List[ExcursionRecord
     """
     if not T > 0:
         raise UsageError("T must be > 0, got %r" % (T,))
-    records = []
-    for n, t_enter, t_peak, t_exit, ln_h in _excursion_stream(
-            _direction_data(direction), T):
-        records.append(ExcursionRecord(len(records), n, t_enter, t_peak,
-                                       t_exit, ln_h))
-    return records
+    return _excursion_records(_direction_data(direction), T)
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +681,50 @@ def _ternary_argmax(f, lo: float, hi: float, steps: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _grid_im(x: float, ts: List[float]) -> Optional[np.ndarray]:
+    """Im of the reduced point geodesic_point(x, t) for every t in ts,
+    column-wise, or None when some height is below _GRID_MIN_IM.
+
+    Each sample goes through the scalar path's own operations in the
+    same order: libm exp for u, the closed form of geodesic_point, and
+    the reduction of _reduced_im.  The inversion w -> -1/w is CPython's
+    complex division (Smith's method) with numerator -1 + 0j, written
+    out: for |Re w| >= |Im w|, ratio = Im/Re, denom = Re + Im ratio and
+    -1/w = (-1 + i ratio)/denom; otherwise ratio = Re/Im, denom =
+    Re ratio + Im and -1/w = (-ratio + i)/denom.  (The dropped terms are
+    0 * ratio, exact; only the sign of a zero real part can differ, and
+    no later step reads it.)  Above _GRID_MIN_IM every coordinate stays
+    finite (Im only grows, and |-1/w| <= 1/Im w); only the squared
+    modulus of a point high in the cusp can overflow, to inf, as it does
+    in the scalar path.
+    """
+    u = np.array([math.exp(-t) for t in ts])
+    u2 = u * u
+    xx = x * x
+    den = 1.0 + xx * u2
+    wr = x * (1.0 - u2) / den
+    wi = u * (1.0 + xx) / den
+    if not wi.min() >= _GRID_MIN_IM:
+        return None
+    out = np.empty(len(ts))
+    idx = np.arange(len(ts))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_REDUCE_CAP):
+            wr = wr - np.floor(wr + 0.5)
+            inside = wr * wr + wi * wi < 1.0
+            done = ~inside
+            out[idx[done]] = wi[done]
+            if not inside.any():
+                return out
+            idx, wr, wi = idx[inside], wr[inside], wi[inside]
+            by_re = np.abs(wr) >= np.abs(wi)
+            ratio = np.where(by_re, wi / wr, wr / wi)
+            denom = np.where(by_re, wr + wi * ratio, wr * ratio + wi)
+            wr, wi = (np.where(by_re, -1.0, -ratio) / denom,
+                      np.where(by_re, ratio, 1.0) / denom)
+    return None
+
+
 def excursions(x: float, T: float, sample_step: Optional[float] = None
                ) -> List[ExcursionRecord]:
     """Excursions of the sampled geodesic toward x on [0, T].
@@ -613,45 +742,45 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
     xf = float(x)
     if not 0.0 < xf < 1.0:
         raise UsageError("x must lie in (0, 1), got %r" % (x,))
-    if not T > 0:
-        raise UsageError("T must be > 0, got %r" % (T,))
+    if not 0 < T < math.inf:
+        raise UsageError("T must be finite and > 0, got %r" % (T,))
     step = T / 1e6 if sample_step is None else float(sample_step)
     if not 0 < step <= T / 8:
         raise UsageError("sample_step must lie in (0, T/8], got %r" % (step,))
-    n_samples = int(T / step) + 1
-    if n_samples > MAX_SAMPLES:
+    if not T / step < MAX_SAMPLES:  # T / step may overflow to inf
         raise ResourceCapError(
-            "%d samples exceed the cap %d; raise sample_step"
-            % (n_samples, MAX_SAMPLES))
+            "%.6g samples exceed the cap %d; raise sample_step"
+            % (T / step + 1, MAX_SAMPLES))
+    n_samples = int(T / step) + 1
+    data = _direction_data(Fraction(xf))
 
     def pen_at(t: float) -> float:
         im = _reduced_im(geodesic_point(xf, t).z)
         return math.log(im) if im > 1.0 else 0.0
 
-    ts = [j * step for j in range(n_samples)]
+    ts = (np.arange(n_samples) * step).tolist()
     if ts[-1] < T:
         ts.append(T)
-    pens = [pen_at(t) for t in ts]
-
-    data = _direction_data(Fraction(xf))
-    conv_p, conv_q = _convergent_arrays(data.quots)
-
-    records: List[ExcursionRecord] = []
-    j = 0
-    while j < len(ts):
-        if pens[j] <= 0.0:
-            j += 1
+    pens = np.zeros(len(ts))
+    for start in range(0, len(ts), _GRID_CHUNK):
+        chunk = ts[start:start + _GRID_CHUNK]
+        im = _grid_im(xf, chunk)
+        if im is None:
+            pens[start:start + len(chunk)] = [pen_at(t) for t in chunk]
             continue
-        j0 = j
-        while j + 1 < len(ts) and pens[j + 1] > 0.0:
-            j += 1
-        j1 = j
-        j += 1
+        up = np.flatnonzero(im > 1.0)
+        pens[start + up] = [math.log(v) for v in im[up].tolist()]
+
+    conv_p, conv_q = _convergent_arrays(data.quots)
+    # maximal runs j0..j1 of positive samples
+    flips = np.flatnonzero(np.diff(pens > 0.0, prepend=False, append=False))
+    records: List[ExcursionRecord] = []
+    for j0, j1 in zip(flips[0::2].tolist(), (flips[1::2] - 1).tolist()):
         t_enter = (0.0 if j0 == 0 else
                    _bisect_boundary(pen_at, ts[j0 - 1], ts[j0]))
         t_exit = (ts[j1] if j1 + 1 >= len(ts) else
                   _bisect_boundary(pen_at, ts[j1 + 1], ts[j1]))
-        k_best = max(range(j0, j1 + 1), key=lambda k: pens[k])
+        k_best = j0 + int(np.argmax(pens[j0:j1 + 1]))
         lo = max(t_enter, ts[k_best] - step)
         hi = min(t_exit, ts[k_best] + step)
         t_peak = _ternary_argmax(pen_at, lo, hi, 90)
@@ -671,14 +800,13 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
                                        t_peak, t_exit, peak))
 
     skipped = 0
-    for rec in _excursion_stream(data, T):
-        _, t_enter, _, t_exit, _ = rec
-        if t_enter >= ts[-1]:
+    for rec in _excursion_records(data, T):
+        if rec.t_enter >= ts[-1]:
             continue
         # penetration vanishes at the boundary, so only a grid point
         # strictly inside (t_enter, t_exit) registers the excursion
-        g = (math.floor(t_enter / step) + 1) * step
-        if g >= t_exit or g > ts[-1]:
+        g = (math.floor(rec.t_enter / step) + 1) * step
+        if g >= rec.t_exit or g > ts[-1]:
             skipped += 1
     if skipped:
         warnings.warn(StepTooCoarseWarning(
@@ -696,6 +824,22 @@ def _logcosh(s: float) -> float:
     return a + math.log1p(math.exp(-2.0 * a)) - _LN2
 
 
+def _score_caps(orbit: _Orbit, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The indices n with H_n > 1, and for each a bound on the log-law
+    score of excursion n from the state alone (module docstring), with a
+    relative slack of 1e-12 over the rounding of either side: it uses
+    numpy's log, which may be an ulp off libm."""
+    size = len(orbit.L)
+    heights = 0.5 * (np.asarray(orbit.alpha[1:size + 1])
+                     + np.frombuffer(orbit.xi, dtype=np.float64))
+    ns = np.flatnonzero(heights > 1.0)
+    ln_h = np.log(heights[ns])
+    lo = np.maximum(math.nextafter(math.e, math.inf),
+                    2.0 * np.frombuffer(orbit.L, dtype=np.float64)[ns] - 2.1 - 1e-6)
+    gain = ln_h - alpha * lo
+    return ns, (gain + 1e-12 * (1.0 + ln_h + alpha * lo)) / np.log(lo)
+
+
 def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> float:
     """max over t in (e, T] of (pen(gamma(t)) - alpha t) / log t.
 
@@ -703,7 +847,15 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
     so the maximum over each excursion is a one-dimensional search; the
     excursions come from the exact CF engine.  Away from every excursion
     the penetration vanishes and the supremum of -alpha t / log t is
-    -alpha e, the baseline returned when no excursion scores higher.
+    -alpha e, the baseline returned (as +0.0 for alpha = 0) when no
+    excursion scores higher.
+
+    Excursions are searched in decreasing order of their state-only
+    bound (_score_caps) until it falls to the best score, so every
+    skipped excursion scores below the result: the maximum over all
+    excursions.  A skipped excursion is never evaluated, so the
+    statistic is certified even where predicted_excursions refuses one
+    whose times would overflow.
     """
     if not T > math.e:
         raise UsageError("T must exceed e, got %r" % (T,))
@@ -711,21 +863,22 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
         raise UsageError("alpha must lie in [0, 1), got %r" % (alpha,))
     t_floor = math.nextafter(math.e, math.inf)
 
-    candidates = []
-    for _, t_enter, t_peak, t_exit, ln_h in _excursion_stream(
-            _direction_data(direction), T):
+    orbit = _orbit(_direction_data(direction), T)
+    ns, caps = _score_caps(orbit, alpha)
+    order = np.argsort(-caps)
+
+    best = 0.0 - alpha * math.e
+    for n, cap in zip(ns[order].tolist(), caps[order].tolist()):
+        if cap <= best:
+            break
+        ex = _excursion_at(orbit, n, T)
+        if ex is None:
+            continue
+        t_enter, t_peak, t_exit, ln_h = ex
         lo = max(t_enter, t_floor)
         hi = min(t_exit, T)
-        if hi <= lo:
+        if hi <= lo or (ln_h - alpha * lo) / math.log(lo) <= best:
             continue
-        bound = (ln_h - alpha * lo) / math.log(lo)
-        candidates.append((bound, lo, hi, t_peak, ln_h))
-    candidates.sort(reverse=True)
-
-    best = -alpha * math.e
-    for bound, lo, hi, t_peak, ln_h in candidates:
-        if bound <= best:
-            break
 
         def f(t: float) -> float:
             return (ln_h - _logcosh(t - t_peak) - alpha * t) / math.log(t)

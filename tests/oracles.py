@@ -1,9 +1,12 @@
 """Exact reference implementations the tests hold the package against.
 
 Each oracle is the slow, obvious computation: Fraction arithmetic, one
-raw pair at a time, no shortcut shared with the kernel it checks.  Test
-modules import them as `from oracles import ...`; nothing under `src`
-may, because an installed package has no `tests/` next to it.
+raw pair at a time, no shortcut shared with the kernel it checks.  The
+geodesic oracles are the one-sample-at-a-time float paths the faster
+engine replaced; it performs the same float operations, so it must
+equal them bit for bit.  Test modules import them as
+`from oracles import ...`; nothing under `src` may, because an
+installed package has no `tests/` next to it.
 """
 
 import math
@@ -11,8 +14,9 @@ from fractions import Fraction
 from functools import cache
 
 import limsuplab.functions as fn
+import limsuplab.geodesics as geo
 import limsuplab.systems as sy
-from limsuplab.errors import UsageError
+from limsuplab.errors import PrecisionExhausted, UsageError
 
 
 def exact_union_measure(pairs, lo=0, hi=1) -> Fraction:
@@ -80,3 +84,155 @@ def count_R_exact(x: Fraction, N: int, psi: fn.FunctionForm) -> int:
         if abs(t - p) < q * fn.evaluate_rational(psi, q):
             count += 1
     return count
+
+
+def cf_expansion(x: Fraction, depth: int):
+    """(quotients, p, q, terminated) of an exact x in (0, 1): Euclid with
+    separate // and %, and the convergents read back off the lists."""
+    num, den = x.numerator, x.denominator
+    quots = []
+    while num and len(quots) < depth:
+        a, num, den = den // num, den % num, num
+        quots.append(a)
+    p, q = [0], [1]
+    pm, qm = 1, 0
+    for a in quots:
+        p.append(a * p[-1] + pm)
+        q.append(a * q[-1] + qm)
+        pm, qm = p[-2], q[-2]
+    return tuple(quots), tuple(p), tuple(q), num == 0
+
+
+def excursion_stream(direction, T):
+    """(n, t_enter, t_peak, t_exit, log H_n) for every excursion with
+    0 < t_peak <= T: the one-pass scalar stream, advancing the state and
+    evaluating every excursion as it goes.  Raises PrecisionExhausted
+    where the package's engine must."""
+    data = geo._direction_data(direction)
+    quots, alpha, n_cap, x0 = data.quots, data.alpha, data.n_cap, data.x0
+    log, exp, sqrt = math.log, math.exp, math.sqrt
+    out = []
+    L = beta = r_prev = r = 0.0
+    xi = x0
+    n = 0
+    while True:
+        if n > n_cap:
+            raise PrecisionExhausted(
+                "certified quotients exhausted at index %d before reaching "
+                "T = %r; pass a Fraction or a longer quotient sequence" % (n, T))
+        a_next = alpha[n + 1]
+        H = 0.5 * (a_next + xi)
+        if H > 1.0:
+            ln_q2 = 2.0 * L + math.log1p(r * r)
+            im_w = exp(-ln_q2)
+            re_w = -beta * (1.0 + r_prev * r) / (1.0 + r * r)
+            c_star = 0.5 * (a_next - xi)
+            dx = re_w - c_star
+            num_peak = dx * dx + (im_w - H) * (im_w - H)
+            t_peak = geo._acosh_one_plus(log(num_peak) + ln_q2 - log(2.0 * H))
+            if 0.0 < t_peak <= T:
+                s = sqrt(H * H - 1.0)
+                t_cross = []
+                for side in (s, -s):
+                    num = (dx + side) ** 2 + (1.0 - im_w) ** 2
+                    t_cross.append(0.0 if num == 0.0 else geo._acosh_one_plus(
+                        log(num) + ln_q2 - geo._LN2))
+                t_enter, t_exit = min(t_cross), max(t_cross)
+                out.append((n, t_enter, min(max(t_peak, t_enter), t_exit),
+                            t_exit, log(H)))
+        if n == n_cap:
+            if data.exhaust_ok:
+                return out
+            growth = alpha[n + 1] - 1.0 + beta
+            if growth > 1.0 and 2.0 * (L + log(growth)) - 2.1 > T:
+                return out
+            raise PrecisionExhausted(
+                "certified quotients exhausted at index %d before reaching "
+                "T = %r; pass a Fraction or a longer quotient sequence"
+                % (n + 1, T))
+        a = quots[n]
+        beta_new = 1.0 / (a + beta)
+        L += log(a + beta)
+        if n == 0:
+            r_prev, r = 0.0, 1.0 / a
+        else:
+            bb = beta * beta_new
+            r_prev, r = r, r * (1.0 - bb) + r_prev * bb
+        beta = beta_new
+        xi = 1.0 / (a + xi)
+        n += 1
+        if 2.0 * L - 2.5 > T:
+            return out
+
+
+def loglaw_statistic(direction, T, alpha=0.0):
+    """The log-law statistic with the exact bound of every excursion in
+    hand before any is searched: rank all of them, search in that order
+    until the bound falls to the best score."""
+    t_floor = math.nextafter(math.e, math.inf)
+    candidates = []
+    for _, t_enter, t_peak, t_exit, ln_h in excursion_stream(direction, T):
+        lo, hi = max(t_enter, t_floor), min(t_exit, T)
+        if hi > lo:
+            candidates.append(((ln_h - alpha * lo) / math.log(lo), lo, hi,
+                               t_peak, ln_h))
+    candidates.sort(reverse=True)
+    best = -alpha * math.e
+    for bound, lo, hi, t_peak, ln_h in candidates:
+        if bound <= best:
+            break
+
+        def f(t):
+            return (ln_h - geo._logcosh(t - t_peak) - alpha * t) / math.log(t)
+
+        grid = 24
+        v_best, k_best = max((f(lo + (hi - lo) * k / grid), k)
+                             for k in range(grid + 1))
+        a_lo = lo + (hi - lo) * max(k_best - 1, 0) / grid
+        a_hi = lo + (hi - lo) * min(k_best + 1, grid) / grid
+        best = max(best, v_best, f(geo._ternary_argmax(f, a_lo, a_hi, 70)))
+    return best
+
+
+def sampled_excursions(x: float, T: float, step: float):
+    """(convergent, t_enter, t_peak, t_exit, peak) of each excursion of
+    the sampled geodesic toward x on [0, T]: every grid time reduced on
+    its own, positive runs found by walking the samples."""
+    conv_p, conv_q = geo._convergent_arrays(
+        geo._direction_data(Fraction(x)).quots)
+
+    def pen_at(t):
+        im = geo._reduced_im(geo.geodesic_point(x, t).z)
+        return math.log(im) if im > 1.0 else 0.0
+
+    ts = [j * step for j in range(int(T / step) + 1)]
+    if ts[-1] < T:
+        ts.append(T)
+    pens = [pen_at(t) for t in ts]
+    out = []
+    j = 0
+    while j < len(ts):
+        if pens[j] <= 0.0:
+            j += 1
+            continue
+        j0 = j
+        while j + 1 < len(ts) and pens[j + 1] > 0.0:
+            j += 1
+        j1 = j
+        j += 1
+        t_enter = (0.0 if j0 == 0 else
+                   geo._bisect_boundary(pen_at, ts[j0 - 1], ts[j0]))
+        t_exit = (ts[j1] if j1 + 1 >= len(ts) else
+                  geo._bisect_boundary(pen_at, ts[j1 + 1], ts[j1]))
+        k_best = max(range(j0, j1 + 1), key=lambda k: pens[k])
+        lo = max(t_enter, ts[k_best] - step)
+        hi = min(t_exit, ts[k_best] + step)
+        t_peak = geo._ternary_argmax(pen_at, lo, hi, 90)
+        peak = pen_at(t_peak)
+        t_peak = min(max(t_peak, t_enter), t_exit)
+        _, word = geo.reduce_to_fundamental(geo.geodesic_point(x, t_peak).z)
+        key = (abs(word[1][1]), abs(word[1][0]))
+        match = next((n for n, pq in enumerate(zip(conv_p, conv_q))
+                      if pq == key), None)
+        out.append((match, t_enter, t_peak, t_exit, peak))
+    return out

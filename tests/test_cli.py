@@ -68,6 +68,16 @@ class TestSummaries:
         assert (code, out) == (0, "3/2")
 
 
+    def test_loglaw_without_excursion_prints_positive_zero(self, tmp_path,
+                                                           capsys):
+        # the first excursion toward 10^-300 peaks near t = 690
+        code, out, _ = run_main(
+            ["loglaw", "--x", "1e-300", "--T", "100",
+             "--output", str(tmp_path / "l.csv")], capsys)
+        assert (code, out) == (0, "log-law statistic 0.000000 at T=100 "
+                                  "(alpha=0)")
+
+
 class TestExitStatuses:
     def test_unknown_command(self, tmp_path, capsys):
         code, _, err = run_main(["frobnicate"], capsys)
@@ -90,6 +100,15 @@ class TestExitStatuses:
              "--output", str(tmp_path / "x.csv")], capsys)
         assert code == 2
         assert "cap" in err
+
+    def test_sample_count_past_float_range_is_2(self, tmp_path, capsys):
+        # T / step is inf here; counting the samples used to raise
+        # OverflowError
+        code, _, err = run_main(
+            ["excursions", "--x", "0.3", "--T", "1e308", "--step", "1e-3",
+             "--output", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert err.startswith("resource cap:") and "cap" in err
 
     def test_stage_beyond_sieve_cap_is_2(self, tmp_path, capsys,
                                          monkeypatch):
@@ -125,6 +144,19 @@ class TestExitStatuses:
             ["loglaw", "--quotients", "1,1,1,1,1", "--T", "100",
              "--output", str(tmp_path / "x.csv")], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv,index", [
+        (["excursions", "--x", "5e-324", "--T", "10"], "a_1"),
+        (["loglaw", "--x", "1e-310", "--T", "100"], "a_1"),
+        (["loglaw", "--quotients", "1,%d,1" % 10 ** 400, "--T", "10"], "a_2"),
+    ])
+    def test_quotient_beyond_float_range_is_2(self, tmp_path, capsys, argv,
+                                              index):
+        code, _, err = run_main(
+            argv + ["--output", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "partial quotient %s " % index in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_exclusive_direction_flags(self, tmp_path, capsys):
         code, _, _ = run_main(

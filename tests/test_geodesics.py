@@ -4,12 +4,16 @@ sampled oracles, the log-law statistic, and the two-function membership
 counts."""
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import limsuplab.geodesics as geo
 from limsuplab.errors import PrecisionExhausted, UsageError
 from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  ExcursionRecord, SandwichCounts,
@@ -20,6 +24,8 @@ from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  quotients_value, reduce_to_fundamental,
                                  sample_quotients, sandwich_membership,
                                  apply_word)
+from oracles import (cf_expansion, excursion_stream, sampled_excursions,
+                     loglaw_statistic as oracle_loglaw)
 
 GOLDEN = (math.sqrt(5) - 1) / 2          # [0; 1, 1, 1, ...]
 LN_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -397,6 +403,10 @@ def test_sampled_validation():
     from limsuplab.errors import ResourceCapError
     with pytest.raises(ResourceCapError):
         excursions(0.3, 100.0, 1e-6)
+    with pytest.raises(ResourceCapError):
+        excursions(0.3, 1e308, 1e-3)  # T / step overflows to inf
+    with pytest.raises(UsageError):
+        excursions(0.3, math.inf)
 
 
 # -- log-law statistic ---------------------------------------------------------
@@ -516,3 +526,238 @@ def test_sandwich_validation():
         sandwich_membership(0.3, 2.0, 0.0, 100)
     with pytest.raises(UsageError):
         sandwich_membership(0.3, 2.0, 0.1, 0)
+
+
+# -- the fast engine against the scalar oracles --------------------------------
+
+def _records(recs):
+    return [(r.convergent_index, r.t_enter, r.t_peak, r.t_exit, r.peak_pen)
+            for r in recs]
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the PrecisionExhausted message."""
+    try:
+        return fn(*args)
+    except PrecisionExhausted as exc:
+        return "PrecisionExhausted: %s" % exc
+
+
+ORACLE_DIRECTIONS = [
+    (sample_quotients(5, 0, 3000), (1e2, 1e3)),
+    (sample_quotients(5, 1, 3000), (1e2, 1e3)),
+    ([1] * 3000, (50.0, 1e3)),
+    ([1] * 8 + [10 ** 6] + [1] * 60, (30.0, 60.0)),
+    (Fraction(37, 100), (5.0, 25.0)),
+    (Fraction(1, 5), (10.0,)),
+    (Fraction(GOLDEN), (20.0, 60.0)),
+    (quotients_value(sample_quotients(6, 0, 400)), (100.0, 400.0)),
+    (0.5377636563, (7.0, 8.0)),
+    (GOLDEN, (20.0,)),
+    (0.37, (5.0, 12.0)),
+]
+
+
+def test_cf_expand_matches_oracle():
+    rnd = random.Random(1201)
+    xs = []
+    for bits in (64, 300, 1024, 4096):
+        for _ in range(10):
+            den = rnd.getrandbits(bits) | 1 << (bits - 1)
+            xs.append(Fraction(rnd.randrange(1, den), den))
+    xs += [Fraction(16, 113), Fraction(1, 2), Fraction(5, 8)]
+    for x in xs:
+        for depth in (1, 7, 400):
+            got = cf_expand(x, depth)
+            assert (got.quotients, got.p, got.q, got.terminated) == \
+                cf_expansion(x, depth)
+    for xf in (GOLDEN, 0.37, 0.5377636563, math.sqrt(2) - 1, 1e-300):
+        got = cf_expand(xf, 120)
+        want = cf_expansion(Fraction(xf), 120)
+        assert got.quotients == want[0][:len(got.quotients)]
+        assert (got.p, got.q) == tuple(w[:len(got.p)] for w in want[1:3])
+
+
+@pytest.mark.parametrize("direction,horizons", ORACLE_DIRECTIONS)
+def test_engine_matches_scalar_stream_bit_for_bit(direction, horizons):
+    for T in horizons:
+        want = _outcome(excursion_stream, direction, T)
+        got = _outcome(lambda *a: _records(predicted_excursions(*a)),
+                       direction, T)
+        assert got == want
+        if T > math.e:
+            for alpha in (0.0, 0.3):
+                assert _outcome(loglaw_statistic, direction, T, alpha) == \
+                    _outcome(oracle_loglaw, direction, T, alpha)
+
+
+@pytest.mark.parametrize("direction,T", [
+    ([1] * 10, 40.0),            # certified data runs out mid-horizon
+    ([1] * 20, 100.0),           # no certified index at all
+    ([1] * 60 + [2], 60.0),
+    (sample_quotients(8, 0, 200), 1000.0),
+    (0.37, 12.0),                # a float's certified prefix runs out
+    (GOLDEN, 200.0),
+])
+def test_precision_exhausted_at_the_oracle_index(direction, T):
+    want = _outcome(excursion_stream, direction, T)
+    assert isinstance(want, str) and "index" in want
+    assert _outcome(predicted_excursions, direction, T) == want
+    assert _outcome(loglaw_statistic, direction, T) == want
+
+
+def test_entry_time_lower_bound_on_every_record():
+    # t_enter >= 2 log q_n - 2.1, the bound that closes the horizon and
+    # prunes the log-law search; n = 0 and 1 are in every case below
+    cases = [sample_quotients(9, i, 800) for i in range(4)]
+    cases += [[1] * 800, [2] * 400, [1, 1] + [50] * 80,
+              [7, *sample_quotients(9, 9, 400)]]
+    seen = set()
+    for quots in cases:
+        _, q = geo._convergent_arrays(quots)
+        for r in predicted_excursions(quots, 200.0):
+            n = r.convergent_index
+            seen.add(n)
+            assert r.t_enter >= 2.0 * math.log(q[n]) - 2.1
+    assert {0, 1} <= seen
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+def test_score_caps_bound_every_excursion(alpha):
+    # the state-only bound the log law ranks by must cover the exact
+    # bound (log H_n - alpha lo)/log lo of every excursion window
+    t_floor = math.nextafter(math.e, math.inf)
+    cases = [(sample_quotients(9, i, 3000), 1e3) for i in range(3)]
+    cases += [([1] * 3000, 1e3), ([2] * 1500, 1e3),
+              ([1, 1] + [50] * 80, 400.0), ([7, 1, 3] * 300, 600.0)]
+    for quots, T in cases:
+        ns, caps = geo._score_caps(geo._orbit(geo._direction_data(quots), T),
+                                   alpha)
+        cap = dict(zip(ns.tolist(), caps.tolist()))
+        for r in predicted_excursions(quots, T):
+            lo, hi = max(r.t_enter, t_floor), min(r.t_exit, T)
+            if hi > lo:
+                assert cap[r.convergent_index] >= \
+                    (r.peak_pen - alpha * lo) / math.log(lo)
+
+
+def test_acosh_one_plus_continuous_at_branch():
+    below = geo._acosh_one_plus(37.0)
+    above = geo._acosh_one_plus(math.nextafter(37.0, math.inf))
+    assert below == pytest.approx(geo._LN2 + 37.0, abs=2e-15)
+    assert 0.0 <= above - below <= 4 * math.ulp(above)
+    for ln_x in (-30.0, -1.0, 0.0, 5.0, 36.9):
+        assert geo._acosh_one_plus(ln_x) == pytest.approx(
+            math.acosh(1.0 + math.exp(ln_x)), rel=1e-15)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 40), min_size=geo._ALPHA_TAIL + 1,
+                max_size=geo._ALPHA_TAIL + 20))
+@example([1] * (geo._ALPHA_TAIL + 1))
+def test_alpha_tail_depth_certifies_2e_10(quots):
+    # alpha_{n_cap + 1} is read off the last _ALPHA_TAIL + 1 digits; the
+    # unseen tail [a_{M+1}; ...] lies in (1, inf) and alpha is monotone
+    # in it, so the two ends (the list cut here, or one more digit 1)
+    # bound the error whatever the unseen digits are
+    data = geo._direction_data(quots)
+    j = data.n_cap + 1
+    assert j == len(quots) - geo._ALPHA_TAIL
+    assert abs(data.alpha[j] - geo._alpha_sweep(quots + [1])[j]) < 2e-10
+
+
+@pytest.mark.parametrize("x,T,step", [
+    (0.37, 12.0, 5e-4),          # two grid chunks
+    (0.5377636563, 8.0, 1e-3),
+    (GOLDEN, 10.0, 1e-3),
+    (0.3, 720.0, 90.0),          # heights below 1e-300: scalar fallback
+    (0.3, 800.0, 100.0),         # e^-800 underflows: refused
+])
+def test_sampled_engine_matches_scalar_loop(x, T, step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepTooCoarseWarning)
+        got = _outcome(lambda *a: _records(excursions(*a)), x, T, step)
+    assert got == _outcome(sampled_excursions, x, T, step)
+
+
+def test_grid_im_matches_scalar_reduction():
+    rng = np.random.default_rng(1207)
+    for x in (GOLDEN, 0.37, 1e-9, 1.0 - 2 ** -40, float(rng.random())):
+        ts = sorted(rng.uniform(0.0, 30.0, 3000).tolist()) + [0.0, 600.0]
+        got = geo._grid_im(x, ts)
+        want = [geo._reduced_im(geodesic_point(x, t).z) for t in ts]
+        assert got.tolist() == want
+    # heights below 1e-300 go to the scalar path (at x = 5e-324, t = 737
+    # both coordinates are tiny and -1/w would overflow)
+    for x, t in ((0.3, 700.0), (0.3, 800.0), (5e-324, 737.0)):
+        assert geo._grid_im(x, [1.0, t]) is None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(k=st.integers(11, 40), m=st.integers(0, 2 ** 40),
+       T=st.floats(2.0, 12.0))
+def test_predicted_matches_sampled_on_dyadics(k, m, T):
+    # x = m/2^k is a float exactly, so both engines see the same
+    # direction; with k >= 11 the final dive into x's own cusp starts
+    # after 2 log 2^k - 2.1 > 12.  Each excursion peaking by T that holds
+    # two grid steps, and lies two steps clear of its neighbours (also
+    # of one that peaks after T), must be found by convergent with entry,
+    # exit and peak within 1e-9; at T the sampler ends a window still
+    # open.
+    x = (2 * (m % 2 ** (k - 1)) + 1) / 2 ** k
+    step = 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepTooCoarseWarning)
+        got = {r.convergent_index: r for r in excursions(x, T, step)}
+    want = predicted_excursions(Fraction(x), 2 * T)
+    for i, r in enumerate(want):
+        if r.t_peak > T:
+            break
+        gap_before = r.t_enter - (want[i - 1].t_exit if i else -1.0)
+        gap_after = (want[i + 1].t_enter if i + 1 < len(want) else 2 * T) \
+            - r.t_exit
+        if min(r.t_exit, T) - r.t_enter < 2 * step or \
+                min(gap_before, gap_after) < 2 * step:
+            continue
+        s = got[r.convergent_index]
+        assert abs(s.t_enter - r.t_enter) <= 1e-9
+        assert abs(s.peak_pen - r.peak_pen) <= 1e-9
+        assert abs(s.t_exit - min(r.t_exit, T)) <= 1e-9
+
+
+# -- refusals at the edge of float range -------------------------------------
+
+@pytest.mark.parametrize("call,index", [
+    (lambda: predicted_excursions(Fraction(1, 2 ** 1100), 10.0), "a_1"),
+    (lambda: excursions(5e-324, 10.0), "a_1"),
+    (lambda: loglaw_statistic(1e-310, 100.0), "a_1"),
+    (lambda: loglaw_statistic([1, 10 ** 400, 1], 10.0), "a_2"),
+    (lambda: loglaw_statistic([1] * 30 + [10 ** 400] + [1] * 30, 10.0),
+     "a_31"),
+    # finite, but its crossing times would square past float range; it
+    # would peak near t = 370, so it is refused once T reaches that far
+    (lambda: predicted_excursions([1, 10 ** 160] + [1] * 400, 800.0), "a_2"),
+    (lambda: loglaw_statistic([1, 10 ** 160] + [1] * 400, 800.0), "a_2"),
+])
+def test_quotient_beyond_float_range_refused_by_index(call, index):
+    with pytest.raises(PrecisionExhausted, match=r"\b%s\b" % index):
+        call()
+
+
+def test_huge_quotient_peaking_after_horizon_is_no_excursion():
+    quots = [1, 10 ** 160] + [1] * 400
+    assert predicted_excursions(quots, 300.0) == []
+    assert loglaw_statistic(quots, 300.0) == 0.0
+    # at 10^150 the formulas stay finite and the spike is reported
+    recs = predicted_excursions([1, 10 ** 150] + [1] * 400, 400.0)
+    assert recs[0].convergent_index == 1
+    assert recs[0].peak_pen == pytest.approx(150 * math.log(10) - math.log(2),
+                                             abs=1e-6)
+
+
+def test_loglaw_without_scoring_excursion_is_positive_zero():
+    for direction in (Fraction(1, 10 ** 300), 1e-300):
+        v = loglaw_statistic(direction, 100.0)
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+    assert loglaw_statistic(Fraction(1, 10 ** 300), 100.0, alpha=0.5) == \
+        -0.5 * math.e
