@@ -12,11 +12,11 @@ Modules
 -------
 functions   symbolic power/log/loglog forms, series verdicts, critical exponents
 farey       totient sieve, Farey sequences, the float union-length sweep
-systems     resonant systems, stage sets, stage measure scans
-ubiquity    local density ratios of stage sets against Lebesgue measure
+systems     resonant systems, per-point stage sets, stage measure scans
+ubiquity    uniform stages: exact local density ratios against Lebesgue measure
 counting    Diophantine counting and its mean-value prediction
 geodesics   continued fractions, the modular surface, cusp excursions
-horoballs   Ford configuration: enumeration, counting bands, tangency checks
+horoballs   Ford configuration: counting bands, tangency checks
 cli         command-line front end producing CSV/JSONL result files
 """
 

@@ -9,7 +9,8 @@ wall-clock header line is the only varying part).  All writes are
 atomic: temp file in the target directory, then rename.
 
 Exit statuses: 0 success, 1 usage/validation, 2 resource cap (including
-exhausted certified precision), 3 internal invariant violation.
+exhausted certified precision and values beyond float range), 3 internal
+invariant violation.
 ``LIMSUPLAB_OUTPUT_DIR`` sets the default output directory.
 """
 
@@ -150,6 +151,8 @@ def _convert(opt: _Opt, raw: str):
                 raise ValueError(raw)
             return v
         if opt.kind == "rational":
+            if re.search(r"[eE][-+]?0*[1-9]\d{3}", raw):
+                raise ValueError("decimal exponent beyond 999")
             return Fraction(raw)
         if opt.kind == "ints":
             parts = [t for t in re.split(r"[,\s]+", raw.strip()) if t]
@@ -476,8 +479,8 @@ def _run_cf(o):
     exp = geo.cf_expand(o["x"], o["depth"])
     rows = []
     xv = o["x"]
-    for n, a in enumerate(exp.quotients, start=1):
-        p, q = exp.convergents[n]
+    for n, (a, p, q) in enumerate(zip(exp.quotients, exp.p[1:], exp.q[1:]),
+                                  start=1):
         rows.append({"n": n, "a": a, "p": p, "q": q,
                      "error": abs(float(xv) - p / q)})
     state = "terminated" if exp.terminated else (
@@ -551,14 +554,16 @@ def _run_horoballs(o):
         raise UsageError("points must be >= 1")
     if not 0 < o["factor"] < 1:
         raise UsageError("factor must lie in (0, 1)")
-    Rs = [o["r_hi"] * o["factor"] ** i for i in range(o["points"])]
     # the smallest R has the widest window, so counting it first refuses
-    # an oversized run before any count runs
-    reps = {R: hb.horoball_count_ratio(base, R, o["lam"]) for R in Rs[::-1]}
+    # an oversized run before any other R is built or counted
+    reps = {}
+    for i in range(o["points"] - 1, -1, -1):
+        R = o["r_hi"] * o["factor"] ** i
+        reps[R] = hb.horoball_count_ratio(base, R, o["lam"])
     rows = [{"R": R, "log10_R": math.log10(R),
              "q_min": reps[R].q_min, "q_max": reps[R].q_max,
              "count": reps[R].count, "ratio": float(reps[R].ratio)}
-            for R in Rs]
+            for R in reversed(reps)]
     ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
     if ratios:
         spread = max(ratios) / min(ratios)
@@ -689,7 +694,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ResourceCapError, PrecisionExhausted) as exc:
+    except (ResourceCapError, PrecisionExhausted, OverflowError) as exc:
+        # OverflowError: an input whose float image is out of range
         print("resource cap: %s" % exc, file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

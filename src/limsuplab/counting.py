@@ -23,7 +23,11 @@ from typing import Optional
 import numpy as np
 
 from limsuplab import functions as fn
-from limsuplab.errors import UsageError
+from limsuplab.errors import ResourceCapError, UsageError
+
+# count_R and schmidt_prediction hold about five float64 arrays of length
+# N: at N = 10^6 one count measured 0.05 s and 44 MB on 2 vCPUs
+MAX_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,11 @@ class SchmidtSummary:
 
 
 def _q_psi(psi: fn.FunctionForm, N: int) -> np.ndarray:
+    """q psi(q) for q = 1..N; refuses N outside [1, MAX_N] first."""
+    if N < 1:
+        raise UsageError("N must be >= 1")
+    if N > MAX_N:
+        raise ResourceCapError("counting horizon N=%d (cap %d)" % (N, MAX_N))
     qs = np.arange(1, N + 1, dtype=np.float64)
     return qs * fn.evaluate_array(psi, qs)
 
@@ -67,18 +76,15 @@ def count_R(x, N: int, psi: fn.FunctionForm) -> int:
     both neighbours give the same distance, so the rounding choice is
     immaterial).
     """
-    if N < 1:
-        raise UsageError("N must be >= 1")
+    bound = _q_psi(psi, N)
     xf = float(x)
     qs = np.arange(1, N + 1, dtype=np.float64)
     dist = np.abs(qs * xf - np.rint(qs * xf))
-    return int(np.count_nonzero(dist < _q_psi(psi, N)))
+    return int(np.count_nonzero(dist < bound))
 
 
 def schmidt_prediction(psi: fn.FunctionForm, N: int) -> SchmidtPrediction:
     """2 sum_{q<=N} q psi(q), with the multiplicity condition flagged."""
-    if N < 1:
-        raise UsageError("N must be >= 1")
     qpsi = _q_psi(psi, N)
     bad = np.flatnonzero(2.0 * qpsi >= 1.0)
     return SchmidtPrediction(
@@ -107,6 +113,8 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
     """
     if samples < 0:
         raise UsageError("samples must be >= 0")
+    if not 0 <= seed < 2 ** 128:
+        raise UsageError("seed must lie in [0, 2^128): it keys Philox")
     pred = schmidt_prediction(psi, N)
     jobs = [(seed, i, N, psi) for i in range(samples)]
     if workers > 1 and samples > 1:

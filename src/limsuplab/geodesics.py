@@ -83,7 +83,6 @@ __all__ = [
     "CFExpansion",
     "GeodesicState",
     "ExcursionRecord",
-    "SandwichCounts",
     "StepTooCoarseWarning",
     "cf_expand",
     "quotients_value",
@@ -97,7 +96,6 @@ __all__ = [
     "predicted_excursions",
     "excursions",
     "loglaw_statistic",
-    "sandwich_membership",
 ]
 
 # |peak penetration - log a_{n+1}| <= CF_PROXY_CONSTANT for every
@@ -153,10 +151,6 @@ class CFExpansion:
     q: Tuple[int, ...]
     terminated: bool
     truncated: bool
-
-    @property
-    def convergents(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(zip(self.p, self.q))
 
     def value(self, n: int) -> Fraction:
         return Fraction(self.p[n], self.q[n])
@@ -432,12 +426,6 @@ class ExcursionRecord:
                 % (self.t_enter, self.t_peak, self.t_exit))
         if not self.peak_pen > 0:
             raise InternalInvariantError("peak penetration must be > 0")
-
-
-@dataclass(frozen=True)
-class SandwichCounts:
-    hits: int
-    violations: int
 
 
 def _acosh_one_plus(ln_x: float) -> float:
@@ -890,44 +878,3 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
         a_hi = lo + (hi - lo) * min(k_best + 1, grid) / grid
         best = max(best, v_best, f(_ternary_argmax(f, a_lo, a_hi, 70)))
     return best
-
-
-# ---------------------------------------------------------------------------
-# sandwich membership
-
-
-def sandwich_membership(x: float, tau: float, epsilon: float, Q: int
-                        ) -> SandwichCounts:
-    """Hit counts against psi and psi_epsilon over Ford bases with q <= Q.
-
-    With the weight L = 2 q^2, psi(L) = L^{-tau} (log L)^{-tau} and
-    psi_eps(L) = L^{-tau} (log L)^{-tau(1+eps)}; a base p/q (reduced)
-    is hit when |x - p/q| < psi(L) strictly, a violation when
-    |x - p/q| < psi_eps(L).  Note log L < 1 at q = 1, where psi_eps
-    exceeds psi; for q >= 2 the violation radius is the smaller one.
-    """
-    xf = float(x)
-    if not tau >= 1:
-        raise UsageError("tau must be >= 1, got %r" % (tau,))
-    if not epsilon > 0:
-        raise UsageError("epsilon must be > 0, got %r" % (epsilon,))
-    if Q < 1:
-        raise UsageError("Q must be >= 1, got %r" % (Q,))
-    hits = violations = 0
-    for q in range(1, Q + 1):
-        ln_l = math.log(2 * q * q)
-        ln_ln = math.log(ln_l)
-        psi = math.exp(-tau * (ln_l + ln_ln))
-        psi_e = math.exp(-tau * ln_l - tau * (1.0 + epsilon) * ln_ln)
-        for radius, which in ((psi, 0), (psi_e, 1)):
-            p_lo = math.ceil(q * (xf - radius))
-            p_hi = math.floor(q * (xf + radius))
-            count = 0
-            for p in range(p_lo, p_hi + 1):
-                if math.gcd(p, q) == 1 and abs(xf - p / q) < radius:
-                    count += 1
-            if which == 0:
-                hits += count
-            else:
-                violations += count
-    return SandwichCounts(hits, violations)

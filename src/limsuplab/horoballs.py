@@ -1,20 +1,14 @@
 """Ford circles: the horoball family at the cusp of the modular group.
 
 The circle based at p/q (in lowest terms) has radius 1/(2q^2), weight
-2q^2, and touches the real line at p/q.  Everything in this module is
-exact: radius windows translate to integer ranges of q via isqrt, base
-windows are half-open [lo, hi) so each circle on the unit circle is
-counted once, and the disjointness sweep runs in integer arithmetic
-throughout.
-
-The window algebra, spelled out once:
-
-    radius >= r_lo  <=>  2 q^2 <= 1/r_lo        <=>  q <= isqrt(floor(1/(2 r_lo)))
-    radius <  r_hi  <=>  2 q^2 >  1/r_hi        <=>  q >= isqrt(floor(1/(2 r_hi))) + 1
-
-Both reductions are exact for rational bounds: q^2 <= M iff
-q^2 <= floor(M), and the smallest q with q^2 > M is isqrt(floor(M)) + 1
-because floor(M) + 1 > M strictly.
+2q^2, and touches the real line at p/q.  This module counts circles in
+bands of radii and checks their disjointness; everything is exact.  A
+radius window [r_lo, r_hi) is the weight window (1/r_hi, 1/r_lo] of the
+Ford system, so q_window hands it to `systems.ford_horoballs()`, whose
+isqrt translation to an integer q-range is the one copy of that
+algebra.  Base windows are half-open [lo, hi), so each circle on the
+unit circle is counted once, and the disjointness sweep runs in integer
+arithmetic throughout.
 
 Disjointness rests on one polynomial identity.  With d = p/q - p'/q',
 r = 1/(2q^2), r' = 1/(2q'^2) and D = p q' - p' q:
@@ -36,36 +30,20 @@ import numpy as np
 
 from limsuplab import farey
 from limsuplab import functions as fn
+from limsuplab import systems as sy
 from limsuplab.errors import InternalInvariantError, ResourceCapError, UsageError
 
-DEFAULT_BALL_CAP = 2_000_000
 # count_horoballs takes a gcd per candidate base: the widest window of a
 # 24-point `horoballs` run (R = 2^-26, lam = 1/4) bounds 5.03e7 bases and
 # took 3.5 s on 2 vCPUs, and each further halving of R doubles both
 MAX_COUNT_BASES = 64_000_000
+# disjointness_check sweeps 1024-row blocks of about four int64 arrays
+# of length |F_q_max|: 7.0 s and 697 MB peak RSS at q_max = 256 on 2
+# vCPUs.  Its Fraction identity layer is quadratic in |F_identity|: 5.2 s
+# and 38 MB at 40, already 10.5 s at 48.
+MAX_DISJOINTNESS_Q = 256
+MAX_IDENTITY_Q = 40
 _ROW_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class Horoball:
-    base: Fraction
-    radius: Fraction
-    weight: Fraction
-
-    def __post_init__(self):
-        if self.radius * self.weight != 1:
-            raise UsageError("radius * weight must equal 1")
-
-    @property
-    def q(self) -> int:
-        return self.base.denominator
-
-
-def ball_at(p: int, q: int) -> Horoball:
-    if q < 1 or math.gcd(p, q) != 1:
-        raise UsageError("base must be p/q in lowest terms with q >= 1")
-    return Horoball(Fraction(p, q), Fraction(1, 2 * q * q),
-                    Fraction(2 * q * q))
 
 
 def q_window(r_lo: Fraction, r_hi: Fraction) -> tuple[int, int]:
@@ -74,11 +52,8 @@ def q_window(r_lo: Fraction, r_hi: Fraction) -> tuple[int, int]:
     r_lo, r_hi = fn.exact(r_lo, "r_lo"), fn.exact(r_hi, "r_hi")
     if not (0 < r_lo < r_hi):
         raise UsageError("need 0 < r_lo < r_hi")
-    m_hi = Fraction(1, 2) / r_lo     # q^2 <= m_hi
-    m_lo = Fraction(1, 2) / r_hi     # q^2 >  m_lo
-    q_max = math.isqrt(m_hi.numerator // m_hi.denominator)
-    q_min = math.isqrt(m_lo.numerator // m_lo.denominator) + 1
-    return q_min, q_max
+    # r_lo <= 1/(2q^2) < r_hi  <=>  1/r_hi < 2q^2 <= 1/r_lo
+    return sy.ford_horoballs().q_interval(1 / r_hi, 1 / r_lo)
 
 
 def _base_range(q: int, b_lo: Fraction, b_hi: Fraction) -> tuple[int, int]:
@@ -86,49 +61,31 @@ def _base_range(q: int, b_lo: Fraction, b_hi: Fraction) -> tuple[int, int]:
     return math.ceil(q * b_lo), math.ceil(q * b_hi) - 1
 
 
-def _check_bases(b_lo: Fraction, b_hi: Fraction, q_min: int, q_max: int,
-                 cap: int) -> None:
-    """Refuse, before any loop, a window holding more than cap candidate
-    bases, by a coarse O(1) bound: each q contributes fewer than
-    width*q + 1 numerators."""
+def _check_bases(b_lo: Fraction, b_hi: Fraction, q_min: int,
+                 q_max: int) -> None:
+    """Refuse, before any loop, a window holding more than
+    MAX_COUNT_BASES candidate bases, by a coarse O(1) bound: each q
+    contributes fewer than width*q + 1 numerators."""
     if q_max < q_min:
         return
     q_sum = (q_max * (q_max + 1) - (q_min - 1) * q_min) // 2
     bound = (b_hi - b_lo) * q_sum + (q_max - q_min + 1)
-    if bound > cap:
+    if bound > MAX_COUNT_BASES:
         raise ResourceCapError(
-            "window holds up to ~%d bases (cap %d); shrink it"
-            % (math.ceil(bound), cap))
-
-
-def enumerate_horoballs(base_window: tuple, r_lo, r_hi,
-                        cap: int = DEFAULT_BALL_CAP) -> list[Horoball]:
-    """All Ford circles with base in the half-open window and radius in
-    [r_lo, r_hi), ordered by denominator then base."""
-    b_lo = fn.exact(base_window[0], "base lo")
-    b_hi = fn.exact(base_window[1], "base hi")
-    if b_lo >= b_hi:
-        return []
-    q_min, q_max = q_window(r_lo, r_hi)
-    _check_bases(b_lo, b_hi, q_min, q_max, cap)
-    out = []
-    for q in range(q_min, q_max + 1):
-        p_lo, p_hi = _base_range(q, b_lo, b_hi)
-        for p in range(p_lo, p_hi + 1):
-            if math.gcd(p, q) == 1:
-                out.append(ball_at(p, q))
-    return out
+            "window holds up to ~2^%d bases (cap %d); shrink it"
+            % (math.ceil(bound).bit_length(), MAX_COUNT_BASES))
 
 
 def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
-    """len(enumerate_horoballs(...)) without building the list; refuses
-    a window of more than MAX_COUNT_BASES candidate bases."""
+    """Number of Ford circles with base in the half-open window and
+    radius in [r_lo, r_hi); refuses a window of more than
+    MAX_COUNT_BASES candidate bases."""
     b_lo = fn.exact(base_window[0], "base lo")
     b_hi = fn.exact(base_window[1], "base hi")
     if b_lo >= b_hi:
         return 0
     q_min, q_max = q_window(r_lo, r_hi)
-    _check_bases(b_lo, b_hi, q_min, q_max, MAX_COUNT_BASES)
+    _check_bases(b_lo, b_hi, q_min, q_max)
     total = 0
     for q in range(q_min, q_max + 1):
         p_lo, p_hi = _base_range(q, b_lo, b_hi)
@@ -229,10 +186,16 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
     The sweep is pure integer arithmetic (products bounded by q_max^2,
     far inside int64).  On top of it, every pair with denominators
     <= identity_q_max is re-derived through exact Fractions in
-    pair_relation, so the two layers confirm each other.
+    pair_relation, so the two layers confirm each other.  Refuses, before
+    allocating, q_max above MAX_DISJOINTNESS_Q and an identity layer
+    above MAX_IDENTITY_Q.
     """
-    if q_max < 2:
-        raise UsageError("q_max must be >= 2")
+    if q_max < 2 or identity_q_max < 1:
+        raise UsageError("need q_max >= 2 and identity_q_max >= 1")
+    identity_q_max = min(identity_q_max, q_max)
+    if q_max > MAX_DISJOINTNESS_Q or identity_q_max > MAX_IDENTITY_Q:
+        raise ResourceCapError("q_max %d, identity layer %d (caps %d, %d)" % (
+            q_max, identity_q_max, MAX_DISJOINTNESS_Q, MAX_IDENTITY_Q))
     nums, dens = farey.reduced_fractions(q_max)
     n = len(nums)
     pairs = tangent = overlap = 0
@@ -249,7 +212,7 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
         raise InternalInvariantError(
             "%d overlapping Ford pairs at q_max=%d" % (overlap, q_max))
 
-    id_nums, id_dens = farey.reduced_fractions(min(identity_q_max, q_max))
+    id_nums, id_dens = farey.reduced_fractions(identity_q_max)
     m = len(id_nums)
     identity_pairs = 0
     for i in range(m):
@@ -259,5 +222,5 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
             if rel.gap < 0:
                 raise InternalInvariantError("negative gap in exact layer")
             identity_pairs += 1
-    return DisjointnessReport(q_max, n, pairs, tangent, 0,
-                              min(identity_q_max, q_max), identity_pairs)
+    return DisjointnessReport(q_max, n, pairs, tangent, 0, identity_q_max,
+                              identity_pairs)

@@ -2,12 +2,12 @@
 
 A *system* is a countable family of points in [0,1] carrying positive
 weights: the rationals p/q weighted by q (with or without coprimality),
-or the Ford configuration where p/q is weighted by 2Cq^2.  A *stage
-spec* turns a system into a nested sequence of finite unions of balls:
-
-* per-point stages collect B(p/q, psi(weight)) over weights in one
-  geometric window (k^(n-1), k^n];
-* uniform stages collect B(p/q, rho(k^n)) over all weights <= k^n.
+or the Ford configuration where p/q is weighted by 2q^2.  A *stage
+spec* turns a system into the per-point stages of Khintchine and
+Jarnik: stage n collects B(p/q, psi(weight)) over weights in one
+geometric window (k^(n-1), k^n].  The uniform stages B(p/q, rho(k^n))
+over all weights <= k^n, whose ubiquity the theorem needs, are measured
+exactly in `ubiquity`.
 
 The scan certifies two-sided bounds on the Lebesgue measure of every
 stage in a range.  Stages too large to sweep exhaustively get a
@@ -62,18 +62,6 @@ class ResonantSystem:
 
     kind: SystemKind
     coprime_only: bool = False
-    ford_scale: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ford_scale",
-                           fn.exact(self.ford_scale, "ford_scale"))
-        if self.ford_scale <= 0:
-            raise UsageError("ford_scale must be positive")
-
-    def weight_of(self, q: int) -> Fraction:
-        if self.kind is SystemKind.RATIONALS:
-            return Fraction(q)
-        return 2 * self.ford_scale * q * q
 
     def q_interval(self, w_lo: Fraction, w_hi: Fraction) -> tuple[int, int]:
         """Inclusive denominator range with weight in (w_lo, w_hi]."""
@@ -82,11 +70,11 @@ class ResonantSystem:
             q_hi = w_hi.numerator // w_hi.denominator
             q_lo = w_lo.numerator // w_lo.denominator + 1
             return max(q_lo, 1), q_hi
-        # Ford: 2Cq^2 <= w  <=>  q <= isqrt(floor(w / 2C))
+        # Ford: 2q^2 <= w  <=>  q <= isqrt(floor(w / 2))
         def q_below(w: Fraction) -> int:
             if w <= 0:
                 return 0
-            ratio = w / (2 * self.ford_scale)
+            ratio = w / 2
             return math.isqrt(ratio.numerator // ratio.denominator)
         return q_below(w_lo) + 1, q_below(w_hi)
 
@@ -109,9 +97,9 @@ def classical_rationals(coprime_only: bool = False) -> ResonantSystem:
     return ResonantSystem(SystemKind.RATIONALS, coprime_only=coprime_only)
 
 
-def ford_horoballs(scale=1) -> ResonantSystem:
-    """Rationals weighted by twice the curvature scale: weight = 2*scale*q^2."""
-    return ResonantSystem(SystemKind.FORD, ford_scale=scale)
+def ford_horoballs() -> ResonantSystem:
+    """Reduced rationals weighted by the Ford curvature: weight = 2q^2."""
+    return ResonantSystem(SystemKind.FORD)
 
 
 def _totient_cumsum(limit: int) -> np.ndarray:
@@ -131,20 +119,11 @@ def _totient_cumsum_padded(padded: int) -> np.ndarray:
 # stage specifications
 
 
-class StageMode(Enum):
-    PER_POINT = "per-point"
-    UNIFORM = "uniform"
-
-
 @dataclass(frozen=True)
 class StageSpec:
-    """How stage n is cut out of a system.
+    """How stage n is cut out of a system: balls B(x, psi(weight)) over
+    weights in (k^(n-1), k^n]."""
 
-    PER_POINT: balls B(x, psi(weight)) over weights in (k^(n-1), k^n].
-    UNIFORM:   balls B(x, rho(k^n)) over weights <= k^n.
-    """
-
-    mode: StageMode
     form: fn.FunctionForm
     k: Fraction
 
@@ -161,23 +140,11 @@ class StageSpec:
     def window(self, n: int) -> tuple[Fraction, Fraction]:
         if n < 1:
             raise UsageError("stage index must be >= 1")
-        if self.mode is StageMode.PER_POINT:
-            return self.k ** (n - 1), self.k ** n
-        return Fraction(0), self.k ** n
-
-    def radius_exact(self, weight: Fraction) -> Fraction:
-        return fn.evaluate_rational(self.form, weight)
-
-    def radius_float(self, weight) -> float:
-        return fn.evaluate(self.form, float(weight))
+        return self.k ** (n - 1), self.k ** n
 
 
 def per_point_stage(psi: fn.FunctionForm, k) -> StageSpec:
-    return StageSpec(StageMode.PER_POINT, psi, k)
-
-
-def uniform_stage(rho: fn.FunctionForm, k) -> StageSpec:
-    return StageSpec(StageMode.UNIFORM, rho, k)
+    return StageSpec(psi, k)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +196,6 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     q_lo, q_hi = system.q_interval(w_lo, w_hi)
     if q_lo > q_hi:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    if stage.mode is StageMode.UNIFORM:
-        # weights fill (0, k^n], so every denominator from 1 up appears
-        r = stage.radius_float(stage.k ** n)
-        b_vals = np.arange(1, q_hi + 1, dtype=np.int64)
-        radii = np.full(len(b_vals), r)
-        return b_vals, radii
-    # per-point windows
     if system.kind is SystemKind.RATIONALS and not system.coprime_only:
         # all reduced denominators up to q_hi appear, via their smallest
         # multiple inside the window
@@ -249,7 +209,7 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     # reduced systems: denominators live in the window themselves
     b_vals = np.arange(q_lo, q_hi + 1, dtype=np.int64)
     if system.kind is SystemKind.FORD:
-        weights = 2.0 * float(system.ford_scale) * b_vals.astype(np.float64) ** 2
+        weights = 2.0 * b_vals.astype(np.float64) ** 2
     else:
         weights = b_vals.astype(np.float64)
     return b_vals, _radius_vector(stage, weights)
@@ -308,8 +268,7 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
     plan regroups denominators by their reduced form, count the q + 1
     raw balls of radius psi(q) instead.
     """
-    if (system.kind is SystemKind.RATIONALS and not system.coprime_only
-            and stage.mode is StageMode.PER_POINT):
+    if system.kind is SystemKind.RATIONALS and not system.coprime_only:
         q_lo, q_hi = system.q_interval(*stage.window(n))
         qs = np.arange(q_lo, q_hi + 1, dtype=np.float64)
         radii, counts = _radius_vector(stage, qs), qs + 1.0

@@ -54,6 +54,9 @@ class UniformStageEngine:
 
     def __init__(self, q_max: int, radius: Fraction,
                  cap: int = MAX_UNIFORM_Q):
+        if cap > MAX_UNIFORM_Q:
+            raise UsageError("q cap %d above MAX_UNIFORM_Q = %d; the cap "
+                             "can only be lowered" % (cap, MAX_UNIFORM_Q))
         if q_max > cap:
             raise ResourceCapError(
                 "uniform stage needs denominators up to %d (cap %d)"
@@ -206,7 +209,8 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
     """Per-ball infimum of the stage ratios over the n-range.
 
     One engine is built per stage and shared across the ball sample, so
-    the cost is dominated by the largest stage, not the sample size.
+    the cost is dominated by the largest stage, not the sample size.  It
+    is built first, so a stage past q_cap is refused before any build.
     """
     k = fn.exact(k, "k")
     if k <= 1:
@@ -224,7 +228,7 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
         checked.append((c, r))
 
     per_ball: list[list[tuple[int, Fraction]]] = [[] for _ in checked]
-    for n in ns:
+    for n in reversed(ns):
         engine = UniformStageEngine(_uniform_q_max(system, k, n),
                                     _uniform_radius(rho, k, n), cap=q_cap)
         for i, (c, r) in enumerate(checked):
@@ -233,6 +237,7 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
 
     reports = []
     for (c, r), rows in zip(checked, per_ball):
+        rows.reverse()
         ratios = [ratio for _, ratio in rows]
         kappa = min(ratios)
         n_min = next((n for n, ratio in rows if ratio >= target), None)

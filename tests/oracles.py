@@ -10,13 +10,16 @@ installed package has no `tests/` next to it.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 import limsuplab.functions as fn
 import limsuplab.geodesics as geo
 import limsuplab.systems as sy
-from limsuplab.errors import PrecisionExhausted, UsageError
+from limsuplab.errors import PrecisionExhausted, ResourceCapError, UsageError
+
+DEFAULT_BALL_CAP = 2_000_000
 
 
 def exact_union_measure(pairs, lo=0, hi=1) -> Fraction:
@@ -40,14 +43,14 @@ def exact_union_measure(pairs, lo=0, hi=1) -> Fraction:
 
 
 def window_pairs(system, w_lo, w_hi):
-    """Every raw (point, weight) pair with weight in (w_lo, w_hi], by
-    weight then point.  Denominators are walked up from 1, so the
-    system's own q-range arithmetic is not trusted."""
-    reduced = system.coprime_only or system.kind is sy.SystemKind.FORD
+    """Every raw (point, weight) pair with weight (q, or 2q^2 for Ford
+    circles) in (w_lo, w_hi], by weight then point.  Denominators are
+    walked up from 1, so no q-range arithmetic of the system is trusted."""
+    ford = system.kind is sy.SystemKind.FORD
+    reduced = system.coprime_only or ford
     pairs = []
     q = 1
-    while system.weight_of(q) <= w_hi:
-        w = system.weight_of(q)
+    while (w := Fraction(2 * q * q if ford else q)) <= w_hi:
         if w > w_lo:
             pairs += [(Fraction(p, q), w) for p in range(q + 1)
                       if not reduced or math.gcd(p, q) == 1]
@@ -62,13 +65,42 @@ def stage_balls(system, stage, n):
     its own weight, so this knows nothing of the reduced-centre dedup
     the scan relies on.
     """
-    uniform = stage.mode is sy.StageMode.UNIFORM
-
-    @cache
-    def radius(w):
-        return stage.radius_exact(stage.k ** n if uniform else w)
-
+    radius = cache(lambda w: fn.evaluate_rational(stage.form, w))
     return [(c, radius(w)) for c, w in window_pairs(system, *stage.window(n))]
+
+
+@dataclass(frozen=True)
+class Horoball:
+    base: Fraction
+    radius: Fraction
+    weight: Fraction
+
+
+def ball_at(p: int, q: int) -> Horoball:
+    if q < 1 or math.gcd(p, q) != 1:
+        raise UsageError("base must be p/q in lowest terms with q >= 1")
+    return Horoball(Fraction(p, q), Fraction(1, 2 * q * q),
+                    Fraction(2 * q * q))
+
+
+def enumerate_horoballs(base_window, r_lo, r_hi, cap=DEFAULT_BALL_CAP):
+    """Every Ford circle with base in the half-open window and radius in
+    [r_lo, r_hi), ordered by denominator then base: the list whose
+    length horoballs.count_horoballs must give.  Denominators are walked
+    up from 1, so horoballs.q_window is not trusted; more than cap
+    circles raise ResourceCapError."""
+    b_lo, b_hi = Fraction(base_window[0]), Fraction(base_window[1])
+    out = []
+    q = 1
+    while Fraction(1, 2 * q * q) >= r_lo:
+        if Fraction(1, 2 * q * q) < r_hi:
+            for p in range(math.ceil(q * b_lo), math.ceil(q * b_hi)):
+                if math.gcd(p, q) == 1:
+                    out.append(ball_at(p, q))
+            if len(out) > cap:
+                raise ResourceCapError("more than %d circles" % cap)
+        q += 1
+    return out
 
 
 def count_R_exact(x: Fraction, N: int, psi: fn.FunctionForm) -> int:

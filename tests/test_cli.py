@@ -4,14 +4,19 @@ plot extracts, and the documented summary lines."""
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from limsuplab import cli
+from limsuplab import counting as ct
+from limsuplab import farey
 from limsuplab import horoballs as hb
 from limsuplab import systems as sy
+from limsuplab import ubiquity as ub
 from limsuplab.errors import UsageError
+from oracles import cf_expansion
 
 GOLDEN_CHAIN = ",".join(["1"] * 120)
 
@@ -139,6 +144,34 @@ class TestExitStatuses:
         assert err.startswith("resource cap:") and "Traceback" not in err
         assert not (tmp_path / "h.csv").exists()
 
+    @pytest.mark.parametrize("argv,code", [
+        (["disjointness", "--q-max", str(hb.MAX_DISJOINTNESS_Q + 1)], 2),
+        (["disjointness", "--q-max", "100",
+          "--identity-q-max", str(hb.MAX_IDENTITY_Q + 1)], 2),
+        # --q-cap may only lower the engine's cap: F_46656 is refused
+        (["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo", "6",
+          "--n-hi", "6", "--q-cap", str(ub.MAX_UNIFORM_Q + 1)], 1),
+        (["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo", "1",
+          "--n-hi", "6"], 2),  # the largest stage is built first
+        (["cf", "--x", "1e-99999"], 1),  # would build a 10^5-digit int
+        (["schmidt", "--psi", "(1/4) * r^-1", "--N", str(ct.MAX_N + 1)], 2),
+        (["schmidt", "--psi", "r^-2", "--N", "9", "--seed", "-1"], 1),
+        (["horoballs", "--points", "200000"], 2),  # took 85 s and 2.6 GB
+        # inputs whose float images are out of range
+        (["horoballs", "--r-hi", "1e999", "--points", "1"], 2),
+        (["classify", "--series", "1e999 * r^-2"], 2),
+    ])
+    def test_refused_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                       argv, code):
+        def no_farey(*args):
+            raise AssertionError("Farey points built past a cap")
+        monkeypatch.setattr(farey, "reduced_fractions", no_farey)
+        monkeypatch.setattr(ct, "np", None)  # no counting arrays either
+        got, _, err = run_main(argv + ["--workers", "1", "--output",
+                                       str(tmp_path / "r.csv")], capsys)
+        assert got == code and "Traceback" not in err
+        assert err.startswith("resource cap:" if code == 2 else "error:")
+
     def test_precision_exhausted_is_2(self, tmp_path, capsys):
         code, _, _ = run_main(
             ["loglaw", "--quotients", "1,1,1,1,1", "--T", "100",
@@ -259,6 +292,15 @@ class TestRows:
             [(1, 7, 1, 7), (2, 16, 16, 113)]
         assert env.rows[-1]["error"] == 0.0
         assert env.summary == "quotients [7, 16] (terminated)"
+        # a deep input: a quadratic row loop took seconds here
+        rnd = random.Random(8192)
+        den = rnd.getrandbits(8192) | 1 << 8191
+        x = Fraction(rnd.randrange(1, den), den)
+        env = run_env(["cf", "--x", str(x), "--depth", "4000",
+                       "--output", str(tmp_path / "d.csv")])
+        quots, p, q, _ = cf_expansion(x, 4000)
+        assert [(r["n"], r["a"], r["p"], r["q"]) for r in env.rows] == \
+            list(zip(range(1, len(quots) + 1), quots, p[1:], q[1:]))
 
     def test_stage_scan_partial_sum_accumulates(self, tmp_path):
         env = run_env(["stage-scan", "--psi", "r^-3", "--k", "2",
@@ -356,3 +398,68 @@ class TestPlotData:
         assert lines[0] == "bin_lo,bin_hi,count"
         counts = [int(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
         assert sum(counts) == 10
+
+
+# -- seeded fuzz --------------------------------------------------------------
+
+# per subcommand, option: "valid values|values past a resource cap",
+# each group separated by ";"
+FUZZ_OPTIONS = {
+    "classify": {"series": "r^1 * (r^-2);r^-2;r^1 * (r^-3) * log(r)^-1",
+                 "psi": "r^-3;r^-2 * log(r)^-1", "weight": "0;1;1/2",
+                 "gauge": "r^(2/3);r^(1/2) * log(1/r)^(1/10)"},
+    "critical-exponent": {"psi": "r^-3;r^-2 * log(r)^2", "weight": "1;2",
+                          "omega": "2;1/2", "ambient": "1;3"},
+    "stage-scan": {"psi": "r^-2;r^-3;r^-2 * log(r)^-1", "k": "2;3|100000",
+                   "n-lo": "1;2;3", "n-hi": "1;3;5|31;400",
+                   "full-cap": "10;1000", "subset-cap": "0;40"},
+    "ubiquity": {"rho": "6 * r^-2;r^-1;r^-2", "k": "2;3;6", "n-lo": "1;2",
+                 "n-hi": "1;2;3|6;40", "balls": "1;3",
+                 "min-measure": "1/10;1/2;1", "target": "1/2;1/3",
+                 "q-cap": "10;100|%d;50000" % (ub.MAX_UNIFORM_Q + 1),
+                 "system": "rationals;rationals-coprime;ford"},
+    "schmidt": {"psi": "(1/4) * r^-1;r^-2", "samples": "1;4",
+                "N": "1;500;2000|%d;1000000000" % (ct.MAX_N + 1)},
+    "cf": {"x": "16/113;37/100;0.123;1/3", "depth": "1;40;200;1000000000"},
+    "excursions": {"x": "37/100;0.3;16/113", "T": "5;10|1e308",
+                   "quotients": "1,2,1,4;" + GOLDEN_CHAIN,
+                   "step": "0.05;0.1|1e-9"},
+    "loglaw": {"x": "37/100;0.3;16/113", "T": "5;25|1e308", "alpha": "0;0.1",
+               "quotients": "1,2,1,4;" + GOLDEN_CHAIN},
+    "horoballs": {"lam": "1/4;1/2", "r-hi": "1/8;1/2", "factor": "1/2;2/3",
+                  "points": "1;4|30;200000", "base": "0,1;1/5,4/5"},
+    "disjointness": {
+        "q-max": "2;5;12|%d;100000" % (hb.MAX_DISJOINTNESS_Q + 1),
+        "identity-q-max": "1;5;8|%d;1000" % (hb.MAX_IDENTITY_Q + 1)},
+}
+FUZZ_COMMON = {"seed": "0;7", "format": "csv;jsonl"}
+FUZZ_EDGE = ["0", "-1", "-7", "nan", "inf", "-inf", "1/0", "1e999",
+             "1e-99999", "x", "", "1,,2", "0.5"]
+
+
+def fuzz_argv(rnd, out):
+    """One invocation: each option present with probability 0.8, its
+    value drawn from the valid, edge or past-cap group."""
+    command = rnd.choice(sorted(FUZZ_OPTIONS))
+    argv = [command]
+    for name, spec in {**FUZZ_OPTIONS[command], **FUZZ_COMMON}.items():
+        if rnd.random() < 0.8:
+            valid, _, past_cap = spec.partition("|")
+            group = rnd.choices([valid.split(";"), FUZZ_EDGE,
+                                 (past_cap or valid).split(";")],
+                                [0.85, 0.1, 0.05])[0]
+            argv += ["--" + name, rnd.choice(group)]
+    return argv + ["--workers", "1", "--output", out]
+
+
+def test_seeded_fuzz_exits_with_a_documented_status(tmp_path, capsys):
+    rnd = random.Random(20240)
+    seen = {}
+    for i in range(300):
+        argv = fuzz_argv(rnd, str(tmp_path / ("run%d" % i)))
+        code = cli.main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        seen.setdefault(argv[0], set()).add(code)
+    assert len(seen) == len(FUZZ_OPTIONS)
+    assert {0, 1, 2} <= set().union(*seen.values())

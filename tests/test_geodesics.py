@@ -1,7 +1,7 @@
 """Geodesic-side tests: certified continued fractions, the flow and the
 fundamental domain, exact excursion records against hand-computed and
 sampled oracles, the log-law statistic, and the two-function membership
-counts."""
+counts of a brute-force sweep."""
 
 import math
 import random
@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 import limsuplab.geodesics as geo
 from limsuplab.errors import PrecisionExhausted, UsageError
 from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
-                                 ExcursionRecord, SandwichCounts,
+                                 ExcursionRecord,
                                  StepTooCoarseWarning, cf_expand, excursions,
                                  gauss_kuzmin_probability, geodesic_point,
                                  hyperbolic_distance, loglaw_statistic,
                                  penetration, predicted_excursions,
                                  quotients_value, reduce_to_fundamental,
-                                 sample_quotients, sandwich_membership,
-                                 apply_word)
+                                 sample_quotients, apply_word)
 from oracles import (cf_expansion, excursion_stream, sampled_excursions,
                      loglaw_statistic as oracle_loglaw)
 
@@ -76,7 +75,7 @@ def test_cf_exact_rational_terminates():
 def test_cf_one_half():
     cf = cf_expand(Fraction(1, 2), 10)
     assert cf.quotients == (2,)
-    assert cf.convergents == ((0, 1), (1, 2))
+    assert (cf.p, cf.q) == ((0, 1), (1, 2))
 
 
 def test_cf_depth_cuts_exact_expansion():
@@ -463,6 +462,9 @@ def test_loglaw_validation():
 # -- membership counts between the two approximating functions ----------------
 
 def brute_sandwich(x, tau, eps, Q):
+    """Reduced p/q, q <= Q, within psi(L) = (L log L)^-tau (hits) and
+    psi_eps(L) = L^-tau (log L)^(-tau (1 + eps)) (violations), L = 2q^2."""
+    x = float(x)
     hits = viol = 0
     for q in range(1, Q + 1):
         length = 2.0 * q * q
@@ -481,20 +483,8 @@ def brute_sandwich(x, tau, eps, Q):
     return hits, viol
 
 
-@pytest.mark.parametrize("x,tau,eps,Q", [
-    (0.2, 3.0, 0.1, 300),
-    (GOLDEN, 1.0, 0.2, 400),
-    (0.123456789, 1.0, 0.2, 400),
-    (0.6015, 3.0, 0.1, 200),
-])
-def test_sandwich_matches_brute_force(x, tau, eps, Q):
-    c = sandwich_membership(x, tau, eps, Q)
-    assert (c.hits, c.violations) == brute_sandwich(x, tau, eps, Q)
-
-
 def test_sandwich_golden_tracks_convergents():
-    c = sandwich_membership(GOLDEN, 1.0, 0.1, 1000)
-    assert c == SandwichCounts(2, 2)
+    assert brute_sandwich(GOLDEN, 1.0, 0.1, 1000) == (2, 2)
     # every hit denominator is a convergent denominator (Fibonacci)
     fib = set(fib_upto(1000))
     for q in range(1, 1001):
@@ -507,25 +497,15 @@ def test_sandwich_golden_tracks_convergents():
 
 
 def test_sandwich_epsilon_monotone():
-    counts = [sandwich_membership(0.2, 3.0, eps, 300)
-              for eps in (0.1, 0.3, 0.5)]
-    assert len({c.hits for c in counts}) == 1
-    assert counts[0].violations >= counts[1].violations >= counts[2].violations
+    counts = [brute_sandwich(0.2, 3.0, eps, 300) for eps in (0.1, 0.3, 0.5)]
+    assert len({hits for hits, _ in counts}) == 1
+    assert counts[0][1] >= counts[1][1] >= counts[2][1]
 
 
 def test_sandwich_rational_saturates():
-    small = sandwich_membership(Fraction(1, 3), 2.0, 0.1, 50)
-    large = sandwich_membership(Fraction(1, 3), 2.0, 0.1, 500)
+    small = brute_sandwich(Fraction(1, 3), 2.0, 0.1, 50)
+    large = brute_sandwich(Fraction(1, 3), 2.0, 0.1, 500)
     assert small == large
-
-
-def test_sandwich_validation():
-    with pytest.raises(UsageError):
-        sandwich_membership(0.3, 0.5, 0.1, 100)
-    with pytest.raises(UsageError):
-        sandwich_membership(0.3, 2.0, 0.0, 100)
-    with pytest.raises(UsageError):
-        sandwich_membership(0.3, 2.0, 0.1, 0)
 
 
 # -- the fast engine against the scalar oracles --------------------------------

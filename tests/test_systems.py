@@ -38,7 +38,7 @@ class TestSystems:
         assert s.count_window(1, 3) == 3
 
     def test_ford_window(self):
-        s = sy.ford_horoballs(1)
+        s = sy.ford_horoballs()
         pairs = window_pairs(s, 0, 8)
         assert pairs == [(Fraction(0), Fraction(2)),
                          (Fraction(1), Fraction(2)),
@@ -48,7 +48,7 @@ class TestSystems:
     def test_count_window_matches_enumeration(self):
         rng = random.Random(5)
         systems = [sy.classical_rationals(), sy.classical_rationals(True),
-                   sy.ford_horoballs(1), sy.ford_horoballs(Fraction(1, 2))]
+                   sy.ford_horoballs()]
         for _ in range(40):
             s = rng.choice(systems)
             lo = Fraction(rng.randint(0, 40), rng.randint(1, 3))
@@ -57,8 +57,9 @@ class TestSystems:
             assert s.count_window(lo, hi) == len(want), (s.kind, lo, hi)
             # every denominator of the q-range, and no other, has a point
             q_lo, q_hi = s.q_interval(lo, hi)
+            power = 2 if s.kind is sy.SystemKind.FORD else 1
             assert sorted({w for _, w in want}) == \
-                [s.weight_of(q) for q in range(q_lo, q_hi + 1)]
+                [power * q ** power for q in range(q_lo, q_hi + 1)]
 
     def test_enumeration_order_is_weight_then_point(self):
         s = sy.classical_rationals()
@@ -72,19 +73,12 @@ class TestSystems:
         with pytest.raises(ResourceCapError):
             s.count_window(0, farey.MAX_SIEVE + 1)
 
-    def test_ford_scale_validation(self):
-        with pytest.raises(UsageError):
-            sy.ford_horoballs(0)
-        with pytest.raises(UsageError):
-            sy.ford_horoballs(0.5)  # floats refused
-
 
 class TestStageSpec:
     def test_windows(self):
         st = sy.per_point_stage(fn.approximating(power=-2), 2)
         assert st.window(3) == (4, 8)
-        stu = sy.uniform_stage(fn.radius_law(scale=6, power=-2), 6)
-        assert stu.window(2) == (0, 36)
+        assert st.window(1) == (1, 2)
 
     def test_bad_configs(self):
         with pytest.raises(UsageError):
@@ -116,14 +110,6 @@ class TestDeltaStage:
         rec, = sy.stage_measure_scan(system, stage, 2, 2).records
         assert rec.lower <= exact <= rec.upper
 
-    def test_uniform_stage_radius_is_stagewide(self):
-        system = sy.classical_rationals(coprime_only=True)
-        stage = sy.uniform_stage(fn.radius_law(scale=6, power=-2), 6)
-        assert {r for _, r in stage_balls(system, stage, 1)} == \
-            {Fraction(6, 36)}
-        _, radii = sy._stage_ball_plan(system, stage, 1)
-        assert set(radii.tolist()) == {1 / 6}
-
     def test_float_mode_for_log_radius(self):
         # psi(q) = 1/(q^2 log q) has no exact values, but on the window
         # (4, 8] log q lies in (8/5, 21/10), so the stage sits between
@@ -153,9 +139,10 @@ SCAN_CASES = [
     (sy.classical_rationals(), sy.per_point_stage(fn.approximating(power=-2), 2), 4),
     (sy.classical_rationals(), sy.per_point_stage(fn.approximating(power=-3), 2), 4),
     (sy.classical_rationals(True), sy.per_point_stage(fn.approximating(power=-2), 3), 4),
-    (sy.ford_horoballs(1), sy.per_point_stage(fn.approximating(power=-1), 4), 4),
-    (sy.classical_rationals(), sy.uniform_stage(fn.radius_law(scale=6, power=-2), 6), 3),
-    (sy.ford_horoballs(1), sy.uniform_stage(fn.radius_law(power=-1), 3), 4),
+    (sy.ford_horoballs(), sy.per_point_stage(fn.approximating(power=-1), 4), 4),
+    # radius 1/q: balls large enough to overlap across denominators
+    (sy.classical_rationals(), sy.per_point_stage(fn.approximating(power=-1), 3), 3),
+    (sy.classical_rationals(True), sy.per_point_stage(fn.approximating(power=-1), 2), 4),
 ]
 
 
@@ -172,14 +159,10 @@ def scan_cases(draw):
     raw pairs, so the oracle can list it."""
     system = draw(st.sampled_from([sy.classical_rationals(),
                                    sy.classical_rationals(True),
-                                   sy.ford_horoballs(1)]))
+                                   sy.ford_horoballs()]))
     k = draw(st.sampled_from([Fraction(3, 2), 2, 3, 4, 6]))
     power = -draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        stage = sy.uniform_stage(
-            fn.radius_law(draw(st.integers(1, 6)), power), k)
-    else:
-        stage = sy.per_point_stage(fn.approximating(1, power), k)
+    stage = sy.per_point_stage(fn.approximating(1, power), k)
     n_hi = draw(st.integers(1, 10))
     while n_hi > 1 and (system.count_window(*stage.window(n_hi))
                         > MAX_STAGE_PAIRS):
@@ -245,8 +228,8 @@ class TestStageMeasureScan:
         assert rec.lower > 0
 
     def test_upper_only_mode(self):
-        # every stage kind: raw, coprime and Ford per-point stages, and
-        # uniform stages, each bounded by its per-denominator ball sums
+        # every system: raw, coprime and Ford per-point stages, each
+        # bounded by its per-denominator ball sums
         for system, stage, n_hi in SCAN_CASES:
             scan = sy.stage_measure_scan(system, stage, 1, n_hi,
                                          full_cap=0, subset_cap=0)

@@ -14,7 +14,7 @@ import limsuplab.functions as fn
 import limsuplab.systems as sy
 import limsuplab.ubiquity as ub
 from limsuplab.errors import ResourceCapError, UsageError
-from oracles import exact_union_measure, stage_balls
+from oracles import exact_union_measure, window_pairs
 
 RHO_LEMMA = fn.radius_law(6, -2)          # 6/r^2 -> rho(k^n) = 6^(1-2n)
 HALF = Fraction(1, 2)
@@ -22,10 +22,13 @@ FULL_BALL = (HALF, HALF)                  # B = [0, 1]
 
 
 def oracle_ratio(system, rho, k, n, ball):
-    """Reference value from the raw stage balls."""
-    balls = stage_balls(system, sy.uniform_stage(rho, k), n)
+    """Reference value from the raw uniform-stage balls: every pair of
+    weight <= k^n, each with the common radius rho(k^n)."""
+    top = Fraction(k) ** n
+    s = fn.evaluate_rational(rho, top)
     c, r = ball
-    return exact_union_measure([(x - s, x + s) for x, s in balls],
+    return exact_union_measure([(x - s, x + s)
+                                for x, _ in window_pairs(system, 0, top)],
                                c - r, c + r) / (2 * r)
 
 
