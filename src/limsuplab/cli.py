@@ -40,9 +40,12 @@ from . import horoballs as hb
 from . import systems as sy
 from . import ubiquity as ub
 from .errors import (InternalInvariantError, PrecisionExhausted,
-                     ResourceCapError, UsageError)
+                     ResourceCapError, UsageError, size_text)
 
 OUTPUT_DIR_ENV = "LIMSUPLAB_OUTPUT_DIR"
+# every `ubiquity` ball is one exact query per stage: 1000 balls at the
+# README stages 3..5 of 6 r^-2 with k = 6 measured 15 s on 2 vCPUs
+MAX_BALLS = 1_000
 
 
 # -- option tables --------------------------------------------------------
@@ -438,6 +441,14 @@ def _run_ubiquity(o):
     system = systems[o["system"]]()
     if o["balls"] < 1:
         raise UsageError("need at least one ball")
+    if not 1 <= o["n_lo"] <= o["n_hi"]:
+        raise UsageError("need 1 <= n-lo <= n-hi")
+    # refuse a stage far past the cap, and too many balls, before any
+    # ball or stage list is built
+    ub._uniform_q_max(system, o["k"], o["n_hi"], o["q_cap"])
+    if o["balls"] > MAX_BALLS:
+        raise ResourceCapError("%s balls (cap %d)"
+                               % (size_text(o["balls"]), MAX_BALLS))
     balls = _seeded_balls(o["balls"], o["min_measure"], o["seed"])
     reports = ub.estimate_kappa(system, _parse_form(o["rho"]), o["k"], balls,
                                 range(o["n_lo"], o["n_hi"] + 1),

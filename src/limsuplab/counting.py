@@ -23,11 +23,15 @@ from typing import Optional
 import numpy as np
 
 from limsuplab import functions as fn
-from limsuplab.errors import ResourceCapError, UsageError
+from limsuplab.errors import ResourceCapError, UsageError, size_text
 
 # count_R and schmidt_prediction hold about five float64 arrays of length
 # N: at N = 10^6 one count measured 0.05 s and 44 MB on 2 vCPUs
 MAX_N = 1_000_000
+# schmidt_experiment builds one job and one record per sample: 2000
+# samples at N = 10^5 measured 9.4 s serial on 2 vCPUs (ten times the
+# README's 200)
+MAX_SAMPLES = 2_000
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,8 @@ def _q_psi(psi: fn.FunctionForm, N: int) -> np.ndarray:
     if N < 1:
         raise UsageError("N must be >= 1")
     if N > MAX_N:
-        raise ResourceCapError("counting horizon N=%d (cap %d)" % (N, MAX_N))
+        raise ResourceCapError("counting horizon N=%s (cap %d)"
+                               % (size_text(N), MAX_N))
     qs = np.arange(1, N + 1, dtype=np.float64)
     return qs * fn.evaluate_array(psi, qs)
 
@@ -113,6 +118,9 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
     """
     if samples < 0:
         raise UsageError("samples must be >= 0")
+    if samples > MAX_SAMPLES:
+        raise ResourceCapError("%s samples (cap %d)"
+                               % (size_text(samples), MAX_SAMPLES))
     if not 0 <= seed < 2 ** 128:
         raise UsageError("seed must lie in [0, 2^128): it keys Philox")
     pred = schmidt_prediction(psi, N)

@@ -36,3 +36,11 @@ class PrecisionExhausted(RuntimeError):
 
 class InternalInvariantError(AssertionError):
     """A cross-check that should be unconditionally true failed."""
+
+
+def size_text(n: int) -> str:
+    """An integer for a message: in decimal up to 64 bits, past that as
+    ~2^(bit length), since str() refuses integers past 4300 digits."""
+    if n.bit_length() <= 64:
+        return str(n)
+    return "~2^%d" % n.bit_length()

@@ -13,11 +13,14 @@ the exactness argument spelled out where it matters:
   rows b and columns a <= b/2 strikes every pair sharing a prime, and
   the right half is the exact reflection a/b -> (b - a)/b of the left
   (1/2 is its own mirror and appears once);
-* sorting that half by float64 value is exact for Q <= 3_000_000,
-  because distinct fractions with denominators <= Q differ by at least
-  1/Q^2, far above the 2^-53 relative float error.  The keys are
-  therefore distinct, so every sort algorithm yields the same
-  permutation and no stable sort is needed;
+* that half is ordered by one integer sort of packed keys
+  (floor(a 2^kb / b) << db) | b, with db = bitlen(Q) and kb = 2 db.
+  Distinct fractions with denominators <= Q differ by at least
+  1/(b b') > 2^-kb, so their scaled floors differ and the keys are
+  distinct and in value order; b comes back from the low db bits and
+  a = ceil(floor(a 2^kb / b) b / 2^kb) exactly, since b < 2^kb.  Every
+  intermediate, and the key of 1/2 (the largest, 2^(3 db - 1) + 2),
+  stays below 2^63 while 3 db <= 63, i.e. for Q <= PACKED_KEY_QMAX;
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
 * float sweep measures carry an explicit error budget of a few ulps per
@@ -31,10 +34,11 @@ import math
 import numpy as np
 
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
-                              UsageError)
+                              UsageError, size_text)
 
-# float64 sorting of a/b is order-exact up to this denominator bound
-FLOAT_ORDER_SAFE_QMAX = 3_000_000
+# packed int64 sort keys of a/b are exact up to this denominator bound
+# (bitlen(Q) <= 21); the mask there alone would take 2 TB
+PACKED_KEY_QMAX = 2 ** 21 - 1
 # largest totient sieve any caller may request (phi and its cumsum take
 # 8 bytes per entry each)
 MAX_SIEVE = 100_000_000
@@ -43,8 +47,8 @@ MAX_SIEVE = 100_000_000
 def check_sieve(limit: int, what: str) -> None:
     """Refuse, before allocating, a sieve beyond MAX_SIEVE."""
     if limit > MAX_SIEVE:
-        raise ResourceCapError("%s needs a totient sieve up to %d (cap %d)"
-                               % (what, limit, MAX_SIEVE))
+        raise ResourceCapError("%s needs a totient sieve up to %s (cap %d)"
+                               % (what, size_text(limit), MAX_SIEVE))
 
 
 def _primes(limit: int) -> np.ndarray:
@@ -92,18 +96,26 @@ def coprime_count(limit: int) -> int:
     return totient_sum(limit) + 1
 
 
+def _packed_keys(num, den, qmax: int):
+    """Value-ordered sort keys (floor(a 2^(2 db) / b) << db) | b, with
+    db = bitlen(qmax), of fractions a/b <= 1/2 with b <= qmax <=
+    PACKED_KEY_QMAX; the same values on int64 arrays and Python ints."""
+    db = qmax.bit_length()
+    return (num << 2 * db) // den << db | den
+
+
 def reduced_fractions(qmax: int):
     """All reduced fractions a/b in [0,1] with b <= qmax, sorted.
 
     Returns (num, den) int64 arrays.  Includes 0/1 and 1/1.  Raises if
-    qmax is large enough to endanger float-key sort exactness.
+    qmax is past the bound where the packed sort keys stay exact.
     """
     if qmax < 1:
         raise UsageError("qmax must be >= 1")
-    if qmax > FLOAT_ORDER_SAFE_QMAX:
+    if qmax > PACKED_KEY_QMAX:
         raise UsageError(
-            "qmax=%d exceeds the float64 order-exactness bound %d"
-            % (qmax, FLOAT_ORDER_SAFE_QMAX))
+            "qmax=%s exceeds the packed-key order-exactness bound %d"
+            % (size_text(qmax), PACKED_KEY_QMAX))
     # ok[b, a] for 0 <= a <= b/2: strike pairs sharing a prime, the
     # empty row b = 0 and every a above b/2
     half = qmax // 2
@@ -112,10 +124,14 @@ def reduced_fractions(qmax: int):
     for p in _primes(qmax).tolist():
         ok[p::p, 0::p] = False
     ok &= 2 * np.arange(half + 1) <= np.arange(qmax + 1)[:, None]
-    den, num = np.nonzero(ok)
+    den, num = np.divmod(np.flatnonzero(ok), half + 1)
     del ok
-    order = np.argsort(num / den)
-    num, den = num[order], den[order]
+    key = _packed_keys(num, den, qmax)
+    key.sort()
+    db = qmax.bit_length()
+    den = key & ((1 << db) - 1)
+    num = -((-(key >> db) * den) >> 2 * db)
+    del key
     # mirror a/b -> (b - a)/b; the last left term 1/2 (qmax >= 2) is its
     # own mirror
     mirror = slice(len(num) - 1 - (qmax >= 2), None, -1)

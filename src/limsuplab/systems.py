@@ -37,7 +37,7 @@ import numpy as np
 
 from limsuplab import farey
 from limsuplab import functions as fn
-from limsuplab.errors import ResourceCapError, UsageError
+from limsuplab.errors import ResourceCapError, UsageError, size_text
 
 # float sweep budgets: full stages below FULL_SWEEP_CAP reduced balls are
 # swept exhaustively; larger stages fall back to the densest prefix of
@@ -45,6 +45,10 @@ from limsuplab.errors import ResourceCapError, UsageError
 FULL_SWEEP_CAP = 32_000_000
 SUBSET_SWEEP_CAP = 64_000_000
 _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
+# an exact stage weight k^n is formed only up to this many bits
+# (numerator plus denominator); CLI stages, with integer k and a
+# denominator cap, stay below 200
+MAX_WEIGHT_BITS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +81,33 @@ class ResonantSystem:
             ratio = w / 2
             return math.isqrt(ratio.numerator // ratio.denominator)
         return q_below(w_lo) + 1, q_below(w_hi)
+
+    def stage_q_top(self, k: Fraction, n: int, cap: int, what: str) -> int:
+        """Largest denominator of weight <= k^n, for k > 1 and n >= 1.
+
+        Two O(1) tests refuse a stage far past a denominator cap before
+        k^n is formed.  n times the bit size of k bounds that of k^n; and
+        n log2(k) above 2 log2(cap + 1) + 2 puts k^n near or past
+        4 (cap + 1)^2, above the weight (q or 2q^2) of denominator
+        cap + 1 in either system.  The exact comparison with the cap is
+        the caller's.
+        """
+        if k <= 1:
+            raise UsageError("k must exceed 1")
+        if n < 1:
+            raise UsageError("stage index must be >= 1")
+        p, q = k.numerator, k.denominator
+        bits = n * (p.bit_length() + q.bit_length())
+        if bits > MAX_WEIGHT_BITS:
+            raise ResourceCapError(
+                "%s needs an exact weight k^n of up to %s bits (cap %d)"
+                % (what, size_text(bits), MAX_WEIGHT_BITS))
+        log2_weight = n * (math.log2(p) - math.log2(q))
+        if log2_weight > 2 * math.log2(max(cap, 1) + 1) + 2:
+            raise ResourceCapError(
+                "%s needs weights up to about 2^%.0f, far past the "
+                "denominator cap %s" % (what, log2_weight, size_text(cap)))
+        return self.q_interval(Fraction(0), k ** n)[1]
 
     def count_window(self, w_lo: Fraction, w_hi: Fraction) -> int:
         """Exact number of (point, weight) pairs with weight in (w_lo, w_hi]."""
@@ -321,8 +352,9 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     if n_hi < n_lo:
         raise UsageError("empty stage range")
     # windows grow with n, so the last stage has the largest q_hi
-    _, q_top = system.q_interval(*stage.window(n_hi))
-    farey.check_sieve(q_top, "stage %d" % n_hi)
+    what = "stage %s" % size_text(n_hi)
+    farey.check_sieve(system.stage_q_top(stage.k, n_hi, farey.MAX_SIEVE,
+                                         what), what)
     records = []
     for n in range(n_lo, n_hi + 1):
         pairs = system.count_window(*stage.window(n))

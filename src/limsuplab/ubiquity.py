@@ -10,26 +10,35 @@ tractable at scale:
     the gap between neighbouring centres is exactly 1/(bb');
   * a gap survives (the two balls stay apart) iff 1/(bb') > 2r, an
     integer comparison once r = rn/rd is cleared of denominators;
-  * maximal runs of merged gaps become single intervals
+  * maximal runs of merged gaps become single blocks
     [c_first - r, c_last + r], pairwise separated by more than 2r.
 
-A measure query against a ball [lo, hi] then needs exact endpoints for
-at most two straddling runs, while every interior run contributes
-(c_last - c_first) + 2r.  A run holding a single point spans nothing,
-so only merged runs (two or more points) enter the c-difference sum; a
-stage without merging, such as the Ford stage at rho = r^-1, sums
-nothing at all.  Summing c-differences over millions of merged runs
-stays exact and fast by bucketing numerators per denominator:
+The engine stores the Farey numerators and denominators, one float
+position per point, and the (first, last) point indices of the merged
+blocks only: every other point is a block of its own, so a stage
+without merging, such as the Ford stage at rho = r^-1, stores no block
+at all, and the block count is N minus the number of merged gaps.
+
+A measure query against a ball [lo, hi] finds the first ball reaching
+lo and the last reaching hi by a float seed and an exact walk that
+compares centres by integer cross-multiplication, then widens each to
+its block by one search among the merged blocks.  It needs exact
+endpoints for at most those two blocks, while every block strictly
+between contributes (c_last - c_first) + 2r.  A single point spans
+nothing, so only merged blocks enter the c-difference sum.  Summing
+c-differences over millions of merged blocks stays exact and fast by
+bucketing numerators per denominator:
 sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b with integer coefficients,
 evaluated over the single common denominator lcm(1..Q).
 
 Everything user-facing is a Fraction; no floating point enters any
-measure or ratio, floats only steer binary searches that are re-checked
+measure or ratio, floats only seed searches that are re-checked
 exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,10 +50,11 @@ from limsuplab import farey
 from limsuplab import functions as fn
 from limsuplab import systems as sy
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
-                              UsageError)
+                              UsageError, size_text)
 
-# F_8192 has 2.04e7 points; building its engine measured 2.0-2.8 s and
-# 0.73-1.45 GB peak RSS (the top with no merged gaps) on 2 vCPUs
+# F_8192 has 2.04e7 points; building its engine measured 1.4-1.8 s and
+# 654 MB peak RSS, with merged gaps (radius 10^-6) or without (10^-9),
+# on 2 vCPUs; the peak is the Farey adjacency check in reduced_fractions
 MAX_UNIFORM_Q = 8192
 
 
@@ -55,12 +65,13 @@ class UniformStageEngine:
     def __init__(self, q_max: int, radius: Fraction,
                  cap: int = MAX_UNIFORM_Q):
         if cap > MAX_UNIFORM_Q:
-            raise UsageError("q cap %d above MAX_UNIFORM_Q = %d; the cap "
-                             "can only be lowered" % (cap, MAX_UNIFORM_Q))
+            raise UsageError("q cap %s above MAX_UNIFORM_Q = %d; the cap "
+                             "can only be lowered"
+                             % (size_text(cap), MAX_UNIFORM_Q))
         if q_max > cap:
             raise ResourceCapError(
-                "uniform stage needs denominators up to %d (cap %d)"
-                % (q_max, cap))
+                "uniform stage needs denominators up to %s (cap %s)"
+                % (size_text(q_max), size_text(cap)))
         self.q_max = q_max
         self.radius = fn.exact(radius, "radius")
         self.empty = q_max < 1 or self.radius <= 0
@@ -68,57 +79,75 @@ class UniformStageEngine:
             return
         nums, dens = farey.reduced_fractions(q_max)
         self._nums, self._dens = nums, dens
-        prod = dens[:-1] * dens[1:]
-        # gap 1/(bb') <= 2r  <=>  bb' >= ceil(rd / (2 rn))
+        # gap i (between points i and i + 1) is joined iff
+        # 1/(bb') <= 2r  <=>  bb' >= ceil(rd / (2 rn)); no product of two
+        # denominators reaches q_max^2
         rn, rd = self.radius.numerator, self.radius.denominator
         threshold = -((-rd) // (2 * rn))
-        if threshold > int(prod.max(initial=0)):
-            merged = np.zeros(len(prod), dtype=bool)
+        if threshold > q_max * q_max:
+            edge = np.zeros(0, dtype=np.int8)
         else:
-            merged = prod >= threshold
-        cuts = np.flatnonzero(~merged)
-        self._starts = np.concatenate(([0], cuts + 1))
-        self._ends = np.concatenate((cuts, [len(nums) - 1]))
-        # single-point blocks have zero span; only merged ones are summed
-        self._merged = np.flatnonzero(self._starts != self._ends)
-        pos = nums / dens
-        rf = float(self.radius)
-        self._left_f = pos[self._starts] - rf
-        self._right_f = pos[self._ends] + rf
-        self._lcm = math.lcm(*range(1, q_max + 1))
-        self._lcm_over = [0] + [self._lcm // b for b in range(1, q_max + 1)]
+            joined = np.concatenate(
+                ([False], dens[:-1] * dens[1:] >= threshold, [False]))
+            # +1 at the first point of a run of joined gaps, -1 at its
+            # last point: the merged block of two or more points
+            edge = np.diff(joined.view(np.int8))
+            del joined
+        self._mstarts = np.flatnonzero(edge == 1)
+        self._mends = np.flatnonzero(edge == -1)
+        self._pos = nums / dens
+
+    @functools.cached_property
+    def _lcm_table(self) -> tuple[int, list[int]]:
+        """L = lcm(1..q_max) and [0, L // 1, ..., L // q_max], built on
+        the first span sum."""
+        lcm = math.lcm(*range(1, self.q_max + 1))
+        return lcm, [0] + [lcm // b for b in range(1, self.q_max + 1)]
 
     @property
     def block_count(self) -> int:
-        return 0 if self.empty else len(self._starts)
+        if self.empty:
+            return 0
+        return len(self._nums) - int((self._mends - self._mstarts).sum())
 
-    def _point(self, idx: int) -> Fraction:
-        return Fraction(int(self._nums[idx]), int(self._dens[idx]))
+    def _rank(self, xn: int, xd: int, side: str) -> int:
+        """Number of centres a/b below xn/xd (side "left") or at most
+        xn/xd (side "right"), xd > 0: a float seed, then an exact walk on
+        the sign of a xd - xn b."""
+        nums, dens = self._nums, self._dens
+        inside = 0 if side == "left" else 1    # a xd - xn b < inside
+        i = int(self._pos.searchsorted(xn / xd, side=side))
+        while i > 0 and (nums.item(i - 1) * xd
+                         - xn * dens.item(i - 1)) >= inside:
+            i -= 1
+        while i < len(nums) and (nums.item(i) * xd
+                                 - xn * dens.item(i)) < inside:
+            i += 1
+        return i
 
-    def _left(self, j: int) -> Fraction:
-        return self._point(int(self._starts[j])) - self.radius
+    def _block(self, i: int, m: int) -> tuple[int, int]:
+        """(first, last) point of the block holding point i, where m is
+        the last merged block starting at or before i (-1 if none)."""
+        if m >= 0 and self._mends[m] >= i:
+            return self._mstarts.item(m), self._mends.item(m)
+        return i, i
 
-    def _right(self, j: int) -> Fraction:
-        return self._point(int(self._ends[j])) + self.radius
-
-    def _interior_span_sum(self, j_lo: int, j_hi: int) -> Fraction:
-        """sum of (c_end - c_start) over blocks j in [j_lo, j_hi),
-        exactly, via per-denominator bucketing of the merged blocks."""
-        i_lo, i_hi = np.searchsorted(self._merged, (j_lo, j_hi))
-        merged = self._merged[i_lo:i_hi]
-        s = self._starts[merged]
-        e = self._ends[merged]
+    def _interior_span_sum(self, m_lo: int, m_hi: int) -> int:
+        """sum of (c_end - c_start) over merged blocks m in [m_lo, m_hi),
+        as an exact numerator over lcm(1..q_max), via per-denominator
+        bucketing."""
+        if m_lo >= m_hi:
+            return 0
+        s = self._mstarts[m_lo:m_hi]
+        e = self._mends[m_lo:m_hi]
         size = self.q_max + 1
         # numerator sums fit float64 exactly: <= n_points * q_max << 2^53
         plus = np.bincount(self._dens[e], weights=self._nums[e],
                            minlength=size).astype(np.int64)
         minus = np.bincount(self._dens[s], weights=self._nums[s],
                             minlength=size).astype(np.int64)
-        coef = plus - minus
-        total = 0
-        for b in np.flatnonzero(coef):
-            total += int(coef[b]) * self._lcm_over[b]
-        return Fraction(total, self._lcm)
+        return sum(c * m for c, m in zip((plus - minus).tolist(),
+                                         self._lcm_table[1]) if c)
 
     def union_measure(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact Lebesgue measure of (union of balls) intersected with
@@ -128,40 +157,58 @@ class UniformStageEngine:
             return Fraction(0)
         if self.empty:
             return Fraction(0)
-        nb = self.block_count
-        # first block with right endpoint >= lo (float seed, exact walk)
-        j_l = int(np.searchsorted(self._right_f, float(lo), side="left"))
-        j_l = min(j_l, nb - 1)
-        while j_l > 0 and self._right(j_l - 1) >= lo:
-            j_l -= 1
-        while j_l < nb and self._right(j_l) < lo:
-            j_l += 1
-        # last block with left endpoint <= hi
-        j_r = int(np.searchsorted(self._left_f, float(hi), side="right")) - 1
-        j_r = max(j_r, 0)
-        while j_r < nb - 1 and self._left(j_r + 1) <= hi:
-            j_r += 1
-        while j_r >= 0 and self._left(j_r) > hi:
-            j_r -= 1
-        if j_l >= nb or j_r < 0 or j_l > j_r:
+        rn, rd = self.radius.numerator, self.radius.denominator
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
+        # the block of the first ball reaching lo (c >= lo - r) is the
+        # first block whose right end reaches lo; likewise on the right
+        i_l = self._rank(ln * rd - rn * ld, ld * rd, "left")
+        i_r = self._rank(hn * rd + rn * hd, hd * rd, "right") - 1
+        if i_l > i_r:
             return Fraction(0)
-        if j_l == j_r:
-            seg = min(self._right(j_l), hi) - max(self._left(j_l), lo)
-            return max(seg, Fraction(0))
-        total = self._right(j_l) - max(self._left(j_l), lo)
-        total += min(self._right(j_r), hi) - self._left(j_r)
-        inner = j_r - j_l - 1
-        if inner > 0:
-            total += (self._interior_span_sum(j_l + 1, j_r)
-                      + inner * 2 * self.radius)
-        return total
+        m_l, m_r = (self._mstarts.searchsorted((i_l, i_r), side="right")
+                    - 1).tolist()
+        s_l, e_l = self._block(i_l, m_l)
+        s_r, e_r = self._block(i_r, m_r)
+        nums, dens = self._nums, self._dens
+        # the covered part runs from max(c_{s_l} - r, lo) to
+        # min(c_{e_r} + r, hi); ends are (numerator, denominator) pairs
+        a, b = nums.item(s_l), dens.item(s_l)
+        start = (a * rd - rn * b, b * rd)
+        if start[0] * ld < ln * start[1]:
+            start = (ln, ld)
+        a, b = nums.item(e_r), dens.item(e_r)
+        end = (a * rd + rn * b, b * rd)
+        if end[0] * hd > hn * end[1]:
+            end = (hn, hd)
+        num = end[0] * start[1] - start[0] * end[1]
+        den = end[1] * start[1]
+        if s_l == s_r:
+            return Fraction(num, den)
+        # less the uncovered stretch from c_{e_l} + r to c_{s_r} - r: all
+        # of it but the blocks strictly between, each its span plus 2r
+        m_lo, m_hi = m_l + 1, m_r + (s_r == e_r)
+        inner = s_r - e_l - 1
+        if m_lo < m_hi:
+            inner -= int(self._mends[m_lo:m_hi].sum()
+                         - self._mstarts[m_lo:m_hi].sum())
+        a, b = nums.item(e_l), dens.item(e_l)
+        a2, b2 = nums.item(s_r), dens.item(s_r)
+        gap_d = b * b2 * rd
+        gap_n = (a * b2 - a2 * b) * rd + 2 * (inner + 1) * rn * b * b2
+        num, den = num * gap_d + gap_n * den, den * gap_d
+        span = self._interior_span_sum(m_lo, m_hi)
+        if span:
+            lcm = self._lcm_table[0]
+            num, den = num * lcm + span * den, den * lcm
+        return Fraction(num, den)
 
 
-def _uniform_q_max(system: sy.ResonantSystem, k: Fraction, n: int) -> int:
-    if n < 1:
-        raise UsageError("stage index must be >= 1")
-    _, q_hi = system.q_interval(Fraction(0), k ** n)
-    return q_hi
+def _uniform_q_max(system: sy.ResonantSystem, k: Fraction, n: int,
+                   cap: int = MAX_UNIFORM_Q) -> int:
+    """Largest denominator of stage n; a stage far past `cap` is refused
+    before k^n is formed."""
+    return system.stage_q_top(k, n, cap, "uniform stage %s" % size_text(n))
 
 
 def _uniform_radius(rho: fn.FunctionForm, k: Fraction, n: int) -> Fraction:
@@ -229,7 +276,7 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
 
     per_ball: list[list[tuple[int, Fraction]]] = [[] for _ in checked]
     for n in reversed(ns):
-        engine = UniformStageEngine(_uniform_q_max(system, k, n),
+        engine = UniformStageEngine(_uniform_q_max(system, k, n, q_cap),
                                     _uniform_radius(rho, k, n), cap=q_cap)
         for i, (c, r) in enumerate(checked):
             ratio = engine.union_measure(c - r, c + r) / (2 * r)
@@ -271,8 +318,8 @@ def natural_cover_sum(f: Optional[fn.FunctionForm], psi: fn.FunctionForm,
         raise UsageError("f must be a dimension gauge (or None for identity)")
     reduced = (system.kind is sy.SystemKind.FORD) or system.coprime_only
     if reduced:
-        _, q_top = system.q_interval(Fraction(0), k ** m_end)
-        farey.check_sieve(q_top, "cover sum")
+        farey.check_sieve(system.stage_q_top(k, m_end, farey.MAX_SIEVE,
+                                             "cover sum"), "cover sum")
     total = 0.0
     for n in range(m_start, m_end + 1):
         count = system.count_window(k ** (n - 1), k ** n)

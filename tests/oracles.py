@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 import limsuplab.functions as fn
 import limsuplab.geodesics as geo
 import limsuplab.systems as sy
+from limsuplab.farey import _primes
 from limsuplab.errors import PrecisionExhausted, ResourceCapError, UsageError
 
 DEFAULT_BALL_CAP = 2_000_000
@@ -40,6 +43,25 @@ def exact_union_measure(pairs, lo=0, hi=1) -> Fraction:
             total += b - start
             reach = b
     return total
+
+
+def float_sorted_fractions(qmax):
+    """F_Q as (num, den) int64 arrays, ordered by a float64 argsort of
+    a/b: the order the packed-key sort in `farey.reduced_fractions`
+    replaced.  Float keys are distinct, hence exact, while 1/Q^2 stays
+    far above the 2^-53 relative float error (Q up to about 3e6)."""
+    half = qmax // 2
+    ok = np.ones((qmax + 1, half + 1), dtype=bool)
+    ok[0] = False
+    for p in _primes(qmax).tolist():
+        ok[p::p, 0::p] = False
+    ok &= 2 * np.arange(half + 1) <= np.arange(qmax + 1)[:, None]
+    den, num = np.nonzero(ok)
+    order = np.argsort(num / den)
+    num, den = num[order], den[order]
+    mirror = slice(len(num) - 1 - (qmax >= 2), None, -1)
+    return (np.concatenate((num, den[mirror] - num[mirror])),
+            np.concatenate((den, den[mirror])))
 
 
 def window_pairs(system, w_lo, w_hi):

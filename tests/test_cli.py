@@ -144,6 +144,49 @@ class TestExitStatuses:
         assert err.startswith("resource cap:") and "Traceback" not in err
         assert not (tmp_path / "h.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        # k^n = 10^5000: past 4300 digits, so neither formed nor printed
+        ["ubiquity", "--rho", "r^-2", "--k", "100000", "--n-lo", "1000",
+         "--n-hi", "1000"],
+        ["stage-scan", "--psi", "r^-2", "--k", "100000", "--n-lo", "1",
+         "--n-hi", "1000"],
+        # a 10^9-stage range: no stage list either
+        ["ubiquity", "--rho", "r^-2", "--k", "2", "--n-lo", "1",
+         "--n-hi", "1000000000"],
+    ])
+    def test_stage_range_refused_before_forming_k_power(self, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        argv):
+        # q_interval is the first reader of k^n
+        def no_power(*args):
+            raise AssertionError("k^n formed past the cap")
+        monkeypatch.setattr(sy.ResonantSystem, "q_interval", no_power)
+        code, _, err = run_main(argv + ["--output", str(tmp_path / "k.csv")],
+                                capsys)
+        assert code == 2
+        assert err.startswith("resource cap:") and "\n" not in err
+        assert not (tmp_path / "k.csv").exists()
+
+    @pytest.mark.parametrize("argv,owner,work", [
+        (["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo", "2",
+          "--n-hi", "3", "--balls", str(cli.MAX_BALLS + 1)],
+         cli, "_seeded_balls"),
+        (["schmidt", "--psi", "(1/4) * r^-1", "--N", "1000", "--samples",
+          str(ct.MAX_SAMPLES + 1), "--workers", "1"],
+         ct, "schmidt_prediction"),
+    ])
+    def test_sample_count_beyond_cap_is_2(self, tmp_path, capsys,
+                                          monkeypatch, argv, owner, work):
+        # refused before the first ball or sample job is built
+        def no_work(*args):
+            raise AssertionError("work started past the cap")
+        monkeypatch.setattr(owner, work, no_work)
+        code, _, err = run_main(argv + ["--output", str(tmp_path / "c.csv")],
+                                capsys)
+        assert code == 2
+        assert err.startswith("resource cap:") and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("argv,code", [
         (["disjointness", "--q-max", str(hb.MAX_DISJOINTNESS_Q + 1)], 2),
         (["disjointness", "--q-max", "100",
@@ -160,6 +203,15 @@ class TestExitStatuses:
         # inputs whose float images are out of range
         (["horoballs", "--r-hi", "1e999", "--points", "1"], 2),
         (["classify", "--series", "1e999 * r^-2"], 2),
+        # k^n = 10^5000 would end in an int-to-str ValueError
+        (["ubiquity", "--rho", "r^-2", "--k", "100000", "--n-lo", "1000",
+          "--n-hi", "1000"], 2),
+        (["stage-scan", "--psi", "r^-2", "--k", "100000", "--n-lo", "1",
+          "--n-hi", "1000"], 2),
+        (["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo", "2",
+          "--n-hi", "3", "--balls", str(cli.MAX_BALLS + 1)], 2),
+        (["schmidt", "--psi", "r^-2", "--N", "1",
+          "--samples", str(ct.MAX_SAMPLES + 1)], 2),
     ])
     def test_refused_before_allocating(self, tmp_path, capsys, monkeypatch,
                                        argv, code):
@@ -411,14 +463,16 @@ FUZZ_OPTIONS = {
     "critical-exponent": {"psi": "r^-3;r^-2 * log(r)^2", "weight": "1;2",
                           "omega": "2;1/2", "ambient": "1;3"},
     "stage-scan": {"psi": "r^-2;r^-3;r^-2 * log(r)^-1", "k": "2;3|100000",
-                   "n-lo": "1;2;3", "n-hi": "1;3;5|31;400",
+                   "n-lo": "1;2;3", "n-hi": "1;3;5|31;400;1000",
                    "full-cap": "10;1000", "subset-cap": "0;40"},
-    "ubiquity": {"rho": "6 * r^-2;r^-1;r^-2", "k": "2;3;6", "n-lo": "1;2",
-                 "n-hi": "1;2;3|6;40", "balls": "1;3",
+    "ubiquity": {"rho": "6 * r^-2;r^-1;r^-2", "k": "2;3;6|100000",
+                 "n-lo": "1;2", "n-hi": "1;2;3|6;40;1000",
+                 "balls": "1;3|%d" % (cli.MAX_BALLS + 1),
                  "min-measure": "1/10;1/2;1", "target": "1/2;1/3",
                  "q-cap": "10;100|%d;50000" % (ub.MAX_UNIFORM_Q + 1),
                  "system": "rationals;rationals-coprime;ford"},
-    "schmidt": {"psi": "(1/4) * r^-1;r^-2", "samples": "1;4",
+    "schmidt": {"psi": "(1/4) * r^-1;r^-2",
+                "samples": "1;4|%d" % (ct.MAX_SAMPLES + 1),
                 "N": "1;500;2000|%d;1000000000" % (ct.MAX_N + 1)},
     "cf": {"x": "16/113;37/100;0.123;1/3", "depth": "1;40;200;1000000000"},
     "excursions": {"x": "37/100;0.3;16/113", "T": "5;10|1e308",
@@ -435,6 +489,13 @@ FUZZ_OPTIONS = {
 FUZZ_COMMON = {"seed": "0;7", "format": "csv;jsonl"}
 FUZZ_EDGE = ["0", "-1", "-7", "nan", "inf", "-inf", "1/0", "1e999",
              "1e-99999", "x", "", "1,,2", "0.5"]
+# whole invocations past a cap, run ahead of the random draws
+FUZZ_EDGE_RUNS = [
+    ["ubiquity", "--rho", "r^-2", "--k", "100000", "--n-lo", "1000",
+     "--n-hi", "1000"],
+    ["stage-scan", "--psi", "r^-2", "--k", "100000", "--n-lo", "1",
+     "--n-hi", "1000"],
+]
 
 
 def fuzz_argv(rnd, out):
@@ -453,6 +514,11 @@ def fuzz_argv(rnd, out):
 
 
 def test_seeded_fuzz_exits_with_a_documented_status(tmp_path, capsys):
+    for argv in FUZZ_EDGE_RUNS:
+        code = cli.main(argv + ["--workers", "1", "--output",
+                                str(tmp_path / "edge")])
+        assert code == 2, argv
+        assert capsys.readouterr().err.startswith("resource cap:"), argv
     rnd = random.Random(20240)
     seen = {}
     for i in range(300):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from limsuplab import farey
 from limsuplab.errors import ResourceCapError, UsageError
-from oracles import exact_union_measure
+from oracles import exact_union_measure, float_sorted_fractions
 
 # property tests replay the same examples on every run
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -90,9 +90,38 @@ class TestReducedFractions:
         det = num[1:] * den[:-1] - num[:-1] * den[1:]
         assert np.all(det == 1)
 
-    def test_rejects_oversized_qmax(self):
+    def test_matches_float_argsort_order(self):
+        # the packed-key sort against the float64 argsort it replaced
+        for qmax in list(range(1, 401)) + [2244, 3125]:
+            num, den = farey.reduced_fractions(qmax)
+            want_num, want_den = float_sorted_fractions(qmax)
+            assert np.array_equal(num, want_num), qmax
+            assert np.array_equal(den, want_den), qmax
+
+    def test_rejects_oversized_qmax(self, monkeypatch):
+        # the mask alone would take 2 TB here: refused before numpy runs
+        monkeypatch.setattr(farey, "np", None)
         with pytest.raises(UsageError):
-            farey.reduced_fractions(farey.FLOAT_ORDER_SAFE_QMAX + 1)
+            farey.reduced_fractions(farey.PACKED_KEY_QMAX + 1)
+
+    def test_packed_keys_exact_at_the_bound(self):
+        # Python ints, so nothing wraps: the int64 arrays see the same
+        # values as long as every intermediate stays below 2^63
+        qmax = farey.PACKED_KEY_QMAX
+        db = qmax.bit_length()
+        assert 3 * db == 63
+        # the closest fractions of the left half, 1/Q and 1/(Q-1), and
+        # the largest key, 1/2, whose numerator shift is also the largest
+        # intermediate with a = Q // 2
+        keys = [farey._packed_keys(a, b, qmax)
+                for a, b in ((1, qmax), (1, qmax - 1), (1, 2))]
+        assert keys == sorted(set(keys))
+        assert max(keys) < 2 ** 63
+        assert (qmax // 2) << 2 * db < 2 ** 63
+        # unpacking returns each fraction exactly
+        for key, (a, b) in zip(keys, ((1, qmax), (1, qmax - 1), (1, 2))):
+            assert key & ((1 << db) - 1) == b
+            assert -((-(key >> db) * b) >> 2 * db) == a
 
 
 class TestMinMultiple:

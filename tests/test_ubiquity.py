@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,26 @@ def test_ford_engine_matches_per_denominator_count():
         queries.append((c - r, c + r))
     for lo, hi in queries:
         assert eng.union_measure(lo, hi) == per_denominator(lo, hi)
+
+
+def test_engine_memory_is_three_words_per_point():
+    # Ford stage rho = r^-1, k = 6, n = 9 (F_2244) merges no gap: the
+    # engine keeps numerators, denominators and float positions, and the
+    # merged blocks hold nothing
+    system, k, n = sy.ford_horoballs(), Fraction(6), 9
+    eng = ub.UniformStageEngine(ub._uniform_q_max(system, k, n),
+                                ub._uniform_radius(fn.radius_law(1, -1), k, n))
+    points = farey.coprime_count(eng.q_max)
+    assert eng.block_count == points
+    held = sum(v.nbytes for v in vars(eng).values()
+               if isinstance(v, np.ndarray))
+    assert held <= 24 * points
+    # with merging, only the merged blocks add to that
+    eng = ub.UniformStageEngine(eng.q_max, Fraction(1, 10 ** 6))
+    merged = farey.coprime_count(eng.q_max) - eng.block_count
+    held = sum(v.nbytes for v in vars(eng).values()
+               if isinstance(v, np.ndarray))
+    assert held <= 24 * points + 16 * merged
 
 
 # -- ubiquity_ratio ----------------------------------------------------------
