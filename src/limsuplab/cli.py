@@ -44,7 +44,7 @@ from .errors import (InternalInvariantError, PrecisionExhausted,
 
 OUTPUT_DIR_ENV = "LIMSUPLAB_OUTPUT_DIR"
 # every `ubiquity` ball is one exact query per stage: 1000 balls at the
-# README stages 3..5 of 6 r^-2 with k = 6 measured 15 s on 2 vCPUs
+# README stages 3..5 of 6 r^-2 with k = 6 measured 14-15 s on 2 vCPUs
 MAX_BALLS = 1_000
 
 

@@ -29,7 +29,7 @@ from limsuplab.errors import ResourceCapError, UsageError, size_text
 # N: at N = 10^6 one count measured 0.05 s and 44 MB on 2 vCPUs
 MAX_N = 1_000_000
 # schmidt_experiment builds one job and one record per sample: 2000
-# samples at N = 10^5 measured 9.4 s serial on 2 vCPUs (ten times the
+# samples at N = 10^5 measured 8.5 s serial on 2 vCPUs (ten times the
 # README's 200)
 MAX_SAMPLES = 2_000
 

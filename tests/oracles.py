@@ -19,7 +19,6 @@ import numpy as np
 import limsuplab.functions as fn
 import limsuplab.geodesics as geo
 import limsuplab.systems as sy
-from limsuplab.farey import _primes
 from limsuplab.errors import PrecisionExhausted, ResourceCapError, UsageError
 
 DEFAULT_BALL_CAP = 2_000_000
@@ -53,8 +52,8 @@ def float_sorted_fractions(qmax):
     half = qmax // 2
     ok = np.ones((qmax + 1, half + 1), dtype=bool)
     ok[0] = False
-    for p in _primes(qmax).tolist():
-        ok[p::p, 0::p] = False
+    for d in range(2, qmax + 1):
+        ok[d::d, 0::d] = False
     ok &= 2 * np.arange(half + 1) <= np.arange(qmax + 1)[:, None]
     den, num = np.nonzero(ok)
     order = np.argsort(num / den)
