@@ -46,6 +46,10 @@ OUTPUT_DIR_ENV = "LIMSUPLAB_OUTPUT_DIR"
 # every `ubiquity` ball is one exact query per stage: 1000 balls at the
 # README stages 3..5 of 6 r^-2 with k = 6 measured 14-15 s on 2 vCPUs
 MAX_BALLS = 1_000
+# `horoballs` writes log10 R for every radius, so a run ends within
+# float range: at the default factor 1/2 and lam 1/4 no run past about
+# 1050 points can succeed (2^1024 down to 2^-26)
+MAX_POINTS = 2_048
 
 
 # -- option tables --------------------------------------------------------
@@ -494,8 +498,7 @@ def _run_cf(o):
                                   start=1):
         rows.append({"n": n, "a": a, "p": p, "q": q,
                      "error": abs(float(xv) - p / q)})
-    state = "terminated" if exp.terminated else (
-        "truncated" if exp.truncated else "cut at depth")
+    state = "terminated" if exp.terminated else "cut at depth"
     summary = "quotients [%s] (%s)" % (
         ", ".join(str(a) for a in exp.quotients), state)
     return ("n", "a", "p", "q", "error"), rows, summary
@@ -565,12 +568,17 @@ def _run_horoballs(o):
         raise UsageError("points must be >= 1")
     if not 0 < o["factor"] < 1:
         raise UsageError("factor must lie in (0, 1)")
+    if o["points"] > MAX_POINTS:
+        raise ResourceCapError("%s radius scales (cap %d)"
+                               % (size_text(o["points"]), MAX_POINTS))
+    radii = [o["r_hi"]]
+    for _ in range(o["points"] - 1):
+        radii.append(radii[-1] * o["factor"])
+    hb.check_count_run(base, radii, o["lam"])
     # the smallest R has the widest window, so counting it first refuses
-    # an oversized run before any other R is built or counted
-    reps = {}
-    for i in range(o["points"] - 1, -1, -1):
-        R = o["r_hi"] * o["factor"] ** i
-        reps[R] = hb.horoball_count_ratio(base, R, o["lam"])
+    # an oversized window before any other is counted
+    reps = {R: hb.horoball_count_ratio(base, R, o["lam"])
+            for R in reversed(radii)}
     rows = [{"R": R, "log10_R": math.log10(R),
              "q_min": reps[R].q_min, "q_max": reps[R].q_max,
              "count": reps[R].count, "ratio": float(reps[R].ratio)}
@@ -635,65 +643,6 @@ def run(config: ExperimentConfig) -> ResultEnvelope:
     _atomic_write(_output_path(config), text)
     print(summary)
     return env
-
-
-# -- plot-ready extracts ---------------------------------------------------
-
-_PLOT_KINDS: Dict[str, str] = {
-    "stage-measure": "stage-scan",
-    "ratio": "ubiquity",
-    "histogram": "schmidt",
-    "loglaw": "loglaw",
-    "horoball": "horoballs",
-}
-
-
-def emit_plot_data(env: ResultEnvelope, kind: str, path: str) -> None:
-    """Two-column (or labeled multi-column) CSV for external plotting."""
-    if kind not in _PLOT_KINDS:
-        raise UsageError("unknown plot kind %r (choose from %s)"
-                         % (kind, ", ".join(sorted(_PLOT_KINDS))))
-    expected = _PLOT_KINDS[kind]
-    got = env.config.get("command")
-    if got != expected:
-        raise UsageError("plot kind %r needs a %s payload, got %s"
-                         % (kind, expected, got))
-    if kind == "stage-measure":
-        header = ("n", "measure", "partial_sum")
-        data = [(r["n"], r["measure"], r["partial_sum"]) for r in env.rows]
-    elif kind == "ratio":
-        header = ("ball", "n", "ratio")
-        data = [(r["ball"], r["n"], r["ratio"]) for r in env.rows]
-    elif kind == "histogram":
-        header = ("bin_lo", "bin_hi", "count")
-        data = _histogram([r["ratio"] for r in env.rows], bins=20)
-    elif kind == "loglaw":
-        header = ("log_t", "running_max")
-        data = [(r["log_t"], r["running_max"]) for r in env.rows]
-    else:
-        header = ("log10_R", "ratio")
-        data = [(r["log10_R"], r["ratio"]) for r in env.rows]
-    body = io.StringIO()
-    writer = csv.writer(body, lineterminator="\n")
-    writer.writerow(header)
-    for row in data:
-        writer.writerow([_csv_cell(_plain(v)) for v in row])
-    _atomic_write(path, body.getvalue())
-
-
-def _histogram(values: List[float], bins: int):
-    if not values:
-        return []
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return [(lo, hi, len(values))]
-    width = (hi - lo) / bins
-    counts = [0] * bins
-    for v in values:
-        i = min(int((v - lo) / width), bins - 1)
-        counts[i] += 1
-    return [(lo + i * width, lo + (i + 1) * width, c)
-            for i, c in enumerate(counts) if c]
 
 
 # -- entry point -----------------------------------------------------------

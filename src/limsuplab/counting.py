@@ -16,6 +16,7 @@ bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -113,9 +114,12 @@ def _count_sample(args) -> tuple[float, int]:
 def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
                        seed: int, workers: int = 1) -> SchmidtSummary:
     """Counts for samples 0..samples-1 of the seeded stream, each against
-    the prediction.  With workers > 1 the samples run in a process pool;
-    the sub-seed contract makes the records identical to a serial run.
+    the prediction.  With workers > 1 the samples run in a process pool
+    of at most one process per sample and per CPU; the sub-seed contract
+    makes the records identical to a serial run.
     """
+    if workers < 1:
+        raise UsageError("workers must be >= 1, got %s" % size_text(workers))
     if samples < 0:
         raise UsageError("samples must be >= 0")
     if samples > MAX_SAMPLES:
@@ -125,7 +129,9 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
         raise UsageError("seed must lie in [0, 2^128): it keys Philox")
     pred = schmidt_prediction(psi, N)
     jobs = [(seed, i, N, psi) for i in range(samples)]
-    if workers > 1 and samples > 1:
+    # a fork pool starts all its processes at once
+    workers = min(workers, samples, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counted = list(pool.map(_count_sample, jobs, chunksize=8))
     else:

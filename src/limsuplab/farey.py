@@ -42,6 +42,8 @@ PACKED_KEY_QMAX = 2 ** 21 - 1
 # largest totient sieve any caller may request (phi and its cumsum take
 # 8 bytes per entry each)
 MAX_SIEVE = 100_000_000
+# gaps per slice of the Farey adjacency check (16 MB per int64 product)
+_ADJACENCY_CHUNK = 1 << 20
 
 
 def check_sieve(limit: int, what: str) -> None:
@@ -81,19 +83,6 @@ def totient_sieve(limit: int) -> np.ndarray:
     big = np.flatnonzero(rest > 1)
     phi[big] -= phi[big] // rest[big]
     return phi
-
-
-def totient_sum(limit: int) -> int:
-    """Exact sum of phi(q) for 1 <= q <= limit."""
-    if limit <= 0:
-        return 0
-    return int(totient_sieve(limit)[1:].sum())
-
-
-def coprime_count(limit: int) -> int:
-    """Number of reduced fractions in [0,1] with denominator <= limit
-    (both endpoints 0/1 and 1/1 counted)."""
-    return totient_sum(limit) + 1
 
 
 def _packed_keys(num, den, qmax: int):
@@ -137,10 +126,14 @@ def reduced_fractions(qmax: int):
     mirror = slice(len(num) - 1 - (qmax >= 2), None, -1)
     num = np.concatenate((num, den[mirror] - num[mirror]))
     den = np.concatenate((den, den[mirror]))
-    det = num[1:] * den[:-1] - num[:-1] * den[1:]
-    if not np.all(det == 1):
-        raise InternalInvariantError(
-            "Farey adjacency failed: generation or sort is broken")
+    # neighbours a/b < a'/b' satisfy a'b - ab' = 1; checked in chunks so
+    # the two int64 products never outweigh num and den themselves
+    for start in range(0, len(num) - 1, _ADJACENCY_CHUNK):
+        stop = min(start + _ADJACENCY_CHUNK, len(num) - 1)
+        if not np.all(num[start + 1:stop + 1] * den[start:stop]
+                      - num[start:stop] * den[start + 1:stop + 1] == 1):
+            raise InternalInvariantError(
+                "Farey adjacency failed: generation or sort is broken")
     return num, den
 
 

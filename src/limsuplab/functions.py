@@ -51,7 +51,6 @@ def exact(x: RationalLike, name: str) -> Fraction:
 class Family(Enum):
     POWER_LOG = "power-log"
     EXP_POWER = "exp-power"
-    ZERO = "zero"
 
 
 class Regime(Enum):
@@ -76,12 +75,6 @@ class FunctionForm:
 
     EXP_POWER:  exp(-r^omega), large-r regime only; the power/log fields
     must be zero and scale must be one.
-
-    ZERO:  the constant zero function (scale 0, no factors).  It is a
-    degenerate member kept for the measure-side operations -- stage sets
-    and predictions with a vanishing radius rule -- and is rejected by
-    the symbolic classification machinery, where "the zero series" has
-    no sensible reduced form.
     """
 
     scale: Fraction = Fraction(1)
@@ -95,11 +88,6 @@ class FunctionForm:
     def __post_init__(self):
         for name in ("scale", "power", "log_power", "loglog_power"):
             object.__setattr__(self, name, exact(getattr(self, name), name))
-        if self.family is Family.ZERO:
-            if (self.scale, self.power, self.log_power, self.loglog_power) \
-                    != (0, 0, 0, 0) or self.omega is not None:
-                raise UsageError("the zero form carries no factors")
-            return
         if self.scale <= 0:
             raise UsageError("scale must be positive, got %s" % self.scale)
         if self.family is Family.EXP_POWER:
@@ -129,7 +117,7 @@ class FunctionForm:
         Exp-power forms evaluate for every r >= 0 (threshold 0, with the
         boundary point allowed).
         """
-        if self.family in (Family.EXP_POWER, Family.ZERO):
+        if self.family is Family.EXP_POWER:
             return Fraction(0)
         if self.regime is Regime.LARGE:
             if self.loglog_power != 0:
@@ -144,17 +132,12 @@ class FunctionForm:
         return math.inf
 
     def _in_domain(self, r: float) -> bool:
-        if self.family in (Family.EXP_POWER, Family.ZERO):
+        if self.family is Family.EXP_POWER:
             return r >= 0
         if r <= 0:
             return False
         t = self.domain_threshold
         return r > t if self.regime is Regime.LARGE else r < t
-
-    # -- evaluation ------------------------------------------------------
-
-    def __call__(self, r) -> float:
-        return evaluate(self, r)
 
     # -- behaviour flags -------------------------------------------------
 
@@ -164,7 +147,7 @@ class FunctionForm:
 
     def tends_to_zero(self) -> bool:
         """Does the form tend to 0 toward its regime's end of the axis?"""
-        if self.family in (Family.EXP_POWER, Family.ZERO):
+        if self.family is Family.EXP_POWER:
             return True
         a, b, c = self.exponent_triple
         if self.regime is Regime.LARGE:
@@ -199,12 +182,6 @@ def exp_power(omega: RationalLike) -> FunctionForm:
                         Family.EXP_POWER, omega, Regime.LARGE)
 
 
-def zero(regime: Regime = Regime.LARGE) -> FunctionForm:
-    """The constant zero function (see the ZERO notes on FunctionForm)."""
-    return FunctionForm(Fraction(0), Fraction(0), Fraction(0), Fraction(0),
-                        Family.ZERO, None, regime)
-
-
 def approximating(scale: RationalLike = 1, power: RationalLike = 0,
                   log_power: RationalLike = 0,
                   loglog_power: RationalLike = 0) -> FunctionForm:
@@ -215,13 +192,6 @@ def approximating(scale: RationalLike = 1, power: RationalLike = 0,
             "approximating function must tend to zero; exponents %s do not"
             % (form.exponent_triple,))
     return form
-
-
-def radius_law(scale: RationalLike = 1, power: RationalLike = 0,
-               log_power: RationalLike = 0,
-               loglog_power: RationalLike = 0) -> FunctionForm:
-    """Uniform-radius law rho: same shape constraint as approximating."""
-    return approximating(scale, power, log_power, loglog_power)
 
 
 def dimension_gauge(scale: RationalLike = 1, power: RationalLike = 0,
@@ -246,8 +216,6 @@ def evaluate(form: FunctionForm, r) -> float:
             "r=%r is outside the domain of %s (threshold %s, %s regime)"
             % (r, format_function(form), form.domain_threshold,
                form.regime.value))
-    if form.family is Family.ZERO:
-        return 0.0
     if form.family is Family.EXP_POWER:
         return math.exp(-(rf ** float(form.omega)))
     x = math.log(rf) if form.regime is Regime.LARGE else math.log(1.0 / rf)
@@ -261,8 +229,6 @@ def evaluate(form: FunctionForm, r) -> float:
 
 def evaluate_log(form: FunctionForm, r: float) -> float:
     """log f(r), stable where f itself would over/underflow a float."""
-    if form.family is Family.ZERO:
-        raise DomainError("log of the zero function")
     rf = float(r)
     if not form._in_domain(rf) or rf == 0:
         raise DomainError("r=%r outside domain of %s" % (r, format_function(form)))
@@ -284,8 +250,6 @@ def evaluate_rational(form: FunctionForm, r: Union[int, Fraction]) -> Fraction:
     rational scale: integer exponent, no log factors.  The stage-set
     machinery leans on this for exact radii like q^-3 or 6 * q^-2.
     """
-    if form.family is Family.ZERO:
-        return Fraction(0)
     if form.family is not Family.POWER_LOG:
         raise UsageError("exact evaluation needs a power-log form")
     if form.log_power != 0 or form.loglog_power != 0:
@@ -300,8 +264,6 @@ def evaluate_rational(form: FunctionForm, r: Union[int, Fraction]) -> Fraction:
 
 
 def is_rational_valued(form: FunctionForm) -> bool:
-    if form.family is Family.ZERO:
-        return True
     return (form.family is Family.POWER_LOG
             and form.log_power == 0 and form.loglog_power == 0
             and form.power.denominator == 1)
@@ -317,10 +279,6 @@ def evaluate_array(form: FunctionForm, r):
     import numpy as np
 
     r = np.asarray(r, dtype=np.float64)
-    if form.family is Family.ZERO:
-        if np.any(r < 0):
-            raise DomainError("negative r for the zero form")
-        return np.zeros_like(r)
     threshold = float(form.domain_threshold)
     if form.family is Family.EXP_POWER:
         if np.any(r < 0):
@@ -345,8 +303,6 @@ def evaluate_array(form: FunctionForm, r):
 # -- text grammar --------------------------------------------------------
 
 def format_function(form: FunctionForm) -> str:
-    if form.family is Family.ZERO:
-        return "0"
     if form.family is Family.EXP_POWER:
         return "exp(-r^%s)" % form.omega
     parts = []
@@ -505,8 +461,6 @@ class SeriesSpec:
     def __post_init__(self):
         object.__setattr__(self, "weight_power",
                            exact(self.weight_power, "weight_power"))
-        if self.inner.family is Family.ZERO:
-            raise UsageError("the zero function has no series classification")
         if self.inner.regime is not Regime.LARGE:
             raise UsageError("inner function must live in the large-r regime")
         if self.outer is not None:
@@ -532,12 +486,6 @@ class ReducedSummand:
     exp_coeff: Fraction = Fraction(0)
     exp_omega: Optional[Fraction] = None
     limit_scale: float = 1.0
-
-    def as_text(self) -> str:
-        body = "r^%s * log(r)^%s * loglog(r)^%s" % (self.A, self.B, self.C)
-        if self.exp_coeff:
-            body += " * exp(-%s * r^%s)" % (self.exp_coeff, self.exp_omega)
-        return body
 
 
 @dataclass(frozen=True)
@@ -674,8 +622,6 @@ def critical_exponent(psi: FunctionForm, weight_power: RationalLike) \
     componentwise.
     """
     u = exact(weight_power, "weight_power")
-    if psi.family is Family.ZERO:
-        raise UsageError("the zero function has no critical exponent")
     if psi.regime is not Regime.LARGE:
         raise UsageError("critical exponent expects a large-r function")
     if psi.family is Family.EXP_POWER:
@@ -771,8 +717,6 @@ def is_k_regular(form: FunctionForm, k: int,
     """
     if k < 2:
         raise UsageError("k must be an integer >= 2")
-    if form.family is Family.ZERO:
-        raise UsageError("regularity is undefined for the zero function")
     n_lo, n_hi = n_range
     if not (1 <= n_lo < n_hi):
         raise UsageError("bad n_range %r" % (n_range,))
@@ -825,9 +769,6 @@ def compute_G(outer: Optional[FunctionForm], psi: FunctionForm,
     d = exact(delta, "delta")
     if d <= 0:
         raise UsageError("delta must be positive")
-    if psi.family is Family.ZERO or (outer is not None
-                                     and outer.family is Family.ZERO):
-        raise UsageError("the zero function has no growth classification")
     if rho.family is not Family.POWER_LOG or rho.regime is not Regime.LARGE:
         raise UsageError("radius law must be a large-r power-log form")
     comp = _compose_gauge(outer, psi)

@@ -30,13 +30,11 @@ Only bounded ratios (q_{n-1}/q_n, p_n/q_n, xi, alpha) and the log-size
 of q_n enter, so the recursion runs to arbitrary times without ever
 forming q_n itself.
 
-Certification: a float carries no more than its half-ulp interval, so
-the certified quotient prefix of a float direction is the common Euclid
-prefix of the two interval endpoints.  Long-horizon directions must be
-given exactly (a Fraction) or symbolically (the quotient sequence
-itself).  A quotient above the largest float, or one whose excursion
-would overflow the crossing formulas while peaking by the horizon, is
-refused with PrecisionExhausted naming its index.
+Certification: a direction is exact, a Fraction or the quotient
+sequence itself; a float is refused (pass Fraction(x), the dyadic
+rational it stands for).  A quotient above the largest float, or one
+whose excursion would overflow the crossing formulas while it can reach
+the horizon, is refused with PrecisionExhausted naming its index.
 
 Every returned float is the one the plain scalar evaluation gives, bit
 for bit (tests/oracles.py keeps that evaluation).  The state recursion
@@ -92,7 +90,6 @@ __all__ = [
     "hyperbolic_distance",
     "reduce_to_fundamental",
     "apply_word",
-    "penetration",
     "predicted_excursions",
     "excursions",
     "loglaw_statistic",
@@ -106,7 +103,7 @@ CF_PROXY_CONSTANT = 0.75
 
 _LN2 = math.log(2.0)
 # Tail digits held back when a quotient sequence is only a prefix of the
-# direction: alpha_{n+1} read off a truncated tail of depth 25 is
+# direction: alpha_{n+1} read off a tail cut at depth 25 is
 # accurate to ~ 1/Fib(25)^2 < 2e-10 whatever the unseen digits are.
 _ALPHA_TAIL = 25
 _REDUCE_CAP = 100_000
@@ -124,7 +121,7 @@ _GRID_CHUNK = 1 << 14
 # always did.
 _GRID_MIN_IM = 1e-300
 
-Direction = Union[float, Fraction, Sequence[int]]
+Direction = Union[Fraction, Sequence[int]]
 Word = Tuple[Tuple[int, int], Tuple[int, int]]
 
 class StepTooCoarseWarning(UserWarning):
@@ -140,20 +137,15 @@ class CFExpansion:
     """Partial quotients a_1..a_N with the convergents p_n/q_n.
 
     ``p`` and ``q`` start at index 0 (p_0/q_0 = 0/1), so they are one
-    longer than ``quotients``.  ``terminated`` marks an exact rational
-    whose expansion ended by itself; ``truncated`` marks a float whose
-    certified prefix ran out before the requested depth.
+    longer than ``quotients``.  ``terminated`` marks an expansion that
+    ended by itself within the requested depth.
     """
 
-    x: Union[float, Fraction]
+    x: Fraction
     quotients: Tuple[int, ...]
     p: Tuple[int, ...]
     q: Tuple[int, ...]
     terminated: bool
-    truncated: bool
-
-    def value(self, n: int) -> Fraction:
-        return Fraction(self.p[n], self.q[n])
 
 
 def _euclid_quotients(x: Fraction, depth: int) -> Tuple[List[int], bool]:
@@ -184,45 +176,25 @@ def _convergent_arrays(quots: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int
     return tuple(p), tuple(q)
 
 
-def _float_prefix(xf: float, depth: int) -> Tuple[List[int], List[int], List[int]]:
-    """Quotients (up to depth) of both ends of the half-ulp interval
-    around xf, and their common prefix: the quotients shared by every
-    real the float stands for.  Both ends lie strictly inside (0, 1)
-    whenever xf does, because xf is a whole multiple of its ulp."""
-    half = Fraction(math.ulp(xf)) / 2
-    lo_q, _ = _euclid_quotients(Fraction(xf) - half, depth)
-    hi_q, _ = _euclid_quotients(Fraction(xf) + half, depth)
-    common: List[int] = []
-    for a, b in zip(lo_q, hi_q):
-        if a != b:
-            break
-        common.append(a)
-    return lo_q, hi_q, common
+def _exact_direction(x) -> Fraction:
+    """x as a Fraction in (0, 1); a float is refused, not rounded."""
+    if not isinstance(x, Fraction):
+        raise UsageError("direction must be a Fraction or a quotient "
+                         "sequence, got %r; for a float x pass Fraction(x)"
+                         % (x,))
+    if not 0 < x < 1:
+        raise UsageError("direction must lie in (0, 1), got %s" % (x,))
+    return x
 
 
-def cf_expand(x: Union[float, Fraction], depth: int) -> CFExpansion:
-    """Continued-fraction expansion of x in (0, 1), certified.
-
-    A Fraction expands exactly (``terminated`` when the whole expansion
-    fits in ``depth``).  A float stands for its half-ulp interval, and
-    only the quotients shared by every real in that interval are
-    returned; ``truncated`` is set when certification stops short of
-    ``depth``.
-    """
+def cf_expand(x: Fraction, depth: int) -> CFExpansion:
+    """Exact continued-fraction expansion of x in (0, 1) to ``depth``
+    quotients (``terminated`` when the whole expansion fits)."""
     if depth < 1:
         raise UsageError("depth must be >= 1, got %r" % (depth,))
-    if isinstance(x, Fraction):
-        if not 0 < x < 1:
-            raise UsageError("x must lie in (0, 1), got %s" % (x,))
-        quots, done = _euclid_quotients(x, depth)
-        p, q = _convergent_arrays(quots)
-        return CFExpansion(x, tuple(quots), p, q, done, False)
-    xf = float(x)
-    if not 0.0 < xf < 1.0:
-        raise UsageError("x must lie in (0, 1), got %r" % (x,))
-    _, _, quots = _float_prefix(xf, depth)
+    quots, done = _euclid_quotients(_exact_direction(x), depth)
     p, q = _convergent_arrays(quots)
-    return CFExpansion(xf, tuple(quots), p, q, False, len(quots) < depth)
+    return CFExpansion(x, tuple(quots), p, q, done)
 
 
 def _check_quotients(quots: Sequence[int]) -> List[int]:
@@ -295,15 +267,9 @@ def geodesic_point(x: float, t: float) -> GeodesicState:
     isometry fixing x gives, with u = e^{-t},
 
         z(t) = (x (1 - u^2) + i u (1 + x^2)) / (1 + x^2 u^2).
-
-    x may be math.inf (the vertical ray itself).
     """
     if not t >= 0:
         raise UsageError("t must be >= 0, got %r" % (t,))
-    if math.isinf(x):
-        if t > 700:
-            raise PrecisionExhausted("e^t overflows for t = %r" % (t,))
-        return GeodesicState(complex(0.0, math.exp(t)), t)
     if not abs(x) < 1e100:
         raise UsageError("finite direction |x| must be < 1e100, got %r" % (x,))
     u = math.exp(-t)
@@ -389,16 +355,6 @@ def _reduced_im(z: complex) -> float:
         "fundamental-domain reduction did not settle within %d steps" % (_REDUCE_CAP,))
 
 
-def penetration(z: complex) -> float:
-    """log Im above the horocycle Im = 1, and 0 elsewhere in the domain."""
-    if not z.imag > 0:
-        raise UsageError("z must have Im > 0, got %r" % (z,))
-    if abs(z.real) > 0.5 + 1e-9 or z.real * z.real + z.imag * z.imag < 1.0 - 1e-9:
-        raise UsageError("point %r is not reduced; call reduce_to_fundamental first"
-                         % (z,))
-    return math.log(z.imag) if z.imag > 1.0 else 0.0
-
-
 # ---------------------------------------------------------------------------
 # excursions, exactly from the convergents
 
@@ -457,7 +413,7 @@ def _alpha_sweep(quots: Sequence[int]) -> List[float]:
 
 @dataclass(frozen=True)
 class _DirectionData:
-    quots: List[int]      # certified partial quotients a_1..a_M
+    quots: List[int]      # partial quotients a_1..a_M
     x0: float             # float value of the direction
     alpha: List[float]    # alpha[j] certified for j <= n_cap + 1
     n_cap: int            # last convergent index with certified data
@@ -465,40 +421,13 @@ class _DirectionData:
 
 
 def _direction_data(direction: Direction) -> _DirectionData:
-    if isinstance(direction, Fraction):
-        if not 0 < direction < 1:
-            raise UsageError("direction must lie in (0, 1), got %s" % (direction,))
-        quots, done = _euclid_quotients(direction, 1 << 30)
+    if isinstance(direction, (Fraction, int, float)):
+        x = _exact_direction(direction)
+        quots, done = _euclid_quotients(x, 1 << 30)
         if not done:  # pragma: no cover - euclid always terminates
             raise InternalInvariantError("exact expansion did not terminate")
-        return _DirectionData(quots, float(direction), _alpha_sweep(quots),
+        return _DirectionData(quots, float(x), _alpha_sweep(quots),
                               len(quots) - 1, True)
-    if isinstance(direction, (int, float)):
-        # A float is its half-ulp interval.  The two endpoint expansions
-        # share the certified quotient prefix, and alpha_{n+1} is
-        # certified wherever the endpoint alphas agree; the contraction
-        # of the Gauss map makes agreement improve toward the front.
-        xf = float(direction)
-        if not 0.0 < xf < 1.0:
-            raise UsageError("direction must lie in (0, 1), got %r" % (direction,))
-        lo_q, hi_q, common = _float_prefix(xf, 4096)
-        alpha_lo = _alpha_sweep(lo_q) if lo_q else [0.0]
-        alpha_hi = _alpha_sweep(hi_q) if hi_q else [0.0]
-        # alpha_j is a monotone function of x on the depth-(j-1) cylinder
-        # of the common digits, so for j <= len(common) + 1 the endpoint
-        # values bracket it over the whole interval.
-        j_top = min(len(common) + 1, len(lo_q), len(hi_q))
-        j_cert = 0
-        for j in range(j_top, 0, -1):
-            if abs(alpha_lo[j] - alpha_hi[j]) <= 1e-9 * alpha_lo[j]:
-                j_cert = j
-                break
-        if j_cert == 0:
-            raise UsageError(
-                "no certified continued-fraction data for %r; pass the "
-                "direction as a Fraction or a quotient sequence" % (direction,))
-        return _DirectionData(common, xf, alpha_lo[: j_cert + 1], j_cert - 1,
-                              False)
     quots = _check_quotients(direction)
     tail = quots[: min(len(quots), 64)]
     return _DirectionData(quots, float(quotients_value(tail)),
@@ -578,10 +507,12 @@ def _orbit(data: _DirectionData, T: float) -> _Orbit:
     return _Orbit(alpha, Ls, betas, r_prevs, rs, xis)
 
 
-def _excursion_at(orbit: _Orbit, n: int, T: float
+def _excursion_at(orbit: _Orbit, n: int, T: float, by_entry: bool
                   ) -> Optional[Tuple[float, float, float, float]]:
     """(t_enter, t_peak, t_exit, log H_n) of the n-th excursion, or None
-    when there is none (H_n <= 1) or its peak is not in (0, T]."""
+    when there is none (H_n <= 1).  A peak height past _H_MAX is refused
+    if the excursion can reach T -- enter by T when ``by_entry``, else
+    peak by T -- and is None otherwise."""
     a_next = orbit.alpha[n + 1]
     xi = orbit.xi[n]
     H = 0.5 * (a_next + xi)
@@ -590,9 +521,10 @@ def _excursion_at(orbit: _Orbit, n: int, T: float
     log = math.log
     L = orbit.L[n]
     if H > _H_MAX:
-        # at the peak |w0 - w|^2 >= (H - 1)^2 >= H^2/4 and Im w0 <= e^{-2L},
-        # so X >= H e^{2L}/8 and t_peak >= log X >= 2L + log H - 2.08
-        if 2.0 * L + log(H) - 2.1 > T:
+        # t_enter >= 2L - 2.1 (module docstring); at the peak |w0 - w|^2
+        # >= (H - 1)^2 >= H^2/4 and Im w0 <= e^{-2L}, so X >= H e^{2L}/8
+        # and t_peak >= log X >= 2L + log H - 2.08
+        if 2.0 * L - 2.1 + (0.0 if by_entry else log(H)) > T:
             return None
         raise PrecisionExhausted(
             "partial quotient a_%d is too large for float excursion "
@@ -605,8 +537,6 @@ def _excursion_at(orbit: _Orbit, n: int, T: float
     dx = re_w - c_star
     num_peak = dx * dx + (im_w - H) * (im_w - H)
     t_peak = _acosh_one_plus(log(num_peak) + ln_q2 - log(2.0 * H))
-    if not 0.0 < t_peak <= T:
-        return None
     s = math.sqrt(H * H - 1.0)
     t_cross = []
     for side in (s, -s):
@@ -623,8 +553,8 @@ def _excursion_records(data: _DirectionData, T: float) -> List[ExcursionRecord]:
     orbit = _orbit(data, T)
     records: List[ExcursionRecord] = []
     for n in range(len(orbit.L)):
-        ex = _excursion_at(orbit, n, T)
-        if ex is not None:
+        ex = _excursion_at(orbit, n, T, False)
+        if ex is not None and 0.0 < ex[1] <= T:
             records.append(ExcursionRecord(len(records), n, *ex))
     return records
 
@@ -632,10 +562,9 @@ def _excursion_records(data: _DirectionData, T: float) -> List[ExcursionRecord]:
 def predicted_excursions(direction: Direction, T: float) -> List[ExcursionRecord]:
     """All excursions with 0 < t_peak <= T, straight from the CF data.
 
-    ``direction`` is a float (certified prefix; raises when the horizon
-    exceeds what the float certifies), an exact Fraction (for a rational
-    the final dive toward the direction's own cusp never ends and is not
-    reported), or the quotient sequence itself for long horizons.
+    ``direction`` is an exact Fraction (for a rational the final dive
+    toward the direction's own cusp never ends and is not reported) or
+    the quotient sequence itself for long horizons.
     """
     if not T > 0:
         raise UsageError("T must be > 0, got %r" % (T,))
@@ -832,18 +761,20 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
     """max over t in (e, T] of (pen(gamma(t)) - alpha t) / log t.
 
     Penetration along the n-th excursion is log(H_n sech(t - t_peak)),
-    so the maximum over each excursion is a one-dimensional search; the
-    excursions come from the exact CF engine.  Away from every excursion
-    the penetration vanishes and the supremum of -alpha t / log t is
-    -alpha e, the baseline returned (as +0.0 for alpha = 0) when no
-    excursion scores higher.
+    so the maximum over each excursion is a one-dimensional search over
+    (max(t_enter, e), min(t_exit, T)]; every excursion entering by T
+    counts, also one still in progress at T.  The excursions come from
+    the exact CF engine.  Away from every excursion the penetration
+    vanishes and the supremum of -alpha t / log t is -alpha e, the
+    baseline returned (as +0.0 for alpha = 0) when no excursion scores
+    higher.
 
     Excursions are searched in decreasing order of their state-only
     bound (_score_caps) until it falls to the best score, so every
     skipped excursion scores below the result: the maximum over all
-    excursions.  A skipped excursion is never evaluated, so the
-    statistic is certified even where predicted_excursions refuses one
-    whose times would overflow.
+    excursions.  A skipped excursion is never evaluated, so one whose
+    times would overflow is refused (PrecisionExhausted) only when it
+    can enter by T and could still win.
     """
     if not T > math.e:
         raise UsageError("T must exceed e, got %r" % (T,))
@@ -859,7 +790,7 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
     for n, cap in zip(ns[order].tolist(), caps[order].tolist()):
         if cap <= best:
             break
-        ex = _excursion_at(orbit, n, T)
+        ex = _excursion_at(orbit, n, T, True)
         if ex is None:
             continue
         t_enter, t_peak, t_exit, ln_h = ex

@@ -61,19 +61,36 @@ def _base_range(q: int, b_lo: Fraction, b_hi: Fraction) -> tuple[int, int]:
     return math.ceil(q * b_lo), math.ceil(q * b_hi) - 1
 
 
-def _check_bases(b_lo: Fraction, b_hi: Fraction, q_min: int,
-                 q_max: int) -> None:
-    """Refuse, before any loop, a window holding more than
-    MAX_COUNT_BASES candidate bases, by a coarse O(1) bound: each q
+def _bases_bound(b_lo: Fraction, b_hi: Fraction, q_min: int,
+                 q_max: int) -> Fraction:
+    """Coarse O(1) bound on the candidate bases of a window: each q
     contributes fewer than width*q + 1 numerators."""
     if q_max < q_min:
-        return
+        return Fraction(0)
     q_sum = (q_max * (q_max + 1) - (q_min - 1) * q_min) // 2
-    bound = (b_hi - b_lo) * q_sum + (q_max - q_min + 1)
-    if bound > MAX_COUNT_BASES:
+    return (b_hi - b_lo) * q_sum + (q_max - q_min + 1)
+
+
+def _check_bases(bound: Fraction, cap: int, what: str) -> None:
+    if bound > cap:
         raise ResourceCapError(
-            "window holds up to ~2^%d bases (cap %d); shrink it"
-            % (math.ceil(bound).bit_length(), MAX_COUNT_BASES))
+            "%s up to ~2^%d bases (cap %d); shrink it"
+            % (what, math.ceil(bound).bit_length(), cap))
+
+
+def check_count_run(base_window: tuple, radii, lam) -> None:
+    """Refuse, before any count, a run of horoball_count_ratio windows
+    [lam*R, R) over `radii` whose coarse bounds sum past 2 *
+    MAX_COUNT_BASES.  Halving R doubles the bound, so a run at factor
+    1/2 stays under it whenever its widest window passes alone."""
+    lam = fn.exact(lam, "lambda")
+    if not 0 < lam < 1:
+        raise UsageError("lambda must lie in (0, 1)")
+    b_lo = fn.exact(base_window[0], "base lo")
+    b_hi = fn.exact(base_window[1], "base hi")
+    total = sum(_bases_bound(b_lo, b_hi, *q_window(lam * R, R)) for R in radii)
+    _check_bases(total, 2 * MAX_COUNT_BASES,
+                 "%d radius windows hold" % len(radii))
 
 
 def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
@@ -85,7 +102,8 @@ def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
     if b_lo >= b_hi:
         return 0
     q_min, q_max = q_window(r_lo, r_hi)
-    _check_bases(b_lo, b_hi, q_min, q_max)
+    _check_bases(_bases_bound(b_lo, b_hi, q_min, q_max), MAX_COUNT_BASES,
+                 "window holds")
     total = 0
     for q in range(q_min, q_max + 1):
         p_lo, p_hi = _base_range(q, b_lo, b_hi)

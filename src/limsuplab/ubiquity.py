@@ -52,9 +52,10 @@ from limsuplab import systems as sy
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError, size_text)
 
-# F_8192 has 2.04e7 points; building its engine measured 1.4-1.8 s and
-# 654 MB peak RSS, with merged gaps (radius 10^-6) or without (10^-9),
-# on 2 vCPUs; the peak is the Farey adjacency check in reduced_fractions
+# F_8192 has 2.04e7 points; building its engine measured 1.2-1.3 s and
+# 505-537 MB peak RSS, without merged gaps (radius 10^-9) or with
+# (10^-6), on 2 vCPUs; the peak is the full-length num and den arrays
+# next to their halves, then next to the engine's gap products
 MAX_UNIFORM_Q = 8192
 
 

@@ -156,11 +156,13 @@ def cf_expansion(x: Fraction, depth: int):
     return tuple(quots), tuple(p), tuple(q), num == 0
 
 
-def excursion_stream(direction, T):
+def excursion_stream(direction, T, peaked=True):
     """(n, t_enter, t_peak, t_exit, log H_n) for every excursion with
-    0 < t_peak <= T: the one-pass scalar stream, advancing the state and
-    evaluating every excursion as it goes.  Raises PrecisionExhausted
-    where the package's engine must."""
+    0 < t_peak <= T (with peaked False, for every excursion of the state
+    run, which covers all that enter by T): the one-pass scalar stream,
+    advancing the state and evaluating every excursion as it goes.
+    Raises PrecisionExhausted where the package's engine must run out of
+    quotients."""
     data = geo._direction_data(direction)
     quots, alpha, n_cap, x0 = data.quots, data.alpha, data.n_cap, data.x0
     log, exp, sqrt = math.log, math.exp, math.sqrt
@@ -183,7 +185,7 @@ def excursion_stream(direction, T):
             dx = re_w - c_star
             num_peak = dx * dx + (im_w - H) * (im_w - H)
             t_peak = geo._acosh_one_plus(log(num_peak) + ln_q2 - log(2.0 * H))
-            if 0.0 < t_peak <= T:
+            if 0.0 < t_peak <= T or not peaked:
                 s = sqrt(H * H - 1.0)
                 t_cross = []
                 for side in (s, -s):
@@ -221,10 +223,12 @@ def excursion_stream(direction, T):
 def loglaw_statistic(direction, T, alpha=0.0):
     """The log-law statistic with the exact bound of every excursion in
     hand before any is searched: rank all of them, search in that order
-    until the bound falls to the best score."""
+    until the bound falls to the best score.  An excursion still in
+    progress at T is searched up to T."""
     t_floor = math.nextafter(math.e, math.inf)
     candidates = []
-    for _, t_enter, t_peak, t_exit, ln_h in excursion_stream(direction, T):
+    for _, t_enter, t_peak, t_exit, ln_h in excursion_stream(direction, T,
+                                                             False):
         lo, hi = max(t_enter, t_floor), min(t_exit, T)
         if hi > lo:
             candidates.append(((ln_h - alpha * lo) / math.log(lo), lo, hi,

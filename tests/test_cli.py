@@ -15,10 +15,13 @@ from limsuplab import farey
 from limsuplab import horoballs as hb
 from limsuplab import systems as sy
 from limsuplab import ubiquity as ub
-from limsuplab.errors import UsageError
 from oracles import cf_expansion
 
 GOLDEN_CHAIN = ",".join(["1"] * 120)
+# every window passes the per-window base cap; the run as a whole would
+# count for minutes
+HOROBALLS_LONG_RUN = ["horoballs", "--r-hi", "1/67108864", "--factor",
+                      "999/1000", "--points", "100"]
 
 
 def run_main(argv, capsys):
@@ -75,9 +78,9 @@ class TestSummaries:
 
     def test_loglaw_without_excursion_prints_positive_zero(self, tmp_path,
                                                            capsys):
-        # the first excursion toward 10^-300 peaks near t = 690
+        # the one reported excursion toward 1/3 ends near t = 2.2 < e
         code, out, _ = run_main(
-            ["loglaw", "--x", "1e-300", "--T", "100",
+            ["loglaw", "--x", "1/3", "--T", "100",
              "--output", str(tmp_path / "l.csv")], capsys)
         assert (code, out) == (0, "log-law statistic 0.000000 at T=100 "
                                   "(alpha=0)")
@@ -144,6 +147,20 @@ class TestExitStatuses:
         assert err.startswith("resource cap:") and "Traceback" not in err
         assert not (tmp_path / "h.csv").exists()
 
+    def test_horoballs_run_beyond_total_cap_is_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # each of the 100 windows near R = 2^-26 passes the per-window
+        # cap, but together they bound ~5e9 bases: refused before the
+        # first count
+        def no_count(*args):
+            raise AssertionError("horoballs counted past the run cap")
+        monkeypatch.setattr(hb, "count_horoballs", no_count)
+        code, _, err = run_main(HOROBALLS_LONG_RUN + [
+            "--output", str(tmp_path / "h.csv")], capsys)
+        assert code == 2
+        assert err.startswith("resource cap:") and "Traceback" not in err
+        assert not (tmp_path / "h.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         # k^n = 10^5000: past 4300 digits, so neither formed nor printed
         ["ubiquity", "--rho", "r^-2", "--k", "100000", "--n-lo", "1000",
@@ -200,6 +217,8 @@ class TestExitStatuses:
         (["schmidt", "--psi", "(1/4) * r^-1", "--N", str(ct.MAX_N + 1)], 2),
         (["schmidt", "--psi", "r^-2", "--N", "9", "--seed", "-1"], 1),
         (["horoballs", "--points", "200000"], 2),  # took 85 s and 2.6 GB
+        (["horoballs", "--points", str(cli.MAX_POINTS + 1),
+          "--r-hi", "1e300"], 2),
         # inputs whose float images are out of range
         (["horoballs", "--r-hi", "1e999", "--points", "1"], 2),
         (["classify", "--series", "1e999 * r^-2"], 2),
@@ -411,45 +430,9 @@ class TestRows:
         maxes = [r["running_max"] for r in env.rows]
         assert maxes == sorted(maxes)
         assert "log-law statistic" in env.summary
-
-
-class TestPlotData:
-    def test_stage_measure_extract(self, tmp_path):
-        env = run_env(["stage-scan", "--psi", "r^-3", "--k", "2",
-                       "--n-lo", "1", "--n-hi", "5",
-                       "--output", str(tmp_path / "s.csv")])
-        out = tmp_path / "plot.csv"
-        cli.emit_plot_data(env, "stage-measure", str(out))
-        lines = out.read_text().splitlines()
-        assert lines[0] == "n,measure,partial_sum"
-        assert len(lines) == 1 + len(env.rows)
-
-    def test_loglaw_extract_and_empty_payload(self, tmp_path):
         env = run_env(["loglaw", "--quotients", GOLDEN_CHAIN, "--T", "2.72",
-                       "--output", str(tmp_path / "l.csv")])
+                       "--output", str(tmp_path / "e.csv")])
         assert env.rows == []            # no peak past t = e yet
-        out = tmp_path / "plot.csv"
-        cli.emit_plot_data(env, "loglaw", str(out))
-        assert out.read_text() == "log_t,running_max\n"
-
-    def test_kind_mismatch(self, tmp_path):
-        env = run_env(["cf", "--x", "1/3",
-                       "--output", str(tmp_path / "c.csv")])
-        with pytest.raises(UsageError):
-            cli.emit_plot_data(env, "loglaw", str(tmp_path / "p.csv"))
-        with pytest.raises(UsageError):
-            cli.emit_plot_data(env, "no-such-kind", str(tmp_path / "p.csv"))
-
-    def test_histogram_extract(self, tmp_path):
-        env = run_env(["schmidt", "--psi", "(1/4) * r^-1", "--N", "2000",
-                       "--samples", "10", "--seed", "3",
-                       "--output", str(tmp_path / "s.csv")])
-        out = tmp_path / "hist.csv"
-        cli.emit_plot_data(env, "histogram", str(out))
-        lines = out.read_text().splitlines()
-        assert lines[0] == "bin_lo,bin_hi,count"
-        counts = [int(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
-        assert sum(counts) == 10
 
 
 # -- seeded fuzz --------------------------------------------------------------
@@ -495,6 +478,7 @@ FUZZ_EDGE_RUNS = [
      "--n-hi", "1000"],
     ["stage-scan", "--psi", "r^-2", "--k", "100000", "--n-lo", "1",
      "--n-hi", "1000"],
+    HOROBALLS_LONG_RUN,
 ]
 
 

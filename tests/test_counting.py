@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import limsuplab.counting as counting
 import limsuplab.functions as fn
 from limsuplab.counting import (CountRecord, count_R, sample_x,
                                 schmidt_experiment, schmidt_prediction)
@@ -41,10 +42,6 @@ def test_count_one_half_parity():
     # even q land exactly on 1/2; odd q sit at distance 1/(2q) >= 1/(4q)
     assert count_R(0.5, 100, PSI_QUARTER) == 50
     assert count_R_exact(Fraction(1, 2), 100, PSI_QUARTER) == 50
-
-
-def test_count_zero_function():
-    assert count_R(0.3, 50, fn.zero()) == 0
 
 
 def test_count_needs_positive_N():
@@ -159,11 +156,6 @@ def test_prediction_condition_violation():
     assert p.value == pytest.approx(200.0)
 
 
-def test_prediction_zero_function():
-    p = schmidt_prediction(fn.zero(), 100)
-    assert p.value == 0.0 and p.condition_ok
-
-
 def test_prediction_cube_violates_only_at_one():
     p = schmidt_prediction(PSI_CUBE, 100)    # 2 q^-2 >= 1 only at q = 1
     assert not p.condition_ok
@@ -197,6 +189,38 @@ def test_experiment_reproducible_and_splittable():
     # stream i is addressable without generating streams 0..i-1
     for i in (11, 3, 7):
         assert s1.records[i].x == sample_x(99, i)
+
+
+def test_experiment_pool_bounded_by_samples_and_cpus(monkeypatch):
+    # a stub pool records its size and maps serially, so no process
+    # starts whatever the request
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+    serial = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4)
+    huge = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=10 ** 6)
+    two = schmidt_experiment(PSI_QUARTER, 100, 2, seed=4, workers=10 ** 6)
+    assert sizes == [3, 2]
+    assert huge.records == serial.records
+    assert two.records == serial.records[:2]
+    for bad in (0, -1, -10 ** 30):
+        with pytest.raises(UsageError):
+            schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=bad)
+    assert sizes == [3, 2]
 
 
 def test_experiment_seed_matters():

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limsuplab import farey
-from limsuplab.errors import ResourceCapError, UsageError
+from limsuplab.errors import (InternalInvariantError, ResourceCapError,
+                              UsageError)
 from oracles import exact_union_measure, float_sorted_fractions
 
 # property tests replay the same examples on every run
@@ -50,13 +51,14 @@ class TestTotients:
 
     def test_sum(self):
         # 1,1,2,2,4,2,6,4,6,4 for q = 1..10
-        assert farey.totient_sum(10) == 32
-        assert farey.totient_sum(1) == 1
-        assert farey.totient_sum(0) == 0
+        assert int(farey.totient_sieve(10)[1:].sum()) == 32
+        assert int(farey.totient_sieve(1)[1:].sum()) == 1
+        assert int(farey.totient_sieve(0)[1:].sum()) == 0
 
     def test_coprime_count_is_farey_length(self):
         for qmax in (1, 2, 5, 13, 37):
-            assert farey.coprime_count(qmax) == len(farey_brute(qmax))
+            assert 1 + int(farey.totient_sieve(qmax)[1:].sum()) == \
+                len(farey_brute(qmax))
 
 
 class TestReducedFractions:
@@ -83,12 +85,31 @@ class TestReducedFractions:
             vals = num / den
             assert vals[0] == 0 and vals[-1] == 1
             assert np.all(np.diff(vals) > 0)
-            assert len(num) == farey.coprime_count(qmax)
+            assert len(num) == 1 + int(farey.totient_sieve(qmax)[1:].sum())
 
     def test_neighbour_determinant(self):
         num, den = farey.reduced_fractions(300)
         det = num[1:] * den[:-1] - num[:-1] * den[1:]
         assert np.all(det == 1)
+
+    def test_adjacency_check_covers_every_chunk(self, monkeypatch):
+        # with 7 gaps per chunk the sequence still passes whole, and a
+        # duplicated key (one fraction twice, its neighbour lost) is caught
+        # wherever in the sorted order it lands
+        monkeypatch.setattr(farey, "_ADJACENCY_CHUNK", 7)
+        for qmax in (1, 2, 3, 8, 40):
+            num, den = farey.reduced_fractions(qmax)
+            assert list(zip(num.tolist(), den.tolist())) == \
+                [(f.numerator, f.denominator) for f in farey_brute(qmax)]
+        packed = farey._packed_keys
+        for victim in range(0, 245, 11):
+            def duplicated(num, den, qmax, victim=victim):
+                key = packed(num, den, qmax)
+                key[victim + 1] = key[victim]
+                return key
+            monkeypatch.setattr(farey, "_packed_keys", duplicated)
+            with pytest.raises(InternalInvariantError):
+                farey.reduced_fractions(40)
 
     def test_matches_float_argsort_order(self):
         # the packed-key sort against the float64 argsort it replaced

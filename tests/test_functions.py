@@ -98,7 +98,7 @@ class TestEvaluate:
     def test_rational_evaluation(self):
         psi = F.approximating(power=-3)
         assert F.evaluate_rational(psi, 7) == Fraction(1, 343)
-        rho = F.radius_law(scale=6, power=-2)
+        rho = F.approximating(scale=6, power=-2)
         assert F.evaluate_rational(rho, 36) == Fraction(6, 1296)
         with pytest.raises(UsageError):
             F.evaluate_rational(F.approximating(power=-2, log_power=-1), 5)
@@ -332,7 +332,7 @@ class TestComputeG:
         tau = Fraction(3)
         rep = F.compute_G(F.dimension_gauge(power=2 / tau),
                           F.approximating(power=-tau),
-                          F.radius_law(power=-2), 1, k=6)
+                          F.approximating(power=-2), 1, k=6)
         assert rep.kind is F.GrowthKind.FINITE
         assert rep.value == pytest.approx(1.0)
         assert all(g == pytest.approx(1.0, rel=1e-9) for _, g in rep.samples)
@@ -340,7 +340,7 @@ class TestComputeG:
     def test_zero_and_infinite(self):
         tau = Fraction(3)
         psi = F.approximating(power=-tau)
-        rho = F.radius_law(power=-2)
+        rho = F.approximating(power=-2)
         shrink = F.compute_G(F.dimension_gauge(power=1), psi, rho, 1, k=2)
         assert shrink.kind is F.GrowthKind.ZERO
         grow = F.compute_G(F.dimension_gauge(power=Fraction(1, 2)),
@@ -350,7 +350,7 @@ class TestComputeG:
     def test_log_tilt_decides(self):
         # A cancels exactly; the verdict moves to the log slot
         tau = Fraction(2)
-        rho = F.radius_law(power=-2)
+        rho = F.approximating(power=-2)
         for b, kind in [(Fraction(-1), F.GrowthKind.ZERO),
                         (Fraction(1), F.GrowthKind.INFINITE)]:
             psi = F.power_log(1, -tau, b)
@@ -360,7 +360,7 @@ class TestComputeG:
     def test_finite_scale_tracks_constants(self):
         # psi = 4 r^-2, rho = r^-2, delta 1, identity gauge: g -> 4
         psi = F.approximating(scale=4, power=-2)
-        rep = F.compute_G(None, psi, F.radius_law(power=-2), 1, k=2)
+        rep = F.compute_G(None, psi, F.approximating(power=-2), 1, k=2)
         assert rep.kind is F.GrowthKind.FINITE
         assert rep.value == pytest.approx(4.0)
 

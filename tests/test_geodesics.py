@@ -20,7 +20,7 @@ from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  StepTooCoarseWarning, cf_expand, excursions,
                                  gauss_kuzmin_probability, geodesic_point,
                                  hyperbolic_distance, loglaw_statistic,
-                                 penetration, predicted_excursions,
+                                 predicted_excursions,
                                  quotients_value, reduce_to_fundamental,
                                  sample_quotients, apply_word)
 from oracles import (cf_expansion, excursion_stream, sampled_excursions,
@@ -38,25 +38,28 @@ def fib_upto(n):
     return out
 
 
+# F_300 / F_301 = [0; 1, ..., 1, 2]: all-ones quotients well past depth 120
+GOLDEN_Q = Fraction(*fib_upto(10 ** 63)[299:301])
+
+
 # -- continued fractions -----------------------------------------------------
 
 def test_cf_golden_prefix_all_ones():
-    cf = cf_expand(GOLDEN, 120)
-    assert len(cf.quotients) >= 30
-    assert set(cf.quotients[:30]) == {1}
-    assert cf.truncated and not cf.terminated
+    cf = cf_expand(GOLDEN_Q, 120)
+    assert cf.quotients == (1,) * 120
+    assert not cf.terminated
 
 
 def test_cf_sqrt2_prefix_all_twos():
-    cf = cf_expand(math.sqrt(2) - 1, 120)
+    cf = cf_expand(Fraction(math.sqrt(2) - 1), 120)
     assert set(cf.quotients[:15]) == {2}
 
 
 def test_cf_convergent_invariants():
     # coprime, Fibonacci-bounded denominators, classical error bound
-    cf = cf_expand(GOLDEN, 120)
+    cf = cf_expand(GOLDEN_Q, 120)
     fib = fib_upto(10 ** 30)
-    exact = Fraction(GOLDEN)
+    exact = GOLDEN_Q
     for n in range(1, len(cf.q)):
         assert math.gcd(cf.p[n], cf.q[n]) == 1
         assert cf.q[n] >= fib[n - 1]
@@ -67,9 +70,9 @@ def test_cf_convergent_invariants():
 
 def test_cf_exact_rational_terminates():
     cf = cf_expand(Fraction(16, 113), 50)
-    assert cf.terminated and not cf.truncated
+    assert cf.terminated
     assert quotients_value(cf.quotients) == Fraction(16, 113)
-    assert cf.value(len(cf.quotients)) == Fraction(16, 113)
+    assert Fraction(cf.p[-1], cf.q[-1]) == Fraction(16, 113)
 
 
 def test_cf_one_half():
@@ -85,27 +88,15 @@ def test_cf_depth_cuts_exact_expansion():
     assert not cut.terminated
 
 
-def test_cf_near_rational_float_certifies_short_prefix():
-    # 0.37 sits half an ulp from 37/100 = [0; 2,1,2,2,1,3]; the interval
-    # straddles the rational, so only the shared prefix is certified
-    cf = cf_expand(0.37, 120)
-    assert cf.truncated
-    exact = cf_expand(Fraction(37, 100), 120)
-    assert exact.quotients == (2, 1, 2, 2, 1, 3)
-    assert 4 <= len(cf.quotients) < len(exact.quotients)
-    assert cf.quotients == exact.quotients[:len(cf.quotients)]
-
-
 def test_cf_validation():
     with pytest.raises(UsageError):
         cf_expand(0.5, 0)
-    for bad in (0.0, 1.0, -0.2, 1.5, Fraction(3, 2)):
+    for bad in (0.0, 1.0, -0.2, 1.5, Fraction(3, 2), Fraction(0)):
         with pytest.raises(UsageError):
             cf_expand(bad, 10)
-    # a tiny float certifies nothing: the half-ulp interval moves even
-    # the first quotient by ~ulp/x^2
-    tiny = cf_expand(1e-300, 10)
-    assert tiny.quotients == () and tiny.truncated
+    # a float is refused, not rounded or read as its dyadic value
+    with pytest.raises(UsageError, match=r"Fraction\(x\)"):
+        cf_expand(0.37, 10)
 
 
 def test_quotients_value_round_trip():
@@ -164,7 +155,6 @@ def test_sample_quotients_frequencies():
 
 def test_geodesic_point_base_and_vertical():
     assert geodesic_point(0.3, 0.0).z == pytest.approx(1j)
-    assert geodesic_point(math.inf, 2.0).z == pytest.approx(1j * math.e ** 2)
     z = geodesic_point(0.0, 3.0).z
     assert z == pytest.approx(1j * math.exp(-3.0))
 
@@ -181,8 +171,8 @@ def test_geodesic_point_unit_speed():
 def test_geodesic_point_validation():
     with pytest.raises(UsageError):
         geodesic_point(0.3, -1.0)
-    with pytest.raises(PrecisionExhausted):
-        geodesic_point(math.inf, 701.0)
+    with pytest.raises(UsageError):
+        geodesic_point(math.inf, 1.0)
 
 
 def test_hyperbolic_distance_vertical():
@@ -223,19 +213,6 @@ def test_reduce_idempotent():
         assert w2 == w and word2 == ((1, 0), (0, 1))
     with pytest.raises(UsageError):
         reduce_to_fundamental(1 - 2j)
-
-
-def test_penetration_examples():
-    assert penetration(1j) == 0.0
-    assert penetration(1j * math.e) == pytest.approx(1.0)
-    assert penetration(2j) == pytest.approx(math.log(2))
-    assert penetration(0.2 + 2j) == pytest.approx(math.log(2))
-    with pytest.raises(UsageError):
-        penetration(5 + 1j)          # outside the strip
-    with pytest.raises(UsageError):
-        penetration(0.3j)            # inside the unit circle
-    with pytest.raises(UsageError):
-        penetration(0.2 - 1j)
 
 
 # -- exact excursion records --------------------------------------------------
@@ -317,28 +294,6 @@ def test_excursion_peak_tracks_next_quotient():
             assert gap <= CF_PROXY_CONSTANT
 
 
-def test_excursion_float_direction_matches_exact():
-    x = 0.5377636563
-    got = predicted_excursions(x, 8.0)
-    want = predicted_excursions(Fraction(x), 8.0)
-    assert len(got) == len(want) > 0
-    for a, b in zip(got, want):
-        assert a.convergent_index == b.convergent_index
-        assert a.t_peak == pytest.approx(b.t_peak, abs=1e-9)
-        assert a.peak_pen == pytest.approx(b.peak_pen, abs=1e-9)
-
-
-def test_excursion_float_near_rational():
-    # certified prefix supports a short horizon and refuses a long one
-    short = predicted_excursions(0.37, 5.0)
-    exact = predicted_excursions(Fraction(37, 100), 5.0)
-    assert len(short) == len(exact) == 2
-    for a, b in zip(short, exact):
-        assert a.t_peak == pytest.approx(b.t_peak, abs=1e-9)
-    with pytest.raises(PrecisionExhausted):
-        predicted_excursions(0.37, 12.0)
-
-
 def test_excursion_quotient_list_too_short():
     with pytest.raises(PrecisionExhausted):
         predicted_excursions([1] * 10, 40.0)
@@ -353,6 +308,8 @@ def test_excursion_validation():
         predicted_excursions([3, 0, 2], 5.0)
     with pytest.raises(UsageError):
         predicted_excursions([], 5.0)
+    with pytest.raises(UsageError, match=r"Fraction\(x\)"):
+        predicted_excursions(0.37, 5.0)
 
 
 # -- sampled excursions vs the exact engine -----------------------------------
@@ -442,10 +399,45 @@ def test_loglaw_planted_spike_scores():
     assert v > 3.0
 
 
+def test_loglaw_counts_excursion_in_progress_at_T():
+    # the spike enters near t = 7.4 and peaks at t = 21.19 with pen
+    # 13.12; at T = 20.19 the supremum is reached at T itself
+    digits = [1] * 8 + [10 ** 6] + [1] * 60
+    assert predicted_excursions(digits, 20.19)[-1].t_peak < 20
+    assert loglaw_statistic(digits, 20.19) == pytest.approx(
+        4.221873690977363, abs=1e-9)
+    assert oracle_loglaw(digits, 20.19) == loglaw_statistic(digits, 20.19)
+
+
+@pytest.mark.parametrize("k,m,T,alpha", [
+    (11, 5, 12.0, 0.0), (13, 2000, 12.0, 0.0), (12, 777, 10.0, 0.3),
+    # an excursion in progress at T wins in these
+    (12, 6141, 6.7, 0.2), (14, 3072, 7.82, 0.0), (12, 551, 9.73, 0.0),
+])
+def test_loglaw_matches_sampled_grid_on_dyadics(k, m, T, alpha):
+    # independent of the excursion formulas: pen(t) from the reduced
+    # sampled geodesic on a grid over (e, T], T included.  pen is
+    # 1-Lipschitz in t, so the score s(t) = (pen - alpha t)/log t has
+    # |s'| <= (1 + alpha) + (P + alpha T)/e on t >= e, P the largest pen,
+    # and the supremum exceeds the grid maximum by at most |s'| step.
+    x = (2 * (m % 2 ** (k - 1)) + 1) / 2 ** k
+    step = 1e-3
+    ts = np.arange(math.e + step, T, step).tolist() + [T]
+    im = geo._grid_im(x, ts)
+    pen = np.where(im > 1.0, np.log(np.maximum(im, 1.0)), 0.0)
+    scores = (pen - alpha * np.asarray(ts)) / np.log(ts)
+    lipschitz = (1 + alpha) + (pen.max() + alpha * T) / math.e
+    got = loglaw_statistic(Fraction(x), T, alpha)
+    assert scores.max() <= got + 1e-9
+    assert got <= max(scores.max(), -alpha * math.e) + lipschitz * step
+
+
 def test_loglaw_float_direction():
+    # a float is refused; its exact dyadic value is the Fraction
     x = 0.5377636563
-    assert loglaw_statistic(x, 7.0) == pytest.approx(
-        loglaw_statistic(Fraction(x), 7.0), abs=1e-9)
+    with pytest.raises(UsageError, match=r"Fraction\(x\)"):
+        loglaw_statistic(x, 7.0)
+    assert loglaw_statistic(Fraction(x), 7.0) > 0.0
 
 
 def test_loglaw_validation():
@@ -523,11 +515,12 @@ def _outcome(fn, *args):
         return "PrecisionExhausted: %s" % exc
 
 
+# a float entry stands for its exact dyadic value Fraction(x)
 ORACLE_DIRECTIONS = [
     (sample_quotients(5, 0, 3000), (1e2, 1e3)),
     (sample_quotients(5, 1, 3000), (1e2, 1e3)),
     ([1] * 3000, (50.0, 1e3)),
-    ([1] * 8 + [10 ** 6] + [1] * 60, (30.0, 60.0)),
+    ([1] * 8 + [10 ** 6] + [1] * 60, (20.19, 30.0, 60.0)),
     (Fraction(37, 100), (5.0, 25.0)),
     (Fraction(1, 5), (10.0,)),
     (Fraction(GOLDEN), (20.0, 60.0)),
@@ -551,15 +544,12 @@ def test_cf_expand_matches_oracle():
             got = cf_expand(x, depth)
             assert (got.quotients, got.p, got.q, got.terminated) == \
                 cf_expansion(x, depth)
-    for xf in (GOLDEN, 0.37, 0.5377636563, math.sqrt(2) - 1, 1e-300):
-        got = cf_expand(xf, 120)
-        want = cf_expansion(Fraction(xf), 120)
-        assert got.quotients == want[0][:len(got.quotients)]
-        assert (got.p, got.q) == tuple(w[:len(got.p)] for w in want[1:3])
 
 
 @pytest.mark.parametrize("direction,horizons", ORACLE_DIRECTIONS)
 def test_engine_matches_scalar_stream_bit_for_bit(direction, horizons):
+    if isinstance(direction, float):
+        direction = Fraction(direction)
     for T in horizons:
         want = _outcome(excursion_stream, direction, T)
         got = _outcome(lambda *a: _records(predicted_excursions(*a)),
@@ -576,8 +566,6 @@ def test_engine_matches_scalar_stream_bit_for_bit(direction, horizons):
     ([1] * 20, 100.0),           # no certified index at all
     ([1] * 60 + [2], 60.0),
     (sample_quotients(8, 0, 200), 1000.0),
-    (0.37, 12.0),                # a float's certified prefix runs out
-    (GOLDEN, 200.0),
 ])
 def test_precision_exhausted_at_the_oracle_index(direction, T):
     want = _outcome(excursion_stream, direction, T)
@@ -710,7 +698,7 @@ def test_predicted_matches_sampled_on_dyadics(k, m, T):
 @pytest.mark.parametrize("call,index", [
     (lambda: predicted_excursions(Fraction(1, 2 ** 1100), 10.0), "a_1"),
     (lambda: excursions(5e-324, 10.0), "a_1"),
-    (lambda: loglaw_statistic(1e-310, 100.0), "a_1"),
+    (lambda: loglaw_statistic(Fraction(1e-310), 100.0), "a_1"),
     (lambda: loglaw_statistic([1, 10 ** 400, 1], 10.0), "a_2"),
     (lambda: loglaw_statistic([1] * 30 + [10 ** 400] + [1] * 30, 10.0),
      "a_31"),
@@ -727,7 +715,12 @@ def test_quotient_beyond_float_range_refused_by_index(call, index):
 def test_huge_quotient_peaking_after_horizon_is_no_excursion():
     quots = [1, 10 ** 160] + [1] * 400
     assert predicted_excursions(quots, 300.0) == []
-    assert loglaw_statistic(quots, 300.0) == 0.0
+    # but it enters near t = 1 and is still in progress at T, so the log
+    # law cannot leave it out and refuses it instead
+    for direction in (quots, Fraction(1, 10 ** 300)):
+        with pytest.raises(PrecisionExhausted, match=r"\ba_%d\b"
+                           % (2 if direction is quots else 1)):
+            loglaw_statistic(direction, 300.0)
     # at 10^150 the formulas stay finite and the spike is reported
     recs = predicted_excursions([1, 10 ** 150] + [1] * 400, 400.0)
     assert recs[0].convergent_index == 1
@@ -736,8 +729,11 @@ def test_huge_quotient_peaking_after_horizon_is_no_excursion():
 
 
 def test_loglaw_without_scoring_excursion_is_positive_zero():
-    for direction in (Fraction(1, 10 ** 300), 1e-300):
+    # every excursion ends before t = e (the final dive toward the
+    # rational's own cusp is never reported)
+    for direction in (Fraction(1, 3), Fraction(2, 3)):
+        assert predicted_excursions(direction, 100.0)[-1].t_exit < math.e
         v = loglaw_statistic(direction, 100.0)
         assert v == 0.0 and math.copysign(1.0, v) == 1.0
-    assert loglaw_statistic(Fraction(1, 10 ** 300), 100.0, alpha=0.5) == \
+    assert loglaw_statistic(Fraction(1, 3), 100.0, alpha=0.5) == \
         -0.5 * math.e

@@ -17,7 +17,7 @@ import limsuplab.ubiquity as ub
 from limsuplab.errors import ResourceCapError, UsageError
 from oracles import exact_union_measure, window_pairs
 
-RHO_LEMMA = fn.radius_law(6, -2)          # 6/r^2 -> rho(k^n) = 6^(1-2n)
+RHO_LEMMA = fn.approximating(6, -2)          # 6/r^2 -> rho(k^n) = 6^(1-2n)
 HALF = Fraction(1, 2)
 FULL_BALL = (HALF, HALF)                  # B = [0, 1]
 
@@ -116,10 +116,10 @@ def test_ford_engine_matches_per_denominator_count():
     # the balls are disjoint and every block is one point
     system, k, n = sy.ford_horoballs(), Fraction(6), 6
     q_max = ub._uniform_q_max(system, k, n)
-    rad = ub._uniform_radius(fn.radius_law(1, -1), k, n)
+    rad = ub._uniform_radius(fn.approximating(1, -1), k, n)
     assert (q_max, rad) == (152, Fraction(1, 6 ** 6))
     eng = ub.UniformStageEngine(q_max, rad)
-    assert eng.block_count == farey.coprime_count(q_max)
+    assert eng.block_count == 1 + int(farey.totient_sieve(q_max)[1:].sum())
 
     def per_denominator(lo, hi):
         total = Fraction(0)
@@ -148,15 +148,15 @@ def test_engine_memory_is_three_words_per_point():
     # merged blocks hold nothing
     system, k, n = sy.ford_horoballs(), Fraction(6), 9
     eng = ub.UniformStageEngine(ub._uniform_q_max(system, k, n),
-                                ub._uniform_radius(fn.radius_law(1, -1), k, n))
-    points = farey.coprime_count(eng.q_max)
+                                ub._uniform_radius(fn.approximating(1, -1), k, n))
+    points = 1 + int(farey.totient_sieve(eng.q_max)[1:].sum())
     assert eng.block_count == points
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
     assert held <= 24 * points
     # with merging, only the merged blocks add to that
     eng = ub.UniformStageEngine(eng.q_max, Fraction(1, 10 ** 6))
-    merged = farey.coprime_count(eng.q_max) - eng.block_count
+    merged = 1 + int(farey.totient_sieve(eng.q_max)[1:].sum()) - eng.block_count
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
     assert held <= 24 * points + 16 * merged
@@ -182,18 +182,13 @@ def test_ratio_exact_against_oracle_small_stages():
 
 
 def test_giant_radius_covers_everything():
-    rho = fn.radius_law(4, -1)            # rho(2) = 2 >= 1
+    rho = fn.approximating(4, -1)            # rho(2) = 2 >= 1
     assert ub.ubiquity_ratio(sy.classical_rationals(), rho, 2, 1,
                              FULL_BALL) == 1
 
 
-def test_zero_radius_rule():
-    assert ub.ubiquity_ratio(sy.classical_rationals(), fn.zero(), 6, 3,
-                             FULL_BALL) == 0
-
-
 def test_ratio_monotone_in_radius():
-    slim = fn.radius_law(Fraction(6, 10), -2)     # rho / 10
+    slim = fn.approximating(Fraction(6, 10), -2)     # rho / 10
     for ball in [FULL_BALL, (Fraction(1, 4), Fraction(1, 8)),
                  (Fraction(13, 16), Fraction(1, 16))]:
         for n in (2, 3):
@@ -251,7 +246,7 @@ def test_kappa_lemma_band():
 
 def test_kappa_shrunk_radius_never_increases_ratios():
     balls = [(HALF, Fraction(1, 4)), (Fraction(1, 3), Fraction(1, 6))]
-    slim = fn.radius_law(Fraction(6, 10), -2)
+    slim = fn.approximating(Fraction(6, 10), -2)
     big = ub.estimate_kappa(sy.classical_rationals(), RHO_LEMMA, 6, balls, [2, 3])
     small = ub.estimate_kappa(sy.classical_rationals(), slim, 6, balls, [2, 3])
     for rb, rs in zip(big, small):
@@ -300,11 +295,6 @@ def test_cover_sum_grows_below_critical():
             for m in (6, 10, 14)]
     assert sums[0] < sums[1] < sums[2]
     assert sums[2] > 2 * sums[0]
-
-
-def test_cover_sum_zero_composition():
-    assert ub.natural_cover_sum(fn.dimension_gauge(power=1), fn.zero(),
-                                sy.classical_rationals(), 2, 1, 5) == 0.0
 
 
 def test_cover_sum_validation():
