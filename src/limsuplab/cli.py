@@ -50,6 +50,10 @@ MAX_BALLS = 1_000
 # float range: at the default factor 1/2 and lam 1/4 no run past about
 # 1050 points can succeed (2^1024 down to 2^-26)
 MAX_POINTS = 2_048
+# `horoballs` writes every radius as an exact Fraction, and str() prints
+# an integer of at most 4300 digits (Python's default limit), as every
+# integer of at most floor(4300 log2 10) bits is
+MAX_PRINT_BITS = 14_284
 
 
 # -- option tables --------------------------------------------------------
@@ -558,6 +562,10 @@ def _run_loglaw(o):
     return ("t_peak", "log_t", "peak_pen", "at_peak", "running_max"), rows, summary
 
 
+def _bits(x: Fraction) -> int:
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
 def _run_horoballs(o):
     try:
         a_txt, b_txt = o["base"].split(",")
@@ -571,6 +579,14 @@ def _run_horoballs(o):
     if o["points"] > MAX_POINTS:
         raise ResourceCapError("%s radius scales (cap %d)"
                                % (size_text(o["points"]), MAX_POINTS))
+    # R = r_hi * factor^i has numerator and denominator of at most
+    # bits(r_hi) + i * bits(factor) bits: refused before any is formed
+    bits = _bits(o["r_hi"]) + (o["points"] - 1) * _bits(o["factor"])
+    if bits > MAX_PRINT_BITS:
+        raise ResourceCapError(
+            "exact radii of up to %d bits, past the %d bits that print "
+            "in 4300 digits; shrink --points or the digits of --r-hi and "
+            "--factor" % (bits, MAX_PRINT_BITS))
     radii = [o["r_hi"]]
     for _ in range(o["points"] - 1):
         radii.append(radii[-1] * o["factor"])

@@ -23,8 +23,17 @@ the exactness argument spelled out where it matters:
   stays below 2^63 while 3 db <= 63, i.e. for Q <= PACKED_KEY_QMAX;
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
+* `prime_factor_pairs` reads the distinct primes of every denominator
+  off one smallest-prime-factor sieve; striking their multiples is the
+  sweep's coprimality test (see `systems`);
 * float sweep measures carry an explicit error budget of a few ulps per
-  interval, reported alongside the value.
+  interval, reported alongside the value.  `union_length` visits the
+  intervals in (lo, index) order, which a stable sort would give, but
+  sorts with the default unstable argsort: equal lo values form one
+  contiguous run in any sorted order, so one int64 sort of the keys
+  (run << 32) | index over the tied positions alone restores index
+  order inside every run, and the positive gains and their pairwise
+  sum are the stable sort's bit for bit.
 """
 
 from __future__ import annotations
@@ -145,18 +154,65 @@ def min_multiple_above(den: np.ndarray, window_lo: int,
     return np.where(q <= window_hi, q, 0)
 
 
+def prime_factor_pairs(den: np.ndarray):
+    """(row, p) int64 arrays: one pair for every row i and every
+    distinct prime p dividing den[i], read off one smallest-prime-factor
+    sieve up to max(den).  den holds integers in [1, MAX_SIEVE]; a row
+    with den[i] = 1 has no pair."""
+    limit = int(den.max(initial=1))
+    check_sieve(limit, "prime_factor_pairs")
+    # written from the largest prime down, so the smallest prime
+    # dividing n is the last one written to spf[n]; a composite n has
+    # a prime factor p with p^2 <= n, and primes keep spf[n] = n
+    spf = np.arange(limit + 1, dtype=np.int32)
+    for p in _primes(math.isqrt(limit))[::-1].tolist():
+        spf[p * p::p] = p
+    row = np.flatnonzero(den > 1)
+    rest = den[row].astype(np.int64)
+    prev = np.zeros_like(rest)
+    rows, primes = [row[:0]], [prev[:0]]
+    # dividing out smallest prime factors meets each prime of a row in
+    # one unbroken stretch, so a prime is new exactly when it differs
+    # from the previous one
+    while len(rest):
+        p = spf[rest].astype(np.int64)
+        new = p != prev
+        rows.append(row[new])
+        primes.append(p[new])
+        rest //= p
+        live = rest > 1
+        rest, row, prev = rest[live], row[live], p[live]
+    return np.concatenate(rows), np.concatenate(primes)
+
+
 def union_length(lo: np.ndarray, hi: np.ndarray,
                  clip_lo: float = 0.0, clip_hi: float = 1.0) -> float:
     """Measure of the union of [lo_i, hi_i] clipped to [clip_lo, clip_hi].
 
-    Float sweep; error is O(n ulps), a few 1e-16 per interval.
+    Float sweep; error is O(n ulps), a few 1e-16 per interval.  The
+    intervals are visited in the (lo, index) order of a stable sort (lo
+    holds no NaN), restored after an unstable one as the module
+    docstring argues.  Its keys (run << 32) | index are exact in int64
+    while n < 2^31; a sweep cell holds at most 10 * systems._CELL_BUDGET
+    = 8e7 intervals.
     """
     if len(lo) == 0:
         return 0.0
     lo = np.clip(lo, clip_lo, clip_hi)
     hi = np.clip(hi, clip_lo, clip_hi)
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
+    order = np.argsort(lo)
+    lo_sorted = lo[order]
+    # eq[i] = lo_sorted[i - 1] == lo_sorted[i], False at both ends
+    eq = np.zeros(len(lo) + 1, dtype=bool)
+    np.equal(lo_sorted[1:], lo_sorted[:-1], out=eq[1:-1])
+    tied = np.flatnonzero(eq[:-1] | eq[1:])
+    run = np.cumsum(~eq[tied])
+    key = run << 32 | order[tied]
+    key.sort()
+    order[tied] = key & 0xFFFFFFFF
+    # lo_sorted is already right: tied values are equal floats, up to a
+    # sign of zero that no positive gain can see
+    lo, hi = lo_sorted, hi[order]
     run_end = np.maximum.accumulate(hi)
     prev_end = np.empty_like(run_end)
     prev_end[0] = clip_lo

@@ -14,14 +14,24 @@ stage in a range.  Stages too large to sweep exhaustively get a
 certified lower bound from a denominator-truncated subfamily (a subset
 of the union can only be smaller) and an upper bound from
 per-denominator ball counts (a union is at most the sum of lengths).
-Only a stage whose denominators pass farey.MAX_SIEVE is refused, before
-anything is allocated.
+Only a stage whose arrays and totient sieve would pass MAX_STAGE_BYTES
+is refused, before anything is allocated.
 
 Duplicate centres are collapsed before sweeping: every ball of the
 stage sits inside the ball at the reduced centre whose radius comes
 from the smallest weight the centre attains in the window, so for a
 nonincreasing radius function the union over reduced centres equals
 the raw union exactly.
+
+The sweep lists, per denominator b, the candidates a in a window
+[a_lo, a_hi] in one flat b-major, a-ascending array and keeps a/b
+exactly when gcd(a, b) == 1, i.e. when no prime factor p of b divides
+a.  It strikes the multiples of every such p inside each window, which
+is that test candidate for candidate: a = 0 is struck for every b > 1,
+and b = 1 has no prime, so 0/1 and 1/1 stay.  The kept balls keep
+their order, so `farey.union_length` measures the same arrays, in the
+(lo, index) order of a stable sort that it restores after an unstable
+one.
 """
 
 from __future__ import annotations
@@ -45,6 +55,14 @@ from limsuplab.errors import ResourceCapError, UsageError, size_text
 FULL_SWEEP_CAP = 32_000_000
 SUBSET_SWEEP_CAP = 64_000_000
 _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
+# a stage scan holds about 96 bytes per denominator up to its q_hi: the
+# plan's and the per-q bound's int64/float64 arrays, and a totient sieve
+# (int64 phi, int32 scratch, int64 cumsum) padded up to twice that
+# length (a q^-3 scan with subset_cap=0 peaked at 86 bytes per q above
+# the interpreter at q_hi = 2^22 + 1).  The byte budget admits q_hi up
+# to about 2.2e7, well inside farey.MAX_SIEVE.
+_STAGE_BYTES_PER_Q = 96
+MAX_STAGE_BYTES = 1 << 31
 # an exact stage weight k^n is formed only up to this many bits
 # (numerator plus denominator); CLI stages, with integer k and a
 # denominator cap, stay below 200
@@ -260,6 +278,7 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
     ncells = max(1, math.ceil(flat_sweep /
                               max(_CELL_BUDGET - flat_fixed, _CELL_BUDGET / 8)))
     edges = np.linspace(0.0, 1.0, ncells + 1)
+    rows, primes = farey.prime_factor_pairs(b_vals)
     total = 0.0
     n_balls = 0
     for i in range(ncells):
@@ -274,18 +293,48 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
             raise ResourceCapError(
                 "sweep cell holds %d candidate balls; the stage radii are "
                 "too large for the configured cell budget" % tot)
-        b_rep = np.repeat(b_vals, counts)
+        # candidate a/b sits at starts[row] + a - a_lo[row]; striking the
+        # multiples of each prime p | b leaves gcd(a, b) == 1
         starts = np.cumsum(counts) - counts
-        a_flat = (np.arange(tot, dtype=np.int64)
-                  - np.repeat(starts, counts) + np.repeat(a_lo, counts))
-        keep = np.gcd(a_flat, b_rep) == 1
-        b_rep, a_flat = b_rep[keep], a_flat[keep]
-        r_flat = np.repeat(radii, counts)[keep]
-        centers = a_flat / b_rep
+        lo_rows = a_lo[rows]
+        first = -(-lo_rows // primes) * primes  # least multiple >= a_lo
+        keep = np.ones(tot, dtype=bool)
+        _strike(keep, starts[rows] + first - lo_rows, primes,
+                (a_hi[rows] - first) // primes + 1)
+        kept = np.add.reduceat(keep, starts, dtype=np.int64)
+        a_flat = np.flatnonzero(keep) - np.repeat(starts - a_lo, kept)
+        del keep
+        centers = a_flat / np.repeat(b_vals, kept)
+        r_flat = np.repeat(radii, kept)
         n_balls += len(centers)  # boundary balls counted per cell: budget
         total += farey.union_length(centers - r_flat, centers + r_flat,
                                     clo, chi)
     return total, n_balls
+
+
+def _strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
+            count: np.ndarray) -> None:
+    """keep[first[j] + t * step[j]] = False for 0 <= t < count[j], every
+    position inside keep.  The positions are built in chunks of at most
+    len(keep) (one pair strikes within one row, never more), each as one
+    running sum of steps whose partial sums are the positions
+    themselves, so every value stays within +-len(keep)."""
+    live = count > 0
+    first, step, count = first[live], step[live], count[live]
+    ends = np.cumsum(count)
+    j = 0
+    while j < len(count):
+        stop = int(np.searchsorted(ends, ends[j] - count[j] + len(keep),
+                                   side="right"))
+        c = count[j:stop]
+        pos = np.repeat(step[j:stop], c)
+        seg = np.cumsum(c) - c
+        last = first[j:stop] + (c - 1) * step[j:stop]
+        pos[seg[0]] = first[j]
+        pos[seg[1:]] = first[j + 1:stop] - last[:-1]
+        np.cumsum(pos, out=pos)
+        keep[pos] = False
+        j = stop
 
 
 def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
@@ -345,16 +394,19 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     bound), flagged truncated.  Setting subset_cap to 0 skips sweeping
     for oversized stages entirely and reports the trivial lower bound 0
     with the certified upper bound.  Raises ResourceCapError, before any
-    stage is computed, when a stage's denominators exceed
-    farey.MAX_SIEVE: every plan holds arrays and a totient sieve of that
-    length.
+    stage is computed, when the last stage's arrays and totient sieve,
+    all as long as its denominator range, would pass MAX_STAGE_BYTES.
     """
     if n_hi < n_lo:
         raise UsageError("empty stage range")
     # windows grow with n, so the last stage has the largest q_hi
     what = "stage %s" % size_text(n_hi)
-    farey.check_sieve(system.stage_q_top(stage.k, n_hi, farey.MAX_SIEVE,
-                                         what), what)
+    q_top = system.stage_q_top(stage.k, n_hi, farey.MAX_SIEVE, what)
+    if _STAGE_BYTES_PER_Q * q_top > MAX_STAGE_BYTES:
+        raise ResourceCapError(
+            "%s needs about %d MB for denominators up to %d (budget %d MB)"
+            % (what, _STAGE_BYTES_PER_Q * q_top >> 20, q_top,
+               MAX_STAGE_BYTES >> 20))
     records = []
     for n in range(n_lo, n_hi + 1):
         pairs = system.count_window(*stage.window(n))

@@ -4,7 +4,8 @@ Each oracle is the slow, obvious computation: Fraction arithmetic, one
 raw pair at a time, no shortcut shared with the kernel it checks.  The
 geodesic oracles are the one-sample-at-a-time float paths the faster
 engine replaced; it performs the same float operations, so it must
-equal them bit for bit.  Test modules import them as
+equal them bit for bit.  So must the stage sweep its gcd-filtered,
+stable-sorted predecessor.  Test modules import them as
 `from oracles import ...`; nothing under `src` may, because an
 installed package has no `tests/` next to it.
 """
@@ -61,6 +62,64 @@ def float_sorted_fractions(qmax):
     mirror = slice(len(num) - 1 - (qmax >= 2), None, -1)
     return (np.concatenate((num, den[mirror] - num[mirror])),
             np.concatenate((den, den[mirror])))
+
+
+def stable_union_length(lo, hi, clip_lo=0.0, clip_hi=1.0):
+    """The float sweep of `farey.union_length` over a stable argsort:
+    the (lo, index) order its tie fix must reproduce bit for bit."""
+    if len(lo) == 0:
+        return 0.0
+    lo = np.clip(lo, clip_lo, clip_hi)
+    hi = np.clip(hi, clip_lo, clip_hi)
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    run_end = np.maximum.accumulate(hi)
+    prev_end = np.empty_like(run_end)
+    prev_end[0] = clip_lo
+    prev_end[1:] = run_end[:-1]
+    gain = hi - np.maximum(lo, prev_end)
+    return float(gain[gain > 0].sum())
+
+
+def gcd_cell_sweep(b_vals, radii):
+    """`systems._cell_sweep` with every candidate a/b tested by np.gcd
+    and measured by `stable_union_length`: the same cells (read from
+    systems._CELL_BUDGET at call time), the same balls in the same
+    order, so the same (measure, ball count) bit for bit."""
+    if len(b_vals) == 0:
+        return 0.0, 0
+    budget = sy._CELL_BUDGET
+    flat_fixed = float(np.sum(2.0 * radii * b_vals) + 3 * len(b_vals))
+    flat_sweep = float(b_vals.astype(np.float64).sum())
+    ncells = max(1, math.ceil(flat_sweep /
+                              max(budget - flat_fixed, budget / 8)))
+    edges = np.linspace(0.0, 1.0, ncells + 1)
+    total = 0.0
+    n_balls = 0
+    for i in range(ncells):
+        clo, chi = float(edges[i]), float(edges[i + 1])
+        a_lo = np.floor(b_vals * (clo - radii)).astype(np.int64) - 1
+        a_hi = np.ceil(b_vals * (chi + radii)).astype(np.int64) + 1
+        np.clip(a_lo, 0, b_vals, out=a_lo)
+        np.clip(a_hi, 0, b_vals, out=a_hi)
+        counts = a_hi - a_lo + 1
+        tot = int(counts.sum())
+        if tot > 10 * budget:
+            raise ResourceCapError(
+                "sweep cell holds %d candidate balls; the stage radii are "
+                "too large for the configured cell budget" % tot)
+        b_rep = np.repeat(b_vals, counts)
+        starts = np.cumsum(counts) - counts
+        a_flat = (np.arange(tot, dtype=np.int64)
+                  - np.repeat(starts, counts) + np.repeat(a_lo, counts))
+        keep = np.gcd(a_flat, b_rep) == 1
+        b_rep, a_flat = b_rep[keep], a_flat[keep]
+        r_flat = np.repeat(radii, counts)[keep]
+        centers = a_flat / b_rep
+        n_balls += len(centers)
+        total += stable_union_length(centers - r_flat, centers + r_flat,
+                                     clo, chi)
+    return total, n_balls
 
 
 def window_pairs(system, w_lo, w_hi):

@@ -22,6 +22,9 @@ GOLDEN_CHAIN = ",".join(["1"] * 120)
 # count for minutes
 HOROBALLS_LONG_RUN = ["horoballs", "--r-hi", "1/67108864", "--factor",
                       "999/1000", "--points", "100"]
+# every count passes, but the last radius has a 5842-digit denominator
+HOROBALLS_DIGITS_RUN = ["horoballs", "--r-hi", "1e300", "--factor",
+                        "999/1000", "--points", "2048"]
 
 
 def run_main(argv, capsys):
@@ -159,6 +162,23 @@ class TestExitStatuses:
             "--output", str(tmp_path / "h.csv")], capsys)
         assert code == 2
         assert err.startswith("resource cap:") and "Traceback" not in err
+        assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        HOROBALLS_DIGITS_RUN,
+        # a factor of 300 decimal nines: each radius grows by 997 bits
+        ["horoballs", "--factor", "0." + "9" * 300, "--points", "20"],
+    ])
+    def test_horoballs_radii_past_print_limit_are_2(self, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        # refused in O(1), before any radius is formed or counted
+        def no_count(*args):
+            raise AssertionError("horoballs counted past the digit limit")
+        monkeypatch.setattr(hb, "count_horoballs", no_count)
+        code, _, err = run_main(argv + ["--output", str(tmp_path / "h.csv")],
+                                capsys)
+        assert code == 2
+        assert err.startswith("resource cap:") and "\n" not in err
         assert not (tmp_path / "h.csv").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -479,6 +499,7 @@ FUZZ_EDGE_RUNS = [
     ["stage-scan", "--psi", "r^-2", "--k", "100000", "--n-lo", "1",
      "--n-hi", "1000"],
     HOROBALLS_LONG_RUN,
+    HOROBALLS_DIGITS_RUN,
 ]
 
 

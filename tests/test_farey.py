@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from limsuplab import farey
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError)
-from oracles import exact_union_measure, float_sorted_fractions
+from oracles import (exact_union_measure, float_sorted_fractions,
+                     stable_union_length)
 
 # property tests replay the same examples on every run
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -141,6 +142,31 @@ class TestReducedFractions:
         assert (qmax // 2) << 2 * db < 2 ** 63
 
 
+def primes_of(b):
+    return [p for p in range(2, b + 1)
+            if b % p == 0 and all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+class TestPrimeFactorPairs:
+    # 1 has no prime; prime powers, primes and highly composite values
+    # meet the same prime many times over while dividing out
+    @PROPERTY
+    @given(st.lists(st.integers(1, 3000), max_size=40))
+    @example([1])
+    @example([])
+    @example([1, 2, 4, 1024, 2048, 3, 2310, 2999, 30030, 65536])
+    def test_matches_trial_division(self, dens):
+        rows, primes = farey.prime_factor_pairs(np.array(dens, dtype=np.int64))
+        assert rows.dtype == primes.dtype == np.int64
+        got = sorted(zip(rows.tolist(), primes.tolist()))
+        assert got == [(i, p) for i, b in enumerate(dens) for p in primes_of(b)]
+
+    def test_refuses_beyond_sieve_cap(self, monkeypatch):
+        monkeypatch.setattr(farey, "_primes", None)
+        with pytest.raises(ResourceCapError):
+            farey.prime_factor_pairs(np.array([farey.MAX_SIEVE + 1]))
+
+
 class TestMinMultiple:
     def test_against_search(self):
         rng = random.Random(7)
@@ -162,6 +188,8 @@ class TestMinMultiple:
 # anywhere, both reaching past [0, 1]
 POINT = st.one_of(st.integers(-8, 24).map(lambda i: i / 16),
                   st.floats(-0.5, 1.5))
+TIE_POINT = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+                      st.integers(-2, 10).map(lambda i: i / 8), POINT)
 LENGTH = st.one_of(st.just(0.0), st.integers(1, 8).map(lambda i: i / 16),
                    st.floats(0, 0.5))
 
@@ -189,6 +217,37 @@ class TestUnionLength:
         want = exact_union_measure(zip(lo.tolist(), hi.tolist()), *window)
         budget = farey.union_length_error_budget(len(pieces))
         assert abs(Fraction(got) - want) <= budget
+
+    # the tie fix must give the stable sort's (lo, index) order: lo on a
+    # coarse grid with both zeros, so ties are the rule, and clip windows
+    # that cut many intervals to the same end
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(pieces=st.lists(st.tuples(TIE_POINT, LENGTH), min_size=1,
+                           max_size=80),
+           window=st.tuples(POINT, POINT).map(sorted))
+    @example(pieces=[(-0.0, 0.25), (0.0, 0.125), (-0.0, 0.5)],
+             window=[-0.0, 1.0])
+    @example(pieces=[(0.25, 0.5)] * 3 + [(-0.5, 1.0)], window=[0.5, 0.75])
+    def test_ties_match_stable_sort_bit_for_bit(self, pieces, window):
+        lo = np.array([a for a, _ in pieces])
+        hi = lo + np.array([w for _, w in pieces])
+        assert farey.union_length(lo, hi, *window).hex() == \
+            stable_union_length(lo, hi, *window).hex()
+
+    def test_large_tie_runs_match_stable_sort(self):
+        # long arrays reach numpy's vectorised unstable sort, which does
+        # reorder ties; runs of every length, signed zeros among them
+        rng = np.random.default_rng(11)
+        for n, grid in ((5000, 7), (200_000, 997), (200_000, 50_000)):
+            lo = rng.integers(-3, grid, n) / grid
+            lo[rng.random(n) < 0.05] = -0.0
+            hi = lo + rng.random(n) ** 4 / grid
+            assert not np.array_equal(np.argsort(lo),
+                                      np.argsort(lo, kind="stable"))
+            for window in ((0.0, 1.0), (0.25, 0.5)):
+                assert farey.union_length(lo, hi, *window).hex() == \
+                    stable_union_length(lo, hi, *window).hex()
 
     def test_clip_window(self):
         lo = np.array([0.0, 0.5])

@@ -6,18 +6,21 @@ therefore know nothing about the reduced-centre dedup the scan relies
 on.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limsuplab import farey
 from limsuplab import functions as fn
 from limsuplab import systems as sy
 from limsuplab.errors import ResourceCapError, UsageError
-from oracles import exact_union_measure, stage_balls, window_pairs
+from oracles import (exact_union_measure, gcd_cell_sweep, stage_balls,
+                     window_pairs)
 
 
 class TestSystems:
@@ -126,8 +129,8 @@ class TestDeltaStage:
         assert inner <= rec.value <= outer
 
     def test_cap(self, monkeypatch):
-        # stage 31 spans q <= 2^31, past farey.MAX_SIEVE: refused before
-        # any stage of the range is planned
+        # stage 31 spans q <= 2^31, past farey.MAX_SIEVE and the byte
+        # budget: refused before any stage of the range is planned
         def no_plan(*args):
             raise AssertionError("stage planned past the sieve cap")
         monkeypatch.setattr(sy, "_stage_ball_plan", no_plan)
@@ -245,3 +248,107 @@ class TestStageMeasureScan:
         stage = sy.per_point_stage(psi, 2)
         with pytest.raises(UsageError):
             sy.stage_measure_scan(system, stage, 1, 1)
+
+
+def swept(sweep, plan):
+    """(float.hex, ball count) of a sweep over plan, or its refusal."""
+    try:
+        value, count = sweep(*plan)
+    except ResourceCapError:
+        return "refused"
+    return value.hex(), count
+
+
+def assert_twins(plan):
+    assert swept(sy._cell_sweep, plan) == swept(gcd_cell_sweep, plan)
+
+
+@st.composite
+def sweep_plans(draw):
+    """(b_vals, radii): ascending distinct denominators, often with b = 1,
+    and radii from far below 1/b^2 to past 1/b, so candidates at a = 0
+    and a = b, balls clipped at the cell edges and tied ends all occur."""
+    b = set(draw(st.lists(st.integers(1, 300), min_size=1, max_size=25)))
+    if draw(st.booleans()):
+        b.add(1)
+    b_vals = np.array(sorted(b), dtype=np.int64)
+    scale = draw(st.sampled_from([1e-4, 1 / 64, 1 / 3, 1.0, 3.0]))
+    power = draw(st.sampled_from([1.0, 2.0]))
+    radii = scale / b_vals.astype(np.float64) ** power
+    return b_vals, radii
+
+
+class TestCellSweepTwin:
+    """The prime-strike sweep against the gcd-filtered, stable-sorted
+    sweep it replaced: the same cells and balls, so the same float."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(plan=sweep_plans(), budget=st.sampled_from([60, 400, 5000,
+                                                        sy._CELL_BUDGET]))
+    # denominators whose primes strike more positions than a cell holds
+    # (sum of 1/p above 1), so the strikes come in several chunks
+    @example(plan=(np.array([210, 2310, 30030]), np.array([1e-3] * 3)),
+             budget=sy._CELL_BUDGET)
+    @example(plan=(np.array([1, 30]), np.array([0.5, 0.5])), budget=60)
+    def test_random_plans_bit_for_bit(self, plan, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sy, "_CELL_BUDGET", budget)
+            assert_twins(plan)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(case=scan_cases(), budget=st.sampled_from([200, 3000,
+                                                      sy._CELL_BUDGET]))
+    def test_stage_plans_bit_for_bit(self, case, budget):
+        # real plans, radius 1/q stages (many ties) among them, swept in
+        # one cell or many
+        system, stage, n_hi = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sy, "_CELL_BUDGET", budget)
+            for n in range(1, n_hi + 1):
+                assert_twins(sy._stage_ball_plan(system, stage, n))
+
+    @pytest.mark.parametrize("psi,k,n", [("r^-2", 5, 4), ("r^-1", 3, 5),
+                                         ("r^-3", 2, 9)])
+    def test_large_stages_bit_for_bit(self, psi, k, n):
+        # stages past the sizes a property test draws: the q^-1 one
+        # holds long runs of tied ends at 0 and 1
+        stage = sy.per_point_stage(fn.parse_function(psi), k)
+        assert_twins(sy._stage_ball_plan(sy.classical_rationals(), stage, n))
+
+    def test_int64_headroom_at_the_cell_cap(self):
+        # the largest cell the sweep accepts holds 10 * _CELL_BUDGET
+        # candidates; its bounds, checked in Python ints without
+        # allocating it
+        n = 10 * sy._CELL_BUDGET
+        # tie keys (run << 32) | index with run <= n, index < n: no
+        # wrap, and the low 32 bits give the index back
+        key = n << 32 | (n - 1)
+        assert key < 2 ** 63 and key & 0xFFFFFFFF == n - 1
+        assert np.cumsum(np.ones(2, dtype=bool)).dtype == np.int64
+        # strike positions are partial sums equal to positions < n; the
+        # chunk search reaches the sum of every pair's strikes plus n,
+        # at most (1 + 8) n since no b <= MAX_SIEVE has 9 distinct
+        # primes; the first multiple of p at or above a_lo stays below
+        # b + p <= 2 b
+        assert math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23]) > farey.MAX_SIEVE
+        assert 9 * n < 2 ** 62 and 2 * farey.MAX_SIEVE < 2 ** 62
+
+
+class TestStageByteBudget:
+    def test_refused_before_any_allocation(self, monkeypatch):
+        # stage 25 of q^-2, k = 2 reaches q = 2^25: under MAX_SIEVE, but
+        # its arrays and sieve pass the byte budget
+        def no_work(*args):
+            raise AssertionError("allocated past the byte budget")
+        monkeypatch.setattr(sy, "_stage_ball_plan", no_work)
+        monkeypatch.setattr(farey, "totient_sieve", no_work)
+        stage = sy.per_point_stage(fn.approximating(power=-2), 2)
+        assert 2 ** 25 < farey.MAX_SIEVE
+        with pytest.raises(ResourceCapError, match="budget"):
+            sy.stage_measure_scan(sy.classical_rationals(), stage, 25, 25)
+
+    def test_documented_stages_far_below(self):
+        # criterion 2 reaches q = 2^20, the benchmark's stages 2^19
+        assert sy._STAGE_BYTES_PER_Q * 2 ** 20 * 16 < sy.MAX_STAGE_BYTES
