@@ -33,14 +33,18 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from . import counting as ct
 from . import functions as fn
-from . import geodesics as geo
-from . import horoballs as hb
-from . import systems as sy
-from . import ubiquity as ub
 from .errors import (InternalInvariantError, PrecisionExhausted,
                      ResourceCapError, UsageError, size_text)
+
+# Each handler imports the numeric layers it runs (and numpy with them),
+# so a command pays only for its own; the symbolic `functions` is
+# numpy-free.  Three option defaults echo caps of those layers, copied
+# here so that no import is needed to parse options; a test pins each
+# copy to its source.
+_FULL_SWEEP_CAP = "32000000"      # systems.FULL_SWEEP_CAP
+_SUBSET_SWEEP_CAP = "64000000"    # systems.SUBSET_SWEEP_CAP
+_MAX_UNIFORM_Q = "8192"           # ubiquity.MAX_UNIFORM_Q
 
 OUTPUT_DIR_ENV = "LIMSUPLAB_OUTPUT_DIR"
 # every `ubiquity` ball is one exact query per stage: 1000 balls at the
@@ -95,8 +99,8 @@ _COMMANDS: Dict[str, Tuple[_Opt, ...]] = {
         _Opt("k", "int", required=True, help="stage base k > 1"),
         _Opt("n-lo", "int", required=True),
         _Opt("n-hi", "int", required=True),
-        _Opt("full-cap", "int", str(sy.FULL_SWEEP_CAP)),
-        _Opt("subset-cap", "int", str(sy.SUBSET_SWEEP_CAP)),
+        _Opt("full-cap", "int", _FULL_SWEEP_CAP),
+        _Opt("subset-cap", "int", _SUBSET_SWEEP_CAP),
     ),
     "ubiquity": (
         _Opt("rho", "text", required=True, help="uniform stage radius rho(r)"),
@@ -107,7 +111,7 @@ _COMMANDS: Dict[str, Tuple[_Opt, ...]] = {
         _Opt("min-measure", "rational", "1/10",
              help="smallest allowed test-interval length"),
         _Opt("target", "rational", "1/2", help="ratio target for n_min"),
-        _Opt("q-cap", "int", str(ub.MAX_UNIFORM_Q)),
+        _Opt("q-cap", "int", _MAX_UNIFORM_Q),
         _Opt("system", "choice:rationals,rationals-coprime,ford", "rationals"),
     ),
     "schmidt": (
@@ -397,6 +401,7 @@ def _run_critical_exponent(o):
 
 
 def _run_stage_scan(o):
+    from . import systems as sy
     stage = sy.per_point_stage(_parse_form(o["psi"]), o["k"])
     scan = sy.stage_measure_scan(sy.classical_rationals(), stage,
                                  o["n_lo"], o["n_hi"],
@@ -441,6 +446,8 @@ def _seeded_balls(count: int, min_measure: Fraction, seed: int):
 
 
 def _run_ubiquity(o):
+    from . import systems as sy
+    from . import ubiquity as ub
     systems = {
         "rationals": lambda: sy.classical_rationals(),
         "rationals-coprime": lambda: sy.classical_rationals(coprime_only=True),
@@ -479,6 +486,7 @@ def _run_ubiquity(o):
 
 
 def _run_schmidt(o):
+    from . import counting as ct
     psi = _parse_form(o["psi"])
     if o["samples"] < 1:
         raise UsageError("samples must be >= 1")
@@ -495,6 +503,7 @@ def _run_schmidt(o):
 
 
 def _run_cf(o):
+    from . import geodesics as geo
     exp = geo.cf_expand(o["x"], o["depth"])
     rows = []
     xv = o["x"]
@@ -520,6 +529,7 @@ def _direction(o):
 
 
 def _run_excursions(o):
+    from . import geodesics as geo
     direction = _direction(o)
     if o["step"] is not None:
         if o.get("x") is None:
@@ -545,6 +555,7 @@ def _run_excursions(o):
 
 
 def _run_loglaw(o):
+    from . import geodesics as geo
     direction = _direction(o)
     stat = geo.loglaw_statistic(direction, o["T"], alpha=o["alpha"])
     rows = []
@@ -567,6 +578,7 @@ def _bits(x: Fraction) -> int:
 
 
 def _run_horoballs(o):
+    from . import horoballs as hb
     try:
         a_txt, b_txt = o["base"].split(",")
         base = (Fraction(a_txt), Fraction(b_txt))
@@ -613,6 +625,7 @@ def _run_horoballs(o):
 
 
 def _run_disjointness(o):
+    from . import horoballs as hb
     rep = hb.disjointness_check(o["q_max"], o["identity_q_max"])
     row = {"q_max": rep.q_max, "points": rep.points, "pairs": rep.pairs,
            "tangent_pairs": rep.tangent_pairs,

@@ -19,6 +19,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,9 +27,13 @@ import numpy as np
 from limsuplab import functions as fn
 from limsuplab.errors import ResourceCapError, UsageError, size_text
 
-# count_R and schmidt_prediction hold about five float64 arrays of length
-# N: at N = 10^6 one count measured 0.05 s and 44 MB on 2 vCPUs
+# a (psi, N) grid is two float64 arrays of length N, built once; at
+# N = 10^6 the first count measured 0.02 s and 24 MB, each later one
+# 2.4 ms, on 2 vCPUs
 MAX_N = 1_000_000
+# count_R walks the grid in chunks: full-length scratch arrays were
+# page-faulted afresh on every sample, 4x the chunked time at N = 10^5
+_COUNT_CHUNK = 1 << 15
 # schmidt_experiment builds one job and one record per sample: 2000
 # samples at N = 10^5 measured 8.5 s serial on 2 vCPUs (ten times the
 # README's 200)
@@ -62,15 +67,21 @@ class SchmidtSummary:
     condition_ok: bool
 
 
-def _q_psi(psi: fn.FunctionForm, N: int) -> np.ndarray:
-    """q psi(q) for q = 1..N; refuses N outside [1, MAX_N] first."""
+# every sample of a schmidt run shares one (psi, N): schmidt_prediction
+# fills the entry before a pool forks, and the workers inherit it
+@lru_cache(maxsize=2)
+def _q_psi(psi: fn.FunctionForm, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float grid q = 1..N and q psi(q) on it, read-only; refuses N
+    outside [1, MAX_N] first."""
     if N < 1:
         raise UsageError("N must be >= 1")
     if N > MAX_N:
         raise ResourceCapError("counting horizon N=%s (cap %d)"
                                % (size_text(N), MAX_N))
     qs = np.arange(1, N + 1, dtype=np.float64)
-    return qs * fn.evaluate_array(psi, qs)
+    bound = qs * fn.evaluate_array(psi, qs)
+    qs.flags.writeable = bound.flags.writeable = False
+    return qs, bound
 
 
 def count_R(x, N: int, psi: fn.FunctionForm) -> int:
@@ -82,16 +93,21 @@ def count_R(x, N: int, psi: fn.FunctionForm) -> int:
     both neighbours give the same distance, so the rounding choice is
     immaterial).
     """
-    bound = _q_psi(psi, N)
+    qs, bound = _q_psi(psi, N)
     xf = float(x)
-    qs = np.arange(1, N + 1, dtype=np.float64)
-    dist = np.abs(qs * xf - np.rint(qs * xf))
-    return int(np.count_nonzero(dist < bound))
+    count = 0
+    for lo in range(0, len(qs), _COUNT_CHUNK):
+        qx = qs[lo:lo + _COUNT_CHUNK] * xf
+        dist = np.rint(qx)
+        np.subtract(qx, dist, out=dist)
+        np.abs(dist, out=dist)
+        count += int(np.count_nonzero(dist < bound[lo:lo + _COUNT_CHUNK]))
+    return count
 
 
 def schmidt_prediction(psi: fn.FunctionForm, N: int) -> SchmidtPrediction:
     """2 sum_{q<=N} q psi(q), with the multiplicity condition flagged."""
-    qpsi = _q_psi(psi, N)
+    _, qpsi = _q_psi(psi, N)
     bad = np.flatnonzero(2.0 * qpsi >= 1.0)
     return SchmidtPrediction(
         value=float(2.0 * qpsi.sum()),

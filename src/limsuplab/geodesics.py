@@ -67,8 +67,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 import warnings
 
-import numpy as np
-
 from limsuplab.errors import (
     InternalInvariantError,
     PrecisionExhausted,
@@ -235,6 +233,7 @@ def sample_quotients(seed: int, index: int, depth: int) -> Tuple[int, ...]:
     """
     if depth < 1:
         raise UsageError("depth must be >= 1, got %r" % (depth,))
+    import numpy as np
     bits = np.random.Philox(key=seed, counter=[0, 0, 1, index])
     u = np.random.Generator(bits).random(depth)
     c = np.exp2(1.0 - u)
@@ -615,6 +614,7 @@ def _grid_im(x: float, ts: List[float]) -> Optional[np.ndarray]:
     modulus of a point high in the cusp can overflow, to inf, as it does
     in the scalar path.
     """
+    import numpy as np
     u = np.array([math.exp(-t) for t in ts])
     u2 = u * u
     xx = x * x
@@ -670,6 +670,7 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
             % (T / step + 1, MAX_SAMPLES))
     n_samples = int(T / step) + 1
     data = _direction_data(Fraction(xf))
+    import numpy as np
 
     def pen_at(t: float) -> float:
         im = _reduced_im(geodesic_point(xf, t).z)
@@ -746,6 +747,7 @@ def _score_caps(orbit: _Orbit, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     score of excursion n from the state alone (module docstring), with a
     relative slack of 1e-12 over the rounding of either side: it uses
     numpy's log, which may be an ulp off libm."""
+    import numpy as np
     size = len(orbit.L)
     heights = 0.5 * (np.asarray(orbit.alpha[1:size + 1])
                      + np.frombuffer(orbit.xi, dtype=np.float64))
@@ -784,7 +786,7 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
 
     orbit = _orbit(_direction_data(direction), T)
     ns, caps = _score_caps(orbit, alpha)
-    order = np.argsort(-caps)
+    order = (-caps).argsort()
 
     best = 0.0 - alpha * math.e
     for n, cap in zip(ns[order].tolist(), caps[order].tolist()):

@@ -37,10 +37,10 @@ from limsuplab.errors import InternalInvariantError, ResourceCapError, UsageErro
 # 24-point `horoballs` run (R = 2^-26, lam = 1/4) bounds 5.03e7 bases and
 # took 3.5 s on 2 vCPUs, and each further halving of R doubles both
 MAX_COUNT_BASES = 64_000_000
-# disjointness_check sweeps 1024-row blocks of about four int64 arrays
-# of length |F_q_max|: 7.0 s and 697 MB peak RSS at q_max = 256 on 2
-# vCPUs.  Its Fraction identity layer is quadratic in |F_identity|: 5.2 s
-# and 38 MB at 40, already 10.5 s at 48.
+# disjointness_check sweeps 1024-row blocks of int64 arrays over the
+# columns right of each block: 1.8 s and 539 MB peak RSS at q_max = 256
+# on 2 vCPUs.  Its Fraction identity layer is quadratic in |F_identity|:
+# 5.2 s and 38 MB at 40, already 10.5 s at 48.
 MAX_DISJOINTNESS_Q = 256
 MAX_IDENTITY_Q = 40
 _ROW_BLOCK = 1024
@@ -216,16 +216,22 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
             q_max, identity_q_max, MAX_DISJOINTNESS_Q, MAX_IDENTITY_Q))
     nums, dens = farey.reduced_fractions(q_max)
     n = len(nums)
-    pairs = tangent = overlap = 0
+    pairs = n * (n - 1) // 2
+    tangent = overlap = 0
     for row0 in range(0, n, _ROW_BLOCK):
         row1 = min(row0 + _ROW_BLOCK, n)
-        det = (nums[row0:row1, None] * dens[None, :]
-               - dens[row0:row1, None] * nums[None, :])
-        keep = np.arange(row0, row1)[:, None] < np.arange(n)[None, :]
-        d2 = det * det
-        pairs += int(keep.sum())
-        tangent += int(np.count_nonzero((d2 == 1) & keep))
-        overlap += int(np.count_nonzero((d2 == 0) & keep))
+        # rows i in [row0, row1) against columns j > row0; only the
+        # leading square, where j <= i can occur, needs a mask
+        det = (nums[row0:row1, None] * dens[None, row0 + 1:]
+               - dens[row0:row1, None] * nums[None, row0 + 1:])
+        np.multiply(det, det, out=det)
+        width = row1 - row0 - 1
+        square, rest = det[:, :width], det[:, width:]
+        upper = np.arange(row0, row1)[:, None] < np.arange(row0 + 1, row1)
+        tangent += (int(np.count_nonzero((square == 1) & upper))
+                    + int(np.count_nonzero(rest == 1)))
+        overlap += (int(np.count_nonzero((square == 0) & upper))
+                    + int(np.count_nonzero(rest == 0)))
     if overlap:
         raise InternalInvariantError(
             "%d overlapping Ford pairs at q_max=%d" % (overlap, q_max))

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -55,12 +54,12 @@ from limsuplab.errors import ResourceCapError, UsageError, size_text
 FULL_SWEEP_CAP = 32_000_000
 SUBSET_SWEEP_CAP = 64_000_000
 _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
-# a stage scan holds about 96 bytes per denominator up to its q_hi: the
-# plan's and the per-q bound's int64/float64 arrays, and a totient sieve
-# (int64 phi, int32 scratch, int64 cumsum) padded up to twice that
-# length (a q^-3 scan with subset_cap=0 peaked at 86 bytes per q above
-# the interpreter at q_hi = 2^22 + 1).  The byte budget admits q_hi up
-# to about 2.2e7, well inside farey.MAX_SIEVE.
+# a stage scan holds at most 96 bytes per denominator up to its q_hi:
+# the plan's and the per-q bound's int64/float64 arrays, and one totient
+# sieve (int64 phi, int32 scratch, int64 cumsum) of exactly that length
+# (a q^-3 scan with subset_cap=0 peaked at 75 bytes per q above the
+# interpreter at q_hi = 2^22 and at 2^22 + 1).  The byte budget admits
+# q_hi up to about 2.2e7, well inside farey.MAX_SIEVE.
 _STAGE_BYTES_PER_Q = 96
 MAX_STAGE_BYTES = 1 << 31
 # an exact stage weight k^n is formed only up to this many bits
@@ -127,15 +126,20 @@ class ResonantSystem:
                 "denominator cap %s" % (what, log2_weight, size_text(cap)))
         return self.q_interval(Fraction(0), k ** n)[1]
 
-    def count_window(self, w_lo: Fraction, w_hi: Fraction) -> int:
-        """Exact number of (point, weight) pairs with weight in (w_lo, w_hi]."""
+    def count_window(self, w_lo: Fraction, w_hi: Fraction,
+                     cum: Optional[np.ndarray] = None) -> int:
+        """Exact number of (point, weight) pairs with weight in (w_lo, w_hi].
+
+        ``cum`` is a totient prefix sum reaching the window's largest
+        denominator; without it one is sieved for this call."""
         q_lo, q_hi = self.q_interval(w_lo, w_hi)
         if q_lo > q_hi:
             return 0
         if self.kind is SystemKind.RATIONALS and not self.coprime_only:
             m = q_hi - q_lo + 1
             return m * (q_lo + q_hi + 2) // 2  # sum of (q + 1)
-        cum = _totient_cumsum(q_hi)
+        if cum is None:
+            cum = _totient_cumsum(q_hi)
         total = int(cum[q_hi] - cum[q_lo - 1])
         if q_lo <= 1 <= q_hi:
             total += 1  # 0/1 alongside 1/1
@@ -152,16 +156,8 @@ def ford_horoballs() -> ResonantSystem:
 
 
 def _totient_cumsum(limit: int) -> np.ndarray:
-    # pad to a power of two so one sieve serves a whole range of stages,
-    # but not past the sieve cap; a limit above the cap reaches the
-    # sieve unpadded, which refuses it
-    padded = min(1 << max(limit - 1, 1).bit_length(), farey.MAX_SIEVE)
-    return _totient_cumsum_padded(max(padded, limit))
-
-
-@lru_cache(maxsize=4)
-def _totient_cumsum_padded(padded: int) -> np.ndarray:
-    return np.cumsum(farey.totient_sieve(padded))
+    """phi(0) + ... + phi(q) for q = 0..limit."""
+    return np.cumsum(farey.totient_sieve(limit))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +354,11 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
     return min(1.0, float(per_q.sum()) + slack)
 
 
-def _reduced_ball_counts(b_vals: np.ndarray) -> np.ndarray:
-    """phi(b) per selected denominator (with both endpoints at b=1)."""
+def _reduced_ball_counts(b_vals: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """phi(b) per selected denominator (with both endpoints at b=1), from
+    a totient prefix sum reaching b_vals[-1]."""
     if len(b_vals) == 0:
         return np.zeros(0, dtype=np.int64)
-    cum = _totient_cumsum(int(b_vals[-1]))
     counts = cum[b_vals] - cum[b_vals - 1]
     if b_vals[0] == 1:
         counts = counts.copy()
@@ -370,15 +366,17 @@ def _reduced_ball_counts(b_vals: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _truncate_plan(b_vals: np.ndarray, radii: np.ndarray, cap: int):
-    """Smallest-denominator prefix whose reduced-ball count fits cap.
+def _truncate_plan(b_vals: np.ndarray, radii: np.ndarray,
+                   counts: np.ndarray, cap: int):
+    """Smallest-denominator prefix whose reduced-ball count fits cap;
+    counts holds the plan's reduced balls per denominator.
 
     Small denominators carry the largest radii in every stage plan, so
     the prefix is the mass-greedy choice for a union lower bound.
     """
     if len(b_vals) == 0:
         return b_vals, radii
-    running = np.cumsum(_reduced_ball_counts(b_vals))
+    running = np.cumsum(counts)
     idx = int(np.searchsorted(running, cap, side="right"))
     return b_vals[:idx], radii[:idx]
 
@@ -407,11 +405,13 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
             "%s needs about %d MB for denominators up to %d (budget %d MB)"
             % (what, _STAGE_BYTES_PER_Q * q_top >> 20, q_top,
                MAX_STAGE_BYTES >> 20))
+    # one totient prefix sum serves every stage of the range
+    cum = _totient_cumsum(q_top)
     records = []
     for n in range(n_lo, n_hi + 1):
-        pairs = system.count_window(*stage.window(n))
+        pairs = system.count_window(*stage.window(n), cum=cum)
         b_vals, radii = _stage_ball_plan(system, stage, n)
-        counts = _reduced_ball_counts(b_vals)
+        counts = _reduced_ball_counts(b_vals, cum)
         count = int(counts.sum())
         if count == 0:
             records.append(StageMeasure(n, 0, pairs, 0.0, 0.0, 0.0,
@@ -424,7 +424,7 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
                 n, count, pairs, 0.0, upper, None, "per-q-upper", True))
             continue
         if not full:
-            b_vals, radii = _truncate_plan(b_vals, radii, subset_cap)
+            b_vals, radii = _truncate_plan(b_vals, radii, counts, subset_cap)
         value, swept = _cell_sweep(b_vals, radii)
         budget = farey.union_length_error_budget(swept)
         lower = max(0.0, value - budget)

@@ -198,6 +198,27 @@ def count_R_exact(x: Fraction, N: int, psi: fn.FunctionForm) -> int:
     return count
 
 
+def count_R_float(x, N: int, psi: fn.FunctionForm) -> int:
+    """counting.count_R as one uncached call: a fresh q-grid and q psi(q)
+    bound, then the same float operations on them."""
+    qs = np.arange(1, N + 1, dtype=np.float64)
+    bound = qs * fn.evaluate_array(psi, qs)
+    xf = float(x)
+    dist = np.abs(qs * xf - np.rint(qs * xf))
+    return int(np.count_nonzero(dist < bound))
+
+
+def full_square_pair_counts(nums, dens):
+    """(pairs, tangent, overlap) over the pairs i < j of the circles at
+    nums/dens, read off the whole n x n determinant block: the square
+    that horoballs.disjointness_check cuts down to its upper triangle."""
+    n = len(nums)
+    det = nums[:, None] * dens[None, :] - dens[:, None] * nums[None, :]
+    keep = np.arange(n)[:, None] < np.arange(n)[None, :]
+    return (int(keep.sum()), int(np.count_nonzero((np.abs(det) == 1) & keep)),
+            int(np.count_nonzero((det == 0) & keep)))
+
+
 def cf_expansion(x: Fraction, depth: int):
     """(quotients, p, q, terminated) of an exact x in (0, 1): Euclid with
     separate // and %, and the convergents read back off the lists."""

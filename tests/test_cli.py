@@ -5,6 +5,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -318,6 +320,56 @@ class TestConfigMerging:
             ["cf", "--x", "1/3", "--config", str(tmp_path / "nope.ini")],
             capsys)
         assert code == 1
+
+
+# runs numpy-free commands in a fresh interpreter, then names every
+# module of the contract that got loaded
+IMPORT_PROBE = """
+import sys
+from limsuplab import cli
+for argv in %r:
+    assert cli.main(argv + ["--output", %r]) == 0, argv
+print("loaded:", *(m for m in ("numpy", "concurrent.futures")
+                   if m in sys.modules))
+"""
+
+
+class TestImportOnUse:
+    def test_symbolic_and_exact_cf_commands_load_no_numpy(self, tmp_path):
+        argvs = [["classify", "--series", "r^1 * (r^-2)"],
+                 ["critical-exponent", "--psi", "r^-3", "--weight", "1"],
+                 ["cf", "--x", "37/100"],
+                 ["excursions", "--x", "37/100", "--T", "25"],
+                 ["excursions", "--quotients", GOLDEN_CHAIN, "--T", "40"]]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        probe = IMPORT_PROBE % (argvs, str(tmp_path / "o.csv"))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "loaded:"
+
+    def test_cap_defaults_pinned_to_their_layers(self):
+        assert cli._FULL_SWEEP_CAP == str(sy.FULL_SWEEP_CAP)
+        assert cli._SUBSET_SWEEP_CAP == str(sy.SUBSET_SWEEP_CAP)
+        assert cli._MAX_UNIFORM_Q == str(ub.MAX_UNIFORM_Q)
+
+    @pytest.mark.parametrize("argv,echo", [
+        (["stage-scan", "--psi", "r^-3", "--k", "2", "--n-lo", "1",
+          "--n-hi", "3"], ("full_cap=32000000", "subset_cap=64000000")),
+        (["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo", "1",
+          "--n-hi", "2", "--balls", "2"], ("q_cap=8192",)),
+    ])
+    def test_artifacts_echo_cap_defaults(self, tmp_path, capsys, argv, echo):
+        out = tmp_path / "a.csv"
+        code, _, _ = run_main(argv + ["--output", str(out)], capsys)
+        assert code == 0
+        config = out.read_text().splitlines()[1].split()
+        for item in echo:
+            assert item in config
 
 
 class TestArtifacts:

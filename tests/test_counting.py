@@ -14,7 +14,7 @@ import limsuplab.functions as fn
 from limsuplab.counting import (CountRecord, count_R, sample_x,
                                 schmidt_experiment, schmidt_prediction)
 from limsuplab.errors import UsageError
-from oracles import count_R_exact
+from oracles import count_R_exact, count_R_float
 
 PSI_QUARTER = fn.approximating(Fraction(1, 4), -1)   # 1/(4q)
 PSI_CUBE = fn.approximating(1, -3)                   # q^-3
@@ -138,6 +138,60 @@ def test_golden_hits_are_convergent_denominators():
     assert hit_qs, "threshold above 1/sqrt(5) must admit hits"
     assert hit_qs <= fib
     assert count_R(x, N, psi) == len(hit_qs)
+
+
+# -- the cached q-grid ------------------------------------------------------
+
+GRID_FORMS = [PSI_QUARTER, PSI_CUBE, PSI_SQUARE,
+              fn.approximating(Fraction(1, 3), -1),
+              fn.approximating(Fraction(2, 7), Fraction(-3, 2))]
+
+
+# each example interleaves several (psi, N) pairs, more than the cache
+# holds, so a stale or evicted entry answering for another pair shows
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       grids=st.lists(st.tuples(st.sampled_from(GRID_FORMS),
+                                st.integers(1, 3000)),
+                      min_size=1, max_size=4))
+@example(xs=[0.37123, 0.5], grids=[(PSI_QUARTER, 70_001),
+                                   (PSI_CUBE, 2 * counting._COUNT_CHUNK)])
+@example(xs=[0.25, 0.61], grids=[(PSI_QUARTER, 500), (PSI_CUBE, 500),
+                                 (PSI_QUARTER, 501)])
+def test_count_matches_uncached_formula(xs, grids):
+    for x in xs:
+        for psi, N in grids:
+            assert count_R(x, N, psi) == count_R_float(x, N, psi), (x, psi, N)
+
+
+def test_count_chunks_cover_the_grid(monkeypatch):
+    for chunk in (1, 7, 999, 1000):
+        monkeypatch.setattr(counting, "_COUNT_CHUNK", chunk)
+        for x in (0.0, 0.5, 0.37123, 0.9):
+            assert count_R(x, 1000, PSI_SQUARE) == \
+                count_R_float(x, 1000, PSI_SQUARE), (chunk, x)
+
+
+def test_cached_grid_is_read_only():
+    for arr in counting._q_psi(PSI_QUARTER, 500):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # a later count still sees the original grid
+    assert count_R(0.5, 500, PSI_QUARTER) == 250
+
+
+def test_pool_rows_match_serial_from_a_cold_cache():
+    # the pool's workers inherit the grid that schmidt_prediction filled
+    runs = {}
+    for workers in (2, 1):
+        counting._q_psi.cache_clear()
+        schmidt_experiment(PSI_CUBE, 700, 3, seed=1)  # another entry first
+        runs[workers] = schmidt_experiment(PSI_QUARTER, 2500, 9, seed=3,
+                                           workers=workers).records
+    assert runs[2] == runs[1]
+    assert all(r.count == count_R_float(r.x, 2500, PSI_QUARTER)
+               for r in runs[1])
 
 
 # -- schmidt_prediction ----------------------------------------------------

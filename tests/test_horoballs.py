@@ -5,12 +5,13 @@ sweep."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import limsuplab.farey as farey
 import limsuplab.horoballs as hb
 from limsuplab.errors import InternalInvariantError, ResourceCapError, UsageError
-from oracles import ball_at, enumerate_horoballs
+from oracles import ball_at, enumerate_horoballs, full_square_pair_counts
 
 HALF = Fraction(1, 2)
 
@@ -177,6 +178,37 @@ def test_disjointness_tangency_matches_farey_adjacency():
     rep = hb.disjointness_check(30, identity_q_max=30)
     assert rep.tangent_pairs == 2 * rep.points - 3
     assert rep.tangent_pairs >= len(nums) - 1
+
+
+@pytest.mark.parametrize("block,q_maxes", [
+    (hb._ROW_BLOCK, range(2, 61)),
+    # blocks much smaller than |F_q| put many row blocks and their
+    # leading squares inside each sweep
+    (1, (2, 3, 9)), (7, (2, 3, 9, 25, 60)), (64, (25, 60)),
+])
+def test_disjointness_counts_match_full_square(monkeypatch, block, q_maxes):
+    monkeypatch.setattr(hb, "_ROW_BLOCK", block)
+    for q_max in q_maxes:
+        nums, dens = farey.reduced_fractions(q_max)
+        pairs, tangent, overlap = full_square_pair_counts(nums, dens)
+        rep = hb.disjointness_check(q_max, identity_q_max=1)
+        assert (rep.pairs, rep.tangent_pairs, rep.overlap_pairs) == \
+            (pairs, tangent, overlap), (block, q_max)
+
+
+@pytest.mark.parametrize("block", [3, hb._ROW_BLOCK])
+def test_disjointness_overlap_count_matches_full_square(monkeypatch, block):
+    # forged points: 1/2 twice and the unreduced 2/4 overlap pairwise
+    nums, dens = farey.reduced_fractions(12)
+    half = int(np.flatnonzero((nums == 1) & (dens == 2))[0])
+    nums = np.insert(nums, [half, half], [1, 2])
+    dens = np.insert(dens, [half, half], [2, 4])
+    _, _, overlap = full_square_pair_counts(nums, dens)
+    assert overlap == 3
+    monkeypatch.setattr(hb, "_ROW_BLOCK", block)
+    monkeypatch.setattr(farey, "reduced_fractions", lambda q: (nums, dens))
+    with pytest.raises(InternalInvariantError, match="^3 overlapping"):
+        hb.disjointness_check(12, identity_q_max=1)
 
 
 def test_disjointness_rejects_tiny_qmax():
