@@ -498,7 +498,8 @@ def _run_schmidt(o):
     summary = ("mean ratio %.6f, stddev %.6f over %d samples (N=%d%s)"
                % (result.mean_ratio, result.stddev, len(result.records),
                   o["N"], "" if result.condition_ok
-                  else "; monotonicity condition violated"))
+                  else "; multiplicity condition 2 q psi(q) < 1 fails at "
+                  "q = %d" % result.first_violation))
     return ("index", "x", "count", "prediction", "ratio"), rows, summary
 
 

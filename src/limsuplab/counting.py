@@ -64,7 +64,11 @@ class SchmidtSummary:
     mean_ratio: float
     stddev: float
     records: tuple[CountRecord, ...]
-    condition_ok: bool
+    first_violation: Optional[int]      # first q with 2 q psi(q) >= 1
+
+    @property
+    def condition_ok(self) -> bool:
+        return self.first_violation is None
 
 
 # every sample of a schmidt run shares one (psi, N): schmidt_prediction
@@ -161,4 +165,5 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
     var = (sum((r - mean) ** 2 for r in ratios) / len(ratios)
            if ratios else float("nan"))
     return SchmidtSummary(psi, N, seed, mean, math.sqrt(var) if ratios
-                          else float("nan"), tuple(records), pred.condition_ok)
+                          else float("nan"), tuple(records),
+                          pred.first_violation)

@@ -339,21 +339,6 @@ def reduce_to_fundamental(z: complex) -> Tuple[complex, Word]:
     return w, word
 
 
-def _reduced_im(z: complex) -> float:
-    """Im of the reduced point, without tracking the word."""
-    w = z
-    for _ in range(_REDUCE_CAP):
-        m = math.floor(w.real + 0.5)
-        if m:
-            w = complex(w.real - m, w.imag)
-        if w.real * w.real + w.imag * w.imag < 1.0:
-            w = -1.0 / w
-        else:
-            return w.imag
-    raise PrecisionExhausted(
-        "fundamental-domain reduction did not settle within %d steps" % (_REDUCE_CAP,))
-
-
 # ---------------------------------------------------------------------------
 # excursions, exactly from the convergents
 
@@ -603,16 +588,16 @@ def _grid_im(x: float, ts: List[float]) -> Optional[np.ndarray]:
 
     Each sample goes through the scalar path's own operations in the
     same order: libm exp for u, the closed form of geodesic_point, and
-    the reduction of _reduced_im.  The inversion w -> -1/w is CPython's
-    complex division (Smith's method) with numerator -1 + 0j, written
-    out: for |Re w| >= |Im w|, ratio = Im/Re, denom = Re + Im ratio and
-    -1/w = (-1 + i ratio)/denom; otherwise ratio = Re/Im, denom =
-    Re ratio + Im and -1/w = (-ratio + i)/denom.  (The dropped terms are
-    0 * ratio, exact; only the sign of a zero real part can differ, and
-    no later step reads it.)  Above _GRID_MIN_IM every coordinate stays
-    finite (Im only grows, and |-1/w| <= 1/Im w); only the squared
-    modulus of a point high in the cusp can overflow, to inf, as it does
-    in the scalar path.
+    the loop of reduce_to_fundamental.  The inversion w -> -1/w is
+    CPython's complex division (Smith's method) with numerator -1 + 0j,
+    written out: for |Re w| >= |Im w|, ratio = Im/Re, denom = Re + Im
+    ratio and -1/w = (-1 + i ratio)/denom; otherwise ratio = Re/Im,
+    denom = Re ratio + Im and -1/w = (-ratio + i)/denom.  (The dropped
+    terms are 0 * ratio, exact; only the sign of a zero real part can
+    differ, and no later step reads it.)  Above _GRID_MIN_IM every
+    coordinate stays finite (Im only grows, and |-1/w| <= 1/Im w); only
+    the squared modulus of a point high in the cusp can overflow, to
+    inf, as it does in the scalar path.
     """
     import numpy as np
     u = np.array([math.exp(-t) for t in ts])
@@ -673,7 +658,7 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
     import numpy as np
 
     def pen_at(t: float) -> float:
-        im = _reduced_im(geodesic_point(xf, t).z)
+        im = reduce_to_fundamental(geodesic_point(xf, t).z)[0].imag
         return math.log(im) if im > 1.0 else 0.0
 
     ts = (np.arange(n_samples) * step).tolist()

@@ -7,8 +7,8 @@ radius window [r_lo, r_hi) is the weight window (1/r_hi, 1/r_lo] of the
 Ford system, so q_window hands it to `systems.ford_horoballs()`, whose
 isqrt translation to an integer q-range is the one copy of that
 algebra.  Base windows are half-open [lo, hi), so each circle on the
-unit circle is counted once, and the disjointness sweep runs in integer
-arithmetic throughout.
+unit circle is counted once, and the disjointness sweep and its identity
+layer run in int64 arithmetic throughout.
 
 Disjointness rests on one polynomial identity.  With d = p/q - p'/q',
 r = 1/(2q^2), r' = 1/(2q'^2) and D = p q' - p' q:
@@ -17,7 +17,11 @@ r = 1/(2q^2), r' = 1/(2q'^2) and D = p q' - p' q:
 
 so two distinct circles overlap iff D = 0 (impossible for reduced
 fractions), are tangent iff |D| = 1, and otherwise have a positive gap
-(D^2 - 1)/(q q')^2 between them.
+(D^2 - 1)/(q q')^2 between them (Ford, "Fractions", Amer. Math. Monthly
+45, 1938).  Scaled by S = 4 q^4 q'^4 every term is an integer:
+
+    S |c - c'|^2 = 4 q^2 q'^2 D^2 + (q'^2 - q^2)^2
+    S (r + r')^2 = (q'^2 + q^2)^2
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from limsuplab.errors import InternalInvariantError, ResourceCapError, UsageErro
 MAX_COUNT_BASES = 64_000_000
 # disjointness_check sweeps 1024-row blocks of int64 arrays over the
 # columns right of each block: 1.8 s and 539 MB peak RSS at q_max = 256
-# on 2 vCPUs.  Its Fraction identity layer is quadratic in |F_identity|:
-# 5.2 s and 38 MB at 40, already 10.5 s at 48.
+# on 2 vCPUs.  Its identity layer forms S |c - c'|^2 < 4 q^8 in int64
+# for every pair of F_identity, exact while 4 q^8 < 2^63 (q <= 197).
 MAX_DISJOINTNESS_Q = 256
 MAX_IDENTITY_Q = 40
 _ROW_BLOCK = 1024
@@ -152,34 +156,7 @@ def horoball_count_ratio(base_window: tuple, R, lam) -> CountReport:
     return CountReport(R, lam, (b_lo, b_hi), q_min, q_max, count, ratio)
 
 
-# -- exact pairwise geometry ----------------------------------------------
-
-@dataclass(frozen=True)
-class PairRelation:
-    det: int            # p q' - p' q
-    tangent: bool
-    gap: Fraction       # d^2 - (r + r')^2 + (r - r')^2, exactly
-
-
-def pair_relation(p: int, q: int, p2: int, q2: int) -> PairRelation:
-    """Exact relation between the circles at p/q and p2/q2, via Fractions.
-
-    Recomputes the center-distance identity from scratch (no shortcut
-    through the determinant) so it can serve as the independent witness
-    for the integer sweep.
-    """
-    for pp, qq in ((p, q), (p2, q2)):
-        if qq < 1 or math.gcd(pp, qq) != 1:
-            raise UsageError("bases must be reduced fractions")
-    d = Fraction(p, q) - Fraction(p2, q2)
-    r, r2 = Fraction(1, 2 * q * q), Fraction(1, 2 * q2 * q2)
-    gap = d * d - (r + r2) ** 2 + (r - r2) ** 2
-    det = p * q2 - p2 * q
-    if gap != Fraction(det * det - 1, (q * q2) ** 2):
-        raise InternalInvariantError(
-            "center-distance identity failed at %d/%d vs %d/%d" % (p, q, p2, q2))
-    return PairRelation(det, det * det == 1, gap)
-
+# -- disjointness ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class DisjointnessReport:
@@ -196,17 +173,32 @@ class DisjointnessReport:
         return self.overlap_pairs == 0
 
 
+def _identity_gaps(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """S (|c - c'|^2 - (r + r')^2), S = 4 q^4 q'^4, for every pair i < j
+    of the circles at nums/dens, in int64 (row-major over the upper
+    triangle; exact for denominators up to MAX_IDENTITY_Q).  Raises
+    InternalInvariantError where it differs from 4 q^2 q'^2 (D^2 - 1)."""
+    i, j = np.triu_indices(len(nums), 1)
+    qq, qq2 = dens[i] * dens[i], dens[j] * dens[j]
+    det = nums[i] * dens[j] - nums[j] * dens[i]
+    cross = 4 * qq * qq2
+    gaps = cross * det * det + (qq2 - qq) ** 2 - (qq2 + qq) ** 2
+    if not np.array_equal(gaps, cross * (det * det - 1)):
+        raise InternalInvariantError("center-distance identity failed")
+    return gaps
+
+
 def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessReport:
     """Verify, over every pair of distinct reduced fractions in [0, 1]
     with denominators <= q_max, that the Ford circle interiors are
     disjoint and that tangency happens exactly at |p q' - p' q| = 1.
 
-    The sweep is pure integer arithmetic (products bounded by q_max^2,
-    far inside int64).  On top of it, every pair with denominators
-    <= identity_q_max is re-derived through exact Fractions in
-    pair_relation, so the two layers confirm each other.  Refuses, before
-    allocating, q_max above MAX_DISJOINTNESS_Q and an identity layer
-    above MAX_IDENTITY_Q.
+    The sweep counts D = p q' - p' q per pair (products bounded by
+    q_max^2, far inside int64).  On top of it, every pair with
+    denominators <= identity_q_max is re-derived through the scaled
+    center-distance identity of the module docstring, so the two layers
+    confirm each other.  Refuses, before allocating, q_max above
+    MAX_DISJOINTNESS_Q and an identity layer above MAX_IDENTITY_Q.
     """
     if q_max < 2 or identity_q_max < 1:
         raise UsageError("need q_max >= 2 and identity_q_max >= 1")
@@ -236,15 +228,10 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
         raise InternalInvariantError(
             "%d overlapping Ford pairs at q_max=%d" % (overlap, q_max))
 
-    id_nums, id_dens = farey.reduced_fractions(identity_q_max)
-    m = len(id_nums)
-    identity_pairs = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            rel = pair_relation(int(id_nums[i]), int(id_dens[i]),
-                                int(id_nums[j]), int(id_dens[j]))
-            if rel.gap < 0:
-                raise InternalInvariantError("negative gap in exact layer")
-            identity_pairs += 1
+    # F_identity_q_max, in order, is the sweep's points of small denominator
+    layer = dens <= identity_q_max
+    gaps = _identity_gaps(nums[layer], dens[layer])
+    if gaps.min() < 0:
+        raise InternalInvariantError("negative gap in exact layer")
     return DisjointnessReport(q_max, n, pairs, tangent, 0, identity_q_max,
-                              identity_pairs)
+                              len(gaps))

@@ -391,12 +391,20 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     truncated subfamily (lower bound) plus per-denominator sums (upper
     bound), flagged truncated.  Setting subset_cap to 0 skips sweeping
     for oversized stages entirely and reports the trivial lower bound 0
-    with the certified upper bound.  Raises ResourceCapError, before any
-    stage is computed, when the last stage's arrays and totient sieve,
-    all as long as its denominator range, would pass MAX_STAGE_BYTES.
+    with the certified upper bound.  The caps can only be lowered: a
+    full_cap above FULL_SWEEP_CAP or a subset_cap above SUBSET_SWEEP_CAP
+    is a UsageError.  Raises ResourceCapError, before any stage is
+    computed, when the last stage's arrays and totient sieve, all as
+    long as its denominator range, would pass MAX_STAGE_BYTES.
     """
     if n_hi < n_lo:
         raise UsageError("empty stage range")
+    # the cell sweep's own arrays are outside the byte budget below
+    for name, cap, top in (("full", full_cap, FULL_SWEEP_CAP),
+                           ("subset", subset_cap, SUBSET_SWEEP_CAP)):
+        if cap > top:
+            raise UsageError("%s sweep cap %s above %d; the cap can only "
+                             "be lowered" % (name, size_text(cap), top))
     # windows grow with n, so the last stage has the largest q_hi
     what = "stage %s" % size_text(n_hi)
     q_top = system.stage_q_top(stage.k, n_hi, farey.MAX_SIEVE, what)

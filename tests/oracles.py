@@ -20,7 +20,8 @@ import numpy as np
 import limsuplab.functions as fn
 import limsuplab.geodesics as geo
 import limsuplab.systems as sy
-from limsuplab.errors import PrecisionExhausted, ResourceCapError, UsageError
+from limsuplab.errors import (InternalInvariantError, PrecisionExhausted,
+                              ResourceCapError, UsageError)
 
 DEFAULT_BALL_CAP = 2_000_000
 
@@ -219,6 +220,34 @@ def full_square_pair_counts(nums, dens):
             int(np.count_nonzero((det == 0) & keep)))
 
 
+@dataclass(frozen=True)
+class PairRelation:
+    det: int            # p q' - p' q
+    tangent: bool
+    gap: Fraction       # d^2 - (r + r')^2 + (r - r')^2, exactly
+
+
+def pair_relation(p: int, q: int, p2: int, q2: int) -> PairRelation:
+    """Exact relation between the circles at p/q and p2/q2, via Fractions.
+
+    Recomputes the center-distance identity from scratch (no shortcut
+    through the determinant): the witness for the int64 identity layer
+    of horoballs.disjointness_check, whose scaled gap is
+    4 q^4 q2^4 times this one.
+    """
+    for pp, qq in ((p, q), (p2, q2)):
+        if qq < 1 or math.gcd(pp, qq) != 1:
+            raise UsageError("bases must be reduced fractions")
+    d = Fraction(p, q) - Fraction(p2, q2)
+    r, r2 = Fraction(1, 2 * q * q), Fraction(1, 2 * q2 * q2)
+    gap = d * d - (r + r2) ** 2 + (r - r2) ** 2
+    det = p * q2 - p2 * q
+    if gap != Fraction(det * det - 1, (q * q2) ** 2):
+        raise InternalInvariantError("center-distance identity failed at "
+                                     "%d/%d vs %d/%d" % (p, q, p2, q2))
+    return PairRelation(det, det * det == 1, gap)
+
+
 def cf_expansion(x: Fraction, depth: int):
     """(quotients, p, q, terminated) of an exact x in (0, 1): Euclid with
     separate // and %, and the convergents read back off the lists."""
@@ -339,7 +368,7 @@ def sampled_excursions(x: float, T: float, step: float):
         geo._direction_data(Fraction(x)).quots)
 
     def pen_at(t):
-        im = geo._reduced_im(geo.geodesic_point(x, t).z)
+        im = geo.reduce_to_fundamental(geo.geodesic_point(x, t).z)[0].imag
         return math.log(im) if im > 1.0 else 0.0
 
     ts = [j * step for j in range(int(T / step) + 1)]

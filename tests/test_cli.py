@@ -54,6 +54,22 @@ class TestSummaries:
         assert code == 0
         assert out == "Convergent ⇒ Khintchine convergence case: null set"
 
+    @pytest.mark.parametrize("psi,N,tail", [
+        ("(1/4) * r^-1", "50", "(N=50)"),           # 2 q psi(q) = 1/2
+        ("r^-3", "5", "(N=5; multiplicity condition 2 q psi(q) < 1 "
+         "fails at q = 1)"),
+        ("(1/1000) * r^2", "20", "(N=20; multiplicity condition "
+         "2 q psi(q) < 1 fails at q = 8)"),        # q^3 >= 500 from q = 8
+    ])
+    def test_schmidt_names_the_multiplicity_condition(self, tmp_path, capsys,
+                                                       psi, N, tail):
+        code, out, _ = run_main(
+            ["schmidt", "--psi", psi, "--N", N, "--samples", "3",
+             "--workers", "1", "--output", str(tmp_path / "s.csv")], capsys)
+        assert code == 0
+        assert out.startswith("mean ratio ") and out.endswith(
+            " over 3 samples " + tail)
+
     def test_classify_gauge_discrimination(self, tmp_path, capsys):
         # same gauge, psi exponent moved from -3(1+0.1)/2 to -3(1+0.2)/2
         gauge = "r^(2/3) * log(1/r)^(1/10)"
@@ -264,6 +280,23 @@ class TestExitStatuses:
                                        str(tmp_path / "r.csv")], capsys)
         assert got == code and "Traceback" not in err
         assert err.startswith("resource cap:" if code == 2 else "error:")
+
+    @pytest.mark.parametrize("option,cap", [
+        ("--full-cap", sy.FULL_SWEEP_CAP),
+        ("--subset-cap", sy.SUBSET_SWEEP_CAP),
+    ])
+    def test_stage_scan_caps_can_only_be_lowered(self, tmp_path, capsys,
+                                                 monkeypatch, option, cap):
+        def no_sieve(*args):
+            raise AssertionError("sieved past a refused cap")
+        monkeypatch.setattr(farey, "totient_sieve", no_sieve)
+        code, _, err = run_main(
+            ["stage-scan", "--psi", "r^-2", "--k", "2", "--n-lo", "1",
+             "--n-hi", "20", option, str(cap + 1),
+             "--output", str(tmp_path / "s.csv")], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "can only be lowered" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_precision_exhausted_is_2(self, tmp_path, capsys):
         code, _, _ = run_main(

@@ -653,7 +653,8 @@ def test_grid_im_matches_scalar_reduction():
     for x in (GOLDEN, 0.37, 1e-9, 1.0 - 2 ** -40, float(rng.random())):
         ts = sorted(rng.uniform(0.0, 30.0, 3000).tolist()) + [0.0, 600.0]
         got = geo._grid_im(x, ts)
-        want = [geo._reduced_im(geodesic_point(x, t).z) for t in ts]
+        want = [reduce_to_fundamental(geodesic_point(x, t).z)[0].imag
+                for t in ts]
         assert got.tolist() == want
     # heights below 1e-300 go to the scalar path (at x = 5e-324, t = 737
     # both coordinates are tiny and -1/w would overflow)

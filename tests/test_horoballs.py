@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import limsuplab.farey as farey
 import limsuplab.horoballs as hb
 from limsuplab.errors import InternalInvariantError, ResourceCapError, UsageError
-from oracles import ball_at, enumerate_horoballs, full_square_pair_counts
+from oracles import (ball_at, enumerate_horoballs, full_square_pair_counts,
+                     pair_relation)
 
 HALF = Fraction(1, 2)
 
@@ -147,15 +149,63 @@ def test_ratio_validation():
 # -- disjointness ------------------------------------------------------------
 
 def test_pair_relation_examples():
-    assert hb.pair_relation(1, 2, 1, 3).tangent
-    assert hb.pair_relation(0, 1, 1, 1).tangent
-    rel = hb.pair_relation(1, 3, 2, 3)
+    assert pair_relation(1, 2, 1, 3).tangent
+    assert pair_relation(0, 1, 1, 1).tangent
+    rel = pair_relation(1, 3, 2, 3)
     assert not rel.tangent and rel.gap == Fraction(8, 81)
 
 
 def test_pair_relation_rejects_unreduced():
     with pytest.raises(UsageError):
-        hb.pair_relation(2, 4, 1, 3)
+        pair_relation(2, 4, 1, 3)
+
+
+def _scaled_oracle_gap(p, q, p2, q2):
+    return 4 * q ** 4 * q2 ** 4 * pair_relation(p, q, p2, q2).gap
+
+
+def test_identity_gaps_match_fraction_oracle_on_f16():
+    nums, dens = farey.reduced_fractions(16)
+    gaps = hb._identity_gaps(nums, dens)
+    i, j = np.triu_indices(len(nums), 1)
+    assert len(gaps) == 3240
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        assert gaps[k] == _scaled_oracle_gap(int(nums[a]), int(dens[a]),
+                                             int(nums[b]), int(dens[b]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(q=st.integers(1, hb.MAX_IDENTITY_Q),
+       q2=st.integers(1, hb.MAX_IDENTITY_Q), data=st.data())
+def test_identity_gaps_match_fraction_oracle_drawn(q, q2, data):
+    p = data.draw(st.integers(0, q))
+    p2 = data.draw(st.integers(0, q2))
+    assume(math.gcd(p, q) == 1 == math.gcd(p2, q2) and (p, q) != (p2, q2))
+    gaps = hb._identity_gaps(np.array([p, p2]), np.array([q, q2]))
+    assert gaps.tolist() == [_scaled_oracle_gap(p, q, p2, q2)]
+
+
+def test_identity_layer_int64_headroom():
+    # S |c - c'|^2 = 4 q^2 q'^2 D^2 + (q'^2 - q^2)^2 < 4 q^8 with |D| < q q'
+    # (both bases in [0, 1]); every other term of the layer is smaller
+    assert 4 * hb.MAX_IDENTITY_Q ** 8 < 2 ** 63
+    assert 4 * 197 ** 8 < 2 ** 63 <= 4 * 198 ** 8
+
+
+def test_identity_layer_is_the_sweeps_small_denominators(monkeypatch):
+    nums, dens = farey.reduced_fractions(200)
+    layer = dens <= 40
+    small_nums, small_dens = farey.reduced_fractions(40)
+    assert np.array_equal(nums[layer], small_nums)
+    assert np.array_equal(dens[layer], small_dens)
+    # one Farey build serves the sweep and the layer
+    real, built = farey.reduced_fractions, []
+    monkeypatch.setattr(farey, "reduced_fractions",
+                        lambda q: built.append(q) or real(q))
+    rep = hb.disjointness_check(60, 40)
+    assert built == [60]
+    m = len(small_nums)
+    assert rep.identity_pairs == m * (m - 1) // 2 == 120295
 
 
 def test_disjointness_small_exact():
@@ -216,10 +266,12 @@ def test_disjointness_rejects_tiny_qmax():
         hb.disjointness_check(1)
 
 
-def test_identity_layer_catches_forged_pair():
+def test_identity_layer_catches_forged_pair(monkeypatch):
     # identical bases are the one configuration with negative gap; the
-    # public API never produces them, so feed them in directly
-    with pytest.raises(InternalInvariantError):
-        rel = hb.pair_relation(1, 2, 1, 2)
-        if rel.gap < 0:
-            raise InternalInvariantError("overlap")
+    # Farey arrays never hold them, so feed them in directly
+    forged = hb._identity_gaps(np.array([0, 1, 1]), np.array([1, 2, 2]))
+    # 0/1 touches 1/2; the duplicate 1/2 has gap -4 q^4 = S * (-4 r r')
+    assert forged.tolist() == [0, 0, -64]
+    monkeypatch.setattr(hb, "_identity_gaps", lambda nums, dens: forged)
+    with pytest.raises(InternalInvariantError, match="negative gap"):
+        hb.disjointness_check(12, identity_q_max=2)

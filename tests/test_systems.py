@@ -249,6 +249,21 @@ class TestStageMeasureScan:
         with pytest.raises(UsageError):
             sy.stage_measure_scan(system, stage, 1, 1)
 
+    @pytest.mark.parametrize("caps", [
+        {"full_cap": sy.FULL_SWEEP_CAP + 1},
+        {"subset_cap": sy.SUBSET_SWEEP_CAP + 1},
+    ])
+    def test_raised_sweep_cap_refused_before_sieving(self, monkeypatch, caps):
+        # a raised cap would hand whole stages (3.3e11 balls for q^-2,
+        # k = 2, n = 20) to the cell sweep, outside the byte budget
+        def no_sieve(*args):
+            raise AssertionError("sieved past a refused cap")
+        monkeypatch.setattr(farey, "totient_sieve", no_sieve)
+        stage = sy.per_point_stage(fn.approximating(power=-2), 2)
+        with pytest.raises(UsageError, match="can only be lowered"):
+            sy.stage_measure_scan(sy.classical_rationals(), stage, 1, 20,
+                                  **caps)
+
 
 def swept(sweep, plan):
     """(float.hex, ball count) of a sweep over plan, or its refusal."""
