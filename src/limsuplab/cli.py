@@ -347,20 +347,24 @@ def _parse_form(text: str, small: bool = False) -> fn.FunctionForm:
 
 def _run_classify(o):
     weight = o["weight"]
+    case = None
     if o["series"]:
         if o["psi"] or o["gauge"]:
             raise UsageError("--series excludes --psi/--gauge")
-        spec = fn.SeriesSpec(weight if weight is not None else Fraction(0),
-                             _parse_form(o["series"]))
-        flavor = "Khintchine"
+        cls = fn.series_classify(fn.SeriesSpec(
+            weight if weight is not None else Fraction(0),
+            _parse_form(o["series"])))
     elif o["psi"]:
-        gauge = _parse_form(o["gauge"], small=True) if o["gauge"] else None
-        spec = fn.SeriesSpec(weight if weight is not None else Fraction(1),
-                             _parse_form(o["psi"]), gauge)
-        flavor = "Hausdorff" if gauge else "Khintchine"
+        weight = weight if weight is not None else Fraction(1)
+        psi = _parse_form(o["psi"])
+        if o["gauge"]:
+            case = fn.hausdorff_case(psi, _parse_form(o["gauge"], small=True),
+                                     weight)
+            cls = case.series
+        else:
+            cls = fn.series_classify(fn.SeriesSpec(weight, psi))
     else:
         raise UsageError("classify needs --series or --psi")
-    cls = fn.series_classify(spec)
     red = cls.reduced
     row = {
         "verdict": cls.verdict.name.title(),
@@ -368,16 +372,23 @@ def _run_classify(o):
         "exp_coeff": red.exp_coeff,
         "reason": cls.reason,
     }
-    if cls.convergent:
-        tail = ("Hausdorff convergence case: H^f(W) = 0"
-                if flavor == "Hausdorff"
-                else "Khintchine convergence case: null set")
-        summary = "Convergent ⇒ " + tail
+    if case is None:
+        summary = ("Convergent ⇒ Khintchine convergence case: null set"
+                   if cls.convergent
+                   else "Divergent ⇒ Khintchine divergence case: full measure")
+    elif case.measure is None:
+        summary = "%s ⇒ no H^f(W) claim: %s" % (row["verdict"], case.why)
+    elif cls.convergent:
+        summary = "Convergent ⇒ Hausdorff convergence case: H^f(W) = 0"
     else:
-        tail = ("Hausdorff divergence case: H^f(W) = ∞"
-                if flavor == "Hausdorff"
-                else "Khintchine divergence case: full measure")
-        summary = "Divergent ⇒ " + tail
+        value = "∞" if case.measure == math.inf else str(case.measure)
+        if case.G is fn.GrowthKind.ZERO and value == "∞":
+            summary = "Divergent ⇒ Hausdorff divergence case: H^f(W) = ∞"
+        else:
+            summary = ("Divergent ⇒ Hausdorff divergence case, G %s: "
+                       "H^f(W) = H^f([0,1]) = %s"
+                       % ("= 0" if case.G is fn.GrowthKind.ZERO else "> 0",
+                          value))
     return tuple(row), [row], summary
 
 

@@ -52,8 +52,11 @@ class CountRecord:
 @dataclass(frozen=True)
 class SchmidtPrediction:
     value: float
-    condition_ok: bool          # 2 q psi(q) < 1 everywhere on [1, N]
-    first_violation: Optional[int]
+    first_violation: Optional[int]      # first q with 2 q psi(q) >= 1
+
+    @property
+    def condition_ok(self) -> bool:
+        return self.first_violation is None
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,8 @@ def schmidt_prediction(psi: fn.FunctionForm, N: int) -> SchmidtPrediction:
     """2 sum_{q<=N} q psi(q), with the multiplicity condition flagged."""
     _, qpsi = _q_psi(psi, N)
     bad = np.flatnonzero(2.0 * qpsi >= 1.0)
-    return SchmidtPrediction(
-        value=float(2.0 * qpsi.sum()),
-        condition_ok=len(bad) == 0,
-        first_violation=int(bad[0]) + 1 if len(bad) else None)
+    return SchmidtPrediction(float(2.0 * qpsi.sum()),
+                             int(bad[0]) + 1 if len(bad) else None)
 
 
 def sample_x(seed: int, index: int) -> float:

@@ -1,7 +1,8 @@
 """Symbolic forms r^a (log r)^b (loglog r)^c and exp(-r^w), with the
 bookkeeping the experiments need: domain thresholds, series verdicts,
-critical exponents, geometric-ratio regularity, and the limit of
-f(psi(r)) * rho(r)^(-delta) along geometric subsequences.
+critical exponents, geometric-ratio regularity, the limit of
+f(psi(r)) * rho(r)^(-delta) along geometric subsequences, and the case
+split of the ubiquity theorem that turns them into H^f(W).
 
 Two evaluation regimes share one data type.  Approximating functions and
 radius laws live in the large-r regime, where the logarithms are log r
@@ -33,7 +34,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from limsuplab.errors import CompositionError, DomainError, UsageError
+from limsuplab.errors import (CompositionError, DomainError,
+                              InternalInvariantError, UsageError)
 
 RationalLike = Union[int, Fraction, str]
 
@@ -131,14 +133,6 @@ class FunctionForm:
             return Fraction(1)
         return math.inf
 
-    def _in_domain(self, r: float) -> bool:
-        if self.family is Family.EXP_POWER:
-            return r >= 0
-        if r <= 0:
-            return False
-        t = self.domain_threshold
-        return r > t if self.regime is Regime.LARGE else r < t
-
     # -- behaviour flags -------------------------------------------------
 
     @property
@@ -207,41 +201,6 @@ def dimension_gauge(scale: RationalLike = 1, power: RationalLike = 0,
 
 
 # -- evaluation ----------------------------------------------------------
-
-def evaluate(form: FunctionForm, r) -> float:
-    """Evaluate at a single point, enforcing the domain threshold."""
-    rf = float(r)
-    if not form._in_domain(rf):
-        raise DomainError(
-            "r=%r is outside the domain of %s (threshold %s, %s regime)"
-            % (r, format_function(form), form.domain_threshold,
-               form.regime.value))
-    if form.family is Family.EXP_POWER:
-        return math.exp(-(rf ** float(form.omega)))
-    x = math.log(rf) if form.regime is Regime.LARGE else math.log(1.0 / rf)
-    out = float(form.scale) * rf ** float(form.power)
-    if form.log_power:
-        out *= x ** float(form.log_power)
-    if form.loglog_power:
-        out *= math.log(x) ** float(form.loglog_power)
-    return out
-
-
-def evaluate_log(form: FunctionForm, r: float) -> float:
-    """log f(r), stable where f itself would over/underflow a float."""
-    rf = float(r)
-    if not form._in_domain(rf) or rf == 0:
-        raise DomainError("r=%r outside domain of %s" % (r, format_function(form)))
-    if form.family is Family.EXP_POWER:
-        return -(rf ** float(form.omega))
-    x = math.log(rf) if form.regime is Regime.LARGE else math.log(1.0 / rf)
-    out = math.log(float(form.scale)) + float(form.power) * math.log(rf)
-    if form.log_power:
-        out += float(form.log_power) * math.log(x)
-    if form.loglog_power:
-        out += float(form.loglog_power) * math.log(math.log(x))
-    return out
-
 
 def evaluate_rational(form: FunctionForm, r: Union[int, Fraction]) -> Fraction:
     """Exact value at a rational point.
@@ -603,13 +562,6 @@ def series_classify(series: SeriesSpec) -> Classification:
         Verdict.CONVERGENT if ok else Verdict.DIVERGENT, red, reason)
 
 
-def classify_exponents(A: RationalLike, B: RationalLike = 0,
-                       C: RationalLike = 0) -> Verdict:
-    """Verdict for a bare exponent triple (no composition step)."""
-    ok = _triple_convergent(exact(A, "A"), exact(B, "B"), exact(C, "C"))
-    return Verdict.CONVERGENT if ok else Verdict.DIVERGENT
-
-
 # -- critical exponents --------------------------------------------------
 
 def critical_exponent(psi: FunctionForm, weight_power: RationalLike) \
@@ -664,31 +616,15 @@ def log_critical_exponent(omega: RationalLike, n: int) -> Fraction:
     if w <= 0 or n < 1:
         raise UsageError("need omega > 0 and n >= 1")
     # cross-check via the reduction machinery at two probe values
-    probe_hi = Fraction(n) / w + 1
-    probe_lo = Fraction(n) / w - Fraction(1, 2)
-    hi = series_classify(SeriesSpec(Fraction(n - 1), exp_power(w),
-                                    dimension_gauge(log_power=-probe_hi)))
-    assert hi.convergent
-    if probe_lo > 0:
-        lo = series_classify(SeriesSpec(Fraction(n - 1), exp_power(w),
-                                        dimension_gauge(log_power=-probe_lo)))
-        assert not lo.convergent
-    return Fraction(n) / w
-
-
-def refined_log_gauge_verdict(omega: RationalLike, n: int,
-                              epsilon: RationalLike) -> Classification:
-    """Verdict at the critical log-gauge scale with a loglog refinement.
-
-    Uses the gauge (log 1/r)^(-n/omega) * (loglog 1/r)^(-(1+eps)); the
-    reduced series is comparable to sum 1/(r (log r)^(1+eps)), so the
-    verdict flips exactly at eps = 0.
-    """
-    w = exact(omega, "omega")
-    eps = exact(epsilon, "epsilon")
-    gauge = dimension_gauge(log_power=-Fraction(n) / w,
-                            loglog_power=-(1 + eps))
-    return series_classify(SeriesSpec(Fraction(n - 1), exp_power(w), gauge))
+    s = Fraction(n) / w
+    for probe, convergent in ((s + 1, True), (s - Fraction(1, 2), False)):
+        if probe > 0 and series_classify(SeriesSpec(
+                Fraction(n - 1), exp_power(w),
+                dimension_gauge(log_power=-probe))).convergent != convergent:
+            raise InternalInvariantError(
+                "series verdict at s = %s disagrees with the critical "
+                "exponent %s" % (probe, s))
+    return s
 
 
 # -- k-regularity --------------------------------------------------------
@@ -699,46 +635,31 @@ class RegularityReport:
     k: int
     ratio_limit: float            # limit of h(k^(n+1))/h(k^n)
     lam: Optional[float]          # a witness lambda < 1, when regular
-    ratios: tuple = ()            # numeric confirmation samples
 
     def __bool__(self):
         return self.regular
 
 
-def is_k_regular(form: FunctionForm, k: int,
-                 n_range: tuple[int, int] = (10, 40)) -> RegularityReport:
+def is_k_regular(form: FunctionForm, k: int) -> RegularityReport:
     """Decide whether h(k^(n+1)) <= lambda * h(k^n) eventually holds for
-    some lambda < 1, and back the verdict with numeric ratios.
+    some lambda < 1.
 
     For power-log forms the consecutive ratio tends to k^a, so the
     verdict is the sign of the leading exponent: a < 0 regular, a = 0
     never regular no matter how fast the log factors decay (the ratio
-    creeps up to 1).  exp(-r^w) is regular with ratio limit 0.
+    creeps up to 1).  exp(-r^w) is regular with ratio limit 0.  The
+    verdict is the same for every k >= 2.
     """
     if k < 2:
         raise UsageError("k must be an integer >= 2")
-    n_lo, n_hi = n_range
-    if not (1 <= n_lo < n_hi):
-        raise UsageError("bad n_range %r" % (n_range,))
-    ratios = []
-    for n in range(n_lo, n_hi + 1):
-        try:
-            delta = (evaluate_log(form, float(k) ** (n + 1))
-                     - evaluate_log(form, float(k) ** n))
-        except (OverflowError, DomainError):
-            break
-        ratios.append(math.exp(delta) if delta < 700 else math.inf)
     if form.family is Family.EXP_POWER:
-        return RegularityReport(True, k, 0.0, 0.5, tuple(ratios))
+        return RegularityReport(True, k, 0.0, 0.5)
     a = form.power
     limit = float(k) ** float(a)
     if a < 0:
-        # regularity is an eventual statement; the sampled ratios back it
-        # up for every form whose log corrections have settled by n_lo
-        lam = (limit + 1.0) / 2.0
-        return RegularityReport(True, k, limit, lam, tuple(ratios))
+        return RegularityReport(True, k, limit, (limit + 1.0) / 2.0)
     # a == 0 with decaying logs, or a > 0: ratios approach (or exceed) 1
-    return RegularityReport(False, k, limit, None, tuple(ratios))
+    return RegularityReport(False, k, limit, None)
 
 
 # -- G = limsup of f(psi(k^n)) rho(k^n)^(-delta) --------------------------
@@ -754,17 +675,15 @@ class GReport:
     kind: GrowthKind
     value: Optional[float]        # the limit, for the finite case
     reduced: ReducedSummand
-    samples: tuple = ()           # (n, g(k^n)) numeric confirmation
 
 
 def compute_G(outer: Optional[FunctionForm], psi: FunctionForm,
-              rho: FunctionForm, delta: RationalLike, k: int,
-              n_max: int = 30) -> GReport:
+              rho: FunctionForm, delta: RationalLike) -> GReport:
     """Classify G = limsup_n g(k^n), g(r) = outer(psi(r)) rho(r)^(-delta).
 
     Along the whole family g is asymptotically monotone, so the limsup
-    along geometric subsequences equals the plain limit of the reduced
-    form: zero, a positive constant (reported), or infinity.
+    along geometric subsequences, for every k, equals the plain limit of
+    the reduced form: zero, a positive constant (reported), or infinity.
     """
     d = exact(delta, "delta")
     if d <= 0:
@@ -777,23 +696,6 @@ def compute_G(outer: Optional[FunctionForm], psi: FunctionForm,
         A=comp.A - d * ar, B=comp.B - d * br, C=comp.C - d * cr,
         exp_coeff=comp.exp_coeff, exp_omega=comp.exp_omega,
         limit_scale=comp.limit_scale * float(rho.scale) ** float(-d))
-
-    samples = []
-    for n in range(2, n_max + 1):
-        r = float(k) ** n
-        try:
-            lg = evaluate_log(psi, r)
-        except (DomainError, OverflowError):
-            continue
-        # g in log space: log outer(psi) - delta log rho
-        x = lg  # log psi(r)
-        try:
-            louter = _gauge_log_of(outer, x)
-            val = louter - float(d) * evaluate_log(rho, r)
-        except (DomainError, ValueError, OverflowError):
-            continue
-        samples.append((n, math.exp(val) if val < 700 else math.inf))
-
     if red.exp_coeff > 0:
         kind: GrowthKind = GrowthKind.ZERO
     elif red.exp_coeff < 0:
@@ -805,19 +707,60 @@ def compute_G(outer: Optional[FunctionForm], psi: FunctionForm,
     else:
         kind = GrowthKind.FINITE
     value = red.limit_scale if kind is GrowthKind.FINITE else None
-    return GReport(kind, value, red, tuple(samples))
+    return GReport(kind, value, red)
 
 
-def _gauge_log_of(outer: Optional[FunctionForm], log_x: float) -> float:
-    """log outer(x) given log x < 0, for a small-r gauge (or identity)."""
-    if outer is None:
-        return log_x
-    if log_x >= 0:
-        raise DomainError("gauge argument must be < 1")
-    al, be, ga = (float(e) for e in outer.exponent_triple)
-    out = math.log(float(outer.scale)) + al * log_x
-    if be:
-        out += be * math.log(-log_x)
-    if ga:
-        out += ga * math.log(math.log(-log_x))
-    return out
+# -- H^f(W) for the rationals: the ubiquity theorem's case split ----------
+
+@dataclass(frozen=True)
+class HausdorffCase:
+    """H^f(W), W the points of [0, 1] within psi(q) of infinitely many
+    rationals p/q, beside the verdict on sum r^u f(psi(r)).
+
+    `measure` is 0, an exact positive Fraction, or math.inf.  It is None
+    when a hypothesis fails, and `why` names it; then only the series
+    verdict stands.  `G` is the growth kind in the divergence case.
+    """
+
+    series: Classification
+    G: Optional[GrowthKind] = None
+    measure: Union[Fraction, float, None] = None
+    why: str = ""
+
+
+def hausdorff_case(psi: FunctionForm, gauge: FunctionForm,
+                   weight: RationalLike) -> HausdorffCase:
+    """H^f(W) for the rationals in Omega = [0, 1], from the series
+    sum q f(psi(q)):
+
+      * it converges: H^f(W) = 0 (Hausdorff-Cantelli, no hypothesis);
+      * it diverges: H^f(W) = H^f([0, 1]), which is infinity, c or 0 as
+        f(r)/r = c r^(a-1) (log 1/r)^b (loglog 1/r)^c' tends to infinity,
+        to c or to 0, i.e. as (1 - a, b, c') is above, at or below
+        (0, 0, 0) lexicographically.
+
+    The divergence case splits on G = limsup f(psi(k^n)) / rho(k^n) with
+    the ubiquity function rho(q) = q^-2 of the rationals (delta = 1;
+    Beresnevich-Dickinson-Velani, Mem. AMS 179, 2006): G = 0 with
+    f(r)/r -> infinity gives infinity, and G > 0 gives H^f([0, 1]).  With
+    G = 0 and f(r)/r bounded, sum q psi(q) diverges too, so W has full
+    Lebesgue measure (Khintchine) and H^f(W) = H^f([0, 1]) again.  Both
+    need psi k-regular; r^-1 f(r) is eventually monotone for every gauge
+    of the family.  A weight u other than 1 has no ubiquity system
+    behind it here.  Such a weight, or a psi that is not k-regular in the
+    divergence case, leaves the series verdict only.
+    """
+    u = exact(weight, "weight")
+    series = series_classify(SeriesSpec(u, psi, gauge))
+    if u != 1:
+        return HausdorffCase(series, why="weight %s is not 1" % u)
+    if series.convergent:
+        return HausdorffCase(series, measure=Fraction(0))
+    if not is_k_regular(psi, 2):
+        return HausdorffCase(series, why="psi is not k-regular")
+    kind = compute_G(gauge, psi, approximating(power=-2), 1).kind
+    a, b, c = gauge.exponent_triple
+    tilt = (1 - a, b, c)
+    measure = (math.inf if tilt > (0, 0, 0)
+               else Fraction(0) if tilt < (0, 0, 0) else gauge.scale)
+    return HausdorffCase(series, kind, measure)

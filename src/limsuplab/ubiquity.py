@@ -49,8 +49,7 @@ import numpy as np
 from limsuplab import farey
 from limsuplab import functions as fn
 from limsuplab import systems as sy
-from limsuplab.errors import (InternalInvariantError, ResourceCapError,
-                              UsageError, size_text)
+from limsuplab.errors import ResourceCapError, UsageError, size_text
 
 # F_8192 has 2.04e7 points; building its engine measured 1.2-1.3 s and
 # 505-537 MB peak RSS, without merged gaps (radius 10^-9) or with
@@ -227,18 +226,6 @@ def _check_ball(center: Fraction, radius: Fraction) -> None:
         raise UsageError("ball must sit inside [0,1]")
 
 
-def ubiquity_ratio(system: sy.ResonantSystem, rho: fn.FunctionForm,
-                   k, n: int, ball: tuple,
-                   q_cap: int = MAX_UNIFORM_Q) -> Fraction:
-    """m(B intersect union of B(x, rho(k^n)) over weights <= k^n) / m(B),
-    as an exact Fraction.
-
-    `ball` is (center, radius), both exact, with the ball inside [0,1].
-    """
-    report, = estimate_kappa(system, rho, k, [ball], [n], q_cap=q_cap)
-    return report.kappa_hat
-
-
 @dataclass(frozen=True)
 class UbiquityReport:
     ball: tuple[Fraction, Fraction]
@@ -299,42 +286,3 @@ def empirical_kappa(reports: Sequence[UbiquityReport]) -> Fraction:
     if not reports:
         raise UsageError("no reports")
     return min(r.kappa_hat for r in reports)
-
-
-def natural_cover_sum(f: Optional[fn.FunctionForm], psi: fn.FunctionForm,
-                      system: sy.ResonantSystem, k, m_start: int,
-                      m_end: int) -> float:
-    """sum over stages n = m_start..m_end of
-    (number of points with weight in (k^(n-1), k^n]) * f(psi(k^n)).
-
-    f = None means the identity.  This is the natural-cover estimate of
-    the Hausdorff f-content of the tail limsup set.
-    """
-    k = fn.exact(k, "k")
-    if k <= 1:
-        raise UsageError("k must exceed 1")
-    if not (1 <= m_start <= m_end):
-        raise UsageError("need 1 <= m_start <= m_end")
-    if f is not None and not f.is_gauge():
-        raise UsageError("f must be a dimension gauge (or None for identity)")
-    reduced = (system.kind is sy.SystemKind.FORD) or system.coprime_only
-    if reduced:
-        farey.check_sieve(system.stage_q_top(k, m_end, farey.MAX_SIEVE,
-                                             "cover sum"), "cover sum")
-    total = 0.0
-    for n in range(m_start, m_end + 1):
-        count = system.count_window(k ** (n - 1), k ** n)
-        if count == 0:
-            continue
-        r_val = fn.evaluate(psi, float(k) ** n)
-        if r_val < 0:
-            raise InternalInvariantError("negative radius from %s"
-                                         % fn.format_function(psi))
-        if f is None:
-            term = r_val
-        elif r_val == 0:
-            term = 0.0       # gauges vanish at 0+; continuous extension
-        else:
-            term = fn.evaluate(f, r_val)
-        total += count * term
-    return total

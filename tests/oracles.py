@@ -5,7 +5,10 @@ raw pair at a time, no shortcut shared with the kernel it checks.  The
 geodesic oracles are the one-sample-at-a-time float paths the faster
 engine replaced; it performs the same float operations, so it must
 equal them bit for bit.  So must the stage sweep its gcd-filtered,
-stable-sorted predecessor.  Test modules import them as
+stable-sorted predecessor.  The scalar float evaluation of the symbolic
+family is the witness for its exact verdicts: sampled regularity ratios
+and samples of G confirm what `functions.is_k_regular` and
+`functions.compute_G` decide from exponents.  Test modules import them as
 `from oracles import ...`; nothing under `src` may, because an
 installed package has no `tests/` next to it.
 """
@@ -17,11 +20,14 @@ from functools import cache
 
 import numpy as np
 
+import limsuplab.farey as farey
 import limsuplab.functions as fn
 import limsuplab.geodesics as geo
 import limsuplab.systems as sy
-from limsuplab.errors import (InternalInvariantError, PrecisionExhausted,
-                              ResourceCapError, UsageError)
+import limsuplab.ubiquity as ub
+from limsuplab.errors import (DomainError, InternalInvariantError,
+                              PrecisionExhausted, ResourceCapError,
+                              UsageError)
 
 DEFAULT_BALL_CAP = 2_000_000
 
@@ -402,3 +408,162 @@ def sampled_excursions(x: float, T: float, step: float):
                       if pq == key), None)
         out.append((match, t_enter, t_peak, t_exit, peak))
     return out
+
+
+# -- the symbolic family: scalar float evaluation --------------------------
+
+def _in_domain(form: fn.FunctionForm, r: float) -> bool:
+    if form.family is fn.Family.EXP_POWER:
+        return r >= 0
+    if r <= 0:
+        return False
+    t = form.domain_threshold
+    return r > t if form.regime is fn.Regime.LARGE else r < t
+
+
+def evaluate(form: fn.FunctionForm, r) -> float:
+    """f(r) at a single point, enforcing the domain threshold: the
+    scalar twin of functions.evaluate_array."""
+    rf = float(r)
+    if not _in_domain(form, rf):
+        raise DomainError(
+            "r=%r is outside the domain of %s (threshold %s, %s regime)"
+            % (r, fn.format_function(form), form.domain_threshold,
+               form.regime.value))
+    if form.family is fn.Family.EXP_POWER:
+        return math.exp(-(rf ** float(form.omega)))
+    x = math.log(rf) if form.regime is fn.Regime.LARGE else math.log(1.0 / rf)
+    out = float(form.scale) * rf ** float(form.power)
+    if form.log_power:
+        out *= x ** float(form.log_power)
+    if form.loglog_power:
+        out *= math.log(x) ** float(form.loglog_power)
+    return out
+
+
+def evaluate_log(form: fn.FunctionForm, r: float) -> float:
+    """log f(r), stable where f itself would over/underflow a float."""
+    rf = float(r)
+    if not _in_domain(form, rf) or rf == 0:
+        raise DomainError("r=%r outside domain of %s"
+                          % (r, fn.format_function(form)))
+    if form.family is fn.Family.EXP_POWER:
+        return -(rf ** float(form.omega))
+    x = math.log(rf) if form.regime is fn.Regime.LARGE else math.log(1.0 / rf)
+    out = math.log(float(form.scale)) + float(form.power) * math.log(rf)
+    if form.log_power:
+        out += float(form.log_power) * math.log(x)
+    if form.loglog_power:
+        out += float(form.loglog_power) * math.log(math.log(x))
+    return out
+
+
+def gauge_log_of(outer, log_x: float) -> float:
+    """log outer(x) given log x < 0, for a small-r gauge (or identity)."""
+    if outer is None:
+        return log_x
+    if log_x >= 0:
+        raise DomainError("gauge argument must be < 1")
+    al, be, ga = (float(e) for e in outer.exponent_triple)
+    out = math.log(float(outer.scale)) + al * log_x
+    if be:
+        out += be * math.log(-log_x)
+    if ga:
+        out += ga * math.log(math.log(-log_x))
+    return out
+
+
+# -- float witnesses of the exact verdicts ---------------------------------
+
+def classify_exponents(A, B=0, C=0) -> fn.Verdict:
+    """Integral-test verdict on sum r^A (log r)^B (loglog r)^C: convergent
+    iff (A, B, C) is lexicographically below (-1, -1, -1)."""
+    ok = (Fraction(A), Fraction(B), Fraction(C)) < (-1, -1, -1)
+    return fn.Verdict.CONVERGENT if ok else fn.Verdict.DIVERGENT
+
+
+def refined_log_gauge_verdict(omega, n: int, epsilon) -> fn.Classification:
+    """Verdict at the critical log-gauge scale n/omega of exp(-r^omega)
+    in dimension n, refined by (loglog 1/r)^(-(1+eps)): the reduced
+    series is comparable to sum 1/(r (log r)^(1+eps))."""
+    omega, epsilon = Fraction(omega), Fraction(epsilon)
+    gauge = fn.dimension_gauge(log_power=-Fraction(n) / omega,
+                               loglog_power=-(1 + epsilon))
+    return fn.series_classify(fn.SeriesSpec(Fraction(n - 1),
+                                            fn.exp_power(omega), gauge))
+
+
+def regularity_ratios(form: fn.FunctionForm, k: int,
+                      n_range=(10, 40)) -> list:
+    """h(k^(n+1)) / h(k^n) for n in n_range, up to the first point past
+    float range: the float witness of functions.is_k_regular."""
+    ratios = []
+    for n in range(n_range[0], n_range[1] + 1):
+        try:
+            delta = (evaluate_log(form, float(k) ** (n + 1))
+                     - evaluate_log(form, float(k) ** n))
+        except (OverflowError, DomainError):
+            break
+        ratios.append(math.exp(delta) if delta < 700 else math.inf)
+    return ratios
+
+
+def g_samples(outer, psi: fn.FunctionForm, rho: fn.FunctionForm, delta,
+              k: int, n_max: int = 30) -> list:
+    """(n, g(k^n)) for n = 2..n_max where g = outer(psi) rho^(-delta) is
+    defined, evaluated in log space: the float witness of
+    functions.compute_G."""
+    samples = []
+    for n in range(2, n_max + 1):
+        r = float(k) ** n
+        try:
+            val = (gauge_log_of(outer, evaluate_log(psi, r))
+                   - float(delta) * evaluate_log(rho, r))
+        except (DomainError, ValueError, OverflowError):
+            continue
+        samples.append((n, math.exp(val) if val < 700 else math.inf))
+    return samples
+
+
+# -- uniform stages: one ratio, and the natural cover sum ------------------
+
+def ubiquity_ratio(system, rho: fn.FunctionForm, k, n: int, ball,
+                   q_cap: int = ub.MAX_UNIFORM_Q) -> Fraction:
+    """m(B ∩ union of B(x, rho(k^n)) over weights <= k^n) / m(B), exactly:
+    one ball and one stage of ubiquity.estimate_kappa."""
+    report, = ub.estimate_kappa(system, rho, k, [ball], [n], q_cap=q_cap)
+    return report.kappa_hat
+
+
+def natural_cover_sum(f, psi: fn.FunctionForm, system, k, m_start: int,
+                      m_end: int) -> float:
+    """sum over stages n = m_start..m_end of
+    (number of points with weight in (k^(n-1), k^n]) * f(psi(k^n)).
+
+    f = None means the identity.  This is the natural-cover estimate of
+    the Hausdorff f-content of the tail limsup set.
+    """
+    k = fn.exact(k, "k")
+    if k <= 1:
+        raise UsageError("k must exceed 1")
+    if not (1 <= m_start <= m_end):
+        raise UsageError("need 1 <= m_start <= m_end")
+    if f is not None and not f.is_gauge():
+        raise UsageError("f must be a dimension gauge (or None for identity)")
+    if system.kind is sy.SystemKind.FORD or system.coprime_only:
+        farey.check_sieve(system.stage_q_top(k, m_end, farey.MAX_SIEVE,
+                                             "cover sum"), "cover sum")
+    total = 0.0
+    for n in range(m_start, m_end + 1):
+        count = system.count_window(k ** (n - 1), k ** n)
+        if count == 0:
+            continue
+        r_val = evaluate(psi, float(k) ** n)
+        if f is None:
+            term = r_val
+        elif r_val == 0:
+            term = 0.0       # gauges vanish at 0+; continuous extension
+        else:
+            term = evaluate(f, r_val)
+        total += count * term
+    return total

@@ -14,6 +14,7 @@ import pytest
 from limsuplab import cli
 from limsuplab import counting as ct
 from limsuplab import farey
+from limsuplab import functions as fn
 from limsuplab import horoballs as hb
 from limsuplab import systems as sy
 from limsuplab import ubiquity as ub
@@ -84,6 +85,37 @@ class TestSummaries:
         assert diverging.startswith("Divergent ⇒ Hausdorff divergence")
         assert converging.startswith("Convergent ⇒ Hausdorff convergence")
 
+    @pytest.mark.parametrize("argv,summary", [
+        (["--psi", "r^-2", "--gauge", "r^1"],
+         "Divergent ⇒ Hausdorff divergence case, G > 0: "
+         "H^f(W) = H^f([0,1]) = 1"),
+        (["--psi", "r^-1", "--gauge", "r^2"],
+         "Divergent ⇒ Hausdorff divergence case, G > 0: "
+         "H^f(W) = H^f([0,1]) = 0"),
+        (["--psi", "r^-2", "--gauge", "2 * r^1"],
+         "Divergent ⇒ Hausdorff divergence case, G > 0: "
+         "H^f(W) = H^f([0,1]) = 2"),
+        (["--psi", "r^-3", "--gauge", "r^(1/2)"],
+         "Divergent ⇒ Hausdorff divergence case, G > 0: "
+         "H^f(W) = H^f([0,1]) = ∞"),
+        (["--psi", "r^-2 * log(r)^-1", "--gauge", "r^1"],
+         "Divergent ⇒ Hausdorff divergence case, G = 0: "
+         "H^f(W) = H^f([0,1]) = 1"),
+        (["--psi", "r^-3 * log(r)^(-33/20)",
+          "--gauge", "r^(2/3) * log(1/r)^(1/10)"],
+         "Divergent ⇒ Hausdorff divergence case: H^f(W) = ∞"),
+        (["--psi", "r^-3", "--gauge", "r^(3/4)"],
+         "Convergent ⇒ Hausdorff convergence case: H^f(W) = 0"),
+        (["--psi", "r^-3", "--gauge", "r^(1/2)", "--weight", "2"],
+         "Divergent ⇒ no H^f(W) claim: weight 2 is not 1"),
+        (["--psi", "log(r)^-2", "--gauge", "r^(1/2)"],
+         "Divergent ⇒ no H^f(W) claim: psi is not k-regular"),
+    ])
+    def test_classify_hausdorff_lines(self, tmp_path, capsys, argv, summary):
+        code, out, _ = run_main(["classify"] + argv + [
+            "--output", str(tmp_path / "h.csv")], capsys)
+        assert (code, out) == (0, summary)
+
     def test_critical_exponent_fraction(self, tmp_path, capsys):
         code, out, _ = run_main(
             ["critical-exponent", "--psi", "r^-3", "--weight", "1",
@@ -122,6 +154,17 @@ class TestExitStatuses:
         code, _, _ = run_main(
             ["cf", "--x", "1/0", "--output", str(tmp_path / "x.csv")], capsys)
         assert code == 1
+
+    def test_failed_invariant_is_3(self, tmp_path, capsys, monkeypatch):
+        # log_critical_exponent cross-checks n/omega against two series
+        # verdicts; one that contradicts it raises, also under python -O
+        wrong = fn.series_classify(fn.SeriesSpec(0, fn.approximating(power=-1)))
+        monkeypatch.setattr(fn, "series_classify", lambda series: wrong)
+        code, _, err = run_main(
+            ["critical-exponent", "--omega", "2", "--ambient", "3",
+             "--output", str(tmp_path / "e.csv")], capsys)
+        assert code == 3
+        assert err.startswith("internal invariant violated: series verdict")
 
     def test_resource_cap_is_2(self, tmp_path, capsys):
         code, _, err = run_main(
@@ -370,6 +413,9 @@ print("loaded:", *(m for m in ("numpy", "concurrent.futures")
 class TestImportOnUse:
     def test_symbolic_and_exact_cf_commands_load_no_numpy(self, tmp_path):
         argvs = [["classify", "--series", "r^1 * (r^-2)"],
+                 ["classify", "--psi", "r^-3 * log(r)^(-33/20)",
+                  "--gauge", "r^(2/3) * log(1/r)^(1/10)"],
+                 ["classify", "--psi", "r^-2", "--gauge", "r^1"],
                  ["critical-exponent", "--psi", "r^-3", "--weight", "1"],
                  ["cf", "--x", "37/100"],
                  ["excursions", "--x", "37/100", "--T", "25"],

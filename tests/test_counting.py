@@ -14,7 +14,7 @@ import limsuplab.functions as fn
 from limsuplab.counting import (CountRecord, count_R, sample_x,
                                 schmidt_experiment, schmidt_prediction)
 from limsuplab.errors import UsageError
-from oracles import count_R_exact, count_R_float
+from oracles import count_R_exact, count_R_float, evaluate
 
 PSI_QUARTER = fn.approximating(Fraction(1, 4), -1)   # 1/(4q)
 PSI_CUBE = fn.approximating(1, -3)                   # q^-3
@@ -25,7 +25,7 @@ def brute_count(x: float, N: int, psi) -> int:
     """Reference count: scan every candidate numerator."""
     hits = 0
     for q in range(1, N + 1):
-        bound = q * fn.evaluate(psi, q)
+        bound = q * evaluate(psi, q)
         if any(abs(x - p / q) * q < bound for p in range(0, q + 1)):
             hits += 1
     return hits

@@ -2,7 +2,9 @@
 
 Expected values for the convergence verdicts come from the integral
 test worked by hand on the closed family (the (-1,-1,-1) boundary
-rule); numeric evaluation is cross-checked against mpmath at 50 digits.
+rule); numeric evaluation is cross-checked against mpmath at 50 digits,
+and the scalar float evaluation in `oracles` witnesses the exact
+regularity, G and H^f(W) verdicts.
 """
 
 import math
@@ -14,6 +16,8 @@ import pytest
 
 from limsuplab import functions as F
 from limsuplab.errors import CompositionError, DomainError, UsageError
+from oracles import (classify_exponents, evaluate, evaluate_log, g_samples,
+                     refined_log_gauge_verdict, regularity_ratios)
 
 mpmath.mp.dps = 50
 
@@ -38,7 +42,7 @@ def mp_eval(form, r):
 class TestEvaluate:
     def test_pure_power_at_e(self):
         psi = F.approximating(power=-2, log_power=-2)
-        assert F.evaluate(psi, math.e) == pytest.approx(math.e ** -2)
+        assert evaluate(psi, math.e) == pytest.approx(math.e ** -2)
 
     def test_against_mpmath_oracle(self):
         rng = random.Random(20240817)
@@ -49,7 +53,7 @@ class TestEvaluate:
             s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             form = F.power_log(s, a, b, c)
             r = rng.uniform(3.0, 1e6)
-            got = F.evaluate(form, r)
+            got = evaluate(form, r)
             want = float(mp_eval(form, r))
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -62,30 +66,30 @@ class TestEvaluate:
                 continue
             form = F.power_log(1, a, b, regime=F.Regime.SMALL)
             r = rng.uniform(1e-9, 0.3)
-            assert F.evaluate(form, r) == pytest.approx(
+            assert evaluate(form, r) == pytest.approx(
                 float(mp_eval(form, r)), rel=1e-12)
 
     def test_exp_power(self):
         form = F.exp_power(Fraction(1, 2))
-        assert F.evaluate(form, 0) == 1.0
-        assert F.evaluate(form, 16.0) == pytest.approx(math.exp(-4.0))
+        assert evaluate(form, 0) == 1.0
+        assert evaluate(form, 16.0) == pytest.approx(math.exp(-4.0))
 
     def test_evaluate_log_matches(self):
         form = F.approximating(Fraction(1, 4), -3, -2, 1)
         for r in (10.0, 1e4, 1e100):
-            assert F.evaluate_log(form, r) == pytest.approx(
-                math.log(F.evaluate(form, r)) if r < 1e50 else
+            assert evaluate_log(form, r) == pytest.approx(
+                math.log(evaluate(form, r)) if r < 1e50 else
                 float(mpmath.log(mp_eval(form, r))), rel=1e-10)
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
-            F.evaluate(F.power_log(1, -1, -1), 1.0)     # log r = 0
+            evaluate(F.power_log(1, -1, -1), 1.0)     # log r = 0
         with pytest.raises(DomainError):
-            F.evaluate(F.power_log(1, -1, 0, -1), 2.0)  # loglog r < 0
+            evaluate(F.power_log(1, -1, 0, -1), 2.0)  # loglog r < 0
         with pytest.raises(DomainError):
-            F.evaluate(F.dimension_gauge(power=1, log_power=1), 1.5)
+            evaluate(F.dimension_gauge(power=1, log_power=1), 1.5)
         # boundary examples that must work
-        assert F.evaluate(F.power_log(1, -2, -2), math.e) \
+        assert evaluate(F.power_log(1, -2, -2), math.e) \
             == pytest.approx(math.e ** -2)
 
     def test_domain_threshold_values(self):
@@ -147,6 +151,12 @@ VERDICT_TABLE = [
 ]
 
 
+def package_verdict(A, B, C):
+    """series_classify on the bare summand r^A (log r)^B (loglog r)^C."""
+    series = F.SeriesSpec(A, F.power_log(1, 0, B, C))
+    return F.series_classify(series).verdict
+
+
 def partial_sum_trend(A, B, C, r_hi):
     """Numeric probe: partial sums at r_hi and 4*r_hi (floats).
 
@@ -170,7 +180,8 @@ class TestSeriesClassify:
     @pytest.mark.parametrize("triple,conv", VERDICT_TABLE)
     def test_boundary_rule(self, triple, conv):
         want = F.Verdict.CONVERGENT if conv else F.Verdict.DIVERGENT
-        assert F.classify_exponents(*triple) is want
+        assert classify_exponents(*triple) is want
+        assert package_verdict(*triple) is want
 
     def test_numeric_trend_agrees_on_clear_cases(self):
         # convergent: increments die; divergent: second block comparable
@@ -243,8 +254,9 @@ class TestSeriesClassify:
             dA = Fraction(rng.randint(0, 6), rng.randint(1, 6))
             dB = Fraction(rng.randint(0, 6), rng.randint(1, 6))
             dC = Fraction(rng.randint(0, 6), rng.randint(1, 6))
-            small = F.classify_exponents(A, B, C)
-            big = F.classify_exponents(A + dA, B + dB, C + dC)
+            small = classify_exponents(A, B, C)
+            big = classify_exponents(A + dA, B + dB, C + dC)
+            assert package_verdict(A, B, C) is small
             if small is F.Verdict.DIVERGENT:
                 assert big is F.Verdict.DIVERGENT
 
@@ -291,10 +303,10 @@ class TestCriticalExponent:
 
     def test_refined_log_gauge_flips_at_zero(self):
         for omega, n in [(Fraction(1), 1), (Fraction(2), 3)]:
-            at0 = F.refined_log_gauge_verdict(omega, n, 0)
+            at0 = refined_log_gauge_verdict(omega, n, 0)
             assert at0.verdict is F.Verdict.DIVERGENT
             assert (at0.reduced.A, at0.reduced.B) == (-1, -1)
-            up = F.refined_log_gauge_verdict(omega, n, Fraction(1, 2))
+            up = refined_log_gauge_verdict(omega, n, Fraction(1, 2))
             assert up.verdict is F.Verdict.CONVERGENT
 
 
@@ -302,67 +314,156 @@ class TestKRegularity:
     def test_negative_power_regular(self):
         for k in (2, 6):
             for a in (Fraction(-2), Fraction(-1, 2)):
-                rep = F.is_k_regular(F.power_log(1, a), k)
+                form = F.power_log(1, a)
+                rep = F.is_k_regular(form, k)
                 assert rep.regular
                 assert rep.ratio_limit == pytest.approx(float(k) ** float(a))
-                assert rep.ratios[-1] < 1
-                assert rep.ratios[-1] == pytest.approx(rep.ratio_limit,
-                                                       rel=1e-6)
+                ratios = regularity_ratios(form, k)
+                assert ratios[-1] < 1
+                assert ratios[-1] == pytest.approx(rep.ratio_limit, rel=1e-6)
 
     def test_pure_log_decay_not_regular(self):
-        rep = F.is_k_regular(F.power_log(1, 0, -2), 2)
+        form = F.power_log(1, 0, -2)
+        rep = F.is_k_regular(form, 2)
         assert not rep.regular
         # ratios creep up toward 1
-        assert rep.ratios[-1] > 0.9
-        assert rep.ratios[-1] > rep.ratios[0]
+        ratios = regularity_ratios(form, 2)
+        assert ratios[-1] > 0.9
+        assert ratios[-1] > ratios[0]
 
     def test_exponential_regular(self):
-        rep = F.is_k_regular(F.exp_power(Fraction(1, 4)), 2)
+        form = F.exp_power(Fraction(1, 4))
+        rep = F.is_k_regular(form, 2)
         assert rep.regular
         assert rep.ratio_limit == 0.0
+        assert regularity_ratios(form, 2)[-1] < 1e-6
 
     def test_log_corrections_do_not_change_verdict(self):
-        rep = F.is_k_regular(F.power_log(1, -1, 3, -2), 3)
+        form = F.power_log(1, -1, 3, -2)
+        rep = F.is_k_regular(form, 3)
         assert rep.regular
+        assert regularity_ratios(form, 3)[-1] == pytest.approx(
+            rep.ratio_limit, rel=0.1)
+
+
+def assert_witnessed(rep, samples):
+    """The float samples of g(k^n) trend the way the exact kind says."""
+    assert len(samples) > 10
+    first, last = samples[0][1], samples[-1][1]
+    if rep.kind is F.GrowthKind.FINITE:
+        assert last == pytest.approx(rep.value, rel=1e-6)
+    elif rep.kind is F.GrowthKind.ZERO:
+        assert last < first / 10
+    else:
+        assert last > 10 * first
 
 
 class TestComputeG:
     def test_exact_critical_cancellation(self):
         # gauge r^(2/tau) of psi=r^-tau against rho=r^-2, delta=1: g == 1
         tau = Fraction(3)
-        rep = F.compute_G(F.dimension_gauge(power=2 / tau),
-                          F.approximating(power=-tau),
-                          F.approximating(power=-2), 1, k=6)
+        args = (F.dimension_gauge(power=2 / tau),
+                F.approximating(power=-tau), F.approximating(power=-2), 1)
+        rep = F.compute_G(*args)
         assert rep.kind is F.GrowthKind.FINITE
         assert rep.value == pytest.approx(1.0)
-        assert all(g == pytest.approx(1.0, rel=1e-9) for _, g in rep.samples)
+        samples = g_samples(*args, k=6)
+        assert all(g == pytest.approx(1.0, rel=1e-9) for _, g in samples)
+        assert_witnessed(rep, samples)
 
     def test_zero_and_infinite(self):
         tau = Fraction(3)
         psi = F.approximating(power=-tau)
         rho = F.approximating(power=-2)
-        shrink = F.compute_G(F.dimension_gauge(power=1), psi, rho, 1, k=2)
-        assert shrink.kind is F.GrowthKind.ZERO
-        grow = F.compute_G(F.dimension_gauge(power=Fraction(1, 2)),
-                           psi, rho, 1, k=2)
-        assert grow.kind is F.GrowthKind.INFINITE
+        for gauge, kind in [(F.dimension_gauge(power=1), F.GrowthKind.ZERO),
+                            (F.dimension_gauge(power=Fraction(1, 2)),
+                             F.GrowthKind.INFINITE)]:
+            rep = F.compute_G(gauge, psi, rho, 1)
+            assert rep.kind is kind
+            assert_witnessed(rep, g_samples(gauge, psi, rho, 1, k=2))
 
     def test_log_tilt_decides(self):
         # A cancels exactly; the verdict moves to the log slot
         tau = Fraction(2)
         rho = F.approximating(power=-2)
+        gauge = F.dimension_gauge(power=1)
         for b, kind in [(Fraction(-1), F.GrowthKind.ZERO),
                         (Fraction(1), F.GrowthKind.INFINITE)]:
             psi = F.power_log(1, -tau, b)
-            rep = F.compute_G(F.dimension_gauge(power=1), psi, rho, 1, k=2)
+            rep = F.compute_G(gauge, psi, rho, 1)
             assert rep.kind is kind
+            assert_witnessed(rep, g_samples(gauge, psi, rho, 1, k=2))
 
     def test_finite_scale_tracks_constants(self):
         # psi = 4 r^-2, rho = r^-2, delta 1, identity gauge: g -> 4
         psi = F.approximating(scale=4, power=-2)
-        rep = F.compute_G(None, psi, F.approximating(power=-2), 1, k=2)
+        rho = F.approximating(power=-2)
+        rep = F.compute_G(None, psi, rho, 1)
         assert rep.kind is F.GrowthKind.FINITE
         assert rep.value == pytest.approx(4.0)
+        assert_witnessed(rep, g_samples(None, psi, rho, 1, k=2))
+
+
+def hausdorff(psi, gauge, weight=1):
+    return F.hausdorff_case(F.parse_function(psi),
+                            F.parse_function(gauge, F.Regime.SMALL), weight)
+
+
+class TestHausdorffCase:
+    @pytest.mark.parametrize("tau", [Fraction(5, 2), Fraction(3), Fraction(4)])
+    def test_jarnik(self, tau):
+        # f = r^s against psi = r^-tau: H^s(W) = infinity up to and at
+        # s = 2/tau, the critical exponent, and 0 above it
+        psi = F.approximating(power=-tau)
+        crit = F.critical_exponent(psi, 1)
+        assert crit == 2 / tau
+        for s, want in [(crit / 2, math.inf), (crit, math.inf),
+                        (crit + Fraction(1, 10), 0)]:
+            case = F.hausdorff_case(psi, F.dimension_gauge(power=s), 1)
+            assert case.measure == want
+            assert case.series.convergent is (want == 0)
+
+    @pytest.mark.parametrize("psi,gauge,kind,measure", [
+        # Dirichlet: W = [0, 1], so H^1(W) = 1 and H^2(W) = 0
+        ("r^-2", "r^1", F.GrowthKind.FINITE, 1),
+        ("r^-1", "r^2", F.GrowthKind.FINITE, 0),
+        ("r^-2", "2 * r^1", F.GrowthKind.FINITE, 2),
+        ("r^-3", "r^(1/2)", F.GrowthKind.INFINITE, math.inf),
+        # a = 1: the log slot of f(r)/r decides
+        ("r^-2", "r^1 * log(1/r)^1", F.GrowthKind.INFINITE, math.inf),
+        ("r^-2", "r^1 * log(1/r)^-1", F.GrowthKind.ZERO, 0),
+        # the cli-mix job classify-gauge
+        ("r^-3 * log(r)^(-33/20)", "r^(2/3) * log(1/r)^(1/10)",
+         F.GrowthKind.ZERO, math.inf),
+        # G = 0 with f(r)/r bounded: Khintchine gives full measure
+        ("r^-2 * log(r)^-1", "r^1", F.GrowthKind.ZERO, 1),
+        ("r^(-3/2)", "r^(4/3) * log(1/r)^-1", F.GrowthKind.ZERO, 0),
+    ])
+    def test_divergence_case(self, psi, gauge, kind, measure):
+        case = hausdorff(psi, gauge)
+        assert not case.series.convergent
+        assert case.G is kind
+        assert case.measure == measure
+        assert case.measure == math.inf or isinstance(case.measure, Fraction)
+
+    def test_convergence_case(self):
+        case = hausdorff("r^-3 * log(r)^(-9/5)", "r^(2/3) * log(1/r)^(1/10)")
+        assert case.series.convergent
+        assert (case.G, case.measure) == (None, 0)
+
+    @pytest.mark.parametrize("weight,convergent", [(2, False), (-2, True)])
+    def test_weight_other_than_one_makes_no_claim(self, weight, convergent):
+        case = hausdorff("r^-3", "r^(1/2)", weight)
+        assert case.series.convergent is convergent
+        assert (case.G, case.measure) == (None, None)
+        assert case.why == "weight %d is not 1" % weight
+
+    def test_psi_not_k_regular_makes_no_claim(self):
+        case = hausdorff("log(r)^-2", "r^(1/2)")
+        assert not F.is_k_regular(F.parse_function("log(r)^-2"), 2)
+        assert not case.series.convergent
+        assert (case.G, case.measure) == (None, None)
+        assert case.why == "psi is not k-regular"
 
 
 class TestGrammar:

@@ -1,5 +1,7 @@
 """Uniform-stage ratio tests: the exact engine against the exact union
-oracle, the covering-constant examples, and the cover-sum trends."""
+oracle, the covering-constant examples (one ball and stage at a time
+through `oracles.ubiquity_ratio`), and the trends of the natural cover
+sum in `oracles`."""
 
 import math
 import random
@@ -15,7 +17,8 @@ import limsuplab.functions as fn
 import limsuplab.systems as sy
 import limsuplab.ubiquity as ub
 from limsuplab.errors import ResourceCapError, UsageError
-from oracles import exact_union_measure, window_pairs
+from oracles import (exact_union_measure, natural_cover_sum, ubiquity_ratio,
+                     window_pairs)
 
 RHO_LEMMA = fn.approximating(6, -2)          # 6/r^2 -> rho(k^n) = 6^(1-2n)
 HALF = Fraction(1, 2)
@@ -165,7 +168,7 @@ def test_engine_memory_is_three_words_per_point():
 # -- ubiquity_ratio ----------------------------------------------------------
 
 def test_lemma_configuration_full_interval():
-    ratio = ub.ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3,
+    ratio = ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3,
                               FULL_BALL)
     assert ratio >= HALF
     assert ratio == oracle_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3,
@@ -177,13 +180,13 @@ def test_ratio_exact_against_oracle_small_stages():
     for system in (sy.classical_rationals(), sy.classical_rationals(True),
                    sy.ford_horoballs()):
         for n in (1, 2):
-            got = ub.ubiquity_ratio(system, RHO_LEMMA, 6, n, ball)
+            got = ubiquity_ratio(system, RHO_LEMMA, 6, n, ball)
             assert got == oracle_ratio(system, RHO_LEMMA, 6, n, ball)
 
 
 def test_giant_radius_covers_everything():
     rho = fn.approximating(4, -1)            # rho(2) = 2 >= 1
-    assert ub.ubiquity_ratio(sy.classical_rationals(), rho, 2, 1,
+    assert ubiquity_ratio(sy.classical_rationals(), rho, 2, 1,
                              FULL_BALL) == 1
 
 
@@ -192,17 +195,17 @@ def test_ratio_monotone_in_radius():
     for ball in [FULL_BALL, (Fraction(1, 4), Fraction(1, 8)),
                  (Fraction(13, 16), Fraction(1, 16))]:
         for n in (2, 3):
-            small = ub.ubiquity_ratio(sy.classical_rationals(), slim, 6, n, ball)
-            big = ub.ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, n, ball)
+            small = ubiquity_ratio(sy.classical_rationals(), slim, 6, n, ball)
+            big = ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, n, ball)
             assert small <= big
 
 
 def test_ratio_additive_under_halving():
     c, r = Fraction(2, 5), Fraction(3, 16)
-    whole = ub.ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3, (c, r))
-    left = ub.ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3,
+    whole = ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3, (c, r))
+    left = ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3,
                              (c - r / 2, r / 2))
-    right = ub.ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3,
+    right = ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3,
                               (c + r / 2, r / 2))
     assert whole == (left + right) / 2    # equal half-measures average exactly
 
@@ -210,22 +213,22 @@ def test_ratio_additive_under_halving():
 def test_ratio_validation():
     sysr = sy.classical_rationals()
     with pytest.raises(UsageError):
-        ub.ubiquity_ratio(sysr, RHO_LEMMA, 1, 3, FULL_BALL)
+        ubiquity_ratio(sysr, RHO_LEMMA, 1, 3, FULL_BALL)
     with pytest.raises(UsageError):
-        ub.ubiquity_ratio(sysr, RHO_LEMMA, 6, 3, (Fraction(9, 10), Fraction(1, 5)))
+        ubiquity_ratio(sysr, RHO_LEMMA, 6, 3, (Fraction(9, 10), Fraction(1, 5)))
     with pytest.raises(UsageError):
-        ub.ubiquity_ratio(sysr, RHO_LEMMA, 6, 3, (HALF, Fraction(0)))
+        ubiquity_ratio(sysr, RHO_LEMMA, 6, 3, (HALF, Fraction(0)))
     with pytest.raises(UsageError):
-        ub.ubiquity_ratio(sysr, RHO_LEMMA, 6, 3, (HALF, Fraction(3, 4)))
+        ubiquity_ratio(sysr, RHO_LEMMA, 6, 3, (HALF, Fraction(3, 4)))
     with pytest.raises(UsageError):
-        ub.ubiquity_ratio(sysr, fn.approximating(1, -2, -1), 6, 3, FULL_BALL)
+        ubiquity_ratio(sysr, fn.approximating(1, -2, -1), 6, 3, FULL_BALL)
 
 
 def test_ratio_resource_cap():
     with pytest.raises(ResourceCapError):
-        ub.ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 6, FULL_BALL)
+        ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 6, FULL_BALL)
     with pytest.raises(ResourceCapError):
-        ub.ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3, FULL_BALL,
+        ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3, FULL_BALL,
                           q_cap=100)
 
 
@@ -267,7 +270,7 @@ def test_kappa_empty_inputs():
 def test_cover_sum_identity_matches_enumeration():
     # f = None: sum of count * psi(k^n) over windows, by hand
     psi = fn.approximating(1, -3)
-    total = ub.natural_cover_sum(None, psi, sy.classical_rationals(), 2, 1, 3)
+    total = natural_cover_sum(None, psi, sy.classical_rationals(), 2, 1, 3)
     want = sum(sy.classical_rationals().count_window(Fraction(2) ** (n - 1),
                                                      Fraction(2) ** n)
                * (2.0 ** n) ** -3 for n in (1, 2, 3))
@@ -279,11 +282,11 @@ def test_cover_sum_tail_shrinks_above_critical():
     # geometrically in the start index and vanish in the limit
     psi = fn.approximating(1, -3)
     f = fn.dimension_gauge(power=Fraction(4, 5))
-    tails = [ub.natural_cover_sum(f, psi, sy.classical_rationals(), 2, m, m + 12)
+    tails = [natural_cover_sum(f, psi, sy.classical_rationals(), 2, m, m + 12)
              for m in (3, 6, 9)]
     assert tails[0] > tails[1] > tails[2]
     assert tails[1] < 0.6 * tails[0] and tails[2] < 0.6 * tails[1]
-    deep = ub.natural_cover_sum(f, psi, sy.classical_rationals(), 2, 18, 30)
+    deep = natural_cover_sum(f, psi, sy.classical_rationals(), 2, 18, 30)
     assert deep < 0.02
 
 
@@ -291,7 +294,7 @@ def test_cover_sum_grows_below_critical():
     # s = 1/2 < 2/3: partial sums grow without bound in the end index
     psi = fn.approximating(1, -3)
     f = fn.dimension_gauge(power=HALF)
-    sums = [ub.natural_cover_sum(f, psi, sy.classical_rationals(), 2, 3, m)
+    sums = [natural_cover_sum(f, psi, sy.classical_rationals(), 2, 3, m)
             for m in (6, 10, 14)]
     assert sums[0] < sums[1] < sums[2]
     assert sums[2] > 2 * sums[0]
@@ -300,9 +303,9 @@ def test_cover_sum_grows_below_critical():
 def test_cover_sum_validation():
     psi = fn.approximating(1, -3)
     with pytest.raises(UsageError):
-        ub.natural_cover_sum(fn.approximating(1, -1), psi,
+        natural_cover_sum(fn.approximating(1, -1), psi,
                              sy.classical_rationals(), 2, 1, 3)
     with pytest.raises(UsageError):
-        ub.natural_cover_sum(None, psi, sy.classical_rationals(), 2, 4, 3)
+        natural_cover_sum(None, psi, sy.classical_rationals(), 2, 4, 3)
     with pytest.raises(ResourceCapError):
-        ub.natural_cover_sum(None, psi, sy.classical_rationals(True), 2, 1, 40)
+        natural_cover_sum(None, psi, sy.classical_rationals(True), 2, 1, 40)
