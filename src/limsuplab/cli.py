@@ -54,10 +54,6 @@ MAX_BALLS = 1_000
 # float range: at the default factor 1/2 and lam 1/4 no run past about
 # 1050 points can succeed (2^1024 down to 2^-26)
 MAX_POINTS = 2_048
-# `horoballs` writes every radius as an exact Fraction, and str() prints
-# an integer of at most 4300 digits (Python's default limit), as every
-# integer of at most floor(4300 log2 10) bits is
-MAX_PRINT_BITS = 14_284
 
 
 # -- option tables --------------------------------------------------------
@@ -157,6 +153,8 @@ def _dest(name: str) -> str:
 
 
 def _convert(opt: _Opt, raw: str):
+    if opt.kind == "rational":
+        return fn.read_exact(raw, "--" + opt.name)
     try:
         if opt.kind == "int":
             return int(raw)
@@ -165,10 +163,6 @@ def _convert(opt: _Opt, raw: str):
             if math.isnan(v) or math.isinf(v):
                 raise ValueError(raw)
             return v
-        if opt.kind == "rational":
-            if re.search(r"[eE][-+]?0*[1-9]\d{3}", raw):
-                raise ValueError("decimal exponent beyond 999")
-            return Fraction(raw)
         if opt.kind == "ints":
             parts = [t for t in re.split(r"[,\s]+", raw.strip()) if t]
             return [int(t) for t in parts]
@@ -585,17 +579,13 @@ def _run_loglaw(o):
     return ("t_peak", "log_t", "peak_pen", "at_peak", "running_max"), rows, summary
 
 
-def _bits(x: Fraction) -> int:
-    return max(x.numerator.bit_length(), x.denominator.bit_length())
-
-
 def _run_horoballs(o):
     from . import horoballs as hb
     try:
         a_txt, b_txt = o["base"].split(",")
-        base = (Fraction(a_txt), Fraction(b_txt))
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise UsageError("--base must be two rationals a,b")
+    base = (fn.read_exact(a_txt, "--base"), fn.read_exact(b_txt, "--base"))
     if o["points"] < 1:
         raise UsageError("points must be >= 1")
     if not 0 < o["factor"] < 1:
@@ -603,14 +593,16 @@ def _run_horoballs(o):
     if o["points"] > MAX_POINTS:
         raise ResourceCapError("%s radius scales (cap %d)"
                                % (size_text(o["points"]), MAX_POINTS))
-    # R = r_hi * factor^i has numerator and denominator of at most
-    # bits(r_hi) + i * bits(factor) bits: refused before any is formed
-    bits = _bits(o["r_hi"]) + (o["points"] - 1) * _bits(o["factor"])
-    if bits > MAX_PRINT_BITS:
+    # every radius R = r_hi * factor^i is written as an exact Fraction,
+    # of at most bits(r_hi) + i * bits(factor) bits: refused before any R
+    # is formed
+    bits = (fn.height_bits(o["r_hi"])
+            + (o["points"] - 1) * fn.height_bits(o["factor"]))
+    if bits > fn.MAX_PRINT_BITS:
         raise ResourceCapError(
             "exact radii of up to %d bits, past the %d bits that print "
             "in 4300 digits; shrink --points or the digits of --r-hi and "
-            "--factor" % (bits, MAX_PRINT_BITS))
+            "--factor" % (bits, fn.MAX_PRINT_BITS))
     radii = [o["r_hi"]]
     for _ in range(o["points"] - 1):
         radii.append(radii[-1] * o["factor"])

@@ -12,8 +12,10 @@ loglog(1/r) and the form must decrease to zero as r -> 0+.  Every
 composition the package performs -- gauge applied to an approximating
 function, weight r^u multiplied on, radius law raised to -delta -- stays
 inside the family up to constant factors, or is rejected with a
-diagnostic.  Exponent arithmetic is exact (fractions.Fraction all the
-way); only final numeric evaluations use floats.
+diagnostic.  Everything but `evaluate_array` is exact
+(fractions.Fraction all the way), and held to a bit bound: every number
+read from text to MAX_PRINT_BITS, every exact field of a form to
+MAX_EXACT_BITS.
 
 Convergence of sum_{r >= r0} r^A (log r)^B (loglog r)^C is decided by the
 integral test on the closed family:
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -42,12 +44,63 @@ RationalLike = Union[int, Fraction, str]
 _E = math.e
 
 
+# Every number `read_exact` returns has a numerator and a denominator of
+# at most MAX_PRINT_BITS bits, so it prints back: str() prints an integer
+# of at most 4300 digits (Python's default limit), as every integer of at
+# most floor(4300 log2 10) bits is.
+MAX_PRINT_BITS = 14_284
+# The symbolic layer holds the exact fields of every FunctionForm, and
+# the weight u of a series or critical exponent, to MAX_EXACT_BITS bits:
+# their heights are below H = 2^MAX_EXACT_BITS.  The exact values
+# `classify` and `critical-exponent` print are built from such fields by
+# at most one sum of two products.  The largest is the reduced exponent
+# A = alpha a + u of `classify --psi --gauge --weight`: its numerator
+# alpha.num a.num u.den + u.num alpha.den a.den is below 2 H^3 <= H^4, and
+# its denominator below H^3.  The critical exponent (u + 1)/(-a) stays
+# below 2 H^2, and n/omega is itself held to MAX_EXACT_BITS.  So every
+# printed numerator and denominator is below a product of four field
+# heights, H^4 = 2^MAX_PRINT_BITS, and prints.
+MAX_EXACT_BITS = MAX_PRINT_BITS // 4
+
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
+
 def exact(x: RationalLike, name: str) -> Fraction:
     """Coerce to an exact Fraction; floats are refused on purpose."""
     if isinstance(x, float):
         raise UsageError("%s must be exact (int, Fraction, or string like "
                          "'2/3'); got float %r" % (name, x))
     return Fraction(x)
+
+
+def height_bits(x: Fraction) -> int:
+    """Bits of the larger of |numerator| and denominator."""
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def _bounded(x: RationalLike, name: str,
+             bits: int = MAX_EXACT_BITS) -> Fraction:
+    """`exact(x)`, refused as a usage error past `bits` bits."""
+    x = exact(x, name)
+    if height_bits(x) > bits:
+        raise UsageError("%s has %d bits, past the %d-bit bound on exact "
+                         "values" % (name, height_bits(x), bits))
+    return x
+
+
+def read_exact(text: str, name: str) -> Fraction:
+    """The exact value of `text`: an integer, a fraction like -2/3 or a
+    decimal like 0.25 or 1e-9.  Text that does not parse, a decimal
+    exponent beyond 999 (refused before 10^exponent is formed) and a
+    value past MAX_PRINT_BITS are usage errors naming `name`."""
+    try:
+        m = _DECIMAL_EXPONENT.search(text)
+        if m and abs(int(m.group(1))) > 999:
+            raise ValueError("decimal exponent beyond 999")
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError("%s: cannot read %r (%s)" % (name, text, exc))
+    return _bounded(value, name, MAX_PRINT_BITS)
 
 
 class Family(Enum):
@@ -89,13 +142,14 @@ class FunctionForm:
 
     def __post_init__(self):
         for name in ("scale", "power", "log_power", "loglog_power"):
-            object.__setattr__(self, name, exact(getattr(self, name), name))
+            object.__setattr__(self, name,
+                               _bounded(getattr(self, name), name))
         if self.scale <= 0:
             raise UsageError("scale must be positive, got %s" % self.scale)
         if self.family is Family.EXP_POWER:
             if self.omega is None:
                 raise UsageError("exp-power form needs omega")
-            object.__setattr__(self, "omega", exact(self.omega, "omega"))
+            object.__setattr__(self, "omega", _bounded(self.omega, "omega"))
             if self.omega <= 0:
                 raise UsageError("omega must be positive, got %s" % self.omega)
             if self.regime is not Regime.LARGE:
@@ -289,22 +343,20 @@ def parse_function(text: str, regime: Regime = Regime.LARGE) -> FunctionForm:
     or `exp(-r^w)`.
 
     Exponents may be integers, fractions like 2/3 (optionally in
-    parentheses), or decimal literals; decimals are read exactly.
-    log(1/r) / loglog(1/r) are accepted as spellings of the small-r
-    regime and force it.
+    parentheses), or decimal literals; every number is read exactly by
+    `read_exact`, and the running scale and exponents are held to
+    MAX_EXACT_BITS after each factor.  log(1/r) / loglog(1/r) are
+    accepted as spellings of the small-r regime and force it.
     """
     text = text.strip()
     if not text:
         raise UsageError("empty function expression")
     m = _EXP_RE.fullmatch(text)
     if m:
-        return exp_power(_parse_exp(m.group(1)))
-    scale = Fraction(1)
-    power = Fraction(0)
-    log_p = Fraction(0)
-    loglog_p = Fraction(0)
-    seen_small = False
-    seen_large = False
+        return exp_power(_exponent(m.group(1)))
+    fields = {"scale": Fraction(1), "power": Fraction(0),
+              "log_power": Fraction(0), "loglog_power": Fraction(0)}
+    regimes = set()
     queue = _split_factors(text)
     while queue:
         factor = queue.pop(0)
@@ -313,54 +365,33 @@ def parse_function(text: str, regime: Regime = Regime.LARGE) -> FunctionForm:
             # a parenthesized group is a sub-product: flatten it in place
             queue = _split_factors(inner) + queue
             continue
-        m = _POWER_RE.fullmatch(factor)
-        if m:
-            power += _parse_exp(m.group(1)) if m.group(1) else Fraction(1)
-            continue
-        m = _LOG_RE.fullmatch(factor)
-        if m:
+        m = _FACTOR_RE.fullmatch(factor)
+        if m is None:
+            key = "scale"
+            value = fields[key] * read_exact(factor, repr(text))
+        else:
+            key = "%s_power" % m.group(1) if m.group(1) else "power"
+            value = fields[key] + _exponent(m.group(3))
             if m.group(1):
-                seen_small = True
-            else:
-                seen_large = True
-            e = _parse_exp(m.group(2)) if m.group(2) else Fraction(1)
-            log_p += e
-            continue
-        m = _LOGLOG_RE.fullmatch(factor)
-        if m:
-            if m.group(1):
-                seen_small = True
-            else:
-                seen_large = True
-            e = _parse_exp(m.group(2)) if m.group(2) else Fraction(1)
-            loglog_p += e
-            continue
-        try:
-            scale *= _parse_exp(factor)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("cannot parse factor %r in %r" % (factor, text))
-    if seen_small and seen_large:
+                regimes.add(Regime.SMALL if m.group(2) else Regime.LARGE)
+        fields[key] = _bounded(value, "%s of %r" % (key, text))
+    if len(regimes) > 1:
         raise UsageError("mixed log(r) and log(1/r) in %r" % text)
-    if seen_small:
-        regime = Regime.SMALL
-    elif seen_large:
-        regime = Regime.LARGE
-    return power_log(scale, power, log_p, loglog_p, regime)
+    return power_log(**fields,
+                     regime=regimes.pop() if regimes else regime)
 
 
-_NUM = r"[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?"
-_EXPPAT = r"(\(?-?%s\)?|-?%s)" % (_NUM, _NUM)
+_EXPPAT = r"(\(?-?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?\)?)"
 _EXP_RE = re.compile(r"exp\(\s*-\s*r\^%s\s*\)" % _EXPPAT)
-_POWER_RE = re.compile(r"r(?:\^%s)?" % _EXPPAT)
-_LOG_RE = re.compile(r"log\(\s*(1/)?r\s*\)(?:\^%s)?" % _EXPPAT)
-_LOGLOG_RE = re.compile(r"loglog\(\s*(1/)?r\s*\)(?:\^%s)?" % _EXPPAT)
+_FACTOR_RE = re.compile(r"(?:(log|loglog)\(\s*(1/)?r\s*\)|r)(?:\^%s)?"
+                        % _EXPPAT)
 
 
-def _parse_exp(token: str) -> Fraction:
-    token = token.strip()
-    if token.startswith("(") and token.endswith(")"):
-        token = token[1:-1].strip()
-    return Fraction(token)   # handles "3", "-2", "2/3", "0.25" exactly
+def _exponent(token: Optional[str]) -> Fraction:
+    """An exponent token, parentheses dropped; no token (no ^) means 1."""
+    if token is None:
+        return Fraction(1)
+    return read_exact(token.strip("()"), "exponent %r" % token)
 
 
 def _unwrap_parens(factor: str) -> Optional[str]:
@@ -405,7 +436,7 @@ def _split_factors(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """sum over integers r >= start of  r^weight_power * outer(inner(r)).
+    """sum over large integers r of  r^weight_power * outer(inner(r)).
 
     outer=None means the identity (sum the inner values themselves,
     weighted).  inner must be a large-r form tending to zero whenever an
@@ -415,11 +446,10 @@ class SeriesSpec:
     weight_power: Fraction
     inner: FunctionForm
     outer: Optional[FunctionForm] = None
-    start: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "weight_power",
-                           exact(self.weight_power, "weight_power"))
+                           _bounded(self.weight_power, "weight_power"))
         if self.inner.regime is not Regime.LARGE:
             raise UsageError("inner function must live in the large-r regime")
         if self.outer is not None:
@@ -432,11 +462,9 @@ class SeriesSpec:
 
 @dataclass(frozen=True)
 class ReducedSummand:
-    """Summand reduced to  const * r^A (log r)^B (loglog r)^C
-    * exp(-exp_coeff * r^exp_omega), the exponential factor optional.
-
-    `limit_scale` is the limiting constant factor (float, best effort);
-    it never participates in verdicts.
+    """Summand reduced to  r^A (log r)^B (loglog r)^C
+    * exp(-exp_coeff * r^exp_omega), the exponential factor optional, up
+    to a factor tending to a positive constant, which no verdict reads.
     """
 
     A: Fraction
@@ -444,7 +472,6 @@ class ReducedSummand:
     C: Fraction
     exp_coeff: Fraction = Fraction(0)
     exp_omega: Optional[Fraction] = None
-    limit_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -460,8 +487,8 @@ class Classification:
 
 def _compose_gauge(outer: Optional[FunctionForm], inner: FunctionForm) \
         -> ReducedSummand:
-    """Reduce outer(inner(r)) for large r, up to a constant factor that
-    tends to the reported limit_scale.
+    """Reduce outer(inner(r)) for large r, up to a factor tending to a
+    positive constant.
 
     With inner = S r^A (log r)^B (loglog r)^C and outer the gauge
     T x^al (log 1/x)^be (loglog 1/x)^ga:
@@ -478,56 +505,38 @@ def _compose_gauge(outer: Optional[FunctionForm], inner: FunctionForm) \
     outer=None is the identity and composes exactly (growing inner
     forms included).
     """
+    zero = Fraction(0)
     if outer is None:
         if inner.family is Family.EXP_POWER:
-            return ReducedSummand(
-                A=Fraction(0), B=Fraction(0), C=Fraction(0),
-                exp_coeff=Fraction(1), exp_omega=inner.omega)
-        a, b, c = inner.exponent_triple
-        return ReducedSummand(A=a, B=b, C=c,
-                              limit_scale=float(inner.scale))
+            return ReducedSummand(zero, zero, zero, Fraction(1), inner.omega)
+        return ReducedSummand(*inner.exponent_triple)
     al, be, ga = outer.exponent_triple
-    t_scale = float(outer.scale)
-
     if inner.family is Family.EXP_POWER:
         w = inner.omega
-        return ReducedSummand(
-            A=be * w, B=ga, C=Fraction(0),
-            exp_coeff=al, exp_omega=w if al else None,
-            limit_scale=t_scale * float(w) ** float(ga))
-
+        return ReducedSummand(be * w, ga, zero, al, w if al else None)
     a, b, c = inner.exponent_triple
-    s = float(inner.scale)
+    if a > 0:
+        raise CompositionError(
+            "gauge of a growing function: log(1/inner) is eventually "
+            "undefined")
     if a != 0:
-        if a > 0:
-            raise CompositionError(
-                "gauge of a growing function: log(1/inner) is eventually "
-                "undefined")
-        scale = t_scale * s ** float(al) * abs(float(a)) ** float(be)
-        return ReducedSummand(A=al * a, B=al * b + be, C=al * c + ga,
-                              limit_scale=scale)
+        return ReducedSummand(al * a, al * b + be, al * c + ga)
     if b != 0:
         if ga != 0:
             raise CompositionError(
                 "loglog(1/inner) with inner of pure log decay leaves the "
                 "closed power/log/loglog family (logloglog term)")
-        scale = t_scale * s ** float(al) * abs(float(b)) ** float(be)
-        return ReducedSummand(A=Fraction(0), B=al * b, C=al * c + be,
-                              limit_scale=scale)
+        return ReducedSummand(zero, al * b, al * c + be)
     if be != 0 or ga != 0:
         raise CompositionError(
             "log(1/inner) with inner of pure loglog decay leaves the "
             "closed family")
-    return ReducedSummand(A=Fraction(0), B=Fraction(0), C=al * c,
-                          limit_scale=t_scale * s ** float(al))
+    return ReducedSummand(zero, zero, al * c)
 
 
 def reduce_series(series: SeriesSpec) -> ReducedSummand:
     red = _compose_gauge(series.outer, series.inner)
-    return ReducedSummand(
-        A=red.A + series.weight_power, B=red.B, C=red.C,
-        exp_coeff=red.exp_coeff, exp_omega=red.exp_omega,
-        limit_scale=red.limit_scale)
+    return replace(red, A=red.A + series.weight_power)
 
 
 def _triple_convergent(A: Fraction, B: Fraction, C: Fraction) -> bool:
@@ -551,10 +560,6 @@ def series_classify(series: SeriesSpec) -> Classification:
             Verdict.CONVERGENT, red,
             "exponential decay factor exp(-%s r^%s) dominates"
             % (red.exp_coeff, red.exp_omega))
-    if red.exp_coeff < 0:
-        return Classification(
-            Verdict.DIVERGENT, red,
-            "exponentially growing summand")
     ok = _triple_convergent(red.A, red.B, red.C)
     reason = ("exponents (%s, %s, %s) against the (-1,-1,-1) boundary"
               % (red.A, red.B, red.C))
@@ -573,33 +578,28 @@ def critical_exponent(psi: FunctionForm, weight_power: RationalLike) \
     critical s itself, because convergence at s' > s_crit holds strictly
     componentwise.
     """
-    u = exact(weight_power, "weight_power")
+    u = _bounded(weight_power, "weight_power")
     if psi.regime is not Regime.LARGE:
         raise UsageError("critical exponent expects a large-r function")
     if psi.family is Family.EXP_POWER:
         # any s > 0 wins instantly against every polynomial weight
         return Fraction(0)
     a, b, c = psi.exponent_triple
+    if a > 0:
+        raise UsageError("psi must decay; got growing power %s" % a)
     if a != 0:
-        if a > 0:
-            raise UsageError("psi must decay; got growing power %s" % a)
-        s = (u + 1) / (-a)
-        return s if s > 0 else Fraction(0)
+        return max((u + 1) / (-a), Fraction(0))
     if u < -1:
         return Fraction(0)
     if u > -1:
         return math.inf
-    # u == -1: the log slots decide
-    if b != 0:
-        if b > 0:
-            raise UsageError("psi must decay; got growing log power %s" % b)
-        s = Fraction(-1) / b
-        return s if s > 0 else Fraction(0)
-    if c != 0:
-        if c > 0:
-            raise UsageError("psi must decay; got growing loglog power %s" % c)
-        s = Fraction(-1) / c
-        return s if s > 0 else Fraction(0)
+    # u == -1: the first nonzero log slot decides
+    for slot, e in (("log", b), ("loglog", c)):
+        if e > 0:
+            raise UsageError("psi must decay; got growing %s power %s"
+                             % (slot, e))
+        if e != 0:
+            return -1 / e
     raise UsageError("constant psi has no critical exponent")
 
 
@@ -615,32 +615,23 @@ def log_critical_exponent(omega: RationalLike, n: int) -> Fraction:
     w = exact(omega, "omega")
     if w <= 0 or n < 1:
         raise UsageError("need omega > 0 and n >= 1")
-    # cross-check via the reduction machinery at two probe values
-    s = Fraction(n) / w
-    for probe, convergent in ((s + 1, True), (s - Fraction(1, 2), False)):
-        if probe > 0 and series_classify(SeriesSpec(
+    s = _bounded(Fraction(n) / w, "critical exponent n/omega")
+    # cross-check via the reduction machinery at s itself, where the
+    # summand is r^-1 (loglog r)^ga: convergent for ga = -2, not for 0
+    for ga, convergent in ((-2, True), (0, False)):
+        if series_classify(SeriesSpec(
                 Fraction(n - 1), exp_power(w),
-                dimension_gauge(log_power=-probe))).convergent != convergent:
+                dimension_gauge(log_power=-s, loglog_power=ga))
+                ).convergent != convergent:
             raise InternalInvariantError(
-                "series verdict at s = %s disagrees with the critical "
-                "exponent %s" % (probe, s))
+                "series verdict at s = %s with (loglog 1/r)^%d disagrees "
+                "with the critical exponent" % (s, ga))
     return s
 
 
 # -- k-regularity --------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularityReport:
-    regular: bool
-    k: int
-    ratio_limit: float            # limit of h(k^(n+1))/h(k^n)
-    lam: Optional[float]          # a witness lambda < 1, when regular
-
-    def __bool__(self):
-        return self.regular
-
-
-def is_k_regular(form: FunctionForm, k: int) -> RegularityReport:
+def is_k_regular(form: FunctionForm, k: int) -> bool:
     """Decide whether h(k^(n+1)) <= lambda * h(k^n) eventually holds for
     some lambda < 1.
 
@@ -652,14 +643,7 @@ def is_k_regular(form: FunctionForm, k: int) -> RegularityReport:
     """
     if k < 2:
         raise UsageError("k must be an integer >= 2")
-    if form.family is Family.EXP_POWER:
-        return RegularityReport(True, k, 0.0, 0.5)
-    a = form.power
-    limit = float(k) ** float(a)
-    if a < 0:
-        return RegularityReport(True, k, limit, (limit + 1.0) / 2.0)
-    # a == 0 with decaying logs, or a > 0: ratios approach (or exceed) 1
-    return RegularityReport(False, k, limit, None)
+    return form.family is Family.EXP_POWER or form.power < 0
 
 
 # -- G = limsup of f(psi(k^n)) rho(k^n)^(-delta) --------------------------
@@ -670,20 +654,13 @@ class GrowthKind(Enum):
     INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class GReport:
-    kind: GrowthKind
-    value: Optional[float]        # the limit, for the finite case
-    reduced: ReducedSummand
-
-
 def compute_G(outer: Optional[FunctionForm], psi: FunctionForm,
-              rho: FunctionForm, delta: RationalLike) -> GReport:
+              rho: FunctionForm, delta: RationalLike) -> GrowthKind:
     """Classify G = limsup_n g(k^n), g(r) = outer(psi(r)) rho(r)^(-delta).
 
     Along the whole family g is asymptotically monotone, so the limsup
     along geometric subsequences, for every k, equals the plain limit of
-    the reduced form: zero, a positive constant (reported), or infinity.
+    the reduced form: zero, a positive constant, or infinity.
     """
     d = exact(delta, "delta")
     if d <= 0:
@@ -691,23 +668,13 @@ def compute_G(outer: Optional[FunctionForm], psi: FunctionForm,
     if rho.family is not Family.POWER_LOG or rho.regime is not Regime.LARGE:
         raise UsageError("radius law must be a large-r power-log form")
     comp = _compose_gauge(outer, psi)
+    if comp.exp_coeff:
+        return GrowthKind.ZERO if comp.exp_coeff > 0 else GrowthKind.INFINITE
     ar, br, cr = rho.exponent_triple
-    red = ReducedSummand(
-        A=comp.A - d * ar, B=comp.B - d * br, C=comp.C - d * cr,
-        exp_coeff=comp.exp_coeff, exp_omega=comp.exp_omega,
-        limit_scale=comp.limit_scale * float(rho.scale) ** float(-d))
-    if red.exp_coeff > 0:
-        kind: GrowthKind = GrowthKind.ZERO
-    elif red.exp_coeff < 0:
-        kind = GrowthKind.INFINITE
-    elif (red.A, red.B, red.C) > (0, 0, 0):
-        kind = GrowthKind.INFINITE
-    elif (red.A, red.B, red.C) < (0, 0, 0):
-        kind = GrowthKind.ZERO
-    else:
-        kind = GrowthKind.FINITE
-    value = red.limit_scale if kind is GrowthKind.FINITE else None
-    return GReport(kind, value, red)
+    tilt = (comp.A - d * ar, comp.B - d * br, comp.C - d * cr)
+    if tilt > (0, 0, 0):
+        return GrowthKind.INFINITE
+    return GrowthKind.ZERO if tilt < (0, 0, 0) else GrowthKind.FINITE
 
 
 # -- H^f(W) for the rationals: the ubiquity theorem's case split ----------
@@ -758,7 +725,7 @@ def hausdorff_case(psi: FunctionForm, gauge: FunctionForm,
         return HausdorffCase(series, measure=Fraction(0))
     if not is_k_regular(psi, 2):
         return HausdorffCase(series, why="psi is not k-regular")
-    kind = compute_G(gauge, psi, approximating(power=-2), 1).kind
+    kind = compute_G(gauge, psi, approximating(power=-2), 1)
     a, b, c = gauge.exponent_triple
     tilt = (1 - a, b, c)
     measure = (math.inf if tilt > (0, 0, 0)

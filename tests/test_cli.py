@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ HOROBALLS_LONG_RUN = ["horoballs", "--r-hi", "1/67108864", "--factor",
 # every count passes, but the last radius has a 5842-digit denominator
 HOROBALLS_DIGITS_RUN = ["horoballs", "--r-hi", "1e300", "--factor",
                         "999/1000", "--points", "2048"]
+NINES = "9" * 3000
 
 
 def run_main(argv, capsys):
@@ -110,11 +112,22 @@ class TestSummaries:
          "Divergent ⇒ no H^f(W) claim: weight 2 is not 1"),
         (["--psi", "log(r)^-2", "--gauge", "r^(1/2)"],
          "Divergent ⇒ no H^f(W) claim: psi is not k-regular"),
+        # an exact scale past float range moves no verdict
+        (["--psi", "1e999 * r^-3", "--gauge", "r^(1/2)"],
+         "Divergent ⇒ Hausdorff divergence case, G > 0: "
+         "H^f(W) = H^f([0,1]) = ∞"),
     ])
     def test_classify_hausdorff_lines(self, tmp_path, capsys, argv, summary):
         code, out, _ = run_main(["classify"] + argv + [
             "--output", str(tmp_path / "h.csv")], capsys)
         assert (code, out) == (0, summary)
+
+    def test_classify_scale_past_float_range(self, tmp_path, capsys):
+        code, out, _ = run_main(
+            ["classify", "--series", "1e999 * r^-2",
+             "--output", str(tmp_path / "c.csv")], capsys)
+        assert (code, out) == (
+            0, "Convergent ⇒ Khintchine convergence case: null set")
 
     def test_critical_exponent_fraction(self, tmp_path, capsys):
         code, out, _ = run_main(
@@ -302,7 +315,8 @@ class TestExitStatuses:
           "--r-hi", "1e300"], 2),
         # inputs whose float images are out of range
         (["horoballs", "--r-hi", "1e999", "--points", "1"], 2),
-        (["classify", "--series", "1e999 * r^-2"], 2),
+        (["stage-scan", "--psi", "1e999 * r^-2", "--k", "2", "--n-lo", "1",
+          "--n-hi", "2"], 2),
         # k^n = 10^5000 would end in an int-to-str ValueError
         (["ubiquity", "--rho", "r^-2", "--k", "100000", "--n-lo", "1000",
           "--n-hi", "1000"], 2),
@@ -323,6 +337,67 @@ class TestExitStatuses:
                                        str(tmp_path / "r.csv")], capsys)
         assert got == code and "Traceback" not in err
         assert err.startswith("resource cap:" if code == 2 else "error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--series", "r^(1/0)"],
+        ["classify", "--series", "log(r)^(1/0) * r^-2"],
+        ["classify", "--series", "exp(-r^(1/0))"],
+        ["stage-scan", "--psi", "r^(-1/0)", "--k", "2", "--n-lo", "1",
+         "--n-hi", "2"],
+        ["classify", "--series", "r^-" + "9" * 5000],
+        # forming 10^(10^7) takes seconds: refused from its exponent
+        ["classify", "--series", "1e10000000 * r^-2"],
+        ["classify", "--series", "1e100000000 * r^-2"],
+        ["cf", "--x", "1e1_000_000"],
+        ["horoballs", "--base", "1e10000000,1"],
+        # exact values past the bounds, which would not print
+        ["critical-exponent", "--psi", "r^(-1/%s)" % NINES,
+         "--weight", NINES],
+        ["critical-exponent", "--omega", "1/2", "--ambient", "9" * 4000],
+        ["classify", "--psi", "r^-2", "--gauge",
+         "1e999 * 1e999 * 1e999 * 1e999 * 1e999 * r^1"],
+        ["classify", "--psi", "r^-" + NINES, "--gauge", "r^" + NINES],
+    ])
+    def test_unreadable_numbers_are_1_at_once(self, tmp_path, capsys, argv):
+        started = time.perf_counter()
+        code, _, err = run_main(argv + ["--output", str(tmp_path / "u.csv")],
+                                capsys)
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and err.startswith("error:"), err[:200]
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_exact_bounds_at_their_edges(self, tmp_path, capsys):
+        # every field at MAX_EXACT_BITS: the reduced exponent alpha a + u,
+        # the largest value classify prints, has three times the bits
+        h = 2 ** fn.MAX_EXACT_BITS
+        a, al, u = (-Fraction(h - 1, h - 3), Fraction(h - 5, h - 7),
+                    Fraction(h - 9, h - 11))
+        out = tmp_path / "b.jsonl"
+        argv = ["classify", "--psi", "r^(%s)" % a, "--gauge", "r^(%s)" % al,
+                "--weight", str(u), "--format", "jsonl", "--output", str(out)]
+        code, _, _ = run_main(argv, capsys)
+        assert code == 0
+        row = json.loads(out.read_text().splitlines()[1])
+        A = Fraction(row["reduced_A"])
+        assert A == al * a + u
+        assert 3 * fn.MAX_EXACT_BITS - 2 <= fn.height_bits(A) \
+            <= fn.MAX_PRINT_BITS
+        # one bit more in one field is refused
+        argv[2] = "r^(%s)" % Fraction(1 - 2 * h, h - 1)
+        code, _, err = run_main(argv, capsys)
+        assert code == 1
+        assert "past the %d-bit bound" % fn.MAX_EXACT_BITS in err
+        # a rational option prints back up to MAX_PRINT_BITS
+        top = 2 ** fn.MAX_PRINT_BITS - 1
+        code, out_line, _ = run_main(
+            ["cf", "--x", "1/%d" % top, "--output", str(tmp_path / "c.csv")],
+            capsys)
+        assert (code, out_line) == (0, "quotients [%d] (terminated)" % top)
+        code, _, err = run_main(
+            ["cf", "--x", "1/%d" % (top + 1),
+             "--output", str(tmp_path / "c.csv")], capsys)
+        assert code == 1
+        assert "past the %d-bit bound" % fn.MAX_PRINT_BITS in err
 
     @pytest.mark.parametrize("option,cap", [
         ("--full-cap", sy.FULL_SWEEP_CAP),
@@ -623,6 +698,9 @@ FUZZ_OPTIONS = {
 FUZZ_COMMON = {"seed": "0;7", "format": "csv;jsonl"}
 FUZZ_EDGE = ["0", "-1", "-7", "nan", "inf", "-inf", "1/0", "1e999",
              "1e-99999", "x", "", "1,,2", "0.5"]
+# function texts the parser refuses at once, drawn for function options
+FUZZ_FUNCTION_EDGE = ["r^(1/0)", "r^-" + "9" * 5000, "1e10000000 * r^-2"]
+FUZZ_FUNCTION_OPTIONS = ("psi", "series", "gauge", "rho")
 # whole invocations past a cap, run ahead of the random draws
 FUZZ_EDGE_RUNS = [
     ["ubiquity", "--rho", "r^-2", "--k", "100000", "--n-lo", "1000",
@@ -642,7 +720,9 @@ def fuzz_argv(rnd, out):
     for name, spec in {**FUZZ_OPTIONS[command], **FUZZ_COMMON}.items():
         if rnd.random() < 0.8:
             valid, _, past_cap = spec.partition("|")
-            group = rnd.choices([valid.split(";"), FUZZ_EDGE,
+            edge = FUZZ_EDGE + (FUZZ_FUNCTION_EDGE
+                                if name in FUZZ_FUNCTION_OPTIONS else [])
+            group = rnd.choices([valid.split(";"), edge,
                                  (past_cap or valid).split(";")],
                                 [0.85, 0.1, 0.05])[0]
             argv += ["--" + name, rnd.choice(group)]
