@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from . import functions as fn
 from .errors import (InternalInvariantError, PrecisionExhausted,
-                     ResourceCapError, UsageError, size_text)
+                     ResourceCapError, UsageError, size_text, unreadable)
 
 # Each handler imports the numeric layers it runs (and numpy with them),
 # so a command pays only for its own; the symbolic `functions` is
@@ -50,10 +50,6 @@ OUTPUT_DIR_ENV = "LIMSUPLAB_OUTPUT_DIR"
 # every `ubiquity` ball is one exact query per stage: 1000 balls at the
 # README stages 3..5 of 6 r^-2 with k = 6 measured 14-15 s on 2 vCPUs
 MAX_BALLS = 1_000
-# `horoballs` writes log10 R for every radius, so a run ends within
-# float range: at the default factor 1/2 and lam 1/4 no run past about
-# 1050 points can succeed (2^1024 down to 2^-26)
-MAX_POINTS = 2_048
 
 
 # -- option tables --------------------------------------------------------
@@ -108,7 +104,7 @@ _COMMANDS: Dict[str, Tuple[_Opt, ...]] = {
              help="smallest allowed test-interval length"),
         _Opt("target", "rational", "1/2", help="ratio target for n_min"),
         _Opt("q-cap", "int", _MAX_UNIFORM_Q),
-        _Opt("system", "choice:rationals,rationals-coprime,ford", "rationals"),
+        _Opt("system", "choice:rationals,ford", "rationals"),
     ),
     "schmidt": (
         _Opt("psi", "text", required=True),
@@ -173,7 +169,7 @@ def _convert(opt: _Opt, raw: str):
             return raw
         return raw
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError("--%s: cannot read %r (%s)" % (opt.name, raw, exc))
+        raise unreadable("--" + opt.name, raw, exc)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,10 +331,6 @@ _Handler = Callable[[Dict[str, object]],
                     Tuple[Tuple[str, ...], List[Dict[str, object]], str]]
 
 
-def _parse_form(text: str, small: bool = False) -> fn.FunctionForm:
-    return fn.parse_function(text, fn.Regime.SMALL if small else fn.Regime.LARGE)
-
-
 def _run_classify(o):
     weight = o["weight"]
     case = None
@@ -347,13 +339,13 @@ def _run_classify(o):
             raise UsageError("--series excludes --psi/--gauge")
         cls = fn.series_classify(fn.SeriesSpec(
             weight if weight is not None else Fraction(0),
-            _parse_form(o["series"])))
+            fn.parse_function(o["series"])))
     elif o["psi"]:
         weight = weight if weight is not None else Fraction(1)
-        psi = _parse_form(o["psi"])
+        psi = fn.parse_function(o["psi"])
         if o["gauge"]:
-            case = fn.hausdorff_case(psi, _parse_form(o["gauge"], small=True),
-                                     weight)
+            gauge = fn.parse_function(o["gauge"], fn.Regime.SMALL)
+            case = fn.hausdorff_case(psi, gauge, weight)
             cls = case.series
         else:
             cls = fn.series_classify(fn.SeriesSpec(weight, psi))
@@ -393,7 +385,7 @@ def _run_critical_exponent(o):
         raise UsageError("give either --psi/--weight or --omega/--ambient")
     if by_psi:
         weight = o["weight"] if o["weight"] is not None else Fraction(1)
-        value = fn.critical_exponent(_parse_form(o["psi"]), weight)
+        value = fn.critical_exponent(fn.parse_function(o["psi"]), weight)
         row = {"kind": "hausdorff", "weight": weight, "value": value}
     else:
         if o["omega"] is None or o["ambient"] is None:
@@ -407,7 +399,7 @@ def _run_critical_exponent(o):
 
 def _run_stage_scan(o):
     from . import systems as sy
-    stage = sy.per_point_stage(_parse_form(o["psi"]), o["k"])
+    stage = sy.per_point_stage(fn.parse_function(o["psi"]), o["k"])
     scan = sy.stage_measure_scan(sy.classical_rationals(), stage,
                                  o["n_lo"], o["n_hi"],
                                  full_cap=o["full_cap"],
@@ -453,12 +445,8 @@ def _seeded_balls(count: int, min_measure: Fraction, seed: int):
 def _run_ubiquity(o):
     from . import systems as sy
     from . import ubiquity as ub
-    systems = {
-        "rationals": lambda: sy.classical_rationals(),
-        "rationals-coprime": lambda: sy.classical_rationals(coprime_only=True),
-        "ford": lambda: sy.ford_horoballs(),
-    }
-    system = systems[o["system"]]()
+    system = (sy.ford_horoballs() if o["system"] == "ford"
+              else sy.classical_rationals())
     if o["balls"] < 1:
         raise UsageError("need at least one ball")
     if not 1 <= o["n_lo"] <= o["n_hi"]:
@@ -470,8 +458,8 @@ def _run_ubiquity(o):
         raise ResourceCapError("%s balls (cap %d)"
                                % (size_text(o["balls"]), MAX_BALLS))
     balls = _seeded_balls(o["balls"], o["min_measure"], o["seed"])
-    reports = ub.estimate_kappa(system, _parse_form(o["rho"]), o["k"], balls,
-                                range(o["n_lo"], o["n_hi"] + 1),
+    reports = ub.estimate_kappa(system, fn.parse_function(o["rho"]), o["k"],
+                                balls, range(o["n_lo"], o["n_hi"] + 1),
                                 target=o["target"], q_cap=o["q_cap"])
     rows = []
     for i, rep in enumerate(reports):
@@ -492,7 +480,7 @@ def _run_ubiquity(o):
 
 def _run_schmidt(o):
     from . import counting as ct
-    psi = _parse_form(o["psi"])
+    psi = fn.parse_function(o["psi"])
     if o["samples"] < 1:
         raise UsageError("samples must be >= 1")
     result = ct.schmidt_experiment(psi, o["N"], o["samples"], o["seed"],
@@ -502,9 +490,9 @@ def _run_schmidt(o):
             for i, r in enumerate(result.records)]
     summary = ("mean ratio %.6f, stddev %.6f over %d samples (N=%d%s)"
                % (result.mean_ratio, result.stddev, len(result.records),
-                  o["N"], "" if result.condition_ok
+                  o["N"], "" if result.prediction.condition_ok
                   else "; multiplicity condition 2 q psi(q) < 1 fails at "
-                  "q = %d" % result.first_violation))
+                  "q = %d" % result.prediction.first_violation))
     return ("index", "x", "count", "prediction", "ratio"), rows, summary
 
 
@@ -526,12 +514,7 @@ def _run_cf(o):
 def _direction(o):
     if (o.get("x") is None) == (o.get("quotients") is None):
         raise UsageError("give exactly one of --x or --quotients")
-    if o.get("quotients") is not None:
-        return o["quotients"]
-    x = o["x"]
-    if not 0 < x < 1:
-        raise UsageError("--x must lie in (0, 1)")
-    return x
+    return o["x"] if o.get("quotients") is None else o["quotients"]
 
 
 def _run_excursions(o):
@@ -540,7 +523,7 @@ def _run_excursions(o):
     if o["step"] is not None:
         if o.get("x") is None:
             raise UsageError("--step needs --x (sampled engine)")
-        records = geo.excursions(float(o["x"]), o["T"], sample_step=o["step"])
+        records = geo.excursions(o["x"], o["T"], sample_step=o["step"])
         engine = "sampled"
     else:
         records = geo.predicted_excursions(direction, o["T"])
@@ -586,35 +569,10 @@ def _run_horoballs(o):
     except ValueError:
         raise UsageError("--base must be two rationals a,b")
     base = (fn.read_exact(a_txt, "--base"), fn.read_exact(b_txt, "--base"))
-    if o["points"] < 1:
-        raise UsageError("points must be >= 1")
-    if not 0 < o["factor"] < 1:
-        raise UsageError("factor must lie in (0, 1)")
-    if o["points"] > MAX_POINTS:
-        raise ResourceCapError("%s radius scales (cap %d)"
-                               % (size_text(o["points"]), MAX_POINTS))
-    # every radius R = r_hi * factor^i is written as an exact Fraction,
-    # of at most bits(r_hi) + i * bits(factor) bits: refused before any R
-    # is formed
-    bits = (fn.height_bits(o["r_hi"])
-            + (o["points"] - 1) * fn.height_bits(o["factor"]))
-    if bits > fn.MAX_PRINT_BITS:
-        raise ResourceCapError(
-            "exact radii of up to %d bits, past the %d bits that print "
-            "in 4300 digits; shrink --points or the digits of --r-hi and "
-            "--factor" % (bits, fn.MAX_PRINT_BITS))
-    radii = [o["r_hi"]]
-    for _ in range(o["points"] - 1):
-        radii.append(radii[-1] * o["factor"])
-    hb.check_count_run(base, radii, o["lam"])
-    # the smallest R has the widest window, so counting it first refuses
-    # an oversized window before any other is counted
-    reps = {R: hb.horoball_count_ratio(base, R, o["lam"])
-            for R in reversed(radii)}
-    rows = [{"R": R, "log10_R": math.log10(R),
-             "q_min": reps[R].q_min, "q_max": reps[R].q_max,
-             "count": reps[R].count, "ratio": float(reps[R].ratio)}
-            for R in reversed(reps)]
+    reps = hb.band_counts(base, o["r_hi"], o["factor"], o["points"], o["lam"])
+    rows = [{"R": rep.R, "log10_R": rep.log10_R, "q_min": rep.q_min,
+             "q_max": rep.q_max, "count": rep.count, "ratio": rep.ratio}
+            for rep in reps]
     ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
     if ratios:
         spread = max(ratios) / min(ratios)

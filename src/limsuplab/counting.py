@@ -67,11 +67,7 @@ class SchmidtSummary:
     mean_ratio: float
     stddev: float
     records: tuple[CountRecord, ...]
-    first_violation: Optional[int]      # first q with 2 q psi(q) >= 1
-
-    @property
-    def condition_ok(self) -> bool:
-        return self.first_violation is None
+    prediction: SchmidtPrediction
 
 
 # every sample of a schmidt run shares one (psi, N): schmidt_prediction
@@ -166,5 +162,4 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
     var = (sum((r - mean) ** 2 for r in ratios) / len(ratios)
            if ratios else float("nan"))
     return SchmidtSummary(psi, N, seed, mean, math.sqrt(var) if ratios
-                          else float("nan"), tuple(records),
-                          pred.first_violation)
+                          else float("nan"), tuple(records), pred)

@@ -44,3 +44,20 @@ def size_text(n: int) -> str:
     if n.bit_length() <= 64:
         return str(n)
     return "~2^%d" % n.bit_length()
+
+
+def text_echo(text: str) -> str:
+    """A token for a message: its repr up to 40 characters, past that
+    the repr of its first 40 characters and its length, so the refusal
+    of a huge token stays one short line."""
+    if len(text) <= 40:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:40], len(text))
+
+
+def unreadable(name: str, text: str, exc: Exception) -> UsageError:
+    """The refusal of `text`, read for `name`, on the error `exc` that
+    reading it raised; exc's own copy of the text is abbreviated too."""
+    echo = text_echo(text)
+    return UsageError("%s: cannot read %s (%s)" % (
+        name, echo, str(exc).replace(repr(text), echo)))

@@ -37,7 +37,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from limsuplab.errors import (CompositionError, DomainError,
-                              InternalInvariantError, UsageError)
+                              InternalInvariantError, ResourceCapError,
+                              UsageError, text_echo, unreadable)
 
 RationalLike = Union[int, Fraction, str]
 
@@ -99,7 +100,7 @@ def read_exact(text: str, name: str) -> Fraction:
             raise ValueError("decimal exponent beyond 999")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError("%s: cannot read %r (%s)" % (name, text, exc))
+        raise unreadable(name, text, exc)
     return _bounded(value, name, MAX_PRINT_BITS)
 
 
@@ -263,53 +264,53 @@ def evaluate_rational(form: FunctionForm, r: Union[int, Fraction]) -> Fraction:
     rational scale: integer exponent, no log factors.  The stage-set
     machinery leans on this for exact radii like q^-3 or 6 * q^-2.
     """
-    if form.family is not Family.POWER_LOG:
-        raise UsageError("exact evaluation needs a power-log form")
-    if form.log_power != 0 or form.loglog_power != 0:
-        raise UsageError("exact evaluation defined only without log factors")
-    if form.power.denominator != 1:
-        raise UsageError("exact evaluation needs an integer power, got %s"
-                         % form.power)
+    if (form.family is not Family.POWER_LOG or form.log_power != 0
+            or form.loglog_power != 0 or form.power.denominator != 1):
+        raise UsageError(
+            "exact evaluation needs a rational-valued law (integer power, "
+            "no log factors); got %s" % _echo(form))
     rq = Fraction(r)
     if rq <= 0:
         raise DomainError("exact evaluation needs r > 0")
     return form.scale * rq ** int(form.power)
 
 
-def is_rational_valued(form: FunctionForm) -> bool:
-    return (form.family is Family.POWER_LOG
-            and form.log_power == 0 and form.loglog_power == 0
-            and form.power.denominator == 1)
-
-
 def evaluate_array(form: FunctionForm, r):
     """Vectorised evaluate over a numpy array (float64 out).
 
-    Same domain rule as evaluate, enforced on the whole array at once.
-    numpy is imported lazily so the symbolic core stays importable
-    without it.
+    Same domain rule as evaluate, enforced on the whole array at once; a
+    DomainError names the form.  A field past float range is a
+    ResourceCapError naming the form and the field.  numpy is imported
+    lazily so the symbolic core stays importable without it.
     """
     import numpy as np
+
+    def field(name: str) -> float:
+        try:
+            return float(getattr(form, name))
+        except OverflowError:
+            raise ResourceCapError("%s of %s has no float image"
+                                   % (name, _echo(form)))
 
     r = np.asarray(r, dtype=np.float64)
     threshold = float(form.domain_threshold)
     if form.family is Family.EXP_POWER:
         if np.any(r < 0):
-            raise DomainError("negative r for an exp-power form")
-        return np.exp(-(r ** float(form.omega)))
+            raise DomainError("%s needs r >= 0" % _echo(form))
+        return np.exp(-(r ** field("omega")))
     if form.regime is Regime.LARGE:
         if np.any(r <= threshold):
-            raise DomainError("r at or below domain threshold %s" % threshold)
+            raise DomainError("%s needs r > %s" % (_echo(form), threshold))
         x = np.log(r)
     else:
         if np.any(r <= 0) or np.any(r >= threshold):
-            raise DomainError("r outside (0, %s)" % threshold)
+            raise DomainError("%s needs r in (0, %s)" % (_echo(form), threshold))
         x = np.log(1.0 / r)
-    out = float(form.scale) * r ** float(form.power)
+    out = field("scale") * r ** field("power")
     if form.log_power:
-        out = out * x ** float(form.log_power)
+        out = out * x ** field("log_power")
     if form.loglog_power:
-        out = out * np.log(x) ** float(form.loglog_power)
+        out = out * np.log(x) ** field("loglog_power")
     return out
 
 
@@ -336,6 +337,11 @@ def format_function(form: FunctionForm) -> str:
 
 def _fmt_exp(e: Fraction) -> str:
     return str(e) if e.denominator == 1 else "(%s)" % e
+
+
+def _echo(form: FunctionForm) -> str:
+    """The form for a message, abbreviated as `text_echo` does."""
+    return text_echo(format_function(form))
 
 
 def parse_function(text: str, regime: Regime = Regime.LARGE) -> FunctionForm:
@@ -368,15 +374,15 @@ def parse_function(text: str, regime: Regime = Regime.LARGE) -> FunctionForm:
         m = _FACTOR_RE.fullmatch(factor)
         if m is None:
             key = "scale"
-            value = fields[key] * read_exact(factor, repr(text))
+            value = fields[key] * read_exact(factor, text_echo(text))
         else:
             key = "%s_power" % m.group(1) if m.group(1) else "power"
             value = fields[key] + _exponent(m.group(3))
             if m.group(1):
                 regimes.add(Regime.SMALL if m.group(2) else Regime.LARGE)
-        fields[key] = _bounded(value, "%s of %r" % (key, text))
+        fields[key] = _bounded(value, "%s of %s" % (key, text_echo(text)))
     if len(regimes) > 1:
-        raise UsageError("mixed log(r) and log(1/r) in %r" % text)
+        raise UsageError("mixed log(r) and log(1/r) in %s" % text_echo(text))
     return power_log(**fields,
                      regime=regimes.pop() if regimes else regime)
 
@@ -391,7 +397,7 @@ def _exponent(token: Optional[str]) -> Fraction:
     """An exponent token, parentheses dropped; no token (no ^) means 1."""
     if token is None:
         return Fraction(1)
-    return read_exact(token.strip("()"), "exponent %r" % token)
+    return read_exact(token.strip("()"), "exponent")
 
 
 def _unwrap_parens(factor: str) -> Optional[str]:
@@ -418,17 +424,17 @@ def _split_factors(text: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise UsageError("unbalanced parentheses in %r" % text)
+                raise UsageError("unbalanced parentheses in %s" % text_echo(text))
         if ch == "*" and depth == 0:
             out.append("".join(cur).strip())
             cur = []
         else:
             cur.append(ch)
     if depth:
-        raise UsageError("unbalanced parentheses in %r" % text)
+        raise UsageError("unbalanced parentheses in %s" % text_echo(text))
     out.append("".join(cur).strip())
     if any(not f for f in out):
-        raise UsageError("empty factor in %r" % text)
+        raise UsageError("empty factor in %s" % text_echo(text))
     return out
 
 

@@ -72,6 +72,7 @@ from limsuplab.errors import (
     PrecisionExhausted,
     ResourceCapError,
     UsageError,
+    text_echo,
 )
 
 __all__ = [
@@ -181,7 +182,8 @@ def _exact_direction(x) -> Fraction:
                          "sequence, got %r; for a float x pass Fraction(x)"
                          % (x,))
     if not 0 < x < 1:
-        raise UsageError("direction must lie in (0, 1), got %s" % (x,))
+        raise UsageError("direction must lie in (0, 1), got %s"
+                         % text_echo(str(x)))
     return x
 
 
@@ -627,9 +629,9 @@ def _grid_im(x: float, ts: List[float]) -> Optional[np.ndarray]:
     return None
 
 
-def excursions(x: float, T: float, sample_step: Optional[float] = None
-               ) -> List[ExcursionRecord]:
-    """Excursions of the sampled geodesic toward x on [0, T].
+def excursions(x: Union[float, Fraction], T: float,
+               sample_step: Optional[float] = None) -> List[ExcursionRecord]:
+    """Excursions of the sampled geodesic toward float(x) on [0, T].
 
     Samples penetration on a uniform grid, refines each maximal positive
     run by bisection (endpoints) and ternary search (peak), and matches
@@ -641,9 +643,9 @@ def excursions(x: float, T: float, sample_step: Optional[float] = None
     loses the cusp structure once e^{2t} ulp ~ 1 (t around 16); the
     CF-proxy comparison is intentionally left on beyond that point.
     """
-    xf = float(x)
+    xf = float(x) if 0 < x < 1 else math.nan  # float(x) fails past float range
     if not 0.0 < xf < 1.0:
-        raise UsageError("x must lie in (0, 1), got %r" % (x,))
+        raise UsageError("x must lie in (0, 1), got %s" % text_echo(str(x)))
     if not 0 < T < math.inf:
         raise UsageError("T must be finite and > 0, got %r" % (T,))
     step = T / 1e6 if sample_step is None else float(sample_step)

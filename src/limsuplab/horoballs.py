@@ -35,12 +35,17 @@ import numpy as np
 from limsuplab import farey
 from limsuplab import functions as fn
 from limsuplab import systems as sy
-from limsuplab.errors import InternalInvariantError, ResourceCapError, UsageError
+from limsuplab.errors import (InternalInvariantError, ResourceCapError,
+                              UsageError, size_text)
 
 # count_horoballs takes a gcd per candidate base: the widest window of a
 # 24-point `horoballs` run (R = 2^-26, lam = 1/4) bounds 5.03e7 bases and
 # took 3.5 s on 2 vCPUs, and each further halving of R doubles both
 MAX_COUNT_BASES = 64_000_000
+# band_counts forms every radius and bounds its window before counting
+# any, work that grows with the points: 2048 radii down from 10^300 at
+# factor 1/2 took 0.09 s to refuse by the run cap on 2 vCPUs
+MAX_POINTS = 2_048
 # disjointness_check sweeps 1024-row blocks of int64 arrays over the
 # columns right of each block: 1.8 s and 539 MB peak RSS at q_max = 256
 # on 2 vCPUs.  Its identity layer forms S |c - c'|^2 < 4 q^8 in int64
@@ -82,27 +87,11 @@ def _check_bases(bound: Fraction, cap: int, what: str) -> None:
             % (what, math.ceil(bound).bit_length(), cap))
 
 
-def check_count_run(base_window: tuple, radii, lam) -> None:
-    """Refuse, before any count, a run of horoball_count_ratio windows
-    [lam*R, R) over `radii` whose coarse bounds sum past 2 *
-    MAX_COUNT_BASES.  Halving R doubles the bound, so a run at factor
-    1/2 stays under it whenever its widest window passes alone."""
-    lam = fn.exact(lam, "lambda")
-    if not 0 < lam < 1:
-        raise UsageError("lambda must lie in (0, 1)")
-    b_lo = fn.exact(base_window[0], "base lo")
-    b_hi = fn.exact(base_window[1], "base hi")
-    total = sum(_bases_bound(b_lo, b_hi, *q_window(lam * R, R)) for R in radii)
-    _check_bases(total, 2 * MAX_COUNT_BASES,
-                 "%d radius windows hold" % len(radii))
-
-
 def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
     """Number of Ford circles with base in the half-open window and
     radius in [r_lo, r_hi); refuses a window of more than
     MAX_COUNT_BASES candidate bases."""
-    b_lo = fn.exact(base_window[0], "base lo")
-    b_hi = fn.exact(base_window[1], "base hi")
+    b_lo, b_hi = (fn.exact(b, "base") for b in base_window)
     if b_lo >= b_hi:
         return 0
     q_min, q_max = q_window(r_lo, r_hi)
@@ -131,29 +120,71 @@ class CountReport:
     count: int
     ratio: float        # count / (R^-1 * m(B))
 
+    @property
+    def log10_R(self) -> float:
+        """log10 R, from R's integers where float(R) is 0 or past range."""
+        try:
+            if float(self.R):
+                return math.log10(self.R)
+        except OverflowError:
+            pass
+        return math.log10(self.R.numerator) - math.log10(self.R.denominator)
+
 
 def horoball_count_ratio(base_window: tuple, R, lam) -> CountReport:
     """Count circles with base in the window and radius in [lam*R, R),
-    normalized by R^-1 * m(B).
+    normalized by R^-1 * m(B): the band of the one radius R.
 
     An empty q-range is a legitimate zero (the radius window slid
     between consecutive admissible radii); a zero-measure base window is
     a degenerate request and rejected.
     """
-    R = fn.exact(R, "R")
+    return band_counts(base_window, R, Fraction(1, 2), 1, lam)[0]
+
+
+def band_counts(base_window: tuple, r_hi, factor, points: int,
+                lam) -> list[CountReport]:
+    """Count reports of the radii R = r_hi * factor^i, i < points,
+    largest R first, all checked before any count: at most MAX_POINTS
+    radii, whose exact values print (bounded in O(1) before any R is
+    formed), and whose coarse base bounds sum to at most 2 *
+    MAX_COUNT_BASES (halving R doubles a bound, so a run at factor 1/2
+    passes whenever its widest window does).  The smallest R, whose
+    window is the widest, is counted first, so an oversized window is
+    refused before any other is counted."""
+    r_hi, factor = fn.exact(r_hi, "R"), fn.exact(factor, "factor")
+    if points < 1:
+        raise UsageError("points must be >= 1")
+    if not 0 < factor < 1:
+        raise UsageError("factor must lie in (0, 1)")
+    if points > MAX_POINTS:
+        raise ResourceCapError("%s radius scales (cap %d)"
+                               % (size_text(points), MAX_POINTS))
+    bits = fn.height_bits(r_hi) + (points - 1) * fn.height_bits(factor)
+    if bits > fn.MAX_PRINT_BITS:
+        raise ResourceCapError(
+            "exact radii of up to %d bits, past the %d bits that print "
+            "in 4300 digits; shrink the points or the digits of R and "
+            "the factor" % (bits, fn.MAX_PRINT_BITS))
     lam = fn.exact(lam, "lambda")
-    if R <= 0:
-        raise UsageError("R must be positive")
     if not 0 < lam < 1:
         raise UsageError("lambda must lie in (0, 1)")
-    b_lo = fn.exact(base_window[0], "base lo")
-    b_hi = fn.exact(base_window[1], "base hi")
+    radii = [r_hi]
+    for _ in range(points - 1):
+        radii.append(radii[-1] * factor)
+    b_lo, b_hi = (fn.exact(b, "base") for b in base_window)
+    windows = [q_window(lam * R, R) for R in radii]
+    _check_bases(sum(_bases_bound(b_lo, b_hi, *w) for w in windows),
+                 2 * MAX_COUNT_BASES, "%d radius windows hold" % points)
     if b_hi <= b_lo:
         raise UsageError("degenerate base window: m(B) = 0")
-    q_min, q_max = q_window(lam * R, R)
-    count = count_horoballs((b_lo, b_hi), lam * R, R)
-    ratio = float(Fraction(count) * R / (b_hi - b_lo))
-    return CountReport(R, lam, (b_lo, b_hi), q_min, q_max, count, ratio)
+    reports = []
+    for R, (q_min, q_max) in reversed(list(zip(radii, windows))):
+        count = count_horoballs((b_lo, b_hi), lam * R, R)
+        ratio = float(Fraction(count) * R / (b_hi - b_lo))
+        reports.append(CountReport(R, lam, (b_lo, b_hi), q_min, q_max,
+                                   count, ratio))
+    return reports[::-1]
 
 
 # -- disjointness ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Resonant point systems and their stage sets.
 
 A *system* is a countable family of points in [0,1] carrying positive
-weights: the rationals p/q weighted by q (with or without coprimality),
-or the Ford configuration where p/q is weighted by 2q^2.  A *stage
+weights: the rationals p/q weighted by q, or the Ford configuration
+where reduced p/q is weighted by 2q^2.  A *stage
 spec* turns a system into the per-point stages of Khintchine and
 Jarnik: stage n collects B(p/q, psi(weight)) over weights in one
 geometric window (k^(n-1), k^n].  The uniform stages B(p/q, rho(k^n))
@@ -82,7 +82,6 @@ class ResonantSystem:
     """A weighted family of rational points in [0,1]."""
 
     kind: SystemKind
-    coprime_only: bool = False
 
     def q_interval(self, w_lo: Fraction, w_hi: Fraction) -> tuple[int, int]:
         """Inclusive denominator range with weight in (w_lo, w_hi]."""
@@ -135,7 +134,7 @@ class ResonantSystem:
         q_lo, q_hi = self.q_interval(w_lo, w_hi)
         if q_lo > q_hi:
             return 0
-        if self.kind is SystemKind.RATIONALS and not self.coprime_only:
+        if self.kind is SystemKind.RATIONALS:
             m = q_hi - q_lo + 1
             return m * (q_lo + q_hi + 2) // 2  # sum of (q + 1)
         if cum is None:
@@ -146,8 +145,8 @@ class ResonantSystem:
         return total
 
 
-def classical_rationals(coprime_only: bool = False) -> ResonantSystem:
-    return ResonantSystem(SystemKind.RATIONALS, coprime_only=coprime_only)
+def classical_rationals() -> ResonantSystem:
+    return ResonantSystem(SystemKind.RATIONALS)
 
 
 def ford_horoballs() -> ResonantSystem:
@@ -217,16 +216,6 @@ class StageScan:
     records: tuple[StageMeasure, ...]
 
 
-def _radius_vector(stage: StageSpec, weights: np.ndarray) -> np.ndarray:
-    """Vectorised stage radius over an array of float weights."""
-    try:
-        return fn.evaluate_array(stage.form, weights)
-    except fn.DomainError as exc:
-        raise UsageError(
-            "stage weights violate the radius function's domain: %s"
-            % exc) from exc
-
-
 def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     """Reduced-centre description of stage n.
 
@@ -241,7 +230,7 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     q_lo, q_hi = system.q_interval(w_lo, w_hi)
     if q_lo > q_hi:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    if system.kind is SystemKind.RATIONALS and not system.coprime_only:
+    if system.kind is SystemKind.RATIONALS:
         # all reduced denominators up to q_hi appear, via their smallest
         # multiple inside the window
         b_vals = np.arange(1, q_hi + 1, dtype=np.int64)
@@ -249,15 +238,11 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
         qmin = farey.min_multiple_above(b_vals, w_lo_floor, q_hi)
         keep = qmin > 0
         b_vals, qmin = b_vals[keep], qmin[keep]
-        radii = _radius_vector(stage, qmin.astype(np.float64))
-        return b_vals, radii
-    # reduced systems: denominators live in the window themselves
+        return b_vals, fn.evaluate_array(stage.form, qmin.astype(np.float64))
+    # Ford: reduced denominators live in the window themselves
     b_vals = np.arange(q_lo, q_hi + 1, dtype=np.int64)
-    if system.kind is SystemKind.FORD:
-        weights = 2.0 * b_vals.astype(np.float64) ** 2
-    else:
-        weights = b_vals.astype(np.float64)
-    return b_vals, _radius_vector(stage, weights)
+    weights = 2.0 * b_vals.astype(np.float64) ** 2
+    return b_vals, fn.evaluate_array(stage.form, weights)
 
 
 def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
@@ -340,14 +325,14 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
 
     radii and counts are the stage plan's per-denominator arrays.  The
     union over reduced centres is the same set, so phi(q) balls per
-    denominator bound it from above; only raw per-point rationals, whose
-    plan regroups denominators by their reduced form, count the q + 1
-    raw balls of radius psi(q) instead.
+    denominator bound it from above; only the rationals, whose plan
+    regroups denominators by their reduced form, count the q + 1 raw
+    balls of radius psi(q) instead.
     """
-    if system.kind is SystemKind.RATIONALS and not system.coprime_only:
+    if system.kind is SystemKind.RATIONALS:
         q_lo, q_hi = system.q_interval(*stage.window(n))
         qs = np.arange(q_lo, q_hi + 1, dtype=np.float64)
-        radii, counts = _radius_vector(stage, qs), qs + 1.0
+        radii, counts = fn.evaluate_array(stage.form, qs), qs + 1.0
     per_q = np.minimum(1.0, 2.0 * radii * counts)
     # one-ulp-per-term slack keeps the bound certified despite rounding
     slack = len(per_q) * 4e-16 + float(np.abs(per_q).max(initial=0.0)) * 1e-12

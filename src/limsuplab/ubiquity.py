@@ -113,8 +113,11 @@ class UniformStageEngine:
     def _rank(self, xn: int, xd: int, side: str) -> int:
         """Number of centres a/b below xn/xd (side "left") or at most
         xn/xd (side "right"), xd > 0: a float seed, then an exact walk on
-        the sign of a xd - xn b."""
+        the sign of a xd - xn b.  Every centre lies in [0, 1], so a point
+        outside it ranks 0 or N with no float."""
         nums, dens = self._nums, self._dens
+        if not 0 <= xn <= xd:
+            return 0 if xn < 0 else len(nums)
         inside = 0 if side == "left" else 1    # a xd - xn b < inside
         i = int(self._pos.searchsorted(xn / xd, side=side))
         while i > 0 and (nums.item(i - 1) * xd
@@ -212,10 +215,6 @@ def _uniform_q_max(system: sy.ResonantSystem, k: Fraction, n: int,
 
 
 def _uniform_radius(rho: fn.FunctionForm, k: Fraction, n: int) -> Fraction:
-    if not fn.is_rational_valued(rho):
-        raise UsageError(
-            "the exact uniform engine needs a rational-valued radius law "
-            "(integer power, no log factors); got %s" % fn.format_function(rho))
     return fn.evaluate_rational(rho, k ** n)
 
 
@@ -248,8 +247,6 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
     is built first, so a stage past q_cap is refused before any build.
     """
     k = fn.exact(k, "k")
-    if k <= 1:
-        raise UsageError("k must exceed 1")
     target = fn.exact(target, "target")
     ns = sorted(set(int(n) for n in n_range))
     if not ns:

@@ -134,13 +134,12 @@ def window_pairs(system, w_lo, w_hi):
     circles) in (w_lo, w_hi], by weight then point.  Denominators are
     walked up from 1, so no q-range arithmetic of the system is trusted."""
     ford = system.kind is sy.SystemKind.FORD
-    reduced = system.coprime_only or ford
     pairs = []
     q = 1
     while (w := Fraction(2 * q * q if ford else q)) <= w_hi:
         if w > w_lo:
             pairs += [(Fraction(p, q), w) for p in range(q + 1)
-                      if not reduced or math.gcd(p, q) == 1]
+                      if not ford or math.gcd(p, q) == 1]
         q += 1
     return pairs
 
@@ -192,9 +191,8 @@ def enumerate_horoballs(base_window, r_lo, r_hi, cap=DEFAULT_BALL_CAP):
 
 def count_R_exact(x: Fraction, N: int, psi: fn.FunctionForm) -> int:
     """Fraction-arithmetic twin of counting.count_R for rational x and
-    rational-valued psi; the float path's oracle."""
-    if not fn.is_rational_valued(psi):
-        raise UsageError("exact counting needs a rational-valued psi")
+    rational-valued psi (evaluate_rational refuses any other); the float
+    path's oracle."""
     x = Fraction(x)
     count = 0
     for q in range(1, N + 1):
@@ -550,7 +548,7 @@ def natural_cover_sum(f, psi: fn.FunctionForm, system, k, m_start: int,
         raise UsageError("need 1 <= m_start <= m_end")
     if f is not None and not f.is_gauge():
         raise UsageError("f must be a dimension gauge (or None for identity)")
-    if system.kind is sy.SystemKind.FORD or system.coprime_only:
+    if system.kind is sy.SystemKind.FORD:
         farey.check_sieve(system.stage_q_top(k, m_end, farey.MAX_SIEVE,
                                              "cover sum"), "cover sum")
     total = 0.0

@@ -30,6 +30,8 @@ HOROBALLS_LONG_RUN = ["horoballs", "--r-hi", "1/67108864", "--factor",
 HOROBALLS_DIGITS_RUN = ["horoballs", "--r-hi", "1e300", "--factor",
                         "999/1000", "--points", "2048"]
 NINES = "9" * 3000
+# 1 - 10^-1200: a radius window [lam R, R) far thinner than any float
+LAM_NEAR_ONE = "%d/%d" % (10 ** 1200 - 1, 10 ** 1200)
 
 
 def run_main(argv, capsys):
@@ -121,6 +123,30 @@ class TestSummaries:
         code, out, _ = run_main(["classify"] + argv + [
             "--output", str(tmp_path / "h.csv")], capsys)
         assert (code, out) == (0, summary)
+
+    @pytest.mark.parametrize("argv,log10_R", [
+        (["horoballs", "--r-hi", "1e999", "--points", "1"], 999),
+        (["horoballs", "--r-hi", "1e-400", "--points", "1",
+          "--lam", LAM_NEAR_ONE], -400),
+    ])
+    def test_horoball_radius_past_float_range(self, tmp_path, capsys, argv,
+                                              log10_R):
+        # float(R) overflows, or is 0: log10 R comes from R's integers
+        out = tmp_path / "h.csv"
+        code, summary, _ = run_main(argv + ["--output", str(out)], capsys)
+        assert code == 0
+        assert summary.startswith("no horoballs counted over 1 radius")
+        row = out.read_text().splitlines()[-1].split(",")
+        assert float(row[1]) == pytest.approx(log10_R)
+
+    def test_ubiquity_scale_past_float_range(self, tmp_path, capsys):
+        # every query point lies outside [0, 1]: ranked with no float
+        code, out, _ = run_main(
+            ["ubiquity", "--rho", "1e999 * r^-2", "--k", "2", "--n-lo", "1",
+             "--n-hi", "2", "--balls", "2",
+             "--output", str(tmp_path / "u.csv")], capsys)
+        assert code == 0
+        assert out.startswith("empirical kappa = 1 (1) over 2 balls")
 
     def test_classify_scale_past_float_range(self, tmp_path, capsys):
         code, out, _ = run_main(
@@ -311,10 +337,11 @@ class TestExitStatuses:
         (["schmidt", "--psi", "(1/4) * r^-1", "--N", str(ct.MAX_N + 1)], 2),
         (["schmidt", "--psi", "r^-2", "--N", "9", "--seed", "-1"], 1),
         (["horoballs", "--points", "200000"], 2),  # took 85 s and 2.6 GB
-        (["horoballs", "--points", str(cli.MAX_POINTS + 1),
+        (["horoballs", "--points", str(hb.MAX_POINTS + 1),
           "--r-hi", "1e300"], 2),
-        # inputs whose float images are out of range
-        (["horoballs", "--r-hi", "1e999", "--points", "1"], 2),
+        # one radius window past MAX_COUNT_BASES
+        (["horoballs", "--lam", "1/1000000000", "--points", "1"], 2),
+        # an input whose float image is out of range
         (["stage-scan", "--psi", "1e999 * r^-2", "--k", "2", "--n-lo", "1",
           "--n-hi", "2"], 2),
         # k^n = 10^5000 would end in an int-to-str ValueError
@@ -357,6 +384,8 @@ class TestExitStatuses:
         ["classify", "--psi", "r^-2", "--gauge",
          "1e999 * 1e999 * 1e999 * 1e999 * 1e999 * r^1"],
         ["classify", "--psi", "r^-" + NINES, "--gauge", "r^" + NINES],
+        ["cf", "--x", "1" * 5000],
+        ["cf", "--x", "1/" + "3" * 5000],
     ])
     def test_unreadable_numbers_are_1_at_once(self, tmp_path, capsys, argv):
         started = time.perf_counter()
@@ -364,7 +393,21 @@ class TestExitStatuses:
                                 capsys)
         assert time.perf_counter() - started < 1.0
         assert code == 1 and err.startswith("error:"), err[:200]
+        # a huge token is echoed abbreviated: one short line
+        assert "\n" not in err and len(err) < 300, err
         assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stage-scan", "--psi", "1e999 * r^-2", "--k", "2", "--n-lo", "1",
+         "--n-hi", "2"],
+        ["schmidt", "--psi", "1e999 * r^-2", "--N", "10", "--samples", "2"],
+    ])
+    def test_float_consumers_name_the_field(self, tmp_path, capsys, argv):
+        code, _, err = run_main(argv + ["--workers", "1", "--output",
+                                        str(tmp_path / "f.csv")], capsys)
+        assert code == 2
+        assert err.startswith("resource cap: scale of '1000")
+        assert err.endswith("(1007 characters) has no float image")
 
     def test_exact_bounds_at_their_edges(self, tmp_path, capsys):
         # every field at MAX_EXACT_BITS: the reduced exponent alpha a + u,
@@ -671,16 +714,18 @@ FUZZ_OPTIONS = {
                  "gauge": "r^(2/3);r^(1/2) * log(1/r)^(1/10)"},
     "critical-exponent": {"psi": "r^-3;r^-2 * log(r)^2", "weight": "1;2",
                           "omega": "2;1/2", "ambient": "1;3"},
-    "stage-scan": {"psi": "r^-2;r^-3;r^-2 * log(r)^-1", "k": "2;3|100000",
+    "stage-scan": {"psi": "r^-2;r^-3;r^-2 * log(r)^-1|1e999 * r^-2",
+                   "k": "2;3|100000",
                    "n-lo": "1;2;3", "n-hi": "1;3;5|31;400;1000",
                    "full-cap": "10;1000", "subset-cap": "0;40"},
-    "ubiquity": {"rho": "6 * r^-2;r^-1;r^-2", "k": "2;3;6|100000",
+    "ubiquity": {"rho": "6 * r^-2;r^-1;r^-2;1e999 * r^-2",
+                 "k": "2;3;6|100000",
                  "n-lo": "1;2", "n-hi": "1;2;3|6;40;1000",
                  "balls": "1;3|%d" % (cli.MAX_BALLS + 1),
                  "min-measure": "1/10;1/2;1", "target": "1/2;1/3",
                  "q-cap": "10;100|%d;50000" % (ub.MAX_UNIFORM_Q + 1),
-                 "system": "rationals;rationals-coprime;ford"},
-    "schmidt": {"psi": "(1/4) * r^-1;r^-2",
+                 "system": "rationals;ford"},
+    "schmidt": {"psi": "(1/4) * r^-1;r^-2|1e999 * r^-2",
                 "samples": "1;4|%d" % (ct.MAX_SAMPLES + 1),
                 "N": "1;500;2000|%d;1000000000" % (ct.MAX_N + 1)},
     "cf": {"x": "16/113;37/100;0.123;1/3", "depth": "1;40;200;1000000000"},
@@ -689,7 +734,8 @@ FUZZ_OPTIONS = {
                    "step": "0.05;0.1|1e-9"},
     "loglaw": {"x": "37/100;0.3;16/113", "T": "5;25|1e308", "alpha": "0;0.1",
                "quotients": "1,2,1,4;" + GOLDEN_CHAIN},
-    "horoballs": {"lam": "1/4;1/2", "r-hi": "1/8;1/2", "factor": "1/2;2/3",
+    "horoballs": {"lam": "1/4;1/2;" + LAM_NEAR_ONE,
+                  "r-hi": "1/8;1/2;1e-400;1e999", "factor": "1/2;2/3",
                   "points": "1;4|30;200000", "base": "0,1;1/5,4/5"},
     "disjointness": {
         "q-max": "2;5;12|%d;100000" % (hb.MAX_DISJOINTNESS_Q + 1),

@@ -228,7 +228,7 @@ def test_experiment_mean_near_one():
     s = schmidt_experiment(PSI_QUARTER, 10 ** 4, 50, seed=20240817)
     assert 0.95 <= s.mean_ratio <= 1.05
     assert s.stddev < 0.05
-    assert s.condition_ok
+    assert s.prediction.condition_ok
     assert all(isinstance(r, CountRecord) and 0 <= r.count <= r.N
                for r in s.records)
 
@@ -289,7 +289,8 @@ def test_experiment_saturates_in_convergent_regime():
     # and ratios stay put as N grows a hundredfold.
     s_small = schmidt_experiment(PSI_CUBE, 10 ** 3, 30, seed=5)
     s_big = schmidt_experiment(PSI_CUBE, 10 ** 5, 30, seed=5)
-    assert not s_small.condition_ok and not s_big.condition_ok
+    assert not s_small.prediction.condition_ok
+    assert not s_big.prediction.condition_ok
     assert abs(s_big.mean_ratio - s_small.mean_ratio) < 0.2
     assert s_big.records[0].prediction < 2 * math.pi ** 2 / 6 + 0.1
 

@@ -34,11 +34,12 @@ class TestSystems:
         assert s.count_window(1, 3) == 7
 
     def test_coprime_window(self):
-        s = sy.classical_rationals(coprime_only=True)
-        pairs = window_pairs(s, 1, 3)
+        # Ford weights 8 and 18 hold the reduced halves and thirds only
+        s = sy.ford_horoballs()
+        pairs = window_pairs(s, 2, 18)
         assert [p for p, _ in pairs] == [Fraction(1, 2), Fraction(1, 3),
                                          Fraction(2, 3)]
-        assert s.count_window(1, 3) == 3
+        assert s.count_window(2, 18) == 3
 
     def test_ford_window(self):
         s = sy.ford_horoballs()
@@ -50,8 +51,7 @@ class TestSystems:
 
     def test_count_window_matches_enumeration(self):
         rng = random.Random(5)
-        systems = [sy.classical_rationals(), sy.classical_rationals(True),
-                   sy.ford_horoballs()]
+        systems = [sy.classical_rationals(), sy.ford_horoballs()]
         for _ in range(40):
             s = rng.choice(systems)
             lo = Fraction(rng.randint(0, 40), rng.randint(1, 3))
@@ -72,9 +72,9 @@ class TestSystems:
     def test_cap_failure_is_loud(self):
         # the reduced count needs a totient sieve past its cap: refused
         # before the sieve is allocated
-        s = sy.classical_rationals(coprime_only=True)
+        s = sy.ford_horoballs()
         with pytest.raises(ResourceCapError):
-            s.count_window(0, farey.MAX_SIEVE + 1)
+            s.count_window(0, 2 * (farey.MAX_SIEVE + 1) ** 2)
 
 
 class TestStageSpec:
@@ -141,11 +141,12 @@ class TestDeltaStage:
 SCAN_CASES = [
     (sy.classical_rationals(), sy.per_point_stage(fn.approximating(power=-2), 2), 4),
     (sy.classical_rationals(), sy.per_point_stage(fn.approximating(power=-3), 2), 4),
-    (sy.classical_rationals(True), sy.per_point_stage(fn.approximating(power=-2), 3), 4),
+    (sy.ford_horoballs(), sy.per_point_stage(fn.approximating(power=-2), 3), 4),
     (sy.ford_horoballs(), sy.per_point_stage(fn.approximating(power=-1), 4), 4),
-    # radius 1/q: balls large enough to overlap across denominators
+    # radius 1/weight: balls large enough to overlap across denominators
+    # (at Ford weights 2q^2, the diameters of the circles themselves)
     (sy.classical_rationals(), sy.per_point_stage(fn.approximating(power=-1), 3), 3),
-    (sy.classical_rationals(True), sy.per_point_stage(fn.approximating(power=-1), 2), 4),
+    (sy.ford_horoballs(), sy.per_point_stage(fn.approximating(power=-1), 3), 4),
 ]
 
 
@@ -161,7 +162,6 @@ def scan_cases(draw):
     """(system, stage, n_hi) whose stage n_hi has at most MAX_STAGE_PAIRS
     raw pairs, so the oracle can list it."""
     system = draw(st.sampled_from([sy.classical_rationals(),
-                                   sy.classical_rationals(True),
                                    sy.ford_horoballs()]))
     k = draw(st.sampled_from([Fraction(3, 2), 2, 3, 4, 6]))
     power = -draw(st.integers(1, 3))
@@ -231,7 +231,7 @@ class TestStageMeasureScan:
         assert rec.lower > 0
 
     def test_upper_only_mode(self):
-        # every system: raw, coprime and Ford per-point stages, each
+        # both systems: rational and Ford per-point stages, each
         # bounded by its per-denominator ball sums
         for system, stage, n_hi in SCAN_CASES:
             scan = sy.stage_measure_scan(system, stage, 1, n_hi,

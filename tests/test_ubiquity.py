@@ -177,8 +177,7 @@ def test_lemma_configuration_full_interval():
 
 def test_ratio_exact_against_oracle_small_stages():
     ball = (Fraction(3, 10), Fraction(1, 5))
-    for system in (sy.classical_rationals(), sy.classical_rationals(True),
-                   sy.ford_horoballs()):
+    for system in (sy.classical_rationals(), sy.ford_horoballs()):
         for n in (1, 2):
             got = ubiquity_ratio(system, RHO_LEMMA, 6, n, ball)
             assert got == oracle_ratio(system, RHO_LEMMA, 6, n, ball)
@@ -308,4 +307,4 @@ def test_cover_sum_validation():
     with pytest.raises(UsageError):
         natural_cover_sum(None, psi, sy.classical_rationals(), 2, 4, 3)
     with pytest.raises(ResourceCapError):
-        natural_cover_sum(None, psi, sy.classical_rationals(True), 2, 1, 40)
+        natural_cover_sum(None, psi, sy.ford_horoballs(), 2, 1, 55)
