@@ -23,7 +23,6 @@ import io
 import json
 import math
 import os
-import random
 import re
 import sys
 import tempfile
@@ -35,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from . import functions as fn
 from .errors import (InternalInvariantError, PrecisionExhausted,
-                     ResourceCapError, UsageError, size_text, unreadable)
+                     ResourceCapError, UsageError, unreadable)
 
 # Each handler imports the numeric layers it runs (and numpy with them),
 # so a command pays only for its own; the symbolic `functions` is
@@ -47,9 +46,6 @@ _SUBSET_SWEEP_CAP = "64000000"    # systems.SUBSET_SWEEP_CAP
 _MAX_UNIFORM_Q = "8192"           # ubiquity.MAX_UNIFORM_Q
 
 OUTPUT_DIR_ENV = "LIMSUPLAB_OUTPUT_DIR"
-# every `ubiquity` ball is one exact query per stage: 1000 balls at the
-# README stages 3..5 of 6 r^-2 with k = 6 measured 14-15 s on 2 vCPUs
-MAX_BALLS = 1_000
 
 
 # -- option tables --------------------------------------------------------
@@ -427,37 +423,12 @@ def _run_stage_scan(o):
     return columns, rows, summary
 
 
-def _seeded_balls(count: int, min_measure: Fraction, seed: int):
-    """Deterministic exact test intervals inside [0,1]."""
-    if not 0 < min_measure <= 1:
-        raise UsageError("min-measure must lie in (0, 1]")
-    rnd = random.Random(seed)
-    lo = min_measure / 2
-    balls = []
-    for _ in range(count):
-        radius = lo + (Fraction(1, 2) - lo) * Fraction(rnd.randrange(1000), 1000)
-        span = 1 - 2 * radius
-        center = radius + span * Fraction(rnd.randrange(10 ** 6), 10 ** 6)
-        balls.append((center, radius))
-    return balls
-
-
 def _run_ubiquity(o):
     from . import systems as sy
     from . import ubiquity as ub
     system = (sy.ford_horoballs() if o["system"] == "ford"
               else sy.classical_rationals())
-    if o["balls"] < 1:
-        raise UsageError("need at least one ball")
-    if not 1 <= o["n_lo"] <= o["n_hi"]:
-        raise UsageError("need 1 <= n-lo <= n-hi")
-    # refuse a stage far past the cap, and too many balls, before any
-    # ball or stage list is built
-    ub._uniform_q_max(system, o["k"], o["n_hi"], o["q_cap"])
-    if o["balls"] > MAX_BALLS:
-        raise ResourceCapError("%s balls (cap %d)"
-                               % (size_text(o["balls"]), MAX_BALLS))
-    balls = _seeded_balls(o["balls"], o["min_measure"], o["seed"])
+    balls = ub.seeded_balls(o["balls"], o["min_measure"], o["seed"])
     reports = ub.estimate_kappa(system, fn.parse_function(o["rho"]), o["k"],
                                 balls, range(o["n_lo"], o["n_hi"] + 1),
                                 target=o["target"], q_cap=o["q_cap"])

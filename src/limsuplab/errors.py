@@ -59,5 +59,7 @@ def unreadable(name: str, text: str, exc: Exception) -> UsageError:
     """The refusal of `text`, read for `name`, on the error `exc` that
     reading it raised; exc's own copy of the text is abbreviated too."""
     echo = text_echo(text)
-    return UsageError("%s: cannot read %s (%s)" % (
-        name, echo, str(exc).replace(repr(text), echo)))
+    reason = str(exc).replace(repr(text), echo)
+    if "set_int_max_str_digits" in reason:  # Python's int-limit advice
+        reason = "more than 4300 digits"
+    return UsageError("%s: cannot read %s (%s)" % (name, echo, reason))

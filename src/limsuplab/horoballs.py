@@ -105,7 +105,12 @@ def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
         if q == 1:
             total += p_hi - p_lo + 1
         else:
-            ps = np.arange(p_lo, p_hi + 1, dtype=np.int64)
+            if q.bit_length() > 62:
+                raise ResourceCapError("window holds denominator %s, past "
+                                       "int64" % size_text(q))
+            # gcd(p, q) = gcd(p mod q, q) keeps the numerators in int64
+            p0 = p_lo % q
+            ps = np.arange(p0, p0 + p_hi - p_lo + 1, dtype=np.int64)
             total += int(np.count_nonzero(np.gcd(ps, q) == 1))
     return total
 
@@ -129,17 +134,6 @@ class CountReport:
         except OverflowError:
             pass
         return math.log10(self.R.numerator) - math.log10(self.R.denominator)
-
-
-def horoball_count_ratio(base_window: tuple, R, lam) -> CountReport:
-    """Count circles with base in the window and radius in [lam*R, R),
-    normalized by R^-1 * m(B): the band of the one radius R.
-
-    An empty q-range is a legitimate zero (the radius window slid
-    between consecutive admissible radii); a zero-measure base window is
-    a degenerate request and rejected.
-    """
-    return band_counts(base_window, R, Fraction(1, 2), 1, lam)[0]
 
 
 def band_counts(base_window: tuple, r_hi, factor, points: int,

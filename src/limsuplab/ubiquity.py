@@ -19,15 +19,18 @@ blocks only: every other point is a block of its own, so a stage
 without merging, such as the Ford stage at rho = r^-1, stores no block
 at all, and the block count is N minus the number of merged gaps.
 
-A measure query against a ball [lo, hi] finds the first ball reaching
-lo and the last reaching hi by a float seed and an exact walk that
-compares centres by integer cross-multiplication, then widens each to
-its block by one search among the merged blocks.  It needs exact
-endpoints for at most those two blocks, while every block strictly
-between contributes (c_last - c_first) + 2r.  A single point spans
-nothing, so only merged blocks enter the c-difference sum.  Summing
-c-differences over millions of merged blocks stays exact and fast by
-bucketing numerators per denominator:
+A measure query against [lo, hi] finds l, the first ball reaching lo,
+and r_, the last reaching hi, by a float seed and an exact walk that
+compares centres by integer cross-multiplication.  Only ball l reaches
+below lo and only ball r_ above hi, so with the gaps g_i = c_{i+1} - c_i
+
+  m(union ∩ [lo, hi]) = min(c_r_ + r, hi) - max(c_l - r, lo)
+                        - (c_r_ - c_l) + sum_{l <= i < r_} min(g_i, 2r),
+
+where min(g_i, 2r) is g_i on a joined gap and 2r on any other: only the
+merged blocks meeting [l, r_], clipped to it, enter, by their spans
+c_e - c_s.  Summing spans over millions of merged blocks stays exact and
+fast by bucketing numerators per denominator:
 sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b with integer coefficients,
 evaluated over the single common denominator lcm(1..Q).
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -56,6 +60,9 @@ from limsuplab.errors import ResourceCapError, UsageError, size_text
 # (10^-6), on 2 vCPUs; the peak is the full-length num and den arrays
 # next to their halves, then next to the engine's gap products
 MAX_UNIFORM_Q = 8192
+# every ball is one exact query per stage: 1000 balls at the README
+# stages 3..5 of 6 r^-2 with k = 6 measured 14-15 s on 2 vCPUs
+MAX_BALLS = 1_000
 
 
 class UniformStageEngine:
@@ -128,21 +135,9 @@ class UniformStageEngine:
             i += 1
         return i
 
-    def _block(self, i: int, m: int) -> tuple[int, int]:
-        """(first, last) point of the block holding point i, where m is
-        the last merged block starting at or before i (-1 if none)."""
-        if m >= 0 and self._mends[m] >= i:
-            return self._mstarts.item(m), self._mends.item(m)
-        return i, i
-
-    def _interior_span_sum(self, m_lo: int, m_hi: int) -> int:
-        """sum of (c_end - c_start) over merged blocks m in [m_lo, m_hi),
-        as an exact numerator over lcm(1..q_max), via per-denominator
-        bucketing."""
-        if m_lo >= m_hi:
-            return 0
-        s = self._mstarts[m_lo:m_hi]
-        e = self._mends[m_lo:m_hi]
+    def _span_sum(self, s: np.ndarray, e: np.ndarray) -> int:
+        """sum of c_e - c_s over the index pairs (s, e), as an exact
+        numerator over lcm(1..q_max), via per-denominator bucketing."""
         size = self.q_max + 1
         # numerator sums fit float64 exactly: <= n_points * q_max << 2^53
         plus = np.bincount(self._dens[e], weights=self._nums[e],
@@ -154,53 +149,42 @@ class UniformStageEngine:
 
     def union_measure(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact Lebesgue measure of (union of balls) intersected with
-        [lo, hi]."""
+        [lo, hi], by the identity of the module docstring."""
         lo, hi = fn.exact(lo, "lo"), fn.exact(hi, "hi")
-        if hi <= lo:
-            return Fraction(0)
-        if self.empty:
+        if hi <= lo or self.empty:
             return Fraction(0)
         rn, rd = self.radius.numerator, self.radius.denominator
         ln, ld = lo.numerator, lo.denominator
         hn, hd = hi.numerator, hi.denominator
-        # the block of the first ball reaching lo (c >= lo - r) is the
-        # first block whose right end reaches lo; likewise on the right
-        i_l = self._rank(ln * rd - rn * ld, ld * rd, "left")
-        i_r = self._rank(hn * rd + rn * hd, hd * rd, "right") - 1
-        if i_l > i_r:
+        l = self._rank(ln * rd - rn * ld, ld * rd, "left")
+        r_ = self._rank(hn * rd + rn * hd, hd * rd, "right") - 1
+        if l > r_:
             return Fraction(0)
-        m_l, m_r = (self._mstarts.searchsorted((i_l, i_r), side="right")
-                    - 1).tolist()
-        s_l, e_l = self._block(i_l, m_l)
-        s_r, e_r = self._block(i_r, m_r)
-        nums, dens = self._nums, self._dens
-        # the covered part runs from max(c_{s_l} - r, lo) to
-        # min(c_{e_r} + r, hi); ends are (numerator, denominator) pairs
-        a, b = nums.item(s_l), dens.item(s_l)
-        start = (a * rd - rn * b, b * rd)
+        al, bl = self._nums.item(l), self._dens.item(l)
+        ar, br = self._nums.item(r_), self._dens.item(r_)
+        # max(c_l - r, lo) and min(c_r_ + r, hi) as (num, den) pairs
+        start = (al * rd - rn * bl, bl * rd)
         if start[0] * ld < ln * start[1]:
             start = (ln, ld)
-        a, b = nums.item(e_r), dens.item(e_r)
-        end = (a * rd + rn * b, b * rd)
+        end = (ar * rd + rn * br, br * rd)
         if end[0] * hd > hn * end[1]:
             end = (hn, hd)
+        # the merged blocks sharing a gap with [l, r_]: none on a Ford stage
+        m_lo = int(self._mends.searchsorted(l, side="right"))
+        m_hi = int(self._mstarts.searchsorted(r_))
+        joined = span = 0
+        if m_lo < m_hi:
+            s = np.maximum(self._mstarts[m_lo:m_hi], l)
+            e = np.minimum(self._mends[m_lo:m_hi], r_)
+            joined = int((e - s).sum())
+            span = self._span_sum(s, e)
+        # end - start, less c_r_ - c_l, plus 2r per unjoined gap
         num = end[0] * start[1] - start[0] * end[1]
         den = end[1] * start[1]
-        if s_l == s_r:
-            return Fraction(num, den)
-        # less the uncovered stretch from c_{e_l} + r to c_{s_r} - r: all
-        # of it but the blocks strictly between, each its span plus 2r
-        m_lo, m_hi = m_l + 1, m_r + (s_r == e_r)
-        inner = s_r - e_l - 1
-        if m_lo < m_hi:
-            inner -= int(self._mends[m_lo:m_hi].sum()
-                         - self._mstarts[m_lo:m_hi].sum())
-        a, b = nums.item(e_l), dens.item(e_l)
-        a2, b2 = nums.item(s_r), dens.item(s_r)
-        gap_d = b * b2 * rd
-        gap_n = (a * b2 - a2 * b) * rd + 2 * (inner + 1) * rn * b * b2
+        gap_d = bl * br * rd
+        gap_n = ((al * br - ar * bl) * rd
+                 + 2 * (r_ - l - joined) * rn * bl * br)
         num, den = num * gap_d + gap_n * den, den * gap_d
-        span = self._interior_span_sum(m_lo, m_hi)
         if span:
             lcm = self._lcm_table[0]
             num, den = num * lcm + span * den, den * lcm
@@ -225,15 +209,34 @@ def _check_ball(center: Fraction, radius: Fraction) -> None:
         raise UsageError("ball must sit inside [0,1]")
 
 
+def seeded_balls(count: int, min_measure, seed: int) -> list[tuple]:
+    """`count` deterministic exact (center, radius) balls inside [0, 1] of
+    measure at least min_measure; the inputs are checked before any draw."""
+    if count < 1:
+        raise UsageError("need at least one ball")
+    if count > MAX_BALLS:
+        raise ResourceCapError("%s balls (cap %d)"
+                               % (size_text(count), MAX_BALLS))
+    min_measure = fn.exact(min_measure, "min-measure")
+    if not 0 < min_measure <= 1:
+        raise UsageError("min-measure must lie in (0, 1]")
+    rnd = random.Random(seed)
+    lo = min_measure / 2
+    balls = []
+    for _ in range(count):
+        radius = lo + (Fraction(1, 2) - lo) * Fraction(rnd.randrange(1000), 1000)
+        span = 1 - 2 * radius
+        center = radius + span * Fraction(rnd.randrange(10 ** 6), 10 ** 6)
+        balls.append((center, radius))
+    return balls
+
+
 @dataclass(frozen=True)
 class UbiquityReport:
     ball: tuple[Fraction, Fraction]
-    k: Fraction
-    rho: fn.FunctionForm
     per_n: tuple[tuple[int, Fraction], ...]
     kappa_hat: Fraction          # infimum ratio over the n-range
     n_min: Optional[int]         # first n whose ratio meets the target
-    target: Fraction
 
 
 def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
@@ -244,13 +247,18 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
 
     One engine is built per stage and shared across the ball sample, so
     the cost is dominated by the largest stage, not the sample size.  It
-    is built first, so a stage past q_cap is refused before any build.
+    is built first, so a stage past q_cap is refused before any build,
+    as are an empty range and a stage index below 1.
     """
     k = fn.exact(k, "k")
     target = fn.exact(target, "target")
-    ns = sorted(set(int(n) for n in n_range))
+    # a range stays lazy, so 10^9 stages are refused by the top one
+    ns = (n_range if isinstance(n_range, range) and n_range.step > 0
+          else sorted(set(int(n) for n in n_range)))
     if not ns:
         raise UsageError("empty stage range")
+    if ns[0] < 1:
+        raise UsageError("stage index must be >= 1")
     if not balls:
         raise UsageError("empty ball sample")
     checked = []
@@ -273,8 +281,7 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
         ratios = [ratio for _, ratio in rows]
         kappa = min(ratios)
         n_min = next((n for n, ratio in rows if ratio >= target), None)
-        reports.append(UbiquityReport((c, r), k, rho, tuple(rows),
-                                      kappa, n_min, target))
+        reports.append(UbiquityReport((c, r), tuple(rows), kappa, n_min))
     return reports
 
 

@@ -146,7 +146,7 @@ def test_criterion_07_horoball_band(capsys):
     ratios = []
     R = Fraction(1, 8)
     for _ in range(11):
-        rep = hb.horoball_count_ratio((0, 1), R, lam)
+        rep = hb.band_counts((0, 1), R, Fraction(1, 2), 1, lam)[0]
         oracle = sum(int(phi[q]) for q in range(1, 1024)
                      if lam * R <= Fraction(1, 2 * q * q) < R)
         assert rep.count == oracle, (R, rep.count, oracle)

@@ -32,6 +32,8 @@ HOROBALLS_DIGITS_RUN = ["horoballs", "--r-hi", "1e300", "--factor",
 NINES = "9" * 3000
 # 1 - 10^-1200: a radius window [lam R, R) far thinner than any float
 LAM_NEAR_ONE = "%d/%d" % (10 ** 1200 - 1, 10 ** 1200)
+UBIQUITY_RUN = ["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo", "2",
+                "--n-hi", "3"]
 
 
 def run_main(argv, capsys):
@@ -281,6 +283,17 @@ class TestExitStatuses:
         assert err.startswith("resource cap:") and "\n" not in err
         assert not (tmp_path / "h.csv").exists()
 
+    def test_horoballs_denominator_past_int64_is_2(self, tmp_path, capsys):
+        # one window near q = 2^100, named before numpy sees q
+        code, _, err = run_main(
+            ["horoballs", "--r-hi", "1e-60", "--lam",
+             "0.99999999999999999999999999", "--points", "1", "--base",
+             "0,1e-40", "--output", str(tmp_path / "h.csv")], capsys)
+        assert code == 2
+        assert err == ("resource cap: window holds denominator ~2^100, "
+                       "past int64")
+        assert not (tmp_path / "h.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         # k^n = 10^5000: past 4300 digits, so neither formed nor printed
         ["ubiquity", "--rho", "r^-2", "--k", "100000", "--n-lo", "1000",
@@ -306,8 +319,8 @@ class TestExitStatuses:
 
     @pytest.mark.parametrize("argv,owner,work", [
         (["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo", "2",
-          "--n-hi", "3", "--balls", str(cli.MAX_BALLS + 1)],
-         cli, "_seeded_balls"),
+          "--n-hi", "3", "--balls", str(ub.MAX_BALLS + 1)],
+         ub.random, "Random"),
         (["schmidt", "--psi", "(1/4) * r^-1", "--N", "1000", "--samples",
           str(ct.MAX_SAMPLES + 1), "--workers", "1"],
          ct, "schmidt_prediction"),
@@ -350,9 +363,18 @@ class TestExitStatuses:
         (["stage-scan", "--psi", "r^-2", "--k", "100000", "--n-lo", "1",
           "--n-hi", "1000"], 2),
         (["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo", "2",
-          "--n-hi", "3", "--balls", str(cli.MAX_BALLS + 1)], 2),
+          "--n-hi", "3", "--balls", str(ub.MAX_BALLS + 1)], 2),
         (["schmidt", "--psi", "r^-2", "--N", "1",
           "--samples", str(ct.MAX_SAMPLES + 1)], 2),
+        # each single fault of a ubiquity run, refused by the layer that
+        # owns its check
+        (UBIQUITY_RUN + ["--balls", "0"], 1),
+        (UBIQUITY_RUN + ["--min-measure", "0"], 1),
+        (UBIQUITY_RUN + ["--n-lo", "0"], 1),
+        (UBIQUITY_RUN + ["--n-lo", "3", "--n-hi", "2"], 1),
+        (UBIQUITY_RUN + ["--q-cap", str(ub.MAX_UNIFORM_Q + 1)], 1),
+        (UBIQUITY_RUN + ["--k", "100000", "--n-lo", "1", "--n-hi", "1000"],
+         2),
     ])
     def test_refused_before_allocating(self, tmp_path, capsys, monkeypatch,
                                        argv, code):
@@ -386,6 +408,8 @@ class TestExitStatuses:
         ["classify", "--psi", "r^-" + NINES, "--gauge", "r^" + NINES],
         ["cf", "--x", "1" * 5000],
         ["cf", "--x", "1/" + "3" * 5000],
+        ["schmidt", "--psi", "r^-2", "--N", "1" * 5000, "--samples", "1"],
+        ["classify", "--series", "2" * 5000 + " * r^-2"],
     ])
     def test_unreadable_numbers_are_1_at_once(self, tmp_path, capsys, argv):
         started = time.perf_counter()
@@ -395,6 +419,8 @@ class TestExitStatuses:
         assert code == 1 and err.startswith("error:"), err[:200]
         # a huge token is echoed abbreviated: one short line
         assert "\n" not in err and len(err) < 300, err
+        # Python's int-limit advice is no use to a CLI user
+        assert "set_int_max_str_digits" not in err
         assert not (tmp_path / "u.csv").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -687,6 +713,16 @@ class TestRows:
         assert len(ratios) == 13
         assert max(ratios) / min(ratios) < 2
 
+    def test_horoball_window_shifted_by_an_integer(self, tmp_path):
+        # gcd(p, q) = gcd(p mod q, q): bases past int64 count alike
+        big = 10 ** 30
+        env = run_env(["horoballs", "--points", "13", "--base",
+                       "%d,%d" % (big, big + 1),
+                       "--output", str(tmp_path / "s.csv")])
+        ref = run_env(["horoballs", "--points", "13",
+                       "--output", str(tmp_path / "h.csv")])
+        assert env.rows == ref.rows
+
     def test_excursions_exact_golden(self, tmp_path):
         env = run_env(["excursions", "--quotients", GOLDEN_CHAIN,
                        "--T", "20", "--output", str(tmp_path / "g.csv")])
@@ -721,7 +757,7 @@ FUZZ_OPTIONS = {
     "ubiquity": {"rho": "6 * r^-2;r^-1;r^-2;1e999 * r^-2",
                  "k": "2;3;6|100000",
                  "n-lo": "1;2", "n-hi": "1;2;3|6;40;1000",
-                 "balls": "1;3|%d" % (cli.MAX_BALLS + 1),
+                 "balls": "1;3|%d" % (ub.MAX_BALLS + 1),
                  "min-measure": "1/10;1/2;1", "target": "1/2;1/3",
                  "q-cap": "10;100|%d;50000" % (ub.MAX_UNIFORM_Q + 1),
                  "system": "rationals;ford"},

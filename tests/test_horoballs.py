@@ -105,7 +105,8 @@ def test_ball_at_validation():
 # -- counting ratio ----------------------------------------------------------
 
 def test_ratio_totient_window():
-    rep = hb.horoball_count_ratio((0, 1), radius_of(100), Fraction(1, 4))
+    rep = hb.band_counts((0, 1), radius_of(100), HALF, 1,
+                         Fraction(1, 4))[0]
     phi = farey.totient_sieve(200)
     assert (rep.q_min, rep.q_max) == (101, 200)
     assert rep.count == int(phi[101:201].sum())
@@ -116,7 +117,8 @@ def test_ratio_stable_over_three_decades():
     # R shrinking by 1000x; the normalized count must stay in a narrow band
     ratios = []
     for q0 in (30, 95, 300, 949):
-        rep = hb.horoball_count_ratio((0, 1), radius_of(q0), Fraction(1, 4))
+        rep = hb.band_counts((0, 1), radius_of(q0), HALF, 1,
+                             Fraction(1, 4))[0]
         ratios.append(rep.ratio)
     assert max(ratios) / min(ratios) <= 2
     # the empirical density: 3/pi^2 * (4-1) / 2 per unit of R^-1
@@ -125,25 +127,25 @@ def test_ratio_stable_over_three_decades():
 
 
 def test_ratio_window_collapse():
-    assert hb.horoball_count_ratio((0, 1), radius_of(100),
-                                   Fraction(99, 100)).count == 0
+    assert hb.band_counts((0, 1), radius_of(100), HALF, 1,
+                          Fraction(99, 100))[0].count == 0
 
 
 def test_ratio_doubling_window():
-    small = hb.horoball_count_ratio((Fraction(1, 5), Fraction(2, 5)),
-                                    radius_of(500), Fraction(1, 4))
-    double = hb.horoball_count_ratio((Fraction(1, 5), Fraction(3, 5)),
-                                     radius_of(500), Fraction(1, 4))
+    small = hb.band_counts((Fraction(1, 5), Fraction(2, 5)),
+                           radius_of(500), HALF, 1, Fraction(1, 4))[0]
+    double = hb.band_counts((Fraction(1, 5), Fraction(3, 5)),
+                            radius_of(500), HALF, 1, Fraction(1, 4))[0]
     assert double.count == pytest.approx(2 * small.count, rel=0.02)
 
 
 def test_ratio_validation():
     with pytest.raises(UsageError):
-        hb.horoball_count_ratio((0, 0), radius_of(10), Fraction(1, 4))
+        hb.band_counts((0, 0), radius_of(10), HALF, 1, Fraction(1, 4))
     with pytest.raises(UsageError):
-        hb.horoball_count_ratio((0, 1), radius_of(10), Fraction(3, 2))
+        hb.band_counts((0, 1), radius_of(10), HALF, 1, Fraction(3, 2))
     with pytest.raises(UsageError):
-        hb.horoball_count_ratio((0, 1), Fraction(-1, 2), Fraction(1, 4))
+        hb.band_counts((0, 1), Fraction(-1, 2), HALF, 1, Fraction(1, 4))
 
 
 # -- disjointness ------------------------------------------------------------

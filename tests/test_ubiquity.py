@@ -108,6 +108,22 @@ def test_engine_union_measure_property(q_max, den, picks):
              Fraction(-1, 4), Fraction(5, 4), Fraction(0), Fraction(1)]
     queries = [(a, b) for a in fixed for b in fixed if a < b]
     queries += [tuple(sorted((end(a), end(b)))) for a, b in picks]
+    # wholly outside [0, 1]
+    queries += [(Fraction(-3, 2), Fraction(-5, 4)), (Fraction(3, 2), 2)]
+    joined = [b - a <= 2 * rad for a, b in zip(centers, centers[1:])]
+    # both ends inside merged blocks: midpoints of the first and last
+    # joined gaps
+    mids = [(centers[i] + centers[i + 1]) / 2
+            for i, j in enumerate(joined) if j]
+    if len(mids) > 1:
+        queries.append((mids[0], mids[-1]))
+    # l = r_ inside one block: a window that only ball i reaches
+    for i in range(1, len(centers) - 1):
+        room = centers[i + 1] - centers[i - 1] - 2 * rad
+        if joined[i - 1] and joined[i] and room > 0:
+            mid = (centers[i - 1] + centers[i + 1]) / 2
+            queries.append((mid - room / 4, mid + room / 4))
+            break
     for lo, hi in queries:
         assert eng.union_measure(lo, hi) == \
             exact_union_measure(balls, lo, hi), (lo, hi)
@@ -256,10 +272,14 @@ def test_kappa_shrunk_radius_never_increases_ratios():
             assert n1 == n2 and v2 <= v1
 
 
-def test_kappa_empty_inputs():
-    with pytest.raises(UsageError):
-        ub.estimate_kappa(sy.classical_rationals(), RHO_LEMMA, 6,
-                          [FULL_BALL], [])
+def test_kappa_empty_inputs(monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("engine built before the checks")
+    monkeypatch.setattr(ub, "UniformStageEngine", no_engine)
+    for n_range in ([], [0, 2], range(3, 3), range(-10 ** 9, 3)):
+        with pytest.raises(UsageError):
+            ub.estimate_kappa(sy.classical_rationals(), RHO_LEMMA, 6,
+                              [FULL_BALL], n_range)
     with pytest.raises(UsageError):
         ub.estimate_kappa(sy.classical_rationals(), RHO_LEMMA, 6, [], [2])
 
