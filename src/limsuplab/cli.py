@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from . import functions as fn
 from .errors import (InternalInvariantError, PrecisionExhausted,
-                     ResourceCapError, UsageError, unreadable)
+                     ResourceCapError, UsageError, text_echo, unreadable)
 
 # Each handler imports the numeric layers it runs (and numpy with them),
 # so a command pays only for its own; the symbolic `functions` is
@@ -144,6 +144,10 @@ def _dest(name: str) -> str:
     return name.replace("-", "_")
 
 
+_ANY_DEST = {_dest(o.name) for opts in _COMMANDS.values()
+             for o in opts + _COMMON}
+
+
 def _convert(opt: _Opt, raw: str):
     if opt.kind == "rational":
         return fn.read_exact(raw, "--" + opt.name)
@@ -203,14 +207,25 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
         raise UsageError("missing command (see --help)")
     file_vals: Dict[str, str] = {}
     if ns.config:
-        ini = configparser.ConfigParser()
+        # values are read verbatim: no %-interpolation
+        ini = configparser.ConfigParser(interpolation=None)
         ini.optionxform = str        # option names are case-sensitive (--N)
-        read = ini.read(ns.config)
+        try:
+            read = ini.read(ns.config, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise unreadable("--config", ns.config, exc)
         if not read:
             raise UsageError("cannot read config file %r" % ns.config)
-        for section in ("common", ns.command):
+        # [common] may hold another command's options, never a misspelt one
+        own = {_dest(o.name) for o in _COMMANDS[ns.command] + _COMMON}
+        for section, known, taker in (("common", _ANY_DEST, "any command"),
+                                      (ns.command, own, ns.command)):
             if ini.has_section(section):
                 for key, val in ini.items(section):
+                    if _dest(key) not in known:
+                        raise UsageError("--config: [%s] key %s is no option "
+                                         "of %s" % (section, text_echo(key),
+                                                    taker))
                     file_vals[_dest(key)] = val
     raw: Dict[str, str] = {}
     typed: Dict[str, object] = {}

@@ -61,9 +61,6 @@ class SchmidtPrediction:
 
 @dataclass(frozen=True)
 class SchmidtSummary:
-    psi: fn.FunctionForm
-    N: int
-    seed: int
     mean_ratio: float
     stddev: float
     records: tuple[CountRecord, ...]
@@ -161,5 +158,5 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
     mean = sum(ratios) / len(ratios) if ratios else float("nan")
     var = (sum((r - mean) ** 2 for r in ratios) / len(ratios)
            if ratios else float("nan"))
-    return SchmidtSummary(psi, N, seed, mean, math.sqrt(var) if ratios
-                          else float("nan"), tuple(records), pred)
+    return SchmidtSummary(mean, math.sqrt(var) if ratios else float("nan"),
+                          tuple(records), pred)

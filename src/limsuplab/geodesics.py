@@ -32,15 +32,17 @@ forming q_n itself.
 
 Certification: a direction is exact, a Fraction or the quotient
 sequence itself; a float is refused (pass Fraction(x), the dyadic
-rational it stands for).  A quotient above the largest float, or one
-whose excursion would overflow the crossing formulas while it can reach
-the horizon, is refused with PrecisionExhausted naming its index.
+rational it stands for).  A quotient above the largest float is refused
+with PrecisionExhausted naming its index; every excursion below it gets
+its times, however deep it peaks.
 
-Every returned float is the one the plain scalar evaluation gives, bit
-for bit (tests/oracles.py keeps that evaluation).  The state recursion
-(log q_n, q_{n-1}/q_n, p_n/q_n, xi_n) runs once, in order, since each
-step divides by or takes the log of the one before; each excursion is
-then evaluated from the stored state on its own (_excursion_at).
+Every returned float of an excursion peaking up to _H_MAX is the one
+the plain scalar evaluation gives, bit for bit (tests/oracles.py keeps
+that evaluation; past _H_MAX the squares go through hypot).  The state
+recursion (log q_n, q_{n-1}/q_n, p_n/q_n, xi_n) runs once, in order,
+since each step divides by or takes the log of the one before; each
+excursion is then evaluated from the stored state on its own
+(_excursion_at).
 Transcendentals come from libm through ``math``, never from numpy: on
 common hosts numpy's SIMD exp, log1p, arccosh and log differ from libm
 in the last bit on a share of inputs, which would move the repr floats
@@ -108,9 +110,9 @@ _ALPHA_TAIL = 25
 _REDUCE_CAP = 100_000
 MAX_SAMPLES = 2_000_000
 _FLOAT_MAX = int(sys.float_info.max)
-# Peak heights past this bound square to infinity in the crossing
-# formulas (near 2^511); such an excursion peaks after 2 log q_n +
-# log H_n - 2.1 > 344, so it is refused only when it can peak by T.
+# Up to this peak height the crossing formulas square H-sized numbers
+# directly, the floats every artifact pins.  Those squares overflow near
+# 2^511, so past it _excursion_at takes each as 2 log hypot instead.
 _H_MAX = 2.0 ** 500
 # The sampled grid is reduced column-wise in chunks of this many times,
 # so its scratch arrays stay a few MB whatever the sample count.
@@ -493,45 +495,40 @@ def _orbit(data: _DirectionData, T: float) -> _Orbit:
     return _Orbit(alpha, Ls, betas, r_prevs, rs, xis)
 
 
-def _excursion_at(orbit: _Orbit, n: int, T: float, by_entry: bool
+def _excursion_at(orbit: _Orbit, n: int
                   ) -> Optional[Tuple[float, float, float, float]]:
     """(t_enter, t_peak, t_exit, log H_n) of the n-th excursion, or None
-    when there is none (H_n <= 1).  A peak height past _H_MAX is refused
-    if the excursion can reach T -- enter by T when ``by_entry``, else
-    peak by T -- and is None otherwise."""
+    when there is none (H_n <= 1).  The entering crossing is the one at
+    c* - s, the nearer to Re w0 <= 0 (dx < 0 < s), so its time is the
+    smaller one bit for bit."""
     a_next = orbit.alpha[n + 1]
     xi = orbit.xi[n]
     H = 0.5 * (a_next + xi)
     if not H > 1.0:
         return None
     log = math.log
-    L = orbit.L[n]
-    if H > _H_MAX:
-        # t_enter >= 2L - 2.1 (module docstring); at the peak |w0 - w|^2
-        # >= (H - 1)^2 >= H^2/4 and Im w0 <= e^{-2L}, so X >= H e^{2L}/8
-        # and t_peak >= log X >= 2L + log H - 2.08
-        if 2.0 * L - 2.1 + (0.0 if by_entry else log(H)) > T:
-            return None
-        raise PrecisionExhausted(
-            "partial quotient a_%d is too large for float excursion "
-            "times (peak height %.3g)" % (n + 1, H))
     r = orbit.r[n]
-    ln_q2 = 2.0 * L + math.log1p(r * r)
+    ln_q2 = 2.0 * orbit.L[n] + math.log1p(r * r)
     im_w = math.exp(-ln_q2)
     re_w = -orbit.beta[n] * (1.0 + orbit.r_prev[n] * r) / (1.0 + r * r)
     c_star = 0.5 * (a_next - xi)
     dx = re_w - c_star
-    num_peak = dx * dx + (im_w - H) * (im_w - H)
-    t_peak = _acosh_one_plus(log(num_peak) + ln_q2 - log(2.0 * H))
-    s = math.sqrt(H * H - 1.0)
-    t_cross = []
-    for side in (s, -s):
-        num = (dx + side) ** 2 + (1.0 - im_w) ** 2
-        if num == 0.0:
-            t_cross.append(0.0)
-        else:
-            t_cross.append(_acosh_one_plus(log(num) + ln_q2 - _LN2))
-    t_enter, t_exit = min(t_cross), max(t_cross)
+    if H > _H_MAX:
+        # dx + s cancels; c* - s = (c*^2 - s^2)/(c* + s) = (1 - a xi)/(c* + s)
+        ln_peak = 2.0 * log(math.hypot(dx, im_w - H))
+        s = math.sqrt(H - 1.0) * math.sqrt(H + 1.0)
+        d_in = re_w - (1.0 - a_next * xi) / (c_star + s)
+        ln_out = 2.0 * log(math.hypot(dx - s, 1.0 - im_w))
+    else:
+        ln_peak = log(dx * dx + (im_w - H) * (im_w - H))
+        s = math.sqrt(H * H - 1.0)
+        d_in = dx + s
+        ln_out = log((dx - s) ** 2 + (1.0 - im_w) ** 2)
+    t_peak = _acosh_one_plus(ln_peak + ln_q2 - log(2.0 * H))
+    num_in = d_in ** 2 + (1.0 - im_w) ** 2
+    t_enter = 0.0 if num_in == 0.0 else _acosh_one_plus(
+        log(num_in) + ln_q2 - _LN2)
+    t_exit = _acosh_one_plus(ln_out + ln_q2 - _LN2)
     return t_enter, min(max(t_peak, t_enter), t_exit), t_exit, log(H)
 
 
@@ -539,7 +536,7 @@ def _excursion_records(data: _DirectionData, T: float) -> List[ExcursionRecord]:
     orbit = _orbit(data, T)
     records: List[ExcursionRecord] = []
     for n in range(len(orbit.L)):
-        ex = _excursion_at(orbit, n, T, False)
+        ex = _excursion_at(orbit, n)
         if ex is not None and 0.0 < ex[1] <= T:
             records.append(ExcursionRecord(len(records), n, *ex))
     return records
@@ -761,9 +758,7 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
     Excursions are searched in decreasing order of their state-only
     bound (_score_caps) until it falls to the best score, so every
     skipped excursion scores below the result: the maximum over all
-    excursions.  A skipped excursion is never evaluated, so one whose
-    times would overflow is refused (PrecisionExhausted) only when it
-    can enter by T and could still win.
+    excursions.
     """
     if not T > math.e:
         raise UsageError("T must exceed e, got %r" % (T,))
@@ -779,10 +774,8 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
     for n, cap in zip(ns[order].tolist(), caps[order].tolist()):
         if cap <= best:
             break
-        ex = _excursion_at(orbit, n, T, True)
-        if ex is None:
-            continue
-        t_enter, t_peak, t_exit, ln_h = ex
+        # ns holds exactly the n with H_n > 1, so each has its times
+        t_enter, t_peak, t_exit, ln_h = _excursion_at(orbit, n)
         lo = max(t_enter, t_floor)
         hi = min(t_exit, T)
         if hi <= lo or (ln_h - alpha * lo) / math.log(lo) <= best:

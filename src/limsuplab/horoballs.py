@@ -102,24 +102,19 @@ def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
         p_lo, p_hi = _base_range(q, b_lo, b_hi)
         if p_hi < p_lo:
             continue
-        if q == 1:
-            total += p_hi - p_lo + 1
-        else:
-            if q.bit_length() > 62:
-                raise ResourceCapError("window holds denominator %s, past "
-                                       "int64" % size_text(q))
-            # gcd(p, q) = gcd(p mod q, q) keeps the numerators in int64
-            p0 = p_lo % q
-            ps = np.arange(p0, p0 + p_hi - p_lo + 1, dtype=np.int64)
-            total += int(np.count_nonzero(np.gcd(ps, q) == 1))
+        if q.bit_length() > 62:
+            raise ResourceCapError("window holds denominator %s, past "
+                                   "int64" % size_text(q))
+        # gcd(p, q) = gcd(p mod q, q) keeps the numerators in int64
+        p0 = p_lo % q
+        ps = np.arange(p0, p0 + p_hi - p_lo + 1, dtype=np.int64)
+        total += int(np.count_nonzero(np.gcd(ps, q) == 1))
     return total
 
 
 @dataclass(frozen=True)
 class CountReport:
     R: Fraction
-    lam: Fraction
-    base_window: tuple[Fraction, Fraction]
     q_min: int
     q_max: int
     count: int
@@ -176,8 +171,7 @@ def band_counts(base_window: tuple, r_hi, factor, points: int,
     for R, (q_min, q_max) in reversed(list(zip(radii, windows))):
         count = count_horoballs((b_lo, b_hi), lam * R, R)
         ratio = float(Fraction(count) * R / (b_hi - b_lo))
-        reports.append(CountReport(R, lam, (b_lo, b_hi), q_min, q_max,
-                                   count, ratio))
+        reports.append(CountReport(R, q_min, q_max, count, ratio))
     return reports[::-1]
 
 
@@ -190,7 +184,6 @@ class DisjointnessReport:
     pairs: int
     tangent_pairs: int
     overlap_pairs: int          # must be 0
-    identity_q_max: int
     identity_pairs: int
 
     @property
@@ -256,5 +249,4 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
     gaps = _identity_gaps(nums[layer], dens[layer])
     if gaps.min() < 0:
         raise InternalInvariantError("negative gap in exact layer")
-    return DisjointnessReport(q_max, n, pairs, tangent, 0, identity_q_max,
-                              len(gaps))
+    return DisjointnessReport(q_max, n, pairs, tangent, 0, len(gaps))

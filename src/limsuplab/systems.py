@@ -211,8 +211,6 @@ class StageMeasure:
 
 @dataclass(frozen=True)
 class StageScan:
-    system: ResonantSystem
-    stage: StageSpec
     records: tuple[StageMeasure, ...]
 
 
@@ -428,4 +426,4 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         else:
             records.append(StageMeasure(
                 n, count, pairs, lower, upper, None, "subset-sweep", True))
-    return StageScan(system, stage, tuple(records))
+    return StageScan(tuple(records))

@@ -61,7 +61,7 @@ from limsuplab.errors import ResourceCapError, UsageError, size_text
 # next to their halves, then next to the engine's gap products
 MAX_UNIFORM_Q = 8192
 # every ball is one exact query per stage: 1000 balls at the README
-# stages 3..5 of 6 r^-2 with k = 6 measured 14-15 s on 2 vCPUs
+# stages 3..5 of 6 r^-2 with k = 6 measured 9-12 s and 490 MB on 2 vCPUs
 MAX_BALLS = 1_000
 
 

@@ -333,6 +333,35 @@ def excursion_stream(direction, T, peaked=True):
             return out
 
 
+def excursion_mp(quots, n, dps=420):
+    """(t_enter, t_peak, t_exit, log H_n) of excursion n of [0; quots]
+    from the exact convergents, in mpmath at ``dps`` digits: the matrix
+    with bottom row (q_n, -p_n) maps the ray to the semicircle over
+    [-xi_n, alpha_{n+1}] and i to w0, and each time is the distance from
+    w0 to the peak or to a crossing of Im = 1, on the direct formula."""
+    import mpmath
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    for a in quots[:n]:
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+    x = geo.quotients_value(quots)
+    alpha = 1 / geo.quotients_value(quots[n:])   # [a_{n+1}; a_{n+2}, ...]
+    xi = (q0 + p0 * x) / (q1 + p1 * x)
+    alpha, xi = (ctx.mpf(v.numerator) / v.denominator for v in (alpha, xi))
+    H, c = (alpha + xi) / 2, (alpha - xi) / 2
+    s = ctx.sqrt(H * H - 1)
+    d = q1 * q1 + p1 * p1
+    w0 = ctx.mpc(ctx.mpf(-(q0 * q1 + p0 * p1)) / d, ctx.mpf(1) / d)
+
+    def t(w):
+        return ctx.acosh(1 + abs(w0 - w) ** 2 / (2 * w0.imag * w.imag))
+
+    t_enter, t_exit = t(ctx.mpc(c - s, 1)), t(ctx.mpc(c + s, 1))
+    t_peak = min(max(t(ctx.mpc(c, H)), t_enter), t_exit)
+    return tuple(float(v) for v in (t_enter, t_peak, t_exit, ctx.log(H)))
+
+
 def loglaw_statistic(direction, T, alpha=0.0):
     """The log-law statistic with the exact bound of every excursion in
     hand before any is searched: rank all of them, search in that order

@@ -541,6 +541,37 @@ class TestConfigMerging:
             capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("text", [
+        b"[common]\nseed = 1\n[common]\nseed = 2\n",
+        b"seed = 1\n",
+        b"[schmidt]\npsi = (1/4) * r^-1 %\nN = 100\n",
+        b"[common]\nseed = \xff\n",
+        b"[schmidt]\npsi = (1/4) * r^-1\nN = 100\nsampels = 5\n",
+        b"[common]\nsede = 4\n[schmidt]\npsi = (1/4) * r^-1\nN = 100\n",
+    ], ids=["duplicate-section", "no-section-header", "percent",
+            "not-utf8", "misspelt-key", "misspelt-common-key"])
+    def test_unreadable_or_misspelt_config_is_usage_error(self, text,
+                                                          tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        out_file = tmp_path / "s.csv"
+        code, _, err = run_main(["schmidt", "--config", str(ini),
+                                 "--output", str(out_file)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out_file.exists()
+
+    def test_config_values_verbatim_other_commands_keys_skipped(
+            self, tmp_path, capsys):
+        # psi belongs to other commands, so [common] may hold it for them
+        out_file = tmp_path / "c%%.csv"
+        ini = tmp_path / "run.ini"
+        ini.write_text("[common]\npsi = r^-2\noutput = %s\n[cf]\nx = 1/3\n"
+                       % out_file)
+        code, _, _ = run_main(["cf", "--config", str(ini)], capsys)
+        assert code == 0
+        assert out_file.exists()
+
 
 # runs numpy-free commands in a fresh interpreter, then names every
 # module of the contract that got loaded

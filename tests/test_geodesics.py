@@ -23,8 +23,8 @@ from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  predicted_excursions,
                                  quotients_value, reduce_to_fundamental,
                                  sample_quotients, apply_word)
-from oracles import (cf_expansion, excursion_stream, sampled_excursions,
-                     loglaw_statistic as oracle_loglaw)
+from oracles import (cf_expansion, excursion_mp, excursion_stream,
+                     sampled_excursions, loglaw_statistic as oracle_loglaw)
 
 GOLDEN = (math.sqrt(5) - 1) / 2          # [0; 1, 1, 1, ...]
 LN_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -694,7 +694,7 @@ def test_predicted_matches_sampled_on_dyadics(k, m, T):
         assert abs(s.t_exit - min(r.t_exit, T)) <= 1e-9
 
 
-# -- refusals at the edge of float range -------------------------------------
+# -- refusals at the edge of float range, answers up to it --------------------
 
 @pytest.mark.parametrize("call,index", [
     (lambda: predicted_excursions(Fraction(1, 2 ** 1100), 10.0), "a_1"),
@@ -703,30 +703,70 @@ def test_predicted_matches_sampled_on_dyadics(k, m, T):
     (lambda: loglaw_statistic([1, 10 ** 400, 1], 10.0), "a_2"),
     (lambda: loglaw_statistic([1] * 30 + [10 ** 400] + [1] * 30, 10.0),
      "a_31"),
-    # finite, but its crossing times would square past float range; it
-    # would peak near t = 370, so it is refused once T reaches that far
-    (lambda: predicted_excursions([1, 10 ** 160] + [1] * 400, 800.0), "a_2"),
-    (lambda: loglaw_statistic([1, 10 ** 160] + [1] * 400, 800.0), "a_2"),
 ])
 def test_quotient_beyond_float_range_refused_by_index(call, index):
     with pytest.raises(PrecisionExhausted, match=r"\b%s\b" % index):
         call()
 
 
+def _assert_close(got, want, tol=1e-12):
+    # relative above 1, absolute below
+    for g, w in zip(got, want):
+        assert abs(g - w) <= tol * max(1.0, abs(w)), (got, want)
+
+
 def test_huge_quotient_peaking_after_horizon_is_no_excursion():
     quots = [1, 10 ** 160] + [1] * 400
     assert predicted_excursions(quots, 300.0) == []
-    # but it enters near t = 1 and is still in progress at T, so the log
-    # law cannot leave it out and refuses it instead
-    for direction in (quots, Fraction(1, 10 ** 300)):
-        with pytest.raises(PrecisionExhausted, match=r"\ba_%d\b"
-                           % (2 if direction is quots else 1)):
-            loglaw_statistic(direction, 300.0)
-    # at 10^150 the formulas stay finite and the spike is reported
-    recs = predicted_excursions([1, 10 ** 150] + [1] * 400, 400.0)
-    assert recs[0].convergent_index == 1
-    assert recs[0].peak_pen == pytest.approx(150 * math.log(10) - math.log(2),
-                                             abs=1e-6)
+    # past T = 370 it peaks, with the times of the exact formula
+    rec = predicted_excursions(quots, 800.0)[0]
+    assert rec.convergent_index == 1
+    _assert_close(_records([rec])[0][1:], excursion_mp(quots, 1))
+    # it enters near t = 1 and is still rising at T = 300, where the log
+    # law takes its maximum; toward 10^-300 the ray rises from t = 0
+    assert loglaw_statistic(quots, 300.0) == pytest.approx(
+        (rec.peak_pen - geo._logcosh(300.0 - rec.t_peak)) / math.log(300.0),
+        rel=1e-12)
+    assert loglaw_statistic(Fraction(1, 10 ** 300), 300.0) == pytest.approx(
+        300.0 / math.log(300.0), rel=1e-12)
+
+
+def test_excursion_on_each_side_of_h_max():
+    # below _H_MAX the engine is the scalar stream bit for bit; just above
+    # it the stream's squares are still finite, so both branches meet it
+    ln_h_max = math.log(geo._H_MAX)
+    for a, below in ((2 ** 501 - 2 ** 460, True), (2 ** 501 + 2 ** 460, False)):
+        quots = [3] * 5 + [a] + [2] * 30
+        T = 2 * math.log(a) - 3
+        got = [r for r in _records(predicted_excursions(quots, T))
+               if r[0] == 5]
+        want = [e for e in excursion_stream(quots, T) if e[0] == 5]
+        assert (got[0][4] < ln_h_max) == below
+        if below:
+            assert got == want
+        else:
+            _assert_close(got[0], want[0], 1e-15)
+        _assert_close(got[0][1:], excursion_mp(quots, 5))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(before=st.lists(st.integers(1, 50), max_size=40),
+       a=st.integers(2 ** 501 + 2 ** 449, 10 ** 307),
+       after=st.lists(st.integers(1, 50), min_size=geo._ALPHA_TAIL + 1,
+                      max_size=40))
+@example([], 2 ** 501 + 2 ** 449, [1] * (geo._ALPHA_TAIL + 1))
+@example([50] * 40, 10 ** 307, [50] * 40)
+def test_deep_excursion_matches_mpmath(before, a, after):
+    # float(a) > 2^501, so H_n > _H_MAX for n = len(before); the horizon
+    # 2 log a - 3 lies past its peak (2 log q_n + log H_n < 2.1 + 314 +
+    # log a) and before the next convergent's excursions (2 log q_{n+1}
+    # - 2.5 > T)
+    quots = before + [a] + after
+    n = len(before)
+    got = [r for r in _records(predicted_excursions(quots,
+                                                    2 * math.log(a) - 3))
+           if r[0] == n]
+    _assert_close(got[0][1:], excursion_mp(quots, n))
 
 
 def test_loglaw_without_scoring_excursion_is_positive_zero():
