@@ -703,6 +703,10 @@ def test_predicted_matches_sampled_on_dyadics(k, m, T):
     (lambda: loglaw_statistic([1, 10 ** 400, 1], 10.0), "a_2"),
     (lambda: loglaw_statistic([1] * 30 + [10 ** 400] + [1] * 30, 10.0),
      "a_31"),
+    # a 10^160 quotient is answered (see the test below); 10^400 is not,
+    # whatever the horizon or the length of the tail after it
+    (lambda: predicted_excursions([1, 10 ** 400, 1], 10.0), "a_2"),
+    (lambda: loglaw_statistic([1, 10 ** 400] + [1] * 400, 800.0), "a_2"),
 ])
 def test_quotient_beyond_float_range_refused_by_index(call, index):
     with pytest.raises(PrecisionExhausted, match=r"\b%s\b" % index):
