@@ -64,8 +64,6 @@ _COMMON: Tuple[_Opt, ...] = (
     _Opt("output", "text", None, help="output file (default: command name "
          "under $%s or the working directory)" % OUTPUT_DIR_ENV),
     _Opt("format", "choice:csv,jsonl", "csv", help="output format"),
-    _Opt("workers", "int", None, help="worker processes for independent "
-         "samples (default: machine parallelism)"),
 )
 
 _COMMANDS: Dict[str, Tuple[_Opt, ...]] = {
@@ -106,6 +104,8 @@ _COMMANDS: Dict[str, Tuple[_Opt, ...]] = {
         _Opt("psi", "text", required=True),
         _Opt("N", "int", required=True, help="counting horizon q <= N"),
         _Opt("samples", "int", "200"),
+        _Opt("workers", "int", help="worker processes for independent "
+             "samples (default: machine parallelism)"),
     ),
     "cf": (
         _Opt("x", "rational", required=True,
@@ -189,8 +189,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None,
                        help="INI file with [common] and [%s] sections" % command)
         for opt in opts + _COMMON:
-            p.add_argument("--" + opt.name, dest=_dest(opt.name),
-                           default=None, help=opt.help)
+            p.add_argument("--" + opt.name, help=opt.help)
     return parser
 
 
@@ -243,8 +242,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
             continue
         raw[dest] = str(value)
         typed[dest] = _convert(opt, str(value))
-    if typed["workers"] is None:
-        typed["workers"] = os.cpu_count() or 1
     return ExperimentConfig(ns.command, typed, raw)
 
 
@@ -469,8 +466,9 @@ def _run_schmidt(o):
     psi = fn.parse_function(o["psi"])
     if o["samples"] < 1:
         raise UsageError("samples must be >= 1")
+    workers = o["workers"] if o["workers"] is not None else os.cpu_count() or 1
     result = ct.schmidt_experiment(psi, o["N"], o["samples"], o["seed"],
-                                   workers=o["workers"])
+                                   workers=workers)
     rows = [{"index": i, "x": r.x, "count": r.count,
              "prediction": r.prediction, "ratio": r.ratio}
             for i, r in enumerate(result.records)]

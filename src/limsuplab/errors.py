@@ -56,10 +56,10 @@ def text_echo(text: str) -> str:
 
 
 def unreadable(name: str, text: str, exc: Exception) -> UsageError:
-    """The refusal of `text`, read for `name`, on the error `exc` that
-    reading it raised; exc's own copy of the text is abbreviated too."""
+    """The one-line refusal of `text`, read for `name`, on the error `exc`
+    that reading it raised; exc's own copy of the text is abbreviated."""
     echo = text_echo(text)
-    reason = str(exc).replace(repr(text), echo)
+    reason = "; ".join(str(exc).replace(repr(text), echo).splitlines())
     if "set_int_max_str_digits" in reason:  # Python's int-limit advice
         reason = "more than 4300 digits"
     return UsageError("%s: cannot read %s (%s)" % (name, echo, reason))

@@ -94,12 +94,17 @@ def totient_sieve(limit: int) -> np.ndarray:
     return phi
 
 
-def _packed_keys(num, den, qmax: int):
-    """Value-ordered sort keys (floor(a 2^(2 db) / b) << db) | b, with
-    db = bitlen(qmax), of fractions a/b <= 1/2 with b <= qmax <=
-    PACKED_KEY_QMAX; the same values on int64 arrays and Python ints."""
+def packed_keys(num, den, qmax: int):
+    """Value-ordered keys (floor(a 2^(2 db) / b) << db) | b, db =
+    bitlen(qmax), of a/b in [0, 1] with b <= qmax: below 2^(3 db + 1)
+    (1/1 has 2^(3 db) + 1), so exact in int64 for qmax <= 2^20 - 1.
+    Built in place on int64 arrays; the same values on Python ints."""
     db = qmax.bit_length()
-    return (num << 2 * db) // den << db | den
+    keys = num << 2 * db
+    keys //= den
+    keys <<= db
+    keys |= den
+    return keys
 
 
 def reduced_fractions(qmax: int):
@@ -124,7 +129,7 @@ def reduced_fractions(qmax: int):
     ok &= 2 * np.arange(half + 1) <= np.arange(qmax + 1)[:, None]
     den, num = np.divmod(np.flatnonzero(ok), half + 1)
     del ok
-    key = _packed_keys(num, den, qmax)
+    key = packed_keys(num, den, qmax)
     key.sort()
     db = qmax.bit_length()
     den = key & ((1 << db) - 1)

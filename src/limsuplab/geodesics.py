@@ -38,7 +38,7 @@ its times, however deep it peaks.
 
 Every returned float of an excursion peaking up to _H_MAX is the one
 the plain scalar evaluation gives, bit for bit (tests/oracles.py keeps
-that evaluation; past _H_MAX the squares go through hypot).  The state
+that evaluation; past _H_MAX no difference cancels).  The state
 recursion (log q_n, q_{n-1}/q_n, p_n/q_n, xi_n) runs once, in order,
 since each step divides by or takes the log of the one before; each
 excursion is then evaluated from the stored state on its own
@@ -110,10 +110,10 @@ _ALPHA_TAIL = 25
 _REDUCE_CAP = 100_000
 MAX_SAMPLES = 2_000_000
 _FLOAT_MAX = int(sys.float_info.max)
-# Up to this peak height the crossing formulas square H-sized numbers
-# directly, the floats every artifact pins.  Those squares overflow near
-# 2^511, so past it _excursion_at takes each as 2 log hypot instead.
-_H_MAX = 2.0 ** 500
+# Up to this peak height the entering offset dx + s, O(1/H), cancels two
+# H-sized terms: error e <= H 2^-52, so e^2 <= 2^-52 in num_in.  Past it
+# the offset is re_w - (1 - a xi)/(c* + s) and each square 2 log hypot.
+_H_MAX = 2.0 ** 26
 # The sampled grid is reduced column-wise in chunks of this many times,
 # so its scratch arrays stay a few MB whatever the sample count.
 _GRID_CHUNK = 1 << 14

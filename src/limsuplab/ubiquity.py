@@ -13,16 +13,16 @@ tractable at scale:
   * maximal runs of merged gaps become single blocks
     [c_first - r, c_last + r], pairwise separated by more than 2r.
 
-The engine stores the Farey numerators and denominators, one float
-position per point, and the (first, last) point indices of the merged
-blocks only: every other point is a block of its own, so a stage
+The engine stores the Farey numerators, denominators and packed int64
+keys (farey.packed_keys), and the (first, last) point indices of the
+merged blocks only: every other point is a block of its own, so a stage
 without merging, such as the Ford stage at rho = r^-1, stores no block
 at all, and the block count is N minus the number of merged gaps.
 
 A measure query against [lo, hi] finds l, the first ball reaching lo,
-and r_, the last reaching hi, by a float seed and an exact walk that
-compares centres by integer cross-multiplication.  Only ball l reaches
-below lo and only ball r_ above hi, so with the gaps g_i = c_{i+1} - c_i
+and r_, the last reaching hi, by one search of the keys (_rank).  Only
+ball l reaches below lo and only ball r_ above hi, so with the gaps
+g_i = c_{i+1} - c_i
 
   m(union ∩ [lo, hi]) = min(c_r_ + r, hi) - max(c_l - r, lo)
                         - (c_r_ - c_l) + sum_{l <= i < r_} min(g_i, 2r),
@@ -34,9 +34,8 @@ fast by bucketing numerators per denominator:
 sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b with integer coefficients,
 evaluated over the single common denominator lcm(1..Q).
 
-Everything user-facing is a Fraction; no floating point enters any
-measure or ratio, floats only seed searches that are re-checked
-exactly.
+Everything user-facing is a Fraction; the one float left is the weight
+sum of bincount in the span sums, exact below 2^53.
 """
 
 from __future__ import annotations
@@ -102,7 +101,8 @@ class UniformStageEngine:
             del joined
         self._mstarts = np.flatnonzero(edge == 1)
         self._mends = np.flatnonzero(edge == -1)
-        self._pos = nums / dens
+        self._db = q_max.bit_length()
+        self._keys = farey.packed_keys(nums, dens, q_max)
 
     @functools.cached_property
     def _lcm_table(self) -> tuple[int, list[int]]:
@@ -117,21 +117,17 @@ class UniformStageEngine:
             return 0
         return len(self._nums) - int((self._mends - self._mstarts).sum())
 
-    def _rank(self, xn: int, xd: int, side: str) -> int:
-        """Number of centres a/b below xn/xd (side "left") or at most
-        xn/xd (side "right"), xd > 0: a float seed, then an exact walk on
-        the sign of a xd - xn b.  Every centre lies in [0, 1], so a point
-        outside it ranks 0 or N with no float."""
-        nums, dens = self._nums, self._dens
-        if not 0 <= xn <= xd:
-            return 0 if xn < 0 else len(nums)
-        inside = 0 if side == "left" else 1    # a xd - xn b < inside
-        i = int(self._pos.searchsorted(xn / xd, side=side))
-        while i > 0 and (nums.item(i - 1) * xd
-                         - xn * dens.item(i - 1)) >= inside:
-            i -= 1
-        while i < len(nums) and (nums.item(i) * xd
-                                 - xn * dens.item(i)) < inside:
+    def _rank(self, xn: int, xd: int, inside: int) -> int:
+        """Number of centres a/b with a xd - xn b < inside (xd > 0): below
+        xn/xd for inside 0, at most it for 1.  A centre whose key floor
+        floor(a 2^(2 db) / b) is below f, the query's, lies below it; only
+        the next can share f (centres differ by > 2^(-2 db)).  f, clamped
+        to [-1, 2^(2 db)] with no division outside [0, 1], fits int64."""
+        db, keys = self._db, self._keys
+        f = -1 if xn < 0 else (xn << 2 * db) // xd if xn <= xd else 1 << 2 * db
+        i = int(keys.searchsorted(f << db))
+        if i < len(keys) and (self._nums.item(i) * xd
+                              - xn * self._dens.item(i)) < inside:
             i += 1
         return i
 
@@ -156,8 +152,8 @@ class UniformStageEngine:
         rn, rd = self.radius.numerator, self.radius.denominator
         ln, ld = lo.numerator, lo.denominator
         hn, hd = hi.numerator, hi.denominator
-        l = self._rank(ln * rd - rn * ld, ld * rd, "left")
-        r_ = self._rank(hn * rd + rn * hd, hd * rd, "right") - 1
+        l = self._rank(ln * rd - rn * ld, ld * rd, 0)
+        r_ = self._rank(hn * rd + rn * hd, hd * rd, 1) - 1
         if l > r_:
             return Fraction(0)
         al, bl = self._nums.item(l), self._dens.item(l)

@@ -46,6 +46,12 @@ def run_env(argv):
     return cli.run(cli.parse_config(argv))
 
 
+def serial(argv):
+    """argv run in one process: schmidt, the one command with --workers,
+    gets --workers 1."""
+    return argv + ["--workers", "1"] if argv[0] == "schmidt" else argv
+
+
 class TestSummaries:
     def test_classify_divergent_line(self, tmp_path, capsys):
         code, out, _ = run_main(
@@ -382,8 +388,9 @@ class TestExitStatuses:
             raise AssertionError("Farey points built past a cap")
         monkeypatch.setattr(farey, "reduced_fractions", no_farey)
         monkeypatch.setattr(ct, "np", None)  # no counting arrays either
-        got, _, err = run_main(argv + ["--workers", "1", "--output",
-                                       str(tmp_path / "r.csv")], capsys)
+        got, _, err = run_main(serial(argv) + ["--output",
+                                               str(tmp_path / "r.csv")],
+                               capsys)
         assert got == code and "Traceback" not in err
         assert err.startswith("resource cap:" if code == 2 else "error:")
 
@@ -429,8 +436,9 @@ class TestExitStatuses:
         ["schmidt", "--psi", "1e999 * r^-2", "--N", "10", "--samples", "2"],
     ])
     def test_float_consumers_name_the_field(self, tmp_path, capsys, argv):
-        code, _, err = run_main(argv + ["--workers", "1", "--output",
-                                        str(tmp_path / "f.csv")], capsys)
+        code, _, err = run_main(serial(argv) + ["--output",
+                                                str(tmp_path / "f.csv")],
+                                capsys)
         assert code == 2
         assert err.startswith("resource cap: scale of '1000")
         assert err.endswith("(1007 characters) has no float image")
@@ -559,7 +567,28 @@ class TestConfigMerging:
                                  "--output", str(out_file)], capsys)
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert "\n" not in err
         assert not out_file.exists()
+
+    def test_only_schmidt_takes_workers(self, tmp_path, capsys):
+        # [common] may hold workers for schmidt; cf takes it nowhere else
+        out = str(tmp_path / "w.csv")
+        ini = tmp_path / "run.ini"
+        for text, code in (("[common]\nworkers = 1\n", 0),
+                           ("[cf]\nworkers = 1\n", 1)):
+            ini.write_text(text)
+            got, _, err = run_main(["cf", "--x", "1/3", "--config", str(ini),
+                                    "--output", out], capsys)
+            assert got == code, err
+        got, _, err = run_main(["cf", "--x", "1/3", "--workers", "1",
+                                "--output", out], capsys)
+        assert got == 1 and err.startswith("error:")
+        ini.write_text("[common]\nworkers = 1\n[schmidt]\npsi = r^-2\n"
+                       "N = 100\nsamples = 2\n")
+        got, _, _ = run_main(["schmidt", "--config", str(ini), "--output",
+                              out], capsys)
+        assert got == 0
+        assert "workers=1" in (tmp_path / "w.csv").read_text()
 
     def test_config_values_verbatim_other_commands_keys_skipped(
             self, tmp_path, capsys):
@@ -839,13 +868,12 @@ def fuzz_argv(rnd, out):
                                  (past_cap or valid).split(";")],
                                 [0.85, 0.1, 0.05])[0]
             argv += ["--" + name, rnd.choice(group)]
-    return argv + ["--workers", "1", "--output", out]
+    return serial(argv) + ["--output", out]
 
 
 def test_seeded_fuzz_exits_with_a_documented_status(tmp_path, capsys):
     for argv in FUZZ_EDGE_RUNS:
-        code = cli.main(argv + ["--workers", "1", "--output",
-                                str(tmp_path / "edge")])
+        code = cli.main(serial(argv) + ["--output", str(tmp_path / "edge")])
         assert code == 2, argv
         assert capsys.readouterr().err.startswith("resource cap:"), argv
     rnd = random.Random(20240)

@@ -102,13 +102,13 @@ class TestReducedFractions:
             num, den = farey.reduced_fractions(qmax)
             assert list(zip(num.tolist(), den.tolist())) == \
                 [(f.numerator, f.denominator) for f in farey_brute(qmax)]
-        packed = farey._packed_keys
+        packed = farey.packed_keys
         for victim in range(0, 245, 11):
             def duplicated(num, den, qmax, victim=victim):
                 key = packed(num, den, qmax)
                 key[victim + 1] = key[victim]
                 return key
-            monkeypatch.setattr(farey, "_packed_keys", duplicated)
+            monkeypatch.setattr(farey, "packed_keys", duplicated)
             with pytest.raises(InternalInvariantError):
                 farey.reduced_fractions(40)
 
@@ -135,11 +135,28 @@ class TestReducedFractions:
         # the closest fractions of the left half, 1/Q and 1/(Q-1), and
         # the largest key, 1/2; the largest intermediate is the shifted
         # numerator a = Q // 2 (the unpack product is at most the same)
-        keys = [farey._packed_keys(a, b, qmax)
+        keys = [farey.packed_keys(a, b, qmax)
                 for a, b in ((1, qmax), (1, qmax - 1), (1, 2))]
         assert keys == sorted(set(keys))
         assert max(keys) < 2 ** 63
         assert (qmax // 2) << 2 * db < 2 ** 63
+
+    def test_packed_keys_on_the_unit_interval(self):
+        # over [0, 1] the keys stay below 2^(3 db + 1): inside int64 up
+        # to Q = 2^20 - 1, and 1/1 overflows it one bit length later
+        qmax = 2 ** 20 - 1
+        db = qmax.bit_length()
+        keys = [farey.packed_keys(a, b, qmax) for a, b in
+                ((0, 1), (1, qmax), (qmax - 2, qmax - 1), (qmax - 1, qmax),
+                 (1, 1))]
+        assert keys == sorted(set(keys))
+        assert keys[-1] == 2 ** (3 * db) + 1 < 2 ** (3 * db + 1) <= 2 ** 63
+        assert farey.packed_keys(1, 1, qmax + 1) > 2 ** 63
+        # the int64 arrays agree with Python ints all over F_Q
+        num, den = farey.reduced_fractions(300)
+        assert farey.packed_keys(num, den, 300).tolist() == \
+            [farey.packed_keys(a, b, 300)
+             for a, b in zip(num.tolist(), den.tolist())]
 
 
 def primes_of(b):

@@ -737,9 +737,12 @@ def test_huge_quotient_peaking_after_horizon_is_no_excursion():
 
 def test_excursion_on_each_side_of_h_max():
     # below _H_MAX the engine is the scalar stream bit for bit; just above
-    # it the stream's squares are still finite, so both branches meet it
+    # it the stream's cancellation is still small, so both branches meet
+    # it; H_n = (a + 0.71...)/2 here
     ln_h_max = math.log(geo._H_MAX)
-    for a, below in ((2 ** 501 - 2 ** 460, True), (2 ** 501 + 2 ** 460, False)):
+    top = int(2 * geo._H_MAX)
+    off = max(1, top >> 41)
+    for a, below in ((top - off, True), (top + off, False)):
         quots = [3] * 5 + [a] + [2] * 30
         T = 2 * math.log(a) - 3
         got = [r for r in _records(predicted_excursions(quots, T))
@@ -770,6 +773,26 @@ def test_deep_excursion_matches_mpmath(before, a, after):
     got = [r for r in _records(predicted_excursions(quots,
                                                     2 * math.log(a) - 3))
            if r[0] == n]
+    _assert_close(got[0][1:], excursion_mp(quots, n))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(before=st.lists(st.integers(1, 50), max_size=40),
+       a=st.integers(2 ** 26, 2 ** 60),
+       after=st.lists(st.integers(1, 50), min_size=geo._ALPHA_TAIL + 1,
+                      max_size=40))
+@example([2, 1, 3, 1, 1], 10 ** 16, [1] * 400)
+@example([], 2 ** 53 + 1, [1] * (geo._ALPHA_TAIL + 1))
+def test_excursion_past_h_max_matches_mpmath(before, a, after):
+    # the direct entering offset dx + s cancels two H-sized terms: with it
+    # the first example entered at t = 7.2528 instead of 6.5596.  The
+    # horizon lies past the peak (2 log q_n + log a + 1.4) and before the
+    # next convergent's excursions (2 log q_{n+1} - 2.5 > T)
+    quots = before + [a] + after
+    n = len(before)
+    _, q = geo._convergent_arrays(quots)
+    T = 2 * math.log(q[n]) + 1.5 * math.log(a)
+    got = [r for r in _records(predicted_excursions(quots, T)) if r[0] == n]
     _assert_close(got[0][1:], excursion_mp(quots, n))
 
 

@@ -129,6 +129,57 @@ def test_engine_union_measure_property(q_max, den, picks):
             exact_union_measure(balls, lo, hi), (lo, hi)
 
 
+class Int64Search(np.ndarray):
+    """Keys whose search refuses a value outside int64, which numpy would
+    meet by casting every key to a Python int."""
+
+    def searchsorted(self, v, *args, **kwargs):
+        assert -2 ** 63 <= v < 2 ** 63, v
+        return super().searchsorted(v, *args, **kwargs)
+
+
+# at scale 1 the query is reduced, above it the engine sees the
+# unreduced pairs that union_measure forms
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(q_max=st.integers(1, 60), pick=st.integers(min_value=0),
+       scale=st.integers(1, 10 ** 30))
+@example(q_max=1, pick=0, scale=1)
+@example(q_max=60, pick=1, scale=7)
+def test_rank_matches_brute_count(q_max, pick, scale):
+    eng = ub.UniformStageEngine(q_max, Fraction(1, 7))
+    eng._keys = eng._keys.view(Int64Search)
+    nums, dens = farey.reduced_fractions(q_max)
+    centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+    c = centers[pick % len(centers)]
+    # unit = 2^(-2 db) is a key floor's width, tiny less than any gap
+    # between a centre and the end of its floor
+    db = q_max.bit_length()
+    unit = Fraction(1, 2 ** (2 * db))
+    tiny = unit / 2 ** (db + 1)
+    floor = c // unit * unit
+    beside = [c + tiny, floor + unit - tiny, floor]
+    if c != floor:
+        beside.append(c - tiny)
+    assert all(x // unit == c // unit for x in beside)
+    points = [c, c - unit, c + unit, *beside,
+              Fraction(-1, 10 ** 400), 1 + Fraction(1, 10 ** 400),
+              Fraction(-10 ** 400), Fraction(10 ** 400), Fraction(-3, 2), 2]
+    for x in points:
+        x = Fraction(x)
+        # inside 0 counts the centres below x, inside 1 those at most x
+        for inside in (0, 1):
+            want = sum(y < x if inside == 0 else y <= x for y in centers)
+            assert eng._rank(x.numerator * scale, x.denominator * scale,
+                             inside) == want, (x, inside)
+
+
+def test_packed_keys_fit_int64_up_to_the_cap():
+    # keys over [0, 1] stay below 2^(3 db + 1), 2^43 at MAX_UNIFORM_Q
+    db = ub.MAX_UNIFORM_Q.bit_length()
+    assert 3 * db + 1 <= 63
+    assert farey.packed_keys(1, 1, ub.MAX_UNIFORM_Q) < 2 ** 43
+
+
 def test_ford_engine_matches_per_denominator_count():
     # Ford stage rho = r^-1, k = 6, n = 6: 2q^2 <= 6^6 gives q <= 152,
     # and 2 rho(6^6) = 2/6^6 < 1/(152 * 151), the smallest Farey gap, so
@@ -163,7 +214,7 @@ def test_ford_engine_matches_per_denominator_count():
 
 def test_engine_memory_is_three_words_per_point():
     # Ford stage rho = r^-1, k = 6, n = 9 (F_2244) merges no gap: the
-    # engine keeps numerators, denominators and float positions, and the
+    # engine keeps numerators, denominators and packed keys, and the
     # merged blocks hold nothing
     system, k, n = sy.ford_horoballs(), Fraction(6), 9
     eng = ub.UniformStageEngine(ub._uniform_q_max(system, k, n),
