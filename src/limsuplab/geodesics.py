@@ -34,7 +34,10 @@ Certification: a direction is exact, a Fraction or the quotient
 sequence itself; a float is refused (pass Fraction(x), the dyadic
 rational it stands for).  A quotient above the largest float is refused
 with PrecisionExhausted naming its index; every excursion below it gets
-its times, however deep it peaks.
+its times, however deep it peaks.  Euclid costs one ``divmod`` per
+quotient; the convergents p_n, q_n of a CFExpansion are built on first
+read and cached, so a caller reading only the quotients, as every
+stream here does, never builds them.
 
 Every returned float of an excursion peaking up to _H_MAX is the one
 the plain scalar evaluation gives, bit for bit (tests/oracles.py keeps
@@ -61,6 +64,7 @@ bound until it falls to the best score found.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -137,16 +141,29 @@ class StepTooCoarseWarning(UserWarning):
 class CFExpansion:
     """Partial quotients a_1..a_N with the convergents p_n/q_n.
 
-    ``p`` and ``q`` start at index 0 (p_0/q_0 = 0/1), so they are one
-    longer than ``quotients``.  ``terminated`` marks an expansion that
-    ended by itself within the requested depth.
+    ``quotients`` costs one ``divmod`` per quotient.  ``p`` and ``q``
+    are built from them on first read and cached: a caller reading only
+    the quotients never pays the 2N big-integer multiply-adds.  They
+    start at index 0 (p_0/q_0 = 0/1), so they are one longer than
+    ``quotients``.  ``terminated`` marks an expansion that ended by
+    itself within the requested depth.
     """
 
     x: Fraction
     quotients: Tuple[int, ...]
-    p: Tuple[int, ...]
-    q: Tuple[int, ...]
     terminated: bool
+
+    @functools.cached_property
+    def _convergents(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        return _convergent_arrays(self.quotients)
+
+    @property
+    def p(self) -> Tuple[int, ...]:
+        return self._convergents[0]
+
+    @property
+    def q(self) -> Tuple[int, ...]:
+        return self._convergents[1]
 
 
 def _euclid_quotients(x: Fraction, depth: int) -> Tuple[List[int], bool]:
@@ -195,15 +212,27 @@ def cf_expand(x: Fraction, depth: int) -> CFExpansion:
     if depth < 1:
         raise UsageError("depth must be >= 1, got %r" % (depth,))
     quots, done = _euclid_quotients(_exact_direction(x), depth)
-    p, q = _convergent_arrays(quots)
-    return CFExpansion(x, tuple(quots), p, q, done)
+    return CFExpansion(x, tuple(quots), done)
 
 
 def _check_quotients(quots: Sequence[int]) -> List[int]:
+    """The quotients as ints, each equal to its entry and >= 1.  The
+    common case is checked by whole-list operations; anything else takes
+    the loop, which names the first bad entry."""
+    seq = list(quots)
+    try:
+        out = list(map(int, seq))
+    except (TypeError, ValueError, OverflowError):
+        out = []
+    if out and out == seq and min(out) >= 1:
+        return out
     out = []
-    for a in quots:
-        ai = int(a)
-        if ai != a or ai < 1:
+    for a in seq:
+        try:
+            ai = int(a)
+        except (TypeError, ValueError, OverflowError):  # NaN, inf, None
+            ai = None
+        if ai is None or ai != a or ai < 1:
             raise UsageError("partial quotients must be integers >= 1, got %r" % (a,))
         out.append(ai)
     if not out:
@@ -455,15 +484,17 @@ def _orbit(data: _DirectionData, T: float) -> _Orbit:
             "T = %r; pass a Fraction or a longer quotient sequence" % (T,))
     log = math.log
     Ls, betas, r_prevs, rs, xis = (array("d") for _ in range(5))
+    put_L, put_beta, put_r_prev, put_r, put_xi = (
+        v.append for v in (Ls, betas, r_prevs, rs, xis))
     L = beta = r_prev = r = 0.0
     xi = data.x0
     n = 0
     while True:
-        Ls.append(L)
-        betas.append(beta)
-        r_prevs.append(r_prev)
-        rs.append(r)
-        xis.append(xi)
+        put_L(L)
+        put_beta(beta)
+        put_r_prev(r_prev)
+        put_r(r)
+        put_xi(xi)
         if n == n_cap:
             if data.exhaust_ok:
                 break

@@ -13,11 +13,12 @@ tractable at scale:
   * maximal runs of merged gaps become single blocks
     [c_first - r, c_last + r], pairwise separated by more than 2r.
 
-The engine stores the Farey numerators, denominators and packed int64
-keys (farey.packed_keys), and the (first, last) point indices of the
-merged blocks only: every other point is a block of its own, so a stage
-without merging, such as the Ford stage at rho = r^-1, stores no block
-at all, and the block count is N minus the number of merged gaps.
+The engine stores the Farey numerators and packed int64 keys
+(farey.packed_keys), whose low bitlen(Q) bits are the denominators, and
+the (first, last) point indices of the merged blocks only: every other
+point is a block of its own, so a stage without merging, such as the
+Ford stage at rho = r^-1, stores no block at all, and the block count
+is N minus the number of merged gaps.
 
 A measure query against [lo, hi] finds l, the first ball reaching lo,
 and r_, the last reaching hi, by one search of the keys (_rank).  Only
@@ -84,7 +85,7 @@ class UniformStageEngine:
         if self.empty:
             return
         nums, dens = farey.reduced_fractions(q_max)
-        self._nums, self._dens = nums, dens
+        self._nums = nums
         # gap i (between points i and i + 1) is joined iff
         # 1/(bb') <= 2r  <=>  bb' >= ceil(rd / (2 rn)); no product of two
         # denominators reaches q_max^2
@@ -102,6 +103,7 @@ class UniformStageEngine:
         self._mstarts = np.flatnonzero(edge == 1)
         self._mends = np.flatnonzero(edge == -1)
         self._db = q_max.bit_length()
+        self._mask = (1 << self._db) - 1  # key & _mask is the denominator
         self._keys = farey.packed_keys(nums, dens, q_max)
 
     @functools.cached_property
@@ -126,8 +128,8 @@ class UniformStageEngine:
         db, keys = self._db, self._keys
         f = -1 if xn < 0 else (xn << 2 * db) // xd if xn <= xd else 1 << 2 * db
         i = int(keys.searchsorted(f << db))
-        if i < len(keys) and (self._nums.item(i) * xd
-                              - xn * self._dens.item(i)) < inside:
+        if i < len(keys) and (self._nums.item(i) * xd - xn
+                              * (keys.item(i) & self._mask)) < inside:
             i += 1
         return i
 
@@ -136,9 +138,9 @@ class UniformStageEngine:
         numerator over lcm(1..q_max), via per-denominator bucketing."""
         size = self.q_max + 1
         # numerator sums fit float64 exactly: <= n_points * q_max << 2^53
-        plus = np.bincount(self._dens[e], weights=self._nums[e],
+        plus = np.bincount(self._keys[e] & self._mask, weights=self._nums[e],
                            minlength=size).astype(np.int64)
-        minus = np.bincount(self._dens[s], weights=self._nums[s],
+        minus = np.bincount(self._keys[s] & self._mask, weights=self._nums[s],
                             minlength=size).astype(np.int64)
         return sum(c * m for c, m in zip((plus - minus).tolist(),
                                          self._lcm_table[1]) if c)
@@ -156,8 +158,8 @@ class UniformStageEngine:
         r_ = self._rank(hn * rd + rn * hd, hd * rd, 1) - 1
         if l > r_:
             return Fraction(0)
-        al, bl = self._nums.item(l), self._dens.item(l)
-        ar, br = self._nums.item(r_), self._dens.item(r_)
+        al, bl = self._nums.item(l), self._keys.item(l) & self._mask
+        ar, br = self._nums.item(r_), self._keys.item(r_) & self._mask
         # max(c_l - r, lo) and min(c_r_ + r, hi) as (num, den) pairs
         start = (al * rd - rn * bl, bl * rd)
         if start[0] * ld < ln * start[1]:

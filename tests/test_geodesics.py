@@ -120,6 +120,84 @@ def test_quotients_value_validation():
         quotients_value([1.5])
 
 
+BAD_ENTRY = "partial quotients must be integers >= 1, got %r"
+
+
+@pytest.mark.parametrize("quots,message", [
+    ([1, math.nan], BAD_ENTRY % math.nan),
+    ([1, math.inf], BAD_ENTRY % math.inf),
+    ([1, -math.inf], BAD_ENTRY % -math.inf),
+    ([1, None], BAD_ENTRY % None),
+    ([1, 2.5], BAD_ENTRY % 2.5),
+    ([1, 0], BAD_ENTRY % 0),
+    ([1, -3], BAD_ENTRY % -3),
+    ([1, "3"], BAD_ENTRY % "3"),
+    ([], "quotient sequence is empty"),
+])
+def test_bad_quotient_entry_is_a_usage_error(quots, message):
+    # int() of NaN, inf and None raises ValueError, OverflowError and
+    # TypeError: each ends as the usage error naming the entry
+    for call in (quotients_value, lambda q: loglaw_statistic(q, 10.0),
+                 lambda q: predicted_excursions(q, 10.0)):
+        with pytest.raises(UsageError) as err:
+            call(quots)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry", [True, np.int64(3), Fraction(3, 1),
+                                   10 ** 400],
+                         ids=["True", "int64", "Fraction", "10^400"])
+def test_integral_quotient_entry_is_accepted(entry):
+    out = geo._check_quotients((2, entry))
+    assert out == [2, int(entry)]
+    assert all(type(a) is int for a in out)
+    assert quotients_value([2, entry]) == 1 / (2 + Fraction(1, int(entry)))
+
+
+def test_cf_expand_builds_no_convergents(monkeypatch):
+    def refuse(quots):
+        raise AssertionError("convergents built")
+
+    monkeypatch.setattr(geo, "_convergent_arrays", refuse)
+    rnd = random.Random(18)
+    den = rnd.getrandbits(4096) | 1 << 4095
+    x = Fraction(rnd.randrange(1, den), den)
+    cf = cf_expand(x, 1000)
+    want = cf_expansion(x, 1000)
+    assert (cf.quotients, cf.terminated) == (want[0], want[3])
+    assert len(cf.quotients) == 1000 and not cf.terminated
+
+
+def test_cf_convergents_built_once_on_first_read(monkeypatch):
+    calls = []
+    build = geo._convergent_arrays
+
+    def counted(quots):
+        calls.append(quots)
+        return build(quots)
+
+    monkeypatch.setattr(geo, "_convergent_arrays", counted)
+    cf = cf_expand(Fraction(16, 113), 50)
+    assert calls == []
+    p = cf.p
+    q = cf.q
+    assert calls == [cf.quotients]
+    assert cf.p is p and cf.q is q
+    assert Fraction(p[-1], q[-1]) == Fraction(16, 113)
+
+
+def test_cf_expansions_compare_by_their_fields():
+    rnd = random.Random(19)
+    den = rnd.getrandbits(1024) | 1 << 1023
+    x = Fraction(rnd.randrange(1, den), den)
+    read, unread = cf_expand(x, 400), cf_expand(x, 400)
+    read.q  # the cached convergents are no field
+    assert read == unread and hash(read) == hash(unread)
+    assert read != cf_expand(x, 399)
+    assert repr(unread) == ("CFExpansion(x=%r, quotients=%r, terminated=False)"
+                            % (x, unread.quotients))
+
+
 # -- Gauss-Kuzmin sampling ---------------------------------------------------
 
 def test_gk_probability_values():

@@ -212,10 +212,10 @@ def test_ford_engine_matches_per_denominator_count():
         assert eng.union_measure(lo, hi) == per_denominator(lo, hi)
 
 
-def test_engine_memory_is_three_words_per_point():
+def test_engine_memory_is_two_words_per_point():
     # Ford stage rho = r^-1, k = 6, n = 9 (F_2244) merges no gap: the
-    # engine keeps numerators, denominators and packed keys, and the
-    # merged blocks hold nothing
+    # engine keeps numerators and packed keys (the denominator is the
+    # key's low bits), and the merged blocks hold nothing
     system, k, n = sy.ford_horoballs(), Fraction(6), 9
     eng = ub.UniformStageEngine(ub._uniform_q_max(system, k, n),
                                 ub._uniform_radius(fn.approximating(1, -1), k, n))
@@ -223,13 +223,13 @@ def test_engine_memory_is_three_words_per_point():
     assert eng.block_count == points
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
-    assert held <= 24 * points
+    assert held <= 16 * points
     # with merging, only the merged blocks add to that
     eng = ub.UniformStageEngine(eng.q_max, Fraction(1, 10 ** 6))
     merged = 1 + int(farey.totient_sieve(eng.q_max)[1:].sum()) - eng.block_count
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
-    assert held <= 24 * points + 16 * merged
+    assert held <= 16 * points + 16 * merged
 
 
 # -- ubiquity_ratio ----------------------------------------------------------
