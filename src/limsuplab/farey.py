@@ -9,18 +9,27 @@ most Q satisfy a'b - ab' = 1, so the gap is exactly 1/(bb').  Everything
 performance-critical here is vectorised numpy over int64/float64 with
 the exactness argument spelled out where it matters:
 
-* F_Q is built from its left half a/b <= 1/2: one boolean mask over
-  rows b and columns a <= b/2 strikes every pair sharing a prime, and
-  the right half is the exact reflection a/b -> (b - a)/b of the left
-  (1/2 is its own mirror and appears once);
-* that half is ordered by one integer sort of packed keys
-  (floor(a 2^kb / b) << db) | b, with db = bitlen(Q) and kb = 2 db.
+* F_Q is built as its sorted packed keys (floor(a 2^kb / b) << db) | b,
+  with db = bitlen(Q) and kb = 2 db, in one preallocated int64 array.
   Distinct fractions with denominators <= Q differ by at least
   1/(b b') > 2^-kb, so their scaled floors differ and the keys are
   distinct and in value order; b comes back from the low db bits and
   a = ceil(floor(a 2^kb / b) b / 2^kb) exactly, since b < 2^kb.  Every
-  intermediate, and the key of 1/2 (the largest, 2^(3 db - 1) + 2),
-  stays below 2^63 while 3 db <= 63, i.e. for Q <= PACKED_KEY_QMAX;
+  intermediate, and the key of 1/1 (the largest, 2^(3 db) + 1), stays
+  below 2^63 while 3 db + 1 <= 63, i.e. for Q <= PACKED_KEY_QMAX;
+* the array's left slot holds the left half a/b <= 1/2: one boolean
+  mask over rows b and columns a <= b/2 strikes every pair sharing a
+  prime, its set entries become keys a block at a time, and the slot
+  is sorted in place;
+* the right slot is the reflection a/b -> (b - a)/b of the left, read
+  backwards (1/2 is its own mirror and appears once), straight off the
+  keys with no division: floor((b - a) 2^kb / b) = 2^kb -
+  floor(a 2^kb / b) - [b does not divide a 2^kb], and for gcd(a, b) = 1
+  and b < 2^kb, b divides a 2^kb iff b is a power of 2, so
+  key((b - a)/b) = 2^(3 db) - key(a/b) + 2b - [b is no power of 2] 2^db;
+* the build then checks a'b - ab' = 1 over every gap of F_Q.  Each
+  temporary of these passes spans one block of BLOCK points, so the
+  build holds 8 bytes per point next to the mask and a few blocks;
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
 * `prime_factor_pairs` reads the distinct primes of every denominator
@@ -45,14 +54,15 @@ import numpy as np
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError, size_text)
 
-# packed int64 sort keys of a/b are exact up to this denominator bound
-# (bitlen(Q) <= 21); the mask there alone would take 2 TB
-PACKED_KEY_QMAX = 2 ** 21 - 1
+# packed int64 sort keys of F_Q are exact up to this denominator bound
+# (bitlen(Q) <= 20); the mask there alone would take 550 GB
+PACKED_KEY_QMAX = 2 ** 20 - 1
 # largest totient sieve any caller may request (phi and its cumsum take
 # 8 bytes per entry each)
 MAX_SIEVE = 100_000_000
-# gaps per slice of the Farey adjacency check (16 MB per int64 product)
-_ADJACENCY_CHUNK = 1 << 20
+# points per block of every blocked pass over packed keys: 512 KB per
+# int64 temporary, so a block's working set stays in cache
+BLOCK = 1 << 16
 
 
 def check_sieve(limit: int, what: str) -> None:
@@ -107,11 +117,20 @@ def packed_keys(num, den, qmax: int):
     return keys
 
 
-def reduced_fractions(qmax: int):
-    """All reduced fractions a/b in [0,1] with b <= qmax, sorted.
+def unpack_keys(keys, qmax: int):
+    """(num, den) of packed keys made with this qmax: den is the low db
+    bits and num = ceil(floor(a 2^(2 db) / b) b / 2^(2 db)).  The same
+    values on Python ints and on int64 arrays."""
+    db = qmax.bit_length()
+    den = keys & ((1 << db) - 1)
+    return -((-(keys >> db) * den) >> 2 * db), den
 
-    Returns (num, den) int64 arrays.  Includes 0/1 and 1/1.  Raises if
-    qmax is past the bound where the packed sort keys stay exact.
+
+def farey_keys(qmax: int) -> np.ndarray:
+    """Packed keys (`packed_keys`) of all reduced fractions a/b in [0, 1]
+    with b <= qmax, sorted, as one int64 array built in place (see the
+    module docstring).  Raises if qmax is past the bound where the keys
+    stay exact, before anything is allocated.
     """
     if qmax < 1:
         raise UsageError("qmax must be >= 1")
@@ -119,36 +138,58 @@ def reduced_fractions(qmax: int):
         raise UsageError(
             "qmax=%s exceeds the packed-key order-exactness bound %d"
             % (size_text(qmax), PACKED_KEY_QMAX))
-    # ok[b, a] for 0 <= a <= b/2: strike pairs sharing a prime, the
-    # empty row b = 0 and every a above b/2
-    half = qmax // 2
-    ok = np.ones((qmax + 1, half + 1), dtype=bool)
+    # ok[b, a] for 0 <= a <= b/2: strike the empty row b = 0, every a
+    # above b/2 and pairs sharing a prime
+    width = qmax // 2 + 1
+    ok = np.ones((qmax + 1, width), dtype=bool)
     ok[0] = False
+    for b in range(1, qmax + 1):
+        ok[b, b // 2 + 1:] = False
     for p in _primes(qmax).tolist():
         ok[p::p, 0::p] = False
-    ok &= 2 * np.arange(half + 1) <= np.arange(qmax + 1)[:, None]
-    den, num = np.divmod(np.flatnonzero(ok), half + 1)
-    del ok
-    key = packed_keys(num, den, qmax)
-    key.sort()
+    n_left = int(np.count_nonzero(ok))
+    # 1/2 (qmax >= 2) ends the left half and is its own mirror
+    keys = np.empty(2 * n_left - (qmax >= 2), dtype=np.int64)
+    flat, pos = ok.reshape(-1), 0
+    for start in range(0, len(flat), BLOCK):
+        # flat position b * width + a of every set entry, then a
+        at = np.flatnonzero(flat[start:start + BLOCK])
+        at += start
+        den = at // width
+        at -= den * width
+        keys[pos:pos + len(at)] = packed_keys(at, den, qmax)
+        pos += len(at)
+    del ok, flat
+    keys[:n_left].sort()
     db = qmax.bit_length()
-    den = key & ((1 << db) - 1)
-    num = -((-(key >> db) * den) >> 2 * db)
-    del key
-    # mirror a/b -> (b - a)/b; the last left term 1/2 (qmax >= 2) is its
-    # own mirror
-    mirror = slice(len(num) - 1 - (qmax >= 2), None, -1)
-    num = np.concatenate((num, den[mirror] - num[mirror]))
-    den = np.concatenate((den, den[mirror]))
-    # neighbours a/b < a'/b' satisfy a'b - ab' = 1; checked in chunks so
-    # the two int64 products never outweigh num and den themselves
-    for start in range(0, len(num) - 1, _ADJACENCY_CHUNK):
-        stop = min(start + _ADJACENCY_CHUNK, len(num) - 1)
-        if not np.all(num[start + 1:stop + 1] * den[start:stop]
-                      - num[start:stop] * den[start + 1:stop + 1] == 1):
+    top, low = 1 << 3 * db, (1 << db) - 1
+    # right[j] mirrors left[j], read backwards from the end of the left
+    # slot (before 1/2 when qmax >= 2)
+    right = keys[n_left:]
+    left = keys[len(right) - 1::-1]
+    for start in range(0, len(right), BLOCK):
+        key = left[start:start + BLOCK]
+        den = key & low
+        # [b is no power of 2] 2^db
+        odd = np.minimum(den & (den - 1), 1) << db
+        right[start:start + BLOCK] = top - key + 2 * den - odd
+    # neighbours a/b < a'/b' satisfy a'b - ab' = 1 over every gap
+    for start in range(0, len(keys) - 1, BLOCK):
+        num, den = unpack_keys(keys[start:start + BLOCK + 1], qmax)
+        if not np.all(num[1:] * den[:-1] - num[:-1] * den[1:] == 1):
             raise InternalInvariantError(
                 "Farey adjacency failed: generation or sort is broken")
-    return num, den
+    return keys
+
+
+def reduced_fractions(qmax: int):
+    """All reduced fractions a/b in [0,1] with b <= qmax, sorted.
+
+    Returns (num, den) int64 arrays, decoded from `farey_keys`.
+    Includes 0/1 and 1/1.  Raises if qmax is past the bound where the
+    packed sort keys stay exact.
+    """
+    return unpack_keys(farey_keys(qmax), qmax)
 
 
 def min_multiple_above(den: np.ndarray, window_lo: int,

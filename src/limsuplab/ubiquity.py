@@ -13,12 +13,15 @@ tractable at scale:
   * maximal runs of merged gaps become single blocks
     [c_first - r, c_last + r], pairwise separated by more than 2r.
 
-The engine stores the Farey numerators and packed int64 keys
-(farey.packed_keys), whose low bitlen(Q) bits are the denominators, and
-the (first, last) point indices of the merged blocks only: every other
-point is a block of its own, so a stage without merging, such as the
-Ford stage at rho = r^-1, stores no block at all, and the block count
-is N minus the number of merged gaps.
+The engine stores the sorted packed int64 keys of F_Q alone
+(farey.farey_keys, 8 bytes per point): each centre's denominator is its
+key's low bitlen(Q) bits and its numerator is decoded off the key
+(farey.unpack_keys) where a query reads it.  Next to them it keeps the
+(first, last) point indices of the merged blocks only, found by one
+blocked pass over the keys: every other point is a block of its own, so
+a stage without merging, such as the Ford stage at rho = r^-1, stores
+no block at all, and the block count is N minus the number of merged
+gaps.
 
 A measure query against [lo, hi] finds l, the first ball reaching lo,
 and r_, the last reaching hi, by one search of the keys (_rank).  Only
@@ -55,13 +58,15 @@ from limsuplab import functions as fn
 from limsuplab import systems as sy
 from limsuplab.errors import ResourceCapError, UsageError, size_text
 
-# F_8192 has 2.04e7 points; building its engine measured 1.2-1.3 s and
-# 505-537 MB peak RSS, without merged gaps (radius 10^-9) or with
-# (10^-6), on 2 vCPUs; the peak is the full-length num and den arrays
-# next to their halves, then next to the engine's gap products
+# F_8192 has 2.04e7 points; building its engine measured 0.7-0.8 s and
+# 189-207 MB peak RSS, without merged gaps (radius 10^-9) or with
+# (10^-6), on 2 vCPUs; the peak is the keys (8 bytes per point) next to
+# the mask of the left half, or next to the joined-gap flags (1 byte per
+# point) on a stage with merged gaps
 MAX_UNIFORM_Q = 8192
 # every ball is one exact query per stage: 1000 balls at the README
-# stages 3..5 of 6 r^-2 with k = 6 measured 9-12 s and 490 MB on 2 vCPUs
+# stages 3..5 of 6 r^-2 with k = 6 measured 6.7-6.8 s and 198 MB on 2
+# vCPUs
 MAX_BALLS = 1_000
 
 
@@ -84,27 +89,32 @@ class UniformStageEngine:
         self.empty = q_max < 1 or self.radius <= 0
         if self.empty:
             return
-        nums, dens = farey.reduced_fractions(q_max)
-        self._nums = nums
+        keys = farey.farey_keys(q_max)
+        self._keys = keys
+        self._db = q_max.bit_length()
+        self._mask = (1 << self._db) - 1  # key & _mask is the denominator
         # gap i (between points i and i + 1) is joined iff
         # 1/(bb') <= 2r  <=>  bb' >= ceil(rd / (2 rn)); no product of two
         # denominators reaches q_max^2
         rn, rd = self.radius.numerator, self.radius.denominator
         threshold = -((-rd) // (2 * rn))
-        if threshold > q_max * q_max:
-            edge = np.zeros(0, dtype=np.int8)
-        else:
-            joined = np.concatenate(
-                ([False], dens[:-1] * dens[1:] >= threshold, [False]))
-            # +1 at the first point of a run of joined gaps, -1 at its
-            # last point: the merged block of two or more points
-            edge = np.diff(joined.view(np.int8))
-            del joined
-        self._mstarts = np.flatnonzero(edge == 1)
-        self._mends = np.flatnonzero(edge == -1)
-        self._db = q_max.bit_length()
-        self._mask = (1 << self._db) - 1  # key & _mask is the denominator
-        self._keys = farey.packed_keys(nums, dens, q_max)
+        none = np.zeros(0, dtype=np.intp)
+        starts, ends = [none], [none]
+        if threshold <= q_max * q_max:
+            # joined[i + 1] for gap i, False at both ends; +1 in its
+            # differences at the first point of a run of joined gaps, -1
+            # at its last point: the merged block of two or more points
+            joined = np.zeros(len(keys) + 1, dtype=bool)
+            block = farey.BLOCK
+            for at in range(0, len(keys), block):
+                den = keys[at:at + block + 1] & self._mask
+                np.greater_equal(den[:-1] * den[1:], threshold,
+                                 out=joined[at + 1:at + len(den)])
+                edge = np.diff(joined[at:at + block + 1].view(np.int8))
+                starts.append(np.flatnonzero(edge == 1) + at)
+                ends.append(np.flatnonzero(edge == -1) + at)
+        self._mstarts = np.concatenate(starts)
+        self._mends = np.concatenate(ends)
 
     @functools.cached_property
     def _lcm_table(self) -> tuple[int, list[int]]:
@@ -117,31 +127,36 @@ class UniformStageEngine:
     def block_count(self) -> int:
         if self.empty:
             return 0
-        return len(self._nums) - int((self._mends - self._mstarts).sum())
+        return len(self._keys) - int((self._mends - self._mstarts).sum())
 
     def _rank(self, xn: int, xd: int, inside: int) -> int:
         """Number of centres a/b with a xd - xn b < inside (xd > 0): below
         xn/xd for inside 0, at most it for 1.  A centre whose key floor
-        floor(a 2^(2 db) / b) is below f, the query's, lies below it; only
-        the next can share f (centres differ by > 2^(-2 db)).  f, clamped
-        to [-1, 2^(2 db)] with no division outside [0, 1], fits int64."""
+        floor(a 2^(2 db) / b) is below f, the query's, lies below it, and
+        one whose floor is above f lies above it; only the next can share
+        f (centres differ by > 2^(-2 db)), and only then is its numerator
+        decoded (as `farey.unpack_keys`).  f, clamped to [-1, 2^(2 db)]
+        with no division outside [0, 1], fits int64."""
         db, keys = self._db, self._keys
         f = -1 if xn < 0 else (xn << 2 * db) // xd if xn <= xd else 1 << 2 * db
         i = int(keys.searchsorted(f << db))
-        if i < len(keys) and (self._nums.item(i) * xd - xn
-                              * (keys.item(i) & self._mask)) < inside:
-            i += 1
+        if i < len(keys):
+            k = keys.item(i)
+            if k >> db == f:
+                b = k & self._mask
+                if -((-f * b) >> 2 * db) * xd - xn * b < inside:
+                    i += 1
         return i
 
     def _span_sum(self, s: np.ndarray, e: np.ndarray) -> int:
         """sum of c_e - c_s over the index pairs (s, e), as an exact
         numerator over lcm(1..q_max), via per-denominator bucketing."""
         size = self.q_max + 1
+        ae, be = farey.unpack_keys(self._keys[e], self.q_max)
+        as_, bs = farey.unpack_keys(self._keys[s], self.q_max)
         # numerator sums fit float64 exactly: <= n_points * q_max << 2^53
-        plus = np.bincount(self._keys[e] & self._mask, weights=self._nums[e],
-                           minlength=size).astype(np.int64)
-        minus = np.bincount(self._keys[s] & self._mask, weights=self._nums[s],
-                            minlength=size).astype(np.int64)
+        plus = np.bincount(be, weights=ae, minlength=size).astype(np.int64)
+        minus = np.bincount(bs, weights=as_, minlength=size).astype(np.int64)
         return sum(c * m for c, m in zip((plus - minus).tolist(),
                                          self._lcm_table[1]) if c)
 
@@ -158,8 +173,11 @@ class UniformStageEngine:
         r_ = self._rank(hn * rd + rn * hd, hd * rd, 1) - 1
         if l > r_:
             return Fraction(0)
-        al, bl = self._nums.item(l), self._keys.item(l) & self._mask
-        ar, br = self._nums.item(r_), self._keys.item(r_) & self._mask
+        # c_l = al/bl and c_r_ = ar/br off their keys, as farey.unpack_keys
+        db, kl, kr = self._db, self._keys.item(l), self._keys.item(r_)
+        bl, br = kl & self._mask, kr & self._mask
+        al = -((-(kl >> db) * bl) >> 2 * db)
+        ar = -((-(kr >> db) * br) >> 2 * db)
         # max(c_l - r, lo) and min(c_r_ + r, hi) as (num, den) pairs
         start = (al * rd - rn * bl, bl * rd)
         if start[0] * ld < ln * start[1]:

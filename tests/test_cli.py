@@ -387,6 +387,7 @@ class TestExitStatuses:
         def no_farey(*args):
             raise AssertionError("Farey points built past a cap")
         monkeypatch.setattr(farey, "reduced_fractions", no_farey)
+        monkeypatch.setattr(farey, "farey_keys", no_farey)
         monkeypatch.setattr(ct, "np", None)  # no counting arrays either
         got, _, err = run_main(serial(argv) + ["--output",
                                                str(tmp_path / "r.csv")],

@@ -94,23 +94,61 @@ class TestReducedFractions:
         assert np.all(det == 1)
 
     def test_adjacency_check_covers_every_chunk(self, monkeypatch):
-        # with 7 gaps per chunk the sequence still passes whole, and a
+        # with blocks of 7 points the sequence still passes whole, and a
         # duplicated key (one fraction twice, its neighbour lost) is caught
-        # wherever in the sorted order it lands
-        monkeypatch.setattr(farey, "_ADJACENCY_CHUNK", 7)
+        # wherever in the sorted order it lands, whichever blocks it is
+        # made in and checked in
+        monkeypatch.setattr(farey, "BLOCK", 7)
         for qmax in (1, 2, 3, 8, 40):
             num, den = farey.reduced_fractions(qmax)
             assert list(zip(num.tolist(), den.tolist())) == \
                 [(f.numerator, f.denominator) for f in farey_brute(qmax)]
         packed = farey.packed_keys
         for victim in range(0, 245, 11):
-            def duplicated(num, den, qmax, victim=victim):
+            made = []  # every key of the left half, in the order made
+
+            def duplicated(num, den, qmax, victim=victim, made=made):
                 key = packed(num, den, qmax)
-                key[victim + 1] = key[victim]
+                first = len(made)
+                made.extend(key.tolist())
+                if first <= victim + 1 < len(made):
+                    key[victim + 1 - first] = made[victim]
                 return key
             monkeypatch.setattr(farey, "packed_keys", duplicated)
             with pytest.raises(InternalInvariantError):
                 farey.reduced_fractions(40)
+            assert len(made) == 246
+
+    # 2^k - 1, 2^k and 2^k + 1: db changes between the first two, and the
+    # mirror's power-of-2 term applies at every b = 2^j
+    def test_keys_match_brute_force(self):
+        for qmax in list(range(1, 81)) + [127, 128, 129, 255, 256, 257]:
+            keys = farey.farey_keys(qmax)
+            assert keys.dtype == np.int64
+            assert keys.tolist() == [
+                farey.packed_keys(f.numerator, f.denominator, qmax)
+                for f in farey_brute(qmax)], qmax
+
+    @PROPERTY
+    @given(st.integers(1, farey.PACKED_KEY_QMAX), st.integers(0),
+           st.integers(0))
+    @example(1, 0, 0)
+    @example(1, 1, 0)
+    @example(2 ** 19, 1, 0)
+    @example(2 ** 20 - 1, 1, 0)
+    @example(3, 1, 2 ** 20)
+    def test_mirror_identity(self, b, a, extra):
+        # key((b - a)/b) = 2^(3 db) - key(a/b) + 2b - [b is no power of
+        # 2] 2^db, on Python ints, for coprime a <= b <= qmax
+        a %= b + 1
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        qmax = min(b + extra, farey.PACKED_KEY_QMAX)
+        db = qmax.bit_length()
+        odd = b & (b - 1) != 0
+        assert farey.packed_keys(b - a, b, qmax) == (
+            2 ** (3 * db) - farey.packed_keys(a, b, qmax) + 2 * b
+            - odd * 2 ** db)
 
     def test_matches_float_argsort_order(self):
         # the packed-key sort against the float64 argsort it replaced
@@ -121,25 +159,29 @@ class TestReducedFractions:
             assert np.array_equal(den, want_den), qmax
 
     def test_rejects_oversized_qmax(self, monkeypatch):
-        # the mask alone would take 2 TB here: refused before numpy runs
+        # the mask alone would take 550 GB here: refused before numpy runs
         monkeypatch.setattr(farey, "np", None)
-        with pytest.raises(UsageError):
-            farey.reduced_fractions(farey.PACKED_KEY_QMAX + 1)
+        for build in (farey.farey_keys, farey.reduced_fractions):
+            with pytest.raises(UsageError):
+                build(farey.PACKED_KEY_QMAX + 1)
 
     def test_packed_keys_exact_at_the_bound(self):
         # Python ints, so nothing wraps: the int64 arrays see the same
         # values as long as every intermediate stays below 2^63
         qmax = farey.PACKED_KEY_QMAX
         db = qmax.bit_length()
-        assert 3 * db == 63
-        # the closest fractions of the left half, 1/Q and 1/(Q-1), and
-        # the largest key, 1/2; the largest intermediate is the shifted
-        # numerator a = Q // 2 (the unpack product is at most the same)
+        assert 3 * db + 1 <= 63 < 3 * (db + 1) + 1
+        # the closest fractions, 1/Q and 1/(Q-1), and their mirrors, and
+        # the largest key, 1/1; the largest intermediates are the shifted
+        # numerator a = Q // 2 of the left half and 2^(3 db) + 2Q in the
+        # mirror (the unpack product is at most the key)
         keys = [farey.packed_keys(a, b, qmax)
-                for a, b in ((1, qmax), (1, qmax - 1), (1, 2))]
+                for a, b in ((1, qmax), (1, qmax - 1), (1, 2),
+                             (qmax - 2, qmax - 1), (qmax - 1, qmax), (1, 1))]
         assert keys == sorted(set(keys))
-        assert max(keys) < 2 ** 63
+        assert max(keys) == 2 ** (3 * db) + 1
         assert (qmax // 2) << 2 * db < 2 ** 63
+        assert 2 ** (3 * db) + 2 * qmax < 2 ** 63
 
     def test_packed_keys_on_the_unit_interval(self):
         # over [0, 1] the keys stay below 2^(3 db + 1): inside int64 up

@@ -5,6 +5,7 @@ sum in `oracles`."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -212,10 +213,10 @@ def test_ford_engine_matches_per_denominator_count():
         assert eng.union_measure(lo, hi) == per_denominator(lo, hi)
 
 
-def test_engine_memory_is_two_words_per_point():
+def test_engine_memory_is_one_word_per_point():
     # Ford stage rho = r^-1, k = 6, n = 9 (F_2244) merges no gap: the
-    # engine keeps numerators and packed keys (the denominator is the
-    # key's low bits), and the merged blocks hold nothing
+    # engine keeps the packed keys alone (numerator and denominator both
+    # come off the key), and the merged blocks hold nothing
     system, k, n = sy.ford_horoballs(), Fraction(6), 9
     eng = ub.UniformStageEngine(ub._uniform_q_max(system, k, n),
                                 ub._uniform_radius(fn.approximating(1, -1), k, n))
@@ -223,13 +224,33 @@ def test_engine_memory_is_two_words_per_point():
     assert eng.block_count == points
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
-    assert held <= 16 * points
+    assert held <= 8 * points
     # with merging, only the merged blocks add to that
     eng = ub.UniformStageEngine(eng.q_max, Fraction(1, 10 ** 6))
     merged = 1 + int(farey.totient_sieve(eng.q_max)[1:].sum()) - eng.block_count
+    assert merged > 0
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
-    assert held <= 16 * points + 16 * merged
+    assert held <= 8 * points + 16 * merged
+
+
+def test_engine_build_peak_memory():
+    # building F_2244 holds the keys (8 bytes per point), the prime-struck
+    # mask of the left half, the joined-gap flags (one byte per point) and
+    # a few blocks of temporaries, without and with merged gaps
+    q_max = 2244
+    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    bound = (8 * points + (q_max + 1) * (q_max // 2 + 1) + points + 1
+             + 8 * 8 * farey.BLOCK)
+    for radius in (Fraction(1, 6 ** 9), Fraction(1, 10 ** 6)):
+        tracemalloc.start()
+        try:
+            eng = ub.UniformStageEngine(q_max, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(eng._keys) == points
+        assert peak <= bound, (radius, peak, bound)
 
 
 # -- ubiquity_ratio ----------------------------------------------------------
