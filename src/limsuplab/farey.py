@@ -37,11 +37,19 @@ the exactness argument spelled out where it matters:
   sweep's coprimality test (see `systems`);
 * float sweep measures carry an explicit error budget of a few ulps per
   interval, reported alongside the value.  `union_length` visits the
-  intervals in (lo, index) order, which a stable sort would give, but
-  sorts with the default unstable argsort: equal lo values form one
-  contiguous run in any sorted order, so one int64 sort of the keys
-  (run << 32) | index over the tied positions alone restores index
-  order inside every run, and the positive gains and their pairwise
+  intervals in the (lo, index) order of a stable sort, found by one
+  in-place int64 sort.  t = (clip(lo) - clip_lo) + 0.0 is a float >=
+  +0.0 (the + 0.0 turns -0.0 into +0.0) and nondecreasing in lo, since
+  rounding is monotone, so its int64 bit pattern is nondecreasing too.
+  With ib = bitlen(n - 1), the keys (bits >> ib << ib) | index sort by
+  (prefix, index), and their low ib bits are the order.  Equal lo have
+  equal t, so one prefix, so they come in index order: if the gathered
+  lo is nondecreasing, the order is the stable sort's.  Otherwise
+  distinct lo shared a prefix.  A smaller prefix means a smaller lo,
+  so only positions inside runs of equal prefix can be out of order,
+  and the runs' lo ranges are disjoint and increasing; a stable argsort
+  of the lo at those positions alone puts each run, in index order so
+  far, in (lo, index) order.  The positive gains and their pairwise
   sum are the stable sort's bit for bit.
 """
 
@@ -237,34 +245,57 @@ def union_length(lo: np.ndarray, hi: np.ndarray,
 
     Float sweep; error is O(n ulps), a few 1e-16 per interval.  The
     intervals are visited in the (lo, index) order of a stable sort (lo
-    holds no NaN), restored after an unstable one as the module
-    docstring argues.  Its keys (run << 32) | index are exact in int64
-    while n < 2^31; a sweep cell holds at most 10 * systems._CELL_BUDGET
-    = 8e7 intervals.
+    holds no NaN, the clip bounds are finite), found by one in-place
+    int64 sort and certified as the module docstring argues; its keys
+    carry the index in their low bitlen(n - 1) bits.  The caller's lo
+    and hi are left as they are; besides them the call holds about 3
+    words per interval, plus 3 per position that the check finds tied.
     """
-    if len(lo) == 0:
+    n = len(lo)
+    if n == 0:
         return 0.0
-    lo = np.clip(lo, clip_lo, clip_hi)
-    hi = np.clip(hi, clip_lo, clip_hi)
-    order = np.argsort(lo)
-    lo_sorted = lo[order]
-    # eq[i] = lo_sorted[i - 1] == lo_sorted[i], False at both ends
-    eq = np.zeros(len(lo) + 1, dtype=bool)
-    np.equal(lo_sorted[1:], lo_sorted[:-1], out=eq[1:-1])
-    tied = np.flatnonzero(eq[:-1] | eq[1:])
-    run = np.cumsum(~eq[tied])
-    key = run << 32 | order[tied]
-    key.sort()
-    order[tied] = key & 0xFFFFFFFF
-    # lo_sorted is already right: tied values are equal floats, up to a
-    # sign of zero that no positive gain can see
-    lo, hi = lo_sorted, hi[order]
-    run_end = np.maximum.accumulate(hi)
-    prev_end = np.empty_like(run_end)
-    prev_end[0] = clip_lo
-    prev_end[1:] = run_end[:-1]
-    gain = hi - np.maximum(lo, prev_end)
-    return float(gain[gain > 0].sum())
+    # t = (clip(lo) - clip_lo) + 0.0 >= +0.0 is nondecreasing in lo, and
+    # so is its int64 bit pattern; its low ib bits make room for the index
+    ib = (n - 1).bit_length()
+    order = np.clip(lo, clip_lo, clip_hi)
+    order -= clip_lo
+    order += 0.0
+    order = order.view(np.int64)
+    order >>= ib
+    order <<= ib
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        order[start:stop] |= np.arange(start, stop)
+    order.sort()
+    order &= (1 << ib) - 1
+    lo = lo[order]
+    np.clip(lo, clip_lo, clip_hi, out=lo)
+    # the module docstring's check: a nondecreasing lo is the stable
+    # order, else the positions sharing a prefix are stably re-sorted
+    if not np.all(lo[1:] >= lo[:-1]):
+        prefix = lo - clip_lo
+        prefix += 0.0
+        prefix = prefix.view(np.int64)
+        prefix >>= ib
+        # eq[i] = prefix[i - 1] == prefix[i], False at both ends
+        eq = np.zeros(n + 1, dtype=bool)
+        np.equal(prefix[1:], prefix[:-1], out=eq[1:-1])
+        del prefix
+        tied = np.flatnonzero(eq[:-1] | eq[1:])
+        del eq
+        fix = tied[np.argsort(lo[tied], kind="stable")]
+        order[tied] = order[fix]
+        lo[tied] = lo[fix]
+    hi = hi[order]
+    np.clip(hi, clip_lo, clip_hi, out=hi)
+    # the gain of interval i is hi_i - max(lo_i, end of the runs before
+    # it), the first one's lo_0 >= clip_lo; the order's words hold the
+    # running end
+    run_end = np.maximum.accumulate(hi, out=order.view(np.float64))
+    np.maximum(lo[1:], run_end[:-1], out=lo[1:])
+    del order, run_end
+    hi -= lo
+    return float(hi[hi > 0].sum())
 
 
 def union_length_error_budget(n_intervals: int) -> float:

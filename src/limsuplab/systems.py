@@ -30,8 +30,10 @@ a.  It strikes the multiples of every such p inside each window, which
 is that test candidate for candidate: a = 0 is struck for every b > 1,
 and b = 1 has no prime, so 0/1 and 1/1 stay.  The kept balls keep
 their order, so `farey.union_length` measures the same arrays, in the
-(lo, index) order of a stable sort that it restores after an unstable
-one.
+(lo, index) order of a stable sort that it finds with one int64 sort of
+keys carrying each index and certifies with a monotonicity check.  Each
+cell frees its candidate arrays before that sweep, which holds only
+the balls' lo and hi.
 """
 
 from __future__ import annotations
@@ -283,11 +285,16 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
         kept = np.add.reduceat(keep, starts, dtype=np.int64)
         a_flat = np.flatnonzero(keep) - np.repeat(starts - a_lo, kept)
         del keep
-        centers = a_flat / np.repeat(b_vals, kept)
+        lo = a_flat / np.repeat(b_vals, kept)
+        del a_flat
         r_flat = np.repeat(radii, kept)
-        n_balls += len(centers)  # boundary balls counted per cell: budget
-        total += farey.union_length(centers - r_flat, centers + r_flat,
-                                    clo, chi)
+        # the centres become lo in place once hi is read off them
+        hi = lo + r_flat
+        lo -= r_flat
+        del r_flat
+        n_balls += len(lo)  # boundary balls counted per cell: budget
+        total += farey.union_length(lo, hi, clo, chi)
+        del lo, hi
     return total, n_balls
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -315,3 +316,54 @@ class TestUnionLength:
 
     def test_error_budget_scales(self):
         assert farey.union_length_error_budget(10 ** 6) < 1e-9
+
+    @staticmethod
+    def prefix_index_order(lo, clip_lo, clip_hi):
+        """The order that `union_length` sorts before its check: by the
+        int64 bits of (clip(lo) - clip_lo) + 0.0 above the low
+        bitlen(n - 1), then by index."""
+        bits = (np.clip(lo, clip_lo, clip_hi) - clip_lo + 0.0).view(np.int64)
+        return np.argsort(bits >> (len(lo) - 1).bit_length(), kind="stable")
+
+    def test_coarse_prefix_path_matches_stable_sort(self):
+        # lo a few thousand ulps off a 1/64 grid: distinct values share
+        # a prefix, so the check must re-sort; zeros of both signs, a
+        # window at -0.0 and negative windows, n at 2^k and 2^k + 1
+        rng = np.random.default_rng(20)
+        for n in (2 ** 10, 2 ** 10 + 1, 2 ** 20, 2 ** 20 + 1):
+            grid = rng.integers(-64, 80, n) / 64
+            lo = grid + rng.integers(0, 4000, n) * np.spacing(grid)
+            lo[rng.random(n) < 0.02] = -0.0
+            lo[rng.random(n) < 0.02] = 0.0
+            hi = lo + rng.random(n) ** 4 / 64
+            lo_in, hi_in = lo.copy(), hi.copy()
+            for window in ((0.0, 1.0), (-0.0, 0.75), (-0.75, 0.5),
+                           (-2.0, -0.25)):
+                order = self.prefix_index_order(lo, *window)
+                clipped = np.clip(lo, *window)[order]
+                assert np.any(clipped[1:] < clipped[:-1]), (n, window)
+                assert farey.union_length(lo, hi, *window).hex() == \
+                    stable_union_length(lo, hi, *window).hex(), (n, window)
+            assert lo.tobytes() == lo_in.tobytes()
+            assert hi.tobytes() == hi_in.tobytes()
+
+    def test_peak_memory_per_interval(self):
+        # one call on 10^6 intervals, 1 % of them tied in one coarse
+        # prefix so the check's re-sort runs too, holds at most 40 bytes
+        # per interval besides its arguments
+        n = 10 ** 6
+        rng = np.random.default_rng(21)
+        lo = rng.random(n)
+        few = rng.random(n) < 0.01
+        lo[few] = 0.375 + rng.integers(0, 4000, int(few.sum())) * 2 ** -54
+        hi = lo + rng.random(n) * 1e-6
+        order = self.prefix_index_order(lo, 0.0, 1.0)
+        assert np.any(np.diff(lo[order]) < 0)
+        tracemalloc.start()
+        try:
+            got = farey.union_length(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == stable_union_length(lo, hi).hex()
+        assert peak <= 40 * n, peak / n
