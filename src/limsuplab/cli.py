@@ -577,13 +577,9 @@ def _run_disjointness(o):
            "tangent_pairs": rep.tangent_pairs,
            "overlap_pairs": rep.overlap_pairs,
            "identity_pairs": rep.identity_pairs}
-    if rep.all_disjoint:
-        summary = ("all %d horoball interiors disjoint up to q=%d "
-                   "(%d tangent pairs)" % (rep.points, rep.q_max,
-                                           rep.tangent_pairs))
-    else:
-        summary = "OVERLAPS: %d pairs up to q=%d" % (rep.overlap_pairs,
-                                                     rep.q_max)
+    # an overlap never reaches here: the check refuses it (exit 3)
+    summary = ("all %d horoball interiors disjoint up to q=%d (%d tangent "
+               "pairs)" % (rep.points, rep.q_max, rep.tangent_pairs))
     return tuple(row), [row], summary
 
 

@@ -7,8 +7,8 @@ radius window [r_lo, r_hi) is the weight window (1/r_hi, 1/r_lo] of the
 Ford system, so q_window hands it to `systems.ford_horoballs()`, whose
 isqrt translation to an integer q-range is the one copy of that
 algebra.  Base windows are half-open [lo, hi), so each circle on the
-unit circle is counted once, and the disjointness sweep and its identity
-layer run in int64 arithmetic throughout.
+unit circle is counted once.  The disjointness check runs in int64
+arithmetic but for the float windows of `_window_pairs`.
 
 Disjointness rests on one polynomial identity.  With d = p/q - p'/q',
 r = 1/(2q^2), r' = 1/(2q'^2) and D = p q' - p' q:
@@ -46,13 +46,16 @@ MAX_COUNT_BASES = 64_000_000
 # any, work that grows with the points: 2048 radii down from 10^300 at
 # factor 1/2 took 0.09 s to refuse by the run cap on 2 vCPUs
 MAX_POINTS = 2_048
-# disjointness_check sweeps 1024-row blocks of int64 arrays over the
-# columns right of each block: 1.8 s and 539 MB peak RSS at q_max = 256
-# on 2 vCPUs.  Its identity layer forms S |c - c'|^2 < 4 q^8 in int64
-# for every pair of F_identity, exact while 4 q^8 < 2^63 (q <= 197).
+# disjointness_check forms D inside one window per circle: 0.3 s and
+# 42 MB peak RSS for the CLI at q_max = 256 on 2 vCPUs.  Its identity
+# layer forms S |c - c'|^2 < 4 q^8 in int64 for every pair of
+# F_identity, exact while 4 q^8 < 2^63 (q <= 197).
 MAX_DISJOINTNESS_Q = 256
 MAX_IDENTITY_Q = 40
-_ROW_BLOCK = 1024
+# c = a/b and 1/b^2 in [0, 1] round off by 2^-54 each (c at both ends),
+# w = 1/b^2 + margin (< 2) by 2^-53 more and c -+ w (< 4) by 2^-52: in
+# all 4.5 * 2^-53 < 5.1e-16, so windows widened by this hold the exact ones
+_WINDOW_MARGIN = 1e-15
 
 
 def q_window(r_lo: Fraction, r_hi: Fraction) -> tuple[int, int]:
@@ -204,17 +207,33 @@ def _identity_gaps(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return 4 * qq * qq2 * det * det + (qq2 - qq) ** 2 - (qq2 + qq) ** 2
 
 
+def _window_pairs(nums: np.ndarray, dens: np.ndarray) -> tuple:
+    """Index pairs (i, j) of the circles at nums/dens, in base order,
+    that D must classify.  With q <= q', r + r' <= 2r = 1/q^2: circles
+    further apart than 1/q^2 are strictly apart.  So i owns a pair by the
+    smaller q (on a tie, only 0/1 and 1/1, the lower index) and j lies in
+    its window [c - 1/q^2, c + 1/q^2], inclusive as 0/1, 1/1 touch at 1."""
+    c = nums / dens
+    w = 1.0 / (dens * dens) + _WINDOW_MARGIN
+    lo = c.searchsorted(c - w)
+    width = c.searchsorted(c + w, side="right") - lo
+    i = np.repeat(np.arange(len(c)), width)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width - lo, width)
+    own = (dens[i] < dens[j]) | ((dens[i] == dens[j]) & (i < j))
+    return i[own], j[own]
+
+
 def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessReport:
     """Verify, over every pair of distinct reduced fractions in [0, 1]
     with denominators <= q_max, that the Ford circle interiors are
     disjoint and that tangency happens exactly at |p q' - p' q| = 1.
 
-    The sweep counts D = p q' - p' q per pair (products bounded by
-    q_max^2, far inside int64).  On top of it, every pair with
-    denominators <= identity_q_max is re-derived through the scaled
-    center-distance identity of the module docstring, so the two layers
-    confirm each other.  Refuses, before allocating, q_max above
-    MAX_DISJOINTNESS_Q and an identity layer above MAX_IDENTITY_Q.
+    D = p q' - p' q (products below q_max^2, far inside int64) classifies
+    the pairs of `_window_pairs`; every other pair is strictly apart.
+    Every pair with denominators <= identity_q_max is also re-derived by
+    the scaled center-distance identity of the module docstring, so the
+    two layers confirm each other.  Refuses, before allocating, q_max
+    above MAX_DISJOINTNESS_Q and an identity layer above MAX_IDENTITY_Q.
     """
     if q_max < 2 or identity_q_max < 1:
         raise UsageError("need q_max >= 2 and identity_q_max >= 1")
@@ -225,26 +244,16 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
     nums, dens = farey.reduced_fractions(q_max)
     n = len(nums)
     pairs = n * (n - 1) // 2
-    tangent = overlap = 0
-    for row0 in range(0, n, _ROW_BLOCK):
-        row1 = min(row0 + _ROW_BLOCK, n)
-        # rows i in [row0, row1) against columns j > row0; only the
-        # leading square, where j <= i can occur, needs a mask
-        det = (nums[row0:row1, None] * dens[None, row0 + 1:]
-               - dens[row0:row1, None] * nums[None, row0 + 1:])
-        np.multiply(det, det, out=det)
-        width = row1 - row0 - 1
-        square, rest = det[:, :width], det[:, width:]
-        upper = np.arange(row0, row1)[:, None] < np.arange(row0 + 1, row1)
-        tangent += (int(np.count_nonzero((square == 1) & upper))
-                    + int(np.count_nonzero(rest == 1)))
-        overlap += (int(np.count_nonzero((square == 0) & upper))
-                    + int(np.count_nonzero(rest == 0)))
+    i, j = _window_pairs(nums, dens)
+    det = nums[i] * dens[j] - nums[j] * dens[i]
+    det *= det
+    tangent = int(np.count_nonzero(det == 1))
+    overlap = int(np.count_nonzero(det == 0))
     if overlap:
         raise InternalInvariantError(
             "%d overlapping Ford pairs at q_max=%d" % (overlap, q_max))
 
-    # F_identity_q_max, in order, is the sweep's points of small denominator
+    # F_identity_q_max, in order, is the check's points of small denominator
     layer = dens <= identity_q_max
     gaps = _identity_gaps(nums[layer], dens[layer])
     if gaps.min() < 0:

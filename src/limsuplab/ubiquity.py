@@ -89,10 +89,9 @@ class UniformStageEngine:
         self.empty = q_max < 1 or self.radius <= 0
         if self.empty:
             return
-        keys = farey.farey_keys(q_max)
-        self._keys = keys
+        self._keys = keys = farey.farey_keys(q_max)
         self._db = q_max.bit_length()
-        self._mask = (1 << self._db) - 1  # key & _mask is the denominator
+        mask = (1 << self._db) - 1  # key & mask is the denominator
         # gap i (between points i and i + 1) is joined iff
         # 1/(bb') <= 2r  <=>  bb' >= ceil(rd / (2 rn)); no product of two
         # denominators reaches q_max^2
@@ -107,7 +106,7 @@ class UniformStageEngine:
             joined = np.zeros(len(keys) + 1, dtype=bool)
             block = farey.BLOCK
             for at in range(0, len(keys), block):
-                den = keys[at:at + block + 1] & self._mask
+                den = keys[at:at + block + 1] & mask
                 np.greater_equal(den[:-1] * den[1:], threshold,
                                  out=joined[at + 1:at + len(den)])
                 edge = np.diff(joined[at:at + block + 1].view(np.int8))
@@ -134,18 +133,16 @@ class UniformStageEngine:
         xn/xd for inside 0, at most it for 1.  A centre whose key floor
         floor(a 2^(2 db) / b) is below f, the query's, lies below it, and
         one whose floor is above f lies above it; only the next can share
-        f (centres differ by > 2^(-2 db)), and only then is its numerator
-        decoded (as `farey.unpack_keys`).  f, clamped to [-1, 2^(2 db)]
-        with no division outside [0, 1], fits int64."""
+        f (centres differ by > 2^(-2 db)), and only then is it decoded.
+        f, clamped to [-1, 2^(2 db)] with no division outside [0, 1],
+        fits int64."""
         db, keys = self._db, self._keys
         f = -1 if xn < 0 else (xn << 2 * db) // xd if xn <= xd else 1 << 2 * db
         i = int(keys.searchsorted(f << db))
-        if i < len(keys):
-            k = keys.item(i)
-            if k >> db == f:
-                b = k & self._mask
-                if -((-f * b) >> 2 * db) * xd - xn * b < inside:
-                    i += 1
+        if i < len(keys) and keys.item(i) >> db == f:
+            a, b = farey.unpack_keys(keys.item(i), self.q_max)
+            if a * xd - xn * b < inside:
+                i += 1
         return i
 
     def _span_sum(self, s: np.ndarray, e: np.ndarray) -> int:
@@ -173,11 +170,9 @@ class UniformStageEngine:
         r_ = self._rank(hn * rd + rn * hd, hd * rd, 1) - 1
         if l > r_:
             return Fraction(0)
-        # c_l = al/bl and c_r_ = ar/br off their keys, as farey.unpack_keys
-        db, kl, kr = self._db, self._keys.item(l), self._keys.item(r_)
-        bl, br = kl & self._mask, kr & self._mask
-        al = -((-(kl >> db) * bl) >> 2 * db)
-        ar = -((-(kr >> db) * br) >> 2 * db)
+        # c_l = al/bl and c_r_ = ar/br
+        al, bl = farey.unpack_keys(self._keys.item(l), self.q_max)
+        ar, br = farey.unpack_keys(self._keys.item(r_), self.q_max)
         # max(c_l - r, lo) and min(c_r_ + r, hi) as (num, den) pairs
         start = (al * rd - rn * bl, bl * rd)
         if start[0] * ld < ln * start[1]:

@@ -215,8 +215,8 @@ def count_R_float(x, N: int, psi: fn.FunctionForm) -> int:
 
 def full_square_pair_counts(nums, dens):
     """(pairs, tangent, overlap) over the pairs i < j of the circles at
-    nums/dens, read off the whole n x n determinant block: the square
-    that horoballs.disjointness_check cuts down to its upper triangle."""
+    nums/dens, read off the whole n x n determinant block: every pair,
+    where horoballs.disjointness_check forms D only inside its windows."""
     n = len(nums)
     det = nums[:, None] * dens[None, :] - dens[:, None] * nums[None, :]
     keep = np.arange(n)[:, None] < np.arange(n)[None, :]

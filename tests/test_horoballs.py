@@ -1,6 +1,6 @@
 """Ford-circle tests: exact windows, the enumeration and totient
-oracles, the counting-ratio band, and the all-pairs disjointness
-sweep."""
+oracles, the counting-ratio band, and the windowed disjointness
+check."""
 
 import math
 from fractions import Fraction
@@ -200,7 +200,7 @@ def test_identity_layer_is_the_sweeps_small_denominators(monkeypatch):
     small_nums, small_dens = farey.reduced_fractions(40)
     assert np.array_equal(nums[layer], small_nums)
     assert np.array_equal(dens[layer], small_dens)
-    # one Farey build serves the sweep and the layer
+    # one Farey build serves the window check and the layer
     real, built = farey.reduced_fractions, []
     monkeypatch.setattr(farey, "reduced_fractions",
                         lambda q: built.append(q) or real(q))
@@ -232,24 +232,52 @@ def test_disjointness_tangency_matches_farey_adjacency():
     assert rep.tangent_pairs >= len(nums) - 1
 
 
-@pytest.mark.parametrize("block,q_maxes", [
-    (hb._ROW_BLOCK, range(2, 61)),
-    # blocks much smaller than |F_q| put many row blocks and their
-    # leading squares inside each sweep
-    (1, (2, 3, 9)), (7, (2, 3, 9, 25, 60)), (64, (25, 60)),
-])
-def test_disjointness_counts_match_full_square(monkeypatch, block, q_maxes):
-    monkeypatch.setattr(hb, "_ROW_BLOCK", block)
-    for q_max in q_maxes:
+def _assert_counts_match_full_square(q_max):
+    nums, dens = farey.reduced_fractions(q_max)
+    pairs, tangent, overlap = full_square_pair_counts(nums, dens)
+    rep = hb.disjointness_check(q_max, identity_q_max=1)
+    assert (rep.pairs, rep.tangent_pairs, rep.overlap_pairs) == \
+        (pairs, tangent, overlap), q_max
+
+
+def test_disjointness_counts_match_full_square():
+    for q_max in range(2, 61):
+        _assert_counts_match_full_square(q_max)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(q_max=st.integers(61, 100))
+def test_disjointness_counts_match_full_square_drawn(q_max):
+    _assert_counts_match_full_square(q_max)
+
+
+def test_window_holds_every_exact_window_pair():
+    # the pair of p/q, p'/q' lies in the exact window of its smaller
+    # denominator iff |p/q - p'/q'| <= 1/min(q, q')^2, i.e.
+    # |D| min(q, q') <= max(q, q'); the float windows must hold all of them
+    for q_max in (*range(2, 41), 61, 83, 100):
         nums, dens = farey.reduced_fractions(q_max)
-        pairs, tangent, overlap = full_square_pair_counts(nums, dens)
-        rep = hb.disjointness_check(q_max, identity_q_max=1)
-        assert (rep.pairs, rep.tangent_pairs, rep.overlap_pairs) == \
-            (pairs, tangent, overlap), (block, q_max)
+        i, j = np.triu_indices(len(nums), 1)
+        det = np.abs(nums[i] * dens[j] - nums[j] * dens[i])
+        exact = (det * np.minimum(dens[i], dens[j])
+                 <= np.maximum(dens[i], dens[j]))
+        wi, wj = hb._window_pairs(nums, dens)
+        window = set(zip(np.minimum(wi, wj).tolist(),
+                         np.maximum(wi, wj).tolist()))
+        assert len(window) == len(wi), q_max       # each pair once
+        assert set(zip(i[exact].tolist(), j[exact].tolist())) <= window, q_max
 
 
-@pytest.mark.parametrize("block", [3, hb._ROW_BLOCK])
-def test_disjointness_overlap_count_matches_full_square(monkeypatch, block):
+def test_disjointness_at_the_cap():
+    rep = hb.disjointness_check(hb.MAX_DISJOINTNESS_Q)
+    assert (rep.points, rep.tangent_pairs, rep.overlap_pairs) == \
+        (19949, 39895, 0)
+    assert rep.tangent_pairs == 2 * rep.points - 3
+    assert rep.pairs == 198971326 == rep.points * (rep.points - 1) // 2
+    assert rep.identity_pairs == 120295
+
+
+def test_disjointness_overlap_count_matches_full_square(monkeypatch):
     # forged points: 1/2 twice and the unreduced 2/4 overlap pairwise
     nums, dens = farey.reduced_fractions(12)
     half = int(np.flatnonzero((nums == 1) & (dens == 2))[0])
@@ -257,7 +285,6 @@ def test_disjointness_overlap_count_matches_full_square(monkeypatch, block):
     dens = np.insert(dens, [half, half], [2, 4])
     _, _, overlap = full_square_pair_counts(nums, dens)
     assert overlap == 3
-    monkeypatch.setattr(hb, "_ROW_BLOCK", block)
     monkeypatch.setattr(farey, "reduced_fractions", lambda q: (nums, dens))
     with pytest.raises(InternalInvariantError, match="^3 overlapping"):
         hb.disjointness_check(12, identity_q_max=1)
