@@ -240,8 +240,20 @@ def _assert_counts_match_full_square(q_max):
         (pairs, tangent, overlap), q_max
 
 
-def test_disjointness_counts_match_full_square():
-    for q_max in range(2, 61):
+@pytest.mark.parametrize("widen,q_maxes", [
+    (1024, range(2, 61)),
+    # a margin of 1 puts every base in every window, so D classifies
+    # the whole square
+    (1, (2, 3, 9)), (7, (2, 3, 9, 25, 60)), (64, (25, 60)),
+])
+def test_disjointness_counts_match_full_square(monkeypatch, widen, q_maxes):
+    # the counts must not depend on the float windows beyond their holding
+    # the exact ones: windows widened by 1/widen only hand D more pairs
+    # that are strictly apart
+    for q_max in q_maxes:
+        _assert_counts_match_full_square(q_max)
+    monkeypatch.setattr(hb, "_WINDOW_MARGIN", 1.0 / widen)
+    for q_max in q_maxes:
         _assert_counts_match_full_square(q_max)
 
 
@@ -277,7 +289,8 @@ def test_disjointness_at_the_cap():
     assert rep.identity_pairs == 120295
 
 
-def test_disjointness_overlap_count_matches_full_square(monkeypatch):
+@pytest.mark.parametrize("widen", [3, 1024])
+def test_disjointness_overlap_count_matches_full_square(monkeypatch, widen):
     # forged points: 1/2 twice and the unreduced 2/4 overlap pairwise
     nums, dens = farey.reduced_fractions(12)
     half = int(np.flatnonzero((nums == 1) & (dens == 2))[0])
@@ -286,6 +299,10 @@ def test_disjointness_overlap_count_matches_full_square(monkeypatch):
     _, _, overlap = full_square_pair_counts(nums, dens)
     assert overlap == 3
     monkeypatch.setattr(farey, "reduced_fractions", lambda q: (nums, dens))
+    with pytest.raises(InternalInvariantError, match="^3 overlapping"):
+        hb.disjointness_check(12, identity_q_max=1)
+    # wider windows hand D more pairs, each still counted once
+    monkeypatch.setattr(hb, "_WINDOW_MARGIN", 1.0 / widen)
     with pytest.raises(InternalInvariantError, match="^3 overlapping"):
         hb.disjointness_check(12, identity_q_max=1)
 
