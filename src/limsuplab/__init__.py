@@ -11,7 +11,7 @@ on a laptop.
 Modules
 -------
 functions   symbolic power/log/loglog forms, series verdicts, critical exponents
-farey       totient sieve, Farey sequences, the float union-length sweep
+farey       prime-factor sieve, Farey sequences, the float union-length sweep
 systems     resonant systems, per-point stage sets, stage measure scans
 ubiquity    uniform stages: exact local density ratios against Lebesgue measure
 counting    Diophantine counting and its mean-value prediction

@@ -32,9 +32,12 @@ the exactness argument spelled out where it matters:
   build holds 8 bytes per point next to the mask and a few blocks;
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
-* `prime_factor_pairs` reads the distinct primes of every denominator
-  off one smallest-prime-factor sieve; striking their multiples is the
-  sweep's coprimality test (see `systems`);
+* one int32 sieve spf[n], the least prime of n, serves every prime and
+  totient read: F_Q's mask strikes the primes n = spf[n];
+  `prime_factor_pairs` reads each denominator's primes off it (striking
+  their multiples is the sweep's coprimality test, see `systems`); and
+  `totient_sieve` takes phi(n) = phi(m) (p if p | m, else p - 1), p =
+  spf[n], m = n / p, over ranges [lo, lo + min(BLOCK, lo)), so m < lo;
 * float sweep measures carry an explicit error budget of a few ulps per
   interval, reported alongside the value.  `union_length` visits the
   intervals in the (lo, index) order of a stable sort, found by one
@@ -65,8 +68,8 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
 # packed int64 sort keys of F_Q are exact up to this denominator bound
 # (bitlen(Q) <= 20); the mask there alone would take 550 GB
 PACKED_KEY_QMAX = 2 ** 20 - 1
-# largest totient sieve any caller may request (phi and its cumsum take
-# 8 bytes per entry each)
+# largest sieve any caller may request: the int32 smallest-prime-factor
+# table takes 4 bytes per entry, and phi and its cumsum 8 each
 MAX_SIEVE = 100_000_000
 # points per block of every blocked pass over packed keys: 512 KB per
 # int64 temporary, so a block's working set stays in cache
@@ -80,35 +83,35 @@ def check_sieve(limit: int, what: str) -> None:
                                % (what, size_text(limit), MAX_SIEVE))
 
 
-def _primes(limit: int) -> np.ndarray:
-    """Primes p <= limit, ascending (Eratosthenes)."""
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
+def smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[0..limit] as int32: spf[n] is the least prime dividing n for
+    n >= 2 (spf[0] = 0, spf[1] = 1).  Struck in ascending order, so a p
+    with spf[p] = p when it is reached is prime."""
+    check_sieve(limit, "smallest_prime_factors")
+    spf = np.arange(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
-    return np.flatnonzero(is_prime)
+        if spf[p] == p:
+            tail = spf[p * p::p]
+            np.minimum(tail, p, out=tail)
+    return spf
 
 
 def totient_sieve(limit: int) -> np.ndarray:
-    """phi[0..limit] as int64 (phi[0] = 0)."""
+    """phi[0..limit] as int64 (phi[0] = 0), off `smallest_prime_factors`."""
     if limit < 0:
         raise UsageError("limit must be nonnegative")
     check_sieve(limit, "totient_sieve")
-    phi = np.arange(limit + 1, dtype=np.int64)
-    # rest[n] = n with every prime <= sqrt(limit) divided out; int32 is
-    # exact because limit <= MAX_SIEVE < 2^31
-    rest = np.arange(limit + 1, dtype=np.int32)
-    for p in _primes(math.isqrt(limit)).tolist():
-        phi[p::p] -= phi[p::p] // p
-        pk = p
-        while pk <= limit:
-            rest[pk::pk] //= p
-            pk *= p
-    # at most one prime factor above sqrt(limit) is left, and it divides
-    # phi[n] here: phi[n] = P * phi(n / P) so far
-    big = np.flatnonzero(rest > 1)
-    phi[big] -= phi[big] // rest[big]
+    spf = smallest_prime_factors(limit)
+    phi = np.empty(limit + 1, dtype=np.int64)
+    phi[:2] = [0, 1][:limit + 1]
+    # over [lo, lo + min(BLOCK, lo)) every m <= n / 2 < lo is done
+    lo = 2
+    while lo <= limit:
+        hi = min(lo + min(BLOCK, lo), limit + 1)
+        p = spf[lo:hi].astype(np.int64)
+        m = np.arange(lo, hi) // p
+        np.multiply(phi[m], p - (m % p != 0), out=phi[lo:hi])
+        lo = hi
     return phi
 
 
@@ -147,13 +150,14 @@ def farey_keys(qmax: int) -> np.ndarray:
             "qmax=%s exceeds the packed-key order-exactness bound %d"
             % (size_text(qmax), PACKED_KEY_QMAX))
     # ok[b, a] for 0 <= a <= b/2: strike the empty row b = 0, every a
-    # above b/2 and pairs sharing a prime
+    # above b/2 and pairs sharing a prime (an n >= 2 with spf[n] = n)
     width = qmax // 2 + 1
     ok = np.ones((qmax + 1, width), dtype=bool)
     ok[0] = False
     for b in range(1, qmax + 1):
         ok[b, b // 2 + 1:] = False
-    for p in _primes(qmax).tolist():
+    spf = smallest_prime_factors(qmax)
+    for p in np.flatnonzero(spf == np.arange(qmax + 1))[2:].tolist():
         ok[p::p, 0::p] = False
     n_left = int(np.count_nonzero(ok))
     # 1/2 (qmax >= 2) ends the left half and is its own mirror
@@ -215,12 +219,7 @@ def prime_factor_pairs(den: np.ndarray):
     with den[i] = 1 has no pair."""
     limit = int(den.max(initial=1))
     check_sieve(limit, "prime_factor_pairs")
-    # written from the largest prime down, so the smallest prime
-    # dividing n is the last one written to spf[n]; a composite n has
-    # a prime factor p with p^2 <= n, and primes keep spf[n] = n
-    spf = np.arange(limit + 1, dtype=np.int32)
-    for p in _primes(math.isqrt(limit))[::-1].tolist():
-        spf[p * p::p] = p
+    spf = smallest_prime_factors(limit)
     row = np.flatnonzero(den > 1)
     rest = den[row].astype(np.int64)
     prev = np.zeros_like(rest)
@@ -249,7 +248,7 @@ def union_length(lo: np.ndarray, hi: np.ndarray,
     int64 sort and certified as the module docstring argues; its keys
     carry the index in their low bitlen(n - 1) bits.  The caller's lo
     and hi are left as they are; besides them the call holds about 3
-    words per interval, plus 3 per position that the check finds tied.
+    words per interval, plus a few per position the check finds tied.
     """
     n = len(lo)
     if n == 0:
@@ -273,16 +272,14 @@ def union_length(lo: np.ndarray, hi: np.ndarray,
     # the module docstring's check: a nondecreasing lo is the stable
     # order, else the positions sharing a prefix are stably re-sorted
     if not np.all(lo[1:] >= lo[:-1]):
-        prefix = lo - clip_lo
-        prefix += 0.0
-        prefix = prefix.view(np.int64)
-        prefix >>= ib
-        # eq[i] = prefix[i - 1] == prefix[i], False at both ends
-        eq = np.zeros(n + 1, dtype=bool)
-        np.equal(prefix[1:], prefix[:-1], out=eq[1:-1])
-        del prefix
-        tied = np.flatnonzero(eq[:-1] | eq[1:])
-        del eq
+        # the i >= 1 with prefix[i - 1] == prefix[i], a block at a time
+        ties = []
+        for start in range(1, n, BLOCK):
+            t = lo[start - 1:start + BLOCK] - clip_lo + 0.0
+            prefix = t.view(np.int64) >> ib
+            ties.append(np.flatnonzero(prefix[1:] == prefix[:-1]) + start)
+        tie = np.concatenate(ties)
+        tied = np.union1d(tie - 1, tie)
         fix = tied[np.argsort(lo[tied], kind="stable")]
         order[tied] = order[fix]
         lo[tied] = lo[fix]

@@ -58,10 +58,10 @@ SUBSET_SWEEP_CAP = 64_000_000
 _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
 # a stage scan holds at most 96 bytes per denominator up to its q_hi:
 # the plan's and the per-q bound's int64/float64 arrays, and one totient
-# sieve (int64 phi, int32 scratch, int64 cumsum) of exactly that length
-# (a q^-3 scan with subset_cap=0 peaked at 75 bytes per q above the
-# interpreter at q_hi = 2^22 and at 2^22 + 1).  The byte budget admits
-# q_hi up to about 2.2e7, well inside farey.MAX_SIEVE.
+# sieve (int32 least primes, int64 phi, int64 cumsum) of exactly that
+# length (a q^-3 scan with subset_cap=0 peaked at 52 bytes per q above
+# the interpreter at q_hi = 2^22 and at 74 at 2^22 + 1).  The byte
+# budget admits q_hi up to about 2.2e7, well inside farey.MAX_SIEVE.
 _STAGE_BYTES_PER_Q = 96
 MAX_STAGE_BYTES = 1 << 31
 # an exact stage weight k^n is formed only up to this many bits

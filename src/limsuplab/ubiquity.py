@@ -259,10 +259,12 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
     One engine is built per stage and shared across the ball sample, so
     the cost is dominated by the largest stage, not the sample size.  It
     is built first, so a stage past q_cap is refused before any build,
-    as are an empty range and a stage index below 1.
+    as are an empty range, a stage index below 1 and a non-decaying rho.
     """
     k = fn.exact(k, "k")
     target = fn.exact(target, "target")
+    if not rho.tends_to_zero():
+        raise UsageError("ubiquity radius function must decay")
     # a range stays lazy, so 10^9 stages are refused by the top one
     ns = (n_range if isinstance(n_range, range) and n_range.step > 0
           else sorted(set(int(n) for n in n_range)))

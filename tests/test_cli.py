@@ -381,6 +381,9 @@ class TestExitStatuses:
         (UBIQUITY_RUN + ["--q-cap", str(ub.MAX_UNIFORM_Q + 1)], 1),
         (UBIQUITY_RUN + ["--k", "100000", "--n-lo", "1", "--n-hi", "1000"],
          2),
+        # a radius law rho that does not tend to 0
+        (["ubiquity", "--rho", "6 * r^2", "--k", "6", "--n-lo", "2",
+          "--n-hi", "2"], 1),
     ])
     def test_refused_before_allocating(self, tmp_path, capsys, monkeypatch,
                                        argv, code):

@@ -25,6 +25,25 @@ def phi_brute(n):
     return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
 
 
+def least_prime(n):
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
+def is_prime(n):
+    return n >= 2 and least_prime(n) == n
+
+
+def phi_trial(n):
+    """phi(n) off the trial-division factorisation of n."""
+    phi = n
+    while n > 1:
+        p = least_prime(n)
+        phi -= phi // p
+        while n % p == 0:
+            n //= p
+    return phi
+
+
 def farey_brute(qmax):
     vals = sorted({Fraction(a, b)
                    for b in range(1, qmax + 1) for a in range(0, b + 1)})
@@ -47,9 +66,46 @@ class TestTotients:
         assert phi.tolist() == [0] + [phi_brute(n)
                                       for n in range(1, limit + 1)]
 
-    def test_sieve_refuses_beyond_cap_before_allocating(self):
+    def test_sieve_refuses_beyond_cap_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(farey, "smallest_prime_factors", None)
         with pytest.raises(ResourceCapError):
             farey.totient_sieve(farey.MAX_SIEVE + 1)
+
+    # limits around 2 BLOCK = 2^17, where the recurrence's ranges turn
+    # from doubling to BLOCK wide, up to past 2^18
+    @PROPERTY
+    @given(st.integers(2 ** 17 - 3, 2 ** 18 + 3))
+    @example(2 ** 17 - 3)
+    @example(2 ** 17)
+    @example(2 ** 18 + 3)
+    def test_sieve_at_range_edges(self, limit):
+        phi = farey.totient_sieve(limit)
+        assert phi.dtype == np.int64 and len(phi) == limit + 1
+        edges, lo = [limit + 1], 2
+        while lo <= limit:
+            edges.append(lo)
+            lo += min(farey.BLOCK, lo)
+        ns = {e + d for e in edges for d in range(-2, 3)}
+        ns.update(2 ** k for k in range(limit.bit_length()))
+        small = [p for p in range(2, 100) if is_prime(p)]
+        ns.update(p ** 3 for p in small)
+        root = math.isqrt(limit)
+        near = [p for p in range(root - 60, root + 60) if is_prime(p)]
+        ns.update(p * q for p in near for q in near)
+        ns = sorted(n for n in ns if 0 <= n <= limit)
+        assert [int(phi[n]) for n in ns] == [phi_trial(n) for n in ns]
+
+    def test_sieve_peak_memory_per_entry(self):
+        # phi (8 bytes) and the int32 smallest-prime-factor sieve (4)
+        # next to one range's temporaries
+        limit = 4_000_000
+        tracemalloc.start()
+        try:
+            farey.totient_sieve(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (limit + 1), peak / (limit + 1)
 
     def test_sum(self):
         # 1,1,2,2,4,2,6,4,6,4 for q = 1..10
@@ -61,6 +117,27 @@ class TestTotients:
         for qmax in (1, 2, 5, 13, 37):
             assert 1 + int(farey.totient_sieve(qmax)[1:].sum()) == \
                 len(farey_brute(qmax))
+
+
+class TestSmallestPrimeFactors:
+    def test_matches_trial_division(self):
+        spf = farey.smallest_prime_factors(5000)
+        assert spf.dtype == np.int32 and spf[:2].tolist() == [0, 1]
+        assert spf[2:].tolist() == [least_prime(n) for n in range(2, 5001)]
+
+    def test_sampled_at_a_larger_limit(self):
+        limit = 4_000_000
+        spf = farey.smallest_prime_factors(limit)
+        rng = random.Random(22)
+        ns = [rng.randrange(2, limit + 1) for _ in range(300)]
+        # the top, a prime square and a product of two close primes
+        ns += [limit, 1999 ** 2, 1723 * 1733]
+        assert [int(spf[n]) for n in ns] == [least_prime(n) for n in ns]
+
+    def test_refuses_beyond_cap_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(farey, "np", None)
+        with pytest.raises(ResourceCapError):
+            farey.smallest_prime_factors(farey.MAX_SIEVE + 1)
 
 
 class TestReducedFractions:
@@ -222,7 +299,7 @@ class TestPrimeFactorPairs:
         assert got == [(i, p) for i, b in enumerate(dens) for p in primes_of(b)]
 
     def test_refuses_beyond_sieve_cap(self, monkeypatch):
-        monkeypatch.setattr(farey, "_primes", None)
+        monkeypatch.setattr(farey, "smallest_prime_factors", None)
         with pytest.raises(ResourceCapError):
             farey.prime_factor_pairs(np.array([farey.MAX_SIEVE + 1]))
 

@@ -356,6 +356,18 @@ def test_kappa_empty_inputs(monkeypatch):
         ub.estimate_kappa(sy.classical_rationals(), RHO_LEMMA, 6, [], [2])
 
 
+def test_kappa_refuses_a_radius_that_does_not_decay(monkeypatch):
+    # rho(k^n) must tend to 0, as a stage radius psi must: under 6 r^2
+    # the balls cover [0, 1] and every ratio reads 1
+    def no_engine(*args, **kwargs):
+        raise AssertionError("engine built before the checks")
+    monkeypatch.setattr(ub, "UniformStageEngine", no_engine)
+    for text in ("6 * r^2", "1/2", "r^0 * log(r)^1"):
+        with pytest.raises(UsageError, match="must decay"):
+            ub.estimate_kappa(sy.classical_rationals(),
+                              fn.parse_function(text), 6, [FULL_BALL], [2])
+
+
 # -- natural_cover_sum -------------------------------------------------------
 
 def test_cover_sum_identity_matches_enumeration():
