@@ -36,9 +36,10 @@ from . import functions as fn
 from .errors import (InternalInvariantError, PrecisionExhausted,
                      ResourceCapError, UsageError, text_echo, unreadable)
 
-# Each handler imports the numeric layers it runs (and numpy with them),
-# so a command pays only for its own; the symbolic `functions` is
-# numpy-free.  Three option defaults echo caps of those layers, copied
+# Each handler imports the numeric layers it runs, so a command pays
+# only for its own; numpy comes only with a layer's array code, never
+# with the symbolic `functions`, the exact CF engine, the log law or the
+# horoball counts.  Three option defaults echo caps of those layers, copied
 # here so that no import is needed to parse options; a test pins each
 # copy to its source.
 _FULL_SWEEP_CAP = "32000000"      # systems.FULL_SWEEP_CAP

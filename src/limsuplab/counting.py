@@ -11,18 +11,18 @@ Sub-seed contract: sample i uses the counter-based Philox stream with
 key = seed and counter = i, so any subset of samples can be computed in
 any order (or in parallel) and still reproduce the serial run bit for
 bit.
+
+numpy and the process pool are imported by the functions that use them,
+after the inputs are checked: a refused run loads neither.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from limsuplab import functions as fn
 from limsuplab.errors import ResourceCapError, UsageError, size_text
@@ -78,6 +78,7 @@ def _q_psi(psi: fn.FunctionForm, N: int) -> tuple[np.ndarray, np.ndarray]:
     if N > MAX_N:
         raise ResourceCapError("counting horizon N=%s (cap %d)"
                                % (size_text(N), MAX_N))
+    import numpy as np
     qs = np.arange(1, N + 1, dtype=np.float64)
     bound = qs * fn.evaluate_array(psi, qs)
     qs.flags.writeable = bound.flags.writeable = False
@@ -93,6 +94,7 @@ def count_R(x, N: int, psi: fn.FunctionForm) -> int:
     both neighbours give the same distance, so the rounding choice is
     immaterial).
     """
+    import numpy as np
     qs, bound = _q_psi(psi, N)
     xf = float(x)
     count = 0
@@ -108,6 +110,7 @@ def count_R(x, N: int, psi: fn.FunctionForm) -> int:
 def schmidt_prediction(psi: fn.FunctionForm, N: int) -> SchmidtPrediction:
     """2 sum_{q<=N} q psi(q), with the multiplicity condition flagged."""
     _, qpsi = _q_psi(psi, N)
+    import numpy as np
     bad = np.flatnonzero(2.0 * qpsi >= 1.0)
     return SchmidtPrediction(float(2.0 * qpsi.sum()),
                              int(bad[0]) + 1 if len(bad) else None)
@@ -115,6 +118,7 @@ def schmidt_prediction(psi: fn.FunctionForm, N: int) -> SchmidtPrediction:
 
 def sample_x(seed: int, index: int) -> float:
     """Uniform sample i of the stream keyed by seed (see module docstring)."""
+    import numpy as np
     gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
     return float(gen.random())
 
@@ -146,6 +150,7 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
     # a fork pool starts all its processes at once
     workers = min(workers, samples, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counted = list(pool.map(_count_sample, jobs, chunksize=8))
     else:

@@ -50,26 +50,33 @@ Transcendentals come from libm through ``math``, never from numpy: on
 common hosts numpy's SIMD exp, log1p, arccosh and log differ from libm
 in the last bit on a share of inputs, which would move the repr floats
 in artifacts.  numpy does only correctly rounded operations (+ - * /,
-floor), for the column-wise sampling grid, plus the ranking bound of
-the log law, which orders work and never enters a result.
+floor), for the column-wise sampling grid of `excursions` and for
+`sample_quotients`; the exact engine and the log law never import it.
 
 The log law evaluates only excursions that can win.  On excursion n
 the score (pen - alpha t)/log t is at most g(t) = (log H_n - alpha t) /
 log t, and g decreases for t > e because log H_n > 0.  Since t_enter >=
 2 log q_n - 2.1 (see _orbit), g at lo_n = max(e+, 2 log q_n - 2.1 -
 1e-6) bounds the whole excursion from the state alone, before any entry
-time is computed.  Excursions are taken in decreasing order of that
-bound until it falls to the best score found.
+time is computed (_score_cap).  log q_n never decreases, so over a block
+of states the bound at the block's first lo_n covers every state, and
+one height threshold on H_n per block (_block_threshold) passes every
+excursion that could beat the best score.  The log law first searches
+the tallest excursion of each block, then every excursion of a block
+above its threshold whose own bound beats the best score; no order of
+the search changes the maximum it finds.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from typing import List, Optional, Sequence, Tuple, Union
 import warnings
 
@@ -125,6 +132,9 @@ _GRID_CHUNK = 1 << 14
 # overflow; such a chunk takes the scalar path, which raises where it
 # always did.
 _GRID_MIN_IM = 1e-300
+# The log law ranks states this many at a time under one height threshold
+_CAP_BLOCK = 256
+_T_FLOOR = math.nextafter(math.e, math.inf)
 
 Direction = Union[Fraction, Sequence[int]]
 Word = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -757,21 +767,67 @@ def _logcosh(s: float) -> float:
     return a + math.log1p(math.exp(-2.0 * a)) - _LN2
 
 
-def _score_caps(orbit: _Orbit, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The indices n with H_n > 1, and for each a bound on the log-law
-    score of excursion n from the state alone (module docstring), with a
-    relative slack of 1e-12 over the rounding of either side: it uses
-    numpy's log, which may be an ulp off libm."""
-    import numpy as np
-    size = len(orbit.L)
-    heights = 0.5 * (np.asarray(orbit.alpha[1:size + 1])
-                     + np.frombuffer(orbit.xi, dtype=np.float64))
-    ns = np.flatnonzero(heights > 1.0)
-    ln_h = np.log(heights[ns])
-    lo = np.maximum(math.nextafter(math.e, math.inf),
-                    2.0 * np.frombuffer(orbit.L, dtype=np.float64)[ns] - 2.1 - 1e-6)
+def _cap_lo(orbit: _Orbit, n: int) -> float:
+    """lo_n = max(e+, 2 log q_n - 2.1 - 1e-6), below every time of
+    excursion n past e (module docstring)."""
+    return max(_T_FLOOR, 2.0 * orbit.L[n] - 2.1 - 1e-6)
+
+
+def _score_cap(orbit: _Orbit, n: int, alpha: float) -> float:
+    """A bound on the log-law score of excursion n (H_n > 1) from the
+    state alone (module docstring), with a relative slack of 1e-12 over
+    the rounding of either side."""
+    ln_h = math.log(0.5 * (orbit.alpha[n + 1] + orbit.xi[n]))
+    lo = _cap_lo(orbit, n)
     gain = ln_h - alpha * lo
-    return ns, (gain + 1e-12 * (1.0 + ln_h + alpha * lo)) / np.log(lo)
+    return (gain + 1e-12 * (1.0 + ln_h + alpha * lo)) / math.log(lo)
+
+
+def _block_threshold(orbit: _Orbit, start: int, alpha: float,
+                     best: float) -> float:
+    """A value of 2 H_n at or below which no state n >= start has
+    _score_cap above best.
+
+    With e = 1e-12, _score_cap is c(h, lo) = ((1 + e) h + e - (1 - e)
+    alpha lo) / log lo for h = log H_n > 0, and c decreases in lo > e
+    as g does.  lo_n >= lo_start because log q_n never decreases, so
+    c(h, lo_n) <= c(h, lo_start), which is at most best exactly when
+
+        h <= kappa = (best log lo + (1 - e) alpha lo - e) / (1 + e).
+
+    The threshold is 2 exp(kappa) lowered by a relative 1e-6.  That is
+    far over the rounding of the bound and of kappa: where kappa < 709,
+    best <= 710 (a score is at most log H_n < 710 over log t > 1) and
+    alpha lo < 710 + alpha e log lo, so kappa's terms stay below 710 (1
+    + log lo) and its error below 1e-9 for any float lo.  A kappa past
+    709 is clipped there, which only lowers the threshold.  Below 2 no
+    state has an excursion at all (H_n <= 1)."""
+    lo = _cap_lo(orbit, start)
+    e = 1e-12
+    kappa = (best * math.log(lo) + (1.0 - e) * alpha * lo - e) / (1.0 + e)
+    return max(2.0, 2.0 * math.exp(min(kappa, 709.0) - 1e-6))
+
+
+def _excursion_score(orbit: _Orbit, n: int, T: float, alpha: float,
+                     best: float) -> float:
+    """The larger of best and the log-law score of excursion n (H_n > 1)
+    over (max(t_enter, e), min(t_exit, T)]: a grid of 25 times, then a
+    ternary search around the best of them."""
+    t_enter, t_peak, t_exit, ln_h = _excursion_at(orbit, n)
+    lo = max(t_enter, _T_FLOOR)
+    hi = min(t_exit, T)
+    if hi <= lo or (ln_h - alpha * lo) / math.log(lo) <= best:
+        return best
+
+    def f(t: float) -> float:
+        return (ln_h - _logcosh(t - t_peak) - alpha * t) / math.log(t)
+
+    grid = 24
+    vals = [(f(lo + (hi - lo) * k / grid), k) for k in range(grid + 1)]
+    v_best, k_best = max(vals)
+    a_lo = lo + (hi - lo) * max(k_best - 1, 0) / grid
+    a_hi = lo + (hi - lo) * min(k_best + 1, grid) / grid
+    return max(best, v_best, f(_ternary_argmax(f, a_lo, a_hi, 70)))
 
 
 def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> float:
@@ -786,39 +842,42 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
     baseline returned (as +0.0 for alpha = 0) when no excursion scores
     higher.
 
-    Excursions are searched in decreasing order of their state-only
-    bound (_score_caps) until it falls to the best score, so every
-    skipped excursion scores below the result: the maximum over all
-    excursions.
+    The tallest excursion of each block of _CAP_BLOCK states is searched
+    first.  Then each block's 2 H_n are compared with its threshold
+    (_block_threshold) and only the states above it have their bound
+    (_score_cap) formed, and are searched when it beats the best score.
+    Every skipped excursion scores at most the best score at its skip,
+    so the result is the maximum over all excursions, bit for bit
+    whatever the search order.
     """
     if not T > math.e:
         raise UsageError("T must exceed e, got %r" % (T,))
     if not 0.0 <= alpha < 1.0:
         raise UsageError("alpha must lie in [0, 1), got %r" % (alpha,))
-    t_floor = math.nextafter(math.e, math.inf)
 
     orbit = _orbit(_direction_data(direction), T)
-    ns, caps = _score_caps(orbit, alpha)
-    order = (-caps).argsort()
+    # 2 H_n = alpha_{n+1} + xi_n with xi_n <= 1, so a block whose largest
+    # alpha_{n+1} is at most its threshold - 1 holds no survivor
+    size = len(orbit.L)
+    blocks = []
+    for start in range(0, size, _CAP_BLOCK):
+        heads = orbit.alpha[start + 1:min(start + _CAP_BLOCK, size) + 1]
+        top = max(heads)
+        blocks.append((start, top, heads.index(top)))
 
     best = 0.0 - alpha * math.e
-    for n, cap in zip(ns[order].tolist(), caps[order].tolist()):
-        if cap <= best:
-            break
-        # ns holds exactly the n with H_n > 1, so each has its times
-        t_enter, t_peak, t_exit, ln_h = _excursion_at(orbit, n)
-        lo = max(t_enter, t_floor)
-        hi = min(t_exit, T)
-        if hi <= lo or (ln_h - alpha * lo) / math.log(lo) <= best:
+    for start, top, i in blocks:
+        n = start + i
+        if (top + orbit.xi[n] > 2.0
+                and _score_cap(orbit, n, alpha) > best):
+            best = _excursion_score(orbit, n, T, alpha, best)
+    for start, top, i in blocks:
+        threshold = _block_threshold(orbit, start, alpha, best)
+        if top + 1.0 <= threshold:
             continue
-
-        def f(t: float) -> float:
-            return (ln_h - _logcosh(t - t_peak) - alpha * t) / math.log(t)
-
-        grid = 24
-        vals = [(f(lo + (hi - lo) * k / grid), k) for k in range(grid + 1)]
-        v_best, k_best = max(vals)
-        a_lo = lo + (hi - lo) * max(k_best - 1, 0) / grid
-        a_hi = lo + (hi - lo) * min(k_best + 1, grid) / grid
-        best = max(best, v_best, f(_ternary_argmax(f, a_lo, a_hi, 70)))
+        sums = map(operator.add, orbit.alpha[start + 1:start + _CAP_BLOCK + 1],
+                   orbit.xi[start:start + _CAP_BLOCK])
+        for j in compress(count(), map(threshold.__lt__, sums)):
+            if j != i and _score_cap(orbit, start + j, alpha) > best:
+                best = _excursion_score(orbit, start + j, T, alpha, best)
     return best

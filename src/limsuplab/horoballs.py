@@ -7,8 +7,10 @@ radius window [r_lo, r_hi) is the weight window (1/r_hi, 1/r_lo] of the
 Ford system, so q_window hands it to `systems.ford_horoballs()`, whose
 isqrt translation to an integer q-range is the one copy of that
 algebra.  Base windows are half-open [lo, hi), so each circle on the
-unit circle is counted once.  The disjointness check runs in int64
-arithmetic but for the float windows of `_window_pairs`.
+unit circle is counted once.  Counting runs on Python integers alone
+(`count_horoballs`); the disjointness check, the one user of numpy and
+`farey` here, runs in int64 arithmetic but for the float windows of
+`_window_pairs`.
 
 Disjointness rests on one polynomial identity.  With d = p/q - p'/q',
 r = 1/(2q^2), r' = 1/(2q'^2) and D = p q' - p' q:
@@ -27,21 +29,26 @@ fractions), are tangent iff |D| = 1, and otherwise have a positive gap
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 
-import numpy as np
-
-from limsuplab import farey
 from limsuplab import functions as fn
 from limsuplab import systems as sy
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError, size_text)
 
-# count_horoballs takes a gcd per candidate base: the widest window of a
-# 24-point `horoballs` run (R = 2^-26, lam = 1/4) bounds 5.03e7 bases and
-# took 3.5 s on 2 vCPUs, and each further halving of R doubles both
+# count_horoballs bounds the candidate bases of a window before counting
+# them, and each halving of R doubles the bound.  The widest window of a
+# 24-point `horoballs` run (R = 2^-26, lam = 1/4) bounds 5.03e7 bases; its
+# Mobius count took 2 ms on 2 vCPUs.  Enumeration is the slow case: a
+# window of 6.3e7 bases near q = 10^10, past the Mertens table cap, took
+# 12.6 s
 MAX_COUNT_BASES = 64_000_000
+# the Mobius count's Mertens table, int32 entries: 2^22 of them (16 MB)
+# were built in 1.1 s on 2 vCPUs; a longer table counts by enumeration
+MAX_MERTENS_TABLE = 1 << 22
 # band_counts forms every radius and bounds its window before counting
 # any, work that grows with the points: 2048 radii down from 10^300 at
 # factor 1/2 took 0.09 s to refuse by the run cap on 2 vCPUs
@@ -56,6 +63,10 @@ MAX_IDENTITY_Q = 40
 # w = 1/b^2 + margin (< 2) by 2^-53 more and c -+ w (< 4) by 2^-52: in
 # all 4.5 * 2^-53 < 5.1e-16, so windows widened by this hold the exact ones
 _WINDOW_MARGIN = 1e-15
+# mu(n) as a byte: 1 for +1, 2 for -1, 0 for 0; a prime p flips the sign
+# of its multiples, and the byte 2 reads as -1 in int8
+_MU_FLIP = bytes.maketrans(b"\x01\x02", b"\x02\x01")
+_MU_INT8 = bytes.maketrans(b"\x02", b"\xff")
 
 
 def q_window(r_lo: Fraction, r_hi: Fraction) -> tuple[int, int]:
@@ -69,8 +80,10 @@ def q_window(r_lo: Fraction, r_hi: Fraction) -> tuple[int, int]:
 
 
 def _base_range(q: int, b_lo: Fraction, b_hi: Fraction) -> tuple[int, int]:
-    """Numerators p with p/q in [b_lo, b_hi): half-open on both counts."""
-    return math.ceil(q * b_lo), math.ceil(q * b_hi) - 1
+    """Numerators p with p/q in [b_lo, b_hi): half-open on both counts,
+    p from ceil(q b_lo) to ceil(q b_hi) - 1."""
+    return (-(-q * b_lo.numerator // b_lo.denominator),
+            -(-q * b_hi.numerator // b_hi.denominator) - 1)
 
 
 def _bases_bound(b_lo: Fraction, b_hi: Fraction, q_min: int,
@@ -90,29 +103,135 @@ def _check_bases(bound: Fraction, cap: int, what: str) -> None:
             % (what, math.ceil(bound).bit_length(), cap))
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a i + b) / m) for n >= 0, m >= 1 and any
+    integers a, b, in O(log m) steps.  Each step takes the integer parts
+    of a/m and b/m out of the sum in closed form; what is left counts the
+    lattice points under a line of slope a/m < 1, which is the same sum
+    with the roles of a and m swapped."""
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def _ceil_sum(m: int, c: Fraction) -> int:
+    """sum_{q=1}^{m} ceil(q c): ceil(q u/v) = floor((q u + v - 1)/v)."""
+    u, v = c.numerator, c.denominator
+    return _floor_sum(m, v, u, u + v - 1)
+
+
+def _mertens_table(limit: int) -> array:
+    """M(x) = mu(1) + ... + mu(x) for x = 0..limit as an int32 array.
+
+    mu is sieved as one byte per n (see _MU_FLIP): every prime p flips
+    the sign of its multiples and zeroes those of p^2, each by one slice
+    copy; the primes come from a slice sieve of the composites."""
+    mu = bytearray(b"\x01") * (limit + 1)
+    mu[0] = 0
+    composite = bytearray(limit + 1)
+    composite[:2] = b"\x01\x01"
+    for p in range(2, math.isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, limit + 1, p))
+    for p in compress(range(limit + 1), map((0).__eq__, composite)):
+        mu[p::p] = mu[p::p].translate(_MU_FLIP)
+        if p * p <= limit:
+            mu[p * p::p * p] = bytes(len(range(p * p, limit + 1, p * p)))
+    return array("i", accumulate(array("b", mu.translate(_MU_INT8))))
+
+
+def _count_mobius(b_lo: Fraction, b_hi: Fraction, q_min: int,
+                  q_max: int) -> int:
+    """Reduced p/q in [b_lo, b_hi) with q_min <= q <= q_max, by Mobius
+    inversion (Hardy & Wright, ch. XVI).
+
+    Summing mu(d) over d | gcd(p, q) counts each p/q once if reduced,
+    else 0.  With p = d p', q = d q' the base condition reads p'/q' in
+    [b_lo, b_hi), so the count up to N is
+
+        H(N) = sum_{d <= N} mu(d) G(N // d),
+        G(m) = sum_{q <= m} (ceil(q b_hi) - ceil(q b_lo)),
+
+    and G is two floor sums.  N // d takes O(sqrt N) values, each on a
+    block of d whose mu sum is a difference of Mertens values M: a table
+    up to about q_max^(2/3) and, above it, M(x) = 1 - sum_{k >= 2}
+    M(x // k) over blocks of equal x // k, memoised (Deleglise & Rivat,
+    Exp. Math. 5, 1996)."""
+    limit = max(1, math.ceil(q_max ** (2 / 3)))
+    table = _mertens_table(limit)
+    memo = {}
+
+    def mertens(x: int) -> int:
+        if x <= limit:
+            return table[x]
+        got = memo.get(x)
+        if got is None:
+            got, k = 1, 2
+            while k <= x:
+                v = x // k
+                k_end = x // v
+                got -= (k_end - k + 1) * mertens(v)
+                k = k_end + 1
+            memo[x] = got
+        return got
+
+    def count_to(n: int) -> int:
+        total, d = 0, 1
+        while d <= n:
+            v = n // d
+            d_end = n // v
+            mu_sum = mertens(d_end) - mertens(d - 1)
+            if mu_sum:
+                total += mu_sum * (_ceil_sum(v, b_hi) - _ceil_sum(v, b_lo))
+            d = d_end + 1
+        return total
+
+    return count_to(q_max) - count_to(q_min - 1)
+
+
+def _count_direct(b_lo: Fraction, b_hi: Fraction, q_min: int,
+                  q_max: int) -> int:
+    """The same count by one gcd per candidate base, on Python ints."""
+    gcd = math.gcd
+    total = 0
+    for q in range(q_min, q_max + 1):
+        p_lo, p_hi = _base_range(q, b_lo, b_hi)
+        if p_lo <= p_hi:
+            total += list(map(gcd, range(p_lo, p_hi + 1), repeat(q))).count(1)
+    return total
+
+
 def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
     """Number of Ford circles with base in the half-open window and
     radius in [r_lo, r_hi); refuses a window of more than
-    MAX_COUNT_BASES candidate bases."""
+    MAX_COUNT_BASES candidate bases.
+
+    The Mobius count costs a Mertens table of about q_max^(2/3) entries
+    and O(sqrt q_max) floor sums, whatever the bases.  A window whose
+    candidate bases are fewer than that table's entries, or whose table
+    would pass MAX_MERTENS_TABLE, is enumerated instead: the only way to
+    count near q = 2^100, where a thin window holds few bases."""
     b_lo, b_hi = (fn.exact(b, "base") for b in base_window)
     if b_lo >= b_hi:
         return 0
     q_min, q_max = q_window(r_lo, r_hi)
-    _check_bases(_bases_bound(b_lo, b_hi, q_min, q_max), MAX_COUNT_BASES,
-                 "window holds")
-    total = 0
-    for q in range(q_min, q_max + 1):
-        p_lo, p_hi = _base_range(q, b_lo, b_hi)
-        if p_hi < p_lo:
-            continue
-        if q.bit_length() > 62:
-            raise ResourceCapError("window holds denominator %s, past "
-                                   "int64" % size_text(q))
-        # gcd(p, q) = gcd(p mod q, q) keeps the numerators in int64
-        p0 = p_lo % q
-        ps = np.arange(p0, p0 + p_hi - p_lo + 1, dtype=np.int64)
-        total += int(np.count_nonzero(np.gcd(ps, q) == 1))
-    return total
+    bound = _bases_bound(b_lo, b_hi, q_min, q_max)
+    _check_bases(bound, MAX_COUNT_BASES, "window holds")
+    if q_max < q_min:
+        return 0
+    # q_max^(2/3) is formed in floats only below 2^64
+    if (q_max.bit_length() <= 64
+            and q_max ** (2 / 3) < min(bound, MAX_MERTENS_TABLE)):
+        return _count_mobius(b_lo, b_hi, q_min, q_max)
+    return _count_direct(b_lo, b_hi, q_min, q_max)
 
 
 @dataclass(frozen=True)
@@ -201,6 +320,7 @@ def _identity_gaps(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     which test_identity_layer_int64_headroom pins: any int64 form of the
     identity, 4 q^2 q'^2 (D^2 - 1) included, wraps alike, so comparing
     two of them cannot detect an overflow."""
+    import numpy as np
     i, j = np.triu_indices(len(nums), 1)
     qq, qq2 = dens[i] * dens[i], dens[j] * dens[j]
     det = nums[i] * dens[j] - nums[j] * dens[i]
@@ -213,6 +333,7 @@ def _window_pairs(nums: np.ndarray, dens: np.ndarray) -> tuple:
     further apart than 1/q^2 are strictly apart.  So i owns a pair by the
     smaller q (on a tie, only 0/1 and 1/1, the lower index) and j lies in
     its window [c - 1/q^2, c + 1/q^2], inclusive as 0/1, 1/1 touch at 1."""
+    import numpy as np
     c = nums / dens
     w = 1.0 / (dens * dens) + _WINDOW_MARGIN
     lo = c.searchsorted(c - w)
@@ -241,6 +362,8 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
     if q_max > MAX_DISJOINTNESS_Q or identity_q_max > MAX_IDENTITY_Q:
         raise ResourceCapError("q_max %d, identity layer %d (caps %d, %d)" % (
             q_max, identity_q_max, MAX_DISJOINTNESS_Q, MAX_IDENTITY_Q))
+    import numpy as np
+    from limsuplab import farey
     nums, dens = farey.reduced_fractions(q_max)
     n = len(nums)
     pairs = n * (n - 1) // 2

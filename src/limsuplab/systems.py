@@ -34,6 +34,10 @@ their order, so `farey.union_length` measures the same arrays, in the
 keys carrying each index and certifies with a monotonicity check.  Each
 cell frees its candidate arrays before that sweep, which holds only
 the balls' lo and hi.
+
+numpy and `farey` are imported by the functions that build arrays, so
+the weight and denominator algebra (`q_interval`), which the horoball
+counts use, loads neither.
 """
 
 from __future__ import annotations
@@ -44,9 +48,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from limsuplab import farey
 from limsuplab import functions as fn
 from limsuplab.errors import ResourceCapError, UsageError, size_text
 
@@ -158,6 +159,8 @@ def ford_horoballs() -> ResonantSystem:
 
 def _totient_cumsum(limit: int) -> np.ndarray:
     """phi(0) + ... + phi(q) for q = 0..limit."""
+    import numpy as np
+    from limsuplab import farey
     return np.cumsum(farey.totient_sieve(limit))
 
 
@@ -226,6 +229,8 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     nonincreasing on the window and the reduced ball uses the smallest
     weight the centre attains).
     """
+    import numpy as np
+    from limsuplab import farey
     w_lo, w_hi = stage.window(n)
     q_lo, q_hi = system.q_interval(w_lo, w_hi)
     if q_lo > q_hi:
@@ -252,6 +257,8 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
 
     Returns (measure, number of reduced balls processed).
     """
+    import numpy as np
+    from limsuplab import farey
     if len(b_vals) == 0:
         return 0.0, 0
     flat_fixed = float(np.sum(2.0 * radii * b_vals) + 3 * len(b_vals))
@@ -305,6 +312,7 @@ def _strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
     len(keep) (one pair strikes within one row, never more), each as one
     running sum of steps whose partial sums are the positions
     themselves, so every value stays within +-len(keep)."""
+    import numpy as np
     live = count > 0
     first, step, count = first[live], step[live], count[live]
     ends = np.cumsum(count)
@@ -334,6 +342,7 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
     regroups denominators by their reduced form, count the q + 1 raw
     balls of radius psi(q) instead.
     """
+    import numpy as np
     if system.kind is SystemKind.RATIONALS:
         q_lo, q_hi = system.q_interval(*stage.window(n))
         qs = np.arange(q_lo, q_hi + 1, dtype=np.float64)
@@ -347,6 +356,7 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
 def _reduced_ball_counts(b_vals: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """phi(b) per selected denominator (with both endpoints at b=1), from
     a totient prefix sum reaching b_vals[-1]."""
+    import numpy as np
     if len(b_vals) == 0:
         return np.zeros(0, dtype=np.int64)
     counts = cum[b_vals] - cum[b_vals - 1]
@@ -364,6 +374,7 @@ def _truncate_plan(b_vals: np.ndarray, radii: np.ndarray,
     Small denominators carry the largest radii in every stage plan, so
     the prefix is the mass-greedy choice for a union lower bound.
     """
+    import numpy as np
     if len(b_vals) == 0:
         return b_vals, radii
     running = np.cumsum(counts)
@@ -387,6 +398,7 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     computed, when the last stage's arrays and totient sieve, all as
     long as its denominator range, would pass MAX_STAGE_BYTES.
     """
+    from limsuplab import farey
     if n_hi < n_lo:
         raise UsageError("empty stage range")
     # the cell sweep's own arrays are outside the byte budget below

@@ -289,16 +289,22 @@ class TestExitStatuses:
         assert err.startswith("resource cap:") and "\n" not in err
         assert not (tmp_path / "h.csv").exists()
 
-    def test_horoballs_denominator_past_int64_is_2(self, tmp_path, capsys):
-        # one window near q = 2^100, named before numpy sees q
-        code, _, err = run_main(
-            ["horoballs", "--r-hi", "1e-60", "--lam",
-             "0.99999999999999999999999999", "--points", "1", "--base",
-             "0,1e-40", "--output", str(tmp_path / "h.csv")], capsys)
-        assert code == 2
-        assert err == ("resource cap: window holds denominator ~2^100, "
-                       "past int64")
-        assert not (tmp_path / "h.csv").exists()
+    def test_horoballs_denominator_past_int64_is_counted(self, tmp_path,
+                                                        capsys):
+        # one window near q = 2^100, counted on Python ints by enumeration
+        # (its Mertens table would be far longer than its bases)
+        argv = ["horoballs", "--r-hi", "1e-60", "--lam",
+                "0.99999999999999999999999999", "--points", "1", "--base",
+                "0,1e-40", "--output", str(tmp_path / "h.csv")]
+        code, _, err = run_main(argv, capsys)
+        assert code == 0, err
+        (row,) = run_env(argv).rows
+        q_min, q_max = row["q_min"], row["q_max"]
+        assert q_max.bit_length() == 100 and q_max - q_min > 1000
+        b_hi = Fraction(1, 10 ** 40)
+        want = sum(math.gcd(p, q) == 1 for q in range(q_min, q_max + 1)
+                   for p in range(0, math.ceil(q * b_hi)))
+        assert row["count"] == want
 
     @pytest.mark.parametrize("argv", [
         # k^n = 10^5000: past 4300 digits, so neither formed nor printed
@@ -391,7 +397,10 @@ class TestExitStatuses:
             raise AssertionError("Farey points built past a cap")
         monkeypatch.setattr(farey, "reduced_fractions", no_farey)
         monkeypatch.setattr(farey, "farey_keys", no_farey)
-        monkeypatch.setattr(ct, "np", None)  # no counting arrays either
+        if argv[0] == "schmidt":
+            # no counting arrays either: a refused schmidt run must not
+            # even import numpy
+            monkeypatch.setitem(sys.modules, "numpy", None)
         got, _, err = run_main(serial(argv) + ["--output",
                                                str(tmp_path / "r.csv")],
                                capsys)
@@ -611,8 +620,11 @@ class TestConfigMerging:
 IMPORT_PROBE = """
 import sys
 from limsuplab import cli
-for argv in %r:
-    assert cli.main(argv + ["--output", %r]) == 0, argv
+argvs, refused, out = %r, %r, %r
+for argv in argvs:
+    assert cli.main(argv + ["--output", out]) == 0, argv
+for argv in refused:
+    assert cli.main(argv + ["--output", out]) == 1, argv
 print("loaded:", *(m for m in ("numpy", "concurrent.futures")
                    if m in sys.modules))
 """
@@ -627,13 +639,18 @@ class TestImportOnUse:
                  ["critical-exponent", "--psi", "r^-3", "--weight", "1"],
                  ["cf", "--x", "37/100"],
                  ["excursions", "--x", "37/100", "--T", "25"],
-                 ["excursions", "--quotients", GOLDEN_CHAIN, "--T", "40"]]
+                 ["excursions", "--quotients", GOLDEN_CHAIN, "--T", "40"],
+                 ["loglaw", "--x", "37/100", "--T", "25"],
+                 ["loglaw", "--quotients", GOLDEN_CHAIN, "--T", "40"],
+                 ["horoballs", "--points", "13"]]
+        # a refused run loads nothing it would only need to count
+        refused = [["schmidt", "--psi", "(1/4) * r^-1", "--N", "0"]]
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                      if p])
-        probe = IMPORT_PROBE % (argvs, str(tmp_path / "o.csv"))
+        probe = IMPORT_PROBE % (argvs, refused, str(tmp_path / "o.csv"))
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -778,7 +795,7 @@ class TestRows:
         assert max(ratios) / min(ratios) < 2
 
     def test_horoball_window_shifted_by_an_integer(self, tmp_path):
-        # gcd(p, q) = gcd(p mod q, q): bases past int64 count alike
+        # gcd(p + kq, q) = gcd(p, q): bases past int64 count alike
         big = 10 ** 30
         env = run_env(["horoballs", "--points", "13", "--base",
                        "%d,%d" % (big, big + 1),

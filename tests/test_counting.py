@@ -1,6 +1,7 @@
 """Counting-function tests: brute-force oracle, closed-form cases, the
 almost-everywhere ratio experiment, and the seeded splitting contract."""
 
+import concurrent.futures
 import math
 from fractions import Fraction
 
@@ -263,7 +264,8 @@ def test_experiment_pool_bounded_by_samples_and_cpus(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", SerialPool)
+    # the pool class is imported from concurrent.futures when a run needs it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
     serial = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4)
     huge = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=10 ** 6)

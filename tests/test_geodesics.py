@@ -671,20 +671,50 @@ def test_entry_time_lower_bound_on_every_record():
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
 def test_score_caps_bound_every_excursion(alpha):
     # the state-only bound the log law ranks by must cover the exact
-    # bound (log H_n - alpha lo)/log lo of every excursion window
+    # bound (log H_n - alpha lo)/log lo of every excursion window, and a
+    # block threshold taken at any earlier state must pass every state
+    # whose bound beats the best score: with best one step below the
+    # bound, 2 H_n must lie above the threshold (the threshold grows
+    # with best, so every lower best passes the state too)
     t_floor = math.nextafter(math.e, math.inf)
     cases = [(sample_quotients(9, i, 3000), 1e3) for i in range(3)]
     cases += [([1] * 3000, 1e3), ([2] * 1500, 1e3),
               ([1, 1] + [50] * 80, 400.0), ([7, 1, 3] * 300, 600.0)]
     for quots, T in cases:
-        ns, caps = geo._score_caps(geo._orbit(geo._direction_data(quots), T),
-                                   alpha)
-        cap = dict(zip(ns.tolist(), caps.tolist()))
+        orbit = geo._orbit(geo._direction_data(quots), T)
+        heights = [orbit.alpha[n + 1] + orbit.xi[n]
+                   for n in range(len(orbit.L))]
+        cap = {n: geo._score_cap(orbit, n, alpha)
+               for n, h2 in enumerate(heights) if h2 > 2.0}
         for r in predicted_excursions(quots, T):
             lo, hi = max(r.t_enter, t_floor), min(r.t_exit, T)
             if hi > lo:
                 assert cap[r.convergent_index] >= \
                     (r.peak_pen - alpha * lo) / math.log(lo)
+        for start in range(0, len(heights), 23):
+            for n in (n for n in cap if n >= start):
+                best = math.nextafter(cap[n], -math.inf)
+                assert heights[n] > geo._block_threshold(orbit, start,
+                                                         alpha, best)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(runs=st.lists(st.tuples(st.integers(0, 400), st.sampled_from(
+           [2, 5, 50, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 40, 10 ** 200])),
+           max_size=6),
+       T=st.floats(3.0, 700.0), alpha=st.sampled_from([0.0, 0.3, 0.9]))
+@example([(255, 10 ** 6), (300, 50)], 600.0, 0.0)
+@example([], 700.0, 0.3)
+def test_loglaw_matches_oracle_on_spiky_tails(runs, T, alpha):
+    # long runs of 1s (the golden direction's slow, shallow excursions)
+    # between spikes, across several blocks of the ranking pass; a tail
+    # of 800 1s closes every horizon drawn
+    quots = [1]
+    for ones, spike in runs:
+        quots += [1] * ones + [spike]
+    quots += [1] * 800
+    assert _outcome(loglaw_statistic, quots, T, alpha) == \
+        _outcome(oracle_loglaw, quots, T, alpha)
 
 
 def test_acosh_one_plus_continuous_at_branch():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import limsuplab.farey as farey
 import limsuplab.horoballs as hb
@@ -85,6 +85,72 @@ def test_count_matches_enumeration_off_unit_window():
     r = (radius_of(40), radius_of(11))
     balls = enumerate_horoballs(window, *r)
     assert balls and hb.count_horoballs(window, *r) == len(balls)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(lo=st.fractions(-5, 5, max_denominator=12),
+       width=st.fractions(0, 3, max_denominator=30),
+       shift=st.sampled_from([0, 1, -7, 10 ** 12, -10 ** 30]),
+       q_min=st.integers(1, 60), span=st.integers(0, 50))
+@example(Fraction(0), Fraction(1), 0, 1, 0)
+@example(Fraction(-1, 3), Fraction(1, 7), -10 ** 30, 2, 40)
+def test_counting_paths_match_enumeration(lo, width, shift, q_min, span):
+    # both paths, each forced, on one window: Mobius over floor sums and
+    # one gcd per candidate base, against the walk of every circle
+    b_lo = lo + shift
+    b_hi = b_lo + width
+    assume(width > 0)
+    q_max = q_min + span
+    r_lo = radius_of(q_max)
+    r_hi = Fraction(1) if q_min == 1 else radius_of(q_min - 1)
+    assert hb.q_window(r_lo, r_hi) == (q_min, q_max)
+    want = len(enumerate_horoballs((b_lo, b_hi), r_lo, r_hi))
+    assert hb._count_mobius(b_lo, b_hi, q_min, q_max) == want
+    assert hb._count_direct(b_lo, b_hi, q_min, q_max) == want
+    assert hb.count_horoballs((b_lo, b_hi), r_lo, r_hi) == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n=st.integers(0, 80),
+       m=st.one_of(st.integers(1, 60), st.integers(1, 10 ** 40)),
+       a=st.one_of(st.integers(-100, 100), st.integers(-10 ** 40, 10 ** 40)),
+       b=st.one_of(st.integers(-100, 100), st.integers(-10 ** 40, 10 ** 40)))
+@example(0, 1, 5, 5)
+@example(80, 10 ** 40, -(10 ** 40) + 1, 10 ** 40 - 1)
+@example(80, 7, 10 ** 40, -(10 ** 40))
+def test_floor_sum_matches_direct_sum(n, m, a, b):
+    assert hb._floor_sum(n, m, a, b) == sum((a * i + b) // m
+                                            for i in range(n))
+
+
+def test_mertens_table_known_values():
+    # M(10^k), k = 0..6 (OEIS A084237)
+    table = hb._mertens_table(10 ** 6)
+    assert table.itemsize == 4 and len(table) == 10 ** 6 + 1
+    assert [table[10 ** k] for k in range(7)] == \
+        [1, -1, 1, 2, -23, -48, 212]
+    small = hb._mertens_table(30)
+    mu = [0, 1] + [0] * 29
+    for n in range(2, 31):    # mu(n) = -sum of mu(d) over d | n, d < n
+        mu[n] = -sum(mu[d] for d in range(1, n) if n % d == 0)
+    assert list(small) == [sum(mu[:x + 1]) for x in range(31)]
+
+
+def test_count_horoballs_picks_the_cheaper_path(monkeypatch):
+    # the Mobius path wherever its table is shorter than the bases
+    # (the 24-point run's widest window); enumeration where the bases
+    # are fewer, here a window near q = 2^100
+    calls = []
+    for name in ("_count_mobius", "_count_direct"):
+        real = getattr(hb, name)
+        monkeypatch.setattr(hb, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    R = Fraction(1, 2 ** 26)
+    hb.count_horoballs((0, 1), R / 4, R)
+    r_hi = Fraction(1, 10 ** 60)
+    hb.count_horoballs((0, Fraction(1, 10 ** 40)),
+                       r_hi * (1 - Fraction(1, 10 ** 26)), r_hi)
+    assert calls == ["_count_mobius", "_count_direct"]
 
 
 def test_enumerate_resource_cap():
