@@ -38,8 +38,9 @@ from .errors import (InternalInvariantError, PrecisionExhausted,
 
 # Each handler imports the numeric layers it runs, so a command pays
 # only for its own; numpy comes only with a layer's array code, never
-# with the symbolic `functions`, the exact CF engine, the log law or the
-# horoball counts.  Three option defaults echo caps of those layers, copied
+# with the symbolic `functions`, the exact CF engine, the log law, the
+# horoball counts or a ubiquity stage refused at its denominator cap.
+# Three option defaults echo caps of those layers, copied
 # here so that no import is needed to parse options; a test pins each
 # copy to its source.
 _FULL_SWEEP_CAP = "32000000"      # systems.FULL_SWEEP_CAP

@@ -34,10 +34,13 @@ Certification: a direction is exact, a Fraction or the quotient
 sequence itself; a float is refused (pass Fraction(x), the dyadic
 rational it stands for).  A quotient above the largest float is refused
 with PrecisionExhausted naming its index; every excursion below it gets
-its times, however deep it peaks.  Euclid costs one ``divmod`` per
-quotient; the convergents p_n, q_n of a CFExpansion are built on first
-read and cached, so a caller reading only the quotients, as every
-stream here does, never builds them.
+its times, however deep it peaks.  Euclid reads the quotients of a
+long pair a chunk at a time off its leading bits, with one exact test
+of the chunk's last two remainders on the full pair certifying every
+quotient in it (_lead_chunk, _certified_state); short pairs and huge
+quotients take one ``divmod`` each.  The convergents p_n, q_n of a
+CFExpansion are built on first read and cached, so a caller reading
+only the quotients, as every stream here does, never builds them.
 
 Every returned float of an excursion peaking up to _H_MAX is the one
 the plain scalar evaluation gives, bit for bit (tests/oracles.py keeps
@@ -135,6 +138,23 @@ _GRID_MIN_IM = 1e-300
 # The log law ranks states this many at a time under one height threshold
 _CAP_BLOCK = 256
 _T_FLOOR = math.nextafter(math.e, math.inf)
+# Chunked Euclid (_euclid_quotients), timed on 2 vCPUs with CPython
+# 3.11.  A divmod of two multi-digit ints costs about 0.2 us from 58 to
+# 256 bits, against 0.9 us at 4096 bits, so a chunk runs Euclid on the
+# leading _LEAD_BITS bits and yields about 55 quotients (96 bits of
+# cofactor at 1.71 bits per Gauss-Kuzmin quotient); 192 and 256 tied on
+# 4096-bit inputs, 128 and 384 were slower.  Below _CHUNK_MIN_BITS a
+# chunk pays no more than it costs: full expansions of 768 to 2048 bits
+# took the same time either way, of 3072 bits 0.8x.  A chunk under
+# _MIN_CHUNK quotients is not tested, its test costing more than the
+# divmod steps it saves (with 4, quotients of 2^90 after every three 1s
+# took 2.0x the plain loop; with 8, 1.1x).  Probes that fail run up to
+# _BACKOFF_CAP divmod steps before the next.
+_LEAD_BITS = 192
+_HALF_LEAD = 1 << (_LEAD_BITS // 2)
+_CHUNK_MIN_BITS = 1024
+_MIN_CHUNK = 8
+_BACKOFF_CAP = 64
 
 Direction = Union[Fraction, Sequence[int]]
 Word = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -151,8 +171,10 @@ class StepTooCoarseWarning(UserWarning):
 class CFExpansion:
     """Partial quotients a_1..a_N with the convergents p_n/q_n.
 
-    ``quotients`` costs one ``divmod`` per quotient.  ``p`` and ``q``
-    are built from them on first read and cached: a caller reading only
+    ``quotients`` come from chunked, certified Euclid
+    (_euclid_quotients): about 55 per chunk off the leading bits of a
+    long pair, one ``divmod`` each otherwise.  ``p`` and ``q`` are
+    built from them on first read and cached: a caller reading only
     the quotients never pays the 2N big-integer multiply-adds.  They
     start at index 0 (p_0/q_0 = 0/1), so they are one longer than
     ``quotients``.  ``terminated`` marks an expansion that ended by
@@ -178,18 +200,140 @@ class CFExpansion:
 
 def _euclid_quotients(x: Fraction, depth: int) -> Tuple[List[int], bool]:
     """Exact partial quotients of x in (0, 1); True if the expansion
-    ended within ``depth``.  One divmod per quotient: ``//`` and ``%``
-    would each run the big-integer division."""
+    ended within ``depth``.
+
+    While the denominator has at least _CHUNK_MIN_BITS bits, quotients
+    come a chunk at a time from the pair's leading bits (_lead_chunk),
+    each chunk certified by one exact test on the full pair.  A pair
+    with no chunk to give, because its next quotient has _LEAD_BITS / 2
+    bits or more or the chunk would be too thin to pay for its test,
+    takes exact ``divmod`` steps instead: 1, 2, 4, ... up to
+    _BACKOFF_CAP of them while chunks keep failing, so a run of spikes
+    costs few probes.  Below _CHUNK_MIN_BITS every step is one
+    ``divmod``."""
     num, den = x.numerator, x.denominator
     out: List[int] = []
     append = out.append
-    for _ in range(depth):
+    backoff = 0
+    while num:
+        left = depth - len(out)
+        if not left:
+            break
+        bits = den.bit_length()
+        if bits < _CHUNK_MIN_BITS:
+            den, num = _divmod_steps(den, num, left, append)
+            break
+        chunk = (_lead_chunk(den, num, left)
+                 if bits - num.bit_length() < _LEAD_BITS // 2 else None)
+        if chunk is None:
+            backoff = min(2 * backoff, _BACKOFF_CAP) if backoff else 1
+            den, num = _divmod_steps(den, num, min(backoff, left), append)
+            continue
+        backoff = 0
+        quots, den, num = chunk
+        out.extend(quots)
+    return out, num == 0
+
+
+def _divmod_steps(den: int, num: int, count: int, append) -> Tuple[int, int]:
+    """Up to ``count`` plain Euclid steps on den/num, each quotient passed
+    to ``append``; the pair left.  One divmod per step: ``//`` and ``%``
+    would each run the big-integer division."""
+    for _ in range(count):
         if not num:
             break
         a, rem = divmod(den, num)
         append(a)
         den, num = num, rem
-    return out, num == 0
+    return den, num
+
+
+def _lead_chunk(den: int, num: int, limit: int
+                ) -> Optional[Tuple[List[int], int, int]]:
+    """The next k <= ``limit`` partial quotients of den/num with the pair
+    (s_{k-1}, s_k) they leave, or None when fewer than _MIN_CHUNK of them
+    can be read off the leading bits.  den has more than _LEAD_BITS bits,
+    and num is shorter by fewer than _LEAD_BITS / 2 bits.
+
+    With h = bitlen(den) - _LEAD_BITS, Euclid runs on d_t = den >> h and
+    n_t = num >> h, keeping only the cofactors Q_j (Q_{-1} = 0, Q_0 = 1,
+    Q_j = b_j Q_{j-1} + Q_{j-2}), and stops once a remainder s'_j drops
+    below _LEAD_BITS / 2 bits.  Its remainders satisfy (-1)^j (Q_j n_t -
+    P_j d_t) = s'_j, so P_{k-1} and P_k are exact quotients by d_t, and
+    s_j = (-1)^j (Q_j num - P_j den) gives the full remainders of the
+    last two: four multiplications.  _certified_state tests them; only
+    its acceptance makes b_1..b_k Euclid's quotients of den/num.
+
+    The chunk is cut back, before that test, to the longest k whose
+    truncated data bound the truncation error.  Write den = 2^h d_t +
+    d_e and num = 2^h n_t + n_e with 0 <= d_e, n_e < 2^h.  Then s_j =
+    2^h s'_j + (-1)^j (Q_j n_e - P_j d_e) with 0 <= P_j <= Q_j, so
+    |s_j / 2^h - s'_j| < Q_j.  Hence s'_k >= Q_k and s'_{k-1} - s'_k >=
+    Q_k + Q_{k-1} give 0 < s_k < s_{k-1}, and the test passes; its
+    failure is an invariant error.  The cut runs s'_{j-2} = b_j s'_{j-1}
+    + s'_j and Q_{j-2} = Q_j - b_j Q_{j-1} backwards.  Without the cut
+    the last quotient, read off a remainder whose error is about its
+    size, fails the test in about one chunk in 60 on Gauss-Kuzmin
+    quotients and in a third of the chunks that end at a quotient of
+    10^60, and each failure costs a second test.
+    """
+    shift = den.bit_length() - _LEAD_BITS
+    d_t, n_t = den >> shift, num >> shift
+    s0, s1 = d_t, n_t      # s'_{j-1}, s'_j
+    q0, q1 = 0, 1          # Q_{j-1}, Q_j
+    quots: List[int] = []
+    append = quots.append
+    for _ in range(limit):
+        a, r = divmod(s0, s1)
+        append(a)
+        q0, q1 = q1, a * q1 + q0
+        s0, s1 = s1, r
+        if r < _HALF_LEAD:
+            break
+    k = len(quots)
+    while k >= _MIN_CHUNK and not (s1 >= q1 and s0 - s1 >= q0 + q1):
+        b = quots[k - 1]
+        k -= 1
+        s0, s1 = b * s0 + s1, s0
+        q0, q1 = q1 - b * q0, q0
+    if k < _MIN_CHUNK:
+        return None
+    sign = -1 if k & 1 else 1
+    p1, e1 = divmod(q1 * n_t - sign * s1, d_t)
+    p0, e0 = divmod(q0 * n_t + sign * s0, d_t)
+    state = (None if e0 or e1 else
+             _certified_state(den, num, k, quots[k - 1], p0, q0, p1, q1))
+    if state is None:
+        raise InternalInvariantError(
+            "chunk of %d quotients failed its exact remainder test" % k)
+    del quots[k:]
+    return quots, state[0], state[1]
+
+
+def _certified_state(den: int, num: int, k: int, b_k: int, p0: int,
+                     q0: int, p1: int, q1: int) -> Optional[Tuple[int, int]]:
+    """(s_{k-1}, s_k) if quotients b_1..b_k >= 1, with last quotient b_k
+    and convergents p0/q0 = P_{k-1}/Q_{k-1} and p1/q1 = P_k/Q_k, are the
+    first k Euclid quotients of den/num (den, num > 0); None otherwise.
+
+    Set s_{-1} = den, s_0 = num and s_j = (-1)^j (Q_j num - P_j den).
+    The convergent recursions give s_{j-2} = b_j s_{j-1} + s_j for every
+    j <= k.  The test is 0 <= s_k < s_{k-1}, and not (s_k = 0 and b_k =
+    1).  It is complete, by backward induction on j: if 0 <= s_j <
+    s_{j-1}, then s_{j-1} > 0 and s_{j-2} = b_j s_{j-1} + s_j > s_{j-1},
+    strictly because b_j >= 2 or s_j > 0 (for j = k the second clause
+    says so; for j < k, s_j > s_{j+1} >= 0).  So 0 <= s_j < s_{j-1}
+    holds for every j = k, ..., 1, which makes b_j = floor(s_{j-2} /
+    s_{j-1}) and s_j its remainder: Euclid's own steps on den/num.
+    Without the second clause [..., a, 1] would pass where Euclid ends
+    [..., a + 1]."""
+    if k & 1:
+        s0, s1 = q0 * num - p0 * den, p1 * den - q1 * num
+    else:
+        s0, s1 = p0 * den - q0 * num, q1 * num - p1 * den
+    if 0 <= s1 < s0 and (s1 or b_k != 1):
+        return s0, s1
+    return None
 
 
 def _convergent_arrays(quots: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

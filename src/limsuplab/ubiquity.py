@@ -40,6 +40,10 @@ evaluated over the single common denominator lcm(1..Q).
 
 Everything user-facing is a Fraction; the one float left is the weight
 sum of bincount in the span sums, exact below 2^53.
+
+numpy and `farey` are imported by the engine's build, which keeps the
+key decoder for its queries, so a stage refused at the denominator cap,
+before any engine is built, loads neither.
 """
 
 from __future__ import annotations
@@ -51,9 +55,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from limsuplab import farey
 from limsuplab import functions as fn
 from limsuplab import systems as sy
 from limsuplab.errors import ResourceCapError, UsageError, size_text
@@ -89,7 +90,10 @@ class UniformStageEngine:
         self.empty = q_max < 1 or self.radius <= 0
         if self.empty:
             return
+        import numpy as np
+        from limsuplab import farey
         self._keys = keys = farey.farey_keys(q_max)
+        self._unpack = farey.unpack_keys  # the queries' key decoder
         self._db = q_max.bit_length()
         mask = (1 << self._db) - 1  # key & mask is the denominator
         # gap i (between points i and i + 1) is joined iff
@@ -140,7 +144,7 @@ class UniformStageEngine:
         f = -1 if xn < 0 else (xn << 2 * db) // xd if xn <= xd else 1 << 2 * db
         i = int(keys.searchsorted(f << db))
         if i < len(keys) and keys.item(i) >> db == f:
-            a, b = farey.unpack_keys(keys.item(i), self.q_max)
+            a, b = self._unpack(keys.item(i), self.q_max)
             if a * xd - xn * b < inside:
                 i += 1
         return i
@@ -148,9 +152,10 @@ class UniformStageEngine:
     def _span_sum(self, s: np.ndarray, e: np.ndarray) -> int:
         """sum of c_e - c_s over the index pairs (s, e), as an exact
         numerator over lcm(1..q_max), via per-denominator bucketing."""
+        import numpy as np
         size = self.q_max + 1
-        ae, be = farey.unpack_keys(self._keys[e], self.q_max)
-        as_, bs = farey.unpack_keys(self._keys[s], self.q_max)
+        ae, be = self._unpack(self._keys[e], self.q_max)
+        as_, bs = self._unpack(self._keys[s], self.q_max)
         # numerator sums fit float64 exactly: <= n_points * q_max << 2^53
         plus = np.bincount(be, weights=ae, minlength=size).astype(np.int64)
         minus = np.bincount(bs, weights=as_, minlength=size).astype(np.int64)
@@ -171,8 +176,8 @@ class UniformStageEngine:
         if l > r_:
             return Fraction(0)
         # c_l = al/bl and c_r_ = ar/br
-        al, bl = farey.unpack_keys(self._keys.item(l), self.q_max)
-        ar, br = farey.unpack_keys(self._keys.item(r_), self.q_max)
+        al, bl = self._unpack(self._keys.item(l), self.q_max)
+        ar, br = self._unpack(self._keys.item(r_), self.q_max)
         # max(c_l - r, lo) and min(c_r_ + r, hi) as (num, den) pairs
         start = (al * rd - rn * bl, bl * rd)
         if start[0] * ld < ln * start[1]:
@@ -185,6 +190,7 @@ class UniformStageEngine:
         m_hi = int(self._mstarts.searchsorted(r_))
         joined = span = 0
         if m_lo < m_hi:
+            import numpy as np
             s = np.maximum(self._mstarts[m_lo:m_hi], l)
             e = np.minimum(self._mends[m_lo:m_hi], r_)
             joined = int((e - s).sum())

@@ -252,6 +252,18 @@ def pair_relation(p: int, q: int, p2: int, q2: int) -> PairRelation:
     return PairRelation(det, det * det == 1, gap)
 
 
+def euclid_quotients(x: Fraction, depth: int):
+    """(quotients, terminated) of an exact x in (0, 1): one divmod per
+    quotient on the full pair, the loop the chunked kernel replaced."""
+    num, den = x.numerator, x.denominator
+    quots = []
+    while num and len(quots) < depth:
+        a, rem = divmod(den, num)
+        quots.append(a)
+        den, num = num, rem
+    return quots, num == 0
+
+
 def cf_expansion(x: Fraction, depth: int):
     """(quotients, p, q, terminated) of an exact x in (0, 1): Euclid with
     separate // and %, and the convergents read back off the lists."""

@@ -623,8 +623,8 @@ from limsuplab import cli
 argvs, refused, out = %r, %r, %r
 for argv in argvs:
     assert cli.main(argv + ["--output", out]) == 0, argv
-for argv in refused:
-    assert cli.main(argv + ["--output", out]) == 1, argv
+for argv, code in refused:
+    assert cli.main(argv + ["--output", out]) == code, argv
 print("loaded:", *(m for m in ("numpy", "concurrent.futures")
                    if m in sys.modules))
 """
@@ -643,8 +643,11 @@ class TestImportOnUse:
                  ["loglaw", "--x", "37/100", "--T", "25"],
                  ["loglaw", "--quotients", GOLDEN_CHAIN, "--T", "40"],
                  ["horoballs", "--points", "13"]]
-        # a refused run loads nothing it would only need to count
-        refused = [["schmidt", "--psi", "(1/4) * r^-1", "--N", "0"]]
+        # a refused run loads nothing it would only need to count or
+        # build: a usage error (1) and a stage past the q cap (2)
+        refused = [(["schmidt", "--psi", "(1/4) * r^-1", "--N", "0"], 1),
+                   (["ubiquity", "--rho", "6 * r^-2", "--k", "6",
+                     "--n-lo", "6", "--n-hi", "6"], 2)]
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

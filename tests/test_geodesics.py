@@ -14,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import limsuplab.geodesics as geo
-from limsuplab.errors import PrecisionExhausted, UsageError
+import limsuplab.functions as fn
+from limsuplab.errors import (InternalInvariantError, PrecisionExhausted,
+                              UsageError)
 from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  ExcursionRecord,
                                  StepTooCoarseWarning, cf_expand, excursions,
@@ -24,7 +26,8 @@ from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  quotients_value, reduce_to_fundamental,
                                  sample_quotients, apply_word)
 from oracles import (cf_expansion, excursion_mp, excursion_stream,
-                     sampled_excursions, loglaw_statistic as oracle_loglaw)
+                     sampled_excursions, euclid_quotients as oracle_euclid,
+                     loglaw_statistic as oracle_loglaw)
 
 GOLDEN = (math.sqrt(5) - 1) / 2          # [0; 1, 1, 1, ...]
 LN_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -622,6 +625,177 @@ def test_cf_expand_matches_oracle():
             got = cf_expand(x, depth)
             assert (got.quotients, got.p, got.q, got.terminated) == \
                 cf_expansion(x, depth)
+
+
+# -- chunked Euclid against the plain divmod loop -----------------------------
+
+SPIKES = (2, 3, 2 ** 60, 2 ** 90, 2 ** 95, 2 ** 96, 2 ** 97, 2 ** 192,
+          2 ** 200, 10 ** 60, 10 ** 200)
+
+
+@st.composite
+def exact_directions(draw):
+    """x in (0, 1) of every shape the kernel treats apart: pairs of 1 to
+    MAX_PRINT_BITS bits, dyadics as in criterion 8, pairs sharing their
+    leading bits, runs of 1s broken by spikes up to 10^200, and pairs
+    shorter than the chunk's leading bits."""
+    kind = draw(st.sampled_from(["pair", "dyadic", "shared", "spiky",
+                                 "short"]))
+    if kind == "spiky":
+        runs = draw(st.lists(st.tuples(st.integers(0, 400),
+                                       st.sampled_from(SPIKES)),
+                             min_size=1, max_size=12))
+        quots = [a for n, spike in runs for a in [1] * n + [spike]]
+        # quotients_value(quots) as P_k/Q_k, without its k Fraction steps
+        _, _, p, q = _last_convergents(quots)
+        return Fraction(p, q)
+    bits = draw(st.integers(1, geo._LEAD_BITS) if kind == "short" else
+                st.one_of(st.integers(1, geo._CHUNK_MIN_BITS),
+                          st.integers(geo._CHUNK_MIN_BITS,
+                                      fn.MAX_PRINT_BITS)))
+    # hypothesis draws big integers near their bounds; a seeded stream
+    # gives the typical pairs that run in chunks
+    rnd = random.Random(draw(st.integers(0, 1 << 64)))
+    if kind == "dyadic":
+        return Fraction(rnd.getrandbits(bits) or 1, 1 << bits)
+    den = max(2, rnd.getrandbits(bits) | 1 << (bits - 1))
+    if kind == "shared":
+        close = rnd.randrange(1, max(2, 1 << den.bit_length() // 2))
+        return Fraction(den - min(close, den - 1), den)
+    return Fraction(rnd.randrange(1, den), den)
+
+
+def _last_convergents(quots):
+    """(P_{k-1}, Q_{k-1}, P_k, Q_k) of the quotient list b_1..b_k."""
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    for b in quots:
+        p0, q0, p1, q1 = p1, q1, b * p1 + p0, b * q1 + q0
+    return p0, q0, p1, q1
+
+
+def _chunk_edges(x):
+    """Depths at which a chunk of x's full expansion starts or ends."""
+    index = {}
+    num, den = x.numerator, x.denominator
+    while num:
+        index[den] = len(index)
+        den, num = num, den % num
+    edges = set()
+    real = geo._lead_chunk
+
+    def spy(den, num, limit):
+        got = real(den, num, limit)
+        if got is not None:
+            edges.update((index[den], index[den] + len(got[0])))
+        return got
+
+    geo._lead_chunk = spy
+    try:
+        geo._euclid_quotients(x, 1 << 30)
+    finally:
+        geo._lead_chunk = real
+    return sorted(edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(x=exact_directions(), depth=st.one_of(st.just(1 << 30),
+                                             st.integers(1, 3000)),
+       data=st.data())
+@example(x=Fraction(1, 10 ** 300) + Fraction(1, 10 ** 600), depth=1 << 30,
+         data=None)
+def test_euclid_quotients_match_oracle(x, depth, data):
+    assert geo._euclid_quotients(x, depth) == oracle_euclid(x, depth)
+    edges = _chunk_edges(x)
+    if edges and data is not None:
+        edge = data.draw(st.sampled_from(edges))
+        for cut in (edge - 1, edge, edge + 1):
+            if cut >= 1:
+                assert geo._euclid_quotients(x, cut) == oracle_euclid(x, cut)
+
+
+def test_chunked_path_taken_on_long_pairs():
+    # a 4096-bit dyadic runs almost wholly in chunks, and a cut inside
+    # a chunk reads the same prefix
+    rnd = random.Random(24)
+    x = Fraction(rnd.getrandbits(4096) | 1, 1 << 4096)
+    edges = _chunk_edges(x)
+    assert len(edges) > 30
+    full = oracle_euclid(x, 1 << 30)
+    for cut in range(edges[3] - 2, edges[5] + 3):
+        assert geo._euclid_quotients(x, cut) == oracle_euclid(x, cut)
+    assert geo._euclid_quotients(x, 1 << 30) == full
+
+
+@pytest.mark.parametrize("a", [1, 2, 7, 10 ** 30])
+def test_expansion_ending_a_1_reads_a_plus_1(a):
+    head = list(sample_quotients(24, 0, 1200))
+    x = quotients_value(head + [a, 1])
+    assert x == quotients_value(head + [a + 1])
+    assert x.denominator.bit_length() > geo._CHUNK_MIN_BITS
+    assert geo._euclid_quotients(x, 1 << 30) == (head + [a + 1], True)
+    assert geo._euclid_quotients(x, len(head) + 1) == (head + [a + 1], True)
+
+
+@pytest.mark.parametrize("a", [2 ** 95, 2 ** 96 - 1, 2 ** 96, 2 ** 97,
+                               2 ** 192, 2 ** 192 + 1, 2 ** 200, 10 ** 100])
+def test_first_quotient_past_the_leading_bits(a):
+    tail = list(sample_quotients(24, 1, 800)) + [2]
+    x = quotients_value([a] + tail)
+    assert geo._euclid_quotients(x, 1 << 30) == ([a] + tail, True)
+    assert geo._euclid_quotients(x, 1) == ([a], False)
+
+
+def test_two_quotients_of_300_digits():
+    x = Fraction(1, 10 ** 300) + Fraction(1, 10 ** 600)
+    cf = cf_expand(x, 10)
+    assert cf.quotients == (10 ** 300 - 1, 10 ** 300 + 1)
+    assert cf.terminated
+
+
+def _certify(x, quots):
+    return geo._certified_state(x.denominator, x.numerator, len(quots),
+                                quots[-1], *_last_convergents(quots))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(den=st.integers(3, 1 << 600), data=st.data())
+def test_certified_state_accepts_only_euclids_prefix(den, data):
+    x = Fraction(data.draw(st.integers(1, den - 1)), den)
+    full, _ = oracle_euclid(x, 1 << 30)
+    k = data.draw(st.integers(1, len(full)))
+    prefix = full[:k]
+    num, d = x.numerator, x.denominator
+    for a in prefix:
+        d, num = num, d % num
+    assert _certify(x, prefix) == (d, num)
+    # the last quotient one too large (s_k < 0), one too small (s_k >=
+    # s_{k-1}), or an earlier one moved: each is refused
+    j = data.draw(st.integers(0, k - 1))
+    delta = data.draw(st.sampled_from([-1, 1]))
+    if prefix[j] + delta >= 1:
+        wrong = prefix[:j] + [prefix[j] + delta] + prefix[j + 1:]
+        assert _certify(x, wrong) is None
+    # Euclid's last quotient is >= 2; [..., a - 1, 1] has the same value
+    assert full[-1] >= 2
+    assert _certify(x, full[:-1] + [full[-1] - 1, 1]) is None
+
+
+@pytest.mark.parametrize("num,den,quots,ok", [
+    (5, 8, [1, 1, 1, 2], True),
+    (5, 8, [1, 1, 1, 1, 1], False),     # s_k = 0 and b_k = 1
+    (5, 8, [1, 1, 1, 1], False),        # s_k = s_{k-1}
+    (5, 8, [1, 1, 2], False),           # s_k < 0
+    (5, 8, [1, 1, 1], True),
+])
+def test_certified_state_by_hand(num, den, quots, ok):
+    assert (_certify(Fraction(num, den), quots) is not None) == ok
+
+
+def test_failed_chunk_test_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(geo, "_certified_state", lambda *args: None)
+    x = Fraction(random.Random(5).getrandbits(4096) | 1, 1 << 4096)
+    with pytest.raises(InternalInvariantError):
+        cf_expand(x, 1000)
 
 
 @pytest.mark.parametrize("direction,horizons", ORACLE_DIRECTIONS)
