@@ -531,11 +531,12 @@ def _run_excursions(o):
 
 def _run_loglaw(o):
     from . import geodesics as geo
-    direction = _direction(o)
-    stat = geo.loglaw_statistic(direction, o["T"], alpha=o["alpha"])
+    # one expansion and one orbit serve the statistic and the rows
+    stat, records = geo._loglaw_and_excursions(_direction(o), o["T"],
+                                                o["alpha"])
     rows = []
     running = -math.inf
-    for r in geo.predicted_excursions(direction, o["T"]):
+    for r in records:
         if r.t_peak <= math.e:
             continue
         at_peak = (r.peak_pen - o["alpha"] * r.t_peak) / math.log(r.t_peak)

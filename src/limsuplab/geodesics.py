@@ -32,12 +32,14 @@ forming q_n itself.
 
 Certification: a direction is exact, a Fraction or the quotient
 sequence itself; a float is refused (pass Fraction(x), the dyadic
-rational it stands for).  A quotient above the largest float is refused
-with PrecisionExhausted naming its index; every excursion below it gets
-its times, however deep it peaks.  Euclid reads the quotients of a
-long pair a chunk at a time off its leading bits, with one exact test
-of the chunk's last two remainders on the full pair certifying every
-quotient in it (_lead_chunk, _certified_state); short pairs and huge
+rational it stands for).  A quotient whose float conversion overflows
+(a >= 2^1024 - 2^970, _FLOAT_LIMIT) is refused with PrecisionExhausted
+naming the first such index, by one scan of the whole list before any
+state is computed, whatever the horizon; every excursion below it gets
+its times, however deep it peaks.  Euclid reads the quotients of a long
+pair a chunk at a time off its leading bits, with one exact test of the
+chunk's last two remainders on the full pair certifying every quotient
+in it (_lead_chunk, _certified_state); short pairs and huge
 quotients take one ``divmod`` each.  The convergents p_n, q_n of a
 CFExpansion are built on first read and cached, so a caller reading
 only the quotients, as every stream here does, never builds them.
@@ -45,10 +47,33 @@ only the quotients, as every stream here does, never builds them.
 Every returned float of an excursion peaking up to _H_MAX is the one
 the plain scalar evaluation gives, bit for bit (tests/oracles.py keeps
 that evaluation; past _H_MAX no difference cancels).  The state
-recursion (log q_n, q_{n-1}/q_n, p_n/q_n, xi_n) runs once, in order,
-since each step divides by or takes the log of the one before; each
-excursion is then evaluated from the stored state on its own
-(_excursion_at).
+recursion (log q_n, q_{n-1}/q_n, p_n/q_n, xi_n) runs in order, since
+each step divides by or takes the log of the one before.  One lean pass
+keeps only log q_n and xi_n, all that the horizon and the log-law
+ranking read (_orbit); beta_n = q_{n-1}/q_n and r_n = p_n/q_n are
+replayed on demand from the last state materialised, by the same
+operations in the same order, so each excursion is evaluated on its own
+from the floats the one-pass recursion gives (_replay, _excursion_at).
+The log law replays only up to the last excursion it evaluates; the
+excursion streams materialise every state.
+
+The forward tails are swept backwards, alpha_j = a_j + 1/alpha_{j+1}
+from alpha_M = a_M, but only from a little past the horizon
+(_alpha_head).  The full sweep's alpha_K is a_K + u rounded, with u =
+1/alpha_{K+1} rounded in (0, 1] since alpha_{K+1} >= 1; rounding to
+nearest is monotone, so it lies between the sweeps started from a_K + 0
+and a_K + 1.  The step x -> a + 1/x in round-to-nearest floats is
+monotone too (decreasing), so at every lower index the full sweep's
+float lies between the two sweeps' floats, whichever is the larger.
+Where the two coincide the full sweep equals them, and from there down
+all three run the same operations on the same float: every alpha_j at
+or below the first index where they meet is the full sweep's, bit for
+bit.  The bracket shrinks by about alpha_j^2 a step (two steps shrink
+it at least 4-fold), and closed within 38 steps on every list measured,
+all-ones lists being the slowest; so from K = m + 64 it closes above the
+horizon m.  A bracket still open at m widens the margin 4-fold, ending
+at the whole sweep.
+
 Transcendentals come from libm through ``math``, never from numpy: on
 common hosts numpy's SIMD exp, log1p, arccosh and log differ from libm
 in the last bit on a share of inputs, which would move the repr floats
@@ -75,11 +100,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import List, Optional, Sequence, Tuple, Union
 import warnings
 
@@ -123,7 +146,11 @@ _LN2 = math.log(2.0)
 _ALPHA_TAIL = 25
 _REDUCE_CAP = 100_000
 MAX_SAMPLES = 2_000_000
-_FLOAT_MAX = int(sys.float_info.max)
+# float(a) overflows from here: the largest float is 2^1024 - 2^971, and
+# half an ulp above it is a tie that rounds to even, 2^1024
+_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
+# The two alpha sweeps of _alpha_head start this far past the horizon
+_ALPHA_MARGIN = 64
 # Up to this peak height the entering offset dx + s, O(1/H), cancels two
 # H-sized terms: error e <= H 2^-52, so e^2 <= 2^-52 in num_in.  Past it
 # the offset is re_w - (1 - a xi)/(c* + s) and each square 2 log hypot.
@@ -563,30 +590,48 @@ def _acosh_one_plus(ln_x: float) -> float:
     return math.acosh(1.0 + math.exp(ln_x))
 
 
-def _alpha_sweep(quots: Sequence[int]) -> List[float]:
-    """alpha[j] = [a_j; a_{j+1}, ..., a_M] for j = 1..M, one backward pass.
+def _alpha_head(quots: List[int], m: int) -> List[float]:
+    """alpha[j] = [a_j; a_{j+1}, ..., a_M] for j = 1..m <= M (alpha[0] is
+    unused), each the float of the full backward sweep from alpha_M =
+    a_M, bit for bit.
 
-    Raises PrecisionExhausted, naming the first quotient above the
-    largest float, when a quotient has no float value."""
+    Two sweeps run from K = m + margin, one from a_K + 0 and one from a_K
+    + 1, until their floats meet; they bracket the full sweep at every
+    index (module docstring), so from the index where they meet one sweep
+    is the full sweep.  A bracket still open at m widens the margin
+    4-fold; once K reaches M the sweep is the full one."""
     M = len(quots)
-    alpha = [0.0] * (M + 1)
-    try:
-        alpha[M] = float(quots[M - 1])
-        for j in range(M - 1, 0, -1):
-            alpha[j] = quots[j - 1] + 1.0 / alpha[j + 1]
-    except OverflowError:
-        j = next(j for j, a in enumerate(quots, 1) if a > _FLOAT_MAX)
-        raise PrecisionExhausted(
-            "partial quotient a_%d (%d bits) is beyond float range"
-            % (j, quots[j - 1].bit_length())) from None
+    margin = _ALPHA_MARGIN
+    while m + margin < M:
+        j = m + margin
+        a = quots[j - 1]
+        lo, hi = a + 0.0, a + 1.0
+        while lo != hi and j > m:
+            j -= 1
+            a = quots[j - 1]
+            lo, hi = a + 1.0 / lo, a + 1.0 / hi
+        if lo == hi:
+            x = lo
+            break
+        margin *= 4
+    else:
+        j, x = M, float(quots[M - 1])
+    for a in reversed(quots[m - 1:j - 1]):
+        x = a + 1.0 / x
+    alpha = [x]
+    put = alpha.append
+    for a in reversed(quots[:m - 1]):
+        x = a + 1.0 / x
+        put(x)
+    put(0.0)
+    alpha.reverse()
     return alpha
 
 
 @dataclass(frozen=True)
 class _DirectionData:
-    quots: List[int]      # partial quotients a_1..a_M
+    quots: List[int]      # partial quotients a_1..a_M, each below _FLOAT_LIMIT
     x0: float             # float value of the direction
-    alpha: List[float]    # alpha[j] certified for j <= n_cap + 1
     n_cap: int            # last convergent index with certified data
     exhaust_ok: bool      # running out of quotients is a clean stop
 
@@ -597,25 +642,30 @@ def _direction_data(direction: Direction) -> _DirectionData:
         quots, done = _euclid_quotients(x, 1 << 30)
         if not done:  # pragma: no cover - euclid always terminates
             raise InternalInvariantError("exact expansion did not terminate")
-        return _DirectionData(quots, float(x), _alpha_sweep(quots),
-                              len(quots) - 1, True)
-    quots = _check_quotients(direction)
-    tail = quots[: min(len(quots), 64)]
-    return _DirectionData(quots, float(quotients_value(tail)),
-                          _alpha_sweep(quots),
-                          len(quots) - 1 - _ALPHA_TAIL, False)
+        data = _DirectionData(quots, float(x), len(quots) - 1, True)
+    else:
+        quots = _check_quotients(direction)
+        data = _DirectionData(quots, float(quotients_value(quots[:64])),
+                              len(quots) - 1 - _ALPHA_TAIL, False)
+    if max(quots) >= _FLOAT_LIMIT:
+        j = next(j for j, a in enumerate(quots, 1) if a >= _FLOAT_LIMIT)
+        raise PrecisionExhausted(
+            "partial quotient a_%d (%d bits) is beyond float range"
+            % (j, quots[j - 1].bit_length()))
+    return data
 
 
 @dataclass(frozen=True)
 class _Orbit:
     """The bounded-ratio state at n = 0..len(L)-1: every convergent whose
-    excursion can peak by the horizon."""
-    alpha: List[float]    # alpha[j] = [a_j; a_{j+1}, ...]
-    L: array              # log q_n
-    beta: array           # q_{n-1}/q_n
-    r_prev: array         # p_{n-1}/q_{n-1}  (0 while beta = 0)
-    r: array              # p_n/q_n
-    xi: array
+    excursion can peak by the horizon.  beta and r hold states 0..k for
+    the last state k materialised (_replay)."""
+    quots: List[int]
+    alpha: List[float]    # alpha[j] = [a_j; a_{j+1}, ...], j <= len(L)
+    L: List[float]        # log q_n
+    xi: List[float]
+    beta: List[float]     # q_{n-1}/q_n
+    r: List[float]        # p_n/q_n
 
 
 def _orbit(data: _DirectionData, T: float) -> _Orbit:
@@ -627,57 +677,68 @@ def _orbit(data: _DirectionData, T: float) -> _Orbit:
     state advance so one certified quotient beyond the last state is
     enough to close the horizon.  Raises PrecisionExhausted when the
     certified data runs out first and running out is not the clean end
-    of a complete expansion.
+    of a complete expansion.  Only log q_n and xi_n are kept; beta_n and
+    r_n are replayed when read (_replay).
     """
     quots = data.quots
-    alpha = data.alpha
     n_cap = data.n_cap
     if n_cap < 0:
         raise PrecisionExhausted(
             "certified quotients exhausted at index 0 before reaching "
             "T = %r; pass a Fraction or a longer quotient sequence" % (T,))
     log = math.log
-    Ls, betas, r_prevs, rs, xis = (array("d") for _ in range(5))
-    put_L, put_beta, put_r_prev, put_r, put_xi = (
-        v.append for v in (Ls, betas, r_prevs, rs, xis))
-    L = beta = r_prev = r = 0.0
     xi = data.x0
-    n = 0
-    while True:
+    Ls, xis = [0.0], [xi]
+    put_L, put_xi = Ls.append, xis.append
+    L = beta = 0.0
+    for a in islice(quots, n_cap):
+        # advance the bounded-ratio state from n to n+1
+        s = a + beta
+        beta = 1.0 / s
+        L += log(s)
+        xi = 1.0 / (a + xi)
+        if 2.0 * L - 2.5 > T:
+            break
         put_L(L)
-        put_beta(beta)
-        put_r_prev(r_prev)
-        put_r(r)
         put_xi(xi)
-        if n == n_cap:
-            if data.exhaust_ok:
-                break
-            # a_{n+1} > alpha_{n+1} - 1, so q_{n+1} > q_n (alpha - 1 + beta)
-            # bounds every later entry time below even though the next
-            # quotient itself is not certified.
-            growth = alpha[n + 1] - 1.0 + beta
-            if growth > 1.0 and 2.0 * (L + log(growth)) - 2.1 > T:
-                break
+    alpha = _alpha_head(quots, len(Ls))
+    if len(Ls) > n_cap and not data.exhaust_ok:
+        # a_{n+1} > alpha_{n+1} - 1, so q_{n+1} > q_n (alpha - 1 + beta)
+        # bounds every later entry time below even though the next
+        # quotient itself is not certified.
+        growth = alpha[n_cap + 1] - 1.0 + beta
+        if not (growth > 1.0 and 2.0 * (L + log(growth)) - 2.1 > T):
             raise PrecisionExhausted(
                 "certified quotients exhausted at index %d before reaching "
                 "T = %r; pass a Fraction or a longer quotient sequence"
-                % (n + 1, T))
-        # advance the bounded-ratio state from n to n+1
-        a = quots[n]
-        s = a + beta
-        beta_new = 1.0 / s
-        L += log(s)
-        if n == 0:
-            r = 1.0 / a                    # p_1/q_1 = 1/a_1
-        else:
-            bb = beta * beta_new           # q_{n-1}/q_{n+1}
-            r_prev, r = r, r * (1.0 - bb) + r_prev * bb
-        beta = beta_new
-        xi = 1.0 / (a + xi)
-        n += 1
-        if 2.0 * L - 2.5 > T:
-            break
-    return _Orbit(alpha, Ls, betas, r_prevs, rs, xis)
+                % (n_cap + 1, T))
+    return _Orbit(quots, alpha, Ls, xis, [0.0], [0.0])
+
+
+def _replay(orbit: _Orbit, n: int) -> None:
+    """Materialise beta and r up to state n < len(orbit.L), replaying
+    from the last state materialised by the recursion of _orbit extended
+    to r (p_1/q_1 = 1/a_1, then r_{k+1} = r_k (1 - bb) + r_{k-1} bb with
+    bb = q_{k-1}/q_{k+1}).  r_{n-1} is r[n - 1], and 0 at n = 0."""
+    beta, r = orbit.beta, orbit.r
+    k = len(r) - 1
+    if k >= n:
+        return
+    quots = orbit.quots
+    if not k:
+        b = 1.0 / quots[0]                 # beta_1 = r_1 = 1/a_1
+        beta.append(b)
+        r.append(b)
+        k = 1
+    b, r0, r1 = beta[k], r[k - 1], r[k]
+    put_beta, put_r = beta.append, r.append
+    for a in islice(quots, k, n):
+        b_new = 1.0 / (a + b)
+        bb = b * b_new                     # q_{k-1}/q_{k+1}
+        r0, r1 = r1, r1 * (1.0 - bb) + r0 * bb
+        b = b_new
+        put_beta(b)
+        put_r(r1)
 
 
 def _excursion_at(orbit: _Orbit, n: int
@@ -692,10 +753,14 @@ def _excursion_at(orbit: _Orbit, n: int
     if not H > 1.0:
         return None
     log = math.log
-    r = orbit.r[n]
+    rs = orbit.r
+    if n >= len(rs):
+        _replay(orbit, n)
+    r = rs[n]
+    r_prev = rs[n - 1] if n else 0.0
     ln_q2 = 2.0 * orbit.L[n] + math.log1p(r * r)
     im_w = math.exp(-ln_q2)
-    re_w = -orbit.beta[n] * (1.0 + orbit.r_prev[n] * r) / (1.0 + r * r)
+    re_w = -orbit.beta[n] * (1.0 + r_prev * r) / (1.0 + r * r)
     c_star = 0.5 * (a_next - xi)
     dx = re_w - c_star
     if H > _H_MAX:
@@ -717,10 +782,11 @@ def _excursion_at(orbit: _Orbit, n: int
     return t_enter, min(max(t_peak, t_enter), t_exit), t_exit, log(H)
 
 
-def _excursion_records(data: _DirectionData, T: float) -> List[ExcursionRecord]:
-    orbit = _orbit(data, T)
+def _excursion_records(orbit: _Orbit, T: float) -> List[ExcursionRecord]:
+    size = len(orbit.L)
+    _replay(orbit, size - 1)       # every state, in one replay
     records: List[ExcursionRecord] = []
-    for n in range(len(orbit.L)):
+    for n in range(size):
         ex = _excursion_at(orbit, n)
         if ex is not None and 0.0 < ex[1] <= T:
             records.append(ExcursionRecord(len(records), n, *ex))
@@ -736,7 +802,7 @@ def predicted_excursions(direction: Direction, T: float) -> List[ExcursionRecord
     """
     if not T > 0:
         raise UsageError("T must be > 0, got %r" % (T,))
-    return _excursion_records(_direction_data(direction), T)
+    return _excursion_records(_orbit(_direction_data(direction), T), T)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +953,7 @@ def excursions(x: Union[float, Fraction], T: float,
                                        t_peak, t_exit, peak))
 
     skipped = 0
-    for rec in _excursion_records(data, T):
+    for rec in _excursion_records(_orbit(data, T), T):
         if rec.t_enter >= ts[-1]:
             continue
         # penetration vanishes at the boundary, so only a grid point
@@ -992,20 +1058,37 @@ def loglaw_statistic(direction: Direction, T: float, alpha: float = 0.0) -> floa
     (_score_cap) formed, and are searched when it beats the best score.
     Every skipped excursion scores at most the best score at its skip,
     so the result is the maximum over all excursions, bit for bit
-    whatever the search order.
+    whatever the search order.  Only the states up to the last excursion
+    searched are replayed (_replay).
     """
+    return _loglaw(_loglaw_orbit(direction, T, alpha), T, alpha)
+
+
+def _loglaw_and_excursions(direction: Direction, T: float, alpha: float
+                           ) -> Tuple[float, List[ExcursionRecord]]:
+    """loglaw_statistic(direction, T, alpha) and predicted_excursions(
+    direction, T) from one expansion and one orbit, the records reusing
+    the states the log law replayed."""
+    orbit = _loglaw_orbit(direction, T, alpha)
+    return _loglaw(orbit, T, alpha), _excursion_records(orbit, T)
+
+
+def _loglaw_orbit(direction: Direction, T: float, alpha: float) -> _Orbit:
+    """The orbit a log-law call reads, its arguments checked first."""
     if not T > math.e:
         raise UsageError("T must exceed e, got %r" % (T,))
     if not 0.0 <= alpha < 1.0:
         raise UsageError("alpha must lie in [0, 1), got %r" % (alpha,))
+    return _orbit(_direction_data(direction), T)
 
-    orbit = _orbit(_direction_data(direction), T)
+
+def _loglaw(orbit: _Orbit, T: float, alpha: float) -> float:
     # 2 H_n = alpha_{n+1} + xi_n with xi_n <= 1, so a block whose largest
     # alpha_{n+1} is at most its threshold - 1 holds no survivor
     size = len(orbit.L)
     blocks = []
     for start in range(0, size, _CAP_BLOCK):
-        heads = orbit.alpha[start + 1:min(start + _CAP_BLOCK, size) + 1]
+        heads = orbit.alpha[start + 1:start + _CAP_BLOCK + 1]
         top = max(heads)
         blocks.append((start, top, heads.index(top)))
 

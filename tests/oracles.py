@@ -281,6 +281,37 @@ def cf_expansion(x: Fraction, depth: int):
     return tuple(quots), tuple(p), tuple(q), num == 0
 
 
+def alpha_sweep(quots):
+    """alpha[j] = [a_j; a_{j+1}, ..., a_M] for j = 1..M: one backward
+    pass over the whole list (alpha[0] is unused)."""
+    M = len(quots)
+    alpha = [0.0] * (M + 1)
+    alpha[M] = float(quots[M - 1])
+    for j in range(M - 1, 0, -1):
+        alpha[j] = quots[j - 1] + 1.0 / alpha[j + 1]
+    return alpha
+
+
+def state_columns(quots, size):
+    """(log q_n, q_{n-1}/q_n, p_{n-1}/q_{n-1}, p_n/q_n) for n = 0..size-1
+    (size <= len(quots) + 1): the one-pass state recursion, every column
+    stored as it goes, with p_{-1}/q_{-1} taken as 0."""
+    L = beta = r_prev = r = 0.0
+    cols = [(L, beta, r_prev, r)]
+    for n, a in enumerate(quots[:size - 1]):
+        s = a + beta
+        beta_new = 1.0 / s
+        L += math.log(s)
+        if n == 0:
+            r = 1.0 / a
+        else:
+            bb = beta * beta_new
+            r_prev, r = r, r * (1.0 - bb) + r_prev * bb
+        beta = beta_new
+        cols.append((L, beta, r_prev, r))
+    return cols
+
+
 def excursion_stream(direction, T, peaked=True):
     """(n, t_enter, t_peak, t_exit, log H_n) for every excursion with
     0 < t_peak <= T (with peaked False, for every excursion of the state
@@ -289,7 +320,8 @@ def excursion_stream(direction, T, peaked=True):
     Raises PrecisionExhausted where the package's engine must run out of
     quotients."""
     data = geo._direction_data(direction)
-    quots, alpha, n_cap, x0 = data.quots, data.alpha, data.n_cap, data.x0
+    quots, n_cap, x0 = data.quots, data.n_cap, data.x0
+    alpha = alpha_sweep(quots)
     log, exp, sqrt = math.log, math.exp, math.sqrt
     out = []
     L = beta = r_prev = r = 0.0

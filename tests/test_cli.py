@@ -823,6 +823,31 @@ class TestRows:
                        "--output", str(tmp_path / "e.csv")])
         assert env.rows == []            # no peak past t = e yet
 
+    def test_loglaw_expands_and_runs_the_orbit_once(self, tmp_path,
+                                                    monkeypatch):
+        # the statistic and the rows share one expansion and one orbit,
+        # and print what the two public calls give
+        from limsuplab import geodesics as geo
+        rnd = random.Random(25)
+        den = rnd.getrandbits(600) | 1 << 599
+        x = Fraction(rnd.randrange(1, den), den)
+        calls = []
+        for name in ("_euclid_quotients", "_orbit"):
+            def spy(*args, real=getattr(geo, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(geo, name, spy)
+        env = run_env(["loglaw", "--x", str(x), "--T", "300", "--alpha",
+                       "0.1", "--output", str(tmp_path / "l.csv")])
+        assert calls == ["_euclid_quotients", "_orbit"]
+        monkeypatch.undo()
+        assert env.summary == "log-law statistic %.6f at T=300 (alpha=0.1)" \
+            % geo.loglaw_statistic(x, 300.0, 0.1)
+        assert [r["t_peak"] for r in env.rows] == \
+            [r.t_peak for r in geo.predicted_excursions(x, 300.0)
+             if r.t_peak > math.e]
+        assert len(env.rows) > 20
+
 
 # -- seeded fuzz --------------------------------------------------------------
 

@@ -5,6 +5,7 @@ counts of a brute-force sweep."""
 
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  predicted_excursions,
                                  quotients_value, reduce_to_fundamental,
                                  sample_quotients, apply_word)
-from oracles import (cf_expansion, excursion_mp, excursion_stream,
+from oracles import (alpha_sweep, cf_expansion, excursion_mp,
+                     excursion_stream, state_columns,
                      sampled_excursions, euclid_quotients as oracle_euclid,
                      loglaw_statistic as oracle_loglaw)
 
@@ -910,10 +912,11 @@ def test_alpha_tail_depth_certifies_2e_10(quots):
     # unseen tail [a_{M+1}; ...] lies in (1, inf) and alpha is monotone
     # in it, so the two ends (the list cut here, or one more digit 1)
     # bound the error whatever the unseen digits are
-    data = geo._direction_data(quots)
-    j = data.n_cap + 1
+    j = geo._direction_data(quots).n_cap + 1
     assert j == len(quots) - geo._ALPHA_TAIL
-    assert abs(data.alpha[j] - geo._alpha_sweep(quots + [1])[j]) < 2e-10
+    got = geo._alpha_head(quots, j)[j]
+    assert got == alpha_sweep(quots)[j]
+    assert abs(got - alpha_sweep(quots + [1])[j]) < 2e-10
 
 
 @pytest.mark.parametrize("x,T,step", [
@@ -993,6 +996,136 @@ def test_predicted_matches_sampled_on_dyadics(k, m, T):
 def test_quotient_beyond_float_range_refused_by_index(call, index):
     with pytest.raises(PrecisionExhausted, match=r"\b%s\b" % index):
         call()
+
+
+# float(a) overflows exactly from 2^1024 - 2^970: the largest float is
+# 2^1024 - 2^971 and the tie half an ulp above it rounds to even, 2^1024
+FLOAT_EDGE = 2 ** 1024 - 2 ** 970
+
+
+@pytest.mark.parametrize("quots,message", [
+    # a_2 lies above the largest float but converts to it; a_4 overflows
+    ([1, int(sys.float_info.max) + 1, 1, 10 ** 400, 1],
+     "partial quotient a_4 (1329 bits) is beyond float range"),
+    ([1, FLOAT_EDGE - 1, 1, FLOAT_EDGE, 1] + [1] * 40,
+     "partial quotient a_4 (1024 bits) is beyond float range"),
+    ([1, 10 ** 400, 1], "partial quotient a_2 (1329 bits) is beyond float "
+     "range"),
+    (Fraction(1, FLOAT_EDGE), "partial quotient a_1 (1024 bits) is beyond "
+     "float range"),
+    (Fraction(1e-310), "partial quotient a_1 (1030 bits) is beyond float "
+     "range"),
+])
+def test_first_overflowing_quotient_named(quots, message):
+    for call in (lambda: loglaw_statistic(quots, 10.0),
+                 lambda: predicted_excursions(quots, 10.0)):
+        with pytest.raises(PrecisionExhausted) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_quotient_below_the_float_edge_answered():
+    # both spikes convert to the largest float, so they score alike (a
+    # refusal of every a > int(max float) left the first unanswered);
+    # toward a spike at a_1 the ray rises from t = 0 and scores T / log T
+    assert float(FLOAT_EDGE - 1) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(FLOAT_EDGE)
+    for quots in ([1, int(sys.float_info.max) + 5, 1] + [1] * 40,
+                  [1, FLOAT_EDGE - 1, 1] + [1] * 40):
+        assert loglaw_statistic(quots, 10.0) == 4.04191482336856
+        assert [r.convergent_index for r in
+                predicted_excursions(quots, 800.0)] == [1]
+    for direction in ([FLOAT_EDGE - 1] + [1] * 40,
+                      Fraction(1, FLOAT_EDGE - 1)):
+        assert loglaw_statistic(direction, 10.0) == pytest.approx(
+            10.0 / math.log(10.0), rel=1e-12)
+
+
+# -- the alpha horizon and the replayed state --------------------------------
+
+@st.composite
+def _quotient_lists(draw):
+    kind = draw(st.sampled_from(["ones", "gk", "spiky"]))
+    size = draw(st.integers(1, 400))
+    if kind == "ones":                 # the slowest bracket to close
+        return [1] * size
+    quots = draw(st.lists(st.integers(1, 60), min_size=size,
+                          max_size=size))
+    if kind == "spiky":
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=4)):
+            quots[i] = draw(st.sampled_from(
+                [10 ** 6, 2 ** 53, 2 ** 53 + 1, 10 ** 40, 10 ** 300]))
+    return quots
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(quots=_quotient_lists(), data=st.data(),
+       margin=st.sampled_from([64, 64, 1, 2, 3, 5]))
+@example(quots=[1] * 300, data=None, margin=64)
+@example(quots=[1] * 300, data=None, margin=1)    # widens 1, 4, 16, 64
+@example(quots=[1] * 100, data=None, margin=2)    # widens to the whole list
+def test_alpha_head_equals_full_sweep(quots, data, margin):
+    # the certified horizon sweep against one backward pass over the whole
+    # list, at every index up to m; m within 64 of M takes the whole sweep
+    # at once, and a margin below the ~38 steps an all-ones bracket needs
+    # to close forces the widening
+    M = len(quots)
+    if data is None:
+        ms = [1, M // 3, M - 65, M - 64, M - 63, M]
+    else:
+        ms = [data.draw(st.one_of(st.integers(1, M),
+                                  st.integers(max(1, M - 70), M)))]
+    want = alpha_sweep(quots)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "_ALPHA_MARGIN", margin)
+        for m in ms:
+            assert geo._alpha_head(quots, m) == want[:m + 1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(quots=_quotient_lists(), reads=st.lists(st.integers(0, 10 ** 6),
+                                               min_size=1, max_size=8))
+@example(quots=[3, 1, 4, 1, 5, 9, 2, 6] * 10, reads=[5, 2, 40, 0, 41, 1, 79])
+@example(quots=[1] * 50, reads=[1, 0, 49])
+@example(quots=[7], reads=[0])
+def test_state_replay_matches_one_pass_columns(quots, reads):
+    # (beta_n, r_{n-1}, r_n) replayed on demand, read out of order and past
+    # the first state replayed, against the columns the one-pass recursion
+    # stores; reading the last state leaves every state materialised
+    quots = quots + [2]                 # so Euclid gives the list back
+    orbit = geo._orbit(geo._direction_data(quotients_value(quots)), math.inf)
+    size = len(orbit.L)
+    assert size == len(quots)
+    cols = state_columns(quots, size)
+    for n in [k % size for k in reads] + [size - 1]:
+        geo._replay(orbit, n)
+        r = orbit.r
+        assert (orbit.beta[n], r[n - 1] if n else 0.0, r[n]) == cols[n][1:]
+        assert len(r) == len(orbit.beta) > n
+    assert len(orbit.r) == size
+    assert orbit.L == [c[0] for c in cols]
+    assert orbit.beta == [c[1] for c in cols]
+    assert orbit.r == [c[3] for c in cols]
+
+
+@pytest.mark.parametrize("size", [255, 256, 257, 511, 512, 513])
+@pytest.mark.parametrize("quots", [[1] * 1400, sample_quotients(11, 0, 700),
+                                   [1, 2] * 280 + [10 ** 9] + [1] * 400])
+def test_orbit_lengths_around_ranking_blocks(size, quots):
+    # a horizon between the closing tests of states size - 1 and size
+    # keeps exactly size states: the ranking's last block holds 255, 256
+    # or 1 state, and the alpha horizon ends at size (past 511 states the
+    # spike a_561 lies inside its 64-quotient margin)
+    L = [c[0] for c in state_columns(quots, size + 1)]
+    T = (L[size - 1] + L[size]) - 2.5
+    orbit = geo._orbit(geo._direction_data(quots), T)
+    assert len(orbit.L) == size and len(orbit.alpha) == size + 1
+    assert _records(predicted_excursions(quots, T)) == \
+        excursion_stream(quots, T)
+    for alpha in (0.0, 0.3):
+        assert loglaw_statistic(quots, T, alpha) == \
+            oracle_loglaw(quots, T, alpha)
 
 
 def _assert_close(got, want, tol=1e-12):
