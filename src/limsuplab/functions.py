@@ -67,10 +67,13 @@ _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 
 
 def exact(x: RationalLike, name: str) -> Fraction:
-    """Coerce to an exact Fraction; floats are refused on purpose."""
+    """Coerce to an exact Fraction; floats are refused, text is read by
+    `read_exact` under its exponent and bit caps."""
     if isinstance(x, float):
         raise UsageError("%s must be exact (int, Fraction, or string like "
                          "'2/3'); got float %r" % (name, x))
+    if isinstance(x, str):
+        return read_exact(x, name)
     return Fraction(x)
 
 

@@ -78,8 +78,8 @@ Transcendentals come from libm through ``math``, never from numpy: on
 common hosts numpy's SIMD exp, log1p, arccosh and log differ from libm
 in the last bit on a share of inputs, which would move the repr floats
 in artifacts.  numpy does only correctly rounded operations (+ - * /,
-floor), for the column-wise sampling grid of `excursions` and for
-`sample_quotients`; the exact engine and the log law never import it.
+floor) for the sampling grid of `excursions`; `sample_quotients` also
+calls np.exp2.  The exact engine and the log law never import it.
 
 The log law evaluates only excursions that can win.  On excursion n
 the score (pen - alpha t)/log t is at most g(t) = (log H_n - alpha t) /
@@ -396,19 +396,16 @@ def cf_expand(x: Fraction, depth: int) -> CFExpansion:
     return CFExpansion(x, tuple(quots), done)
 
 
-def _check_quotients(quots: Sequence[int]) -> List[int]:
-    """The quotients as ints, each equal to its entry and >= 1.  The
-    common case is checked by whole-list operations; anything else takes
-    the loop, which names the first bad entry."""
-    seq = list(quots)
-    try:
-        out = list(map(int, seq))
-    except (TypeError, ValueError, OverflowError):
-        out = []
-    if out and out == seq and min(out) >= 1:
-        return out
+def _check_quotients(quots: Sequence[int]) -> Sequence[int]:
+    """The quotients as ints >= 1: a list or tuple of ints >= 1 as it is,
+    after one scan of the entry types and one min; anything else by the
+    loop, which converts each entry (True, a numpy int, Fraction(3)) and
+    names the first bad one."""
+    if (isinstance(quots, (list, tuple)) and set(map(type, quots)) == {int}
+            and min(quots) >= 1):
+        return quots
     out = []
-    for a in seq:
+    for a in quots:
         try:
             ai = int(a)
         except (TypeError, ValueError, OverflowError):  # NaN, inf, None
@@ -590,7 +587,7 @@ def _acosh_one_plus(ln_x: float) -> float:
     return math.acosh(1.0 + math.exp(ln_x))
 
 
-def _alpha_head(quots: List[int], m: int) -> List[float]:
+def _alpha_head(quots: Sequence[int], m: int) -> List[float]:
     """alpha[j] = [a_j; a_{j+1}, ..., a_M] for j = 1..m <= M (alpha[0] is
     unused), each the float of the full backward sweep from alpha_M =
     a_M, bit for bit.
@@ -630,7 +627,7 @@ def _alpha_head(quots: List[int], m: int) -> List[float]:
 
 @dataclass(frozen=True)
 class _DirectionData:
-    quots: List[int]      # partial quotients a_1..a_M, each below _FLOAT_LIMIT
+    quots: Sequence[int]  # partial quotients a_1..a_M, each below _FLOAT_LIMIT
     x0: float             # float value of the direction
     n_cap: int            # last convergent index with certified data
     exhaust_ok: bool      # running out of quotients is a clean stop
@@ -645,7 +642,9 @@ def _direction_data(direction: Direction) -> _DirectionData:
         data = _DirectionData(quots, float(x), len(quots) - 1, True)
     else:
         quots = _check_quotients(direction)
-        data = _DirectionData(quots, float(quotients_value(quots[:64])),
+        # p_64/q_64 is in lowest terms: int / int rounds as float(Fraction)
+        p, q = _convergent_arrays(quots[:64])
+        data = _DirectionData(quots, p[-1] / q[-1],
                               len(quots) - 1 - _ALPHA_TAIL, False)
     if max(quots) >= _FLOAT_LIMIT:
         j = next(j for j, a in enumerate(quots, 1) if a >= _FLOAT_LIMIT)
@@ -660,7 +659,7 @@ class _Orbit:
     """The bounded-ratio state at n = 0..len(L)-1: every convergent whose
     excursion can peak by the horizon.  beta and r hold states 0..k for
     the last state k materialised (_replay)."""
-    quots: List[int]
+    quots: Sequence[int]
     alpha: List[float]    # alpha[j] = [a_j; a_{j+1}, ...], j <= len(L)
     L: List[float]        # log q_n
     xi: List[float]
@@ -924,7 +923,9 @@ def excursions(x: Union[float, Fraction], T: float,
         up = np.flatnonzero(im > 1.0)
         pens[start + up] = [math.log(v) for v in im[up].tolist()]
 
+    # (q_n, p_n) -> n; convergents are distinct and in lowest terms
     conv_p, conv_q = _convergent_arrays(data.quots)
+    conv_index = {qp: n for n, qp in enumerate(zip(conv_q, conv_p))}
     # maximal runs j0..j1 of positive samples
     flips = np.flatnonzero(np.diff(pens > 0.0, prepend=False, append=False))
     records: List[ExcursionRecord] = []
@@ -943,12 +944,7 @@ def excursions(x: Union[float, Fraction], T: float,
         t_peak = min(max(t_peak, t_enter), t_exit)
         _, word = reduce_to_fundamental(geodesic_point(xf, t_peak).z)
         c, d = word[1]
-        match: Optional[int] = None
-        qc, pc = abs(c), abs(d)
-        for n_idx, (pn, qn) in enumerate(zip(conv_p, conv_q)):
-            if qn == qc and pn == pc:
-                match = n_idx
-                break
+        match = conv_index.get((abs(c), abs(d)))
         records.append(ExcursionRecord(len(records), match, t_enter,
                                        t_peak, t_exit, peak))
 

@@ -318,9 +318,17 @@ def excursion_stream(direction, T, peaked=True):
     run, which covers all that enter by T): the one-pass scalar stream,
     advancing the state and evaluating every excursion as it goes.
     Raises PrecisionExhausted where the package's engine must run out of
-    quotients."""
-    data = geo._direction_data(direction)
-    quots, n_cap, x0 = data.quots, data.n_cap, data.x0
+    quotients: a Fraction is expanded to its end, and a quotient list is
+    certified up to 25 entries before its end, starting from the float
+    of its 64-quotient prefix."""
+    exhaust_ok = isinstance(direction, Fraction)
+    if exhaust_ok:
+        quots = euclid_quotients(direction, math.inf)[0]
+        x0, n_cap = float(direction), len(quots) - 1
+    else:
+        quots = list(direction)
+        x0 = float(geo.quotients_value(quots[:64]))
+        n_cap = len(quots) - 26
     alpha = alpha_sweep(quots)
     log, exp, sqrt = math.log, math.exp, math.sqrt
     out = []
@@ -353,7 +361,7 @@ def excursion_stream(direction, T, peaked=True):
                 out.append((n, t_enter, min(max(t_peak, t_enter), t_exit),
                             t_exit, log(H)))
         if n == n_cap:
-            if data.exhaust_ok:
+            if exhaust_ok:
                 return out
             growth = alpha[n + 1] - 1.0 + beta
             if growth > 1.0 and 2.0 * (L + log(growth)) - 2.1 > T:
@@ -442,7 +450,7 @@ def sampled_excursions(x: float, T: float, step: float):
     the sampled geodesic toward x on [0, T]: every grid time reduced on
     its own, positive runs found by walking the samples."""
     conv_p, conv_q = geo._convergent_arrays(
-        geo._direction_data(Fraction(x)).quots)
+        euclid_quotients(Fraction(x), math.inf)[0])
 
     def pen_at(t):
         im = geo.reduce_to_fundamental(geo.geodesic_point(x, t).z)[0].imag

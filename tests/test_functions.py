@@ -526,6 +526,16 @@ class TestBoundedReader:
             with pytest.raises(UsageError, match="exponent beyond 999"):
                 F.read_exact(text, "x")
 
+    def test_library_text_goes_through_the_reader(self):
+        # exact() reads text with read_exact: a huge exponent is refused
+        # before 10^exponent is formed, and garbage is a usage error
+        assert F.exact("3/4", "x") == Fraction(3, 4)
+        with pytest.raises(UsageError, match="x: cannot read '1e10000000' "
+                                             r"\(decimal exponent beyond 999\)"):
+            F.exact("1e10000000", "x")
+        with pytest.raises(UsageError, match="x: cannot read 'abc'"):
+            F.exact("abc", "x")
+
     def test_print_bound_edge(self):
         top = 2 ** F.MAX_PRINT_BITS - 1
         assert F.read_exact(str(top), "x") == top

@@ -141,12 +141,15 @@ BAD_ENTRY = "partial quotients must be integers >= 1, got %r"
 ])
 def test_bad_quotient_entry_is_a_usage_error(quots, message):
     # int() of NaN, inf and None raises ValueError, OverflowError and
-    # TypeError: each ends as the usage error naming the entry
+    # TypeError: each ends as the usage error naming the entry.  At the
+    # end of a 48,000-entry list, far past any horizon, it is refused too.
+    long = [2] * 47_999 + quots[-1:] if quots else []
     for call in (quotients_value, lambda q: loglaw_statistic(q, 10.0),
                  lambda q: predicted_excursions(q, 10.0)):
-        with pytest.raises(UsageError) as err:
-            call(quots)
-        assert str(err.value) == message
+        for q in (quots, long):
+            with pytest.raises(UsageError) as err:
+                call(q)
+            assert str(err.value) == message
 
 
 @pytest.mark.parametrize("entry", [True, np.int64(3), Fraction(3, 1),
@@ -154,9 +157,29 @@ def test_bad_quotient_entry_is_a_usage_error(quots, message):
                          ids=["True", "int64", "Fraction", "10^400"])
 def test_integral_quotient_entry_is_accepted(entry):
     out = geo._check_quotients((2, entry))
-    assert out == [2, int(entry)]
+    assert list(out) == [2, int(entry)]
     assert all(type(a) is int for a in out)
     assert quotients_value([2, entry]) == 1 / (2 + Fraction(1, int(entry)))
+
+
+@pytest.mark.parametrize("quots", [[1, 2, 10 ** 300], (3,) * 48_000],
+                         ids=["list", "tuple"])
+def test_int_quotients_are_read_in_place(quots):
+    # a list or tuple of ints >= 1 is checked, not copied
+    assert geo._check_quotients(quots) is quots
+    assert geo._direction_data(quots).quots is quots
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.integers(1, 5), st.integers(1, 10 ** 300)),
+                min_size=1, max_size=80))
+@example([1] * 80)
+@example([10 ** 300] * 64)
+def test_start_float_is_the_rounded_64th_convergent(quots):
+    # the intake divides p_64 by q_64 as ints; the exact value of the
+    # 64-quotient prefix rounds to the same float
+    assert geo._direction_data(quots).x0 == \
+        float(quotients_value(quots[:64]))
 
 
 def test_cf_expand_builds_no_convergents(monkeypatch):
