@@ -29,6 +29,7 @@ of the polynomial-logarithmic part.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from dataclasses import dataclass, replace
@@ -67,13 +68,14 @@ _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 
 
 def exact(x: RationalLike, name: str) -> Fraction:
-    """Coerce to an exact Fraction; floats are refused, text is read by
-    `read_exact` under its exponent and bit caps."""
+    """Coerce to an exact Fraction; floats are refused, text and a
+    decimal.Decimal (by its text) are read by `read_exact` under its
+    exponent and bit caps."""
     if isinstance(x, float):
         raise UsageError("%s must be exact (int, Fraction, or string like "
                          "'2/3'); got float %r" % (name, x))
-    if isinstance(x, str):
-        return read_exact(x, name)
+    if isinstance(x, (str, decimal.Decimal)):
+        return read_exact(str(x), name)
     return Fraction(x)
 
 

@@ -8,33 +8,59 @@ tractable at scale:
 
   * consecutive Farey fractions a/b < a'/b' satisfy a'b - ab' = 1, so
     the gap between neighbouring centres is exactly 1/(bb');
-  * a gap survives (the two balls stay apart) iff 1/(bb') > 2r, an
-    integer comparison once r = rn/rd is cleared of denominators;
-  * maximal runs of merged gaps become single blocks
+  * a gap stays open (the two balls stay apart) iff 1/(bb') > 2r, i.e.
+    bb' < theta = ceil(rd / (2 rn)) once r = rn/rd is cleared of
+    denominators; bb' <= Q^2, so a theta past Q^2 + 1 is clamped to it
+    before any int64 use (a radius of 10^-30 gives theta = 5 10^29);
+  * maximal runs of joined gaps become single blocks
     [c_first - r, c_last + r], pairwise separated by more than 2r.
 
-The engine stores the sorted packed int64 keys of F_Q alone
-(farey.farey_keys, 8 bytes per point): each centre's denominator is its
-key's low bitlen(Q) bits and its numerator is decoded off the key
-(farey.unpack_keys) where a query reads it.  Next to them it keeps the
-(first, last) point indices of the merged blocks only, found by one
-blocked pass over the keys: every other point is a block of its own, so
-a stage without merging, such as the Ford stage at rho = r^-1, stores
-no block at all, and the block count is N minus the number of merged
-gaps.
+The engine stores a stage as its blocks: the sorted packed int64 key
+(farey.packed_keys) of each block's first point, and, for the merged
+blocks alone (two points or more), their block index and the key of
+their last point.  A centre's denominator is its key's low bitlen(Q)
+bits and its numerator is decoded off the key (farey.unpack_keys) where
+a query reads it.  The blocks come from one of two builders, picked
+before any per-point array is allocated from the size of the lattice
+region below against |F_Q| (_lattice_is_cheaper: the list is taken up
+to one point of the half b <= b' per 8 Farey points; the two measured
+even at 0.12-0.17):
 
-A measure query against [lo, hi] finds l, the first ball reaching lo,
-and r_, the last reaching hi, by one search of the keys (_rank).  Only
-ball l reaches below lo and only ball r_ above hi, so with the gaps
-g_i = c_{i+1} - c_i
+  * the open gaps, listed directly (_lattice_blocks).  The neighbour
+    pairs a/b < a'/b' of F_Q are in bijection with the coprime (b, b')
+    with b, b' <= Q < b + b' (Hardy & Wright, ch. III): for such a pair
+    a is the one residue in [0, b) with a b' = -1 (mod b), and
+    a' = (1 + ab')/b <= b', so both points lie in [0, 1]; a'b - ab' = 1
+    and b + b' > Q leave no fraction of denominator <= Q between them.
+    So the open gaps are the coprime points of the lattice region
+    {b, b' <= Q < b + b', bb' < theta}, each met once: the half
+    b <= b' is enumerated in numpy a few rows b at a time, with a from
+    a vectorised extended Euclid, and the mirror x -> 1 - x of each gap
+    is the gap of (b', b).  Every emitted pair is checked exactly
+    (a'b - ab' = 1, b + b' > Q, bb' < theta, both points in F_Q).
+    Sorted once, the keys of 0/1, of both ends of every open gap and
+    of 1/1 run block start, block end, next start, ..., and that list
+    is checked to be strictly increasing from block to block with
+    start <= end in each;
+  * F_Q's keys (farey.farey_keys, certified there), compacted in place
+    to the block starts a block of keys at a time (_farey_blocks).  A
+    stage with no joined gap, such as a Ford stage at rho = r^-1,
+    keeps F_Q's keys as they are and has no merged block.
 
-  m(union ∩ [lo, hi]) = min(c_r_ + r, hi) - max(c_l - r, lo)
-                        - (c_r_ - c_l) + sum_{l <= i < r_} min(g_i, 2r),
+A measure query against [lo, hi] finds L, the first block reaching lo,
+and R, the last reaching hi, by one search of the start keys per end
+(_rank); on a stage with merged blocks the block before L's candidate
+is merged, and may reach lo, only if its end key says so.  Blocks L..R
+are disjoint and every gap between them lies inside [lo, hi], so with
+s_i, e_i the first and last centres of block i
 
-where min(g_i, 2r) is g_i on a joined gap and 2r on any other: only the
-merged blocks meeting [l, r_], clipped to it, enter, by their spans
-c_e - c_s.  Summing spans over millions of merged blocks stays exact and
-fast by bucketing numerators per denominator:
+  m(union ∩ [lo, hi]) = min(e_R + r, hi) - max(s_L - r, lo)
+                        - (e_R - s_L) + sum_{L <= i <= R} (e_i - s_i)
+                        + 2r (R - L):
+
+each of the R - L open gaps adds 2r and only the merged blocks in
+[L, R] add a span e_i - s_i.  Summing spans over many merged blocks
+stays exact and fast by bucketing numerators per denominator:
 sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b with integer coefficients,
 evaluated over the single common denominator lcm(1..Q).
 
@@ -57,17 +83,19 @@ from typing import Optional, Sequence
 
 from limsuplab import functions as fn
 from limsuplab import systems as sy
-from limsuplab.errors import ResourceCapError, UsageError, size_text
+from limsuplab.errors import (InternalInvariantError, ResourceCapError,
+                              UsageError, size_text)
 
-# F_8192 has 2.04e7 points; building its engine measured 0.7-0.8 s and
-# 189-207 MB peak RSS, without merged gaps (radius 10^-9) or with
-# (10^-6), on 2 vCPUs; the peak is the keys (8 bytes per point) next to
-# the mask of the left half, or next to the joined-gap flags (1 byte per
-# point) on a stage with merged gaps
+# F_8192 has 2.04e7 points; building its engine from F_Q measured
+# 0.81-0.84 s and 188 MB peak RSS with no joined gap (radius 10^-9), and
+# 1.06-1.15 s and 234 MB with 1.46e6 gaps joined (10^-8), on 2 vCPUs; the
+# peak is the keys (8 bytes per point) next to the mask of the left half
+# or the merged blocks' edges.  A stage with few open gaps builds from
+# them alone: 10^-6 (2,325 blocks) measured 0.14-0.16 s and 29 MB
 MAX_UNIFORM_Q = 8192
 # every ball is one exact query per stage: 1000 balls at the README
-# stages 3..5 of 6 r^-2 with k = 6 measured 6.7-6.8 s and 198 MB on 2
-# vCPUs
+# stages 3..5 of 6 r^-2 with k = 6 measured 3.7-4.2 s and 56 MB on 2
+# vCPUs, 3.8 s of a 5.4 s profile in the span sums
 MAX_BALLS = 1_000
 
 
@@ -90,34 +118,14 @@ class UniformStageEngine:
         self.empty = q_max < 1 or self.radius <= 0
         if self.empty:
             return
-        import numpy as np
         from limsuplab import farey
-        self._keys = keys = farey.farey_keys(q_max)
         self._unpack = farey.unpack_keys  # the queries' key decoder
         self._db = q_max.bit_length()
-        mask = (1 << self._db) - 1  # key & mask is the denominator
-        # gap i (between points i and i + 1) is joined iff
-        # 1/(bb') <= 2r  <=>  bb' >= ceil(rd / (2 rn)); no product of two
-        # denominators reaches q_max^2
         rn, rd = self.radius.numerator, self.radius.denominator
-        threshold = -((-rd) // (2 * rn))
-        none = np.zeros(0, dtype=np.intp)
-        starts, ends = [none], [none]
-        if threshold <= q_max * q_max:
-            # joined[i + 1] for gap i, False at both ends; +1 in its
-            # differences at the first point of a run of joined gaps, -1
-            # at its last point: the merged block of two or more points
-            joined = np.zeros(len(keys) + 1, dtype=bool)
-            block = farey.BLOCK
-            for at in range(0, len(keys), block):
-                den = keys[at:at + block + 1] & mask
-                np.greater_equal(den[:-1] * den[1:], threshold,
-                                 out=joined[at + 1:at + len(den)])
-                edge = np.diff(joined[at:at + block + 1].view(np.int8))
-                starts.append(np.flatnonzero(edge == 1) + at)
-                ends.append(np.flatnonzero(edge == -1) + at)
-        self._mstarts = np.concatenate(starts)
-        self._mends = np.concatenate(ends)
+        theta = min(-((-rd) // (2 * rn)), q_max * q_max + 1)
+        build = (_lattice_blocks if _lattice_is_cheaper(q_max, theta)
+                 else _farey_blocks)
+        self._starts, self._merged, self._ends = build(q_max, theta)
 
     @functools.cached_property
     def _lcm_table(self) -> tuple[int, list[int]]:
@@ -128,19 +136,17 @@ class UniformStageEngine:
 
     @property
     def block_count(self) -> int:
-        if self.empty:
-            return 0
-        return len(self._keys) - int((self._mends - self._mstarts).sum())
+        return 0 if self.empty else len(self._starts)
 
     def _rank(self, xn: int, xd: int, inside: int) -> int:
-        """Number of centres a/b with a xd - xn b < inside (xd > 0): below
-        xn/xd for inside 0, at most it for 1.  A centre whose key floor
-        floor(a 2^(2 db) / b) is below f, the query's, lies below it, and
-        one whose floor is above f lies above it; only the next can share
-        f (centres differ by > 2^(-2 db)), and only then is it decoded.
-        f, clamped to [-1, 2^(2 db)] with no division outside [0, 1],
-        fits int64."""
-        db, keys = self._db, self._keys
+        """Number of block starts a/b with a xd - xn b < inside (xd > 0):
+        below xn/xd for inside 0, at most it for 1.  A start whose key
+        floor floor(a 2^(2 db) / b) is below f, the query's, lies below
+        it, and one whose floor is above f lies above it; only the next
+        can share f (Farey points differ by > 2^(-2 db)), and only then
+        is it decoded.  f, clamped to [-1, 2^(2 db)] with no division
+        outside [0, 1], fits int64."""
+        db, keys = self._db, self._starts
         f = -1 if xn < 0 else (xn << 2 * db) // xd if xn <= xd else 1 << 2 * db
         i = int(keys.searchsorted(f << db))
         if i < len(keys) and keys.item(i) >> db == f:
@@ -150,12 +156,12 @@ class UniformStageEngine:
         return i
 
     def _span_sum(self, s: np.ndarray, e: np.ndarray) -> int:
-        """sum of c_e - c_s over the index pairs (s, e), as an exact
+        """sum of c_e - c_s over the key pairs (s, e), as an exact
         numerator over lcm(1..q_max), via per-denominator bucketing."""
         import numpy as np
         size = self.q_max + 1
-        ae, be = self._unpack(self._keys[e], self.q_max)
-        as_, bs = self._unpack(self._keys[s], self.q_max)
+        ae, be = self._unpack(e, self.q_max)
+        as_, bs = self._unpack(s, self.q_max)
         # numerator sums fit float64 exactly: <= n_points * q_max << 2^53
         plus = np.bincount(be, weights=ae, minlength=size).astype(np.int64)
         minus = np.bincount(bs, weights=as_, minlength=size).astype(np.int64)
@@ -171,41 +177,192 @@ class UniformStageEngine:
         rn, rd = self.radius.numerator, self.radius.denominator
         ln, ld = lo.numerator, lo.denominator
         hn, hd = hi.numerator, hi.denominator
-        l = self._rank(ln * rd - rn * ld, ld * rd, 0)
-        r_ = self._rank(hn * rd + rn * hd, hd * rd, 1) - 1
-        if l > r_:
+        # L: the blocks starting below lo - r; R: those starting at or
+        # below hi + r, less one
+        reach = (ln * rd - rn * ld, ld * rd)
+        L = self._rank(*reach, 0)
+        R = self._rank(hn * rd + rn * hd, hd * rd, 1) - 1
+        # merged[m_lo:m_hi] are the merged blocks in [L, R]: none on a
+        # Ford stage, where the block work is skipped
+        merged, q = self._merged, self.q_max
+        m_lo = m_hi = 0
+        if len(merged):
+            m_lo = int(merged.searchsorted(L - 1))
+            if m_lo < len(merged) and merged.item(m_lo) == L - 1:
+                # block L - 1 reaches lo iff its last centre does
+                a, b = self._unpack(self._ends.item(m_lo), q)
+                if a * reach[1] >= reach[0] * b:
+                    L -= 1
+                else:
+                    m_lo += 1
+            m_hi = int(merged.searchsorted(R, side="right"))
+        if L > R:
             return Fraction(0)
-        # c_l = al/bl and c_r_ = ar/br
-        al, bl = self._unpack(self._keys.item(l), self.q_max)
-        ar, br = self._unpack(self._keys.item(r_), self.q_max)
-        # max(c_l - r, lo) and min(c_r_ + r, hi) as (num, den) pairs
+        # s_L = al/bl and e_R = ar/br
+        al, bl = self._unpack(self._starts.item(L), q)
+        last = (self._ends.item(m_hi - 1)
+                if m_lo < m_hi and merged.item(m_hi - 1) == R
+                else self._starts.item(R))
+        ar, br = self._unpack(last, q)
+        # max(s_L - r, lo) and min(e_R + r, hi) as (num, den) pairs
         start = (al * rd - rn * bl, bl * rd)
         if start[0] * ld < ln * start[1]:
             start = (ln, ld)
         end = (ar * rd + rn * br, br * rd)
         if end[0] * hd > hn * end[1]:
             end = (hn, hd)
-        # the merged blocks sharing a gap with [l, r_]: none on a Ford stage
-        m_lo = int(self._mends.searchsorted(l, side="right"))
-        m_hi = int(self._mstarts.searchsorted(r_))
-        joined = span = 0
+        span = 0
         if m_lo < m_hi:
-            import numpy as np
-            s = np.maximum(self._mstarts[m_lo:m_hi], l)
-            e = np.minimum(self._mends[m_lo:m_hi], r_)
-            joined = int((e - s).sum())
-            span = self._span_sum(s, e)
-        # end - start, less c_r_ - c_l, plus 2r per unjoined gap
+            span = self._span_sum(self._starts[merged[m_lo:m_hi]],
+                                  self._ends[m_lo:m_hi])
+        # end - start, less e_R - s_L, plus 2r per open gap
         num = end[0] * start[1] - start[0] * end[1]
         den = end[1] * start[1]
         gap_d = bl * br * rd
-        gap_n = ((al * br - ar * bl) * rd
-                 + 2 * (r_ - l - joined) * rn * bl * br)
+        gap_n = (al * br - ar * bl) * rd + 2 * (R - L) * rn * bl * br
         num, den = num * gap_d + gap_n * den, den * gap_d
         if span:
             lcm = self._lcm_table[0]
             num, den = num * lcm + span * den, den * lcm
         return Fraction(num, den)
+
+
+def _open_gap_rows(q_max: int, theta: int):
+    """Row b = 1..q_max of the half b <= b' of the lattice region
+    {b, b' <= q_max < b + b', bb' < theta}, which is symmetric in b and
+    b': (b, its first b', its count), as int64 arrays."""
+    import numpy as np
+    b = np.arange(1, q_max + 1, dtype=np.int64)
+    first = np.maximum(q_max + 1 - b, b)
+    count = np.minimum((theta - 1) // b, q_max) - first + 1
+    return b, first, np.maximum(count, 0, out=count)
+
+
+def _lattice_is_cheaper(q_max: int, theta: int) -> bool:
+    """Pick the builder from the size of the lattice half-region against
+    |F_Q|.  Listing the open gaps measured 245-333 ns per point of the
+    half-region and building F_Q's blocks 30-47 ns per Farey point (2
+    vCPUs; Q = 1000, 3125 and 7776, theta from Q^2 / 10 to 3 Q^2 / 10):
+    at 0.087 half-region points per Farey point the list took 0.50-0.73
+    of F_Q's time, at 0.27 1.6-2.2 times it, so the two cross at
+    0.12-0.17, and the list is taken up to 1 in 8."""
+    from limsuplab import farey
+    candidates = int(_open_gap_rows(q_max, theta)[2].sum())
+    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    return 8 * candidates <= points
+
+
+def _minus_inverse(b, b2):
+    """a in [0, b) with a b2 = -1 (mod b), for coprime int64 arrays b, b2
+    >= 1: the extended Euclid of (b, b2 mod b), run over every pair at
+    once, keeps t_i b2 = r_i (mod b) and ends at r = 1 with t = b2^-1."""
+    import numpy as np
+    out = np.empty_like(b)
+    at = np.arange(len(b))
+    r0, r1 = b, b2 % b
+    t0, t1 = np.zeros_like(b), np.ones_like(b)
+    while len(at):
+        done = r1 == 0
+        out[at[done]] = t0[done]
+        live = ~done
+        at, r0, r1, t0, t1 = at[live], r0[live], r1[live], t0[live], t1[live]
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return np.negative(out, out=out) % b
+
+
+def _lattice_blocks(q_max: int, theta: int):
+    """(starts, merged, ends) from the open gaps alone: the coprime
+    points of the lattice region, a few rows at a time, checked and
+    sorted as the module docstring argues."""
+    import numpy as np
+    from limsuplab import farey
+    b, first, count = _open_gap_rows(q_max, theta)
+    rows = np.flatnonzero(count)
+    before = np.concatenate(([0], np.cumsum(count[rows])))
+    keys = [np.array([farey.packed_keys(0, 1, q_max),
+                      farey.packed_keys(1, 1, q_max)], dtype=np.int64)]
+    lo = 0
+    while lo < len(rows):
+        # rows lo..hi - 1 hold at most farey.BLOCK lattice points, or one
+        # row of at most q_max
+        hi = max(int(before.searchsorted(before[lo] + farey.BLOCK,
+                                         side="right")) - 1, lo + 1)
+        row = rows[lo:hi]
+        den = np.repeat(b[row], count[row])
+        den2 = np.arange(before[lo], before[hi])
+        den2 += np.repeat(first[row] - before[lo:hi], count[row])
+        coprime = np.gcd(den, den2) == 1
+        den, den2 = den[coprime], den2[coprime]
+        num = _minus_inverse(den, den2)
+        num2 = (1 + num * den2) // den
+        # the mirror x -> 1 - x of the gap a/b < a'/b' is the gap
+        # (b' - a')/b' < (b - a)/b, whose denominators swap
+        flip = den < den2
+        num, num2 = (np.concatenate((num, den2[flip] - num2[flip])),
+                     np.concatenate((num2, den[flip] - num[flip])))
+        den, den2 = (np.concatenate((den, den2[flip])),
+                     np.concatenate((den2, den[flip])))
+        if not np.all((num2 * den - num * den2 == 1) & (den + den2 > q_max)
+                      & (den * den2 < theta) & (num >= 0) & (num2 <= den2)
+                      & (den <= q_max) & (den2 <= q_max)):
+            raise InternalInvariantError(
+                "uniform stage: a listed pair is no open Farey gap")
+        keys += [farey.packed_keys(num, den, q_max),
+                 farey.packed_keys(num2, den2, q_max)]
+        lo = hi
+    keys = np.concatenate(keys)
+    keys.sort()
+    starts, ends = keys[0::2], keys[1::2]
+    if not (np.all(starts <= ends) and np.all(ends[:-1] < starts[1:])):
+        raise InternalInvariantError(
+            "uniform stage: the open gaps do not order into blocks")
+    merged = np.flatnonzero(starts != ends)
+    return np.ascontiguousarray(starts), merged, ends[merged]
+
+
+def _farey_blocks(q_max: int, theta: int):
+    """(starts, merged, ends) from F_Q's keys, compacted in place to the
+    block starts a block of keys at a time; with no joined gap (theta >
+    q_max^2) the keys are the starts."""
+    import numpy as np
+    from limsuplab import farey
+    keys = farey.farey_keys(q_max)
+    edges, ends = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
+    if theta > q_max * q_max:
+        return keys, edges[0], ends[0]
+    mask = (1 << q_max.bit_length()) - 1  # key & mask is the denominator
+    n, carry = 0, False
+    for at in range(0, len(keys), farey.BLOCK):
+        # joined[i]: the gap before point at + i is joined (none is before
+        # 0/1 or after 1/1); a block starts where it is not
+        den = keys[at:at + farey.BLOCK + 1] & mask
+        points = min(farey.BLOCK, len(keys) - at)
+        joined = np.zeros(points + 1, dtype=bool)
+        joined[0] = carry
+        np.greater_equal(den[:-1] * den[1:], theta, out=joined[1:len(den)])
+        carry = joined[points]
+        # the first and last points of merged blocks, in turn
+        edge = np.flatnonzero(joined[:-1] != joined[1:])
+        edges.append(edge + at)
+        chunk = keys[at:at + points]
+        ends.append(chunk[edge[joined[edge]]])
+        # a block's start sits at or after its slot, so it is read before
+        # it could be overwritten
+        starts = chunk[~joined[:-1]]
+        keys[n:n + len(starts)] = starts
+        n += len(starts)
+    # the keys array is this function's own, and no view of it is left
+    del chunk
+    keys.resize(n, refcheck=False)
+    # a merged block's index is its first point's, less the points of the
+    # merged blocks before it that are no block start
+    edges = np.concatenate(edges)
+    first, last = edges[0::2], edges[1::2]
+    removed = np.cumsum(last - first)
+    removed -= last - first
+    return keys, first - removed, np.concatenate(ends)
 
 
 def _uniform_q_max(system: sy.ResonantSystem, k: Fraction, n: int,

@@ -9,6 +9,8 @@ regularity, G and H^f(W) verdicts.
 
 import math
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -535,6 +537,18 @@ class TestBoundedReader:
             F.exact("1e10000000", "x")
         with pytest.raises(UsageError, match="x: cannot read 'abc'"):
             F.exact("abc", "x")
+
+    def test_decimals_go_through_the_reader(self):
+        # a Decimal is read by its text: exact, and under the same caps
+        assert F.exact(Decimal("-0.25"), "x") == Fraction(-1, 4)
+        started = time.monotonic()
+        with pytest.raises(UsageError, match=r"x: cannot read '1E\+1000000' "
+                                             r"\(decimal exponent beyond 999\)"):
+            F.exact(Decimal("1e1000000"), "x")
+        assert time.monotonic() - started < 1
+        for text in ["NaN", "Infinity", "-Infinity", "sNaN"]:
+            with pytest.raises(UsageError, match="x: cannot read '%s'" % text):
+                F.exact(Decimal(text), "x")
 
     def test_print_bound_edge(self):
         top = 2 ** F.MAX_PRINT_BITS - 1

@@ -17,7 +17,8 @@ import limsuplab.farey as farey
 import limsuplab.functions as fn
 import limsuplab.systems as sy
 import limsuplab.ubiquity as ub
-from limsuplab.errors import ResourceCapError, UsageError
+from limsuplab.errors import (InternalInvariantError, ResourceCapError,
+                              UsageError)
 from oracles import (exact_union_measure, natural_cover_sum, ubiquity_ratio,
                      window_pairs)
 
@@ -85,20 +86,86 @@ QUERY_END = st.one_of(st.integers(min_value=0),
                                    max_denominator=97))
 
 
-# radius 1/den: den > 2 q_max^2 merges nothing, den <= 2 merges
-# everything, and the range between merges some gaps only
+def both_builders(q_max, radius):
+    """The stage's engine built from its open gaps, then from F_Q."""
+    engines = []
+    for lattice in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ub, "_lattice_is_cheaper",
+                       lambda q, theta, pick=lattice: pick)
+            engines.append(ub.UniformStageEngine(q_max, radius))
+    return engines
+
+
+# radius 1/den: den > 2 q_max^2 joins no gap, den <= 2 joins every gap
+# (den = 1 has theta = 1), 10^30 has theta clamped from 5 10^29, and the
+# range between joins some gaps only
+RADIUS_DEN = st.one_of(st.integers(1, 4 * 60 * 60), st.just(10 ** 30))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(q_max=st.integers(1, 60), den=RADIUS_DEN)
+@example(q_max=1, den=1)            # F_1, theta = 1: one block [0, 1]
+@example(q_max=1, den=3)            # F_1's one open gap 0/1, 1/1
+@example(q_max=60, den=10 ** 30)    # every gap open
+@example(q_max=60, den=2)           # every gap joined
+def test_builders_give_the_same_blocks(q_max, den):
+    lattice, full = both_builders(q_max, Fraction(1, den))
+    for name in ("_starts", "_merged", "_ends"):
+        assert getattr(lattice, name).tolist() == \
+            getattr(full, name).tolist(), name
+    # the blocks against the joined gaps of F_Q, by the gap formula
+    nums, dens = farey.reduced_fractions(q_max)
+    points = [(int(a), int(b)) for a, b in zip(nums, dens)]
+    opened = [b * b2 * 2 < den for (_, b), (_, b2) in zip(points, points[1:])]
+    assert lattice.block_count == 1 + sum(opened)
+    starts = [points[0]] + [p for p, o in zip(points[1:], opened) if o]
+    assert [farey.unpack_keys(k, q_max) for k in lattice._starts.tolist()] \
+        == starts
+
+
+def test_one_block_below_theta_one():
+    # theta <= 1 joins every gap: the stage is [0 - r, 1 + r]
+    for q_max in (1, 2, 7):
+        for eng in both_builders(q_max, Fraction(1, 2)):
+            assert eng.block_count == 1
+            assert eng.union_measure(Fraction(-5), Fraction(5)) == 2
+            assert eng.union_measure(Fraction(1, 3), Fraction(1, 2)) == \
+                Fraction(1, 6)
+
+
+def test_q_one_has_one_open_gap():
+    rad = Fraction(1, 10)
+    for eng in both_builders(1, rad):
+        assert eng.block_count == 2 and len(eng._merged) == 0
+        assert eng.union_measure(Fraction(-1), Fraction(2)) == 4 * rad
+        assert eng.union_measure(Fraction(1, 2), Fraction(3, 4)) == 0
+
+
+def test_tiny_radius_is_clamped_before_int64():
+    # theta = 5 10^29 is past int64; clamped to q_max^2 + 1 it opens
+    # every gap
+    q_max, rad = 30, Fraction(1, 10 ** 30)
+    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    for eng in both_builders(q_max, rad):
+        assert eng.block_count == points
+        assert eng.union_measure(Fraction(0), Fraction(1)) == \
+            (2 * points - 2) * rad
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(q_max=st.integers(1, 40), den=st.integers(1, 4 * 40 * 40),
+@given(q_max=st.integers(1, 60), den=RADIUS_DEN,
        picks=st.lists(st.tuples(QUERY_END, QUERY_END), max_size=6))
 @example(q_max=12, den=1000, picks=[])       # no merging
 @example(q_max=12, den=150, picks=[])        # partial merging
 @example(q_max=12, den=2, picks=[])          # one block
+@example(q_max=12, den=10 ** 30, picks=[])   # theta clamped
 def test_engine_union_measure_property(q_max, den, picks):
     rad = Fraction(1, den)
     nums, dens = farey.reduced_fractions(q_max)
     centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
     balls = [(c - rad, c + rad) for c in centers]
-    eng = ub.UniformStageEngine(q_max, rad)
+    engines = both_builders(q_max, rad)
     edges = sorted({c + s * rad for c in centers for s in (-1, 1)})
 
     def end(x):
@@ -126,8 +193,9 @@ def test_engine_union_measure_property(q_max, den, picks):
             queries.append((mid - room / 4, mid + room / 4))
             break
     for lo, hi in queries:
-        assert eng.union_measure(lo, hi) == \
-            exact_union_measure(balls, lo, hi), (lo, hi)
+        want = exact_union_measure(balls, lo, hi)
+        for eng in engines:
+            assert eng.union_measure(lo, hi) == want, (lo, hi)
 
 
 class Int64Search(np.ndarray):
@@ -147,8 +215,9 @@ class Int64Search(np.ndarray):
 @example(q_max=1, pick=0, scale=1)
 @example(q_max=60, pick=1, scale=7)
 def test_rank_matches_brute_count(q_max, pick, scale):
-    eng = ub.UniformStageEngine(q_max, Fraction(1, 7))
-    eng._keys = eng._keys.view(Int64Search)
+    # a radius that joins no gap: every centre starts a block
+    eng = ub.UniformStageEngine(q_max, Fraction(1, 2 * q_max ** 2 + 2))
+    eng._starts = eng._starts.view(Int64Search)
     nums, dens = farey.reduced_fractions(q_max)
     centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
     c = centers[pick % len(centers)]
@@ -172,6 +241,76 @@ def test_rank_matches_brute_count(q_max, pick, scale):
             want = sum(y < x if inside == 0 else y <= x for y in centers)
             assert eng._rank(x.numerator * scale, x.denominator * scale,
                              inside) == want, (x, inside)
+
+
+def stage(system, rho, k, n):
+    """(q_max, radius, theta) of a uniform stage."""
+    q_max = ub._uniform_q_max(system, Fraction(k), n)
+    radius = ub._uniform_radius(rho, Fraction(k), n)
+    rn, rd = radius.numerator, radius.denominator
+    return q_max, radius, min(-(-rd // (2 * rn)), q_max ** 2 + 1)
+
+
+def test_builder_choice():
+    # the benchmark's Ford stage joins no gap: 1.26M lattice points in the
+    # half-region against 1.53M Farey points, so it keeps F_Q's keys
+    q_max, _, theta = stage(sy.ford_horoballs(), fn.approximating(1, -1),
+                            6, 9)
+    assert (q_max, theta) == (2244, 2244 ** 2 + 1)
+    assert int(ub._open_gap_rows(q_max, theta)[2].sum()) == 1_260_006
+    assert not ub._lattice_is_cheaper(q_max, theta)
+    # criterion 1's largest stage at k = 5: 74,398 lattice points, half
+    # of them with b <= b'
+    q_max, _, theta = stage(sy.classical_rationals(), RHO_LEMMA, 5, 5)
+    assert (q_max, theta) == (3125, 813_803)
+    assert int(ub._open_gap_rows(q_max, theta)[2].sum()) == 74_398 // 2
+    assert ub._lattice_is_cheaper(q_max, theta)
+
+
+def test_largest_readme_stage_builds_without_f_q(monkeypatch):
+    # k = 6, n = 5: F_7776 has 18,380,897 points in 280,151 blocks, and
+    # the engine lists the 280,150 open gaps alone
+    def no_farey(*args):
+        raise AssertionError("F_Q built")
+    monkeypatch.setattr(farey, "farey_keys", no_farey)
+    q_max, radius, theta = stage(sy.classical_rationals(), RHO_LEMMA, 6, 5)
+    eng = ub.UniformStageEngine(q_max, radius)
+    assert (q_max, eng.block_count) == (7776, 280_151)
+    # [0, 1] less the uncovered 1/(bb') - 2r of every open gap, summed
+    # in floats over the coprime (b, b') with b, b' <= Q < b + b' and
+    # bb' < theta
+    uncovered = 0.0
+    for b in range(1, q_max + 1):
+        b2 = np.arange(q_max + 1 - b, q_max + 1)
+        b2 = b2[(b * b2 < theta) & (np.gcd(b, b2) == 1)]
+        uncovered += float(np.sum(1.0 / (b * b2) - 2 * float(radius)))
+    got = eng.union_measure(Fraction(0), Fraction(1))
+    assert abs(float(got) - (1 - uncovered)) < 1e-9
+
+
+def test_corrupted_gap_is_refused(monkeypatch):
+    # one wrong numerator breaks a'b - ab' = 1 for its pair
+    minus_inverse = ub._minus_inverse
+
+    def off_by_one(b, b2):
+        a = minus_inverse(b, b2)
+        a[len(a) // 2] += 1
+        return a
+    monkeypatch.setattr(ub, "_minus_inverse", off_by_one)
+    # criterion 1's stage k = 6, n = 3 is built from its open gaps
+    q_max, radius, theta = stage(sy.classical_rationals(), RHO_LEMMA, 6, 3)
+    assert ub._lattice_is_cheaper(q_max, theta)
+    with pytest.raises(InternalInvariantError, match="no open Farey gap"):
+        ub.UniformStageEngine(q_max, radius)
+
+
+def test_repeated_gaps_are_refused(monkeypatch):
+    # every row listed twice: each pair checks out, the blocks do not
+    rows = ub._open_gap_rows
+    monkeypatch.setattr(ub, "_open_gap_rows", lambda q, theta: tuple(
+        np.concatenate((x, x)) for x in rows(q, theta)))
+    with pytest.raises(InternalInvariantError, match="do not order"):
+        ub._lattice_blocks(216, 3888)
 
 
 def test_packed_keys_fit_int64_up_to_the_cap():
@@ -215,8 +354,9 @@ def test_ford_engine_matches_per_denominator_count():
 
 def test_engine_memory_is_one_word_per_point():
     # Ford stage rho = r^-1, k = 6, n = 9 (F_2244) merges no gap: the
-    # engine keeps the packed keys alone (numerator and denominator both
-    # come off the key), and the merged blocks hold nothing
+    # engine keeps F_Q's packed keys alone as its block starts (numerator
+    # and denominator both come off the key), and the merged blocks hold
+    # nothing
     system, k, n = sy.ford_horoballs(), Fraction(6), 9
     eng = ub.UniformStageEngine(ub._uniform_q_max(system, k, n),
                                 ub._uniform_radius(fn.approximating(1, -1), k, n))
@@ -235,21 +375,25 @@ def test_engine_memory_is_one_word_per_point():
 
 
 def test_engine_build_peak_memory():
-    # building F_2244 holds the keys (8 bytes per point), the prime-struck
-    # mask of the left half, the joined-gap flags (one byte per point) and
-    # a few blocks of temporaries, without and with merged gaps
+    # the bound: the keys of F_2244 (8 bytes per point), the prime-struck
+    # mask of the left half, a byte per point and a few blocks of
+    # temporaries.  The build stays inside it with no merged gap, from
+    # F_Q with 272,740 merged blocks (radius 1/(3 10^6)), whose edges are
+    # listed after the mask is freed, and from the few open gaps at
+    # radius 10^-6
     q_max = 2244
     points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
     bound = (8 * points + (q_max + 1) * (q_max // 2 + 1) + points + 1
              + 8 * 8 * farey.BLOCK)
-    for radius in (Fraction(1, 6 ** 9), Fraction(1, 10 ** 6)):
+    for radius in (Fraction(1, 6 ** 9), Fraction(1, 3 * 10 ** 6),
+                   Fraction(1, 10 ** 6)):
         tracemalloc.start()
         try:
             eng = ub.UniformStageEngine(q_max, radius)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(eng._keys) == points
+        assert len(eng._starts) == eng.block_count <= points
         assert peak <= bound, (radius, peak, bound)
 
 
