@@ -7,10 +7,9 @@ radius window [r_lo, r_hi) is the weight window (1/r_hi, 1/r_lo] of the
 Ford system, so q_window hands it to `systems.ford_horoballs()`, whose
 isqrt translation to an integer q-range is the one copy of that
 algebra.  Base windows are half-open [lo, hi), so each circle on the
-unit circle is counted once.  Counting runs on Python integers alone
-(`count_horoballs`); the disjointness check, the one user of numpy and
-`farey` here, runs in int64 arithmetic but for the float windows of
-`_window_pairs`.
+unit circle is counted once.  Counting (`count_horoballs`) and the
+disjointness check (`disjointness_check`) both run on Python integers
+alone.
 
 Disjointness rests on one polynomial identity.  With d = p/q - p'/q',
 r = 1/(2q^2), r' = 1/(2q'^2) and D = p q' - p' q:
@@ -32,7 +31,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, combinations, compress, repeat, starmap
 
 from limsuplab import functions as fn
 from limsuplab import systems as sy
@@ -53,16 +52,12 @@ MAX_MERTENS_TABLE = 1 << 22
 # any, work that grows with the points: 2048 radii down from 10^300 at
 # factor 1/2 took 0.09 s to refuse by the run cap on 2 vCPUs
 MAX_POINTS = 2_048
-# disjointness_check forms D inside one window per circle: 0.3 s and
-# 42 MB peak RSS for the CLI at q_max = 256 on 2 vCPUs.  Its identity
-# layer forms S |c - c'|^2 < 4 q^8 in int64 for every pair of
-# F_identity, exact while 4 q^8 < 2^63 (q <= 197).
+# disjointness_check walks one window per circle: 0.19-0.26 s and 18 MB
+# peak RSS for the CLI at q_max = 256 on 2 vCPUs.  Its identity layer is
+# exact in Python ints at any size; its cap bounds the time, quadratic in
+# the points: F_40's 120,295 pairs take about 0.05 s, F_80's are 16x as many.
 MAX_DISJOINTNESS_Q = 256
 MAX_IDENTITY_Q = 40
-# c = a/b and 1/b^2 in [0, 1] round off by 2^-54 each (c at both ends),
-# w = 1/b^2 + margin (< 2) by 2^-53 more and c -+ w (< 4) by 2^-52: in
-# all 4.5 * 2^-53 < 5.1e-16, so windows widened by this hold the exact ones
-_WINDOW_MARGIN = 1e-15
 # mu(n) as a byte: 1 for +1, 2 for -1, 0 for 0; a prime p flips the sign
 # of its multiples, and the byte 2 reads as -1 in int8
 _MU_FLIP = bytes.maketrans(b"\x01\x02", b"\x02\x01")
@@ -313,35 +308,25 @@ class DisjointnessReport:
         return self.overlap_pairs == 0
 
 
-def _identity_gaps(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """S (|c - c'|^2 - (r + r')^2), S = 4 q^4 q'^4, for every pair i < j
-    of the circles at nums/dens, in int64 (row-major over the upper
-    triangle).  Exact because no term reaches 4 MAX_IDENTITY_Q^8 < 2^63,
-    which test_identity_layer_int64_headroom pins: any int64 form of the
-    identity, 4 q^2 q'^2 (D^2 - 1) included, wraps alike, so comparing
-    two of them cannot detect an overflow."""
-    import numpy as np
-    i, j = np.triu_indices(len(nums), 1)
-    qq, qq2 = dens[i] * dens[i], dens[j] * dens[j]
-    det = nums[i] * dens[j] - nums[j] * dens[i]
+def _farey_points(q_max: int):
+    """F_q_max in order as (p, q) pairs: after neighbours a/b < c/d the
+    next term is (k c - a)/(k d - b), k = floor((q_max + b)/d) (Hardy &
+    Wright, ch. III)."""
+    a, b, c, d = 0, 1, 1, q_max
+    yield a, b
+    while c <= q_max:
+        k = (q_max + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        yield a, b
+
+
+def _scaled_gap(x: tuple, y: tuple) -> int:
+    """S (|c - c'|^2 - (r + r')^2), S = 4 q^4 q'^4, of the circles at
+    x = (p, q) and y = (p', q'), by the identity of the module docstring."""
+    (p, q), (p2, q2) = x, y
+    qq, qq2 = q * q, q2 * q2
+    det = p * q2 - p2 * q
     return 4 * qq * qq2 * det * det + (qq2 - qq) ** 2 - (qq2 + qq) ** 2
-
-
-def _window_pairs(nums: np.ndarray, dens: np.ndarray) -> tuple:
-    """Index pairs (i, j) of the circles at nums/dens, in base order,
-    that D must classify.  With q <= q', r + r' <= 2r = 1/q^2: circles
-    further apart than 1/q^2 are strictly apart.  So i owns a pair by the
-    smaller q (on a tie, only 0/1 and 1/1, the lower index) and j lies in
-    its window [c - 1/q^2, c + 1/q^2], inclusive as 0/1, 1/1 touch at 1."""
-    import numpy as np
-    c = nums / dens
-    w = 1.0 / (dens * dens) + _WINDOW_MARGIN
-    lo = c.searchsorted(c - w)
-    width = c.searchsorted(c + w, side="right") - lo
-    i = np.repeat(np.arange(len(c)), width)
-    j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width - lo, width)
-    own = (dens[i] < dens[j]) | ((dens[i] == dens[j]) & (i < j))
-    return i[own], j[own]
 
 
 def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessReport:
@@ -349,36 +334,48 @@ def disjointness_check(q_max: int, identity_q_max: int = 40) -> DisjointnessRepo
     with denominators <= q_max, that the Ford circle interiors are
     disjoint and that tangency happens exactly at |p q' - p' q| = 1.
 
-    D = p q' - p' q (products below q_max^2, far inside int64) classifies
-    the pairs of `_window_pairs`; every other pair is strictly apart.
+    With q <= q', r + r' <= 1/q^2: pairs further apart are strictly
+    apart.  Each circle walks F_q_max outwards both ways while the next
+    base lies in its window [c - 1/q^2, c + 1/q^2], i.e. |D| q <= q' with
+    D = p q' - p' q; the distance grows, so the first base outside ends
+    the walk.  A circle owns the pairs it meets on a larger denominator
+    (on a tie, only 0/1 and 1/1, the lower index), and D classifies each.
     Every pair with denominators <= identity_q_max is also re-derived by
-    the scaled center-distance identity of the module docstring, so the
-    two layers confirm each other.  Refuses, before allocating, q_max
-    above MAX_DISJOINTNESS_Q and an identity layer above MAX_IDENTITY_Q.
+    the scaled identity of the module docstring, so the two layers
+    confirm each other.  Refuses sizes that are not ints or pass the
+    caps before building any point.
     """
+    if type(q_max) is not int or type(identity_q_max) is not int:
+        raise UsageError("q_max and identity_q_max must be integers")
     if q_max < 2 or identity_q_max < 1:
         raise UsageError("need q_max >= 2 and identity_q_max >= 1")
     identity_q_max = min(identity_q_max, q_max)
     if q_max > MAX_DISJOINTNESS_Q or identity_q_max > MAX_IDENTITY_Q:
         raise ResourceCapError("q_max %d, identity layer %d (caps %d, %d)" % (
             q_max, identity_q_max, MAX_DISJOINTNESS_Q, MAX_IDENTITY_Q))
-    import numpy as np
-    from limsuplab import farey
-    nums, dens = farey.reduced_fractions(q_max)
-    n = len(nums)
-    pairs = n * (n - 1) // 2
-    i, j = _window_pairs(nums, dens)
-    det = nums[i] * dens[j] - nums[j] * dens[i]
-    det *= det
-    tangent = int(np.count_nonzero(det == 1))
-    overlap = int(np.count_nonzero(det == 0))
+    points = list(_farey_points(q_max))
+    n = len(points)
+    tangent = overlap = 0
+    for i, (p, q) in enumerate(points):
+        for js in (range(i + 1, n), range(i - 1, -1, -1)):
+            for j in js:
+                p2, q2 = points[j]
+                det = abs(p * q2 - p2 * q)
+                if det * q > q2:
+                    break
+                if q < q2 or q == q2 and i < j:
+                    if det == 1:
+                        tangent += 1
+                    elif det == 0:
+                        overlap += 1
     if overlap:
         raise InternalInvariantError(
             "%d overlapping Ford pairs at q_max=%d" % (overlap, q_max))
 
     # F_identity_q_max, in order, is the check's points of small denominator
-    layer = dens <= identity_q_max
-    gaps = _identity_gaps(nums[layer], dens[layer])
-    if gaps.min() < 0:
+    layer = [point for point in points if point[1] <= identity_q_max]
+    if min(starmap(_scaled_gap, combinations(layer, 2))) < 0:
         raise InternalInvariantError("negative gap in exact layer")
-    return DisjointnessReport(q_max, n, pairs, tangent, 0, len(gaps))
+    m = len(layer)
+    return DisjointnessReport(q_max, n, n * (n - 1) // 2, tangent, 0,
+                              m * (m - 1) // 2)

@@ -64,8 +64,7 @@ stays exact and fast by bucketing numerators per denominator:
 sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b with integer coefficients,
 evaluated over the single common denominator lcm(1..Q).
 
-Everything user-facing is a Fraction; the one float left is the weight
-sum of bincount in the span sums, exact below 2^53.
+Everything user-facing is a Fraction.
 
 numpy and `farey` are imported by the engine's build, which keeps the
 key decoder for its queries, so a stage refused at the denominator cap,
@@ -159,13 +158,14 @@ class UniformStageEngine:
         """sum of c_e - c_s over the key pairs (s, e), as an exact
         numerator over lcm(1..q_max), via per-denominator bucketing."""
         import numpy as np
-        size = self.q_max + 1
         ae, be = self._unpack(e, self.q_max)
         as_, bs = self._unpack(s, self.q_max)
-        # numerator sums fit float64 exactly: <= n_points * q_max << 2^53
-        plus = np.bincount(be, weights=ae, minlength=size).astype(np.int64)
-        minus = np.bincount(bs, weights=as_, minlength=size).astype(np.int64)
-        return sum(c * m for c, m in zip((plus - minus).tolist(),
+        # |coef_b| <= merged blocks * Q < |F_Q| * Q < 2^25 * 2^13 = 2^38
+        # (Q <= MAX_UNIFORM_Q = 2^13), far inside int64
+        coef = np.zeros(self.q_max + 1, dtype=np.int64)
+        np.add.at(coef, be, ae)
+        np.subtract.at(coef, bs, as_)
+        return sum(c * m for c, m in zip(coef.tolist(),
                                          self._lcm_table[1]) if c)
 
     def union_measure(self, lo: Fraction, hi: Fraction) -> Fraction:

@@ -235,8 +235,8 @@ def pair_relation(p: int, q: int, p2: int, q2: int) -> PairRelation:
     """Exact relation between the circles at p/q and p2/q2, via Fractions.
 
     Recomputes the center-distance identity from scratch (no shortcut
-    through the determinant): the witness for the int64 identity layer
-    of horoballs.disjointness_check, whose scaled gap is
+    through the determinant): the witness for the identity layer of
+    horoballs.disjointness_check, whose scaled gap is
     4 q^4 q2^4 times this one.
     """
     for pp, qq in ((p, q), (p2, q2)):

@@ -642,7 +642,8 @@ class TestImportOnUse:
                  ["excursions", "--quotients", GOLDEN_CHAIN, "--T", "40"],
                  ["loglaw", "--x", "37/100", "--T", "25"],
                  ["loglaw", "--quotients", GOLDEN_CHAIN, "--T", "40"],
-                 ["horoballs", "--points", "13"]]
+                 ["horoballs", "--points", "13"],
+                 ["disjointness", "--q-max", "256"]]
         # a refused run loads nothing it would only need to count or
         # build: a usage error (1) and a stage past the q cap (2)
         refused = [(["schmidt", "--psi", "(1/4) * r^-1", "--N", "0"], 1),

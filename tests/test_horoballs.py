@@ -2,6 +2,7 @@
 oracles, the counting-ratio band, and the windowed disjointness
 check."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -232,14 +233,20 @@ def _scaled_oracle_gap(p, q, p2, q2):
     return 4 * q ** 4 * q2 ** 4 * pair_relation(p, q, p2, q2).gap
 
 
+def test_farey_points_match_reduced_fractions():
+    # the next-term rule and the packed-key build give one F_Q
+    for q in range(1, 301):
+        nums, dens = farey.reduced_fractions(q)
+        assert list(hb._farey_points(q)) == \
+            list(zip(nums.tolist(), dens.tolist())), q
+
+
 def test_identity_gaps_match_fraction_oracle_on_f16():
-    nums, dens = farey.reduced_fractions(16)
-    gaps = hb._identity_gaps(nums, dens)
-    i, j = np.triu_indices(len(nums), 1)
-    assert len(gaps) == 3240
-    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-        assert gaps[k] == _scaled_oracle_gap(int(nums[a]), int(dens[a]),
-                                             int(nums[b]), int(dens[b]))
+    points = list(hb._farey_points(16))
+    pairs = list(itertools.combinations(points, 2))
+    assert len(pairs) == 3240
+    for a, b in pairs:
+        assert hb._scaled_gap(a, b) == _scaled_oracle_gap(*a, *b)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -249,30 +256,19 @@ def test_identity_gaps_match_fraction_oracle_drawn(q, q2, data):
     p = data.draw(st.integers(0, q))
     p2 = data.draw(st.integers(0, q2))
     assume(math.gcd(p, q) == 1 == math.gcd(p2, q2) and (p, q) != (p2, q2))
-    gaps = hb._identity_gaps(np.array([p, p2]), np.array([q, q2]))
-    assert gaps.tolist() == [_scaled_oracle_gap(p, q, p2, q2)]
-
-
-def test_identity_layer_int64_headroom():
-    # S |c - c'|^2 = 4 q^2 q'^2 D^2 + (q'^2 - q^2)^2 < 4 q^8 with |D| < q q'
-    # (both bases in [0, 1]); every other term of the layer is smaller
-    assert 4 * hb.MAX_IDENTITY_Q ** 8 < 2 ** 63
-    assert 4 * 197 ** 8 < 2 ** 63 <= 4 * 198 ** 8
+    assert hb._scaled_gap((p, q), (p2, q2)) == _scaled_oracle_gap(p, q, p2, q2)
 
 
 def test_identity_layer_is_the_sweeps_small_denominators(monkeypatch):
-    nums, dens = farey.reduced_fractions(200)
-    layer = dens <= 40
-    small_nums, small_dens = farey.reduced_fractions(40)
-    assert np.array_equal(nums[layer], small_nums)
-    assert np.array_equal(dens[layer], small_dens)
-    # one Farey build serves the window check and the layer
-    real, built = farey.reduced_fractions, []
-    monkeypatch.setattr(farey, "reduced_fractions",
+    small = list(hb._farey_points(40))
+    assert [pt for pt in hb._farey_points(200) if pt[1] <= 40] == small
+    # one Farey build serves the walk and the layer
+    real, built = hb._farey_points, []
+    monkeypatch.setattr(hb, "_farey_points",
                         lambda q: built.append(q) or real(q))
     rep = hb.disjointness_check(60, 40)
     assert built == [60]
-    m = len(small_nums)
+    m = len(small)
     assert rep.identity_pairs == m * (m - 1) // 2 == 120295
 
 
@@ -306,20 +302,10 @@ def _assert_counts_match_full_square(q_max):
         (pairs, tangent, overlap), q_max
 
 
-@pytest.mark.parametrize("widen,q_maxes", [
-    (1024, range(2, 61)),
-    # a margin of 1 puts every base in every window, so D classifies
-    # the whole square
-    (1, (2, 3, 9)), (7, (2, 3, 9, 25, 60)), (64, (25, 60)),
-])
-def test_disjointness_counts_match_full_square(monkeypatch, widen, q_maxes):
-    # the counts must not depend on the float windows beyond their holding
-    # the exact ones: windows widened by 1/widen only hand D more pairs
-    # that are strictly apart
-    for q_max in q_maxes:
-        _assert_counts_match_full_square(q_max)
-    monkeypatch.setattr(hb, "_WINDOW_MARGIN", 1.0 / widen)
-    for q_max in q_maxes:
+def test_disjointness_counts_match_full_square():
+    # D forms only inside the windows; every pair outside must be
+    # strictly apart, so the counts equal those of the whole square
+    for q_max in range(2, 61):
         _assert_counts_match_full_square(q_max)
 
 
@@ -327,23 +313,6 @@ def test_disjointness_counts_match_full_square(monkeypatch, widen, q_maxes):
 @given(q_max=st.integers(61, 100))
 def test_disjointness_counts_match_full_square_drawn(q_max):
     _assert_counts_match_full_square(q_max)
-
-
-def test_window_holds_every_exact_window_pair():
-    # the pair of p/q, p'/q' lies in the exact window of its smaller
-    # denominator iff |p/q - p'/q'| <= 1/min(q, q')^2, i.e.
-    # |D| min(q, q') <= max(q, q'); the float windows must hold all of them
-    for q_max in (*range(2, 41), 61, 83, 100):
-        nums, dens = farey.reduced_fractions(q_max)
-        i, j = np.triu_indices(len(nums), 1)
-        det = np.abs(nums[i] * dens[j] - nums[j] * dens[i])
-        exact = (det * np.minimum(dens[i], dens[j])
-                 <= np.maximum(dens[i], dens[j]))
-        wi, wj = hb._window_pairs(nums, dens)
-        window = set(zip(np.minimum(wi, wj).tolist(),
-                         np.maximum(wi, wj).tolist()))
-        assert len(window) == len(wi), q_max       # each pair once
-        assert set(zip(i[exact].tolist(), j[exact].tolist())) <= window, q_max
 
 
 def test_disjointness_at_the_cap():
@@ -355,22 +324,21 @@ def test_disjointness_at_the_cap():
     assert rep.identity_pairs == 120295
 
 
-@pytest.mark.parametrize("widen", [3, 1024])
-def test_disjointness_overlap_count_matches_full_square(monkeypatch, widen):
+@pytest.mark.parametrize("identity", [3, 1024])
+def test_disjointness_overlap_count_matches_full_square(monkeypatch,
+                                                        identity):
     # forged points: 1/2 twice and the unreduced 2/4 overlap pairwise
-    nums, dens = farey.reduced_fractions(12)
-    half = int(np.flatnonzero((nums == 1) & (dens == 2))[0])
-    nums = np.insert(nums, [half, half], [1, 2])
-    dens = np.insert(dens, [half, half], [2, 4])
-    _, _, overlap = full_square_pair_counts(nums, dens)
+    points = list(hb._farey_points(12))
+    half = points.index((1, 2))
+    points[half:half] = [(1, 2), (2, 4)]
+    _, _, overlap = full_square_pair_counts(
+        *(np.array(c) for c in zip(*points)))
     assert overlap == 3
-    monkeypatch.setattr(farey, "reduced_fractions", lambda q: (nums, dens))
+    monkeypatch.setattr(hb, "_farey_points", lambda q: iter(points))
+    # the walk refuses them before any identity layer, whose duplicate
+    # 1/2 would read as a negative gap at 3; 1024 is clipped to q_max
     with pytest.raises(InternalInvariantError, match="^3 overlapping"):
-        hb.disjointness_check(12, identity_q_max=1)
-    # wider windows hand D more pairs, each still counted once
-    monkeypatch.setattr(hb, "_WINDOW_MARGIN", 1.0 / widen)
-    with pytest.raises(InternalInvariantError, match="^3 overlapping"):
-        hb.disjointness_check(12, identity_q_max=1)
+        hb.disjointness_check(12, identity_q_max=identity)
 
 
 def test_disjointness_rejects_tiny_qmax():
@@ -378,12 +346,20 @@ def test_disjointness_rejects_tiny_qmax():
         hb.disjointness_check(1)
 
 
+def test_disjointness_rejects_non_integer_sizes():
+    for q_max, identity in ((2.5, 40), ("10", 40), (10.0, 40), (10, 4.0),
+                            (10, "4"), (True, 40), (10, None)):
+        with pytest.raises(UsageError, match="must be integers"):
+            hb.disjointness_check(q_max, identity)
+
+
 def test_identity_layer_catches_forged_pair(monkeypatch):
     # identical bases are the one configuration with negative gap; the
-    # Farey arrays never hold them, so feed them in directly
-    forged = hb._identity_gaps(np.array([0, 1, 1]), np.array([1, 2, 2]))
+    # Farey points never hold them, so feed them in directly
+    forged = [hb._scaled_gap((0, 1), (1, 2)), hb._scaled_gap((1, 2), (1, 2))]
     # 0/1 touches 1/2; the duplicate 1/2 has gap -4 q^4 = S * (-4 r r')
-    assert forged.tolist() == [0, 0, -64]
-    monkeypatch.setattr(hb, "_identity_gaps", lambda nums, dens: forged)
+    assert forged == [0, -64]
+    real = hb._scaled_gap
+    monkeypatch.setattr(hb, "_scaled_gap", lambda a, b: real(a, a))
     with pytest.raises(InternalInvariantError, match="negative gap"):
         hb.disjointness_check(12, identity_q_max=2)
