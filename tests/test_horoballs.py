@@ -294,19 +294,27 @@ def test_disjointness_tangency_matches_farey_adjacency():
     assert rep.tangent_pairs >= len(nums) - 1
 
 
-def _assert_counts_match_full_square(q_max):
+def _assert_counts_match_full_square(q_max, identity_q_max=1):
     nums, dens = farey.reduced_fractions(q_max)
     pairs, tangent, overlap = full_square_pair_counts(nums, dens)
-    rep = hb.disjointness_check(q_max, identity_q_max=1)
+    rep = hb.disjointness_check(q_max, identity_q_max)
     assert (rep.pairs, rep.tangent_pairs, rep.overlap_pairs) == \
         (pairs, tangent, overlap), q_max
+    m = len(farey.reduced_fractions(min(identity_q_max, q_max))[0])
+    assert rep.identity_pairs == m * (m - 1) // 2, q_max
 
 
-def test_disjointness_counts_match_full_square():
+@pytest.mark.parametrize("identity,q_maxes", [
+    # 1024 and 64 are clipped to q_max, so the layer is all of F_q_max
+    (1024, range(2, 41)), (1, range(41, 61)),
+    (7, (2, 3, 9, 25, 60)), (64, (25, 40)),
+])
+def test_disjointness_counts_match_full_square(identity, q_maxes):
     # D forms only inside the windows; every pair outside must be
-    # strictly apart, so the counts equal those of the whole square
-    for q_max in range(2, 61):
-        _assert_counts_match_full_square(q_max)
+    # strictly apart, so the counts equal those of the whole square,
+    # whatever identity layer rides along
+    for q_max in q_maxes:
+        _assert_counts_match_full_square(q_max, identity)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
