@@ -46,14 +46,19 @@ the exactness argument spelled out where it matters:
   rounding is monotone, so its int64 bit pattern is nondecreasing too.
   With ib = bitlen(n - 1), the keys (bits >> ib << ib) | index sort by
   (prefix, index), and their low ib bits are the order.  Equal lo have
-  equal t, so one prefix, so they come in index order: if the gathered
-  lo is nondecreasing, the order is the stable sort's.  Otherwise
-  distinct lo shared a prefix.  A smaller prefix means a smaller lo,
-  so only positions inside runs of equal prefix can be out of order,
-  and the runs' lo ranges are disjoint and increasing; a stable argsort
-  of the lo at those positions alone puts each run, in index order so
-  far, in (lo, index) order.  The positive gains and their pairwise
-  sum are the stable sort's bit for bit.
+  equal t, so one prefix, so they come in index order; distinct lo may
+  share a prefix too.  A smaller prefix means a smaller lo, so only
+  positions inside runs of equal prefix, read straight off the sorted
+  keys, can be out of order, and the runs' lo ranges are disjoint and
+  increasing; a stable argsort of the lo at those positions alone puts
+  each run, in index order so far, in (lo, index) order.  The sweep
+  then walks the order a block at a time: it gathers the block's lo
+  and hi, checks that lo is nondecreasing across the block and its
+  edge with the last (an InternalInvariantError if not), and carries
+  the running end.  A block's positive gains, at most as many as the
+  positions read so far, go to the key array's read prefix viewed as
+  float64, so the one sum over that prefix adds the stable sort's
+  gains in its order: the same pairwise sum, bit for bit.
 """
 
 from __future__ import annotations
@@ -238,6 +243,21 @@ def prime_factor_pairs(den: np.ndarray):
     return np.concatenate(rows), np.concatenate(primes)
 
 
+def _tied_positions(keys: np.ndarray, ib: int) -> np.ndarray:
+    """Sorted positions of the sorted keys that share their prefix (the
+    bits above the low ib) with a neighbour, found a block at a time."""
+    ties = [np.zeros(0, dtype=np.int64)]
+    for start in range(1, len(keys), BLOCK):
+        prefix = keys[start - 1:start + BLOCK] >> ib
+        ties.append(np.flatnonzero(prefix[1:] == prefix[:-1]) + start)
+    # each i shares with i - 1, so a run of them adds the one before its
+    # first (a sort, not np.union1d, whose first call imports numpy.ma)
+    tie = np.concatenate(ties)
+    first = np.ones(len(tie), dtype=bool)
+    first[1:] = tie[1:] - tie[:-1] > 1
+    return np.sort(np.concatenate((tie[first] - 1, tie)))
+
+
 def union_length(lo: np.ndarray, hi: np.ndarray,
                  clip_lo: float = 0.0, clip_hi: float = 1.0) -> float:
     """Measure of the union of [lo_i, hi_i] clipped to [clip_lo, clip_hi].
@@ -247,8 +267,9 @@ def union_length(lo: np.ndarray, hi: np.ndarray,
     holds no NaN, the clip bounds are finite), found by one in-place
     int64 sort and certified as the module docstring argues; its keys
     carry the index in their low bitlen(n - 1) bits.  The caller's lo
-    and hi are left as they are; besides them the call holds about 3
-    words per interval, plus a few per position the check finds tied.
+    and hi are left as they are; besides them the call holds one word
+    per interval, a few per position that shares its key prefix and
+    three float64 blocks of BLOCK.
     """
     n = len(lo)
     if n == 0:
@@ -266,33 +287,45 @@ def union_length(lo: np.ndarray, hi: np.ndarray,
         stop = min(start + BLOCK, n)
         order[start:stop] |= np.arange(start, stop)
     order.sort()
+    tied = _tied_positions(order, ib)
     order &= (1 << ib) - 1
-    lo = lo[order]
-    np.clip(lo, clip_lo, clip_hi, out=lo)
-    # the module docstring's check: a nondecreasing lo is the stable
-    # order, else the positions sharing a prefix are stably re-sorted
-    if not np.all(lo[1:] >= lo[:-1]):
-        # the i >= 1 with prefix[i - 1] == prefix[i], a block at a time
-        ties = []
-        for start in range(1, n, BLOCK):
-            t = lo[start - 1:start + BLOCK] - clip_lo + 0.0
-            prefix = t.view(np.int64) >> ib
-            ties.append(np.flatnonzero(prefix[1:] == prefix[:-1]) + start)
-        tie = np.concatenate(ties)
-        tied = np.union1d(tie - 1, tie)
-        fix = tied[np.argsort(lo[tied], kind="stable")]
-        order[tied] = order[fix]
-        lo[tied] = lo[fix]
-    hi = hi[order]
-    np.clip(hi, clip_lo, clip_hi, out=hi)
-    # the gain of interval i is hi_i - max(lo_i, end of the runs before
-    # it), the first one's lo_0 >= clip_lo; the order's words hold the
-    # running end
-    run_end = np.maximum.accumulate(hi, out=order.view(np.float64))
-    np.maximum(lo[1:], run_end[:-1], out=lo[1:])
-    del order, run_end
-    hi -= lo
-    return float(hi[hi > 0].sum())
+    # the module docstring's fix: runs of equal prefix, in index order,
+    # are stably re-sorted by clipped lo
+    if len(tied):
+        at = order[tied]
+        fix = np.argsort(np.clip(lo[at], clip_lo, clip_hi), kind="stable")
+        order[tied] = at[fix]
+    # the gain of interval i is hi_i - max(lo_i, running end of the ones
+    # before it, -inf for the first); block by block, the positive gains
+    # go to the order's words already read, as float64
+    lo_blk, hi_blk, end_blk = np.empty((3, min(n, BLOCK)))
+    gains = order.view(np.float64)
+    kept, last_lo, run_end = 0, -np.inf, -np.inf
+    for start in range(0, n, BLOCK):
+        at = order[start:start + BLOCK]
+        m = len(at)
+        lo_b, hi_b, end_b = lo_blk[:m], hi_blk[:m], end_blk[:m]
+        # the order is a permutation of range(n), so clip mode takes the
+        # same words as raise mode without its buffered bounds check
+        np.take(lo, at, out=lo_b, mode="clip")
+        np.clip(lo_b, clip_lo, clip_hi, out=lo_b)
+        if lo_b[0] < last_lo or not np.all(lo_b[1:] >= lo_b[:-1]):
+            raise InternalInvariantError(
+                "union_length order is not the stable sort's: clipped lo "
+                "decreases after the tie fix")
+        last_lo = lo_b[-1]
+        np.take(hi, at, out=hi_b, mode="clip")
+        np.clip(hi_b, clip_lo, clip_hi, out=hi_b)
+        end_b[0] = run_end
+        end_b[1:] = hi_b[:-1]
+        np.maximum.accumulate(end_b, out=end_b)
+        run_end = max(end_b[-1], hi_b[-1])
+        np.maximum(lo_b, end_b, out=lo_b)
+        hi_b -= lo_b
+        got = hi_b[hi_b > 0]
+        gains[kept:kept + len(got)] = got
+        kept += len(got)
+    return float(gains[:kept].sum())
 
 
 def union_length_error_budget(n_intervals: int) -> float:

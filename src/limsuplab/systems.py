@@ -32,8 +32,11 @@ and b = 1 has no prime, so 0/1 and 1/1 stay.  The kept balls keep
 their order, so `farey.union_length` measures the same arrays, in the
 (lo, index) order of a stable sort that it finds with one int64 sort of
 keys carrying each index and certifies with a monotonicity check.  Each
-cell frees its candidate arrays before that sweep, which holds only
-the balls' lo and hi.
+cell frees its candidate arrays before that sweep, which holds the
+balls' lo and hi and the sweep's one key word: 24 bytes per ball,
+about what the candidate phase holds at its peak (traced on the
+2.97M-ball stage of q^-2, k = 5, n = 5: 25.8 bytes per ball in the
+candidate phase, 25.2 in the sweep).
 
 numpy and `farey` are imported by the functions that build arrays, so
 the weight and denominator algebra (`q_interval`), which the horoball
@@ -253,7 +256,8 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
 def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
     """Measure of union of balls at reduced fractions a/b (gcd(a,b)=1,
     a/b in [0,1]) with per-denominator radii, clipped to [0, 1].
-    Chunked over x-cells so memory stays bounded.
+    Chunked over x-cells so memory stays bounded: a cell holds about 3
+    words per ball at its peak, besides the per-denominator arrays.
 
     Returns (measure, number of reduced balls processed).
     """

@@ -405,9 +405,12 @@ class TestUnionLength:
     def test_coarse_prefix_path_matches_stable_sort(self):
         # lo a few thousand ulps off a 1/64 grid: distinct values share
         # a prefix, so the check must re-sort; zeros of both signs, a
-        # window at -0.0 and negative windows, n at 2^k and 2^k + 1
+        # window at -0.0 and negative windows, n at 2^k and 2^k + 1 and
+        # at the sweep's block edges
         rng = np.random.default_rng(20)
-        for n in (2 ** 10, 2 ** 10 + 1, 2 ** 20, 2 ** 20 + 1):
+        block = farey.BLOCK
+        for n in (2 ** 10, 2 ** 10 + 1, 2 ** 20, 2 ** 20 + 1, block - 1,
+                  block, block + 1, 3 * block + 1):
             grid = rng.integers(-64, 80, n) / 64
             lo = grid + rng.integers(0, 4000, n) * np.spacing(grid)
             lo[rng.random(n) < 0.02] = -0.0
@@ -426,8 +429,9 @@ class TestUnionLength:
 
     def test_peak_memory_per_interval(self):
         # one call on 10^6 intervals, 1 % of them tied in one coarse
-        # prefix so the check's re-sort runs too, holds at most 40 bytes
-        # per interval besides its arguments
+        # prefix so the check's re-sort runs too, holds at most 12 bytes
+        # per interval besides its arguments: the key word and a few
+        # blocks
         n = 10 ** 6
         rng = np.random.default_rng(21)
         lo = rng.random(n)
@@ -443,4 +447,82 @@ class TestUnionLength:
         finally:
             tracemalloc.stop()
         assert got.hex() == stable_union_length(lo, hi).hex()
-        assert peak <= 40 * n, peak / n
+        assert peak <= 12 * n, peak / n
+
+
+def sorted_gains(lo, hi, clip_lo, clip_hi):
+    """Each interval's gain in the stable (lo, index) order, as the
+    sweep takes it: hi - max(lo, end of the intervals before it)."""
+    lo, hi = np.clip(lo, clip_lo, clip_hi), np.clip(hi, clip_lo, clip_hi)
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    end = np.concatenate(([-np.inf], np.maximum.accumulate(hi)[:-1]))
+    return hi - np.maximum(lo, end)
+
+
+def straddling_run(run):
+    """2 BLOCK intervals, well apart in lo except one run of `run`
+    distinct lo that share a key prefix, at sorted positions BLOCK -
+    run // 2 onwards, so the run straddles a block edge; the run's lo
+    fall as its indices rise, so its prefix order is wrong."""
+    block = farey.BLOCK
+    n = 2 * block
+    below = block - run // 2
+    lo = np.empty(n)
+    lo[:below] = np.arange(below) / (4 * block)
+    lo[below:below + run] = 0.5 + np.arange(run)[::-1] * 2.0 ** -53
+    lo[below + run:] = 0.75 + np.arange(n - below - run) / (8 * block)
+    hi = lo + np.where(np.arange(n) % 3 == 0, 2.0 ** -40, 2.0 ** -20)
+    return lo, hi
+
+
+class TestUnionLengthBlocks:
+    """The sweep walks the sorted order one farey.BLOCK at a time,
+    carrying the running end and the order check across block edges."""
+
+    @pytest.mark.parametrize("run", [2, 200])
+    def test_tied_run_straddles_a_block_edge(self, run):
+        lo, hi = straddling_run(run)
+        order = TestUnionLength.prefix_index_order(lo, 0.0, 1.0)
+        edge = farey.BLOCK
+        assert lo[order[edge - 1]] > lo[order[edge]]
+        assert farey.union_length(lo, hi).hex() == \
+            stable_union_length(lo, hi).hex()
+
+    def test_block_without_gain(self):
+        # one interval covers the whole middle block of sorted lo
+        n = 3 * farey.BLOCK
+        lo = np.sort(np.random.default_rng(3).random(n))
+        hi = lo + 1e-7
+        lo[0], hi[0] = 0.25, 0.75
+        gains = sorted_gains(lo, hi, 0.0, 1.0)
+        assert np.all(gains[farey.BLOCK:2 * farey.BLOCK] <= 0)
+        assert np.any(gains[2 * farey.BLOCK:] > 0)
+        assert farey.union_length(lo, hi).hex() == \
+            stable_union_length(lo, hi).hex()
+
+    def test_windows_clip_whole_blocks(self):
+        # sorted lo spread over [0, 1): the windows cut every interval of
+        # the first block, the last or all of them to one end
+        n = 3 * farey.BLOCK + 1
+        rng = np.random.default_rng(4)
+        lo = rng.random(n)
+        hi = lo + rng.random(n) * 1e-5
+        ranked = np.sort(lo)
+        first_end = float(ranked[farey.BLOCK - 1])
+        last_start = float(ranked[-farey.BLOCK])
+        for window in ((first_end + 1e-3, 0.5), (0.5, last_start - 1e-3),
+                       (first_end + 1e-3, last_start - 1e-3),
+                       (-2.0, -1.0), (1.5, 2.0), (0.5, 0.5)):
+            assert farey.union_length(lo, hi, *window).hex() == \
+                stable_union_length(lo, hi, *window).hex(), window
+
+    @pytest.mark.parametrize("run", [2, 200])
+    def test_forged_order_is_refused(self, monkeypatch, run):
+        # without the re-sort of tied runs the order breaks, in the two
+        # interval run right across the block edge
+        lo, hi = straddling_run(run)
+        monkeypatch.setattr(farey, "_tied_positions",
+                            lambda keys, ib: np.zeros(0, dtype=np.int64))
+        with pytest.raises(InternalInvariantError, match="stable sort"):
+            farey.union_length(lo, hi)

@@ -8,6 +8,7 @@ on.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,22 @@ class TestCellSweepTwin:
         # holds long runs of tied ends at 0 and 1
         stage = sy.per_point_stage(fn.parse_function(psi), k)
         assert_twins(sy._stage_ball_plan(sy.classical_rationals(), stage, n))
+
+    def test_peak_memory_per_swept_ball(self):
+        # the q^-2, k = 5, n = 5 stage, 2.97M balls in one cell: the
+        # candidate phase and the sweep (lo, hi and union_length's one
+        # key word) each hold about 3 words per ball
+        stage = sy.per_point_stage(fn.parse_function("r^-2"), 5)
+        plan = sy._stage_ball_plan(sy.classical_rationals(), stage, 5)
+        tracemalloc.start()
+        try:
+            value, count = sy._cell_sweep(*plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2_969_757
+        assert (value.hex(), count) == swept(gcd_cell_sweep, plan)
+        assert peak <= 30 * count, peak / count
 
     def test_int64_headroom_at_the_cell_cap(self):
         # the largest cell the sweep accepts holds 10 * _CELL_BUDGET
