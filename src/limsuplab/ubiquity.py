@@ -59,10 +59,26 @@ s_i, e_i the first and last centres of block i
                         + 2r (R - L):
 
 each of the R - L open gaps adds 2r and only the merged blocks in
-[L, R] add a span e_i - s_i.  Summing spans over many merged blocks
-stays exact and fast by bucketing numerators per denominator:
-sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b with integer coefficients,
-evaluated over the single common denominator lcm(1..Q).
+[L, R] add a span e_i - s_i.  The spans of merged blocks m_lo..m_hi - 1
+sum to sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b, the integer coef_b
+being their numerators bucketed per denominator:
+
+  * the first query whose range crosses a multiple of K = 2^bitlen(Q)
+    (> Q) builds an int64 table whose row j holds the coef of the merged
+    blocks before j K (_checkpoints): (M // K + 1)(Q + 1) <= M + Q + 1
+    words for M merged blocks;
+  * a query takes one difference of the rows inside its range and
+    buckets only the fewer than 2K edge blocks beyond them, or, inside
+    one chunk, its own blocks, decoded from their keys on demand;
+  * int64 holds it all: an entry is at most M Q < 2^25 2^13 = 2^38 in
+    size (M < |F_Q| < 2^25 and Q <= 2^13 up to MAX_UNIFORM_Q), a row
+    difference plus the edges stays below 2^40, and a float64 bincount
+    of at most K numerators <= Q is exact;
+  * sum_b coef_b / b over the nonzero coef_b is added by a pairwise tree
+    of (num, den) pairs over the lcm of their denominators
+    (_fraction_sum), so no lcm(1..Q) is formed and a query pays only for
+    the denominators it meets.  A stage with no merged block, such as a
+    Ford stage, does none of this.
 
 Everything user-facing is a Fraction.
 
@@ -93,8 +109,9 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
 # them alone: 10^-6 (2,325 blocks) measured 0.14-0.16 s and 29 MB
 MAX_UNIFORM_Q = 8192
 # every ball is one exact query per stage: 1000 balls at the README
-# stages 3..5 of 6 r^-2 with k = 6 measured 3.7-4.2 s and 56 MB on 2
-# vCPUs, 3.8 s of a 5.4 s profile in the span sums
+# stages 3..5 of 6 r^-2 with k = 6 measured 1.6-2.1 s and 46 MB on 2
+# vCPUs, 1.6 s of a 2.8 s profile in the span sums, 1.2 s of it in
+# _fraction_sum
 MAX_BALLS = 1_000
 
 
@@ -127,11 +144,18 @@ class UniformStageEngine:
         self._starts, self._merged, self._ends = build(q_max, theta)
 
     @functools.cached_property
-    def _lcm_table(self) -> tuple[int, list[int]]:
-        """L = lcm(1..q_max) and [0, L // 1, ..., L // q_max], built on
-        the first span sum."""
-        lcm = math.lcm(*range(1, self.q_max + 1))
-        return lcm, [0] + [lcm // b for b in range(1, self.q_max + 1)]
+    def _checkpoints(self):
+        """Row j: the per-denominator numerator sums of the merged blocks
+        before j K (K = 2^db > q_max), built on the first span sum that
+        crosses a row: about a word per merged block, each entry at most
+        (merged blocks) q_max < 2^25 2^13 = 2^38 in size."""
+        import numpy as np
+        chunk = 1 << self._db
+        table = np.zeros((len(self._merged) // chunk + 1, self.q_max + 1),
+                         dtype=np.int64)
+        for j in range(1, len(table)):
+            table[j] = self._numerator_sums((j - 1) * chunk, j * chunk)
+        return np.cumsum(table, axis=0, out=table)
 
     @property
     def block_count(self) -> int:
@@ -154,19 +178,37 @@ class UniformStageEngine:
                 i += 1
         return i
 
-    def _span_sum(self, s: np.ndarray, e: np.ndarray) -> int:
-        """sum of c_e - c_s over the key pairs (s, e), as an exact
-        numerator over lcm(1..q_max), via per-denominator bucketing."""
+    def _numerator_sums(self, i: int, j: int):
+        """Per-denominator sums a_e - a_s over merged blocks i..j - 1 (at
+        most K = 2^db of them), unpacked from their keys.  The float64
+        bincounts are exact: each adds at most K numerators <= q_max, at
+        most 2^14 * 2^13 = 2^27 below the cap."""
         import numpy as np
-        ae, be = self._unpack(e, self.q_max)
-        as_, bs = self._unpack(s, self.q_max)
-        # |coef_b| <= merged blocks * Q < |F_Q| * Q < 2^25 * 2^13 = 2^38
-        # (Q <= MAX_UNIFORM_Q = 2^13), far inside int64
-        coef = np.zeros(self.q_max + 1, dtype=np.int64)
-        np.add.at(coef, be, ae)
-        np.subtract.at(coef, bs, as_)
-        return sum(c * m for c, m in zip(coef.tolist(),
-                                         self._lcm_table[1]) if c)
+        q = self.q_max
+        ae, be = self._unpack(self._ends[i:j], q)
+        as_, bs = self._unpack(self._starts[self._merged[i:j]], q)
+        sums = np.bincount(be, ae, q + 1)
+        sums -= np.bincount(bs, as_, q + 1)
+        return sums.astype(np.int64)
+
+    def _span_sum(self, m_lo: int, m_hi: int) -> tuple[int, int]:
+        """sum of e_i - s_i over merged blocks m_lo..m_hi - 1 as a (num,
+        den) pair, sum_b coef_b / b by _fraction_sum.  coef is one
+        difference of the checkpoint rows inside the range plus the fewer
+        than 2K edge blocks outside them, or the blocks themselves when
+        the range crosses no row: below 2^39 + 2^28 < 2^40, in int64."""
+        import numpy as np
+        chunk = 1 << self._db
+        c_lo, c_hi = -(-m_lo // chunk), m_hi // chunk
+        if c_lo > c_hi:  # inside one chunk
+            coef = self._numerator_sums(m_lo, m_hi)
+        else:
+            table = self._checkpoints
+            coef = table[c_hi] - table[c_lo]
+            coef += self._numerator_sums(m_lo, c_lo * chunk)
+            coef += self._numerator_sums(c_hi * chunk, m_hi)
+        dens = np.flatnonzero(coef)
+        return _fraction_sum(coef[dens], dens)
 
     def union_measure(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact Lebesgue measure of (union of balls) intersected with
@@ -211,20 +253,43 @@ class UniformStageEngine:
         end = (ar * rd + rn * br, br * rd)
         if end[0] * hd > hn * end[1]:
             end = (hn, hd)
-        span = 0
-        if m_lo < m_hi:
-            span = self._span_sum(self._starts[merged[m_lo:m_hi]],
-                                  self._ends[m_lo:m_hi])
         # end - start, less e_R - s_L, plus 2r per open gap
         num = end[0] * start[1] - start[0] * end[1]
         den = end[1] * start[1]
         gap_d = bl * br * rd
         gap_n = (al * br - ar * bl) * rd + 2 * (R - L) * rn * bl * br
         num, den = num * gap_d + gap_n * den, den * gap_d
-        if span:
-            lcm = self._lcm_table[0]
-            num, den = num * lcm + span * den, den * lcm
+        if m_lo < m_hi:
+            sn, sd = self._span_sum(m_lo, m_hi)
+            num, den = num * sd + sn * den, den * sd
         return Fraction(num, den)
+
+
+def _fraction_sum(nums, dens) -> tuple[int, int]:
+    """sum of nums / dens over int64 arrays (|num| < 2^40, 1 <= den <= 2^13)
+    as one (num, den) pair, (0, 1) for none, by a pairwise tree: each level
+    adds neighbours over the lcm of their denominators, so den is the lcm
+    of dens, not their product.  The first level runs in int64, where
+    |n1 d2 + n2 d1| < 2^54, and the levels above on Python ints."""
+    import numpy as np
+    even = len(dens) - len(dens) % 2
+    left, right = dens[0:even:2], dens[1:even:2]
+    g = np.gcd(left, right)
+    left = left // g
+    terms = list(zip((nums[0:even:2] * (right // g)
+                      + nums[1:even:2] * left).tolist(),
+                     (left * right).tolist()))
+    if even < len(dens):
+        terms.append((int(nums[-1]), int(dens[-1])))
+    while len(terms) > 1:
+        paired = []
+        for (n1, d1), (n2, d2) in zip(terms[0::2], terms[1::2]):
+            g = math.gcd(d1, d2)
+            paired.append((n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2))
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return terms[0] if terms else (0, 1)
 
 
 def _open_gap_rows(q_max: int, theta: int):

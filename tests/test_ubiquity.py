@@ -3,6 +3,7 @@ oracle, the covering-constant examples (one ball and stage at a time
 through `oracles.ubiquity_ratio`), and the trends of the natural cover
 sum in `oracles`."""
 
+import bisect
 import math
 import random
 import tracemalloc
@@ -243,6 +244,96 @@ def test_rank_matches_brute_count(q_max, pick, scale):
                              inside) == want, (x, inside)
 
 
+def merged_point(eng, i, where):
+    """The first centre, the midpoint of first and last, or the last centre
+    (where = 0, 1, 2) of merged block i: a query end there puts block i at
+    that end of the query's merged range."""
+    first = Fraction(*farey.unpack_keys(eng._starts.item(eng._merged.item(i)),
+                                        eng.q_max))
+    last = Fraction(*farey.unpack_keys(eng._ends.item(i), eng.q_max))
+    return (first, (first + last) / 2, last)[where]
+
+
+# q_max 96..120 (chunks of K = 128 merged blocks) with radius 1/(f q^2),
+# f from 0.6 to 1.1, joins enough gaps for 3 to 7 chunks
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(q_max=st.integers(96, 120), f=st.integers(60, 110),
+       edge=st.integers(min_value=0), where=st.tuples(*[st.integers(0, 2)] * 2),
+       picks=st.lists(st.tuples(st.integers(min_value=0),
+                                st.integers(min_value=0)), max_size=3))
+@example(q_max=96, f=60, edge=0, where=(0, 2), picks=[])
+@example(q_max=120, f=80, edge=6, where=(1, 1), picks=[])
+def test_span_sums_across_checkpoint_chunks(q_max, f, edge, where, picks):
+    rad = Fraction(100, f * q_max * q_max)
+    eng = ub.UniformStageEngine(q_max, rad)
+    chunk, merged = 1 << q_max.bit_length(), len(eng._merged)
+    assert merged >= 3 * chunk
+    nums, dens = farey.reduced_fractions(q_max)
+    centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+    balls = [(c - rad, c + rad) for c in centers]
+
+    def oracle(lo, hi):
+        # only the balls that can meet [lo, hi]; the oracle clips the rest
+        return exact_union_measure(
+            balls[bisect.bisect_left(centers, lo - rad):
+                  bisect.bisect_right(centers, hi + rad)], lo, hi)
+
+    # merged ranges [m_lo, m_hi): one end on a chunk edge or either side of
+    # it, one inside one chunk, one across every chunk, and drawn ones
+    c = edge % (merged // chunk + 1) * chunk
+    ranges = [(0, merged), (c + 1, min(c + chunk - 1, merged))]
+    for at in (c - 1, c, c + 1):
+        ranges += [(at, merged), (0, at), (at, (at + merged) // 2)]
+    ranges += [tuple(sorted((a % merged, b % merged))) for a, b in picks]
+    ranges = [(lo, hi) for lo, hi in ranges if 0 <= lo < hi <= merged]
+    seen = []
+    span_sum = eng._span_sum
+    eng._span_sum = lambda m_lo, m_hi: (seen.append((m_lo, m_hi)),
+                                        span_sum(m_lo, m_hi))[1]
+    for m_lo, m_hi in ranges:
+        lo = merged_point(eng, m_lo, where[0])
+        hi = merged_point(eng, m_hi - 1, where[1])
+        if lo < hi:
+            seen.clear()
+            assert eng.union_measure(lo, hi) == oracle(lo, hi), (m_lo, m_hi)
+            assert seen == [(m_lo, m_hi)]
+    # [0, 1], and windows that meet no merged block: around a one-point
+    # block and inside an open gap
+    single = next(b for b in range(eng.block_count)
+                  if b not in set(eng._merged.tolist()))
+    point = Fraction(*farey.unpack_keys(eng._starts.item(single), q_max))
+    gap = next(i for i in range(len(centers) - 1)
+               if centers[i + 1] - centers[i] > 2 * rad)
+    mid = (centers[gap] + centers[gap + 1]) / 2
+    room = centers[gap + 1] - centers[gap] - 2 * rad
+    queries = [(Fraction(0), Fraction(1)),
+               (point - rad / 2, point + rad / 3),
+               (mid - room / 4, mid + room / 4)]
+    seen.clear()
+    for lo, hi in queries:
+        assert eng.union_measure(lo, hi) == oracle(lo, hi), (lo, hi)
+    assert seen == [(0, merged)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(terms=st.lists(st.tuples(st.integers(1 - 2 ** 40, 2 ** 40 - 1),
+                                st.integers(1, 8192)), max_size=40))
+@example(terms=[])
+@example(terms=[(-7, 12)])
+@example(terms=[(3, 4), (-5, 6), (0, 9)])
+@example(terms=[(1, 2), (-1, 3), (5, 6), (-7, 12)])
+@example(terms=[(b % 7 - 3, b) for b in range(1, 8193)])
+def test_fraction_sum_matches_fraction_arithmetic(terms):
+    nums = np.array([n for n, _ in terms], dtype=np.int64)
+    dens = np.array([d for _, d in terms], dtype=np.int64)
+    num, den = ub._fraction_sum(nums, dens)
+    assert Fraction(num, den) == sum((Fraction(n, d) for n, d in terms),
+                                     Fraction(0))
+    # the tree's denominator is the lcm of the terms', not their product
+    assert den == math.lcm(*dens.tolist())
+    assert dens.tolist() == [d for _, d in terms]
+
+
 def stage(system, rho, k, n):
     """(q_max, radius, theta) of a uniform stage."""
     q_max = ub._uniform_q_max(system, Fraction(k), n)
@@ -320,6 +411,20 @@ def test_packed_keys_fit_int64_up_to_the_cap():
     assert farey.packed_keys(1, 1, ub.MAX_UNIFORM_Q) < 2 ** 43
 
 
+def test_span_sums_fit_int64_up_to_the_cap():
+    # merged blocks M < |F_Q| and Q <= 2^13: a checkpoint entry is at most
+    # M Q < 2^38, a row difference plus the edge blocks of two chunks of K
+    # stays below 2^40, and a float64 bincount of at most K numerators
+    # <= Q is exact
+    q = ub.MAX_UNIFORM_Q
+    points = 1 + int(farey.totient_sieve(q)[1:].sum())
+    chunk = 1 << q.bit_length()
+    assert points < 2 ** 25 and q <= 2 ** 13 and chunk <= 2 ** 14
+    assert points * q < 2 ** 38
+    assert 2 * points * q + 2 * chunk * q < 2 ** 40
+    assert chunk * q <= 2 ** 27 < 2 ** 53
+
+
 def test_ford_engine_matches_per_denominator_count():
     # Ford stage rho = r^-1, k = 6, n = 6: 2q^2 <= 6^6 gives q <= 152,
     # and 2 rho(6^6) = 2/6^6 < 1/(152 * 151), the smallest Farey gap, so
@@ -372,6 +477,22 @@ def test_engine_memory_is_one_word_per_point():
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
     assert held <= 8 * points + 16 * merged
+
+
+def test_span_checkpoints_hold_one_word_per_merged_block():
+    # the README's F_7776 stage: its first span query builds the
+    # checkpoint rows, at most one word per merged block plus 2(Q + 1)
+    q_max, radius, _ = stage(sy.classical_rationals(), RHO_LEMMA, 6, 5)
+    eng = ub.UniformStageEngine(q_max, radius)
+    merged = len(eng._merged)
+    assert merged == 144_584
+    tracemalloc.start()
+    try:
+        eng.union_measure(Fraction(0), Fraction(1))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * (merged + 2 * (q_max + 1)), held
 
 
 def test_engine_build_peak_memory():
