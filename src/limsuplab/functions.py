@@ -71,6 +71,8 @@ def exact(x: RationalLike, name: str) -> Fraction:
     """Coerce to an exact Fraction; floats are refused, text and a
     decimal.Decimal (by its text) are read by `read_exact` under its
     exponent and bit caps."""
+    if type(x) is Fraction:  # immutable, and Fraction(x) costs about 1 us
+        return x
     if isinstance(x, float):
         raise UsageError("%s must be exact (int, Fraction, or string like "
                          "'2/3'); got float %r" % (name, x))

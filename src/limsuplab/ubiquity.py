@@ -61,24 +61,23 @@ s_i, e_i the first and last centres of block i
 each of the R - L open gaps adds 2r and only the merged blocks in
 [L, R] add a span e_i - s_i.  The spans of merged blocks m_lo..m_hi - 1
 sum to sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b, the integer coef_b
-being their numerators bucketed per denominator:
+being their numerators bucketed per denominator.  A batch of queries
+takes all its span sums from one sweep (union_measures):
 
-  * the first query whose range crosses a multiple of K = 2^bitlen(Q)
-    (> Q) builds an int64 table whose row j holds the coef of the merged
-    blocks before j K (_checkpoints): (M // K + 1)(Q + 1) <= M + Q + 1
-    words for M merged blocks;
-  * a query takes one difference of the rows inside its range and
-    buckets only the fewer than 2K edge blocks beyond them, or, inside
-    one chunk, its own blocks, decoded from their keys on demand;
-  * int64 holds it all: an entry is at most M Q < 2^25 2^13 = 2^38 in
-    size (M < |F_Q| < 2^25 and Q <= 2^13 up to MAX_UNIFORM_Q), a row
-    difference plus the edges stays below 2^40, and a float64 bincount
-    of at most K numerators <= Q is exact;
+  * the distinct m_lo and m_hi of the batch cut the merged blocks into
+    segments, and each query's range is a run of whole segments;
+  * a segment's coef is bucketed K = 2^bitlen(Q) (> Q) blocks at a time,
+    decoded from their keys; |coef_b| <= M Q < 2^25 2^13 = 2^38 for M
+    merged blocks (M < |F_Q| < 2^25 and Q <= 2^13 up to MAX_UNIFORM_Q),
+    so int64 holds it, and a float64 bincount of at most K numerators
+    <= Q stays at or below 2^27, so it is exact;
   * sum_b coef_b / b over the nonzero coef_b is added by a pairwise tree
     of (num, den) pairs over the lcm of their denominators
-    (_fraction_sum), so no lcm(1..Q) is formed and a query pays only for
-    the denominators it meets.  A stage with no merged block, such as a
-    Ford stage, does none of this.
+    (_fraction_sum), so no lcm(1..Q) is formed;
+  * the segment sums are put over D, the lcm of their denominators, as
+    integer prefixes, and a query's span sum is one prefix difference
+    over D.  A stage with no merged block, such as a Ford stage, does
+    none of this.
 
 Everything user-facing is a Fraction.
 
@@ -89,7 +88,7 @@ before any engine is built, loads neither.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -108,10 +107,10 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
 # or the merged blocks' edges.  A stage with few open gaps builds from
 # them alone: 10^-6 (2,325 blocks) measured 0.14-0.16 s and 29 MB
 MAX_UNIFORM_Q = 8192
-# every ball is one exact query per stage: 1000 balls at the README
-# stages 3..5 of 6 r^-2 with k = 6 measured 1.6-2.1 s and 46 MB on 2
-# vCPUs, 1.6 s of a 2.8 s profile in the span sums, 1.2 s of it in
-# _fraction_sum
+# every ball is one exact query per stage, a stage's balls one batch:
+# 1000 balls at the README stages 3..5 of 6 r^-2 with k = 6 measured
+# 1.1-1.4 s and 46 MB on 2 vCPUs, 0.9 s of a 1.8 s profile in the
+# queries, 0.37 s of it in _fraction_sum
 MAX_BALLS = 1_000
 
 
@@ -143,20 +142,6 @@ class UniformStageEngine:
                  else _farey_blocks)
         self._starts, self._merged, self._ends = build(q_max, theta)
 
-    @functools.cached_property
-    def _checkpoints(self):
-        """Row j: the per-denominator numerator sums of the merged blocks
-        before j K (K = 2^db > q_max), built on the first span sum that
-        crosses a row: about a word per merged block, each entry at most
-        (merged blocks) q_max < 2^25 2^13 = 2^38 in size."""
-        import numpy as np
-        chunk = 1 << self._db
-        table = np.zeros((len(self._merged) // chunk + 1, self.q_max + 1),
-                         dtype=np.int64)
-        for j in range(1, len(table)):
-            table[j] = self._numerator_sums((j - 1) * chunk, j * chunk)
-        return np.cumsum(table, axis=0, out=table)
-
     @property
     def block_count(self) -> int:
         return 0 if self.empty else len(self._starts)
@@ -179,43 +164,55 @@ class UniformStageEngine:
         return i
 
     def _numerator_sums(self, i: int, j: int):
-        """Per-denominator sums a_e - a_s over merged blocks i..j - 1 (at
-        most K = 2^db of them), unpacked from their keys.  The float64
+        """Per-denominator sums a_e - a_s over merged blocks i..j - 1,
+        unpacked from their keys K = 2^db blocks at a time.  The float64
         bincounts are exact: each adds at most K numerators <= q_max, at
         most 2^14 * 2^13 = 2^27 below the cap."""
         import numpy as np
-        q = self.q_max
-        ae, be = self._unpack(self._ends[i:j], q)
-        as_, bs = self._unpack(self._starts[self._merged[i:j]], q)
-        sums = np.bincount(be, ae, q + 1)
-        sums -= np.bincount(bs, as_, q + 1)
-        return sums.astype(np.int64)
-
-    def _span_sum(self, m_lo: int, m_hi: int) -> tuple[int, int]:
-        """sum of e_i - s_i over merged blocks m_lo..m_hi - 1 as a (num,
-        den) pair, sum_b coef_b / b by _fraction_sum.  coef is one
-        difference of the checkpoint rows inside the range plus the fewer
-        than 2K edge blocks outside them, or the blocks themselves when
-        the range crosses no row: below 2^39 + 2^28 < 2^40, in int64."""
-        import numpy as np
-        chunk = 1 << self._db
-        c_lo, c_hi = -(-m_lo // chunk), m_hi // chunk
-        if c_lo > c_hi:  # inside one chunk
-            coef = self._numerator_sums(m_lo, m_hi)
-        else:
-            table = self._checkpoints
-            coef = table[c_hi] - table[c_lo]
-            coef += self._numerator_sums(m_lo, c_lo * chunk)
-            coef += self._numerator_sums(c_hi * chunk, m_hi)
-        dens = np.flatnonzero(coef)
-        return _fraction_sum(coef[dens], dens)
+        q, chunk = self.q_max, 1 << self._db
+        sums = np.zeros(q + 1, dtype=np.int64)
+        for at in range(i, j, chunk):
+            part = slice(at, min(at + chunk, j))
+            ae, be = self._unpack(self._ends[part], q)
+            as_, bs = self._unpack(self._starts[self._merged[part]], q)
+            counts = np.bincount(be, ae, q + 1)
+            counts -= np.bincount(bs, as_, q + 1)
+            sums += counts.astype(np.int64)
+        return sums
 
     def union_measure(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact Lebesgue measure of (union of balls) intersected with
-        [lo, hi], by the identity of the module docstring."""
+        [lo, hi]: a batch of one."""
+        return self.union_measures([(lo, hi)])[0]
+
+    def union_measures(self, intervals) -> list[Fraction]:
+        """union_measure of each (lo, hi) in `intervals`, every span sum
+        from one sweep (module docstring): each segment between
+        neighbouring cuts is bucketed once and summed by _fraction_sum, and
+        prefix[m] / span_d sums the spans from the first cut to m."""
+        parts = list(itertools.starmap(self._outside_spans, intervals))
+        cuts = sorted({m for _, _, m_lo, m_hi in parts if m_lo < m_hi
+                       for m in (m_lo, m_hi)})
+        prefix, span_d = {}, 1
+        if cuts:
+            sums = []
+            for m_lo, m_hi in zip(cuts, cuts[1:]):
+                coef = self._numerator_sums(m_lo, m_hi)
+                dens = coef.nonzero()[0]
+                sums.append(_fraction_sum(coef[dens], dens))
+            span_d = math.lcm(*[d for _, d in sums])
+            prefix = dict(zip(cuts, itertools.accumulate(
+                [n * (span_d // d) for n, d in sums], initial=0)))
+        return [Fraction(num * span_d + (prefix[m_hi] - prefix[m_lo]) * den,
+                         den * span_d) if m_lo < m_hi else Fraction(num, den)
+                for num, den, m_lo, m_hi in parts]
+
+    def _outside_spans(self, lo: Fraction, hi: Fraction):
+        """(num, den, m_lo, m_hi): the measure of the union in [lo, hi] is
+        num / den plus the spans of merged blocks m_lo..m_hi - 1."""
         lo, hi = fn.exact(lo, "lo"), fn.exact(hi, "hi")
         if hi <= lo or self.empty:
-            return Fraction(0)
+            return 0, 1, 0, 0
         rn, rd = self.radius.numerator, self.radius.denominator
         ln, ld = lo.numerator, lo.denominator
         hn, hd = hi.numerator, hi.denominator
@@ -239,7 +236,7 @@ class UniformStageEngine:
                     m_lo += 1
             m_hi = int(merged.searchsorted(R, side="right"))
         if L > R:
-            return Fraction(0)
+            return 0, 1, 0, 0
         # s_L = al/bl and e_R = ar/br
         al, bl = self._unpack(self._starts.item(L), q)
         last = (self._ends.item(m_hi - 1)
@@ -258,19 +255,15 @@ class UniformStageEngine:
         den = end[1] * start[1]
         gap_d = bl * br * rd
         gap_n = (al * br - ar * bl) * rd + 2 * (R - L) * rn * bl * br
-        num, den = num * gap_d + gap_n * den, den * gap_d
-        if m_lo < m_hi:
-            sn, sd = self._span_sum(m_lo, m_hi)
-            num, den = num * sd + sn * den, den * sd
-        return Fraction(num, den)
+        return num * gap_d + gap_n * den, den * gap_d, m_lo, m_hi
 
 
 def _fraction_sum(nums, dens) -> tuple[int, int]:
-    """sum of nums / dens over int64 arrays (|num| < 2^40, 1 <= den <= 2^13)
+    """sum of nums / dens over int64 arrays (|num| < 2^38, 1 <= den <= 2^13)
     as one (num, den) pair, (0, 1) for none, by a pairwise tree: each level
     adds neighbours over the lcm of their denominators, so den is the lcm
     of dens, not their product.  The first level runs in int64, where
-    |n1 d2 + n2 d1| < 2^54, and the levels above on Python ints."""
+    |n1 d2 + n2 d1| < 2^52, and the levels above on Python ints."""
     import numpy as np
     even = len(dens) - len(dens) % 2
     left, right = dens[0:even:2], dens[1:even:2]
@@ -484,10 +477,12 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
                    q_cap: int = MAX_UNIFORM_Q) -> list[UbiquityReport]:
     """Per-ball infimum of the stage ratios over the n-range.
 
-    One engine is built per stage and shared across the ball sample, so
-    the cost is dominated by the largest stage, not the sample size.  It
-    is built first, so a stage past q_cap is refused before any build,
-    as are an empty range, a stage index below 1 and a non-decaying rho.
+    One engine is built per stage and answers the whole ball sample as one
+    batch (UniformStageEngine.union_measures), so the merged blocks are
+    bucketed once per stage and each ball's span sum is one prefix
+    difference.  The largest stage is built first, so a stage past q_cap
+    is refused before any build, as are an empty range, a stage index
+    below 1 and a non-decaying rho.
     """
     k = fn.exact(k, "k")
     target = fn.exact(target, "target")
@@ -512,9 +507,9 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
     for n in reversed(ns):
         engine = UniformStageEngine(_uniform_q_max(system, k, n, q_cap),
                                     _uniform_radius(rho, k, n), cap=q_cap)
-        for i, (c, r) in enumerate(checked):
-            ratio = engine.union_measure(c - r, c + r) / (2 * r)
-            per_ball[i].append((n, ratio))
+        measures = engine.union_measures([(c - r, c + r) for c, r in checked])
+        for rows, (_, r), m in zip(per_ball, checked, measures):
+            rows.append((n, m / (2 * r)))
 
     reports = []
     for (c, r), rows in zip(checked, per_ball):

@@ -8,9 +8,12 @@ import random
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from limsuplab import cli
 from limsuplab import counting as ct
@@ -936,3 +939,74 @@ def test_seeded_fuzz_exits_with_a_documented_status(tmp_path, capsys):
         seen.setdefault(argv[0], set()).add(code)
     assert len(seen) == len(FUZZ_OPTIONS)
     assert {0, 1, 2} <= set().union(*seen.values())
+
+
+# -- the exit contract over the option grammar --------------------------------
+
+# numbers as the readers meet them: exact and decimal, past float range,
+# undefined, and quotients of integers up to 10^400
+GRAMMAR_NUMBER = st.one_of(
+    st.sampled_from(["1e999", "7/0", "nan", "-inf", "10^30", str(10 ** 30),
+                     "0", "-7", "0.37"]),
+    st.fractions(max_denominator=1000).map(str),
+    st.builds("{}/{}".format, st.integers(-10 ** 400, 10 ** 400),
+              st.integers(0, 10 ** 400)))
+# the factor grammar scale * r^a * log(r)^b * loglog(r)^c, and exp(-r^w)
+GRAMMAR_FUNCTION = st.one_of(
+    st.builds("{} * r^{} * log(r)^({})".format, GRAMMAR_NUMBER,
+              GRAMMAR_NUMBER, GRAMMAR_NUMBER),
+    st.builds("r^({}) * loglog(1/r)^{}".format, GRAMMAR_NUMBER,
+              GRAMMAR_NUMBER),
+    st.builds("exp(-r^{})".format, GRAMMAR_NUMBER))
+# given last, so they win over drawn values: lowered caps, and schmidt in
+# this process
+LAST_OPTIONS = {"ubiquity": ["--q-cap=100"],
+                "stage-scan": ["--full-cap=1000", "--subset-cap=40"],
+                "schmidt": ["--workers=1"]}
+
+
+@st.composite
+def grammar_argv(draw):
+    """One invocation: each option of FUZZ_OPTIONS present if required,
+    else one time in two, its value one of the listed ones six times in
+    eight, else drawn from the grammar."""
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    required = {o.name for o in cli._COMMANDS[command] if o.required}
+    argv = [command]
+    for name, spec in {**FUZZ_OPTIONS[command], **FUZZ_COMMON}.items():
+        if name in required or draw(st.booleans()):
+            grammar = (GRAMMAR_FUNCTION if name in FUZZ_FUNCTION_OPTIONS
+                       else GRAMMAR_NUMBER)
+            values = (st.sampled_from(spec.replace("|", ";").split(";"))
+                      if draw(st.integers(0, 7)) < 6 else
+                      st.one_of(grammar, GRAMMAR_NUMBER))
+            argv.append("--%s=%s" % (name, draw(values)))
+    return argv + LAST_OPTIONS.get(command, [])
+
+
+@settings(derandomize=True, database=None, max_examples=150,
+          deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=grammar_argv())
+def test_exit_contract_over_the_option_grammar(argv, tmp_path, capsys):
+    out = tmp_path / "run.out"
+    if out.exists():
+        out.unlink()
+    code = cli.main(argv + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, err)
+    # a run writes nothing to stderr, a refusal one line
+    assert err.splitlines(keepends=True) == ([err] if code else []), \
+        (argv, err)
+    if code == 0:
+        head = out.read_text(encoding="utf-8").splitlines()
+        options = dict(a[2:].split("=", 1) for a in argv[1:])
+        if options.get("format", "csv") == "jsonl":
+            meta = json.loads(head[0])["meta"]
+            assert meta["config"]["command"] == argv[0]
+            assert meta["wall_clock_s"] >= 0
+        else:
+            assert head[0].startswith("# limsuplab ")
+            assert head[1].startswith("# config: command=%s " % argv[0])
+            assert float(head[2].split(": ")[1]) >= 0
+            assert head[3].startswith("# summary: ")

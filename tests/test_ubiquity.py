@@ -260,10 +260,12 @@ def merged_point(eng, i, where):
 @given(q_max=st.integers(96, 120), f=st.integers(60, 110),
        edge=st.integers(min_value=0), where=st.tuples(*[st.integers(0, 2)] * 2),
        picks=st.lists(st.tuples(st.integers(min_value=0),
-                                st.integers(min_value=0)), max_size=3))
-@example(q_max=96, f=60, edge=0, where=(0, 2), picks=[])
-@example(q_max=120, f=80, edge=6, where=(1, 1), picks=[])
-def test_span_sums_across_checkpoint_chunks(q_max, f, edge, where, picks):
+                                st.integers(min_value=0)), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(q_max=96, f=60, edge=0, where=(0, 2), picks=[], seed=0)
+@example(q_max=120, f=80, edge=6, where=(1, 1), picks=[], seed=1)
+def test_span_sums_of_a_batch_across_chunks(q_max, f, edge, where, picks,
+                                            seed):
     rad = Fraction(100, f * q_max * q_max)
     eng = ub.UniformStageEngine(q_max, rad)
     chunk, merged = 1 << q_max.bit_length(), len(eng._merged)
@@ -286,10 +288,12 @@ def test_span_sums_across_checkpoint_chunks(q_max, f, edge, where, picks):
         ranges += [(at, merged), (0, at), (at, (at + merged) // 2)]
     ranges += [tuple(sorted((a % merged, b % merged))) for a, b in picks]
     ranges = [(lo, hi) for lo, hi in ranges if 0 <= lo < hi <= merged]
+    # the merged ranges the engine buckets, one call per segment
     seen = []
-    span_sum = eng._span_sum
-    eng._span_sum = lambda m_lo, m_hi: (seen.append((m_lo, m_hi)),
-                                        span_sum(m_lo, m_hi))[1]
+    numerator_sums = eng._numerator_sums
+    eng._numerator_sums = lambda i, j: (seen.append((i, j)),
+                                        numerator_sums(i, j))[1]
+    queries = []
     for m_lo, m_hi in ranges:
         lo = merged_point(eng, m_lo, where[0])
         hi = merged_point(eng, m_hi - 1, where[1])
@@ -297,8 +301,9 @@ def test_span_sums_across_checkpoint_chunks(q_max, f, edge, where, picks):
             seen.clear()
             assert eng.union_measure(lo, hi) == oracle(lo, hi), (m_lo, m_hi)
             assert seen == [(m_lo, m_hi)]
-    # [0, 1], and windows that meet no merged block: around a one-point
-    # block and inside an open gap
+            queries.append((lo, hi))
+    # windows that meet no merged block, around a one-point block and
+    # inside an open gap, bucket nothing, alone or next to [0, 1]
     single = next(b for b in range(eng.block_count)
                   if b not in set(eng._merged.tolist()))
     point = Fraction(*farey.unpack_keys(eng._starts.item(single), q_max))
@@ -306,13 +311,25 @@ def test_span_sums_across_checkpoint_chunks(q_max, f, edge, where, picks):
                if centers[i + 1] - centers[i] > 2 * rad)
     mid = (centers[gap] + centers[gap + 1]) / 2
     room = centers[gap + 1] - centers[gap] - 2 * rad
-    queries = [(Fraction(0), Fraction(1)),
-               (point - rad / 2, point + rad / 3),
-               (mid - room / 4, mid + room / 4)]
+    apart = [(point - rad / 2, point + rad / 3),
+             (mid - room / 4, mid + room / 4)]
+    whole = (Fraction(0), Fraction(1))
     seen.clear()
-    for lo, hi in queries:
-        assert eng.union_measure(lo, hi) == oracle(lo, hi), (lo, hi)
+    assert eng.union_measures(apart) == [oracle(lo, hi) for lo, hi in apart]
+    assert seen == []
+    assert eng.union_measures([whole] + apart) == \
+        [oracle(lo, hi) for lo, hi in [whole] + apart]
     assert seen == [(0, merged)]
+    # a batch answers as its intervals one at a time, shuffled, with
+    # repeats and with hi <= lo, and buckets each merged block once
+    batch = (queries + apart + [whole] + queries[:3]
+             + [(hi, lo) for lo, hi in queries[:2]] + [(point, point)])
+    random.Random(seed).shuffle(batch)
+    seen.clear()
+    got = eng.union_measures(batch)
+    assert seen[0][0] == 0 and seen[-1][1] == merged
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+    assert got == [eng.union_measure(lo, hi) for lo, hi in batch]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -412,17 +429,17 @@ def test_packed_keys_fit_int64_up_to_the_cap():
 
 
 def test_span_sums_fit_int64_up_to_the_cap():
-    # merged blocks M < |F_Q| and Q <= 2^13: a checkpoint entry is at most
-    # M Q < 2^38, a row difference plus the edge blocks of two chunks of K
-    # stays below 2^40, and a float64 bincount of at most K numerators
-    # <= Q is exact
+    # merged blocks M < |F_Q| and Q <= 2^13: a segment's coef is below
+    # M Q < 2^38, a float64 bincount of a chunk of K numerators <= Q stays
+    # at or below 2^27, and the first int64 level of _fraction_sum,
+    # n1 (d2 / g) + n2 (d1 / g) with d1, d2 <= Q, stays below 2^54
     q = ub.MAX_UNIFORM_Q
     points = 1 + int(farey.totient_sieve(q)[1:].sum())
     chunk = 1 << q.bit_length()
     assert points < 2 ** 25 and q <= 2 ** 13 and chunk <= 2 ** 14
     assert points * q < 2 ** 38
-    assert 2 * points * q + 2 * chunk * q < 2 ** 40
     assert chunk * q <= 2 ** 27 < 2 ** 53
+    assert 2 * points * q * q < 2 ** 54
 
 
 def test_ford_engine_matches_per_denominator_count():
@@ -479,20 +496,27 @@ def test_engine_memory_is_one_word_per_point():
     assert held <= 8 * points + 16 * merged
 
 
-def test_span_checkpoints_hold_one_word_per_merged_block():
-    # the README's F_7776 stage: its first span query builds the
-    # checkpoint rows, at most one word per merged block plus 2(Q + 1)
+def test_span_sweep_peak_memory():
+    # the README's F_7776 stage: a [0, 1] query buckets all its merged
+    # blocks a chunk at a time, peaking at most at one word per merged
+    # block plus 2(Q + 1), and leaves the engine's arrays as they were
     q_max, radius, _ = stage(sy.classical_rationals(), RHO_LEMMA, 6, 5)
     eng = ub.UniformStageEngine(q_max, radius)
     merged = len(eng._merged)
     assert merged == 144_584
+
+    def held():
+        return sum(v.nbytes for v in vars(eng).values()
+                   if isinstance(v, np.ndarray))
+    before = held()
     tracemalloc.start()
     try:
         eng.union_measure(Fraction(0), Fraction(1))
-        held = tracemalloc.get_traced_memory()[0]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held <= 8 * (merged + 2 * (q_max + 1)), held
+    assert peak <= 8 * (merged + 2 * (q_max + 1)), peak
+    assert held() == before
 
 
 def test_engine_build_peak_memory():
