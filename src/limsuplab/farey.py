@@ -44,26 +44,41 @@ the exactness argument spelled out where it matters:
   in-place int64 sort.  t = (clip(lo) - clip_lo) + 0.0 is a float >=
   +0.0 (the + 0.0 turns -0.0 into +0.0) and nondecreasing in lo, since
   rounding is monotone, so its int64 bit pattern is nondecreasing too.
-  With ib = bitlen(n - 1), the keys (bits >> ib << ib) | index sort by
-  (prefix, index), and their low ib bits are the order.  Equal lo have
-  equal t, so one prefix, so they come in index order; distinct lo may
-  share a prefix too.  A smaller prefix means a smaller lo, so only
-  positions inside runs of equal prefix, read straight off the sorted
-  keys, can be out of order, and the runs' lo ranges are disjoint and
-  increasing; a stable argsort of the lo at those positions alone puts
-  each run, in index order so far, in (lo, index) order.  The sweep
-  then walks the order a block at a time: it gathers the block's lo
-  and hi, checks that lo is nondecreasing across the block and its
-  edge with the last (an InternalInvariantError if not), and carries
-  the running end.  A block's positive gains, at most as many as the
-  positions read so far, go to the key array's read prefix viewed as
-  float64, so the one sum over that prefix adds the stable sort's
-  gains in its order: the same pairwise sum, bit for bit.
+  Each interval has a code below 2^ib, increasing with its index, and
+  the keys (bits >> ib << ib) | code sort by (prefix, index); their low
+  ib bits are the order.  Equal lo have equal t, so one prefix, so
+  they come in index order; distinct lo may share a prefix too.  A
+  smaller prefix means a smaller lo, so only positions inside runs of
+  equal prefix, read straight off the sorted keys, can be out of
+  order, and the runs' lo ranges are disjoint and increasing; a stable
+  argsort of the lo at those positions alone puts each run, in index
+  order so far, in (lo, index) order.  The sweep then walks the order a
+  block at a time: it reads the block's lo and hi, checks that lo is
+  nondecreasing across the block and its edge with the last (an
+  InternalInvariantError if not), and carries the running end.  A
+  block's positive gains, at most as many as the positions read so
+  far, go to the key array's read prefix viewed as float64, so the one
+  sum over that prefix adds the stable sort's gains in its order: the
+  same pairwise sum, bit for bit;
+* the code of an interval given as arrays is its index, ib = bitlen(n
+  - 1), and its lo and hi are gathered.  A swept ball a/b of radius r
+  (see `systems`) is stored as its key alone: its code is (row << wb) |
+  col, row the plan index of b, col = a - a_lo[row] < 2^wb, and ib =
+  bitlen(rows - 1) + wb.  Codes sort in the flat b-major, a-ascending
+  order of the balls, so they tie-break as the indices did.  `BallRows`
+  decodes a block of codes from per-row float64 tables: c = (a_lo[row]
+  + col) / b and lo, hi = c - r, c + r.  a_lo + col and b are integers
+  below 2^53, so each float64 is exact, c is the true quotient of int64
+  a by b rounded once, and lo is bit for bit the lo its key was made
+  from (`systems` builds it by the same operations).  Denominators stay at most MAX_SIEVE < 2^27, so ib <=
+  54, and a key, a float's pattern >= 0 with its low ib bits replaced,
+  stays below 2^63.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,15 +228,18 @@ def min_multiple_above(den: np.ndarray, window_lo: int,
                        window_hi: int) -> np.ndarray:
     """Per denominator b, the smallest multiple of b in (window_lo,
     window_hi]; 0 where none exists."""
-    q = den * (window_lo // den + 1)
-    return np.where(q <= window_hi, q, 0)
+    q = window_lo // den
+    q += 1
+    q *= den
+    q[q > window_hi] = 0
+    return q
 
 
 def prime_factor_pairs(den: np.ndarray):
-    """(row, p) int64 arrays: one pair for every row i and every
-    distinct prime p dividing den[i], read off one smallest-prime-factor
-    sieve up to max(den).  den holds integers in [1, MAX_SIEVE]; a row
-    with den[i] = 1 has no pair."""
+    """(row, p) int64 arrays, in row order: one pair for every row i and
+    every distinct prime p dividing den[i], read off one
+    smallest-prime-factor sieve up to max(den).  den holds integers in
+    [1, MAX_SIEVE]; a row with den[i] = 1 has no pair."""
     limit = int(den.max(initial=1))
     check_sieve(limit, "prime_factor_pairs")
     spf = smallest_prime_factors(limit)
@@ -240,7 +258,62 @@ def prime_factor_pairs(den: np.ndarray):
         rest //= p
         live = rest > 1
         rest, row, prev = rest[live], row[live], p[live]
-    return np.concatenate(rows), np.concatenate(primes)
+    rows, primes = np.concatenate(rows), np.concatenate(primes)
+    by_row = np.argsort(rows, kind="stable")
+    return rows[by_row], primes[by_row]
+
+
+class BallRows(NamedTuple):
+    """Per-row tables that decode a ball's code (row << wb) | col: the
+    ball [c - r, c + r] with c = (num0[row] + col) / den[row] and r =
+    radius[row], col < 2^wb.  The tables are float64; num0 and den hold
+    integers below 2^53, so they are exact and c is the float64
+    quotient of the integers a and b, bit for bit."""
+
+    num0: np.ndarray
+    den: np.ndarray
+    radius: np.ndarray
+    wb: int
+
+    @property
+    def ib(self) -> int:
+        """Bits below a sort key's prefix: every code is below 2^ib."""
+        return (len(self.den) - 1).bit_length() + self.wb
+
+    def bounds(self, code: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> None:
+        """Write each code's ball ends c - r and c + r into lo and hi,
+        float64 arrays as long as code; code is left as it is."""
+        # rows come off valid codes, so clip mode takes the same words as
+        # raise mode, which buffers its output; lo and hi hold the
+        # intermediates, and row, once read, c - r
+        row = code >> self.wb
+        col = hi.view(np.int64)
+        np.bitwise_and(code, (1 << self.wb) - 1, out=col)
+        np.take(self.num0, row, out=lo, mode="clip")
+        lo += col
+        np.take(self.den, row, out=hi, mode="clip")
+        lo /= hi
+        np.take(self.radius, row, out=hi, mode="clip")
+        low = row.view(np.float64)
+        np.subtract(lo, hi, out=low)
+        np.add(lo, hi, out=hi)
+        np.copyto(lo, low)
+
+
+def sort_keys(lo: np.ndarray, code: np.ndarray, ib: int, clip_lo: float,
+              clip_hi: float, out: np.ndarray) -> None:
+    """Write into out (int64, as long as lo) the sort keys (bits >> ib <<
+    ib) | code of intervals with left ends lo and codes below 2^ib,
+    where bits is the int64 pattern of (clip(lo) - clip_lo) + 0.0 (see
+    the module docstring).  lo may be out's own words read as float64."""
+    t = out.view(np.float64)
+    np.clip(lo, clip_lo, clip_hi, out=t)
+    t -= clip_lo
+    t += 0.0
+    out >>= ib
+    out <<= ib
+    out |= code
 
 
 def _tied_positions(keys: np.ndarray, ib: int) -> np.ndarray:
@@ -253,68 +326,86 @@ def _tied_positions(keys: np.ndarray, ib: int) -> np.ndarray:
     # each i shares with i - 1, so a run of them adds the one before its
     # first (a sort, not np.union1d, whose first call imports numpy.ma)
     tie = np.concatenate(ties)
+    if not len(tie):
+        return tie
     first = np.ones(len(tie), dtype=bool)
     first[1:] = tie[1:] - tie[:-1] > 1
     return np.sort(np.concatenate((tie[first] - 1, tie)))
 
 
-def union_length(lo: np.ndarray, hi: np.ndarray,
+def union_length(lo: np.ndarray, hi,
                  clip_lo: float = 0.0, clip_hi: float = 1.0) -> float:
     """Measure of the union of [lo_i, hi_i] clipped to [clip_lo, clip_hi].
 
     Float sweep; error is O(n ulps), a few 1e-16 per interval.  The
     intervals are visited in the (lo, index) order of a stable sort (lo
     holds no NaN, the clip bounds are finite), found by one in-place
-    int64 sort and certified as the module docstring argues; its keys
-    carry the index in their low bitlen(n - 1) bits.  The caller's lo
-    and hi are left as they are; besides them the call holds one word
-    per interval, a few per position that shares its key prefix and
-    three float64 blocks of BLOCK.
+    int64 sort of keys that carry each code in their low ib bits and
+    certified as the module docstring argues.  The intervals come in
+    one of two forms, and both go through the same sort and walk:
+
+    * lo and hi are float64 arrays: the code is the index, ib =
+      bitlen(n - 1), and each block's bounds are gathered from lo and
+      hi, which are left as they are.  The call holds one key word per
+      interval besides them;
+    * lo holds one `sort_keys` key per ball, unsorted, and hi is the
+      `BallRows` that decodes their codes, ib = hi.ib.  Each block's
+      bounds are rebuilt from the row tables with the float64
+      operations that made the keys, so they are the same bits.  The
+      keys are sorted and overwritten in place, and the call holds no
+      word per ball besides them.
+
+    Either way it holds a few words per position that shares its key
+    prefix and a few blocks of BLOCK.
     """
     n = len(lo)
     if n == 0:
         return 0.0
-    # t = (clip(lo) - clip_lo) + 0.0 >= +0.0 is nondecreasing in lo, and
-    # so is its int64 bit pattern; its low ib bits make room for the index
-    ib = (n - 1).bit_length()
-    order = np.clip(lo, clip_lo, clip_hi)
-    order -= clip_lo
-    order += 0.0
-    order = order.view(np.int64)
-    order >>= ib
-    order <<= ib
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        order[start:stop] |= np.arange(start, stop)
-    order.sort()
-    tied = _tied_positions(order, ib)
-    order &= (1 << ib) - 1
-    # the module docstring's fix: runs of equal prefix, in index order,
+    if isinstance(hi, BallRows):
+        keys, ib, bounds = lo, hi.ib, hi.bounds
+    else:
+        ib = (n - 1).bit_length()
+        keys = np.empty(n, dtype=np.int64)
+        for start in range(0, n, BLOCK):
+            stop = min(start + BLOCK, n)
+            sort_keys(lo[start:stop], np.arange(start, stop), ib, clip_lo,
+                      clip_hi, keys[start:stop])
+
+        def bounds(code, lo_b, hi_b):
+            # the codes are a permutation of range(n), so clip mode takes
+            # the same words as raise mode without its buffered check
+            np.take(lo, code, out=lo_b, mode="clip")
+            np.take(hi, code, out=hi_b, mode="clip")
+    keys.sort()
+    tied = _tied_positions(keys, ib)
+    keys &= (1 << ib) - 1
+    # the module docstring's fix: runs of equal prefix, in code order,
     # are stably re-sorted by clipped lo
     if len(tied):
-        at = order[tied]
-        fix = np.argsort(np.clip(lo[at], clip_lo, clip_hi), kind="stable")
-        order[tied] = at[fix]
+        at = keys[tied]
+        lo_t, hi_t = np.empty((2, len(at)))
+        bounds(at, lo_t, hi_t)
+        del hi_t
+        np.clip(lo_t, clip_lo, clip_hi, out=lo_t)
+        keys[tied] = at[np.argsort(lo_t, kind="stable")]
+        del at, lo_t
     # the gain of interval i is hi_i - max(lo_i, running end of the ones
     # before it, -inf for the first); block by block, the positive gains
-    # go to the order's words already read, as float64
+    # go to the keys' words already read, as float64
     lo_blk, hi_blk, end_blk = np.empty((3, min(n, BLOCK)))
-    gains = order.view(np.float64)
+    gains = keys.view(np.float64)
     kept, last_lo, run_end = 0, -np.inf, -np.inf
     for start in range(0, n, BLOCK):
-        at = order[start:start + BLOCK]
+        at = keys[start:start + BLOCK]
         m = len(at)
         lo_b, hi_b, end_b = lo_blk[:m], hi_blk[:m], end_blk[:m]
-        # the order is a permutation of range(n), so clip mode takes the
-        # same words as raise mode without its buffered bounds check
-        np.take(lo, at, out=lo_b, mode="clip")
+        bounds(at, lo_b, hi_b)
         np.clip(lo_b, clip_lo, clip_hi, out=lo_b)
         if lo_b[0] < last_lo or not np.all(lo_b[1:] >= lo_b[:-1]):
             raise InternalInvariantError(
                 "union_length order is not the stable sort's: clipped lo "
                 "decreases after the tie fix")
         last_lo = lo_b[-1]
-        np.take(hi, at, out=hi_b, mode="clip")
         np.clip(hi_b, clip_lo, clip_hi, out=hi_b)
         end_b[0] = run_end
         end_b[1:] = hi_b[:-1]

@@ -308,16 +308,16 @@ def evaluate_array(form: FunctionForm, r):
     if form.regime is Regime.LARGE:
         if np.any(r <= threshold):
             raise DomainError("%s needs r > %s" % (_echo(form), threshold))
-        x = np.log(r)
-    else:
-        if np.any(r <= 0) or np.any(r >= threshold):
-            raise DomainError("%s needs r in (0, %s)" % (_echo(form), threshold))
-        x = np.log(1.0 / r)
+    elif np.any(r <= 0) or np.any(r >= threshold):
+        raise DomainError("%s needs r in (0, %s)" % (_echo(form), threshold))
     out = field("scale") * r ** field("power")
-    if form.log_power:
-        out = out * x ** field("log_power")
-    if form.loglog_power:
-        out = out * np.log(x) ** field("loglog_power")
+    if form.log_power or form.loglog_power:
+        # the log factors' argument, taken only by forms that have them
+        x = np.log(r) if form.regime is Regime.LARGE else np.log(1.0 / r)
+        if form.log_power:
+            out = out * x ** field("log_power")
+        if form.loglog_power:
+            out = out * np.log(x) ** field("loglog_power")
     return out
 
 

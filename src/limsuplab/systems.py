@@ -28,15 +28,16 @@ The sweep lists, per denominator b, the candidates a in a window
 exactly when gcd(a, b) == 1, i.e. when no prime factor p of b divides
 a.  It strikes the multiples of every such p inside each window, which
 is that test candidate for candidate: a = 0 is struck for every b > 1,
-and b = 1 has no prime, so 0/1 and 1/1 stay.  The kept balls keep
-their order, so `farey.union_length` measures the same arrays, in the
-(lo, index) order of a stable sort that it finds with one int64 sort of
-keys carrying each index and certifies with a monotonicity check.  Each
-cell frees its candidate arrays before that sweep, which holds the
-balls' lo and hi and the sweep's one key word: 24 bytes per ball,
-about what the candidate phase holds at its peak (traced on the
-2.97M-ball stage of q^-2, k = 5, n = 5: 25.8 bytes per ball in the
-candidate phase, 25.2 in the sweep).
+and b = 1 has no prime, so 0/1 and 1/1 stay.  A kept ball is stored
+as one int64 alone, its `farey.union_length` sort key, whose low bits
+carry the code (row << wb) | (a - a_lo[row]); codes keep the flat
+order, so the sweep visits the balls in the (lo, index) order of a
+stable sort as before, and it decodes each block's lo and hi from the
+per-denominator tables (see `farey`).  The key array is sized for the
+cell's candidates and built a block of them at a time, and only the
+kept balls' words are written: a cell holds 8 bytes per candidate,
+about 6/pi^2 of which are kept, and a few blocks: 14.6 bytes per ball
+traced on the 2.97M-ball stage of q^-2, k = 5, n = 5.
 
 numpy and `farey` are imported by the functions that build arrays, so
 the weight and denominator algebra (`q_interval`), which the horoball
@@ -96,12 +97,12 @@ class ResonantSystem:
             q_hi = w_hi.numerator // w_hi.denominator
             q_lo = w_lo.numerator // w_lo.denominator + 1
             return max(q_lo, 1), q_hi
-        # Ford: 2q^2 <= w  <=>  q <= isqrt(floor(w / 2))
+        # Ford: 2q^2 <= w  <=>  q <= isqrt(floor(w / 2)), read off w's
+        # own terms (its denominator is positive)
         def q_below(w: Fraction) -> int:
-            if w <= 0:
+            if w.numerator <= 0:
                 return 0
-            ratio = w / 2
-            return math.isqrt(ratio.numerator // ratio.denominator)
+            return math.isqrt(w.numerator // (2 * w.denominator))
         return q_below(w_lo) + 1, q_below(w_hi)
 
     def stage_q_top(self, k: Fraction, n: int, cap: int, what: str) -> int:
@@ -225,12 +226,14 @@ class StageScan:
 def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     """Reduced-centre description of stage n.
 
-    Returns (b_vals, radii): the denominators of the reduced centres and
-    the per-denominator ball radii.  The union of balls over reduced
+    Returns (b_vals, weights): the denominators of the reduced centres
+    and the weight whose radius psi(weight) each ball takes (int64 on
+    the rationals, float64 for Ford).  The union of balls over reduced
     centres equals the stage set exactly (the raw ball at p/q = a/b has
     radius at most the reduced ball's, because the radius function is
     nonincreasing on the window and the reduced ball uses the smallest
-    weight the centre attains).
+    weight the centre attains).  The radii are the caller's to
+    evaluate, so a stage that is not swept never computes them.
     """
     import numpy as np
     from limsuplab import farey
@@ -245,19 +248,18 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
         w_lo_floor = w_lo.numerator // w_lo.denominator
         qmin = farey.min_multiple_above(b_vals, w_lo_floor, q_hi)
         keep = qmin > 0
-        b_vals, qmin = b_vals[keep], qmin[keep]
-        return b_vals, fn.evaluate_array(stage.form, qmin.astype(np.float64))
+        return b_vals[keep], qmin[keep]
     # Ford: reduced denominators live in the window themselves
     b_vals = np.arange(q_lo, q_hi + 1, dtype=np.int64)
-    weights = 2.0 * b_vals.astype(np.float64) ** 2
-    return b_vals, fn.evaluate_array(stage.form, weights)
+    return b_vals, 2.0 * b_vals.astype(np.float64) ** 2
 
 
 def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
     """Measure of union of balls at reduced fractions a/b (gcd(a,b)=1,
     a/b in [0,1]) with per-denominator radii, clipped to [0, 1].
-    Chunked over x-cells so memory stays bounded: a cell holds about 3
-    words per ball at its peak, besides the per-denominator arrays.
+    Chunked over x-cells so memory stays bounded: a cell holds one word
+    per candidate ball, of which only the kept balls' are touched, and
+    a few blocks of farey.BLOCK, besides the per-denominator arrays.
 
     Returns (measure, number of reduced balls processed).
     """
@@ -266,47 +268,91 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
     if len(b_vals) == 0:
         return 0.0, 0
     flat_fixed = float(np.sum(2.0 * radii * b_vals) + 3 * len(b_vals))
-    flat_sweep = float(b_vals.astype(np.float64).sum())
+    b_float = b_vals.astype(np.float64)
+    flat_sweep = float(b_float.sum())
     ncells = max(1, math.ceil(flat_sweep /
                               max(_CELL_BUDGET - flat_fixed, _CELL_BUDGET / 8)))
     edges = np.linspace(0.0, 1.0, ncells + 1)
     rows, primes = farey.prime_factor_pairs(b_vals)
+    # the pairs of rows i..j-1 are rows[pair_at[i]:pair_at[j]]
+    pair_at = np.searchsorted(rows, np.arange(len(b_vals) + 1))
     total = 0.0
     n_balls = 0
     for i in range(ncells):
         clo, chi = float(edges[i]), float(edges[i + 1])
+        # clo <= 1, chi >= 0 and radii > 0 put a_lo <= b - 1 and a_hi >= 1
+        # already, so clipping both to [0, b] needs one bound each
         a_lo = np.floor(b_vals * (clo - radii)).astype(np.int64) - 1
         a_hi = np.ceil(b_vals * (chi + radii)).astype(np.int64) + 1
-        np.clip(a_lo, 0, b_vals, out=a_lo)
-        np.clip(a_hi, 0, b_vals, out=a_hi)
+        np.maximum(a_lo, 0, out=a_lo)
+        np.minimum(a_hi, b_vals, out=a_hi)
         counts = a_hi - a_lo + 1
         tot = int(counts.sum())
         if tot > 10 * _CELL_BUDGET:
             raise ResourceCapError(
                 "sweep cell holds %d candidate balls; the stage radii are "
                 "too large for the configured cell budget" % tot)
-        # candidate a/b sits at starts[row] + a - a_lo[row]; striking the
-        # multiples of each prime p | b leaves gcd(a, b) == 1
-        starts = np.cumsum(counts) - counts
-        lo_rows = a_lo[rows]
-        first = -(-lo_rows // primes) * primes  # least multiple >= a_lo
-        keep = np.ones(tot, dtype=bool)
-        _strike(keep, starts[rows] + first - lo_rows, primes,
-                (a_hi[rows] - first) // primes + 1)
-        kept = np.add.reduceat(keep, starts, dtype=np.int64)
-        a_flat = np.flatnonzero(keep) - np.repeat(starts - a_lo, kept)
-        del keep
-        lo = a_flat / np.repeat(b_vals, kept)
-        del a_flat
-        r_flat = np.repeat(radii, kept)
-        # the centres become lo in place once hi is read off them
-        hi = lo + r_flat
-        lo -= r_flat
-        del r_flat
-        n_balls += len(lo)  # boundary balls counted per cell: budget
-        total += farey.union_length(lo, hi, clo, chi)
-        del lo, hi
+        # candidate a/b has code (row << wb) | (a - a_lo[row])
+        balls = farey.BallRows(a_lo.astype(np.float64), b_float, radii,
+                               int(counts.max() - 1).bit_length())
+        keys = _cell_keys(balls, a_lo, counts, (rows, primes, pair_at),
+                          clo, chi)
+        n_balls += len(keys)  # boundary balls counted per cell: budget
+        total += farey.union_length(keys, balls, clo, chi)
+        del keys
     return total, n_balls
+
+
+def _cell_keys(balls: farey.BallRows, a_lo: np.ndarray, counts: np.ndarray,
+               pairs, clo: float, chi: float) -> np.ndarray:
+    """The `farey.sort_keys` of one cell's reduced balls, unsorted and in
+    code order, as a prefix of one array sized for the counts[r]
+    candidates a_lo[r], a_lo[r] + 1, ... of each row r; pairs is (rows,
+    primes, pair_at), the plan's prime pairs in row order and where each
+    row's start.
+
+    Built a chunk of rows at a time, at most farey.BLOCK candidates per
+    chunk unless one row holds more: the multiples of each prime p | b
+    are struck from the chunk's candidates, which leaves gcd(a, b) ==
+    1, and each kept ball's lo is written to its key's word, which then
+    becomes the key."""
+    import numpy as np
+    from limsuplab import farey
+    rows, primes, pair_at = pairs
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # candidate a of row r sits at starts[r] + a - a_lo[r]; the multiples
+    # of p among them start off = (-a_lo) mod p places in
+    off = -a_lo[rows] % primes
+    first = starts[rows] + off
+    strikes = (counts[rows] - 1 - off) // primes + 1
+    keys = np.empty(int(ends[-1]), dtype=np.int64)
+    n = i = 0
+    while i < len(counts):
+        base = int(starts[i])
+        j = max(i + 1, int(np.searchsorted(ends, base + farey.BLOCK,
+                                           side="right")))
+        begin, stops = starts[i:j] - base, ends[i:j] - base
+        keep = np.ones(int(stops[-1]), dtype=bool)
+        at = slice(pair_at[i], pair_at[j])
+        _strike(keep, first[at] - base, primes[at], strikes[at])
+        pos = keep.nonzero()[0]
+        del keep
+        kept = pos.searchsorted(stops)  # kept balls per row
+        kept[1:] -= kept[:-1].copy()
+        # lo = (a_lo + col) / b - r with a = pos + a_lo - begin and b
+        # exact in float64: the operations and bits of balls.bounds
+        key = keys[n:n + len(pos)]
+        lo = key.view(np.float64)
+        np.add(pos, (balls.num0[i:j] - begin).repeat(kept), out=lo)
+        lo /= balls.den[i:j].repeat(kept)
+        lo -= balls.radius[i:j].repeat(kept)
+        # the position of a/b in row r becomes its code (r << wb) | col
+        pos -= (begin - (np.arange(i, j) << balls.wb)).repeat(kept)
+        farey.sort_keys(lo, pos, balls.ib, clo, chi, key)
+        n += len(pos)
+        i = j
+    return keys[:n]
 
 
 def _strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
@@ -349,9 +395,12 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
     import numpy as np
     if system.kind is SystemKind.RATIONALS:
         q_lo, q_hi = system.q_interval(*stage.window(n))
-        qs = np.arange(q_lo, q_hi + 1, dtype=np.float64)
-        radii, counts = fn.evaluate_array(stage.form, qs), qs + 1.0
-    per_q = np.minimum(1.0, 2.0 * radii * counts)
+        counts = np.arange(q_lo, q_hi + 1, dtype=np.float64)
+        radii = fn.evaluate_array(stage.form, counts)
+        counts += 1.0
+    per_q = 2.0 * radii
+    per_q *= counts
+    np.minimum(per_q, 1.0, out=per_q)
     # one-ulp-per-term slack keeps the bound certified despite rounding
     slack = len(per_q) * 4e-16 + float(np.abs(per_q).max(initial=0.0)) * 1e-12
     return min(1.0, float(per_q.sum()) + slack)
@@ -363,9 +412,9 @@ def _reduced_ball_counts(b_vals: np.ndarray, cum: np.ndarray) -> np.ndarray:
     import numpy as np
     if len(b_vals) == 0:
         return np.zeros(0, dtype=np.int64)
-    counts = cum[b_vals] - cum[b_vals - 1]
+    counts = cum[b_vals]
+    counts -= cum[b_vals - 1]
     if b_vals[0] == 1:
-        counts = counts.copy()
         counts[0] += 1
     return counts
 
@@ -424,16 +473,21 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     records = []
     for n in range(n_lo, n_hi + 1):
         pairs = system.count_window(*stage.window(n), cum=cum)
-        b_vals, radii = _stage_ball_plan(system, stage, n)
+        b_vals, weights = _stage_ball_plan(system, stage, n)
         counts = _reduced_ball_counts(b_vals, cum)
         count = int(counts.sum())
         if count == 0:
             records.append(StageMeasure(n, 0, pairs, 0.0, 0.0, 0.0,
                                         "empty", False))
             continue
-        upper = _per_q_upper(system, stage, n, radii, counts)
         full = count <= full_cap
-        if not full and subset_cap <= 0:
+        sweep = full or subset_cap > 0
+        # the rationals' per-q bound evaluates its own radii, so a stage
+        # that is not swept needs none of the plan's
+        radii = (fn.evaluate_array(stage.form, weights)
+                 if sweep or system.kind is SystemKind.FORD else None)
+        upper = _per_q_upper(system, stage, n, radii, counts)
+        if not sweep:
             records.append(StageMeasure(
                 n, count, pairs, 0.0, upper, None, "per-q-upper", True))
             continue

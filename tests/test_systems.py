@@ -279,6 +279,13 @@ def assert_twins(plan):
     assert swept(sy._cell_sweep, plan) == swept(gcd_cell_sweep, plan)
 
 
+def ball_plan(system, stage, n):
+    """(b_vals, radii) of stage n: the plan's denominators and the radii
+    of its weights, as the scan sweeps them."""
+    b_vals, weights = sy._stage_ball_plan(system, stage, n)
+    return b_vals, fn.evaluate_array(stage.form, weights)
+
+
 @st.composite
 def sweep_plans(draw):
     """(b_vals, radii): ascending distinct denominators, often with b = 1,
@@ -323,7 +330,7 @@ class TestCellSweepTwin:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sy, "_CELL_BUDGET", budget)
             for n in range(1, n_hi + 1):
-                assert_twins(sy._stage_ball_plan(system, stage, n))
+                assert_twins(ball_plan(system, stage, n))
 
     @pytest.mark.parametrize("psi,k,n", [("r^-2", 5, 4), ("r^-1", 3, 5),
                                          ("r^-3", 2, 9)])
@@ -331,14 +338,40 @@ class TestCellSweepTwin:
         # stages past the sizes a property test draws: the q^-1 one
         # holds long runs of tied ends at 0 and 1
         stage = sy.per_point_stage(fn.parse_function(psi), k)
-        assert_twins(sy._stage_ball_plan(sy.classical_rationals(), stage, n))
+        assert_twins(ball_plan(sy.classical_rationals(), stage, n))
+
+    def test_wide_prime_row_bit_for_bit(self):
+        # one prime row of 2^20 - 3 candidates beside b = 1: its column
+        # takes 20 bits of the code, and no prime strikes inside it
+        b = 2 ** 20 - 3
+        assert all(b % p for p in range(2, math.isqrt(b) + 1))
+        assert_twins((np.array([1, b]), np.array([1e-3, 1e-9])))
+
+    @pytest.mark.parametrize("n", range(20, 25))
+    def test_ford_rows_far_above_one_bit_for_bit(self, n):
+        # Ford r^-1, k = 2: the rows start just past b = 2^((n - 2) / 2),
+        # so num0 and den are far from the row index
+        stage = sy.per_point_stage(fn.parse_function("r^-1"), 2)
+        plan = ball_plan(sy.ford_horoballs(), stage, n)
+        assert plan[0][0] > 500
+        assert_twins(plan)
+
+    def test_many_cell_plan_bit_for_bit(self):
+        # stage 4 of q^-2, k = 5 (625 rows) in dozens of cells, each with
+        # its own column width
+        stage = sy.per_point_stage(fn.parse_function("r^-2"), 5)
+        plan = ball_plan(sy.classical_rationals(), stage, 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sy, "_CELL_BUDGET", 5000)
+            assert swept(sy._cell_sweep, plan) != "refused"
+            assert_twins(plan)
 
     def test_peak_memory_per_swept_ball(self):
-        # the q^-2, k = 5, n = 5 stage, 2.97M balls in one cell: the
-        # candidate phase and the sweep (lo, hi and union_length's one
-        # key word) each hold about 3 words per ball
+        # the q^-2, k = 5, n = 5 stage, 2.97M balls in one cell: the one
+        # key word per candidate, written for the kept balls alone, and
+        # a few blocks
         stage = sy.per_point_stage(fn.parse_function("r^-2"), 5)
-        plan = sy._stage_ball_plan(sy.classical_rationals(), stage, 5)
+        plan = ball_plan(sy.classical_rationals(), stage, 5)
         tracemalloc.start()
         try:
             value, count = sy._cell_sweep(*plan)
@@ -347,23 +380,31 @@ class TestCellSweepTwin:
             tracemalloc.stop()
         assert count == 2_969_757
         assert (value.hex(), count) == swept(gcd_cell_sweep, plan)
-        assert peak <= 30 * count, peak / count
+        assert peak <= 16 * count, peak / count
 
     def test_int64_headroom_at_the_cell_cap(self):
-        # the largest cell the sweep accepts holds 10 * _CELL_BUDGET
-        # candidates; its bounds, checked in Python ints without
-        # allocating it
-        n = 10 * sy._CELL_BUDGET
-        # tie keys (run << 32) | index with run <= n, index < n: no
-        # wrap, and the low 32 bits give the index back
-        key = n << 32 | (n - 1)
-        assert key < 2 ** 63 and key & 0xFFFFFFFF == n - 1
+        # bounds checked without allocating a plan (a range stands in
+        # for the rows).  A code is (row << wb) | col below 2^ib, ib =
+        # bitlen(rows - 1) + wb: prime_factor_pairs admits distinct
+        # denominators b <= MAX_SIEVE, so rows <= MAX_SIEVE and col = a -
+        # a_lo <= b; a scan's plan stops at the q_hi its byte budget admits
+        def ib(rows):
+            return farey.BallRows(None, range(rows), None,
+                                  rows.bit_length()).ib
+        assert ib(farey.MAX_SIEVE) <= 54
+        assert ib(sy.MAX_STAGE_BYTES // sy._STAGE_BYTES_PER_Q) <= 50
+        # a key is a float64 >= +0.0 read as int64, at most the pattern
+        # of inf, with its low ib bits replaced by a code: no wrap
+        inf_bits = int(np.array(np.inf).view(np.int64))
+        assert (inf_bits >> 54 << 54 | (1 << 54) - 1) < 2 ** 63
         assert np.cumsum(np.ones(2, dtype=bool)).dtype == np.int64
-        # strike positions are partial sums equal to positions < n; the
+        # strike positions are partial sums equal to positions < n, n at
+        # most the 10 * _CELL_BUDGET candidates of the largest cell; the
         # chunk search reaches the sum of every pair's strikes plus n,
         # at most (1 + 8) n since no b <= MAX_SIEVE has 9 distinct
         # primes; the first multiple of p at or above a_lo stays below
         # b + p <= 2 b
+        n = 10 * sy._CELL_BUDGET
         assert math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23]) > farey.MAX_SIEVE
         assert 9 * n < 2 ** 62 and 2 * farey.MAX_SIEVE < 2 ** 62
 
