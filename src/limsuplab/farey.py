@@ -39,40 +39,47 @@ the exactness argument spelled out where it matters:
   `totient_sieve` takes phi(n) = phi(m) (p if p | m, else p - 1), p =
   spf[n], m = n / p, over ranges [lo, lo + min(BLOCK, lo)), so m < lo;
 * float sweep measures carry an explicit error budget of a few ulps per
-  interval, reported alongside the value.  `union_length` visits the
-  intervals in the (lo, index) order of a stable sort, found by one
-  in-place int64 sort.  t = (clip(lo) - clip_lo) + 0.0 is a float >=
-  +0.0 (the + 0.0 turns -0.0 into +0.0) and nondecreasing in lo, since
-  rounding is monotone, so its int64 bit pattern is nondecreasing too.
-  Each interval has a code below 2^ib, increasing with its index, and
-  the keys (bits >> ib << ib) | code sort by (prefix, index); their low
-  ib bits are the order.  Equal lo have equal t, so one prefix, so
-  they come in index order; distinct lo may share a prefix too.  A
-  smaller prefix means a smaller lo, so only positions inside runs of
-  equal prefix, read straight off the sorted keys, can be out of
-  order, and the runs' lo ranges are disjoint and increasing; a stable
-  argsort of the lo at those positions alone puts each run, in index
-  order so far, in (lo, index) order.  The sweep then walks the order a
-  block at a time: it reads the block's lo and hi, checks that lo is
+  interval, reported alongside the value.  `union_length` takes one
+  sort key per ball and visits the balls in the (lo, code) order of a
+  stable sort, found by one in-place int64 sort.  t = (clip(lo) -
+  clip_lo) + 0.0 is a float >= +0.0 (the + 0.0 turns -0.0 into +0.0;
+  it is inf where the window's width overflows) and nondecreasing in
+  lo, since rounding is monotone, so its int64 bit pattern is
+  nondecreasing too.  Each ball has a code below 2^ib, and the keys
+  (bits >> ib << ib) | code sort by (prefix, code); their low ib bits
+  are the order.  Equal lo have equal t, so one prefix, so they come in
+  code order; distinct lo may share a prefix too.  A smaller prefix
+  means a smaller t, so a strictly smaller clipped lo: only positions
+  inside runs of equal prefix can be out of order, and the runs' lo
+  ranges are disjoint and increasing.  The sweep walks the sorted keys
+  a block at a time, and a block ends where a run does: it takes BLOCK
+  positions, head the last of them, and then every later key up to
+  head | mask, mask = 2^ib - 1, the largest key with head's prefix
+  (below 2^63), found by one binary search.  So a block holds whole
+  runs, and one longer than BLOCK makes its block longer.  Inside a
+  block the positions that share their prefix with a neighbour are
+  read off the keys before the prefixes are masked away, and a stable
+  argsort of their clipped lo alone puts each run, in code order so
+  far, in (lo, code) order and keeps the runs' order.  The walk reads
+  each block's lo and hi, fixes its ties, checks that lo is
   nondecreasing across the block and its edge with the last (an
   InternalInvariantError if not), and carries the running end.  A
   block's positive gains, at most as many as the positions read so
   far, go to the key array's read prefix viewed as float64, so the one
   sum over that prefix adds the stable sort's gains in its order: the
   same pairwise sum, bit for bit;
-* the code of an interval given as arrays is its index, ib = bitlen(n
-  - 1), and its lo and hi are gathered.  A swept ball a/b of radius r
-  (see `systems`) is stored as its key alone: its code is (row << wb) |
-  col, row the plan index of b, col = a - a_lo[row] < 2^wb, and ib =
-  bitlen(rows - 1) + wb.  Codes sort in the flat b-major, a-ascending
-  order of the balls, so they tie-break as the indices did.  `BallRows`
-  decodes a block of codes from per-row float64 tables: c = (a_lo[row]
-  + col) / b and lo, hi = c - r, c + r.  a_lo + col and b are integers
-  below 2^53, so each float64 is exact, c is the true quotient of int64
-  a by b rounded once, and lo is bit for bit the lo its key was made
-  from (`systems` builds it by the same operations).  Denominators stay at most MAX_SIEVE < 2^27, so ib <=
-  54, and a key, a float's pattern >= 0 with its low ib bits replaced,
-  stays below 2^63.
+* a swept ball a/b of radius r (see `systems`) is stored as its key
+  alone: its code is (row << wb) | col, row the plan index of b, col =
+  a - a_lo[row] < 2^wb, and ib = bitlen(rows - 1) + wb.  Codes sort in
+  the flat b-major, a-ascending order of the balls, so they tie-break
+  as the balls' flat indices would.  `BallRows` decodes a block of
+  codes from per-row float64 tables: c = (a_lo[row] + col) / b and lo,
+  hi = c - r, c + r.  a_lo + col and b are integers below 2^53, so each
+  float64 is exact, c is the true quotient of int64 a by b rounded
+  once, and lo is bit for bit the lo its key was made from (`systems`
+  builds it by the same operations).  Denominators stay at most
+  MAX_SIEVE < 2^27, so ib <= 54, and a key, a float's pattern >= 0
+  with its low ib bits replaced, stays below 2^63.
 """
 
 from __future__ import annotations
@@ -236,28 +243,30 @@ def min_multiple_above(den: np.ndarray, window_lo: int,
 
 
 def prime_factor_pairs(den: np.ndarray):
-    """(row, p) int64 arrays, in row order: one pair for every row i and
-    every distinct prime p dividing den[i], read off one
-    smallest-prime-factor sieve up to max(den).  den holds integers in
-    [1, MAX_SIEVE]; a row with den[i] = 1 has no pair."""
+    """(row, p) int64 arrays, in row order and each row's primes
+    ascending: one pair for every row i and every distinct prime p
+    dividing den[i], read off one smallest-prime-factor sieve up to
+    max(den).  den holds integers in [1, MAX_SIEVE]; a row with den[i] =
+    1 has no pair."""
     limit = int(den.max(initial=1))
     check_sieve(limit, "prime_factor_pairs")
     spf = smallest_prime_factors(limit)
     row = np.flatnonzero(den > 1)
     rest = den[row].astype(np.int64)
-    prev = np.zeros_like(rest)
-    rows, primes = [row[:0]], [prev[:0]]
-    # dividing out smallest prime factors meets each prime of a row in
-    # one unbroken stretch, so a prime is new exactly when it differs
-    # from the previous one
+    rows, primes = [row[:0]], [rest[:0]]
+    # each level divides out the full power of every row's least prime,
+    # so every prime it meets is new to its row
     while len(rest):
         p = spf[rest].astype(np.int64)
-        new = p != prev
-        rows.append(row[new])
-        primes.append(p[new])
+        rows.append(row)
+        primes.append(p)
         rest //= p
+        hit = np.flatnonzero(rest % p == 0)
+        while len(hit):
+            rest[hit] //= p[hit]
+            hit = hit[rest[hit] % p[hit] == 0]
         live = rest > 1
-        rest, row, prev = rest[live], row[live], p[live]
+        rest, row = rest[live], row[live]
     rows, primes = np.concatenate(rows), np.concatenate(primes)
     by_row = np.argsort(rows, kind="stable")
     return rows[by_row], primes[by_row]
@@ -316,91 +325,63 @@ def sort_keys(lo: np.ndarray, code: np.ndarray, ib: int, clip_lo: float,
     out |= code
 
 
-def _tied_positions(keys: np.ndarray, ib: int) -> np.ndarray:
-    """Sorted positions of the sorted keys that share their prefix (the
-    bits above the low ib) with a neighbour, found a block at a time."""
-    ties = [np.zeros(0, dtype=np.int64)]
-    for start in range(1, len(keys), BLOCK):
-        prefix = keys[start - 1:start + BLOCK] >> ib
-        ties.append(np.flatnonzero(prefix[1:] == prefix[:-1]) + start)
-    # each i shares with i - 1, so a run of them adds the one before its
-    # first (a sort, not np.union1d, whose first call imports numpy.ma)
-    tie = np.concatenate(ties)
-    if not len(tie):
-        return tie
-    first = np.ones(len(tie), dtype=bool)
-    first[1:] = tie[1:] - tie[:-1] > 1
-    return np.sort(np.concatenate((tie[first] - 1, tie)))
+def union_length(keys: np.ndarray, rows, clip_lo: float = 0.0,
+                 clip_hi: float = 1.0) -> float:
+    """Measure of the union of balls [lo, hi] clipped to [clip_lo,
+    clip_hi], from one `sort_keys` key per ball, unsorted.
 
-
-def union_length(lo: np.ndarray, hi,
-                 clip_lo: float = 0.0, clip_hi: float = 1.0) -> float:
-    """Measure of the union of [lo_i, hi_i] clipped to [clip_lo, clip_hi].
-
-    Float sweep; error is O(n ulps), a few 1e-16 per interval.  The
-    intervals are visited in the (lo, index) order of a stable sort (lo
-    holds no NaN, the clip bounds are finite), found by one in-place
-    int64 sort of keys that carry each code in their low ib bits and
-    certified as the module docstring argues.  The intervals come in
-    one of two forms, and both go through the same sort and walk:
-
-    * lo and hi are float64 arrays: the code is the index, ib =
-      bitlen(n - 1), and each block's bounds are gathered from lo and
-      hi, which are left as they are.  The call holds one key word per
-      interval besides them;
-    * lo holds one `sort_keys` key per ball, unsorted, and hi is the
-      `BallRows` that decodes their codes, ib = hi.ib.  Each block's
-      bounds are rebuilt from the row tables with the float64
-      operations that made the keys, so they are the same bits.  The
-      keys are sorted and overwritten in place, and the call holds no
-      word per ball besides them.
-
-    Either way it holds a few words per position that shares its key
-    prefix and a few blocks of BLOCK.
+    rows decodes the keys' codes as a `BallRows` does: rows.ib is the
+    code width, and rows.bounds(code, lo, hi) writes each code's ball
+    ends into lo and hi with the float64 operations that made the keys,
+    so bit for bit the lo they were made from (lo holds no NaN, the
+    clip bounds are finite).  Float sweep; error is O(n ulps), a few
+    1e-16 per interval.  The balls are visited in the (lo, code) order
+    of a stable sort, found by one in-place int64 sort of the keys and
+    certified as the module docstring argues.  The keys are sorted and
+    overwritten in place, and the call holds no word per ball besides
+    them, only a few words per position of one block: BLOCK positions,
+    or more where a run of equal prefix crosses the block's end.
     """
-    n = len(lo)
+    n = len(keys)
     if n == 0:
         return 0.0
-    if isinstance(hi, BallRows):
-        keys, ib, bounds = lo, hi.ib, hi.bounds
-    else:
-        ib = (n - 1).bit_length()
-        keys = np.empty(n, dtype=np.int64)
-        for start in range(0, n, BLOCK):
-            stop = min(start + BLOCK, n)
-            sort_keys(lo[start:stop], np.arange(start, stop), ib, clip_lo,
-                      clip_hi, keys[start:stop])
-
-        def bounds(code, lo_b, hi_b):
-            # the codes are a permutation of range(n), so clip mode takes
-            # the same words as raise mode without its buffered check
-            np.take(lo, code, out=lo_b, mode="clip")
-            np.take(hi, code, out=hi_b, mode="clip")
+    ib = rows.ib
+    mask = (1 << ib) - 1
     keys.sort()
-    tied = _tied_positions(keys, ib)
-    keys &= (1 << ib) - 1
-    # the module docstring's fix: runs of equal prefix, in code order,
-    # are stably re-sorted by clipped lo
-    if len(tied):
-        at = keys[tied]
-        lo_t, hi_t = np.empty((2, len(at)))
-        bounds(at, lo_t, hi_t)
-        del hi_t
-        np.clip(lo_t, clip_lo, clip_hi, out=lo_t)
-        keys[tied] = at[np.argsort(lo_t, kind="stable")]
-        del at, lo_t
-    # the gain of interval i is hi_i - max(lo_i, running end of the ones
+    # the gain of ball i is hi_i - max(lo_i, running end of the ones
     # before it, -inf for the first); block by block, the positive gains
     # go to the keys' words already read, as float64
     lo_blk, hi_blk, end_blk = np.empty((3, min(n, BLOCK)))
     gains = keys.view(np.float64)
     kept, last_lo, run_end = 0, -np.inf, -np.inf
-    for start in range(0, n, BLOCK):
-        at = keys[start:start + BLOCK]
+    start = 0
+    while start < n:
+        # a block ends where a run of equal prefix does: head | mask is
+        # the largest key with head's prefix, still below 2^63
+        stop = start + BLOCK
+        if stop < n:
+            head = keys[stop - 1]
+            stop += int(np.searchsorted(keys[stop:], head | mask,
+                                        side="right"))
+        at = keys[start:stop]
         m = len(at)
+        if m > len(lo_blk):
+            lo_blk, hi_blk, end_blk = np.empty((3, m))
         lo_b, hi_b, end_b = lo_blk[:m], hi_blk[:m], end_blk[:m]
-        bounds(at, lo_b, hi_b)
+        prefix = np.right_shift(at, ib, out=end_b.view(np.int64))
+        same = prefix[1:] == prefix[:-1]
+        at &= mask
+        rows.bounds(at, lo_b, hi_b)
         np.clip(lo_b, clip_lo, clip_hi, out=lo_b)
+        # the module docstring's fix: the positions that share their
+        # prefix with a neighbour, in code order, stably argsorted by
+        # clipped lo, put each run in (lo, code) order and keep the runs'
+        if same.any():
+            tied = np.flatnonzero(np.concatenate(([False], same))
+                                  | np.concatenate((same, [False])))
+            by_lo = tied[np.argsort(lo_b[tied], kind="stable")]
+            lo_b[tied] = lo_b[by_lo]
+            hi_b[tied] = hi_b[by_lo]
         if lo_b[0] < last_lo or not np.all(lo_b[1:] >= lo_b[:-1]):
             raise InternalInvariantError(
                 "union_length order is not the stable sort's: clipped lo "
@@ -416,6 +397,7 @@ def union_length(lo: np.ndarray, hi,
         got = hi_b[hi_b > 0]
         gains[kept:kept + len(got)] = got
         kept += len(got)
+        start = stop
     return float(gains[:kept].sum())
 
 

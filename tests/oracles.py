@@ -8,8 +8,10 @@ equal them bit for bit.  So must the stage sweep its gcd-filtered,
 stable-sorted predecessor.  The scalar float evaluation of the symbolic
 family is the witness for its exact verdicts: sampled regularity ratios
 and samples of G confirm what `functions.is_k_regular` and
-`functions.compute_G` decide from exponents.  Test modules import them as
-`from oracles import ...`; nothing under `src` may, because an
+`functions.compute_G` decide from exponents.  `ArrayRows` and
+`array_keys` put float interval arrays into the one input form of
+`farey.union_length`, sort keys and a decoder.  Test modules import
+them as `from oracles import ...`; nothing under `src` may, because an
 installed package has no `tests/` next to it.
 """
 
@@ -69,6 +71,43 @@ def float_sorted_fractions(qmax):
     mirror = slice(len(num) - 1 - (qmax >= 2), None, -1)
     return (np.concatenate((num, den[mirror] - num[mirror])),
             np.concatenate((den, den[mirror])))
+
+
+class ArrayRows:
+    """The rows of `farey.union_length` for intervals given as float64
+    arrays lo and hi: an interval's code is its index, so ib =
+    bitlen(n - 1) and `bounds` gathers lo and hi by code."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+        self.ib = (len(lo) - 1).bit_length()
+
+    def bounds(self, code, lo, hi):
+        # codes are indices, so clip mode takes the same words as raise
+        # mode without its buffered check
+        np.take(self.lo, code, out=lo, mode="clip")
+        np.take(self.hi, code, out=hi, mode="clip")
+
+
+def array_keys(lo, clip_lo=0.0, clip_hi=1.0):
+    """The unsorted `farey.sort_keys` keys of intervals with left ends lo,
+    coded by index as `ArrayRows` decodes them, built a block at a time
+    so the build holds one word per interval and a few blocks."""
+    n = len(lo)
+    ib = (n - 1).bit_length()
+    keys = np.empty(n, dtype=np.int64)
+    for start in range(0, n, farey.BLOCK):
+        stop = min(start + farey.BLOCK, n)
+        farey.sort_keys(lo[start:stop], np.arange(start, stop), ib, clip_lo,
+                        clip_hi, keys[start:stop])
+    return keys
+
+
+def array_union_length(lo, hi, clip_lo=0.0, clip_hi=1.0):
+    """`farey.union_length` of the intervals [lo_i, hi_i], through
+    `array_keys` and `ArrayRows`; lo and hi are left as they are."""
+    return farey.union_length(array_keys(lo, clip_lo, clip_hi),
+                              ArrayRows(lo, hi), clip_lo, clip_hi)
 
 
 def stable_union_length(lo, hi, clip_lo=0.0, clip_hi=1.0):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from limsuplab import farey
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError)
-from oracles import (exact_union_measure, float_sorted_fractions,
+from oracles import (ArrayRows, array_keys, array_union_length,
+                     exact_union_measure, float_sorted_fractions,
                      stable_union_length)
 
 # property tests replay the same examples on every run
@@ -295,7 +296,8 @@ class TestPrimeFactorPairs:
     def test_matches_trial_division(self, dens):
         rows, primes = farey.prime_factor_pairs(np.array(dens, dtype=np.int64))
         assert rows.dtype == primes.dtype == np.int64
-        got = sorted(zip(rows.tolist(), primes.tolist()))
+        # in row order, each row's primes ascending
+        got = list(zip(rows.tolist(), primes.tolist()))
         assert got == [(i, p) for i, b in enumerate(dens) for p in primes_of(b)]
 
     def test_refuses_beyond_sieve_cap(self, monkeypatch):
@@ -333,7 +335,7 @@ LENGTH = st.one_of(st.just(0.0), st.integers(1, 8).map(lambda i: i / 16),
 
 class TestUnionLength:
     def test_empty(self):
-        assert farey.union_length(np.array([]), np.array([])) == 0.0
+        assert array_union_length(np.array([]), np.array([])) == 0.0
 
     # the sweep's value stays within its certified budget of the exact
     # measure of the same float intervals
@@ -350,7 +352,7 @@ class TestUnionLength:
     def test_matches_exact_oracle(self, pieces, window):
         lo = np.array([a for a, _ in pieces])
         hi = lo + np.array([w for _, w in pieces])
-        got = farey.union_length(lo, hi, *window)
+        got = array_union_length(lo, hi, *window)
         want = exact_union_measure(zip(lo.tolist(), hi.tolist()), *window)
         budget = farey.union_length_error_budget(len(pieces))
         assert abs(Fraction(got) - want) <= budget
@@ -369,7 +371,7 @@ class TestUnionLength:
     def test_ties_match_stable_sort_bit_for_bit(self, pieces, window):
         lo = np.array([a for a, _ in pieces])
         hi = lo + np.array([w for _, w in pieces])
-        assert farey.union_length(lo, hi, *window).hex() == \
+        assert array_union_length(lo, hi, *window).hex() == \
             stable_union_length(lo, hi, *window).hex()
 
     def test_large_tie_runs_match_stable_sort(self):
@@ -383,13 +385,13 @@ class TestUnionLength:
             assert not np.array_equal(np.argsort(lo),
                                       np.argsort(lo, kind="stable"))
             for window in ((0.0, 1.0), (0.25, 0.5)):
-                assert farey.union_length(lo, hi, *window).hex() == \
+                assert array_union_length(lo, hi, *window).hex() == \
                     stable_union_length(lo, hi, *window).hex()
 
     def test_clip_window(self):
         lo = np.array([0.0, 0.5])
         hi = np.array([0.3, 0.9])
-        assert farey.union_length(lo, hi, 0.25, 0.6) == pytest.approx(0.15)
+        assert array_union_length(lo, hi, 0.25, 0.6) == pytest.approx(0.15)
 
     def test_error_budget_scales(self):
         assert farey.union_length_error_budget(10 ** 6) < 1e-9
@@ -422,16 +424,16 @@ class TestUnionLength:
                 order = self.prefix_index_order(lo, *window)
                 clipped = np.clip(lo, *window)[order]
                 assert np.any(clipped[1:] < clipped[:-1]), (n, window)
-                assert farey.union_length(lo, hi, *window).hex() == \
+                assert array_union_length(lo, hi, *window).hex() == \
                     stable_union_length(lo, hi, *window).hex(), (n, window)
             assert lo.tobytes() == lo_in.tobytes()
             assert hi.tobytes() == hi_in.tobytes()
 
     def test_peak_memory_per_interval(self):
         # one call on 10^6 intervals, 1 % of them tied in one coarse
-        # prefix so the check's re-sort runs too, holds at most 12 bytes
-        # per interval besides its arguments: the key word and a few
-        # blocks
+        # prefix so the walk's re-sort runs too, holds at most 12 bytes
+        # per interval besides lo and hi, its keys' build included: the
+        # key word and a few blocks
         n = 10 ** 6
         rng = np.random.default_rng(21)
         lo = rng.random(n)
@@ -442,7 +444,7 @@ class TestUnionLength:
         assert np.any(np.diff(lo[order]) < 0)
         tracemalloc.start()
         try:
-            got = farey.union_length(lo, hi)
+            got = array_union_length(lo, hi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -460,33 +462,30 @@ def sorted_gains(lo, hi, clip_lo, clip_hi):
     return hi - np.maximum(lo, end)
 
 
-def straddling_run(run):
-    """2 BLOCK intervals, well apart in lo except one run of `run`
-    distinct lo that share a key prefix, at sorted positions BLOCK -
-    run // 2 onwards, so the run straddles a block edge; the run's lo
-    fall as its indices rise, so its prefix order is wrong."""
-    block = farey.BLOCK
-    n = 2 * block
-    below = block - run // 2
+def tied_run(n, below, run):
+    """n intervals, well apart in lo except one run of `run` distinct lo
+    that share a key prefix, at sorted positions below onwards; the
+    run's lo fall as its indices rise, so its prefix order is wrong."""
     lo = np.empty(n)
-    lo[:below] = np.arange(below) / (4 * block)
+    lo[:below] = np.arange(below) / (2 * n)
     lo[below:below + run] = 0.5 + np.arange(run)[::-1] * 2.0 ** -53
-    lo[below + run:] = 0.75 + np.arange(n - below - run) / (8 * block)
+    lo[below + run:] = 0.75 + np.arange(n - below - run) / (4 * n)
     hi = lo + np.where(np.arange(n) % 3 == 0, 2.0 ** -40, 2.0 ** -20)
     return lo, hi
 
 
 class TestUnionLengthBlocks:
-    """The sweep walks the sorted order one farey.BLOCK at a time,
-    carrying the running end and the order check across block edges."""
+    """The sweep walks the sorted order one farey.BLOCK at a time, each
+    block extended to the end of its run of equal key prefix, carrying
+    the running end and the order check across block edges."""
 
     @pytest.mark.parametrize("run", [2, 200])
     def test_tied_run_straddles_a_block_edge(self, run):
-        lo, hi = straddling_run(run)
-        order = TestUnionLength.prefix_index_order(lo, 0.0, 1.0)
         edge = farey.BLOCK
+        lo, hi = tied_run(2 * edge, edge - run // 2, run)
+        order = TestUnionLength.prefix_index_order(lo, 0.0, 1.0)
         assert lo[order[edge - 1]] > lo[order[edge]]
-        assert farey.union_length(lo, hi).hex() == \
+        assert array_union_length(lo, hi).hex() == \
             stable_union_length(lo, hi).hex()
 
     def test_block_without_gain(self):
@@ -498,7 +497,7 @@ class TestUnionLengthBlocks:
         gains = sorted_gains(lo, hi, 0.0, 1.0)
         assert np.all(gains[farey.BLOCK:2 * farey.BLOCK] <= 0)
         assert np.any(gains[2 * farey.BLOCK:] > 0)
-        assert farey.union_length(lo, hi).hex() == \
+        assert array_union_length(lo, hi).hex() == \
             stable_union_length(lo, hi).hex()
 
     def test_windows_clip_whole_blocks(self):
@@ -514,15 +513,64 @@ class TestUnionLengthBlocks:
         for window in ((first_end + 1e-3, 0.5), (0.5, last_start - 1e-3),
                        (first_end + 1e-3, last_start - 1e-3),
                        (-2.0, -1.0), (1.5, 2.0), (0.5, 0.5)):
-            assert farey.union_length(lo, hi, *window).hex() == \
+            assert array_union_length(lo, hi, *window).hex() == \
                 stable_union_length(lo, hi, *window).hex(), window
 
-    @pytest.mark.parametrize("run", [2, 200])
-    def test_forged_order_is_refused(self, monkeypatch, run):
-        # without the re-sort of tied runs the order breaks, in the two
-        # interval run right across the block edge
-        lo, hi = straddling_run(run)
-        monkeypatch.setattr(farey, "_tied_positions",
-                            lambda keys, ib: np.zeros(0, dtype=np.int64))
+    @pytest.mark.parametrize("below, run", [
+        # longer than a block, from mid-block: one block grows past BLOCK
+        (farey.BLOCK // 2, farey.BLOCK + 100),
+        # filling a block from its first position, or one past it
+        (0, farey.BLOCK), (farey.BLOCK, farey.BLOCK), (0, farey.BLOCK + 1),
+        # ending exactly at a block edge
+        (farey.BLOCK - 200, 200)])
+    def test_block_ends_at_run_ends(self, below, run):
+        lo, hi = tied_run(3 * farey.BLOCK, below, run)
+        order = TestUnionLength.prefix_index_order(lo, 0.0, 1.0)
+        assert np.all(lo[order[below:below + run - 1]]
+                      > lo[order[below + 1:below + run]])
+        assert array_union_length(lo, hi).hex() == \
+            stable_union_length(lo, hi).hex()
+
+    def test_balls_clipped_to_the_window_start(self):
+        # 3 or more of every row's 4 balls reach below clip_lo, so 3 BLOCK or
+        # more keys share the prefix 0 of t = +0.0: one run, one block
+        rows = farey.BLOCK
+        den = np.arange(3, 3 + rows, dtype=np.float64)
+        balls = farey.BallRows(np.floor(den / 2) - 1, den, 1.5 / den, 2)
+        code = np.arange(4 * rows)
+        lo, hi = np.empty((2, len(code)))
+        balls.bounds(code, lo, hi)
+        assert np.count_nonzero(lo < 0.5) >= 3 * rows
+        keys = np.empty(len(code), dtype=np.int64)
+        farey.sort_keys(lo, code, balls.ib, 0.5, 1.0, keys)
+        assert farey.union_length(keys, balls, 0.5, 1.0).hex() == \
+            stable_union_length(lo, hi, 0.5, 1.0).hex()
+
+    def test_window_width_overflows(self):
+        # clip_hi - clip_lo is inf, and so is t for every lo past about
+        # 1e307: those keys share inf's prefix, in random lo order
+        n = 2 * farey.BLOCK + 7
+        rng = np.random.default_rng(33)
+        lo = rng.uniform(-0.8, 0.8, n) * 1e308
+        hi = lo + rng.random(n) * 1e300
+        window = (-1.7e308, 1.7e308)
+        assert window[1] - window[0] == np.inf
+        with np.errstate(over="ignore"):
+            assert np.count_nonzero(lo - window[0] == np.inf) > \
+                farey.BLOCK // 2
+            assert array_union_length(lo, hi, *window).hex() == \
+                stable_union_length(lo, hi, *window).hex()
+
+    @pytest.mark.parametrize("i", [5, farey.BLOCK - 1],
+                             ids=["in_block", "across_edge"])
+    def test_forged_order_is_refused(self, i):
+        # bounds that swap intervals i and i + 1 of distinct prefixes,
+        # inside a block or right across its edge, break the order
+        n = 2 * farey.BLOCK
+        lo = np.arange(n) / (2 * n)
+        hi = lo + 2.0 ** -30
+        keys = array_keys(lo)
+        swap = np.arange(n)
+        swap[[i, i + 1]] = i + 1, i
         with pytest.raises(InternalInvariantError, match="stable sort"):
-            farey.union_length(lo, hi)
+            farey.union_length(keys, ArrayRows(lo[swap], hi[swap]))
