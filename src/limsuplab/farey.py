@@ -85,7 +85,7 @@ the exactness argument spelled out where it matters:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -123,12 +123,15 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
-def totient_sieve(limit: int) -> np.ndarray:
-    """phi[0..limit] as int64 (phi[0] = 0), off `smallest_prime_factors`."""
+def totient_sieve(limit: int,
+                  spf: Optional[np.ndarray] = None) -> np.ndarray:
+    """phi[0..limit] as int64 (phi[0] = 0), off spf, a
+    `smallest_prime_factors` table reaching limit, sieved here if None."""
     if limit < 0:
         raise UsageError("limit must be nonnegative")
     check_sieve(limit, "totient_sieve")
-    spf = smallest_prime_factors(limit)
+    if spf is None:
+        spf = smallest_prime_factors(limit)
     phi = np.empty(limit + 1, dtype=np.int64)
     phi[:2] = [0, 1][:limit + 1]
     # over [lo, lo + min(BLOCK, lo)) every m <= n / 2 < lo is done
@@ -242,15 +245,16 @@ def min_multiple_above(den: np.ndarray, window_lo: int,
     return q
 
 
-def prime_factor_pairs(den: np.ndarray):
+def prime_factor_pairs(den: np.ndarray, spf: Optional[np.ndarray] = None):
     """(row, p) int64 arrays, in row order and each row's primes
     ascending: one pair for every row i and every distinct prime p
-    dividing den[i], read off one smallest-prime-factor sieve up to
-    max(den).  den holds integers in [1, MAX_SIEVE]; a row with den[i] =
-    1 has no pair."""
+    dividing den[i], read off spf, a `smallest_prime_factors` table
+    reaching max(den), sieved here if None.  den holds integers in [1,
+    MAX_SIEVE]; a row with den[i] = 1 has no pair."""
     limit = int(den.max(initial=1))
     check_sieve(limit, "prime_factor_pairs")
-    spf = smallest_prime_factors(limit)
+    if spf is None:
+        spf = smallest_prime_factors(limit)
     row = np.flatnonzero(den > 1)
     rest = den[row].astype(np.int64)
     rows, primes = [row[:0]], [rest[:0]]

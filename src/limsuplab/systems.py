@@ -63,10 +63,12 @@ SUBSET_SWEEP_CAP = 64_000_000
 _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
 # a stage scan holds at most 96 bytes per denominator up to its q_hi:
 # the plan's and the per-q bound's int64/float64 arrays, and one totient
-# sieve (int32 least primes, int64 phi, int64 cumsum) of exactly that
-# length (a q^-3 scan with subset_cap=0 peaked at 52 bytes per q above
-# the interpreter at q_hi = 2^22 and at 74 at 2^22 + 1).  The byte
-# budget admits q_hi up to about 2.2e7, well inside farey.MAX_SIEVE.
+# sieve of exactly that length (int32 least primes, kept for the sweeps'
+# prime pairs, and int64 phi, summed in place); a q^-3 scan with
+# subset_cap=0 peaked at 49 bytes per q of ru_maxrss above the
+# interpreter at q_hi = 2^22 and at 61 at 2^22 + 1 (48 and 60 traced).
+# The byte budget admits q_hi up to about 2.2e7, well inside
+# farey.MAX_SIEVE.
 _STAGE_BYTES_PER_Q = 96
 MAX_STAGE_BYTES = 1 << 31
 # an exact stage weight k^n is formed only up to this many bits
@@ -161,11 +163,14 @@ def ford_horoballs() -> ResonantSystem:
     return ResonantSystem(SystemKind.FORD)
 
 
-def _totient_cumsum(limit: int) -> np.ndarray:
-    """phi(0) + ... + phi(q) for q = 0..limit."""
+def _totient_cumsum(limit: int, spf: Optional[np.ndarray] = None
+                    ) -> np.ndarray:
+    """phi(0) + ... + phi(q) for q = 0..limit, summed in place over
+    `farey.totient_sieve(limit, spf)`."""
     import numpy as np
     from limsuplab import farey
-    return np.cumsum(farey.totient_sieve(limit))
+    phi = farey.totient_sieve(limit, spf)
+    return np.cumsum(phi, out=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +259,15 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     return b_vals, 2.0 * b_vals.astype(np.float64) ** 2
 
 
-def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
+def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray,
+                spf: Optional[np.ndarray] = None) -> tuple[float, int]:
     """Measure of union of balls at reduced fractions a/b (gcd(a,b)=1,
     a/b in [0,1]) with per-denominator radii, clipped to [0, 1].
     Chunked over x-cells so memory stays bounded: a cell holds one word
     per candidate ball, of which only the kept balls' are touched, and
     a few blocks of farey.BLOCK, besides the per-denominator arrays.
+    spf is the scan's `farey.smallest_prime_factors` table, reaching
+    max(b_vals); without it `farey.prime_factor_pairs` sieves its own.
 
     Returns (measure, number of reduced balls processed).
     """
@@ -273,7 +281,7 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray) -> tuple[float, int]:
     ncells = max(1, math.ceil(flat_sweep /
                               max(_CELL_BUDGET - flat_fixed, _CELL_BUDGET / 8)))
     edges = np.linspace(0.0, 1.0, ncells + 1)
-    rows, primes = farey.prime_factor_pairs(b_vals)
+    rows, primes = farey.prime_factor_pairs(b_vals, spf)
     # the pairs of rows i..j-1 are rows[pair_at[i]:pair_at[j]]
     pair_at = np.searchsorted(rows, np.arange(len(b_vals) + 1))
     total = 0.0
@@ -401,8 +409,9 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
     per_q = 2.0 * radii
     per_q *= counts
     np.minimum(per_q, 1.0, out=per_q)
-    # one-ulp-per-term slack keeps the bound certified despite rounding
-    slack = len(per_q) * 4e-16 + float(np.abs(per_q).max(initial=0.0)) * 1e-12
+    # one-ulp-per-term slack keeps the bound certified despite rounding;
+    # per_q >= 0, so its max is its largest magnitude
+    slack = len(per_q) * 4e-16 + float(per_q.max(initial=0.0)) * 1e-12
     return min(1.0, float(per_q.sum()) + slack)
 
 
@@ -413,7 +422,10 @@ def _reduced_ball_counts(b_vals: np.ndarray, cum: np.ndarray) -> np.ndarray:
     if len(b_vals) == 0:
         return np.zeros(0, dtype=np.int64)
     counts = cum[b_vals]
-    counts -= cum[b_vals - 1]
+    # cum[b - 1] read into b - 1's own words: clip mode writes in place
+    # (raise mode buffers), and b - 1 >= 0 is a valid index
+    below = b_vals - 1
+    counts -= np.take(cum, below, out=below, mode="clip")
     if b_vals[0] == 1:
         counts[0] += 1
     return counts
@@ -468,8 +480,10 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
             "%s needs about %d MB for denominators up to %d (budget %d MB)"
             % (what, _STAGE_BYTES_PER_Q * q_top >> 20, q_top,
                MAX_STAGE_BYTES >> 20))
-    # one totient prefix sum serves every stage of the range
-    cum = _totient_cumsum(q_top)
+    # one smallest-prime-factor sieve serves the totient prefix sum,
+    # which serves every stage of the range, and every sweep's primes
+    spf = farey.smallest_prime_factors(q_top)
+    cum = _totient_cumsum(q_top, spf)
     records = []
     for n in range(n_lo, n_hi + 1):
         pairs = system.count_window(*stage.window(n), cum=cum)
@@ -493,7 +507,7 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
             continue
         if not full:
             b_vals, radii = _truncate_plan(b_vals, radii, counts, subset_cap)
-        value, swept = _cell_sweep(b_vals, radii)
+        value, swept = _cell_sweep(b_vals, radii, spf)
         budget = farey.union_length_error_budget(swept)
         lower = max(0.0, value - budget)
         if full:

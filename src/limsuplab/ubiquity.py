@@ -61,8 +61,12 @@ s_i, e_i the first and last centres of block i
 each of the R - L open gaps adds 2r and only the merged blocks in
 [L, R] add a span e_i - s_i.  The spans of merged blocks m_lo..m_hi - 1
 sum to sum (a_e/b_e - a_s/b_s) = sum_b coef_b / b, the integer coef_b
-being their numerators bucketed per denominator.  A batch of queries
-takes all its span sums from one sweep (union_measures):
+being their numerators bucketed per denominator.  The ends are clipped,
+and hi <= lo is told apart, by cross-products of integer numerators and
+positive denominators.  A query whose [L, R] holds no merged block, as
+every query on a Ford stage does, adds no span and is answered from
+these integers alone.  The others, alone or in a batch, take all their
+span sums from one sweep (union_measures):
 
   * the distinct m_lo and m_hi of the batch cut the merged blocks into
     segments, and each query's range is a run of whole segments;
@@ -76,8 +80,7 @@ takes all its span sums from one sweep (union_measures):
     (_fraction_sum), so no lcm(1..Q) is formed;
   * the segment sums are put over D, the lcm of their denominators, as
     integer prefixes, and a query's span sum is one prefix difference
-    over D.  A stage with no merged block, such as a Ford stage, does
-    none of this.
+    over D.
 
 Everything user-facing is a Fraction.
 
@@ -182,27 +185,38 @@ class UniformStageEngine:
 
     def union_measure(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact Lebesgue measure of (union of balls) intersected with
-        [lo, hi]: a batch of one."""
-        return self.union_measures([(lo, hi)])[0]
+        [lo, hi].  An interval that meets no merged block, as every one
+        on a Ford stage, is answered from _outside_spans alone; one that
+        meets some takes its span sum from the batch sweep."""
+        part = self._outside_spans(lo, hi)
+        num, den, m_lo, m_hi = part
+        if m_lo == m_hi:
+            return Fraction(num, den)
+        return self._add_spans([part])[0]
 
     def union_measures(self, intervals) -> list[Fraction]:
         """union_measure of each (lo, hi) in `intervals`, every span sum
-        from one sweep (module docstring): each segment between
-        neighbouring cuts is bucketed once and summed by _fraction_sum, and
-        prefix[m] / span_d sums the spans from the first cut to m."""
-        parts = list(itertools.starmap(self._outside_spans, intervals))
+        from one sweep (module docstring)."""
+        return self._add_spans(
+            list(itertools.starmap(self._outside_spans, intervals)))
+
+    def _add_spans(self, parts) -> list[Fraction]:
+        """num / den plus the spans of merged blocks m_lo..m_hi - 1 for
+        each (num, den, m_lo, m_hi) of `parts`: each segment between
+        neighbouring cuts is bucketed once and summed by _fraction_sum,
+        and prefix[m] / span_d sums the spans from the first cut to m."""
         cuts = sorted({m for _, _, m_lo, m_hi in parts if m_lo < m_hi
                        for m in (m_lo, m_hi)})
-        prefix, span_d = {}, 1
-        if cuts:
-            sums = []
-            for m_lo, m_hi in zip(cuts, cuts[1:]):
-                coef = self._numerator_sums(m_lo, m_hi)
-                dens = coef.nonzero()[0]
-                sums.append(_fraction_sum(coef[dens], dens))
-            span_d = math.lcm(*[d for _, d in sums])
-            prefix = dict(zip(cuts, itertools.accumulate(
-                [n * (span_d // d) for n, d in sums], initial=0)))
+        if not cuts:
+            return [Fraction(num, den) for num, den, _, _ in parts]
+        sums = []
+        for m_lo, m_hi in zip(cuts, cuts[1:]):
+            coef = self._numerator_sums(m_lo, m_hi)
+            dens = coef.nonzero()[0]
+            sums.append(_fraction_sum(coef[dens], dens))
+        span_d = math.lcm(*[d for _, d in sums])
+        prefix = dict(zip(cuts, itertools.accumulate(
+            [n * (span_d // d) for n, d in sums], initial=0)))
         return [Fraction(num * span_d + (prefix[m_hi] - prefix[m_lo]) * den,
                          den * span_d) if m_lo < m_hi else Fraction(num, den)
                 for num, den, m_lo, m_hi in parts]
@@ -211,15 +225,15 @@ class UniformStageEngine:
         """(num, den, m_lo, m_hi): the measure of the union in [lo, hi] is
         num / den plus the spans of merged blocks m_lo..m_hi - 1."""
         lo, hi = fn.exact(lo, "lo"), fn.exact(hi, "hi")
-        if hi <= lo or self.empty:
-            return 0, 1, 0, 0
-        rn, rd = self.radius.numerator, self.radius.denominator
         ln, ld = lo.numerator, lo.denominator
         hn, hd = hi.numerator, hi.denominator
-        # L: the blocks starting below lo - r; R: those starting at or
-        # below hi + r, less one
-        reach = (ln * rd - rn * ld, ld * rd)
-        L = self._rank(*reach, 0)
+        if self.empty or hn * ld <= ln * hd:
+            return 0, 1, 0, 0
+        rn, rd = self.radius.numerator, self.radius.denominator
+        # L: the blocks starting below lo - r = reach_n / reach_d; R: those
+        # starting at or below hi + r, less one
+        reach_n, reach_d = ln * rd - rn * ld, ld * rd
+        L = self._rank(reach_n, reach_d, 0)
         R = self._rank(hn * rd + rn * hd, hd * rd, 1) - 1
         # merged[m_lo:m_hi] are the merged blocks in [L, R]: none on a
         # Ford stage, where the block work is skipped
@@ -230,7 +244,7 @@ class UniformStageEngine:
             if m_lo < len(merged) and merged.item(m_lo) == L - 1:
                 # block L - 1 reaches lo iff its last centre does
                 a, b = self._unpack(self._ends.item(m_lo), q)
-                if a * reach[1] >= reach[0] * b:
+                if a * reach_d >= reach_n * b:
                     L -= 1
                 else:
                     m_lo += 1
@@ -243,16 +257,15 @@ class UniformStageEngine:
                 if m_lo < m_hi and merged.item(m_hi - 1) == R
                 else self._starts.item(R))
         ar, br = self._unpack(last, q)
-        # max(s_L - r, lo) and min(e_R + r, hi) as (num, den) pairs
-        start = (al * rd - rn * bl, bl * rd)
-        if start[0] * ld < ln * start[1]:
-            start = (ln, ld)
-        end = (ar * rd + rn * br, br * rd)
-        if end[0] * hd > hn * end[1]:
-            end = (hn, hd)
+        # max(s_L - r, lo) = sn / sd and min(e_R + r, hi) = en / ed
+        sn, sd = al * rd - rn * bl, bl * rd
+        if sn * ld < ln * sd:
+            sn, sd = ln, ld
+        en, ed = ar * rd + rn * br, br * rd
+        if en * hd > hn * ed:
+            en, ed = hn, hd
         # end - start, less e_R - s_L, plus 2r per open gap
-        num = end[0] * start[1] - start[0] * end[1]
-        den = end[1] * start[1]
+        num, den = en * sd - sn * ed, ed * sd
         gap_d = bl * br * rd
         gap_n = (al * br - ar * bl) * rd + 2 * (R - L) * rn * bl * br
         return num * gap_d + gap_n * den, den * gap_d, m_lo, m_hi

@@ -501,6 +501,7 @@ class TestExitStatuses:
         def no_sieve(*args):
             raise AssertionError("sieved past a refused cap")
         monkeypatch.setattr(farey, "totient_sieve", no_sieve)
+        monkeypatch.setattr(farey, "smallest_prime_factors", no_sieve)
         code, _, err = run_main(
             ["stage-scan", "--psi", "r^-2", "--k", "2", "--n-lo", "1",
              "--n-hi", "20", option, str(cap + 1),

@@ -260,10 +260,27 @@ class TestStageMeasureScan:
         def no_sieve(*args):
             raise AssertionError("sieved past a refused cap")
         monkeypatch.setattr(farey, "totient_sieve", no_sieve)
+        # the scan's shared least-prime table is a sieve too
+        monkeypatch.setattr(farey, "smallest_prime_factors", no_sieve)
         stage = sy.per_point_stage(fn.approximating(power=-2), 2)
         with pytest.raises(UsageError, match="can only be lowered"):
             sy.stage_measure_scan(sy.classical_rationals(), stage, 1, 20,
                                   **caps)
+
+    def test_one_sieve_per_scan(self, monkeypatch):
+        # stages 1..11 of q^-3, k = 2, all fully swept, and the per-q
+        # bound of stage 12: one least-prime table reaching q = 2^12
+        # serves the totient prefix sum and every sweep's prime pairs
+        calls = []
+        sieve = farey.smallest_prime_factors
+        monkeypatch.setattr(farey, "smallest_prime_factors",
+                            lambda limit: calls.append(limit) or sieve(limit))
+        stage = sy.per_point_stage(fn.approximating(power=-3), 2)
+        scan = sy.stage_measure_scan(sy.classical_rationals(), stage, 1, 12,
+                                     full_cap=4_000_000, subset_cap=0)
+        methods = [rec.method for rec in scan.records]
+        assert methods == ["full-sweep"] * 11 + ["per-q-upper"]
+        assert calls == [2 ** 12]
 
 
 def swept(sweep, plan):
@@ -417,6 +434,7 @@ class TestStageByteBudget:
             raise AssertionError("allocated past the byte budget")
         monkeypatch.setattr(sy, "_stage_ball_plan", no_work)
         monkeypatch.setattr(farey, "totient_sieve", no_work)
+        monkeypatch.setattr(farey, "smallest_prime_factors", no_work)
         stage = sy.per_point_stage(fn.approximating(power=-2), 2)
         assert 2 ** 25 < farey.MAX_SIEVE
         with pytest.raises(ResourceCapError, match="budget"):

@@ -4,6 +4,7 @@ through `oracles.ubiquity_ratio`), and the trends of the natural cover
 sum in `oracles`."""
 
 import bisect
+import functools
 import math
 import random
 import tracemalloc
@@ -330,6 +331,75 @@ def test_span_sums_of_a_batch_across_chunks(q_max, f, edge, where, picks,
     assert seen[0][0] == 0 and seen[-1][1] == merged
     assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
     assert got == [eng.union_measure(lo, hi) for lo, hi in batch]
+
+
+# a Ford stage, whose blocks are all single points, and two stages of
+# 6 r^-2 with k = 5 (F_25 and F_125), which have merged blocks
+ALONE_STAGES = {
+    "ford": (sy.ford_horoballs(), fn.parse_function("r^-1"), 6, 5),
+    "rational-2": (sy.classical_rationals(), RHO_LEMMA, 5, 2),
+    "rational-3": (sy.classical_rationals(), RHO_LEMMA, 5, 3),
+}
+
+
+@functools.cache
+def alone_stage(name):
+    """(engine, centres, radius, ends, gap): the stage's engine, its
+    centres in order, its radius, the query ends worth drawing (every
+    centre and ball edge, so every block edge) and a window inside its
+    widest open gap."""
+    system, rho, k, n = ALONE_STAGES[name]
+    q_max = ub._uniform_q_max(system, Fraction(k), n)
+    rad = ub._uniform_radius(rho, Fraction(k), n)
+    nums, dens = farey.reduced_fractions(q_max)
+    centers = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+    ends = sorted({c + s * rad for c in centers for s in (-1, 0, 1)})
+    a, b = max(zip(centers, centers[1:]), key=lambda ab: ab[1] - ab[0])
+    room = b - a - 2 * rad
+    assert room > 0
+    gap = ((a + b - room / 2) / 2, (a + b + room / 2) / 2)
+    return ub.UniformStageEngine(q_max, rad), centers, rad, ends, gap
+
+
+@functools.cache
+def alone_oracle(name, lo, hi):
+    """The exact union in [lo, hi] of the stage's balls that can meet it."""
+    _, centers, rad, _, _ = alone_stage(name)
+    near = centers[bisect.bisect_left(centers, lo - rad):
+                   bisect.bisect_right(centers, hi + rad)]
+    return exact_union_measure([(c - rad, c + rad) for c in near], lo, hi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(ALONE_STAGES)),
+       picks=st.lists(st.tuples(QUERY_END, QUERY_END), min_size=1,
+                      max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(name="ford", picks=[(0, 1)], seed=0)
+@example(name="rational-3", picks=[(5, 5), (9, 3)], seed=1)
+def test_query_alone_equals_its_batch(name, picks, seed):
+    # a query answered alone, which skips the span sweep when it meets no
+    # merged block, equals its answer inside a shuffled batch and the
+    # exact union of the balls that can meet it
+    eng, _, _, ends, gap = alone_stage(name)
+
+    def end(x):
+        return ends[x % len(ends)] if isinstance(x, int) else x
+
+    # drawn ends in either order, so hi <= lo too, and ends outside
+    # [0, 1]; [0, 1] itself, a window past both its ends, the window
+    # reversed and one inside an open gap, which meets no block
+    batch = [(end(a), end(b)) for a, b in picks]
+    batch += [(Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(3, 2)),
+              (Fraction(1), Fraction(0)), gap]
+    random.Random(seed).shuffle(batch)
+    parts = [eng._outside_spans(lo, hi) for lo, hi in batch]
+    assert any(m_lo == m_hi for _, _, m_lo, m_hi in parts)
+    assert any(m_lo < m_hi for _, _, m_lo, m_hi in parts) == (name != "ford")
+    got = eng.union_measures(batch)
+    for (lo, hi), measure in zip(batch, got):
+        assert eng.union_measure(lo, hi) == measure == \
+            alone_oracle(name, lo, hi), (lo, hi)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
