@@ -229,7 +229,8 @@ def reduced_fractions(qmax: int):
 
     Returns (num, den) int64 arrays, decoded from `farey_keys`.
     Includes 0/1 and 1/1.  Raises if qmax is past the bound where the
-    packed sort keys stay exact.
+    packed sort keys stay exact.  No package code calls it; it stays
+    because the benchmark's tracer wraps it by name.
     """
     return unpack_keys(farey_keys(qmax), qmax)
 
@@ -245,16 +246,12 @@ def min_multiple_above(den: np.ndarray, window_lo: int,
     return q
 
 
-def prime_factor_pairs(den: np.ndarray, spf: Optional[np.ndarray] = None):
+def prime_factor_pairs(den: np.ndarray, spf: np.ndarray):
     """(row, p) int64 arrays, in row order and each row's primes
     ascending: one pair for every row i and every distinct prime p
     dividing den[i], read off spf, a `smallest_prime_factors` table
-    reaching max(den), sieved here if None.  den holds integers in [1,
-    MAX_SIEVE]; a row with den[i] = 1 has no pair."""
-    limit = int(den.max(initial=1))
-    check_sieve(limit, "prime_factor_pairs")
-    if spf is None:
-        spf = smallest_prime_factors(limit)
+    reaching max(den).  den holds integers >= 1; a row with den[i] = 1
+    has no pair."""
     row = np.flatnonzero(den > 1)
     rest = den[row].astype(np.int64)
     rows, primes = [row[:0]], [rest[:0]]

@@ -78,8 +78,8 @@ Transcendentals come from libm through ``math``, never from numpy: on
 common hosts numpy's SIMD exp, log1p, arccosh and log differ from libm
 in the last bit on a share of inputs, which would move the repr floats
 in artifacts.  numpy does only correctly rounded operations (+ - * /,
-floor) for the sampling grid of `excursions`; `sample_quotients` also
-calls np.exp2.  The exact engine and the log law never import it.
+floor) for the sampling grid of `excursions`.  The exact engine and
+the log law never import it.
 
 The log law evaluates only excursions that can win.  On excursion n
 the score (pen - alpha t)/log t is at most g(t) = (log H_n - alpha t) /
@@ -121,13 +121,8 @@ __all__ = [
     "ExcursionRecord",
     "StepTooCoarseWarning",
     "cf_expand",
-    "quotients_value",
-    "gauss_kuzmin_probability",
-    "sample_quotients",
     "geodesic_point",
-    "hyperbolic_distance",
     "reduce_to_fundamental",
-    "apply_word",
     "predicted_excursions",
     "excursions",
     "loglaw_statistic",
@@ -418,40 +413,6 @@ def _check_quotients(quots: Sequence[int]) -> Sequence[int]:
     return out
 
 
-def quotients_value(quots: Sequence[int]) -> Fraction:
-    """The exact rational [0; a_1, ..., a_M] for a finite quotient list."""
-    value = Fraction(0)
-    for a in reversed(_check_quotients(quots)):
-        value = Fraction(1, a + value)
-    return value
-
-
-def gauss_kuzmin_probability(k: int) -> float:
-    """Limiting frequency log2(1 + 1/(k(k+2))) of the quotient value k."""
-    if k < 1:
-        raise UsageError("quotient value must be >= 1, got %r" % (k,))
-    return math.log2(1 + Fraction(1, k * (k + 2)))
-
-
-def sample_quotients(seed: int, index: int, depth: int) -> Tuple[int, ...]:
-    """Seeded i.i.d. quotients with the Gauss-Kuzmin law.
-
-    Inverse CDF in closed form: the distribution function at a is
-    log2(2(a+1)/(a+2)) (the product of the cell probabilities
-    telescopes), so a uniform u maps to a = max(1, ceil((2-c)/(c-1)))
-    with c = 2^(1-u).  Stream index i uses its own Philox counter lane,
-    the same splitting contract as the sampling in ``counting``.
-    """
-    if depth < 1:
-        raise UsageError("depth must be >= 1, got %r" % (depth,))
-    import numpy as np
-    bits = np.random.Philox(key=seed, counter=[0, 0, 1, index])
-    u = np.random.Generator(bits).random(depth)
-    c = np.exp2(1.0 - u)
-    a = np.maximum(1.0, np.ceil((2.0 - c) / (c - 1.0)))
-    return tuple(int(v) for v in a)
-
-
 # ---------------------------------------------------------------------------
 # the geodesic and the fundamental domain
 
@@ -488,29 +449,6 @@ def geodesic_point(x: float, t: float) -> GeodesicState:
     re = x * (1.0 - u2) / den
     im = u * (1.0 + x * x) / den
     return GeodesicState(complex(re, im), t)
-
-
-def hyperbolic_distance(z1: complex, z2: complex) -> float:
-    if not (z1.imag > 0 and z2.imag > 0):
-        raise UsageError("hyperbolic distance needs Im > 0 on both points")
-    w = z1 - z2
-    x = (w.real * w.real + w.imag * w.imag) / (2.0 * z1.imag * z2.imag)
-    return math.acosh(1.0 + max(x, 0.0))
-
-
-def apply_word(word: Word, z: complex) -> complex:
-    """Mobius action of an integer word on z, evaluated in exact
-    rational arithmetic and rounded once at the end (the naive float
-    form cancels badly for ill-conditioned words)."""
-    (a, b), (c, d) = word
-    x, y = Fraction(z.real), Fraction(z.imag)
-    nre, nim = a * x + b, a * y
-    dre, dim = c * x + d, c * y
-    den = dre * dre + dim * dim
-    if den == 0:
-        raise UsageError("word denominator vanishes at %r" % (z,))
-    return complex((nre * dre + nim * dim) / den,
-                   (nim * dre - nre * dim) / den)
 
 
 def _word_det(word: Word) -> int:

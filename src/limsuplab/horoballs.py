@@ -303,10 +303,6 @@ class DisjointnessReport:
     overlap_pairs: int          # must be 0
     identity_pairs: int
 
-    @property
-    def all_disjoint(self) -> bool:
-        return self.overlap_pairs == 0
-
 
 def _farey_points(q_max: int):
     """F_q_max in order as (p, q) pairs: after neighbours a/b < c/d the

@@ -29,15 +29,13 @@ exactly when gcd(a, b) == 1, i.e. when no prime factor p of b divides
 a.  It strikes the multiples of every such p inside each window, which
 is that test candidate for candidate: a = 0 is struck for every b > 1,
 and b = 1 has no prime, so 0/1 and 1/1 stay.  A kept ball is stored
-as one int64 alone, its `farey.union_length` sort key, whose low bits
-carry the code (row << wb) | (a - a_lo[row]); codes keep the flat
-order, so the sweep visits the balls in the (lo, index) order of a
-stable sort as before, and it decodes each block's lo and hi from the
-per-denominator tables (see `farey`).  The key array is sized for the
-cell's candidates and built a block of them at a time, and only the
-kept balls' words are written: a cell holds 8 bytes per candidate,
-about 6/pi^2 of which are kept, and a few blocks: 14.6 bytes per ball
-traced on the 2.97M-ball stage of q^-2, k = 5, n = 5.
+as one int64 alone, its `farey.union_length` sort key (its code, the
+order it gives and its decoding: `farey`'s paragraph on swept balls).
+The key array is sized for the cell's candidates and built a block of
+them at a time, and only the kept balls' words are written: a cell
+holds 8 bytes per candidate, about 6/pi^2 of which are kept, and a few
+blocks: 14.6 bytes per ball traced on the 2.97M-ball stage of q^-2,
+k = 5, n = 5.
 
 numpy and `farey` are imported by the functions that build arrays, so
 the weight and denominator algebra (`q_interval`), which the horoball
@@ -260,14 +258,14 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
 
 
 def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray,
-                spf: Optional[np.ndarray] = None) -> tuple[float, int]:
+                spf: np.ndarray) -> tuple[float, int]:
     """Measure of union of balls at reduced fractions a/b (gcd(a,b)=1,
     a/b in [0,1]) with per-denominator radii, clipped to [0, 1].
     Chunked over x-cells so memory stays bounded: a cell holds one word
     per candidate ball, of which only the kept balls' are touched, and
     a few blocks of farey.BLOCK, besides the per-denominator arrays.
     spf is the scan's `farey.smallest_prime_factors` table, reaching
-    max(b_vals); without it `farey.prime_factor_pairs` sieves its own.
+    max(b_vals).
 
     Returns (measure, number of reduced balls processed).
     """

@@ -10,7 +10,10 @@ family is the witness for its exact verdicts: sampled regularity ratios
 and samples of G confirm what `functions.is_k_regular` and
 `functions.compute_G` decide from exponents.  `ArrayRows` and
 `array_keys` put float interval arrays into the one input form of
-`farey.union_length`, sort keys and a decoder.  Test modules import
+`farey.union_length`, sort keys and a decoder.  The geodesics helpers
+that no command runs live here too: the value of a quotient list, the
+Gauss-Kuzmin law and its seeded sampler, the hyperbolic distance and
+the Mobius action of a word.  Test modules import
 them as `from oracles import ...`; nothing under `src` may, because an
 installed package has no `tests/` next to it.
 """
@@ -291,6 +294,64 @@ def pair_relation(p: int, q: int, p2: int, q2: int) -> PairRelation:
     return PairRelation(det, det * det == 1, gap)
 
 
+# -- geodesics helpers that no command runs ----------------------------------
+
+def quotients_value(quots) -> Fraction:
+    """The exact rational [0; a_1, ..., a_M] for a finite quotient list."""
+    value = Fraction(0)
+    for a in reversed(geo._check_quotients(quots)):
+        value = Fraction(1, a + value)
+    return value
+
+
+def gauss_kuzmin_probability(k: int) -> float:
+    """Limiting frequency log2(1 + 1/(k(k+2))) of the quotient value k."""
+    if k < 1:
+        raise UsageError("quotient value must be >= 1, got %r" % (k,))
+    return math.log2(1 + Fraction(1, k * (k + 2)))
+
+
+def sample_quotients(seed: int, index: int, depth: int):
+    """Seeded i.i.d. quotients with the Gauss-Kuzmin law.
+
+    Inverse CDF in closed form: the distribution function at a is
+    log2(2(a+1)/(a+2)) (the product of the cell probabilities
+    telescopes), so a uniform u maps to a = max(1, ceil((2-c)/(c-1)))
+    with c = 2^(1-u).  Stream index i uses its own Philox counter lane,
+    the same splitting contract as the sampling in ``counting``.
+    """
+    if depth < 1:
+        raise UsageError("depth must be >= 1, got %r" % (depth,))
+    bits = np.random.Philox(key=seed, counter=[0, 0, 1, index])
+    u = np.random.Generator(bits).random(depth)
+    c = np.exp2(1.0 - u)
+    a = np.maximum(1.0, np.ceil((2.0 - c) / (c - 1.0)))
+    return tuple(int(v) for v in a)
+
+
+def hyperbolic_distance(z1: complex, z2: complex) -> float:
+    if not (z1.imag > 0 and z2.imag > 0):
+        raise UsageError("hyperbolic distance needs Im > 0 on both points")
+    w = z1 - z2
+    x = (w.real * w.real + w.imag * w.imag) / (2.0 * z1.imag * z2.imag)
+    return math.acosh(1.0 + max(x, 0.0))
+
+
+def apply_word(word: geo.Word, z: complex) -> complex:
+    """Mobius action of an integer word on z, evaluated in exact
+    rational arithmetic and rounded once at the end (the naive float
+    form cancels badly for ill-conditioned words)."""
+    (a, b), (c, d) = word
+    x, y = Fraction(z.real), Fraction(z.imag)
+    nre, nim = a * x + b, a * y
+    dre, dim = c * x + d, c * y
+    den = dre * dre + dim * dim
+    if den == 0:
+        raise UsageError("word denominator vanishes at %r" % (z,))
+    return complex((nre * dre + nim * dim) / den,
+                   (nim * dre - nre * dim) / den)
+
+
 def euclid_quotients(x: Fraction, depth: int):
     """(quotients, terminated) of an exact x in (0, 1): one divmod per
     quotient on the full pair, the loop the chunked kernel replaced."""
@@ -366,7 +427,7 @@ def excursion_stream(direction, T, peaked=True):
         x0, n_cap = float(direction), len(quots) - 1
     else:
         quots = list(direction)
-        x0 = float(geo.quotients_value(quots[:64]))
+        x0 = float(quotients_value(quots[:64]))
         n_cap = len(quots) - 26
     alpha = alpha_sweep(quots)
     log, exp, sqrt = math.log, math.exp, math.sqrt
@@ -436,8 +497,8 @@ def excursion_mp(quots, n, dps=420):
     p0, p1, q0, q1 = 1, 0, 0, 1
     for a in quots[:n]:
         p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
-    x = geo.quotients_value(quots)
-    alpha = 1 / geo.quotients_value(quots[n:])   # [a_{n+1}; a_{n+2}, ...]
+    x = quotients_value(quots)
+    alpha = 1 / quotients_value(quots[n:])   # [a_{n+1}; a_{n+2}, ...]
     xi = (q0 + p0 * x) / (q1 + p1 * x)
     alpha, xi = (ctx.mpf(v.numerator) / v.denominator for v in (alpha, xi))
     H, c = (alpha + xi) / 2, (alpha - xi) / 2

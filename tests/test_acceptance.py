@@ -1,9 +1,10 @@
 """Acceptance gate: one test per shipped guarantee, each at its stated
 tolerance and budget, printing one PASS/FAIL line per criterion.
 
-Everything here reuses only public package API; expected values are
-either exact (rational equality, counts against independent oracles) or
-carry the tolerance stated in the criterion.
+Everything here reuses only public package API and the geodesics
+helpers that no command runs, which live in `oracles`; expected values
+are either exact (rational equality, counts against independent
+oracles) or carry the tolerance stated in the criterion.
 """
 
 import math
@@ -21,6 +22,8 @@ import limsuplab.geodesics as geo
 import limsuplab.horoballs as hb
 import limsuplab.systems as sy
 import limsuplab.ubiquity as ub
+from oracles import (apply_word, gauss_kuzmin_probability,
+                     hyperbolic_distance, sample_quotients)
 
 SEED = 20260821
 
@@ -129,7 +132,7 @@ def test_criterion_06_ford_exactness(capsys):
     phi = fa.totient_sieve(201)
     points = 1 + int(phi[1:201].sum())
     elapsed = time.time() - started
-    ok = (rep.all_disjoint and rep.overlap_pairs == 0
+    ok = (rep.overlap_pairs == 0
           and rep.points == points
           and rep.tangent_pairs == 2 * points - 3
           and rep.pairs == points * (points - 1) // 2
@@ -171,7 +174,7 @@ def test_criterion_08_gauss_kuzmin_frequencies(capsys):
         for a in quots:
             if a <= 3:
                 counts[a] += 1
-    worst = max(abs(counts[k] / total - geo.gauss_kuzmin_probability(k))
+    worst = max(abs(counts[k] / total - gauss_kuzmin_probability(k))
                 for k in (1, 2, 3))
     elapsed = time.time() - started
     _report(capsys, "8", worst < 0.01 and total >= 10 ** 7 and elapsed < 300,
@@ -201,7 +204,7 @@ def test_criterion_09c_random_directions_drift(capsys):
     started = time.time()
     low, high = [], []
     for i in range(100):
-        quots = geo.sample_quotients(SEED, i, 48000)
+        quots = sample_quotients(SEED, i, 48000)
         low.append(geo.loglaw_statistic(quots, 1e3))
         high.append(geo.loglaw_statistic(quots, 1e5))
     med_low = statistics.median(low)
@@ -218,14 +221,14 @@ def test_criterion_10_geometry_oracles(capsys):
     for _ in range(100):
         x = float(rng.random())
         s, t = sorted(rng.uniform(0.0, 20.0, size=2))
-        d = geo.hyperbolic_distance(geo.geodesic_point(x, s).z,
-                                    geo.geodesic_point(x, t).z)
+        d = hyperbolic_distance(geo.geodesic_point(x, s).z,
+                                geo.geodesic_point(x, t).z)
         dev = max(dev, abs(d - (t - s)))
     worst = 0.0
     for _ in range(1000):
         z = complex(rng.uniform(-30, 30), math.exp(rng.uniform(-6, 3)))
         reduced, word = geo.reduce_to_fundamental(z)
-        worst = max(worst, abs(geo.apply_word(word, z) - reduced))
+        worst = max(worst, abs(apply_word(word, z) - reduced))
     _report(capsys, "10", dev < 1e-9 and worst < 1e-12,
             "unit-speed deviation %.2e < 1e-9 (100 draws); reduction "
             "residual %.2e < 1e-12 (1000 draws)" % (dev, worst))

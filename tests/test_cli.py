@@ -396,10 +396,12 @@ class TestExitStatuses:
     ])
     def test_refused_before_allocating(self, tmp_path, capsys, monkeypatch,
                                        argv, code):
-        def no_farey(*args):
-            raise AssertionError("Farey points built past a cap")
-        monkeypatch.setattr(farey, "reduced_fractions", no_farey)
-        monkeypatch.setattr(farey, "farey_keys", no_farey)
+        # both engine builders: the engine itself still runs, since it
+        # refuses a q cap above MAX_UNIFORM_Q and a stage past the cap
+        def no_build(*args):
+            raise AssertionError("uniform stage built past a cap")
+        monkeypatch.setattr(ub, "_lattice_blocks", no_build)
+        monkeypatch.setattr(ub, "_farey_blocks", no_build)
         if argv[0] == "schmidt":
             # no counting arrays either: a refused schmidt run must not
             # even import numpy

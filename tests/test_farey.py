@@ -294,16 +294,13 @@ class TestPrimeFactorPairs:
     @example([])
     @example([1, 2, 4, 1024, 2048, 3, 2310, 2999, 30030, 65536])
     def test_matches_trial_division(self, dens):
-        rows, primes = farey.prime_factor_pairs(np.array(dens, dtype=np.int64))
+        spf = farey.smallest_prime_factors(max(dens, default=1))
+        rows, primes = farey.prime_factor_pairs(np.array(dens, dtype=np.int64),
+                                                spf)
         assert rows.dtype == primes.dtype == np.int64
         # in row order, each row's primes ascending
         got = list(zip(rows.tolist(), primes.tolist()))
         assert got == [(i, p) for i, b in enumerate(dens) for p in primes_of(b)]
-
-    def test_refuses_beyond_sieve_cap(self, monkeypatch):
-        monkeypatch.setattr(farey, "smallest_prime_factors", None)
-        with pytest.raises(ResourceCapError):
-            farey.prime_factor_pairs(np.array([farey.MAX_SIEVE + 1]))
 
 
 class TestMinMultiple:

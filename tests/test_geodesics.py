@@ -21,14 +21,13 @@ from limsuplab.errors import (InternalInvariantError, PrecisionExhausted,
 from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  ExcursionRecord,
                                  StepTooCoarseWarning, cf_expand, excursions,
-                                 gauss_kuzmin_probability, geodesic_point,
-                                 hyperbolic_distance, loglaw_statistic,
-                                 predicted_excursions,
-                                 quotients_value, reduce_to_fundamental,
-                                 sample_quotients, apply_word)
-from oracles import (alpha_sweep, cf_expansion, excursion_mp,
-                     excursion_stream, state_columns,
-                     sampled_excursions, euclid_quotients as oracle_euclid,
+                                 geodesic_point, loglaw_statistic,
+                                 predicted_excursions, reduce_to_fundamental)
+from oracles import (alpha_sweep, apply_word, cf_expansion, excursion_mp,
+                     excursion_stream, gauss_kuzmin_probability,
+                     hyperbolic_distance, quotients_value, sample_quotients,
+                     state_columns, sampled_excursions,
+                     euclid_quotients as oracle_euclid,
                      loglaw_statistic as oracle_loglaw)
 
 GOLDEN = (math.sqrt(5) - 1) / 2          # [0; 1, 1, 1, ...]

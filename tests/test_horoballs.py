@@ -278,7 +278,7 @@ def test_disjointness_small_exact():
     assert rep.points == points
     assert rep.pairs == points * (points - 1) // 2
     assert rep.identity_pairs == rep.pairs
-    assert rep.all_disjoint
+    assert rep.overlap_pairs == 0
     # Stern-Brocot: every circle after the first two is tangent to
     # exactly two earlier ones
     assert rep.tangent_pairs == 2 * points - 3

@@ -292,8 +292,15 @@ def swept(sweep, plan):
     return value.hex(), count
 
 
+def cell_sweep(b_vals, radii):
+    """`systems._cell_sweep` over a least-prime table reaching
+    max(b_vals), as a scan hands it one."""
+    spf = farey.smallest_prime_factors(int(b_vals.max(initial=1)))
+    return sy._cell_sweep(b_vals, radii, spf)
+
+
 def assert_twins(plan):
-    assert swept(sy._cell_sweep, plan) == swept(gcd_cell_sweep, plan)
+    assert swept(cell_sweep, plan) == swept(gcd_cell_sweep, plan)
 
 
 def ball_plan(system, stage, n):
@@ -380,7 +387,7 @@ class TestCellSweepTwin:
         plan = ball_plan(sy.classical_rationals(), stage, 4)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sy, "_CELL_BUDGET", 5000)
-            assert swept(sy._cell_sweep, plan) != "refused"
+            assert swept(cell_sweep, plan) != "refused"
             assert_twins(plan)
 
     def test_peak_memory_per_swept_ball(self):
@@ -391,7 +398,7 @@ class TestCellSweepTwin:
         plan = ball_plan(sy.classical_rationals(), stage, 5)
         tracemalloc.start()
         try:
-            value, count = sy._cell_sweep(*plan)
+            value, count = cell_sweep(*plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,9 +409,10 @@ class TestCellSweepTwin:
     def test_int64_headroom_at_the_cell_cap(self):
         # bounds checked without allocating a plan (a range stands in
         # for the rows).  A code is (row << wb) | col below 2^ib, ib =
-        # bitlen(rows - 1) + wb: prime_factor_pairs admits distinct
-        # denominators b <= MAX_SIEVE, so rows <= MAX_SIEVE and col = a -
-        # a_lo <= b; a scan's plan stops at the q_hi its byte budget admits
+        # bitlen(rows - 1) + wb: the denominators are distinct and inside
+        # the least-prime table, so b <= MAX_SIEVE, rows <= MAX_SIEVE and
+        # col = a - a_lo <= b; a scan's plan stops at the q_hi its byte
+        # budget admits
         def ib(rows):
             return farey.BallRows(None, range(rows), None,
                                   rows.bit_length()).ib

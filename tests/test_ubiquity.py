@@ -126,6 +126,23 @@ def test_builders_give_the_same_blocks(q_max, den):
         == starts
 
 
+def test_builders_agree_across_key_blocks():
+    # F_700's keys span three farey.BLOCKs, and at radius 2/700^2 the gap
+    # before each block edge is joined, so the F_Q builder carries a
+    # merged block across both edges of its compaction
+    q_max, radius = 700, Fraction(2, 700 ** 2)
+    keys = farey.farey_keys(q_max)
+    den = (keys & ((1 << q_max.bit_length()) - 1)).tolist()
+    edges = range(farey.BLOCK, len(keys), farey.BLOCK)
+    assert len(keys) == 149_019 and len(edges) == 2
+    # a gap 1/(b b') is joined when the two balls of radius r meet it
+    assert all(2 * radius * den[e - 1] * den[e] >= 1 for e in edges)
+    lattice, full = both_builders(q_max, radius)
+    for name in ("_starts", "_merged", "_ends"):
+        assert getattr(lattice, name).tolist() == \
+            getattr(full, name).tolist(), name
+
+
 def test_one_block_below_theta_one():
     # theta <= 1 joins every gap: the stage is [0 - r, 1 + r]
     for q_max in (1, 2, 7):
