@@ -416,18 +416,17 @@ def _run_stage_scan(o):
                                  subset_cap=o["subset_cap"])
     rows = []
     partial = 0.0
-    truncated = 0
     for rec in scan.records:
         # a truncated stage has no swept value: blank measure, no summand
         measure = None if rec.value is None else float(rec.value)
         partial += measure or 0.0
-        truncated += rec.truncated
         rows.append({
             "n": rec.n, "count": rec.count,
             "lower": float(rec.lower), "upper": float(rec.upper),
             "measure": measure, "partial_sum": partial,
             "method": rec.method, "truncated": rec.truncated,
         })
+    truncated = sum(rec.truncated for rec in scan.records)
     summary = ("stage measures n=%d..%d: partial sum %.6g"
                " (%d truncated stage%s)"
                % (o["n_lo"], o["n_hi"], partial, truncated,

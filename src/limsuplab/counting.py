@@ -92,11 +92,13 @@ def count_R(x, N: int, psi: fn.FunctionForm) -> int:
     candidate worth testing (any admissible p is within psi(q)·q < q/2
     of qx under the usual smallness of psi; at an exact half-integer tie
     both neighbours give the same distance, so the rounding choice is
-    immaterial).
+    immaterial).  A non-finite x is refused before any array work.
     """
+    xf = float(x)
+    if not math.isfinite(xf):
+        raise UsageError("x must be finite, got %s" % xf)
     import numpy as np
     qs, bound = _q_psi(psi, N)
-    xf = float(x)
     count = 0
     for lo in range(0, len(qs), _COUNT_CHUNK):
         qx = qs[lo:lo + _COUNT_CHUNK] * xf

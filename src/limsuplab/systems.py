@@ -217,8 +217,11 @@ class StageMeasure:
     lower: float      # certified lower bound on the stage measure
     upper: float      # certified upper bound
     value: Optional[float]  # sweep value when the full stage was swept
-    method: str
-    truncated: bool
+    method: str       # full-sweep, subset-sweep, per-q-upper or empty
+
+    @property
+    def truncated(self) -> bool:
+        return self.method in ("subset-sweep", "per-q-upper")
 
 
 @dataclass(frozen=True)
@@ -489,8 +492,7 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         counts = _reduced_ball_counts(b_vals, cum)
         count = int(counts.sum())
         if count == 0:
-            records.append(StageMeasure(n, 0, pairs, 0.0, 0.0, 0.0,
-                                        "empty", False))
+            records.append(StageMeasure(n, 0, pairs, 0.0, 0.0, 0.0, "empty"))
             continue
         full = count <= full_cap
         sweep = full or subset_cap > 0
@@ -501,7 +503,7 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         upper = _per_q_upper(system, stage, n, radii, counts)
         if not sweep:
             records.append(StageMeasure(
-                n, count, pairs, 0.0, upper, None, "per-q-upper", True))
+                n, count, pairs, 0.0, upper, None, "per-q-upper"))
             continue
         if not full:
             b_vals, radii = _truncate_plan(b_vals, radii, counts, subset_cap)
@@ -511,8 +513,8 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         if full:
             records.append(StageMeasure(
                 n, count, pairs, lower, min(upper, value + budget), value,
-                "full-sweep", False))
+                "full-sweep"))
         else:
             records.append(StageMeasure(
-                n, count, pairs, lower, upper, None, "subset-sweep", True))
+                n, count, pairs, lower, upper, None, "subset-sweep"))
     return StageScan(tuple(records))

@@ -43,9 +43,9 @@ even at 0.12-0.17):
     is checked to be strictly increasing from block to block with
     start <= end in each;
   * F_Q's keys (farey.farey_keys, certified there), compacted in place
-    to the block starts a block of keys at a time (_farey_blocks).  A
-    stage with no joined gap, such as a Ford stage at rho = r^-1,
-    keeps F_Q's keys as they are and has no merged block.
+    to the block starts by one blocked pass that also takes each merged
+    block's index and last key (_farey_blocks); with no joined gap, as
+    on a Ford stage at rho = r^-1, the keys are the starts.
 
 A measure query against [lo, hi] finds L, the first block reaching lo,
 and R, the last reaching hi, by one search of the start keys per end
@@ -103,12 +103,12 @@ from limsuplab import systems as sy
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError, size_text)
 
-# F_8192 has 2.04e7 points; building its engine from F_Q measured
-# 0.81-0.84 s and 188 MB peak RSS with no joined gap (radius 10^-9), and
-# 1.06-1.15 s and 234 MB with 1.46e6 gaps joined (10^-8), on 2 vCPUs; the
-# peak is the keys (8 bytes per point) next to the mask of the left half
-# or the merged blocks' edges.  A stage with few open gaps builds from
-# them alone: 10^-6 (2,325 blocks) measured 0.14-0.16 s and 29 MB
+# F_8192 has 2.04e7 points; its engine built from F_Q in 0.69-0.84 s and
+# 188 MB peak RSS with no joined gap (radius 10^-9), 0.81-1.06 s and 206
+# MB with 1.46e6 gaps joined (10^-8) and 0.99-1.16 s and 256 MB with 3.64e6
+# merged blocks (1/8192^2) on 2 vCPUs: the keys, 8 bytes a point, next to
+# the left half's mask or an index and end key per merged block.  10^-6
+# builds from its 2,325 open gaps alone in 0.14-0.16 s and 29 MB
 MAX_UNIFORM_Q = 8192
 # every ball is one exact query per stage, a stage's balls one batch:
 # 1000 balls at the README stages 3..5 of 6 r^-2 with k = 6 measured
@@ -394,15 +394,15 @@ def _lattice_blocks(q_max: int, theta: int):
 
 
 def _farey_blocks(q_max: int, theta: int):
-    """(starts, merged, ends) from F_Q's keys, compacted in place to the
-    block starts a block of keys at a time; with no joined gap (theta >
-    q_max^2) the keys are the starts."""
+    """(starts, merged, ends) from F_Q's keys in one blocked pass that
+    compacts them in place to the block starts and takes each merged
+    block's index and last key; with no joined gap the keys are the starts."""
     import numpy as np
     from limsuplab import farey
     keys = farey.farey_keys(q_max)
-    edges, ends = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
+    merged, ends = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
     if theta > q_max * q_max:
-        return keys, edges[0], ends[0]
+        return keys, merged[0], ends[0]
     mask = (1 << q_max.bit_length()) - 1  # key & mask is the denominator
     n, carry = 0, False
     for at in range(0, len(keys), farey.BLOCK):
@@ -414,11 +414,15 @@ def _farey_blocks(q_max: int, theta: int):
         joined[0] = carry
         np.greater_equal(den[:-1] * den[1:], theta, out=joined[1:len(den)])
         carry = joined[points]
-        # the first and last points of merged blocks, in turn
+        # the points f and l that begin and end merged blocks, in turn (a
+        # block carried in has f = -1 and ends first).  A block's index is
+        # n plus the starts before its f: f less l - f of each block before
         edge = np.flatnonzero(joined[:-1] != joined[1:])
-        edges.append(edge + at)
+        last = joined[edge]
+        rank = np.cumsum(np.where(last, -edge, edge)) - joined[0]
+        merged.append(rank[~last] + n)
         chunk = keys[at:at + points]
-        ends.append(chunk[edge[joined[edge]]])
+        ends.append(chunk[edge[last]])
         # a block's start sits at or after its slot, so it is read before
         # it could be overwritten
         starts = chunk[~joined[:-1]]
@@ -427,13 +431,7 @@ def _farey_blocks(q_max: int, theta: int):
     # the keys array is this function's own, and no view of it is left
     del chunk
     keys.resize(n, refcheck=False)
-    # a merged block's index is its first point's, less the points of the
-    # merged blocks before it that are no block start
-    edges = np.concatenate(edges)
-    first, last = edges[0::2], edges[1::2]
-    removed = np.cumsum(last - first)
-    removed -= last - first
-    return keys, first - removed, np.concatenate(ends)
+    return keys, np.concatenate(merged), np.concatenate(ends)
 
 
 def _uniform_q_max(system: sy.ResonantSystem, k: Fraction, n: int,
@@ -445,13 +443,6 @@ def _uniform_q_max(system: sy.ResonantSystem, k: Fraction, n: int,
 
 def _uniform_radius(rho: fn.FunctionForm, k: Fraction, n: int) -> Fraction:
     return fn.evaluate_rational(rho, k ** n)
-
-
-def _check_ball(center: Fraction, radius: Fraction) -> None:
-    if radius <= 0:
-        raise UsageError("ball radius must be positive")
-    if center - radius < 0 or center + radius > 1:
-        raise UsageError("ball must sit inside [0,1]")
 
 
 def seeded_balls(count: int, min_measure, seed: int) -> list[tuple]:
@@ -513,7 +504,10 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
     checked = []
     for ball in balls:
         c, r = fn.exact(ball[0], "center"), fn.exact(ball[1], "radius")
-        _check_ball(c, r)
+        if r <= 0:
+            raise UsageError("ball radius must be positive")
+        if c - r < 0 or c + r > 1:
+            raise UsageError("ball must sit inside [0,1]")
         checked.append((c, r))
 
     per_ball: list[list[tuple[int, Fraction]]] = [[] for _ in checked]

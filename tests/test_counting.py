@@ -50,6 +50,16 @@ def test_count_needs_positive_N():
         count_R(0.3, 0, PSI_CUBE)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_count_refuses_non_finite_x(x, monkeypatch):
+    # refused before the grid is built or read, so no numpy RuntimeWarning
+    def no_grid(*args):
+        raise AssertionError("the grid was built for a non-finite x")
+    monkeypatch.setattr(counting, "_q_psi", no_grid)
+    with pytest.raises(UsageError, match="x must be finite"):
+        count_R(x, 100, PSI_CUBE)
+
+
 @pytest.mark.parametrize("psi", [PSI_QUARTER, PSI_CUBE, PSI_SQUARE])
 def test_count_matches_brute_force(psi):
     rng = np.random.default_rng(20240817)

@@ -610,9 +610,9 @@ def test_engine_build_peak_memory():
     # the bound: the keys of F_2244 (8 bytes per point), the prime-struck
     # mask of the left half, a byte per point and a few blocks of
     # temporaries.  The build stays inside it with no merged gap, from
-    # F_Q with 272,740 merged blocks (radius 1/(3 10^6)), whose edges are
-    # listed after the mask is freed, and from the few open gaps at
-    # radius 10^-6
+    # F_Q with 272,740 merged blocks (radius 1/(3 10^6)), whose indices
+    # and ends are taken after the mask is freed, and from the few open
+    # gaps at radius 10^-6
     q_max = 2244
     points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
     bound = (8 * points + (q_max + 1) * (q_max // 2 + 1) + points + 1
@@ -627,6 +627,24 @@ def test_engine_build_peak_memory():
             tracemalloc.stop()
         assert len(eng._starts) == eng.block_count <= points
         assert peak <= bound, (radius, peak, bound)
+
+
+def test_farey_blocks_peak_memory():
+    # radius 5^-10 on F_3125 joins gaps into 529,928 merged blocks: the
+    # compaction holds F_Q's keys, one index and one end key per merged
+    # block and a few blocks of temporaries, and no list of block edges
+    q_max, radius = 3125, Fraction(1, 5 ** 10)
+    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    theta = -(-radius.denominator // (2 * radius.numerator))
+    tracemalloc.start()
+    try:
+        starts, merged, ends = ub._farey_blocks(q_max, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(merged) == len(ends) == 529_928
+    bound = 8 * points + 16 * len(merged) + 8 * 8 * farey.BLOCK
+    assert peak <= bound, (peak, bound)
 
 
 # -- ubiquity_ratio ----------------------------------------------------------
