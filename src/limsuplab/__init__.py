@@ -10,6 +10,7 @@ on a laptop.
 
 Modules
 -------
+errors      exception types, and the exact-input readers every layer shares
 functions   symbolic power/log/loglog forms, series verdicts, critical exponents
 farey       prime-factor sieve, Farey sequences, the float union-length sweep
 systems     resonant systems, per-point stage sets, stage measure scans

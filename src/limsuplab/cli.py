@@ -17,29 +17,33 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
 import io
-import json
 import math
 import os
 import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
-from . import functions as fn
 from .errors import (InternalInvariantError, PrecisionExhausted,
-                     ResourceCapError, UsageError, text_echo, unreadable)
+                     ResourceCapError, UsageError, read_exact, text_echo,
+                     unreadable)
 
-# Each handler imports the numeric layers it runs, so a command pays
-# only for its own; numpy comes only with a layer's array code, never
-# with the symbolic `functions`, the exact CF engine, the log law, the
-# horoball counts or a ubiquity stage refused at its denominator cap.
+# Each handler imports the layers it runs, so a command pays only for
+# its own.  Importing this module loads argparse, fractions and `errors`,
+# whose readers parse every rational option.  Only the five commands that
+# parse a function load `functions`; configparser comes only with
+# --config, json with jsonl output, csv with csv output, and the records
+# here are NamedTuples, as `dataclasses` loads inspect.  numpy comes only
+# with a layer's array code: never with `functions`, the exact CF engine,
+# the log law, the horoball counts or a ubiquity stage refused at its
+# denominator cap.  Compiled from source (PYTHONDONTWRITEBYTECODE=1) on
+# 2 vCPUs, `python -X importtime` reads `functions` 16-20 ms,
+# dataclasses 11, configparser 3, json 2.5 and csv 1: `import
+# limsuplab.cli` took 57-69 ms with them and 22 ms without.
 # Three option defaults echo caps of those layers, copied
 # here so that no import is needed to parse options; a test pins each
 # copy to its source.
@@ -52,8 +56,7 @@ OUTPUT_DIR_ENV = "LIMSUPLAB_OUTPUT_DIR"
 
 # -- option tables --------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Opt:
+class _Opt(NamedTuple):
     name: str                    # flag spelling without the leading --
     kind: str                    # int | float | rational | text | ints | choice:a,b
     default: Optional[str] = None  # raw-text default; None + required=False -> absent
@@ -152,7 +155,7 @@ _ANY_DEST = {_dest(o.name) for opts in _COMMANDS.values()
 
 def _convert(opt: _Opt, raw: str):
     if opt.kind == "rational":
-        return fn.read_exact(raw, "--" + opt.name)
+        return read_exact(raw, "--" + opt.name)
     try:
         if opt.kind == "int":
             return int(raw)
@@ -195,8 +198,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     command: str
     options: Dict[str, object]       # typed, validated values
     raw: Dict[str, str]              # merged raw text, echoed into outputs
@@ -208,6 +210,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
         raise UsageError("missing command (see --help)")
     file_vals: Dict[str, str] = {}
     if ns.config:
+        import configparser
         # values are read verbatim: no %-interpolation
         ini = configparser.ConfigParser(interpolation=None)
         ini.optionxform = str        # option names are case-sensitive (--N)
@@ -249,8 +252,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 
 # -- result envelope and serialization ------------------------------------
 
-@dataclass(frozen=True)
-class ResultEnvelope:
+class ResultEnvelope(NamedTuple):
     config: Dict[str, object]        # {"command": ..., "options": {raw...}}
     version: str
     wall_clock_s: float
@@ -279,6 +281,7 @@ def _csv_cell(value) -> str:
 
 
 def _render_csv(env: ResultEnvelope) -> str:
+    import csv
     cfg = " ".join("%s=%s" % (k, v)
                    for k, v in sorted(env.config["options"].items()))
     head = [
@@ -296,6 +299,7 @@ def _render_csv(env: ResultEnvelope) -> str:
 
 
 def _render_jsonl(env: ResultEnvelope) -> str:
+    import json
     meta = {
         "meta": {
             "version": env.version,
@@ -342,6 +346,7 @@ _Handler = Callable[[Dict[str, object]],
 
 
 def _run_classify(o):
+    from . import functions as fn
     weight = o["weight"]
     case = None
     if o["series"]:
@@ -389,6 +394,7 @@ def _run_classify(o):
 
 
 def _run_critical_exponent(o):
+    from . import functions as fn
     by_psi = o["psi"] is not None
     by_omega = o["omega"] is not None or o["ambient"] is not None
     if by_psi == by_omega:
@@ -408,6 +414,7 @@ def _run_critical_exponent(o):
 
 
 def _run_stage_scan(o):
+    from . import functions as fn
     from . import systems as sy
     stage = sy.per_point_stage(fn.parse_function(o["psi"]), o["k"])
     scan = sy.stage_measure_scan(sy.classical_rationals(), stage,
@@ -437,6 +444,7 @@ def _run_stage_scan(o):
 
 
 def _run_ubiquity(o):
+    from . import functions as fn
     from . import systems as sy
     from . import ubiquity as ub
     system = (sy.ford_horoballs() if o["system"] == "ford"
@@ -464,6 +472,7 @@ def _run_ubiquity(o):
 
 def _run_schmidt(o):
     from . import counting as ct
+    from . import functions as fn
     psi = fn.parse_function(o["psi"])
     if o["samples"] < 1:
         raise UsageError("samples must be >= 1")
@@ -554,7 +563,7 @@ def _run_horoballs(o):
         a_txt, b_txt = o["base"].split(",")
     except ValueError:
         raise UsageError("--base must be two rationals a,b")
-    base = (fn.read_exact(a_txt, "--base"), fn.read_exact(b_txt, "--base"))
+    base = (read_exact(a_txt, "--base"), read_exact(b_txt, "--base"))
     reps = hb.band_counts(base, o["r_hi"], o["factor"], o["points"], o["lam"])
     rows = [{"R": rep.R, "log10_R": rep.log10_R, "q_min": rep.q_min,
              "q_max": rep.q_max, "count": rep.count, "ratio": rep.ratio}

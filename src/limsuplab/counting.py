@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -92,8 +93,12 @@ def count_R(x, N: int, psi: fn.FunctionForm) -> int:
     candidate worth testing (any admissible p is within psi(q)·q < q/2
     of qx under the usual smallness of psi; at an exact half-integer tie
     both neighbours give the same distance, so the rounding choice is
-    immaterial).  A non-finite x is refused before any array work.
+    immaterial).  An int or Fraction x is reduced mod 1 exactly before
+    its float is taken, so one past float range is counted.  A non-finite
+    x is refused before any array work.
     """
+    if isinstance(x, (int, Fraction)):
+        x = x % 1
     xf = float(x)
     if not math.isfinite(xf):
         raise UsageError("x must be finite, got %s" % xf)

@@ -15,7 +15,10 @@ inside the family up to constant factors, or is rejected with a
 diagnostic.  Everything but `evaluate_array` is exact
 (fractions.Fraction all the way), and held to a bit bound: every number
 read from text to MAX_PRINT_BITS, every exact field of a form to
-MAX_EXACT_BITS.
+MAX_EXACT_BITS.  The exact-input readers (`exact`, `read_exact`,
+`height_bits`, MAX_PRINT_BITS) live in `errors`, so that the commands
+and layers that parse no function never load this module; they are
+re-exported here.
 
 Convergence of sum_{r >= r0} r^A (log r)^B (loglog r)^C is decided by the
 integral test on the closed family:
@@ -29,7 +32,6 @@ of the polynomial-logarithmic part.
 
 from __future__ import annotations
 
-import decimal
 import math
 import re
 from dataclasses import dataclass, replace
@@ -37,20 +39,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from limsuplab.errors import (CompositionError, DomainError,
-                              InternalInvariantError, ResourceCapError,
-                              UsageError, text_echo, unreadable)
-
-RationalLike = Union[int, Fraction, str]
+from limsuplab.errors import (MAX_PRINT_BITS, CompositionError, DomainError,
+                              InternalInvariantError, RationalLike,
+                              ResourceCapError, UsageError, bit_bounded,
+                              exact, height_bits, read_exact, text_echo)
 
 _E = math.e
 
 
-# Every number `read_exact` returns has a numerator and a denominator of
-# at most MAX_PRINT_BITS bits, so it prints back: str() prints an integer
-# of at most 4300 digits (Python's default limit), as every integer of at
-# most floor(4300 log2 10) bits is.
-MAX_PRINT_BITS = 14_284
 # The symbolic layer holds the exact fields of every FunctionForm, and
 # the weight u of a series or critical exponent, to MAX_EXACT_BITS bits:
 # their heights are below H = 2^MAX_EXACT_BITS.  The exact values
@@ -64,51 +60,11 @@ MAX_PRINT_BITS = 14_284
 # heights, H^4 = 2^MAX_PRINT_BITS, and prints.
 MAX_EXACT_BITS = MAX_PRINT_BITS // 4
 
-_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
-
-
-def exact(x: RationalLike, name: str) -> Fraction:
-    """Coerce to an exact Fraction; floats are refused, text and a
-    decimal.Decimal (by its text) are read by `read_exact` under its
-    exponent and bit caps."""
-    if type(x) is Fraction:  # immutable, and Fraction(x) costs about 1 us
-        return x
-    if isinstance(x, float):
-        raise UsageError("%s must be exact (int, Fraction, or string like "
-                         "'2/3'); got float %r" % (name, x))
-    if isinstance(x, (str, decimal.Decimal)):
-        return read_exact(str(x), name)
-    return Fraction(x)
-
-
-def height_bits(x: Fraction) -> int:
-    """Bits of the larger of |numerator| and denominator."""
-    return max(x.numerator.bit_length(), x.denominator.bit_length())
-
 
 def _bounded(x: RationalLike, name: str,
              bits: int = MAX_EXACT_BITS) -> Fraction:
     """`exact(x)`, refused as a usage error past `bits` bits."""
-    x = exact(x, name)
-    if height_bits(x) > bits:
-        raise UsageError("%s has %d bits, past the %d-bit bound on exact "
-                         "values" % (name, height_bits(x), bits))
-    return x
-
-
-def read_exact(text: str, name: str) -> Fraction:
-    """The exact value of `text`: an integer, a fraction like -2/3 or a
-    decimal like 0.25 or 1e-9.  Text that does not parse, a decimal
-    exponent beyond 999 (refused before 10^exponent is formed) and a
-    value past MAX_PRINT_BITS are usage errors naming `name`."""
-    try:
-        m = _DECIMAL_EXPONENT.search(text)
-        if m and abs(int(m.group(1))) > 999:
-            raise ValueError("decimal exponent beyond 999")
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise unreadable(name, text, exc)
-    return _bounded(value, name, MAX_PRINT_BITS)
+    return bit_bounded(exact(x, name), name, bits)
 
 
 class Family(Enum):

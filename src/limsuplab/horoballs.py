@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, compress, repeat, starmap
 
-from limsuplab import functions as fn
 from limsuplab import systems as sy
-from limsuplab.errors import (InternalInvariantError, ResourceCapError,
-                              UsageError, size_text)
+from limsuplab.errors import (MAX_PRINT_BITS, InternalInvariantError,
+                              ResourceCapError, UsageError, exact,
+                              height_bits, size_text)
 
 # count_horoballs bounds the candidate bases of a window before counting
 # them, and each halving of R doubles the bound.  The widest window of a
@@ -67,7 +67,7 @@ _MU_INT8 = bytes.maketrans(b"\x02", b"\xff")
 def q_window(r_lo: Fraction, r_hi: Fraction) -> tuple[int, int]:
     """Integer range [q_min, q_max] with r_lo <= 1/(2q^2) < r_hi;
     empty when q_min > q_max."""
-    r_lo, r_hi = fn.exact(r_lo, "r_lo"), fn.exact(r_hi, "r_hi")
+    r_lo, r_hi = exact(r_lo, "r_lo"), exact(r_hi, "r_hi")
     if not (0 < r_lo < r_hi):
         raise UsageError("need 0 < r_lo < r_hi")
     # r_lo <= 1/(2q^2) < r_hi  <=>  1/r_hi < 2q^2 <= 1/r_lo
@@ -214,7 +214,7 @@ def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
     candidate bases are fewer than that table's entries, or whose table
     would pass MAX_MERTENS_TABLE, is enumerated instead: the only way to
     count near q = 2^100, where a thin window holds few bases."""
-    b_lo, b_hi = (fn.exact(b, "base") for b in base_window)
+    b_lo, b_hi = (exact(b, "base") for b in base_window)
     if b_lo >= b_hi:
         return 0
     q_min, q_max = q_window(r_lo, r_hi)
@@ -258,7 +258,7 @@ def band_counts(base_window: tuple, r_hi, factor, points: int,
     passes whenever its widest window does).  The smallest R, whose
     window is the widest, is counted first, so an oversized window is
     refused before any other is counted."""
-    r_hi, factor = fn.exact(r_hi, "R"), fn.exact(factor, "factor")
+    r_hi, factor = exact(r_hi, "R"), exact(factor, "factor")
     if points < 1:
         raise UsageError("points must be >= 1")
     if not 0 < factor < 1:
@@ -266,19 +266,19 @@ def band_counts(base_window: tuple, r_hi, factor, points: int,
     if points > MAX_POINTS:
         raise ResourceCapError("%s radius scales (cap %d)"
                                % (size_text(points), MAX_POINTS))
-    bits = fn.height_bits(r_hi) + (points - 1) * fn.height_bits(factor)
-    if bits > fn.MAX_PRINT_BITS:
+    bits = height_bits(r_hi) + (points - 1) * height_bits(factor)
+    if bits > MAX_PRINT_BITS:
         raise ResourceCapError(
             "exact radii of up to %d bits, past the %d bits that print "
             "in 4300 digits; shrink the points or the digits of R and "
-            "the factor" % (bits, fn.MAX_PRINT_BITS))
-    lam = fn.exact(lam, "lambda")
+            "the factor" % (bits, MAX_PRINT_BITS))
+    lam = exact(lam, "lambda")
     if not 0 < lam < 1:
         raise UsageError("lambda must lie in (0, 1)")
     radii = [r_hi]
     for _ in range(points - 1):
         radii.append(radii[-1] * factor)
-    b_lo, b_hi = (fn.exact(b, "base") for b in base_window)
+    b_lo, b_hi = (exact(b, "base") for b in base_window)
     windows = [q_window(lam * R, R) for R in radii]
     _check_bases(sum(_bases_bound(b_lo, b_hi, *w) for w in windows),
                  2 * MAX_COUNT_BASES, "%d radius windows hold" % points)

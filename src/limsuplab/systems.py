@@ -37,9 +37,11 @@ holds 8 bytes per candidate, about 6/pi^2 of which are kept, and a few
 blocks: 14.6 bytes per ball traced on the 2.97M-ball stage of q^-2,
 k = 5, n = 5.
 
-numpy and `farey` are imported by the functions that build arrays, so
-the weight and denominator algebra (`q_interval`), which the horoball
-counts use, loads neither.
+numpy and `farey` are imported by the functions that build arrays, and
+the symbolic `functions` by the three that read a stage's form
+(`StageSpec`, `_per_q_upper`, `stage_measure_scan`), so the weight and
+denominator algebra (`q_interval`), which the horoball counts use,
+loads none of them.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from limsuplab import functions as fn
-from limsuplab.errors import ResourceCapError, UsageError, size_text
+from limsuplab.errors import ResourceCapError, UsageError, exact, size_text
 
 # float sweep budgets: full stages below FULL_SWEEP_CAP reduced balls are
 # swept exhaustively; larger stages fall back to the densest prefix of
@@ -92,7 +93,7 @@ class ResonantSystem:
 
     def q_interval(self, w_lo: Fraction, w_hi: Fraction) -> tuple[int, int]:
         """Inclusive denominator range with weight in (w_lo, w_hi]."""
-        w_lo, w_hi = fn.exact(w_lo, "w_lo"), fn.exact(w_hi, "w_hi")
+        w_lo, w_hi = exact(w_lo, "w_lo"), exact(w_hi, "w_hi")
         if self.kind is SystemKind.RATIONALS:
             q_hi = w_hi.numerator // w_hi.denominator
             q_lo = w_lo.numerator // w_lo.denominator + 1
@@ -184,7 +185,8 @@ class StageSpec:
     k: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "k", fn.exact(self.k, "k"))
+        from limsuplab import functions as fn
+        object.__setattr__(self, "k", exact(self.k, "k"))
         if self.k <= 1:
             raise UsageError("stage ratio k must exceed 1")
         if self.form.regime is not fn.Regime.LARGE:
@@ -402,6 +404,7 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
     balls of radius psi(q) instead.
     """
     import numpy as np
+    from limsuplab import functions as fn
     if system.kind is SystemKind.RATIONALS:
         q_lo, q_hi = system.q_interval(*stage.window(n))
         counts = np.arange(q_lo, q_hi + 1, dtype=np.float64)
@@ -465,6 +468,7 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     long as its denominator range, would pass MAX_STAGE_BYTES.
     """
     from limsuplab import farey
+    from limsuplab import functions as fn
     if n_hi < n_lo:
         raise UsageError("empty stage range")
     # the cell sweep's own arrays are outside the byte budget below

@@ -112,8 +112,9 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
 MAX_UNIFORM_Q = 8192
 # every ball is one exact query per stage, a stage's balls one batch:
 # 1000 balls at the README stages 3..5 of 6 r^-2 with k = 6 measured
-# 1.1-1.4 s and 46 MB on 2 vCPUs, 0.9 s of a 1.8 s profile in the
-# queries, 0.37 s of it in _fraction_sum
+# 1.15-1.61 s (medians of 7 fresh runs 1.36-1.42 s) and 46 MB on 2
+# vCPUs, 0.88 s of a 1.72 s profile in the queries, 0.39 s of it in
+# _fraction_sum
 MAX_BALLS = 1_000
 
 

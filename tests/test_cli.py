@@ -635,6 +635,37 @@ print("loaded:", *(m for m in ("numpy", "concurrent.futures")
                    if m in sys.modules))
 """
 
+LEAN_PROBE = """
+import sys
+from limsuplab import cli
+lazy = ("configparser", "csv", "dataclasses", "json", "limsuplab.functions")
+def loaded(stage):
+    print("after", stage + ":", *(m for m in lazy if m in sys.modules))
+loaded("import")
+csv_runs, config, out = %r, %r, %r
+for argv in csv_runs:
+    assert cli.main(argv + ["--output", out + ".csv"]) == 0, argv
+loaded("csv")
+assert cli.main(["cf", "--x", "1/3", "--format", "jsonl",
+                 "--output", out + ".jsonl"]) == 0
+loaded("jsonl")
+assert cli.main(["cf", "--x", "1/3", "--config", config,
+                 "--output", out + ".csv"]) == 0
+loaded("config")
+"""
+
+
+def run_probe(probe):
+    """Run `probe` in a fresh interpreter on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
 
 class TestImportOnUse:
     def test_symbolic_and_exact_cf_commands_load_no_numpy(self, tmp_path):
@@ -655,16 +686,29 @@ class TestImportOnUse:
         refused = [(["schmidt", "--psi", "(1/4) * r^-1", "--N", "0"], 1),
                    (["ubiquity", "--rho", "6 * r^-2", "--k", "6",
                      "--n-lo", "6", "--n-hi", "6"], 2)]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
-                     if p])
-        probe = IMPORT_PROBE % (argvs, refused, str(tmp_path / "o.csv"))
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        done = run_probe(IMPORT_PROBE % (argvs, refused,
+                                         str(tmp_path / "o.csv")))
         assert done.stdout.splitlines()[-1] == "loaded:"
+
+    def test_commands_load_only_their_layers(self, tmp_path):
+        # importing the CLI loads none of these; csv runs of the commands
+        # that parse no function load csv, and dataclasses for the records
+        # of geodesics and horoballs; jsonl output brings json, --config
+        # brings configparser
+        config = tmp_path / "c.ini"
+        config.write_text("[cf]\ndepth = 5\n")
+        csv_runs = [["cf", "--x", "37/100"],
+                    ["excursions", "--quotients", GOLDEN_CHAIN, "--T", "40"],
+                    ["loglaw", "--x", "37/100", "--T", "25"],
+                    ["horoballs", "--points", "13", "--base", "0,1/2"],
+                    ["disjointness", "--q-max", "64"]]
+        done = run_probe(LEAN_PROBE % (csv_runs, str(config),
+                                       str(tmp_path / "o")))
+        assert [ln for ln in done.stdout.splitlines()
+                if ln.startswith("after ")] == [
+            "after import:", "after csv: csv dataclasses",
+            "after jsonl: csv dataclasses json",
+            "after config: configparser csv dataclasses json"]
 
     def test_cap_defaults_pinned_to_their_layers(self):
         assert cli._FULL_SWEEP_CAP == str(sy.FULL_SWEEP_CAP)

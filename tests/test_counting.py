@@ -60,6 +60,18 @@ def test_count_refuses_non_finite_x(x, monkeypatch):
         count_R(x, 100, PSI_CUBE)
 
 
+@pytest.mark.parametrize("x", [10 ** 400, -10 ** 400 - 1,
+                               Fraction(10 ** 400, 3), Fraction(-10 ** 400, 7),
+                               Fraction(7, 3) + 10 ** 400])
+def test_count_exact_x_past_float_range(x):
+    # an int or a Fraction is reduced mod 1 before its float is taken;
+    # with q psi(q) = 1/4 no q x mod 1 lies near a tie, so the float count
+    # is the exact one
+    assert count_R(x, 150, PSI_QUARTER) == count_R_exact(x, 150, PSI_QUARTER)
+    if isinstance(x, int):
+        assert count_R(x, 150, PSI_QUARTER) == 150
+
+
 @pytest.mark.parametrize("psi", [PSI_QUARTER, PSI_CUBE, PSI_SQUARE])
 def test_count_matches_brute_force(psi):
     rng = np.random.default_rng(20240817)

@@ -558,6 +558,13 @@ class TestBoundedReader:
                                              "14284-bit bound"):
             F.read_exact(str(top + 1), "x")
 
+    def test_readers_are_the_errors_module_ones(self):
+        # the readers live in `errors`, so the CLI and the integer layers
+        # read exact input without loading this module; these are re-exports
+        from limsuplab import errors
+        for name in ("exact", "read_exact", "height_bits", "MAX_PRINT_BITS"):
+            assert getattr(F, name) is getattr(errors, name), name
+
     def test_field_bound_edge(self):
         top = 2 ** F.MAX_EXACT_BITS - 1
         psi = F.approximating(power=-2)
