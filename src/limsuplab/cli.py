@@ -36,11 +36,12 @@ from .errors import (InternalInvariantError, PrecisionExhausted,
 # its own.  Importing this module loads argparse, fractions and `errors`,
 # whose readers parse every rational option.  Only the five commands that
 # parse a function load `functions`; configparser comes only with
-# --config, json with jsonl output, csv with csv output, and the records
-# here are NamedTuples, as `dataclasses` loads inspect.  numpy comes only
-# with a layer's array code: never with `functions`, the exact CF engine,
-# the log law, the horoball counts or a ubiquity stage refused at its
-# denominator cap.  Compiled from source (PYTHONDONTWRITEBYTECODE=1) on
+# --config, json with jsonl output, csv with csv output.  The records
+# here and in every layer are NamedTuples, as `dataclasses` loads
+# inspect, so no command loads it.  numpy comes only with a layer's
+# array code: never with `functions`, the exact CF engine, the log law,
+# the horoball counts or a ubiquity stage refused at its denominator
+# cap.  Compiled from source (PYTHONDONTWRITEBYTECODE=1) on
 # 2 vCPUs, `python -X importtime` reads `functions` 16-20 ms,
 # dataclasses 11, configparser 3, json 2.5 and csv 1: `import
 # limsuplab.cli` took 57-69 ms with them and 22 ms without.
@@ -454,13 +455,13 @@ def _run_ubiquity(o):
                                 balls, range(o["n_lo"], o["n_hi"] + 1),
                                 target=o["target"], q_cap=o["q_cap"])
     rows = []
-    for i, rep in enumerate(reports):
-        for n, ratio in rep.per_n:
+    for i, ((center, radius), per_n, kappa_hat, n_min) in enumerate(reports):
+        for n, ratio in per_n:
             rows.append({
-                "ball": i, "center": rep.ball[0], "radius": rep.ball[1],
+                "ball": i, "center": center, "radius": radius,
                 "n": n, "ratio": float(ratio), "ratio_exact": str(ratio),
-                "kappa_hat": float(rep.kappa_hat),
-                "n_min": rep.n_min,
+                "kappa_hat": float(kappa_hat),
+                "n_min": n_min,
             })
     kappa = ub.empirical_kappa(reports)
     summary = ("empirical kappa = %s (%.6g) over %d balls, n=%d..%d"
@@ -479,9 +480,10 @@ def _run_schmidt(o):
     workers = o["workers"] if o["workers"] is not None else os.cpu_count() or 1
     result = ct.schmidt_experiment(psi, o["N"], o["samples"], o["seed"],
                                    workers=workers)
-    rows = [{"index": i, "x": r.x, "count": r.count,
-             "prediction": r.prediction, "ratio": r.ratio}
-            for i, r in enumerate(result.records)]
+    rows = [{"index": i, "x": x, "count": count,
+             "prediction": prediction, "ratio": ratio}
+            for i, (x, _, count, prediction, ratio)
+            in enumerate(result.records)]
     summary = ("mean ratio %.6f, stddev %.6f over %d samples (N=%d%s)"
                % (result.mean_ratio, result.stddev, len(result.records),
                   o["N"], "" if result.prediction.condition_ok
@@ -522,9 +524,10 @@ def _run_excursions(o):
     else:
         records = geo.predicted_excursions(direction, o["T"])
         engine = "exact"
-    rows = [{"index": r.index, "convergent": r.convergent_index,
-             "t_enter": r.t_enter, "t_peak": r.t_peak, "t_exit": r.t_exit,
-             "peak_pen": r.peak_pen} for r in records]
+    rows = [{"index": index, "convergent": convergent, "t_enter": t_enter,
+             "t_peak": t_peak, "t_exit": t_exit, "peak_pen": peak_pen}
+            for index, convergent, t_enter, t_peak, t_exit, peak_pen
+            in records]
     if records:
         deepest = max(records, key=lambda r: r.peak_pen)
         summary = ("%d excursions by T=%g (%s); deepest peak %.6f at "
@@ -544,13 +547,13 @@ def _run_loglaw(o):
                                                 o["alpha"])
     rows = []
     running = -math.inf
-    for r in records:
-        if r.t_peak <= math.e:
+    for _, _, _, t_peak, _, peak_pen in records:
+        if t_peak <= math.e:
             continue
-        at_peak = (r.peak_pen - o["alpha"] * r.t_peak) / math.log(r.t_peak)
+        at_peak = (peak_pen - o["alpha"] * t_peak) / math.log(t_peak)
         running = max(running, at_peak)
-        rows.append({"t_peak": r.t_peak, "log_t": math.log(r.t_peak),
-                     "peak_pen": r.peak_pen, "at_peak": at_peak,
+        rows.append({"t_peak": t_peak, "log_t": math.log(t_peak),
+                     "peak_pen": peak_pen, "at_peak": at_peak,
                      "running_max": running})
     summary = ("log-law statistic %.6f at T=%g (alpha=%g)"
                % (stat, o["T"], o["alpha"]))

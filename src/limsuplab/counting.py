@@ -12,18 +12,23 @@ key = seed and counter = i, so any subset of samples can be computed in
 any order (or in parallel) and still reproduce the serial run bit for
 bit.
 
+A run counts its samples in batches against one (psi, N) grid, the
+whole run serially or eight samples a pool job, and each batch walks the
+grid through one set of chunk buffers (`count_batch`).
+
 numpy and the process pool are imported by the functions that use them,
-after the inputs are checked: a refused run loads neither.
+after the inputs are checked: a refused run loads neither.  The records
+are NamedTuples, so no run loads `dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from itertools import chain
+from typing import NamedTuple, Optional
 
 from limsuplab import functions as fn
 from limsuplab.errors import ResourceCapError, UsageError, size_text
@@ -32,17 +37,20 @@ from limsuplab.errors import ResourceCapError, UsageError, size_text
 # N = 10^6 the first count measured 0.02 s and 24 MB, each later one
 # 2.4 ms, on 2 vCPUs
 MAX_N = 1_000_000
-# count_R walks the grid in chunks: full-length scratch arrays were
-# page-faulted afresh on every sample, 4x the chunked time at N = 10^5
+# count_batch walks the grid in chunks through one set of chunk buffers
+# per batch.  200 samples at N = 10^5 took 43-47 ms with chunks of 2^14
+# or 2^15, 53-58 ms with 2^17 and 63-75 ms with 2^12, on 2 vCPUs, and
+# 53-67 ms at 2^15 with fresh temporaries for every chunk
 _COUNT_CHUNK = 1 << 15
-# schmidt_experiment builds one job and one record per sample: 2000
-# samples at N = 10^5 measured 8.5 s serial on 2 vCPUs (ten times the
-# README's 200)
+# schmidt_experiment builds one record per sample: 2000 samples at
+# N = 10^5 (ten times the README's 200) took 0.65-0.69 s for the whole
+# `schmidt --workers 1` process on 2 vCPUs
 MAX_SAMPLES = 2_000
+# a pool job counts this many consecutive samples as one batch
+_POOL_BATCH = 8
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(NamedTuple):
     x: float
     N: int
     count: int
@@ -50,8 +58,7 @@ class CountRecord:
     ratio: float
 
 
-@dataclass(frozen=True)
-class SchmidtPrediction:
+class SchmidtPrediction(NamedTuple):
     value: float
     first_violation: Optional[int]      # first q with 2 q psi(q) >= 1
 
@@ -60,8 +67,7 @@ class SchmidtPrediction:
         return self.first_violation is None
 
 
-@dataclass(frozen=True)
-class SchmidtSummary:
+class SchmidtSummary(NamedTuple):
     mean_ratio: float
     stddev: float
     records: tuple[CountRecord, ...]
@@ -95,23 +101,52 @@ def count_R(x, N: int, psi: fn.FunctionForm) -> int:
     both neighbours give the same distance, so the rounding choice is
     immaterial).  An int or Fraction x is reduced mod 1 exactly before
     its float is taken, so one past float range is counted.  A non-finite
-    x is refused before any array work.
+    x is refused before any array work.  A batch of one `count_batch`.
     """
+    return count_batch((x,), N, psi)[0]
+
+
+def _finite_float(x) -> float:
     if isinstance(x, (int, Fraction)):
         x = x % 1
     xf = float(x)
     if not math.isfinite(xf):
         raise UsageError("x must be finite, got %s" % xf)
+    return xf
+
+
+def count_batch(xs, N: int, psi: fn.FunctionForm) -> list[int]:
+    """`count_R` of each x in xs against one (psi, N) grid.
+
+    Every x is checked before any array work.  The grid is walked in
+    chunks of _COUNT_CHUNK, and one set of chunk buffers, made here,
+    serves every x of the batch through ``out=``: the counts are those
+    of the plain expression ``|qx - rint(qx)| < q psi(q)``, float for
+    float.
+    """
+    xfs = [_finite_float(x) for x in xs]
     import numpy as np
     qs, bound = _q_psi(psi, N)
-    count = 0
-    for lo in range(0, len(qs), _COUNT_CHUNK):
-        qx = qs[lo:lo + _COUNT_CHUNK] * xf
-        dist = np.rint(qx)
-        np.subtract(qx, dist, out=dist)
-        np.abs(dist, out=dist)
-        count += int(np.count_nonzero(dist < bound[lo:lo + _COUNT_CHUNK]))
-    return count
+    size = min(len(qs), _COUNT_CHUNK)
+    qx, dist = np.empty(size), np.empty(size)
+    hit = np.empty(size, dtype=bool)
+    chunks = []
+    for lo in range(0, len(qs), size):
+        q_c, b_c = qs[lo:lo + size], bound[lo:lo + size]
+        n = len(q_c)
+        chunks.append((q_c, b_c, qx[:n], dist[:n], hit[:n]))
+    counts = []
+    for xf in xfs:
+        count = 0
+        for q_c, b_c, qx_c, dist_c, hit_c in chunks:
+            np.multiply(q_c, xf, out=qx_c)
+            np.rint(qx_c, out=dist_c)
+            np.subtract(qx_c, dist_c, out=dist_c)
+            np.abs(dist_c, out=dist_c)
+            np.less(dist_c, b_c, out=hit_c)
+            count += int(np.count_nonzero(hit_c))
+        counts.append(count)
+    return counts
 
 
 def schmidt_prediction(psi: fn.FunctionForm, N: int) -> SchmidtPrediction:
@@ -130,10 +165,12 @@ def sample_x(seed: int, index: int) -> float:
     return float(gen.random())
 
 
-def _count_sample(args) -> tuple[float, int]:
-    seed, index, N, psi = args
-    x = sample_x(seed, index)
-    return x, count_R(x, N, psi)
+def _count_samples(args) -> list[tuple[float, int]]:
+    """(x, count) of samples `indices` of the stream keyed by seed, one
+    `count_batch`."""
+    seed, indices, N, psi = args
+    xs = [sample_x(seed, i) for i in indices]
+    return list(zip(xs, count_batch(xs, N, psi)))
 
 
 def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
@@ -153,20 +190,23 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
     if not 0 <= seed < 2 ** 128:
         raise UsageError("seed must lie in [0, 2^128): it keys Philox")
     pred = schmidt_prediction(psi, N)
-    jobs = [(seed, i, N, psi) for i in range(samples)]
     # a fork pool starts all its processes at once
     workers = min(workers, samples, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        jobs = [(seed, range(lo, min(lo + _POOL_BATCH, samples)), N, psi)
+                for lo in range(0, samples, _POOL_BATCH)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counted = list(pool.map(_count_sample, jobs, chunksize=8))
+            counted = list(chain.from_iterable(
+                pool.map(_count_samples, jobs)))
     else:
-        counted = map(_count_sample, jobs)
-    records = []
+        counted = _count_samples((seed, range(samples), N, psi))
+    value = pred.value
+    records, ratios = [], []
     for x, c in counted:
-        ratio = c / pred.value if pred.value > 0 else math.inf
-        records.append(CountRecord(x, N, c, pred.value, ratio))
-    ratios = [r.ratio for r in records]
+        ratio = c / value if value > 0 else math.inf
+        records.append(CountRecord(x, N, c, value, ratio))
+        ratios.append(ratio)
     mean = sum(ratios) / len(ratios) if ratios else float("nan")
     var = (sum((r - mean) ** 2 for r in ratios) / len(ratios)
            if ratios else float("nan"))

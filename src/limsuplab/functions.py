@@ -15,7 +15,9 @@ inside the family up to constant factors, or is rejected with a
 diagnostic.  Everything but `evaluate_array` is exact
 (fractions.Fraction all the way), and held to a bit bound: every number
 read from text to MAX_PRINT_BITS, every exact field of a form to
-MAX_EXACT_BITS.  The exact-input readers (`exact`, `read_exact`,
+MAX_EXACT_BITS.  The records are NamedTuples, so no command loads
+`dataclasses`; `FunctionForm` and `SeriesSpec` bound and check their
+fields in `__new__`.  The exact-input readers (`exact`, `read_exact`,
 `height_bits`, MAX_PRINT_BITS) live in `errors`, so that the commands
 and layers that parse no function never load this module; they are
 re-exported here.
@@ -34,10 +36,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from limsuplab.errors import (MAX_PRINT_BITS, CompositionError, DomainError,
                               InternalInvariantError, RationalLike,
@@ -84,18 +85,7 @@ class Verdict(Enum):
     DIVERGENT = "divergent"
 
 
-@dataclass(frozen=True)
-class FunctionForm:
-    """One member of the closed family.
-
-    POWER_LOG:  scale * r^power * L(r)^log_power * LL(r)^loglog_power
-    where (L, LL) = (log, loglog) in the large-r regime and
-    (log(1/.), loglog(1/.)) in the small-r regime.
-
-    EXP_POWER:  exp(-r^omega), large-r regime only; the power/log fields
-    must be zero and scale must be one.
-    """
-
+class _FormFields(NamedTuple):
     scale: Fraction = Fraction(1)
     power: Fraction = Fraction(0)
     log_power: Fraction = Fraction(0)
@@ -104,26 +94,47 @@ class FunctionForm:
     omega: Optional[Fraction] = None
     regime: Regime = Regime.LARGE
 
-    def __post_init__(self):
-        for name in ("scale", "power", "log_power", "loglog_power"):
-            object.__setattr__(self, name,
-                               _bounded(getattr(self, name), name))
-        if self.scale <= 0:
-            raise UsageError("scale must be positive, got %s" % self.scale)
-        if self.family is Family.EXP_POWER:
-            if self.omega is None:
+
+class FunctionForm(_FormFields):
+    """One member of the closed family.
+
+    POWER_LOG:  scale * r^power * L(r)^log_power * LL(r)^loglog_power
+    where (L, LL) = (log, loglog) in the large-r regime and
+    (log(1/.), loglog(1/.)) in the small-r regime.
+
+    EXP_POWER:  exp(-r^omega), large-r regime only; the power/log fields
+    must be zero and scale must be one.
+
+    A NamedTuple whose constructor bounds and checks every field, so
+    `_replace` and `_make`, which skip it, are not used on a form.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        scale, power, log_power, loglog_power, family, omega, regime = (
+            super().__new__(cls, *args, **kwargs))
+        scale = _bounded(scale, "scale")
+        power = _bounded(power, "power")
+        log_power = _bounded(log_power, "log_power")
+        loglog_power = _bounded(loglog_power, "loglog_power")
+        if scale <= 0:
+            raise UsageError("scale must be positive, got %s" % scale)
+        if family is Family.EXP_POWER:
+            if omega is None:
                 raise UsageError("exp-power form needs omega")
-            object.__setattr__(self, "omega", _bounded(self.omega, "omega"))
-            if self.omega <= 0:
-                raise UsageError("omega must be positive, got %s" % self.omega)
-            if self.regime is not Regime.LARGE:
+            omega = _bounded(omega, "omega")
+            if omega <= 0:
+                raise UsageError("omega must be positive, got %s" % omega)
+            if regime is not Regime.LARGE:
                 raise UsageError("exp-power forms are large-r only")
-            if (self.power, self.log_power, self.loglog_power) != (0, 0, 0) \
-                    or self.scale != 1:
+            if (power, log_power, loglog_power) != (0, 0, 0) or scale != 1:
                 raise UsageError(
                     "exp-power form carries no polynomial-log factors")
-        elif self.omega is not None:
+        elif omega is not None:
             raise UsageError("omega is meaningful only for exp-power forms")
+        return super().__new__(cls, scale, power, log_power, loglog_power,
+                               family, omega, regime)
 
     # -- domain ----------------------------------------------------------
 
@@ -403,8 +414,13 @@ def _split_factors(text: str) -> list[str]:
 
 # -- series: reduction to the closed family ------------------------------
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class _SeriesFields(NamedTuple):
+    weight_power: Fraction
+    inner: FunctionForm
+    outer: Optional[FunctionForm] = None
+
+
+class SeriesSpec(_SeriesFields):
     """sum over large integers r of  r^weight_power * outer(inner(r)).
 
     outer=None means the identity (sum the inner values themselves,
@@ -412,25 +428,23 @@ class SeriesSpec:
     outer gauge is applied, since gauges only make sense near 0.
     """
 
-    weight_power: Fraction
-    inner: FunctionForm
-    outer: Optional[FunctionForm] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight_power",
-                           _bounded(self.weight_power, "weight_power"))
-        if self.inner.regime is not Regime.LARGE:
+    def __new__(cls, *args, **kwargs):
+        weight_power, inner, outer = super().__new__(cls, *args, **kwargs)
+        weight_power = _bounded(weight_power, "weight_power")
+        if inner.regime is not Regime.LARGE:
             raise UsageError("inner function must live in the large-r regime")
-        if self.outer is not None:
-            if not self.outer.is_gauge():
+        if outer is not None:
+            if not outer.is_gauge():
                 raise UsageError("outer function must be a dimension gauge")
-            if not self.inner.tends_to_zero():
+            if not inner.tends_to_zero():
                 raise UsageError(
                     "gauge applied to a function that does not tend to zero")
+        return super().__new__(cls, weight_power, inner, outer)
 
 
-@dataclass(frozen=True)
-class ReducedSummand:
+class ReducedSummand(NamedTuple):
     """Summand reduced to  r^A (log r)^B (loglog r)^C
     * exp(-exp_coeff * r^exp_omega), the exponential factor optional, up
     to a factor tending to a positive constant, which no verdict reads.
@@ -443,8 +457,7 @@ class ReducedSummand:
     exp_omega: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: Verdict
     reduced: ReducedSummand
     reason: str
@@ -505,7 +518,7 @@ def _compose_gauge(outer: Optional[FunctionForm], inner: FunctionForm) \
 
 def reduce_series(series: SeriesSpec) -> ReducedSummand:
     red = _compose_gauge(series.outer, series.inner)
-    return replace(red, A=red.A + series.weight_power)
+    return red._replace(A=red.A + series.weight_power)
 
 
 def _triple_convergent(A: Fraction, B: Fraction, C: Fraction) -> bool:
@@ -648,8 +661,7 @@ def compute_G(outer: Optional[FunctionForm], psi: FunctionForm,
 
 # -- H^f(W) for the rationals: the ubiquity theorem's case split ----------
 
-@dataclass(frozen=True)
-class HausdorffCase:
+class HausdorffCase(NamedTuple):
     """H^f(W), W the points of [0, 1] within psi(q) of infinitely many
     rationals p/q, beside the verdict on sum r^u f(psi(r)).
 

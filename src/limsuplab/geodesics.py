@@ -42,7 +42,10 @@ chunk's last two remainders on the full pair certifying every quotient
 in it (_lead_chunk, _certified_state); short pairs and huge
 quotients take one ``divmod`` each.  The convergents p_n, q_n of a
 CFExpansion are built on first read and cached, so a caller reading
-only the quotients, as every stream here does, never builds them.
+only the quotients, as every stream here does, never builds them.  The
+other records are NamedTuples, GeodesicState and ExcursionRecord
+checking their fields in `__new__`; CFExpansion, which holds that
+cache, is a read-only slots class.  So no command loads `dataclasses`.
 
 Every returned float of an excursion peaking up to _H_MAX is the one
 the plain scalar evaluation gives, bit for bit (tests/oracles.py keeps
@@ -97,13 +100,11 @@ the search changes the maximum it finds.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import warnings
 
 from limsuplab.errors import (
@@ -189,7 +190,6 @@ class StepTooCoarseWarning(UserWarning):
 # continued fractions
 
 
-@dataclass(frozen=True)
 class CFExpansion:
     """Partial quotients a_1..a_N with the convergents p_n/q_n.
 
@@ -201,23 +201,64 @@ class CFExpansion:
     start at index 0 (p_0/q_0 = 0/1), so they are one longer than
     ``quotients``.  ``terminated`` marks an expansion that ended by
     itself within the requested depth.
+
+    A read-only record of the fields ``x``, ``quotients`` and
+    ``terminated``: it compares, hashes, prints and pickles by them
+    alone, and never equals a plain tuple.  The cache is a fourth slot,
+    which a NamedTuple could not hold.
     """
 
-    x: Fraction
-    quotients: Tuple[int, ...]
-    terminated: bool
+    __slots__ = ("x", "quotients", "terminated", "_conv")
+    _fields = ("x", "quotients", "terminated")
 
-    @functools.cached_property
+    def __init__(self, x: Fraction, quotients: Tuple[int, ...],
+                 terminated: bool):
+        put = object.__setattr__
+        put(self, "x", x)
+        put(self, "quotients", quotients)
+        put(self, "terminated", terminated)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CFExpansion is read-only: cannot set %r"
+                             % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("CFExpansion is read-only: cannot delete %r"
+                             % (name,))
+
+    def _values(self) -> Tuple[Fraction, Tuple[int, ...], bool]:
+        return self.x, self.quotients, self.terminated
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return ("CFExpansion(x=%r, quotients=%r, terminated=%r)"
+                % self._values())
+
+    def __reduce__(self):
+        return CFExpansion, self._values()
+
     def _convergents(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        return _convergent_arrays(self.quotients)
+        try:
+            return self._conv
+        except AttributeError:
+            conv = _convergent_arrays(self.quotients)
+            object.__setattr__(self, "_conv", conv)
+            return conv
 
     @property
     def p(self) -> Tuple[int, ...]:
-        return self._convergents[0]
+        return self._convergents()[0]
 
     @property
     def q(self) -> Tuple[int, ...]:
-        return self._convergents[1]
+        return self._convergents()[1]
 
 
 def _euclid_quotients(x: Fraction, depth: int) -> Tuple[List[int], bool]:
@@ -417,18 +458,24 @@ def _check_quotients(quots: Sequence[int]) -> Sequence[int]:
 # the geodesic and the fundamental domain
 
 
-@dataclass(frozen=True)
-class GeodesicState:
-    """A point of the unit-speed ray toward x, tagged with its time."""
-
+class _StateFields(NamedTuple):
     z: complex
     t: float
 
-    def __post_init__(self):
-        if not self.z.imag > 0:
+
+class GeodesicState(_StateFields):
+    """A point of the unit-speed ray toward x, tagged with its time."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        state = super().__new__(cls, *args, **kwargs)
+        z, t = state
+        if not z.imag > 0:
             raise PrecisionExhausted(
                 "geodesic point left the representable upper half-plane "
-                "(Im = %r at t = %r)" % (self.z.imag, self.t))
+                "(Im = %r at t = %r)" % (z.imag, t))
+        return state
 
 
 def geodesic_point(x: float, t: float) -> GeodesicState:
@@ -492,15 +539,7 @@ def reduce_to_fundamental(z: complex) -> Tuple[complex, Word]:
 # excursions, exactly from the convergents
 
 
-@dataclass(frozen=True)
-class ExcursionRecord:
-    """One excursion above the horocycle Im = 1.
-
-    ``convergent_index`` is the n of the convergent p_n/q_n whose
-    horoball the excursion runs through (None when a sampled excursion
-    could not be matched).
-    """
-
+class _ExcursionFields(NamedTuple):
     index: int
     convergent_index: Optional[int]
     t_enter: float
@@ -508,13 +547,27 @@ class ExcursionRecord:
     t_exit: float
     peak_pen: float
 
-    def __post_init__(self):
-        if not (self.t_enter <= self.t_peak <= self.t_exit):
+
+class ExcursionRecord(_ExcursionFields):
+    """One excursion above the horocycle Im = 1.
+
+    ``convergent_index`` is the n of the convergent p_n/q_n whose
+    horoball the excursion runs through (None when a sampled excursion
+    could not be matched).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rec = super().__new__(cls, *args, **kwargs)
+        _, _, t_enter, t_peak, t_exit, peak_pen = rec
+        if not (t_enter <= t_peak <= t_exit):
             raise InternalInvariantError(
                 "excursion times out of order: %r <= %r <= %r fails"
-                % (self.t_enter, self.t_peak, self.t_exit))
-        if not self.peak_pen > 0:
+                % (t_enter, t_peak, t_exit))
+        if not peak_pen > 0:
             raise InternalInvariantError("peak penetration must be > 0")
+        return rec
 
 
 def _acosh_one_plus(ln_x: float) -> float:
@@ -563,8 +616,7 @@ def _alpha_head(quots: Sequence[int], m: int) -> List[float]:
     return alpha
 
 
-@dataclass(frozen=True)
-class _DirectionData:
+class _DirectionData(NamedTuple):
     quots: Sequence[int]  # partial quotients a_1..a_M, each below _FLOAT_LIMIT
     x0: float             # float value of the direction
     n_cap: int            # last convergent index with certified data
@@ -592,8 +644,7 @@ def _direction_data(direction: Direction) -> _DirectionData:
     return data
 
 
-@dataclass(frozen=True)
-class _Orbit:
+class _Orbit(NamedTuple):
     """The bounded-ratio state at n = 0..len(L)-1: every convergent whose
     excursion can peak by the horizon.  beta and r hold states 0..k for
     the last state k materialised (_replay)."""
@@ -684,20 +735,20 @@ def _excursion_at(orbit: _Orbit, n: int
     when there is none (H_n <= 1).  The entering crossing is the one at
     c* - s, the nearer to Re w0 <= 0 (dx < 0 < s), so its time is the
     smaller one bit for bit."""
-    a_next = orbit.alpha[n + 1]
-    xi = orbit.xi[n]
+    _, alphas, Ls, xis, betas, rs = orbit
+    a_next = alphas[n + 1]
+    xi = xis[n]
     H = 0.5 * (a_next + xi)
     if not H > 1.0:
         return None
     log = math.log
-    rs = orbit.r
     if n >= len(rs):
         _replay(orbit, n)
     r = rs[n]
     r_prev = rs[n - 1] if n else 0.0
-    ln_q2 = 2.0 * orbit.L[n] + math.log1p(r * r)
+    ln_q2 = 2.0 * Ls[n] + math.log1p(r * r)
     im_w = math.exp(-ln_q2)
-    re_w = -orbit.beta[n] * (1.0 + r_prev * r) / (1.0 + r * r)
+    re_w = -betas[n] * (1.0 + r_prev * r) / (1.0 + r * r)
     c_star = 0.5 * (a_next - xi)
     dx = re_w - c_star
     if H > _H_MAX:

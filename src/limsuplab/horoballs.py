@@ -9,7 +9,7 @@ isqrt translation to an integer q-range is the one copy of that
 algebra.  Base windows are half-open [lo, hi), so each circle on the
 unit circle is counted once.  Counting (`count_horoballs`) and the
 disjointness check (`disjointness_check`) both run on Python integers
-alone.
+alone, and report in NamedTuples, so neither loads `dataclasses`.
 
 Disjointness rests on one polynomial identity.  With d = p/q - p'/q',
 r = 1/(2q^2), r' = 1/(2q'^2) and D = p q' - p' q:
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, compress, repeat, starmap
+from typing import NamedTuple
 
 from limsuplab import systems as sy
 from limsuplab.errors import (MAX_PRINT_BITS, InternalInvariantError,
@@ -229,8 +229,7 @@ def count_horoballs(base_window: tuple, r_lo, r_hi) -> int:
     return _count_direct(b_lo, b_hi, q_min, q_max)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     R: Fraction
     q_min: int
     q_max: int
@@ -294,8 +293,7 @@ def band_counts(base_window: tuple, r_hi, factor, points: int,
 
 # -- disjointness ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DisjointnessReport:
+class DisjointnessReport(NamedTuple):
     q_max: int
     points: int
     pairs: int

@@ -41,16 +41,16 @@ numpy and `farey` are imported by the functions that build arrays, and
 the symbolic `functions` by the three that read a stage's form
 (`StageSpec`, `_per_q_upper`, `stage_measure_scan`), so the weight and
 denominator algebra (`q_interval`), which the horoball counts use,
-loads none of them.
+loads none of them.  The records are NamedTuples (`StageSpec` checks
+its fields in `__new__`), so none loads `dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from limsuplab.errors import ResourceCapError, UsageError, exact, size_text
 
@@ -85,8 +85,7 @@ class SystemKind(Enum):
     FORD = "ford-horoballs"
 
 
-@dataclass(frozen=True)
-class ResonantSystem:
+class ResonantSystem(NamedTuple):
     """A weighted family of rational points in [0,1]."""
 
     kind: SystemKind
@@ -176,24 +175,29 @@ def _totient_cumsum(limit: int, spf: Optional[np.ndarray] = None
 # stage specifications
 
 
-@dataclass(frozen=True)
-class StageSpec:
-    """How stage n is cut out of a system: balls B(x, psi(weight)) over
-    weights in (k^(n-1), k^n]."""
-
+class _StageFields(NamedTuple):
     form: fn.FunctionForm
     k: Fraction
 
-    def __post_init__(self):
+
+class StageSpec(_StageFields):
+    """How stage n is cut out of a system: balls B(x, psi(weight)) over
+    weights in (k^(n-1), k^n]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         from limsuplab import functions as fn
-        object.__setattr__(self, "k", exact(self.k, "k"))
-        if self.k <= 1:
+        form, k = super().__new__(cls, *args, **kwargs)
+        k = exact(k, "k")
+        if k <= 1:
             raise UsageError("stage ratio k must exceed 1")
-        if self.form.regime is not fn.Regime.LARGE:
+        if form.regime is not fn.Regime.LARGE:
             raise UsageError("stage radii are functions of a growing weight; "
                              "use a large-argument form")
-        if not self.form.tends_to_zero():
+        if not form.tends_to_zero():
             raise UsageError("stage radius function must decay")
+        return super().__new__(cls, form, k)
 
     def window(self, n: int) -> tuple[Fraction, Fraction]:
         if n < 1:
@@ -209,8 +213,7 @@ def per_point_stage(psi: fn.FunctionForm, k) -> StageSpec:
 # measure scan
 
 
-@dataclass(frozen=True)
-class StageMeasure:
+class StageMeasure(NamedTuple):
     """Certified measure bracket for one stage."""
 
     n: int
@@ -226,8 +229,7 @@ class StageMeasure:
         return self.method in ("subset-sweep", "per-q-upper")
 
 
-@dataclass(frozen=True)
-class StageScan:
+class StageScan(NamedTuple):
     records: tuple[StageMeasure, ...]
 
 

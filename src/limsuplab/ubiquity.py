@@ -86,7 +86,8 @@ Everything user-facing is a Fraction.
 
 numpy and `farey` are imported by the engine's build, which keeps the
 key decoder for its queries, so a stage refused at the denominator cap,
-before any engine is built, loads neither.
+before any engine is built, loads neither.  `UbiquityReport` is a
+NamedTuple, so no run loads `dataclasses`.
 """
 
 from __future__ import annotations
@@ -94,9 +95,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from limsuplab import functions as fn
 from limsuplab import systems as sy
@@ -468,8 +468,7 @@ def seeded_balls(count: int, min_measure, seed: int) -> list[tuple]:
     return balls
 
 
-@dataclass(frozen=True)
-class UbiquityReport:
+class UbiquityReport(NamedTuple):
     ball: tuple[Fraction, Fraction]
     per_n: tuple[tuple[int, Fraction], ...]
     kappa_hat: Fraction          # infimum ratio over the n-range

@@ -654,6 +654,19 @@ assert cli.main(["cf", "--x", "1/3", "--config", config,
 loaded("config")
 """
 
+# after each run, names the modules it must not have loaded
+RECORD_PROBE = """
+import sys
+from limsuplab import cli
+free, numeric, out = %r, %r, %r
+for argvs, unwanted in ((free, ("dataclasses", "inspect")),
+                        (numeric, ("dataclasses",))):
+    for argv in argvs:
+        assert cli.main(argv + ["--output", out]) == 0, argv
+        print("loaded by", argv[0] + ":",
+              *(m for m in unwanted if m in sys.modules))
+"""
+
 
 def run_probe(probe):
     """Run `probe` in a fresh interpreter on this checkout's package."""
@@ -692,9 +705,8 @@ class TestImportOnUse:
 
     def test_commands_load_only_their_layers(self, tmp_path):
         # importing the CLI loads none of these; csv runs of the commands
-        # that parse no function load csv, and dataclasses for the records
-        # of geodesics and horoballs; jsonl output brings json, --config
-        # brings configparser
+        # that parse no function load csv alone; jsonl output brings
+        # json, --config brings configparser
         config = tmp_path / "c.ini"
         config.write_text("[cf]\ndepth = 5\n")
         csv_runs = [["cf", "--x", "37/100"],
@@ -706,9 +718,34 @@ class TestImportOnUse:
                                        str(tmp_path / "o")))
         assert [ln for ln in done.stdout.splitlines()
                 if ln.startswith("after ")] == [
-            "after import:", "after csv: csv dataclasses",
-            "after jsonl: csv dataclasses json",
-            "after config: configparser csv dataclasses json"]
+            "after import:", "after csv: csv",
+            "after jsonl: csv json",
+            "after config: configparser csv json"]
+
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        # every subcommand at README sizes, the numpy-free ones first:
+        # numpy itself loads inspect
+        free = [["classify", "--series", "r^1 * (r^-2)"],
+                ["classify", "--psi", "r^-2", "--gauge", "r^1"],
+                ["critical-exponent", "--psi", "r^-3", "--weight", "1"],
+                ["cf", "--x", "37/100"],
+                ["excursions", "--x", "37/100", "--T", "25"],
+                ["loglaw", "--x", "37/100", "--T", "25"],
+                ["horoballs"],
+                ["disjointness", "--q-max", "100"]]
+        numeric = [["stage-scan", "--psi", "r^-3", "--k", "2", "--n-lo", "1",
+                    "--n-hi", "10"],
+                   ["ubiquity", "--rho", "6 * r^-2", "--k", "6", "--n-lo",
+                    "3", "--n-hi", "4"],
+                   ["schmidt", "--psi", "(1/4) * r^-1", "--N", "100000",
+                    "--samples", "200", "--workers", "1"],
+                   ["excursions", "--x", "37/100", "--T", "10", "--step",
+                    "0.001"]]
+        done = run_probe(RECORD_PROBE % (free, numeric,
+                                         str(tmp_path / "o.csv")))
+        assert [ln for ln in done.stdout.splitlines()
+                if ln.startswith("loaded by ")] == [
+            "loaded by %s:" % argv[0] for argv in free + numeric]
 
     def test_cap_defaults_pinned_to_their_layers(self):
         assert cli._FULL_SWEEP_CAP == str(sy.FULL_SWEEP_CAP)

@@ -195,6 +195,27 @@ def test_count_chunks_cover_the_grid(monkeypatch):
                 count_R_float(x, 1000, PSI_SQUARE), (chunk, x)
 
 
+# one batch reuses one set of chunk buffers for every x: a count left
+# over from the x before, or from a longer chunk, would show here
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(xs=st.lists(st.floats(0.0, 1.0)
+                   | st.fractions(0, 1, max_denominator=10 ** 6)
+                   | st.integers(-10 ** 30, 10 ** 30), max_size=6),
+       psi=st.sampled_from(GRID_FORMS), N=st.integers(1, 3000),
+       chunk=st.sampled_from([1, 7, 999, counting._COUNT_CHUNK]))
+@example(xs=[0.5, 0.37123, 0.0, 0.5], psi=PSI_QUARTER, N=70_001,
+         chunk=counting._COUNT_CHUNK)
+def test_batch_counts_match_count_R(xs, psi, N, chunk):
+    saved = counting._COUNT_CHUNK
+    counting._COUNT_CHUNK = chunk
+    try:
+        got = counting.count_batch(xs, N, psi)
+        assert got == [count_R(x, N, psi) for x in xs]
+    finally:
+        counting._COUNT_CHUNK = saved
+    assert got == [count_R_float(x % 1, N, psi) for x in xs]
+
+
 def test_cached_grid_is_read_only():
     for arr in counting._q_psi(PSI_QUARTER, 500):
         assert not arr.flags.writeable
