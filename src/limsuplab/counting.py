@@ -14,7 +14,8 @@ bit.
 
 A run counts its samples in batches against one (psi, N) grid, the
 whole run serially or eight samples a pool job, and each batch walks the
-grid through one set of chunk buffers (`count_batch`).
+grid through one set of chunk buffers (`count_batch`).  A pool runs only
+where its start pays: one process per _POOL_WORK sample-denominators.
 
 numpy and the process pool are imported by the functions that use them,
 after the inputs are checked: a refused run loads neither.  The records
@@ -48,6 +49,12 @@ _COUNT_CHUNK = 1 << 15
 MAX_SAMPLES = 2_000
 # a pool job counts this many consecutive samples as one batch
 _POOL_BATCH = 8
+# a pool gets one process per this many sample-denominators (samples x
+# N).  Whole `schmidt` processes, --workers 2 against 1, medians of 5
+# alternating runs on 2 vCPUs: 0.40 against 0.30 s at 200 x 10^5, tied
+# at 10^8 (0.39 against 0.40 s at 1000 x 10^5), 0.40 against 0.49 s at
+# 200 x 10^6 and 1.12 against 1.80 s at 1000 x 10^6
+_POOL_WORK = 10 ** 8
 
 
 class CountRecord(NamedTuple):
@@ -177,8 +184,10 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
                        seed: int, workers: int = 1) -> SchmidtSummary:
     """Counts for samples 0..samples-1 of the seeded stream, each against
     the prediction.  With workers > 1 the samples run in a process pool
-    of at most one process per sample and per CPU; the sub-seed contract
-    makes the records identical to a serial run.
+    of at most one process per sample, per CPU and per _POOL_WORK
+    sample-denominators (samples x N), so a run too small to repay the
+    pool's start runs serially; the sub-seed contract makes the records
+    identical to a serial run.
     """
     if workers < 1:
         raise UsageError("workers must be >= 1, got %s" % size_text(workers))
@@ -191,7 +200,8 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
         raise UsageError("seed must lie in [0, 2^128): it keys Philox")
     pred = schmidt_prediction(psi, N)
     # a fork pool starts all its processes at once
-    workers = min(workers, samples, os.cpu_count() or 1)
+    workers = min(workers, samples, os.cpu_count() or 1,
+                  samples * N // _POOL_WORK)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         jobs = [(seed, range(lo, min(lo + _POOL_BATCH, samples)), N, psi)

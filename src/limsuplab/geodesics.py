@@ -158,6 +158,9 @@ _GRID_CHUNK = 1 << 14
 # overflow; such a chunk takes the scalar path, which raises where it
 # always did.
 _GRID_MIN_IM = 1e-300
+# A run's best sample is searched among the heights within this relative
+# window of its largest (see excursions); 3.3e-10 would do
+_PEAK_WINDOW = 1e-9
 # The log law ranks states this many at a time under one height threshold
 _CAP_BLOCK = 256
 _T_FLOOR = math.nextafter(math.e, math.inf)
@@ -165,14 +168,15 @@ _T_FLOOR = math.nextafter(math.e, math.inf)
 # 3.11.  A divmod of two multi-digit ints costs about 0.2 us from 58 to
 # 256 bits, against 0.9 us at 4096 bits, so a chunk runs Euclid on the
 # leading _LEAD_BITS bits and yields about 55 quotients (96 bits of
-# cofactor at 1.71 bits per Gauss-Kuzmin quotient); 192 and 256 tied on
-# 4096-bit inputs, 128 and 384 were slower.  Below _CHUNK_MIN_BITS a
-# chunk pays no more than it costs: full expansions of 768 to 2048 bits
-# took the same time either way, of 3072 bits 0.8x.  A chunk under
-# _MIN_CHUNK quotients is not tested, its test costing more than the
-# divmod steps it saves (with 4, quotients of 2^90 after every three 1s
-# took 2.0x the plain loop; with 8, 1.1x).  Probes that fail run up to
-# _BACKOFF_CAP divmod steps before the next.
+# cofactor at 1.71 bits per Gauss-Kuzmin quotient).  With quotient 1
+# taken by a subtraction, 192 and 256 tied on 4096-bit inputs to depth
+# 1000 (0.31 ms a call), 128 and 384 were slower (0.32-0.34 ms).  Below
+# _CHUNK_MIN_BITS a chunk pays no more than it costs: full expansions of
+# 768 to 2048 bits took the same time either way, of 3072 bits 0.8x.  A
+# chunk under _MIN_CHUNK quotients is not tested, its test costing more
+# than the divmod steps it saves (with 4, quotients of 2^90 after every
+# three 1s took 2.0x the plain loop; with 8, 1.1x).  Probes that fail
+# run up to _BACKOFF_CAP divmod steps before the next.
 _LEAD_BITS = 192
 _HALF_LEAD = 1 << (_LEAD_BITS // 2)
 _CHUNK_MIN_BITS = 1024
@@ -333,7 +337,9 @@ def _lead_chunk(den: int, num: int, limit: int
     2^h s'_j + (-1)^j (Q_j n_e - P_j d_e) with 0 <= P_j <= Q_j, so
     |s_j / 2^h - s'_j| < Q_j.  Hence s'_k >= Q_k and s'_{k-1} - s'_k >=
     Q_k + Q_{k-1} give 0 < s_k < s_{k-1}, and the test passes; its
-    failure is an invariant error.  The cut runs s'_{j-2} = b_j s'_{j-1}
+    failure is an invariant error.  A step with s'_{j-1} < 2 s'_j has
+    quotient 1 and remainder s'_{j-1} - s'_j, so it takes that
+    subtraction and no ``divmod``.  The cut runs s'_{j-2} = b_j s'_{j-1}
     + s'_j and Q_{j-2} = Q_j - b_j Q_{j-1} backwards.  Without the cut
     the last quotient, read off a remainder whose error is about its
     size, fails the test in about one chunk in 60 on Gauss-Kuzmin
@@ -347,9 +353,14 @@ def _lead_chunk(den: int, num: int, limit: int
     quots: List[int] = []
     append = quots.append
     for _ in range(limit):
-        a, r = divmod(s0, s1)
-        append(a)
-        q0, q1 = q1, a * q1 + q0
+        r = s0 - s1
+        if r < s1:         # quotient 1, 41.5 % of Gauss-Kuzmin quotients
+            append(1)
+            q0, q1 = q1, q1 + q0
+        else:
+            a, r = divmod(s0, s1)
+            append(a)
+            q0, q1 = q1, a * q1 + q0
         s0, s1 = s1, r
         if r < _HALF_LEAD:
             break
@@ -798,47 +809,69 @@ def predicted_excursions(direction: Direction, T: float) -> List[ExcursionRecord
 
 
 def _bisect_boundary(pen_of, t_zero: float, t_pos: float) -> float:
-    """Boundary of {pen > 0} between a zero sample and a positive one."""
+    """Boundary of {pen > 0} between a zero sample and a positive one.
+
+    Up to 60 halvings, stopping at the first that would leave the
+    bracket as it is, as _ternary_argmax does and with the same result
+    as all 60.  A bracket of width w closes in about log2(w / ulp)
+    halvings."""
     for _ in range(60):
         mid = 0.5 * (t_zero + t_pos)
         if pen_of(mid) > 0.0:
+            if mid == t_pos:
+                break
             t_pos = mid
         else:
+            if mid == t_zero:
+                break
             t_zero = mid
     return 0.5 * (t_zero + t_pos)
 
 
 def _ternary_argmax(f, lo: float, hi: float, steps: int) -> float:
-    """Ternary search for the peak of a locally unimodal f on [lo, hi]."""
+    """Ternary search for the peak of a locally unimodal f on [lo, hi].
+
+    Up to ``steps`` steps, stopping at the first that would leave the
+    bracket as it is.  The bracket is the whole state, so every later
+    step would repeat that one and the result is that of all ``steps``,
+    bit for bit, for any deterministic f.  (== is bit identity here: no
+    step on endpoints >= +0.0, as the callers pass, makes a -0.0.)"""
     for _ in range(steps):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if f(m1) < f(m2):
+            if m1 == lo:
+                break
             lo = m1
         else:
+            if m2 == hi:
+                break
             hi = m2
     return 0.5 * (lo + hi)
 
 
-def _grid_im(x: float, ts: List[float]) -> Optional[np.ndarray]:
-    """Im of the reduced point geodesic_point(x, t) for every t in ts,
-    column-wise, or None when some height is below _GRID_MIN_IM.
+def _grid_im(x: float, ts: Sequence[float]) -> Optional[np.ndarray]:
+    """Im of the reduced point geodesic_point(x, t) for every t in ts (a
+    float array or list), column-wise, or None when some height is below
+    _GRID_MIN_IM.
 
     Each sample goes through the scalar path's own operations in the
-    same order: libm exp for u, the closed form of geodesic_point, and
-    the loop of reduce_to_fundamental.  The inversion w -> -1/w is
-    CPython's complex division (Smith's method) with numerator -1 + 0j,
-    written out: for |Re w| >= |Im w|, ratio = Im/Re, denom = Re + Im
-    ratio and -1/w = (-1 + i ratio)/denom; otherwise ratio = Re/Im,
-    denom = Re ratio + Im and -1/w = (-ratio + i)/denom.  (The dropped
-    terms are 0 * ratio, exact; only the sign of a zero real part can
-    differ, and no later step reads it.)  Above _GRID_MIN_IM every
-    coordinate stays finite (Im only grows, and |-1/w| <= 1/Im w); only
-    the squared modulus of a point high in the cusp can overflow, to
-    inf, as it does in the scalar path.
+    same order: libm exp for u (math.exp mapped in C over the exactly
+    negated times, which builds no list), the closed form of
+    geodesic_point, and the loop of reduce_to_fundamental.  The
+    inversion w -> -1/w is CPython's complex division (Smith's method)
+    with numerator -1 + 0j, written out: for |Re w| >= |Im w|, ratio =
+    Im/Re, denom = Re + Im ratio and -1/w = (-1 + i ratio)/denom;
+    otherwise ratio = Re/Im, denom = Re ratio + Im and -1/w = (-ratio +
+    i)/denom.  (The dropped terms are 0 * ratio, exact; only the sign of
+    a zero real part can differ, and no later step reads it.)  Above
+    _GRID_MIN_IM every coordinate stays finite (Im only grows, and
+    |-1/w| <= 1/Im w); only the squared modulus of a point high in the
+    cusp can overflow, to inf, as it does in the scalar path.
     """
     import numpy as np
-    u = np.array([math.exp(-t) for t in ts])
+    ts = np.asarray(ts, dtype=float)
+    u = np.fromiter(map(math.exp, -ts), float, len(ts))
     u2 = u * u
     xx = x * x
     den = 1.0 + xx * u2
@@ -865,15 +898,39 @@ def _grid_im(x: float, ts: List[float]) -> Optional[np.ndarray]:
     return None
 
 
+def _best_sample(run: np.ndarray) -> int:
+    """The index of the first maximum of math.log over the heights
+    ``run`` (all above 1), taking the log only within _PEAK_WINDOW of
+    their largest (see excursions)."""
+    import numpy as np
+    near = np.flatnonzero(run >= run.max() * (1.0 - _PEAK_WINDOW))
+    logs = list(map(math.log, run[near].tolist()))
+    return near.item(logs.index(max(logs)))
+
+
 def excursions(x: Union[float, Fraction], T: float,
                sample_step: Optional[float] = None) -> List[ExcursionRecord]:
     """Excursions of the sampled geodesic toward float(x) on [0, T].
 
-    Samples penetration on a uniform grid, refines each maximal positive
-    run by bisection (endpoints) and ternary search (peak), and matches
-    the excursion to a convergent through the bottom row of the
-    reduction word at the peak.  Emits StepTooCoarseWarning when an
-    excursion predicted from the CF data contains no sample.
+    Samples the height Im of the reduced point on a uniform grid of
+    float64 times, _GRID_CHUNK at a time (_grid_im); penetration is
+    positive exactly where Im > 1, libm's log being positive exactly
+    above 1.  Each maximal run of such samples is refined by bisection
+    (endpoints) and ternary search (peak, from the run's best sample),
+    and the excursion is matched to a convergent through the bottom row
+    of the reduction word at the peak.  Emits StepTooCoarseWarning when
+    an excursion predicted from the CF data contains no sample.
+
+    A run's best sample is the first maximum of math.log(Im) over it,
+    and that log is taken only for the samples within a relative
+    _PEAK_WINDOW of the run's largest height M (_best_sample).  glibc
+    documents its log within 1 ulp; allow 2^10 ulps, a relative d =
+    2^-42 on a result above 0.  A sample of height v <= M whose log
+    ties or beats log M's then has log v (1 + d) >= log M (1 - d), so
+    log(M / v) <= 2 d log M < 2^-41 * 710 < 3.3e-10 (M < 2^1024) and v >
+    M (1 - 3.3e-10): inside the window, whose bound M (1 - 1e-9) is
+    rounded by far less than the gap.  Every sample outside it logs
+    below the maximum.
 
     Float sampling is faithful to the dyadic rational Fraction(x) and
     loses the cusp structure once e^{2t} ulp ~ 1 (t around 16); the
@@ -895,37 +952,38 @@ def excursions(x: Union[float, Fraction], T: float,
     data = _direction_data(Fraction(xf))
     import numpy as np
 
+    def im_at(t: float) -> float:
+        return reduce_to_fundamental(geodesic_point(xf, t).z)[0].imag
+
     def pen_at(t: float) -> float:
-        im = reduce_to_fundamental(geodesic_point(xf, t).z)[0].imag
+        im = im_at(t)
         return math.log(im) if im > 1.0 else 0.0
 
-    ts = (np.arange(n_samples) * step).tolist()
+    ts = np.arange(n_samples) * step
     if ts[-1] < T:
-        ts.append(T)
-    pens = np.zeros(len(ts))
+        ts = np.append(ts, T)
+    t_at, t_last = ts.item, ts.item(-1)
+    ims = np.empty(len(ts))
     for start in range(0, len(ts), _GRID_CHUNK):
         chunk = ts[start:start + _GRID_CHUNK]
         im = _grid_im(xf, chunk)
-        if im is None:
-            pens[start:start + len(chunk)] = [pen_at(t) for t in chunk]
-            continue
-        up = np.flatnonzero(im > 1.0)
-        pens[start + up] = [math.log(v) for v in im[up].tolist()]
+        ims[start:start + len(chunk)] = (
+            [im_at(t) for t in chunk.tolist()] if im is None else im)
 
     # (q_n, p_n) -> n; convergents are distinct and in lowest terms
     conv_p, conv_q = _convergent_arrays(data.quots)
     conv_index = {qp: n for n, qp in enumerate(zip(conv_q, conv_p))}
     # maximal runs j0..j1 of positive samples
-    flips = np.flatnonzero(np.diff(pens > 0.0, prepend=False, append=False))
+    flips = np.flatnonzero(np.diff(ims > 1.0, prepend=False, append=False))
     records: List[ExcursionRecord] = []
     for j0, j1 in zip(flips[0::2].tolist(), (flips[1::2] - 1).tolist()):
         t_enter = (0.0 if j0 == 0 else
-                   _bisect_boundary(pen_at, ts[j0 - 1], ts[j0]))
-        t_exit = (ts[j1] if j1 + 1 >= len(ts) else
-                  _bisect_boundary(pen_at, ts[j1 + 1], ts[j1]))
-        k_best = j0 + int(np.argmax(pens[j0:j1 + 1]))
-        lo = max(t_enter, ts[k_best] - step)
-        hi = min(t_exit, ts[k_best] + step)
+                   _bisect_boundary(pen_at, t_at(j0 - 1), t_at(j0)))
+        t_exit = (t_at(j1) if j1 + 1 >= len(ts) else
+                  _bisect_boundary(pen_at, t_at(j1 + 1), t_at(j1)))
+        k_best = j0 + _best_sample(ims[j0:j1 + 1])
+        lo = max(t_enter, t_at(k_best) - step)
+        hi = min(t_exit, t_at(k_best) + step)
         t_peak = _ternary_argmax(pen_at, lo, hi, 90)
         peak = pen_at(t_peak)
         if peak <= 0.0:  # pragma: no cover - a positive sample is inside
@@ -939,12 +997,12 @@ def excursions(x: Union[float, Fraction], T: float,
 
     skipped = 0
     for rec in _excursion_records(_orbit(data, T), T):
-        if rec.t_enter >= ts[-1]:
+        if rec.t_enter >= t_last:
             continue
         # penetration vanishes at the boundary, so only a grid point
         # strictly inside (t_enter, t_exit) registers the excursion
         g = (math.floor(rec.t_enter / step) + 1) * step
-        if g >= rec.t_exit or g > ts[-1]:
+        if g >= rec.t_exit or g > t_last:
             skipped += 1
     if skipped:
         warnings.warn(StepTooCoarseWarning(

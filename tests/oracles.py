@@ -514,6 +514,31 @@ def excursion_mp(quots, n, dps=420):
     return tuple(float(v) for v in (t_enter, t_peak, t_exit, ctx.log(H)))
 
 
+def bisect_boundary(pen_of, t_zero, t_pos):
+    """Boundary of {pen > 0} between a zero sample and a positive one:
+    60 halvings, every one taken."""
+    for _ in range(60):
+        mid = 0.5 * (t_zero + t_pos)
+        if pen_of(mid) > 0.0:
+            t_pos = mid
+        else:
+            t_zero = mid
+    return 0.5 * (t_zero + t_pos)
+
+
+def ternary_argmax(f, lo, hi, steps):
+    """Ternary search for the peak of f on [lo, hi]: ``steps`` steps,
+    every one taken."""
+    for _ in range(steps):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if f(m1) < f(m2):
+            lo = m1
+        else:
+            hi = m2
+    return 0.5 * (lo + hi)
+
+
 def loglaw_statistic(direction, T, alpha=0.0):
     """The log-law statistic with the exact bound of every excursion in
     hand before any is searched: rank all of them, search in that order
@@ -541,7 +566,7 @@ def loglaw_statistic(direction, T, alpha=0.0):
                              for k in range(grid + 1))
         a_lo = lo + (hi - lo) * max(k_best - 1, 0) / grid
         a_hi = lo + (hi - lo) * min(k_best + 1, grid) / grid
-        best = max(best, v_best, f(geo._ternary_argmax(f, a_lo, a_hi, 70)))
+        best = max(best, v_best, f(ternary_argmax(f, a_lo, a_hi, 70)))
     return best
 
 
@@ -572,13 +597,13 @@ def sampled_excursions(x: float, T: float, step: float):
         j1 = j
         j += 1
         t_enter = (0.0 if j0 == 0 else
-                   geo._bisect_boundary(pen_at, ts[j0 - 1], ts[j0]))
+                   bisect_boundary(pen_at, ts[j0 - 1], ts[j0]))
         t_exit = (ts[j1] if j1 + 1 >= len(ts) else
-                  geo._bisect_boundary(pen_at, ts[j1 + 1], ts[j1]))
+                  bisect_boundary(pen_at, ts[j1 + 1], ts[j1]))
         k_best = max(range(j0, j1 + 1), key=lambda k: pens[k])
         lo = max(t_enter, ts[k_best] - step)
         hi = min(t_exit, ts[k_best] + step)
-        t_peak = geo._ternary_argmax(pen_at, lo, hi, 90)
+        t_peak = ternary_argmax(pen_at, lo, hi, 90)
         peak = pen_at(t_peak)
         t_peak = min(max(t_peak, t_enter), t_exit)
         _, word = geo.reduce_to_fundamental(geo.geodesic_point(x, t_peak).z)

@@ -225,8 +225,10 @@ def test_cached_grid_is_read_only():
     assert count_R(0.5, 500, PSI_QUARTER) == 250
 
 
-def test_pool_rows_match_serial_from_a_cold_cache():
-    # the pool's workers inherit the grid that schmidt_prediction filled
+def test_pool_rows_match_serial_from_a_cold_cache(monkeypatch):
+    # the pool's workers inherit the grid that schmidt_prediction filled;
+    # a lowered _POOL_WORK lets this small run start the pool
+    monkeypatch.setattr(counting, "_POOL_WORK", 1)
     runs = {}
     for workers in (2, 1):
         counting._q_psi.cache_clear()
@@ -277,7 +279,8 @@ def test_experiment_mean_near_one():
                for r in s.records)
 
 
-def test_experiment_reproducible_and_splittable():
+def test_experiment_reproducible_and_splittable(monkeypatch):
+    monkeypatch.setattr(counting, "_POOL_WORK", 1)
     s1 = schmidt_experiment(PSI_QUARTER, 1000, 12, seed=99)
     s2 = schmidt_experiment(PSI_QUARTER, 1000, 12, seed=99)
     assert s1.records == s2.records
@@ -310,16 +313,24 @@ def test_experiment_pool_bounded_by_samples_and_cpus(monkeypatch):
     # the pool class is imported from concurrent.futures when a run needs it
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+    # one process per 200 sample-denominators: 5 x 100 allows 2, and
+    # 3 x 100 runs serially
+    monkeypatch.setattr(counting, "_POOL_WORK", 200)
     serial = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4)
+    capped = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=10 ** 6)
+    small = schmidt_experiment(PSI_QUARTER, 100, 3, seed=4, workers=10 ** 6)
+    assert sizes == [2]
+    monkeypatch.setattr(counting, "_POOL_WORK", 1)
     huge = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=10 ** 6)
     two = schmidt_experiment(PSI_QUARTER, 100, 2, seed=4, workers=10 ** 6)
-    assert sizes == [3, 2]
-    assert huge.records == serial.records
+    assert sizes == [2, 3, 2]
+    assert capped.records == huge.records == serial.records
+    assert small.records == serial.records[:3]
     assert two.records == serial.records[:2]
     for bad in (0, -1, -10 ** 30):
         with pytest.raises(UsageError):
             schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=bad)
-    assert sizes == [3, 2]
+    assert sizes == [2, 3, 2]
 
 
 def test_experiment_seed_matters():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import limsuplab.geodesics as geo
@@ -23,10 +23,11 @@ from limsuplab.geodesics import (CF_PROXY_CONSTANT, CFExpansion,
                                  StepTooCoarseWarning, cf_expand, excursions,
                                  geodesic_point, loglaw_statistic,
                                  predicted_excursions, reduce_to_fundamental)
-from oracles import (alpha_sweep, apply_word, cf_expansion, excursion_mp,
-                     excursion_stream, gauss_kuzmin_probability,
-                     hyperbolic_distance, quotients_value, sample_quotients,
-                     state_columns, sampled_excursions,
+from oracles import (alpha_sweep, apply_word, bisect_boundary,
+                     cf_expansion, excursion_mp, excursion_stream,
+                     gauss_kuzmin_probability, hyperbolic_distance,
+                     quotients_value, sample_quotients, state_columns,
+                     sampled_excursions, ternary_argmax,
                      euclid_quotients as oracle_euclid,
                      loglaw_statistic as oracle_loglaw)
 
@@ -727,6 +728,14 @@ def _chunk_edges(x):
        data=st.data())
 @example(x=Fraction(1, 10 ** 300) + Fraction(1, 10 ** 600), depth=1 << 30,
          data=None)
+# all ones past _CHUNK_MIN_BITS: every chunk step takes quotient 1
+@example(x=Fraction(*_last_convergents([1] * 2000)[2:]), depth=1 << 30,
+         data=None)
+# the chunk's leading pair is exactly (2 s, s): quotient 2, remainder 0,
+# where the full pair den = 2 num - 1 has quotient 1
+@example(x=Fraction((1 << 190 | 12345) << 1100 | 1,
+                    (1 << 191 | 24690) << 1100 | 1), depth=1 << 30,
+         data=None)
 def test_euclid_quotients_match_oracle(x, depth, data):
     assert geo._euclid_quotients(x, depth) == oracle_euclid(x, depth)
     edges = _chunk_edges(x)
@@ -953,6 +962,104 @@ def test_sampled_engine_matches_scalar_loop(x, T, step):
         warnings.simplefilter("ignore", StepTooCoarseWarning)
         got = _outcome(lambda *a: _records(excursions(*a)), x, T, step)
     assert got == _outcome(sampled_excursions, x, T, step)
+
+
+@st.composite
+def search_cases(draw):
+    """(f, lo, hi): a step or unimodal f, or one with many peaks, on a
+    bracket of floats >= 0 a few ulps wide or up to 10 wide."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)))
+    if draw(st.booleans()):
+        hi = lo
+        for _ in range(draw(st.integers(0, 6))):
+            hi = math.nextafter(hi, math.inf)
+    else:
+        hi = lo + draw(st.floats(1e-15, 10.0))
+    # a point of the bracket or next to an end: the step or the peak
+    c = draw(st.sampled_from([lo, hi, math.nextafter(lo, math.inf),
+                              math.nextafter(hi, -math.inf),
+                              0.5 * (lo + hi), lo + (hi - lo) / 3.0]))
+    kind = draw(st.sampled_from(["step", "step-down", "peak", "flat",
+                                 "wavy"]))
+    f = {"step": lambda t: 1.0 if t > c else 0.0,
+         "step-down": lambda t: 1.0 if t < c else 0.0,
+         "peak": lambda t: -(t - c) * (t - c),
+         "flat": lambda t: -round(abs(t - c), 3),
+         "wavy": lambda t: math.sin(1e4 * t)}[kind]
+    return f, lo, hi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=search_cases(), steps=st.sampled_from([1, 5, 70, 90]))
+def test_early_stopping_searches_match_fixed_step(case, steps):
+    # a search that stops where its bracket stops moving returns the
+    # fixed-step search's float, sign of zero included
+    f, lo, hi = case
+    got = geo._ternary_argmax(f, lo, hi, steps)
+    assert got.hex() == ternary_argmax(f, lo, hi, steps).hex()
+    for t_zero, t_pos in ((lo, hi), (hi, lo)):
+        got = geo._bisect_boundary(f, t_zero, t_pos)
+        assert got.hex() == bisect_boundary(f, t_zero, t_pos).hex()
+
+
+@pytest.mark.parametrize("at_hi", [False, True])
+def test_searches_stop_once_the_bracket_is_still(at_hi):
+    # on a bracket two ulps wide, with the peak at either end: one step
+    # to one ulp, one that would keep it, then stop
+    lo, hi = 10.0, math.nextafter(math.nextafter(10.0, 20.0), 20.0)
+    top = hi if at_hi else lo
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return -(t - top) ** 2
+
+    got = geo._ternary_argmax(f, lo, hi, 90)
+    assert len(calls) == 4
+    assert got == ternary_argmax(f, lo, hi, 90)
+    # a bracket 2 wide closes to an ulp in about 50 halvings, moving
+    # t_pos toward t_zero (pen > 0 throughout) or t_zero toward t_pos;
+    # the last halving would repeat the one before
+    sign = 1.0 if at_hi else 0.0
+
+    def pen(t):
+        calls.append(t)
+        return sign
+
+    calls.clear()
+    got = geo._bisect_boundary(pen, 9.0, 11.0)
+    assert len(calls) < 55 and calls[-1] == calls[-2]
+    assert got == bisect_boundary(pen, 9.0, 11.0)
+
+
+@st.composite
+def near_tied_runs(draw):
+    """Heights above 1 around a peak: nextafter neighbours of it (large
+    heights share their log with many neighbours, those near 1 with
+    none), lower fillers, and repeats, in any order."""
+    peak = draw(st.one_of(st.floats(1.0, 2.0, exclude_min=True),
+                          st.floats(2.0, 1e308)))
+    run = []
+    for k in draw(st.lists(st.integers(-40, 40), min_size=1, max_size=30)):
+        v = peak
+        for _ in range(abs(k)):
+            v = math.nextafter(v, math.inf if k > 0 else 1.0)
+        if v > 1.0:
+            run.append(v)
+    run += draw(st.lists(st.floats(1.0, peak, exclude_min=True),
+                         max_size=10))
+    run = draw(st.permutations(run + run[:draw(st.integers(0, 3))]))
+    assume(run)
+    return run
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(run=near_tied_runs())
+@example(run=[1e10, math.nextafter(1e10, 2e10), 1e10])
+@example(run=[1.0 + 2 ** -52, 1.0 + 2 ** -51, 1.0 + 2 ** -52])
+def test_best_sample_is_first_argmax_of_log(run):
+    logs = [math.log(v) for v in run]
+    assert geo._best_sample(np.array(run)) == logs.index(max(logs))
 
 
 def test_grid_im_matches_scalar_reduction():
