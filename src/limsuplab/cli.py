@@ -111,8 +111,8 @@ _COMMANDS: Dict[str, Tuple[_Opt, ...]] = {
         _Opt("N", "int", required=True, help="counting horizon q <= N"),
         _Opt("samples", "int", "200"),
         _Opt("workers", "int", help="worker processes for independent "
-             "samples, at most one per sample, per CPU and per 10^8 of "
-             "samples x N (default: machine parallelism)"),
+             "samples, at most one per sample and per CPU, none below "
+             "2 x 10^8 of samples x N (default: machine parallelism)"),
     ),
     "cf": (
         _Opt("x", "rational", required=True,

@@ -14,8 +14,9 @@ bit.
 
 A run counts its samples in batches against one (psi, N) grid, the
 whole run serially or eight samples a pool job, and each batch walks the
-grid through one set of chunk buffers (`count_batch`).  A pool runs only
-where its start pays: one process per _POOL_WORK sample-denominators.
+grid through one set of chunk buffers (`count_batch`).  A run below
+_POOL_MIN_WORK sample-denominators runs serially: its pool's start does
+not pay.
 
 numpy and the process pool are imported by the functions that use them,
 after the inputs are checked: a refused run loads neither.  The records
@@ -49,12 +50,14 @@ _COUNT_CHUNK = 1 << 15
 MAX_SAMPLES = 2_000
 # a pool job counts this many consecutive samples as one batch
 _POOL_BATCH = 8
-# a pool gets one process per this many sample-denominators (samples x
-# N).  Whole `schmidt` processes, --workers 2 against 1, medians of 5
-# alternating runs on 2 vCPUs: 0.40 against 0.30 s at 200 x 10^5, tied
+# a run below this many sample-denominators (samples x N) runs
+# serially.  Whole `schmidt` processes, --workers 2 against 1, medians of
+# 5 alternating runs on 2 vCPUs: 0.40 against 0.30 s at 200 x 10^5, tied
 # at 10^8 (0.39 against 0.40 s at 1000 x 10^5), 0.40 against 0.49 s at
-# 200 x 10^6 and 1.12 against 1.80 s at 1000 x 10^6
-_POOL_WORK = 10 ** 8
+# 200 x 10^6 and 1.12 against 1.80 s at 1000 x 10^6.  Only serial
+# against 2 processes was measured, so a run at or above it keeps one
+# process per sample and per CPU.
+_POOL_MIN_WORK = 2 * 10 ** 8
 
 
 class CountRecord(NamedTuple):
@@ -184,9 +187,9 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
                        seed: int, workers: int = 1) -> SchmidtSummary:
     """Counts for samples 0..samples-1 of the seeded stream, each against
     the prediction.  With workers > 1 the samples run in a process pool
-    of at most one process per sample, per CPU and per _POOL_WORK
-    sample-denominators (samples x N), so a run too small to repay the
-    pool's start runs serially; the sub-seed contract makes the records
+    of at most one process per sample and per CPU, unless samples x N
+    is below _POOL_MIN_WORK: a run that small does not repay the pool's
+    start and runs serially.  The sub-seed contract makes the records
     identical to a serial run.
     """
     if workers < 1:
@@ -200,9 +203,8 @@ def schmidt_experiment(psi: fn.FunctionForm, N: int, samples: int,
         raise UsageError("seed must lie in [0, 2^128): it keys Philox")
     pred = schmidt_prediction(psi, N)
     # a fork pool starts all its processes at once
-    workers = min(workers, samples, os.cpu_count() or 1,
-                  samples * N // _POOL_WORK)
-    if workers > 1:
+    workers = min(workers, samples, os.cpu_count() or 1)
+    if workers > 1 and samples * N >= _POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
         jobs = [(seed, range(lo, min(lo + _POOL_BATCH, samples)), N, psi)
                 for lo in range(0, samples, _POOL_BATCH)]

@@ -850,9 +850,9 @@ def _ternary_argmax(f, lo: float, hi: float, steps: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _grid_im(x: float, ts: Sequence[float]) -> Optional[np.ndarray]:
-    """Im of the reduced point geodesic_point(x, t) for every t in ts (a
-    float array or list), column-wise, or None when some height is below
+def _grid_im(x: float, ts: np.ndarray) -> Optional[np.ndarray]:
+    """Im of the reduced point geodesic_point(x, t) for every t in the
+    float64 array ts, column-wise, or None when some height is below
     _GRID_MIN_IM.
 
     Each sample goes through the scalar path's own operations in the
@@ -870,7 +870,6 @@ def _grid_im(x: float, ts: Sequence[float]) -> Optional[np.ndarray]:
     cusp can overflow, to inf, as it does in the scalar path.
     """
     import numpy as np
-    ts = np.asarray(ts, dtype=float)
     u = np.fromiter(map(math.exp, -ts), float, len(ts))
     u2 = u * u
     xx = x * x

@@ -790,7 +790,9 @@ class TestArtifacts:
         m1.pop("wall_clock_s"), m2.pop("wall_clock_s")
         assert m1 == m2
 
-    def test_workers_do_not_change_payload(self, tmp_path):
+    def test_workers_do_not_change_payload(self, tmp_path, monkeypatch):
+        # a lowered _POOL_MIN_WORK lets this small run start the pool
+        monkeypatch.setattr(ct, "_POOL_MIN_WORK", 1)
         base = ["schmidt", "--psi", "(1/4) * r^-1", "--N", "3000",
                 "--samples", "6", "--seed", "9",
                 "--output", str(tmp_path / "w.csv")]

@@ -227,8 +227,8 @@ def test_cached_grid_is_read_only():
 
 def test_pool_rows_match_serial_from_a_cold_cache(monkeypatch):
     # the pool's workers inherit the grid that schmidt_prediction filled;
-    # a lowered _POOL_WORK lets this small run start the pool
-    monkeypatch.setattr(counting, "_POOL_WORK", 1)
+    # a lowered _POOL_MIN_WORK lets this small run start the pool
+    monkeypatch.setattr(counting, "_POOL_MIN_WORK", 1)
     runs = {}
     for workers in (2, 1):
         counting._q_psi.cache_clear()
@@ -280,7 +280,7 @@ def test_experiment_mean_near_one():
 
 
 def test_experiment_reproducible_and_splittable(monkeypatch):
-    monkeypatch.setattr(counting, "_POOL_WORK", 1)
+    monkeypatch.setattr(counting, "_POOL_MIN_WORK", 1)
     s1 = schmidt_experiment(PSI_QUARTER, 1000, 12, seed=99)
     s2 = schmidt_experiment(PSI_QUARTER, 1000, 12, seed=99)
     assert s1.records == s2.records
@@ -313,24 +313,25 @@ def test_experiment_pool_bounded_by_samples_and_cpus(monkeypatch):
     # the pool class is imported from concurrent.futures when a run needs it
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
-    # one process per 200 sample-denominators: 5 x 100 allows 2, and
-    # 3 x 100 runs serially
-    monkeypatch.setattr(counting, "_POOL_WORK", 200)
+    # a pool from 400 sample-denominators: 5 x 100 and 4 x 100 get one
+    # process per CPU, and 3 x 100 runs serially
+    monkeypatch.setattr(counting, "_POOL_MIN_WORK", 400)
     serial = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4)
-    capped = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=10 ** 6)
-    small = schmidt_experiment(PSI_QUARTER, 100, 3, seed=4, workers=10 ** 6)
-    assert sizes == [2]
-    monkeypatch.setattr(counting, "_POOL_WORK", 1)
     huge = schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=10 ** 6)
+    edge = schmidt_experiment(PSI_QUARTER, 100, 4, seed=4, workers=10 ** 6)
+    small = schmidt_experiment(PSI_QUARTER, 100, 3, seed=4, workers=10 ** 6)
+    assert sizes == [3, 3]
+    monkeypatch.setattr(counting, "_POOL_MIN_WORK", 1)
     two = schmidt_experiment(PSI_QUARTER, 100, 2, seed=4, workers=10 ** 6)
-    assert sizes == [2, 3, 2]
-    assert capped.records == huge.records == serial.records
+    assert sizes == [3, 3, 2]
+    assert huge.records == serial.records
+    assert edge.records == serial.records[:4]
     assert small.records == serial.records[:3]
     assert two.records == serial.records[:2]
     for bad in (0, -1, -10 ** 30):
         with pytest.raises(UsageError):
             schmidt_experiment(PSI_QUARTER, 100, 5, seed=4, workers=bad)
-    assert sizes == [2, 3, 2]
+    assert sizes == [3, 3, 2]
 
 
 def test_experiment_seed_matters():

@@ -528,10 +528,10 @@ def test_loglaw_matches_sampled_grid_on_dyadics(k, m, T, alpha):
     # and the supremum exceeds the grid maximum by at most |s'| step.
     x = (2 * (m % 2 ** (k - 1)) + 1) / 2 ** k
     step = 1e-3
-    ts = np.arange(math.e + step, T, step).tolist() + [T]
+    ts = np.append(np.arange(math.e + step, T, step), T)
     im = geo._grid_im(x, ts)
     pen = np.where(im > 1.0, np.log(np.maximum(im, 1.0)), 0.0)
-    scores = (pen - alpha * np.asarray(ts)) / np.log(ts)
+    scores = (pen - alpha * ts) / np.log(ts)
     lipschitz = (1 + alpha) + (pen.max() + alpha * T) / math.e
     got = loglaw_statistic(Fraction(x), T, alpha)
     assert scores.max() <= got + 1e-9
@@ -1065,15 +1065,15 @@ def test_best_sample_is_first_argmax_of_log(run):
 def test_grid_im_matches_scalar_reduction():
     rng = np.random.default_rng(1207)
     for x in (GOLDEN, 0.37, 1e-9, 1.0 - 2 ** -40, float(rng.random())):
-        ts = sorted(rng.uniform(0.0, 30.0, 3000).tolist()) + [0.0, 600.0]
+        ts = np.append(np.sort(rng.uniform(0.0, 30.0, 3000)), [0.0, 600.0])
         got = geo._grid_im(x, ts)
         want = [reduce_to_fundamental(geodesic_point(x, t).z)[0].imag
-                for t in ts]
+                for t in ts.tolist()]
         assert got.tolist() == want
     # heights below 1e-300 go to the scalar path (at x = 5e-324, t = 737
     # both coordinates are tiny and -1/w would overflow)
     for x, t in ((0.3, 700.0), (0.3, 800.0), (5e-324, 737.0)):
-        assert geo._grid_im(x, [1.0, t]) is None
+        assert geo._grid_im(x, np.array([1.0, t])) is None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
