@@ -33,11 +33,18 @@ the exactness argument spelled out where it matters:
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
 * one int32 sieve spf[n], the least prime of n, serves every prime and
-  totient read: F_Q's mask strikes the primes n = spf[n];
-  `prime_factor_pairs` reads each denominator's primes off it (striking
-  their multiples is the sweep's coprimality test, see `systems`); and
+  totient read: F_Q's mask strikes the primes n = spf[n], and
   `totient_sieve` takes phi(n) = phi(m) (p if p | m, else p - 1), p =
-  spf[n], m = n / p, over ranges [lo, lo + min(BLOCK, lo)), so m < lo;
+  spf[n], m = n / p, over ranges [lo, lo + min(BLOCK, lo)), so m < lo.
+  m is the float64 quotient n / p, exact as p | n < 2^53, and p | m
+  exactly when spf[m] = p.  The same pass can fill a second int32
+  table, strip[n] = strip[m] if p | m, else m: n with every factor p
+  divided out.  `prime_factor_pairs` reads a denominator's distinct
+  primes off the two a level at a time, p = spf[rest] and then rest =
+  strip[rest], until rest = 1; striking their multiples is the sweep's
+  coprimality test (see `systems`).  spf and strip take 4 bytes per
+  entry and phi 8.  The reader makes 5 numpy calls a level, and a
+  denominator below MAX_SIEVE has at most 8 distinct primes;
 * float sweep measures carry an explicit error budget of a few ulps per
   interval, reported alongside the value.  `union_length` takes one
   sort key per ball and visits the balls in the (lo, code) order of a
@@ -63,23 +70,25 @@ the exactness argument spelled out where it matters:
   far, in (lo, code) order and keeps the runs' order.  The walk reads
   each block's lo and hi, fixes its ties, checks that lo is
   nondecreasing across the block and its edge with the last (an
-  InternalInvariantError if not), and carries the running end.  A
-  block's positive gains, at most as many as the positions read so
-  far, go to the key array's read prefix viewed as float64, so the one
-  sum over that prefix adds the stable sort's gains in its order: the
-  same pairwise sum, bit for bit;
+  InternalInvariantError if not), and carries the running end: with
+  end_i the largest hi of the balls up to i, ball i gains end_i -
+  max(lo_i, end_i-1), which is positive exactly where the sweep's hi_i
+  - max(lo_i, end_i-1) is, and then end_i = hi_i, so the two are the
+  same float.  A block's positive gains, at most as many as the
+  positions read so far, go to the key array's read prefix viewed as
+  float64, so the one sum over that prefix adds the stable sort's
+  gains in its order: the same pairwise sum, bit for bit;
 * a swept ball a/b of radius r (see `systems`) is stored as its key
-  alone: its code is (row << wb) | col, row the plan index of b, col =
-  a - a_lo[row] < 2^wb, and ib = bitlen(rows - 1) + wb.  Codes sort in
-  the flat b-major, a-ascending order of the balls, so they tie-break
-  as the balls' flat indices would.  `BallRows` decodes a block of
-  codes from per-row float64 tables: c = (a_lo[row] + col) / b and lo,
-  hi = c - r, c + r.  a_lo + col and b are integers below 2^53, so each
-  float64 is exact, c is the true quotient of int64 a by b rounded
-  once, and lo is bit for bit the lo its key was made from (`systems`
-  builds it by the same operations).  Denominators stay at most
-  MAX_SIEVE < 2^27, so ib <= 54, and a key, a float's pattern >= 0
-  with its low ib bits replaced, stays below 2^63.
+  alone: its code is (row << wb) | a, row the plan index of b, wb =
+  bitlen(max b) > bitlen(a), and ib = bitlen(rows - 1) + wb.  Codes
+  sort in the flat b-major, a-ascending order of the balls, so they
+  tie-break as the balls' flat indices would.  `BallRows` decodes a
+  block of codes from per-row float64 tables: c = a / b and lo, hi = c
+  - r, c + r.  a and b are integers below 2^53, so c is their true
+  quotient rounded once, and lo is bit for bit the lo its key was made
+  from (`systems` builds it by the same operations).  Denominators stay
+  at most MAX_SIEVE < 2^27, so ib <= 54, and a key, a float's pattern
+  >= 0 with its low ib bits replaced, stays below 2^63.
 """
 
 from __future__ import annotations
@@ -96,7 +105,7 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
 # (bitlen(Q) <= 20); the mask there alone would take 550 GB
 PACKED_KEY_QMAX = 2 ** 20 - 1
 # largest sieve any caller may request: the int32 smallest-prime-factor
-# table takes 4 bytes per entry, and phi and its cumsum 8 each
+# and strip tables take 4 bytes per entry, and phi and its cumsum 8 each
 MAX_SIEVE = 100_000_000
 # points per block of every blocked pass over packed keys: 512 KB per
 # int64 temporary, so a block's working set stays in cache
@@ -123,10 +132,14 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
-def totient_sieve(limit: int,
-                  spf: Optional[np.ndarray] = None) -> np.ndarray:
+def totient_sieve(limit: int, spf: Optional[np.ndarray] = None,
+                  strip: Optional[np.ndarray] = None) -> np.ndarray:
     """phi[0..limit] as int64 (phi[0] = 0), off spf, a
-    `smallest_prime_factors` table reaching limit, sieved here if None."""
+    `smallest_prime_factors` table reaching limit, sieved here if None.
+
+    strip, an int32 array of limit + 1 words if given, receives in the
+    same pass strip[n]: n with every factor spf[n] divided out (strip[0]
+    = 0, strip[1] = 1), the table `prime_factor_pairs` reads."""
     if limit < 0:
         raise UsageError("limit must be nonnegative")
     check_sieve(limit, "totient_sieve")
@@ -134,13 +147,21 @@ def totient_sieve(limit: int,
         spf = smallest_prime_factors(limit)
     phi = np.empty(limit + 1, dtype=np.int64)
     phi[:2] = [0, 1][:limit + 1]
+    if strip is not None:
+        strip[:2] = [0, 1][:limit + 1]
     # over [lo, lo + min(BLOCK, lo)) every m <= n / 2 < lo is done
     lo = 2
     while lo <= limit:
         hi = min(lo + min(BLOCK, lo), limit + 1)
-        p = spf[lo:hi].astype(np.int64)
-        m = np.arange(lo, hi) // p
-        np.multiply(phi[m], p - (m % p != 0), out=phi[lo:hi])
+        p = spf[lo:hi]
+        # p | n and n < 2^53, so the float64 quotient n / p is m exactly
+        m = (np.arange(lo, hi, dtype=np.float64) / p).astype(np.int64)
+        # p divides m exactly when it is m's least prime too
+        new = spf[m] != p
+        np.multiply(phi[m], p - new, out=phi[lo:hi])
+        if strip is not None:
+            # strip[n] = strip[m] if p | m, else m
+            strip[lo:hi] = np.where(new, m, strip[m])
         lo = hi
     return phi
 
@@ -246,41 +267,39 @@ def min_multiple_above(den: np.ndarray, window_lo: int,
     return q
 
 
-def prime_factor_pairs(den: np.ndarray, spf: np.ndarray):
+def prime_factor_pairs(den: np.ndarray, spf: np.ndarray,
+                       strip: np.ndarray):
     """(row, p) int64 arrays, in row order and each row's primes
     ascending: one pair for every row i and every distinct prime p
-    dividing den[i], read off spf, a `smallest_prime_factors` table
-    reaching max(den).  den holds integers >= 1; a row with den[i] = 1
-    has no pair."""
-    row = np.flatnonzero(den > 1)
-    rest = den[row].astype(np.int64)
-    rows, primes = [row[:0]], [rest[:0]]
-    # each level divides out the full power of every row's least prime,
-    # so every prime it meets is new to its row
-    while len(rest):
-        p = spf[rest].astype(np.int64)
-        rows.append(row)
-        primes.append(p)
-        rest //= p
-        hit = np.flatnonzero(rest % p == 0)
-        while len(hit):
-            rest[hit] //= p[hit]
-            hit = hit[rest[hit] % p[hit] == 0]
+    dividing den[i], read off spf and strip, a `smallest_prime_factors`
+    table and the strip table `totient_sieve` fills, both reaching
+    max(den).  den holds integers >= 1; a row with den[i] = 1 has no
+    pair."""
+    row = (den > 1).nonzero()[0]
+    rest = den[row]
+    rows, primes = [row], [spf[rest]]
+    # each level reads one prime per row and strips its full power, so
+    # the next level's least prime is new to the row and larger
+    while True:
+        rest = strip[rest]
         live = rest > 1
-        rest, row = rest[live], row[live]
-    rows, primes = np.concatenate(rows), np.concatenate(primes)
-    by_row = np.argsort(rows, kind="stable")
-    return rows[by_row], primes[by_row]
+        row, rest = row[live], rest[live]
+        if not len(row):
+            break
+        rows.append(row)
+        primes.append(spf[rest])
+    rows = np.concatenate(rows)
+    by_row = rows.argsort(kind="stable")
+    return rows[by_row], np.concatenate(primes, dtype=np.int64)[by_row]
 
 
 class BallRows(NamedTuple):
-    """Per-row tables that decode a ball's code (row << wb) | col: the
-    ball [c - r, c + r] with c = (num0[row] + col) / den[row] and r =
-    radius[row], col < 2^wb.  The tables are float64; num0 and den hold
-    integers below 2^53, so they are exact and c is the float64
-    quotient of the integers a and b, bit for bit."""
+    """Per-row tables that decode a ball's code (row << wb) | a: the ball
+    [c - r, c + r] with c = a / den[row] and r = radius[row], a < 2^wb.
+    The tables are float64; den holds integers below 2^53, so it is
+    exact and c is the float64 quotient of the integers a and b, bit for
+    bit."""
 
-    num0: np.ndarray
     den: np.ndarray
     radius: np.ndarray
     wb: int
@@ -295,16 +314,13 @@ class BallRows(NamedTuple):
         """Write each code's ball ends c - r and c + r into lo and hi,
         float64 arrays as long as code; code is left as it is."""
         # rows come off valid codes, so clip mode takes the same words as
-        # raise mode, which buffers its output; lo and hi hold the
-        # intermediates, and row, once read, c - r
+        # raise mode, which buffers its output; hi holds a, and row, once
+        # read, c - r
         row = code >> self.wb
-        col = hi.view(np.int64)
-        np.bitwise_and(code, (1 << self.wb) - 1, out=col)
-        np.take(self.num0, row, out=lo, mode="clip")
-        lo += col
-        np.take(self.den, row, out=hi, mode="clip")
-        lo /= hi
-        np.take(self.radius, row, out=hi, mode="clip")
+        num = np.bitwise_and(code, (1 << self.wb) - 1, out=hi.view(np.int64))
+        self.den.take(row, out=lo, mode="clip")
+        np.divide(num, lo, out=lo)
+        self.radius.take(row, out=hi, mode="clip")
         low = row.view(np.float64)
         np.subtract(lo, hi, out=low)
         np.add(lo, hi, out=hi)
@@ -318,7 +334,8 @@ def sort_keys(lo: np.ndarray, code: np.ndarray, ib: int, clip_lo: float,
     where bits is the int64 pattern of (clip(lo) - clip_lo) + 0.0 (see
     the module docstring).  lo may be out's own words read as float64."""
     t = out.view(np.float64)
-    np.clip(lo, clip_lo, clip_hi, out=t)
+    np.maximum(lo, clip_lo, out=t)
+    np.minimum(t, clip_hi, out=t)
     t -= clip_lo
     t += 0.0
     out >>= ib
@@ -334,8 +351,8 @@ def union_length(keys: np.ndarray, rows, clip_lo: float = 0.0,
     rows decodes the keys' codes as a `BallRows` does: rows.ib is the
     code width, and rows.bounds(code, lo, hi) writes each code's ball
     ends into lo and hi with the float64 operations that made the keys,
-    so bit for bit the lo they were made from (lo holds no NaN, the
-    clip bounds are finite).  Float sweep; error is O(n ulps), a few
+    so bit for bit the lo they were made from (lo and hi hold no NaN,
+    the clip bounds are finite).  Float sweep; error is O(n ulps), a few
     1e-16 per interval.  The balls are visited in the (lo, code) order
     of a stable sort, found by one in-place int64 sort of the keys and
     certified as the module docstring argues.  The keys are sorted and
@@ -349,31 +366,33 @@ def union_length(keys: np.ndarray, rows, clip_lo: float = 0.0,
     ib = rows.ib
     mask = (1 << ib) - 1
     keys.sort()
-    # the gain of ball i is hi_i - max(lo_i, running end of the ones
-    # before it, -inf for the first); block by block, the positive gains
-    # go to the keys' words already read, as float64
-    lo_blk, hi_blk, end_blk = np.empty((3, min(n, BLOCK)))
+    # block by block, lo and hi land at [1:] of two buffers whose [0]
+    # carries the last lo and running end (-inf before the first), and
+    # the positive gains go to the keys' words already read, as float64
+    lo_at, end_at = np.empty((2, min(n, BLOCK) + 1))
+    lo_at[0] = end_at[0] = -np.inf
     gains = keys.view(np.float64)
-    kept, last_lo, run_end = 0, -np.inf, -np.inf
-    start = 0
+    kept = start = 0
     while start < n:
         # a block ends where a run of equal prefix does: head | mask is
         # the largest key with head's prefix, still below 2^63
         stop = start + BLOCK
         if stop < n:
             head = keys[stop - 1]
-            stop += int(np.searchsorted(keys[stop:], head | mask,
-                                        side="right"))
+            stop += int(keys[stop:].searchsorted(head | mask, side="right"))
         at = keys[start:stop]
         m = len(at)
-        if m > len(lo_blk):
-            lo_blk, hi_blk, end_blk = np.empty((3, m))
-        lo_b, hi_b, end_b = lo_blk[:m], hi_blk[:m], end_blk[:m]
-        prefix = np.right_shift(at, ib, out=end_b.view(np.int64))
+        if m >= len(lo_at):
+            grown = np.empty((2, m + 1))
+            grown[:, 0] = lo_at[0], end_at[0]
+            lo_at, end_at = grown
+        lo_b, hi_b, run = lo_at[1:m + 1], end_at[1:m + 1], end_at[:m + 1]
+        prefix = np.right_shift(at, ib, out=lo_b.view(np.int64))
         same = prefix[1:] == prefix[:-1]
         at &= mask
         rows.bounds(at, lo_b, hi_b)
-        np.clip(lo_b, clip_lo, clip_hi, out=lo_b)
+        np.maximum(lo_b, clip_lo, out=lo_b)
+        np.minimum(lo_b, clip_hi, out=lo_b)
         # the module docstring's fix: the positions that share their
         # prefix with a neighbour, in code order, stably argsorted by
         # clipped lo, put each run in (lo, code) order and keep the runs'
@@ -383,25 +402,27 @@ def union_length(keys: np.ndarray, rows, clip_lo: float = 0.0,
             by_lo = tied[np.argsort(lo_b[tied], kind="stable")]
             lo_b[tied] = lo_b[by_lo]
             hi_b[tied] = hi_b[by_lo]
-        if lo_b[0] < last_lo or not np.all(lo_b[1:] >= lo_b[:-1]):
+        if not (lo_b >= lo_at[:m]).all():
             raise InternalInvariantError(
                 "union_length order is not the stable sort's: clipped lo "
                 "decreases after the tie fix")
-        last_lo = lo_b[-1]
-        np.clip(hi_b, clip_lo, clip_hi, out=hi_b)
-        end_b[0] = run_end
-        end_b[1:] = hi_b[:-1]
-        np.maximum.accumulate(end_b, out=end_b)
-        run_end = max(end_b[-1], hi_b[-1])
-        np.maximum(lo_b, end_b, out=lo_b)
-        hi_b -= lo_b
-        got = hi_b[hi_b > 0]
+        lo_at[0] = lo_b[-1]
+        np.maximum(hi_b, clip_lo, out=hi_b)
+        np.minimum(hi_b, clip_hi, out=hi_b)
+        # the running ends; no hi is NaN, so fmax, the faster loop, is
+        # maximum here
+        np.fmax.accumulate(run, out=run)
+        np.maximum(lo_b, run[:-1], out=lo_b)
+        np.subtract(hi_b, lo_b, out=lo_b)
+        got = lo_b[lo_b > 0]
         gains[kept:kept + len(got)] = got
         kept += len(got)
+        end_at[0] = run[-1]
         start = stop
     return float(gains[:kept].sum())
 
 
 def union_length_error_budget(n_intervals: int) -> float:
-    """Certified bound on the float sweep's absolute measure error."""
-    return 4.0 * np.finfo(np.float64).eps * max(n_intervals, 1)
+    """Certified bound on the float sweep's absolute measure error: 4
+    float64 epsilons (2^-52) per interval, as a float."""
+    return 4.0 * 2.0 ** -52 * max(n_intervals, 1)

@@ -63,9 +63,11 @@ _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
 # a stage scan holds at most 96 bytes per denominator up to its q_hi:
 # the plan's and the per-q bound's int64/float64 arrays, and one totient
 # sieve of exactly that length (int32 least primes, kept for the sweeps'
-# prime pairs, and int64 phi, summed in place); a q^-3 scan with
-# subset_cap=0 peaked at 49 bytes per q of ru_maxrss above the
-# interpreter at q_hi = 2^22 and at 61 at 2^22 + 1 (48 and 60 traced).
+# prime pairs, int64 phi, summed in place, and, if a stage may be swept,
+# the int32 strip table).  A q^-3 scan peaked at 49 bytes per q of
+# ru_maxrss above the interpreter at q_hi = 2^22 and at 61 at 2^22 + 1
+# with subset_cap=0, which builds no strip table (48 and 60 traced),
+# and at 61 and 73 with subset_cap=1000, which sweeps (60 and 72).
 # The byte budget admits q_hi up to about 2.2e7, well inside
 # farey.MAX_SIEVE.
 _STAGE_BYTES_PER_Q = 96
@@ -139,17 +141,24 @@ class ResonantSystem(NamedTuple):
         ``cum`` is a totient prefix sum reaching the window's largest
         denominator; without it one is sieved for this call."""
         q_lo, q_hi = self.q_interval(w_lo, w_hi)
-        if q_lo > q_hi:
-            return 0
-        if self.kind is SystemKind.RATIONALS:
-            m = q_hi - q_lo + 1
-            return m * (q_lo + q_hi + 2) // 2  # sum of (q + 1)
-        if cum is None:
+        if cum is None and self.kind is SystemKind.FORD and q_lo <= q_hi:
             cum = _totient_cumsum(q_hi)
-        total = int(cum[q_hi] - cum[q_lo - 1])
-        if q_lo <= 1 <= q_hi:
-            total += 1  # 0/1 alongside 1/1
-        return total
+        return _window_pairs(self, q_lo, q_hi, cum)
+
+
+def _window_pairs(system: ResonantSystem, q_lo: int, q_hi: int,
+                  cum: Optional[np.ndarray]) -> int:
+    """`ResonantSystem.count_window` of the window whose denominators are
+    q_lo..q_hi; cum, read by Ford alone, reaches q_hi."""
+    if q_lo > q_hi:
+        return 0
+    if system.kind is SystemKind.RATIONALS:
+        m = q_hi - q_lo + 1
+        return m * (q_lo + q_hi + 2) // 2  # sum of (q + 1)
+    total = int(cum[q_hi] - cum[q_lo - 1])
+    if q_lo <= 1 <= q_hi:
+        total += 1  # 0/1 alongside 1/1
+    return total
 
 
 def classical_rationals() -> ResonantSystem:
@@ -161,14 +170,14 @@ def ford_horoballs() -> ResonantSystem:
     return ResonantSystem(SystemKind.FORD)
 
 
-def _totient_cumsum(limit: int, spf: Optional[np.ndarray] = None
-                    ) -> np.ndarray:
+def _totient_cumsum(limit: int, spf: Optional[np.ndarray] = None,
+                    strip: Optional[np.ndarray] = None) -> np.ndarray:
     """phi(0) + ... + phi(q) for q = 0..limit, summed in place over
-    `farey.totient_sieve(limit, spf)`."""
+    `farey.totient_sieve(limit, spf, strip)`."""
     import numpy as np
     from limsuplab import farey
-    phi = farey.totient_sieve(limit, spf)
-    return np.cumsum(phi, out=phi)
+    phi = farey.totient_sieve(limit, spf, strip)
+    return phi.cumsum(out=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +242,9 @@ class StageScan(NamedTuple):
     records: tuple[StageMeasure, ...]
 
 
-def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
-    """Reduced-centre description of stage n.
+def _stage_ball_plan(system: ResonantSystem, q_lo: int, q_hi: int):
+    """Reduced-centre description of the stage whose window's
+    denominators (`ResonantSystem.q_interval`) are q_lo..q_hi.
 
     Returns (b_vals, weights): the denominators of the reduced centres
     and the weight whose radius psi(weight) each ball takes (int64 on
@@ -247,16 +257,13 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     """
     import numpy as np
     from limsuplab import farey
-    w_lo, w_hi = stage.window(n)
-    q_lo, q_hi = system.q_interval(w_lo, w_hi)
     if q_lo > q_hi:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     if system.kind is SystemKind.RATIONALS:
         # all reduced denominators up to q_hi appear, via their smallest
-        # multiple inside the window
+        # multiple inside the window, whose weights are q_lo..q_hi
         b_vals = np.arange(1, q_hi + 1, dtype=np.int64)
-        w_lo_floor = w_lo.numerator // w_lo.denominator
-        qmin = farey.min_multiple_above(b_vals, w_lo_floor, q_hi)
+        qmin = farey.min_multiple_above(b_vals, q_lo - 1, q_hi)
         keep = qmin > 0
         return b_vals[keep], qmin[keep]
     # Ford: reduced denominators live in the window themselves
@@ -264,14 +271,23 @@ def _stage_ball_plan(system: ResonantSystem, stage: StageSpec, n: int):
     return b_vals, 2.0 * b_vals.astype(np.float64) ** 2
 
 
-def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray,
-                spf: np.ndarray) -> tuple[float, int]:
+def _cell_edges(ncells: int) -> list:
+    """The ncells + 1 edges of ncells equal cells of [0, 1]: i * (1 /
+    ncells) for i < ncells, then 1.0, which are the float64s of
+    np.linspace(0.0, 1.0, ncells + 1) bit for bit."""
+    step = 1.0 / ncells
+    return [i * step for i in range(ncells)] + [1.0]
+
+
+def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray, spf: np.ndarray,
+                strip: np.ndarray) -> tuple[float, int]:
     """Measure of union of balls at reduced fractions a/b (gcd(a,b)=1,
     a/b in [0,1]) with per-denominator radii, clipped to [0, 1].
     Chunked over x-cells so memory stays bounded: a cell holds one word
     per candidate ball, of which only the kept balls' are touched, and
     a few blocks of farey.BLOCK, besides the per-denominator arrays.
-    spf is the scan's `farey.smallest_prime_factors` table, reaching
+    spf and strip are the scan's `farey.smallest_prime_factors` table
+    and the strip table its `farey.totient_sieve` filled, reaching
     max(b_vals).
 
     Returns (measure, number of reduced balls processed).
@@ -280,35 +296,46 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray,
     from limsuplab import farey
     if len(b_vals) == 0:
         return 0.0, 0
-    flat_fixed = float(np.sum(2.0 * radii * b_vals) + 3 * len(b_vals))
+    flat_fixed = float((2.0 * radii * b_vals).sum() + 3 * len(b_vals))
     b_float = b_vals.astype(np.float64)
     flat_sweep = float(b_float.sum())
     ncells = max(1, math.ceil(flat_sweep /
                               max(_CELL_BUDGET - flat_fixed, _CELL_BUDGET / 8)))
-    edges = np.linspace(0.0, 1.0, ncells + 1)
-    rows, primes = farey.prime_factor_pairs(b_vals, spf)
+    edges = _cell_edges(ncells)
+    rows, primes = farey.prime_factor_pairs(b_vals, spf, strip)
     # the pairs of rows i..j-1 are rows[pair_at[i]:pair_at[j]]
-    pair_at = np.searchsorted(rows, np.arange(len(b_vals) + 1))
+    pair_at = rows.searchsorted(np.arange(len(b_vals) + 1))
+    # candidate a/b has code (row << wb) | a, a <= b <= max(b_vals)
+    balls = farey.BallRows(b_float, radii, int(b_vals[-1]).bit_length())
+    # a cell's row spans a_lo..a_hi, a_lo = floor(b (clo - r)) - 1 and
+    # -a_hi = floor(b (-chi - r)) - 1, the negated ceil(b (chi + r)) + 1
+    # since rounding is symmetric; clo <= 1, chi >= 0 and radii > 0 put
+    # a_lo <= b - 1 and a_hi >= 1 already, so clipping both to [0, b]
+    # takes one bound each, 0 and -b, in float before the integers
+    span = np.empty((2, len(b_vals)))
+    least = np.zeros((2, len(b_vals)))
+    np.negative(b_float, out=least[1])
+    # counts[r] candidates of row r sit at flat[r]..flat[r + 1] - 1
+    flat = np.zeros(len(b_vals) + 1, dtype=np.int64)
     total = 0.0
     n_balls = 0
     for i in range(ncells):
-        clo, chi = float(edges[i]), float(edges[i + 1])
-        # clo <= 1, chi >= 0 and radii > 0 put a_lo <= b - 1 and a_hi >= 1
-        # already, so clipping both to [0, b] needs one bound each
-        a_lo = np.floor(b_vals * (clo - radii)).astype(np.int64) - 1
-        a_hi = np.ceil(b_vals * (chi + radii)).astype(np.int64) + 1
-        np.maximum(a_lo, 0, out=a_lo)
-        np.minimum(a_hi, b_vals, out=a_hi)
-        counts = a_hi - a_lo + 1
-        tot = int(counts.sum())
+        clo, chi = edges[i], edges[i + 1]
+        np.subtract([[clo], [-chi]], radii, out=span)
+        span *= b_float
+        np.floor(span, out=span)
+        span -= 1.0
+        np.maximum(span, least, out=span)
+        a_lo, counts = span.astype(np.int64)
+        counts += a_lo
+        np.subtract(1, counts, out=counts)
+        counts.cumsum(out=flat[1:])
+        tot = int(flat[-1])
         if tot > 10 * _CELL_BUDGET:
             raise ResourceCapError(
                 "sweep cell holds %d candidate balls; the stage radii are "
                 "too large for the configured cell budget" % tot)
-        # candidate a/b has code (row << wb) | (a - a_lo[row])
-        balls = farey.BallRows(a_lo.astype(np.float64), b_float, radii,
-                               int(counts.max() - 1).bit_length())
-        keys = _cell_keys(balls, a_lo, counts, (rows, primes, pair_at),
+        keys = _cell_keys(balls, a_lo, counts, flat, (rows, primes, pair_at),
                           clo, chi)
         n_balls += len(keys)  # boundary balls counted per cell: budget
         total += farey.union_length(keys, balls, clo, chi)
@@ -317,12 +344,14 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray,
 
 
 def _cell_keys(balls: farey.BallRows, a_lo: np.ndarray, counts: np.ndarray,
-               pairs, clo: float, chi: float) -> np.ndarray:
+               flat: np.ndarray, pairs, clo: float,
+               chi: float) -> np.ndarray:
     """The `farey.sort_keys` of one cell's reduced balls, unsorted and in
     code order, as a prefix of one array sized for the counts[r]
-    candidates a_lo[r], a_lo[r] + 1, ... of each row r; pairs is (rows,
-    primes, pair_at), the plan's prime pairs in row order and where each
-    row's start.
+    candidates a_lo[r], a_lo[r] + 1, ... of each row r, which sit at
+    flat positions flat[r]..flat[r + 1] - 1; pairs is (rows, primes,
+    pair_at), the plan's prime pairs in row order and where each row's
+    start.
 
     Built a chunk of rows at a time, at most farey.BLOCK candidates per
     chunk unless one row holds more: the multiples of each prime p | b
@@ -332,36 +361,37 @@ def _cell_keys(balls: farey.BallRows, a_lo: np.ndarray, counts: np.ndarray,
     import numpy as np
     from limsuplab import farey
     rows, primes, pair_at = pairs
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # candidate a of row r sits at starts[r] + a - a_lo[r]; the multiples
-    # of p among them start off = (-a_lo) mod p places in
+    starts = flat[:-1]
+    # the multiples of p among row r's candidates start off = (-a_lo)
+    # mod p places in
     off = -a_lo[rows] % primes
     first = starts[rows] + off
     strikes = (counts[rows] - 1 - off) // primes + 1
-    keys = np.empty(int(ends[-1]), dtype=np.int64)
+    # the candidate at flat position x of row r has code x + shift[r]
+    shift = a_lo - starts
+    shift += np.arange(len(counts)) << balls.wb
+    mask = (1 << balls.wb) - 1
+    keys = np.empty(int(flat[-1]), dtype=np.int64)
     n = i = 0
     while i < len(counts):
         base = int(starts[i])
-        j = max(i + 1, int(np.searchsorted(ends, base + farey.BLOCK,
-                                           side="right")))
-        begin, stops = starts[i:j] - base, ends[i:j] - base
-        keep = np.ones(int(stops[-1]), dtype=bool)
+        j = max(i + 1, int(flat.searchsorted(base + farey.BLOCK,
+                                             side="right")) - 1)
+        keep = np.ones(int(flat[j]) - base, dtype=bool)
         at = slice(pair_at[i], pair_at[j])
         _strike(keep, first[at] - base, primes[at], strikes[at])
         pos = keep.nonzero()[0]
         del keep
-        kept = pos.searchsorted(stops)  # kept balls per row
-        kept[1:] -= kept[:-1].copy()
-        # lo = (a_lo + col) / b - r with a = pos + a_lo - begin and b
-        # exact in float64: the operations and bits of balls.bounds
+        # kept balls per row
+        kept = pos.searchsorted(flat[i:j + 1] - base)
+        kept = kept[1:] - kept[:-1]
+        # pos becomes the code (r << wb) | a, and lo = a / b - r: the
+        # operations and bits of balls.bounds
+        pos += (shift[i:j] + base).repeat(kept)
         key = keys[n:n + len(pos)]
         lo = key.view(np.float64)
-        np.add(pos, (balls.num0[i:j] - begin).repeat(kept), out=lo)
-        lo /= balls.den[i:j].repeat(kept)
+        np.divide(pos & mask, balls.den[i:j].repeat(kept), out=lo)
         lo -= balls.radius[i:j].repeat(kept)
-        # the position of a/b in row r becomes its code (r << wb) | col
-        pos -= (begin - (np.arange(i, j) << balls.wb)).repeat(kept)
         farey.sort_keys(lo, pos, balls.ib, clo, chi, key)
         n += len(pos)
         i = j
@@ -378,28 +408,31 @@ def _strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
     import numpy as np
     live = count > 0
     first, step, count = first[live], step[live], count[live]
-    ends = np.cumsum(count)
+    ends = count.cumsum()
     j = 0
     while j < len(count):
-        stop = int(np.searchsorted(ends, ends[j] - count[j] + len(keep),
-                                   side="right"))
+        stop = int(ends.searchsorted(ends[j] - count[j] + len(keep),
+                                     side="right"))
         c = count[j:stop]
-        pos = np.repeat(step[j:stop], c)
-        seg = np.cumsum(c) - c
+        pos = step[j:stop].repeat(c)
+        # each pair's run of positions starts at seg
+        seg = ends[j:stop] - c
+        seg -= seg[0]
         last = first[j:stop] + (c - 1) * step[j:stop]
-        pos[seg[0]] = first[j]
+        pos[0] = first[j]
         pos[seg[1:]] = first[j + 1:stop] - last[:-1]
-        np.cumsum(pos, out=pos)
+        pos.cumsum(out=pos)
         keep[pos] = False
         j = stop
 
 
-def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
-                 radii: np.ndarray, counts: np.ndarray) -> float:
+def _per_q_upper(system: ResonantSystem, form: fn.FunctionForm, q_lo: int,
+                 q_hi: int, radii: np.ndarray, counts: np.ndarray) -> float:
     """Sum over denominators of (ball count) * (ball length), capped at 1
     per denominator and at 1 overall: a certified measure upper bound.
 
-    radii and counts are the stage plan's per-denominator arrays.  The
+    The stage has radius function form and denominators q_lo..q_hi;
+    radii and counts are its plan's per-denominator arrays.  The
     union over reduced centres is the same set, so phi(q) balls per
     denominator bound it from above; only the rationals, whose plan
     regroups denominators by their reduced form, count the q + 1 raw
@@ -408,9 +441,8 @@ def _per_q_upper(system: ResonantSystem, stage: StageSpec, n: int,
     import numpy as np
     from limsuplab import functions as fn
     if system.kind is SystemKind.RATIONALS:
-        q_lo, q_hi = system.q_interval(*stage.window(n))
         counts = np.arange(q_lo, q_hi + 1, dtype=np.float64)
-        radii = fn.evaluate_array(stage.form, counts)
+        radii = fn.evaluate_array(form, counts)
         counts += 1.0
     per_q = 2.0 * radii
     per_q *= counts
@@ -431,10 +463,28 @@ def _reduced_ball_counts(b_vals: np.ndarray, cum: np.ndarray) -> np.ndarray:
     # cum[b - 1] read into b - 1's own words: clip mode writes in place
     # (raise mode buffers), and b - 1 >= 0 is a valid index
     below = b_vals - 1
-    counts -= np.take(cum, below, out=below, mode="clip")
+    counts -= cum.take(below, out=below, mode="clip")
     if b_vals[0] == 1:
         counts[0] += 1
     return counts
+
+
+def _count_floor(q_lo: int, q_hi: int) -> int:
+    """A floor on phi(q_lo) + ... + phi(q_hi), 1 <= q_lo <= q_hi, in
+    O(1).  The sum counts the pairs 1 <= a <= q in the window with
+    gcd(a, q) = 1: all (q_lo + q_hi)(q_hi - q_lo + 1)/2 pairs but those
+    sharing a prime p <= q_hi.  Those are the j p, j <= q/p for q = J p,
+    J from ceil(q_lo/p) to floor(q_hi/p), fewer than (q_hi - q_lo)/p + 1
+    values of J averaging below ((q_lo + q_hi)/p + 1)/2, so at most
+    (q_lo + q_hi)(q_hi - q_lo)/(2 p^2) + q_hi/p + 1/2 pairs.  Summed
+    over 2 and the odd d >= 3 up to q_hi, a superset of the primes: sum
+    1/d^2 = pi^2/8 - 3/4 < 0.4838, sum 1/d <= 1/2 + ln(q_hi)/2 <= (1 +
+    bitlen(q_hi))/2, as 1/d <= (ln d - ln(d - 2))/2, and there are at
+    most (q_hi + 1)/2 of them."""
+    span = q_hi - q_lo
+    scaled = 20000 * (q_lo + q_hi) * (span + 1) - 9676 * (q_lo + q_hi) * span
+    scaled -= 20000 * q_hi * (1 + q_hi.bit_length()) + 10000 * (q_hi + 1)
+    return scaled // 40000
 
 
 def _truncate_plan(b_vals: np.ndarray, radii: np.ndarray,
@@ -448,8 +498,8 @@ def _truncate_plan(b_vals: np.ndarray, radii: np.ndarray,
     import numpy as np
     if len(b_vals) == 0:
         return b_vals, radii
-    running = np.cumsum(counts)
-    idx = int(np.searchsorted(running, cap, side="right"))
+    running = counts.cumsum()
+    idx = int(running.searchsorted(cap, side="right"))
     return b_vals[:idx], radii[:idx]
 
 
@@ -469,6 +519,7 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     computed, when the last stage's arrays and totient sieve, all as
     long as its denominator range, would pass MAX_STAGE_BYTES.
     """
+    import numpy as np
     from limsuplab import farey
     from limsuplab import functions as fn
     if n_hi < n_lo:
@@ -489,12 +540,24 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
                MAX_STAGE_BYTES >> 20))
     # one smallest-prime-factor sieve serves the totient prefix sum,
     # which serves every stage of the range, and every sweep's primes
+    # with the strip table the same pass fills if a stage may be swept.
+    # With subset_cap = 0 a stage is not swept when it holds more than
+    # full_cap balls, and it holds at least `_count_floor` of its window:
+    # the rationals' plan has every denominator of the window, and
+    # Ford's is the window
+    q_ranges = [system.q_interval(*stage.window(n))
+                for n in range(n_lo, n_hi + 1)]
     spf = farey.smallest_prime_factors(q_top)
-    cum = _totient_cumsum(q_top, spf)
+    strip = None
+    if subset_cap > 0 or any(q_lo <= q_hi
+                             and _count_floor(q_lo, q_hi) <= full_cap
+                             for q_lo, q_hi in q_ranges):
+        strip = np.empty_like(spf)
+    cum = _totient_cumsum(q_top, spf, strip)
     records = []
-    for n in range(n_lo, n_hi + 1):
-        pairs = system.count_window(*stage.window(n), cum=cum)
-        b_vals, weights = _stage_ball_plan(system, stage, n)
+    for n, (q_lo, q_hi) in zip(range(n_lo, n_hi + 1), q_ranges):
+        pairs = _window_pairs(system, q_lo, q_hi, cum)
+        b_vals, weights = _stage_ball_plan(system, q_lo, q_hi)
         counts = _reduced_ball_counts(b_vals, cum)
         count = int(counts.sum())
         if count == 0:
@@ -506,14 +569,14 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         # that is not swept needs none of the plan's
         radii = (fn.evaluate_array(stage.form, weights)
                  if sweep or system.kind is SystemKind.FORD else None)
-        upper = _per_q_upper(system, stage, n, radii, counts)
+        upper = _per_q_upper(system, stage.form, q_lo, q_hi, radii, counts)
         if not sweep:
             records.append(StageMeasure(
                 n, count, pairs, 0.0, upper, None, "per-q-upper"))
             continue
         if not full:
             b_vals, radii = _truncate_plan(b_vals, radii, counts, subset_cap)
-        value, swept = _cell_sweep(b_vals, radii, spf)
+        value, swept = _cell_sweep(b_vals, radii, spf, strip)
         budget = farey.union_length_error_budget(swept)
         lower = max(0.0, value - budget)
         if full:

@@ -502,6 +502,7 @@ class TestExitStatuses:
                                                  monkeypatch, option, cap):
         def no_sieve(*args):
             raise AssertionError("sieved past a refused cap")
+        # the totient pass also fills the sweeps' strip table
         monkeypatch.setattr(farey, "totient_sieve", no_sieve)
         monkeypatch.setattr(farey, "smallest_prime_factors", no_sieve)
         code, _, err = run_main(

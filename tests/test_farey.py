@@ -120,6 +120,46 @@ class TestTotients:
                 len(farey_brute(qmax))
 
 
+def strip_trial(n):
+    """n with every factor of its least prime divided out, by trial
+    division (0 and 1 map to themselves)."""
+    if n < 2:
+        return n
+    p = least_prime(n)
+    while n % p == 0:
+        n //= p
+    return n
+
+
+class TestStripTable:
+    # 0, 1, prime powers and the edges 2^k - 1, 2^k, 2^k + 1 of the
+    # pass's doubling ranges, up to past the first BLOCK-wide range
+    @PROPERTY
+    @given(st.integers(0, 2 ** 17 + 3))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(3 ** 10)
+    @example(2 ** 17)
+    @example(2 ** 17 + 3)
+    def test_phi_and_strip_match_trial_division(self, limit):
+        spf = farey.smallest_prime_factors(limit)
+        strip = np.empty_like(spf)
+        phi = farey.totient_sieve(limit, spf, strip)
+        # filling strip leaves phi as the plain sieve has it
+        assert phi.tolist() == farey.totient_sieve(limit).tolist()
+        ns = {0, 1, limit}
+        for k in range(1, limit.bit_length() + 1):
+            ns.update((2 ** k - 1, 2 ** k, 2 ** k + 1))
+        for p in (2, 3, 5, 7, 11, 13, 251, 257):
+            ns.update(p ** e for e in range(1, 18))
+        ns.update(random.Random(limit).randrange(limit + 1)
+                  for _ in range(50))
+        ns = sorted(n for n in ns if n <= limit)
+        assert [int(phi[n]) for n in ns] == [phi_trial(n) for n in ns]
+        assert [int(strip[n]) for n in ns] == [strip_trial(n) for n in ns]
+
+
 class TestSmallestPrimeFactors:
     def test_matches_trial_division(self):
         spf = farey.smallest_prime_factors(5000)
@@ -294,9 +334,12 @@ class TestPrimeFactorPairs:
     @example([])
     @example([1, 2, 4, 1024, 2048, 3, 2310, 2999, 30030, 65536])
     def test_matches_trial_division(self, dens):
-        spf = farey.smallest_prime_factors(max(dens, default=1))
+        limit = max(dens, default=1)
+        spf = farey.smallest_prime_factors(limit)
+        strip = np.empty_like(spf)
+        farey.totient_sieve(limit, spf, strip)
         rows, primes = farey.prime_factor_pairs(np.array(dens, dtype=np.int64),
-                                                spf)
+                                                spf, strip)
         assert rows.dtype == primes.dtype == np.int64
         # in row order, each row's primes ascending
         got = list(zip(rows.tolist(), primes.tolist()))
@@ -392,6 +435,11 @@ class TestUnionLength:
 
     def test_error_budget_scales(self):
         assert farey.union_length_error_budget(10 ** 6) < 1e-9
+        # 4 float64 epsilons per interval, as a plain float
+        for n in (0, 1, 3, 10 ** 6, 2 ** 40 + 1):
+            budget = farey.union_length_error_budget(n)
+            assert type(budget) is float
+            assert budget == 4.0 * np.finfo(np.float64).eps * max(n, 1)
 
     @staticmethod
     def prefix_index_order(lo, clip_lo, clip_hi):
@@ -533,8 +581,11 @@ class TestUnionLengthBlocks:
         # more keys share the prefix 0 of t = +0.0: one run, one block
         rows = farey.BLOCK
         den = np.arange(3, 3 + rows, dtype=np.float64)
-        balls = farey.BallRows(np.floor(den / 2) - 1, den, 1.5 / den, 2)
-        code = np.arange(4 * rows)
+        # a = floor(b / 2) - 1 + col for col = 0..3, coded (row << wb) | a
+        balls = farey.BallRows(den, 1.5 / den, int(den[-1]).bit_length())
+        row, col = np.divmod(np.arange(4 * rows), 4)
+        code = (row << balls.wb) | (np.floor(den / 2).astype(np.int64)[row]
+                                    - 1 + col)
         lo, hi = np.empty((2, len(code)))
         balls.bounds(code, lo, hi)
         assert np.count_nonzero(lo < 0.5) >= 3 * rows

@@ -259,6 +259,7 @@ class TestStageMeasureScan:
         # k = 2, n = 20) to the cell sweep, outside the byte budget
         def no_sieve(*args):
             raise AssertionError("sieved past a refused cap")
+        # the totient pass also fills the sweeps' strip table
         monkeypatch.setattr(farey, "totient_sieve", no_sieve)
         # the scan's shared least-prime table is a sieve too
         monkeypatch.setattr(farey, "smallest_prime_factors", no_sieve)
@@ -270,17 +271,88 @@ class TestStageMeasureScan:
     def test_one_sieve_per_scan(self, monkeypatch):
         # stages 1..11 of q^-3, k = 2, all fully swept, and the per-q
         # bound of stage 12: one least-prime table reaching q = 2^12
-        # serves the totient prefix sum and every sweep's prime pairs
-        calls = []
-        sieve = farey.smallest_prime_factors
+        # serves the totient prefix sum and every sweep's prime pairs,
+        # and one totient pass fills the strip table the sweeps read
+        calls, passes = [], []
+        sieve, totients = farey.smallest_prime_factors, farey.totient_sieve
         monkeypatch.setattr(farey, "smallest_prime_factors",
                             lambda limit: calls.append(limit) or sieve(limit))
+
+        def totient_pass(limit, spf=None, strip=None):
+            passes.append((limit, strip is not None))
+            return totients(limit, spf, strip)
+        monkeypatch.setattr(farey, "totient_sieve", totient_pass)
         stage = sy.per_point_stage(fn.approximating(power=-3), 2)
         scan = sy.stage_measure_scan(sy.classical_rationals(), stage, 1, 12,
                                      full_cap=4_000_000, subset_cap=0)
         methods = [rec.method for rec in scan.records]
         assert methods == ["full-sweep"] * 11 + ["per-q-upper"]
         assert calls == [2 ** 12]
+        assert passes == [(2 ** 12, True)]
+        # stages 14 and 15 hold more than FULL_SWEEP_CAP balls each (the
+        # benchmark's per-q scans): no stage sweeps, so no strip table
+        del calls[:], passes[:]
+        scan = sy.stage_measure_scan(sy.classical_rationals(), stage, 14, 15,
+                                     subset_cap=0)
+        assert [rec.method for rec in scan.records] == ["per-q-upper"] * 2
+        assert calls == [2 ** 15]
+        assert passes == [(2 ** 15, False)]
+
+    def test_brackets_are_plain_floats(self):
+        # Ford r^-1, k = 2: stages 2 and 4 are empty, the others up to 8
+        # are swept in full, and stages 9 and 10 pass full_cap = 20, the
+        # one swept by a subset, the other bounded per q alone
+        stage = sy.per_point_stage(fn.parse_function("r^-1"), 2)
+        records = (sy.stage_measure_scan(sy.ford_horoballs(), stage, 2, 9,
+                                         full_cap=20, subset_cap=10).records
+                   + sy.stage_measure_scan(sy.ford_horoballs(), stage, 10,
+                                           10, full_cap=20,
+                                           subset_cap=0).records)
+        methods = [rec.method for rec in records]
+        assert methods[:3] == ["empty", "full-sweep", "empty"]
+        assert methods[-3:] == ["full-sweep", "subset-sweep", "per-q-upper"]
+        for rec in records:
+            assert type(rec.lower) is float and type(rec.upper) is float
+            assert rec.value is None or type(rec.value) is float
+            assert "np." not in repr(rec)
+
+
+class TestCountFloor:
+    """The O(1) floor on a window's totient sum that lets a scan whose
+    stages only take per-q bounds skip the strip table."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(st.integers(1, 4000), st.integers(0, 4000))
+    @example(1, 0)
+    @example(1, 1)
+    @example(2, 0)
+    @example(4000, 4000)
+    def test_below_the_totient_sum(self, q_lo, span):
+        q_hi = q_lo + span
+        phi = farey.totient_sieve(q_hi)
+        assert sy._count_floor(q_lo, q_hi) <= int(phi[q_lo:].sum())
+
+    def test_below_the_totient_sum_on_doubling_windows(self):
+        # the windows (2^(k-1), 2^k] of k = 2 stages, up to 2^21
+        cum = farey.totient_sieve(2 ** 21).cumsum()
+        for k in range(1, 22):
+            q_lo, q_hi = 2 ** (k - 1) + 1, 2 ** k
+            assert sy._count_floor(q_lo, q_hi) <= \
+                int(cum[q_hi] - cum[q_lo - 1])
+        # and it passes FULL_SWEEP_CAP from 2^14 on
+        assert sy._count_floor(2 ** 13 + 1, 2 ** 14) > sy.FULL_SWEEP_CAP
+
+
+class TestCellEdges:
+    def test_linspace_bit_for_bit(self):
+        # every cell count up to 1,000, then a sample up to 10^4
+        counts = list(range(1, 1001))
+        counts += random.Random(40).sample(range(1001, 10 ** 4), 60)
+        for ncells in counts + [10 ** 4]:
+            edges = np.array(sy._cell_edges(ncells))
+            assert edges.view(np.int64).tolist() == \
+                np.linspace(0.0, 1.0, ncells + 1).view(np.int64).tolist()
 
 
 def swept(sweep, plan):
@@ -293,10 +365,13 @@ def swept(sweep, plan):
 
 
 def cell_sweep(b_vals, radii):
-    """`systems._cell_sweep` over a least-prime table reaching
-    max(b_vals), as a scan hands it one."""
-    spf = farey.smallest_prime_factors(int(b_vals.max(initial=1)))
-    return sy._cell_sweep(b_vals, radii, spf)
+    """`systems._cell_sweep` over a least-prime table and a strip table
+    reaching max(b_vals), as a scan hands them."""
+    limit = int(b_vals.max(initial=1))
+    spf = farey.smallest_prime_factors(limit)
+    strip = np.empty_like(spf)
+    farey.totient_sieve(limit, spf, strip)
+    return sy._cell_sweep(b_vals, radii, spf, strip)
 
 
 def assert_twins(plan):
@@ -306,7 +381,8 @@ def assert_twins(plan):
 def ball_plan(system, stage, n):
     """(b_vals, radii) of stage n: the plan's denominators and the radii
     of its weights, as the scan sweeps them."""
-    b_vals, weights = sy._stage_ball_plan(system, stage, n)
+    b_vals, weights = sy._stage_ball_plan(
+        system, *system.q_interval(*stage.window(n)))
     return b_vals, fn.evaluate_array(stage.form, weights)
 
 
@@ -374,7 +450,7 @@ class TestCellSweepTwin:
     @pytest.mark.parametrize("n", range(20, 25))
     def test_ford_rows_far_above_one_bit_for_bit(self, n):
         # Ford r^-1, k = 2: the rows start just past b = 2^((n - 2) / 2),
-        # so num0 and den are far from the row index
+        # so a and b are far from the row index
         stage = sy.per_point_stage(fn.parse_function("r^-1"), 2)
         plan = ball_plan(sy.ford_horoballs(), stage, n)
         assert plan[0][0] > 500
@@ -382,7 +458,7 @@ class TestCellSweepTwin:
 
     def test_many_cell_plan_bit_for_bit(self):
         # stage 4 of q^-2, k = 5 (625 rows) in dozens of cells, each with
-        # its own column width
+        # its own window of candidates per row
         stage = sy.per_point_stage(fn.parse_function("r^-2"), 5)
         plan = ball_plan(sy.classical_rationals(), stage, 4)
         with pytest.MonkeyPatch.context() as mp:
@@ -408,14 +484,13 @@ class TestCellSweepTwin:
 
     def test_int64_headroom_at_the_cell_cap(self):
         # bounds checked without allocating a plan (a range stands in
-        # for the rows).  A code is (row << wb) | col below 2^ib, ib =
+        # for the rows).  A code is (row << wb) | a below 2^ib, ib =
         # bitlen(rows - 1) + wb: the denominators are distinct and inside
         # the least-prime table, so b <= MAX_SIEVE, rows <= MAX_SIEVE and
-        # col = a - a_lo <= b; a scan's plan stops at the q_hi its byte
-        # budget admits
+        # a <= b, wb = bitlen(max b); a scan's plan stops at the q_hi its
+        # byte budget admits
         def ib(rows):
-            return farey.BallRows(None, range(rows), None,
-                                  rows.bit_length()).ib
+            return farey.BallRows(range(rows), None, rows.bit_length()).ib
         assert ib(farey.MAX_SIEVE) <= 54
         assert ib(sy.MAX_STAGE_BYTES // sy._STAGE_BYTES_PER_Q) <= 50
         # a key is a float64 >= +0.0 read as int64, at most the pattern
@@ -441,6 +516,7 @@ class TestStageByteBudget:
         def no_work(*args):
             raise AssertionError("allocated past the byte budget")
         monkeypatch.setattr(sy, "_stage_ball_plan", no_work)
+        # the totient pass, which also fills the strip table
         monkeypatch.setattr(farey, "totient_sieve", no_work)
         monkeypatch.setattr(farey, "smallest_prime_factors", no_work)
         stage = sy.per_point_stage(fn.approximating(power=-2), 2)
