@@ -105,7 +105,7 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
 # (bitlen(Q) <= 20); the mask there alone would take 550 GB
 PACKED_KEY_QMAX = 2 ** 20 - 1
 # largest sieve any caller may request: the int32 smallest-prime-factor
-# and strip tables take 4 bytes per entry, and phi and its cumsum 8 each
+# and strip tables take 4 bytes per entry, and the int64 phi 8
 MAX_SIEVE = 100_000_000
 # points per block of every blocked pass over packed keys: 512 KB per
 # int64 temporary, so a block's working set stays in cache

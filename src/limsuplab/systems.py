@@ -38,8 +38,8 @@ blocks: 14.6 bytes per ball traced on the 2.97M-ball stage of q^-2,
 k = 5, n = 5.
 
 numpy and `farey` are imported by the functions that build arrays, and
-the symbolic `functions` by the three that read a stage's form
-(`StageSpec`, `_per_q_upper`, `stage_measure_scan`), so the weight and
+the symbolic `functions` by the two that read a stage's form
+(`StageSpec`, `stage_measure_scan`), so the weight and
 denominator algebra (`q_interval`), which the horoball counts use,
 loads none of them.  The records are NamedTuples (`StageSpec` checks
 its fields in `__new__`), so none loads `dataclasses`.
@@ -63,11 +63,13 @@ _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
 # a stage scan holds at most 96 bytes per denominator up to its q_hi:
 # the plan's and the per-q bound's int64/float64 arrays, and one totient
 # sieve of exactly that length (int32 least primes, kept for the sweeps'
-# prime pairs, int64 phi, summed in place, and, if a stage may be swept,
-# the int32 strip table).  A q^-3 scan peaked at 49 bytes per q of
-# ru_maxrss above the interpreter at q_hi = 2^22 and at 61 at 2^22 + 1
-# with subset_cap=0, which builds no strip table (48 and 60 traced),
-# and at 61 and 73 with subset_cap=1000, which sweeps (60 and 72).
+# prime pairs, int64 phi, the stages' balls per denominator, and, if a
+# stage may be swept, the int32 strip table).  A q^-3 scan peaks in its
+# per-q bound: at 49 bytes per q of ru_maxrss above the interpreter at
+# q_hi = 2^22 (stage 22 of k = 2) and at 61 at 2^22 + 1 (stage 1 of
+# k = 2^22 + 1) with subset_cap=0, which builds no strip table (48 and
+# 60 traced), and at 61 and 73 with subset_cap=1000, which sweeps (60
+# and 72).
 # The byte budget admits q_hi up to about 2.2e7, well inside
 # farey.MAX_SIEVE.
 _STAGE_BYTES_PER_Q = 96
@@ -134,31 +136,17 @@ class ResonantSystem(NamedTuple):
                 "denominator cap %s" % (what, log2_weight, size_text(cap)))
         return self.q_interval(Fraction(0), k ** n)[1]
 
-    def count_window(self, w_lo: Fraction, w_hi: Fraction,
-                     cum: Optional[np.ndarray] = None) -> int:
-        """Exact number of (point, weight) pairs with weight in (w_lo, w_hi].
-
-        ``cum`` is a totient prefix sum reaching the window's largest
-        denominator; without it one is sieved for this call."""
+    def count_window(self, w_lo: Fraction, w_hi: Fraction) -> int:
+        """Exact number of (point, weight) pairs with weight in (w_lo, w_hi]."""
         q_lo, q_hi = self.q_interval(w_lo, w_hi)
-        if cum is None and self.kind is SystemKind.FORD and q_lo <= q_hi:
-            cum = _totient_cumsum(q_hi)
-        return _window_pairs(self, q_lo, q_hi, cum)
-
-
-def _window_pairs(system: ResonantSystem, q_lo: int, q_hi: int,
-                  cum: Optional[np.ndarray]) -> int:
-    """`ResonantSystem.count_window` of the window whose denominators are
-    q_lo..q_hi; cum, read by Ford alone, reaches q_hi."""
-    if q_lo > q_hi:
-        return 0
-    if system.kind is SystemKind.RATIONALS:
-        m = q_hi - q_lo + 1
-        return m * (q_lo + q_hi + 2) // 2  # sum of (q + 1)
-    total = int(cum[q_hi] - cum[q_lo - 1])
-    if q_lo <= 1 <= q_hi:
-        total += 1  # 0/1 alongside 1/1
-    return total
+        if q_lo > q_hi:
+            return 0
+        if self.kind is SystemKind.RATIONALS:
+            return (q_hi - q_lo + 1) * (q_lo + q_hi + 2) // 2  # sum of (q + 1)
+        from limsuplab import farey
+        phi = farey.totient_sieve(q_hi)
+        phi[1] = 2  # 0/1 alongside 1/1
+        return int(phi[q_lo:].sum())
 
 
 def classical_rationals() -> ResonantSystem:
@@ -168,16 +156,6 @@ def classical_rationals() -> ResonantSystem:
 def ford_horoballs() -> ResonantSystem:
     """Reduced rationals weighted by the Ford curvature: weight = 2q^2."""
     return ResonantSystem(SystemKind.FORD)
-
-
-def _totient_cumsum(limit: int, spf: Optional[np.ndarray] = None,
-                    strip: Optional[np.ndarray] = None) -> np.ndarray:
-    """phi(0) + ... + phi(q) for q = 0..limit, summed in place over
-    `farey.totient_sieve(limit, spf, strip)`."""
-    import numpy as np
-    from limsuplab import farey
-    phi = farey.totient_sieve(limit, spf, strip)
-    return phi.cumsum(out=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +404,11 @@ def _strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
         j = stop
 
 
-def _per_q_upper(system: ResonantSystem, form: fn.FunctionForm, q_lo: int,
-                 q_hi: int, radii: np.ndarray, counts: np.ndarray) -> float:
-    """Sum over denominators of (ball count) * (ball length), capped at 1
-    per denominator and at 1 overall: a certified measure upper bound.
-
-    The stage has radius function form and denominators q_lo..q_hi;
-    radii and counts are its plan's per-denominator arrays.  The
-    union over reduced centres is the same set, so phi(q) balls per
-    denominator bound it from above; only the rationals, whose plan
-    regroups denominators by their reduced form, count the q + 1 raw
-    balls of radius psi(q) instead.
-    """
+def _per_q_upper(radii: np.ndarray, counts: np.ndarray) -> float:
+    """Sum over i of counts[i] balls' length 2 radii[i], each term capped
+    at 1 and the sum at 1: a certified upper bound on the measure of the
+    union of those balls."""
     import numpy as np
-    from limsuplab import functions as fn
-    if system.kind is SystemKind.RATIONALS:
-        counts = np.arange(q_lo, q_hi + 1, dtype=np.float64)
-        radii = fn.evaluate_array(form, counts)
-        counts += 1.0
     per_q = 2.0 * radii
     per_q *= counts
     np.minimum(per_q, 1.0, out=per_q)
@@ -451,22 +416,6 @@ def _per_q_upper(system: ResonantSystem, form: fn.FunctionForm, q_lo: int,
     # per_q >= 0, so its max is its largest magnitude
     slack = len(per_q) * 4e-16 + float(per_q.max(initial=0.0)) * 1e-12
     return min(1.0, float(per_q.sum()) + slack)
-
-
-def _reduced_ball_counts(b_vals: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """phi(b) per selected denominator (with both endpoints at b=1), from
-    a totient prefix sum reaching b_vals[-1]."""
-    import numpy as np
-    if len(b_vals) == 0:
-        return np.zeros(0, dtype=np.int64)
-    counts = cum[b_vals]
-    # cum[b - 1] read into b - 1's own words: clip mode writes in place
-    # (raise mode buffers), and b - 1 >= 0 is a valid index
-    below = b_vals - 1
-    counts -= cum.take(below, out=below, mode="clip")
-    if b_vals[0] == 1:
-        counts[0] += 1
-    return counts
 
 
 def _count_floor(q_lo: int, q_hi: int) -> int:
@@ -538,13 +487,13 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
             "%s needs about %d MB for denominators up to %d (budget %d MB)"
             % (what, _STAGE_BYTES_PER_Q * q_top >> 20, q_top,
                MAX_STAGE_BYTES >> 20))
-    # one smallest-prime-factor sieve serves the totient prefix sum,
-    # which serves every stage of the range, and every sweep's primes
-    # with the strip table the same pass fills if a stage may be swept.
-    # With subset_cap = 0 a stage is not swept when it holds more than
-    # full_cap balls, and it holds at least `_count_floor` of its window:
-    # the rationals' plan has every denominator of the window, and
-    # Ford's is the window
+    # one smallest-prime-factor sieve serves the totient pass, whose phi
+    # table gives every stage of the range its balls per denominator, and
+    # every sweep's primes with the strip table the same pass fills if a
+    # stage may be swept.  With subset_cap = 0 a stage is not swept when
+    # it holds more than full_cap balls, and it holds at least
+    # `_count_floor` of its window: the rationals' plan has every
+    # denominator of the window, and Ford's is the window
     q_ranges = [system.q_interval(*stage.window(n))
                 for n in range(n_lo, n_hi + 1)]
     spf = farey.smallest_prime_factors(q_top)
@@ -553,23 +502,38 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
                              and _count_floor(q_lo, q_hi) <= full_cap
                              for q_lo, q_hi in q_ranges):
         strip = np.empty_like(spf)
-    cum = _totient_cumsum(q_top, spf, strip)
+    phi = farey.totient_sieve(q_top, spf, strip)
+    # 0/1 alongside 1/1, set after the pass, whose recurrence reads
+    # phi(1); the slice is empty when q_top = 0
+    phi[1:2] = 2
+    ford = system.kind is SystemKind.FORD
     records = []
     for n, (q_lo, q_hi) in zip(range(n_lo, n_hi + 1), q_ranges):
-        pairs = _window_pairs(system, q_lo, q_hi, cum)
         b_vals, weights = _stage_ball_plan(system, q_lo, q_hi)
-        counts = _reduced_ball_counts(b_vals, cum)
+        counts = phi[b_vals]
         count = int(counts.sum())
+        # a Ford point has one weight, so its pairs are its balls
+        pairs = count if ford else system.count_window(*stage.window(n))
         if count == 0:
             records.append(StageMeasure(n, 0, pairs, 0.0, 0.0, 0.0, "empty"))
             continue
         full = count <= full_cap
         sweep = full or subset_cap > 0
-        # the rationals' per-q bound evaluates its own radii, so a stage
-        # that is not swept needs none of the plan's
-        radii = (fn.evaluate_array(stage.form, weights)
-                 if sweep or system.kind is SystemKind.FORD else None)
-        upper = _per_q_upper(system, stage.form, q_lo, q_hi, radii, counts)
+        # the union over reduced centres is the stage set, so Ford's phi(q)
+        # balls per denominator bound it; the rationals' plan regroups
+        # denominators by their reduced form, so their bound takes the
+        # window's q + 1 raw balls of radius psi(q), and a stage that is
+        # not swept needs none of the plan's radii
+        radii = (fn.evaluate_array(stage.form, weights) if sweep or ford
+                 else None)
+        if ford:
+            upper = _per_q_upper(radii, counts)
+        else:
+            q = np.arange(q_lo, q_hi + 1, dtype=np.float64)
+            psi = fn.evaluate_array(stage.form, q)
+            q += 1.0
+            upper = _per_q_upper(psi, q)
+            del q, psi  # not held through the sweep
         if not sweep:
             records.append(StageMeasure(
                 n, count, pairs, 0.0, upper, None, "per-q-upper"))

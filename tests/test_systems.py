@@ -219,6 +219,26 @@ class TestStageMeasureScan:
                                 [2, 1, 2, 2, 4, 2, 6, 4]), rec
         assert rec.pairs == sum(q + 1 for q in range(5, 9))
 
+    @pytest.mark.parametrize("system", [sy.classical_rationals(),
+                                        sy.ford_horoballs()])
+    @pytest.mark.parametrize("k", [Fraction(3, 2), 2, 3, 6])
+    def test_counts_and_pairs_match_the_oracle(self, system, k):
+        # every stage up to MAX_STAGE_PAIRS raw pairs: pairs is
+        # count_window's, a Ford point's one weight makes its pairs its
+        # balls, and count is the distinct reduced centres.  With k = 3/2
+        # a rationals window can hold no multiple of a smaller
+        # denominator (b = 2 in (9/4, 27/8]), which the plan leaves out
+        stage = sy.per_point_stage(fn.approximating(power=-2), k)
+        n_hi = 1
+        while system.count_window(*stage.window(n_hi + 1)) <= MAX_STAGE_PAIRS:
+            n_hi += 1
+        for rec in sy.stage_measure_scan(system, stage, 1, n_hi).records:
+            assert rec.pairs == system.count_window(*stage.window(rec.n))
+            if system.kind is sy.SystemKind.FORD:
+                assert rec.pairs == rec.count, rec
+            balls = stage_balls(system, stage, rec.n)
+            assert rec.count == len({c for c, _ in balls}), rec
+
     def test_truncated_stage_still_bracketed(self):
         system = sy.classical_rationals()
         stage = sy.per_point_stage(fn.approximating(power=-2), 2)
@@ -271,7 +291,7 @@ class TestStageMeasureScan:
     def test_one_sieve_per_scan(self, monkeypatch):
         # stages 1..11 of q^-3, k = 2, all fully swept, and the per-q
         # bound of stage 12: one least-prime table reaching q = 2^12
-        # serves the totient prefix sum and every sweep's prime pairs,
+        # serves the totient pass and every sweep's prime pairs,
         # and one totient pass fills the strip table the sweeps read
         calls, passes = [], []
         sieve, totients = farey.smallest_prime_factors, farey.totient_sieve
