@@ -41,9 +41,11 @@ the exactness argument spelled out where it matters:
   table, strip[n] = strip[m] if p | m, else m: n with every factor p
   divided out.  `prime_factor_pairs` reads a denominator's distinct
   primes off the two a level at a time, p = spf[rest] and then rest =
-  strip[rest], until rest = 1; striking their multiples is the sweep's
-  coprimality test (see `systems`).  spf and strip take 4 bytes per
-  entry and phi 8.  The reader makes 5 numpy calls a level, and a
+  strip[rest], until rest = 1; `strike` clears their multiples from
+  runs of consecutive candidates.  That is the coprimality test of the
+  stage sweep's a/b (see `systems`) and of the uniform-stage list's
+  lattice points (b, b') (see `ubiquity`).  spf and strip take 4 bytes
+  per entry and phi 8.  The reader makes 5 numpy calls a level, and a
   denominator below MAX_SIEVE has at most 8 distinct primes;
 * float sweep measures carry an explicit error budget of a few ulps per
   interval, reported alongside the value.  `union_length` takes one
@@ -291,6 +293,33 @@ def prime_factor_pairs(den: np.ndarray, spf: np.ndarray,
     rows = np.concatenate(rows)
     by_row = rows.argsort(kind="stable")
     return rows[by_row], np.concatenate(primes, dtype=np.int64)[by_row]
+
+
+def strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
+           count: np.ndarray) -> None:
+    """keep[first[j] + t * step[j]] = False for 0 <= t < count[j], every
+    position inside keep.  The positions are built in chunks of at most
+    len(keep) (one pair strikes within one row, never more), each as one
+    running sum of steps whose partial sums are the positions
+    themselves, so every value stays within +-len(keep)."""
+    live = count > 0
+    first, step, count = first[live], step[live], count[live]
+    ends = count.cumsum()
+    j = 0
+    while j < len(count):
+        stop = int(ends.searchsorted(ends[j] - count[j] + len(keep),
+                                     side="right"))
+        c = count[j:stop]
+        pos = step[j:stop].repeat(c)
+        # each pair's run of positions starts at seg
+        seg = ends[j:stop] - c
+        seg -= seg[0]
+        last = first[j:stop] + (c - 1) * step[j:stop]
+        pos[0] = first[j]
+        pos[seg[1:]] = first[j + 1:stop] - last[:-1]
+        pos.cumsum(out=pos)
+        keep[pos] = False
+        j = stop
 
 
 class BallRows(NamedTuple):

@@ -26,16 +26,16 @@ the raw union exactly.
 The sweep lists, per denominator b, the candidates a in a window
 [a_lo, a_hi] in one flat b-major, a-ascending array and keeps a/b
 exactly when gcd(a, b) == 1, i.e. when no prime factor p of b divides
-a.  It strikes the multiples of every such p inside each window, which
-is that test candidate for candidate: a = 0 is struck for every b > 1,
-and b = 1 has no prime, so 0/1 and 1/1 stay.  A kept ball is stored
-as one int64 alone, its `farey.union_length` sort key (its code, the
-order it gives and its decoding: `farey`'s paragraph on swept balls).
-The key array is sized for the cell's candidates and built a block of
-them at a time, and only the kept balls' words are written: a cell
-holds 8 bytes per candidate, about 6/pi^2 of which are kept, and a few
-blocks: 14.6 bytes per ball traced on the 2.97M-ball stage of q^-2,
-k = 5, n = 5.
+a.  `farey.strike` clears the multiples of every such p inside each
+window, which is that test candidate for candidate: a = 0 is struck
+for every b > 1, and b = 1 has no prime, so 0/1 and 1/1 stay.  A kept
+ball is stored as one int64 alone, its `farey.union_length` sort key
+(its code, the order it gives and its decoding: `farey`'s paragraph on
+swept balls).  The key array is sized for the cell's candidates and
+built a block of them at a time, and only the kept balls' words are
+written: a cell holds 8 bytes per candidate, about 6/pi^2 of which are
+kept, and a few blocks: 14.6 bytes per ball traced on the 2.97M-ball
+stage of q^-2, k = 5, n = 5.
 
 numpy and `farey` are imported by the functions that build arrays, and
 the symbolic `functions` by the two that read a stage's form
@@ -64,12 +64,12 @@ _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
 # the plan's and the per-q bound's int64/float64 arrays, and one totient
 # sieve of exactly that length (int32 least primes, kept for the sweeps'
 # prime pairs, int64 phi, the stages' balls per denominator, and, if a
-# stage may be swept, the int32 strip table).  A q^-3 scan peaks in its
-# per-q bound: at 49 bytes per q of ru_maxrss above the interpreter at
-# q_hi = 2^22 (stage 22 of k = 2) and at 61 at 2^22 + 1 (stage 1 of
-# k = 2^22 + 1) with subset_cap=0, which builds no strip table (48 and
-# 60 traced), and at 61 and 73 with subset_cap=1000, which sweeps (60
-# and 72).
+# stage may be swept, the int32 strip table).  A one-stage q^-3 scan
+# with subset_cap=0, which builds no strip table and no plan, peaks in
+# its per-q bound: at 24 bytes per q of ru_maxrss above the interpreter
+# at q_hi = 2^22 (stage 22 of k = 2) and at 36 at 2^22 + 1 (stage 1 of
+# k = 2^22 + 1), 24 and 36 traced.  With subset_cap=1000, which sweeps,
+# it peaks in the plan and its radii, at 57 at both (56 traced).
 # The byte budget admits q_hi up to about 2.2e7, well inside
 # farey.MAX_SIEVE.
 _STAGE_BYTES_PER_Q = 96
@@ -230,8 +230,9 @@ def _stage_ball_plan(system: ResonantSystem, q_lo: int, q_hi: int):
     centres equals the stage set exactly (the raw ball at p/q = a/b has
     radius at most the reduced ball's, because the radius function is
     nonincreasing on the window and the reduced ball uses the smallest
-    weight the centre attains).  The radii are the caller's to
-    evaluate, so a stage that is not swept never computes them.
+    weight the centre attains).  The scan counts a stage's balls
+    without it (`_stage_count`), so a rationals stage that is not swept
+    builds no plan.
     """
     import numpy as np
     from limsuplab import farey
@@ -357,7 +358,7 @@ def _cell_keys(balls: farey.BallRows, a_lo: np.ndarray, counts: np.ndarray,
                                              side="right")) - 1)
         keep = np.ones(int(flat[j]) - base, dtype=bool)
         at = slice(pair_at[i], pair_at[j])
-        _strike(keep, first[at] - base, primes[at], strikes[at])
+        farey.strike(keep, first[at] - base, primes[at], strikes[at])
         pos = keep.nonzero()[0]
         del keep
         # kept balls per row
@@ -376,34 +377,6 @@ def _cell_keys(balls: farey.BallRows, a_lo: np.ndarray, counts: np.ndarray,
     return keys[:n]
 
 
-def _strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
-            count: np.ndarray) -> None:
-    """keep[first[j] + t * step[j]] = False for 0 <= t < count[j], every
-    position inside keep.  The positions are built in chunks of at most
-    len(keep) (one pair strikes within one row, never more), each as one
-    running sum of steps whose partial sums are the positions
-    themselves, so every value stays within +-len(keep)."""
-    import numpy as np
-    live = count > 0
-    first, step, count = first[live], step[live], count[live]
-    ends = count.cumsum()
-    j = 0
-    while j < len(count):
-        stop = int(ends.searchsorted(ends[j] - count[j] + len(keep),
-                                     side="right"))
-        c = count[j:stop]
-        pos = step[j:stop].repeat(c)
-        # each pair's run of positions starts at seg
-        seg = ends[j:stop] - c
-        seg -= seg[0]
-        last = first[j:stop] + (c - 1) * step[j:stop]
-        pos[0] = first[j]
-        pos[seg[1:]] = first[j + 1:stop] - last[:-1]
-        pos.cumsum(out=pos)
-        keep[pos] = False
-        j = stop
-
-
 def _per_q_upper(radii: np.ndarray, counts: np.ndarray) -> float:
     """Sum over i of counts[i] balls' length 2 radii[i], each term capped
     at 1 and the sum at 1: a certified upper bound on the measure of the
@@ -416,6 +389,28 @@ def _per_q_upper(radii: np.ndarray, counts: np.ndarray) -> float:
     # per_q >= 0, so its max is its largest magnitude
     slack = len(per_q) * 4e-16 + float(per_q.max(initial=0.0)) * 1e-12
     return min(1.0, float(per_q.sum()) + slack)
+
+
+def _stage_count(phi: np.ndarray, q_lo: int, q_hi: int, ford: bool) -> int:
+    """The reduced balls of the stage whose window's denominators are
+    q_lo..q_hi: phi, the scan's table with phi[1] = 2, summed over its
+    plan's denominators (_stage_ball_plan) without building the plan.
+    Ford's plan is the window.  The rationals' holds every b <= q_hi
+    with a multiple in [q_lo, q_hi]: every b <= span = q_hi - q_lo + 1
+    and every b >= q_lo, and between them the b with q_hi // b >
+    (q_lo - 1) // b.  For k >= 2, 2 floor(k^(n-1)) <= floor(k^n) puts
+    q_lo - 1 = floor(k^(n-1)) at most span, so none lies between and
+    the plan is every b <= q_hi."""
+    import numpy as np
+    if q_lo > q_hi:
+        return 0
+    if ford:
+        return int(phi[q_lo:q_hi + 1].sum())
+    span = q_hi - q_lo + 1
+    mid = np.arange(span + 1, q_lo, dtype=np.int64)
+    mid = mid[q_hi // mid > (q_lo - 1) // mid]
+    return (int(phi[1:span + 1].sum()) + int(phi[mid].sum())
+            + int(phi[max(q_lo, span + 1):q_hi + 1].sum()))
 
 
 def _count_floor(q_lo: int, q_hi: int) -> int:
@@ -509,9 +504,7 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     ford = system.kind is SystemKind.FORD
     records = []
     for n, (q_lo, q_hi) in zip(range(n_lo, n_hi + 1), q_ranges):
-        b_vals, weights = _stage_ball_plan(system, q_lo, q_hi)
-        counts = phi[b_vals]
-        count = int(counts.sum())
+        count = _stage_count(phi, q_lo, q_hi, ford)
         # a Ford point has one weight, so its pairs are its balls
         pairs = count if ford else system.count_window(*stage.window(n))
         if count == 0:
@@ -523,23 +516,25 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         # balls per denominator bound it; the rationals' plan regroups
         # denominators by their reduced form, so their bound takes the
         # window's q + 1 raw balls of radius psi(q), and a stage that is
-        # not swept needs none of the plan's radii
-        radii = (fn.evaluate_array(stage.form, weights) if sweep or ford
-                 else None)
-        if ford:
-            upper = _per_q_upper(radii, counts)
-        else:
+        # not swept builds no plan
+        if not ford:
             q = np.arange(q_lo, q_hi + 1, dtype=np.float64)
             psi = fn.evaluate_array(stage.form, q)
             q += 1.0
             upper = _per_q_upper(psi, q)
             del q, psi  # not held through the sweep
+        if sweep or ford:
+            b_vals, weights = _stage_ball_plan(system, q_lo, q_hi)
+            radii = fn.evaluate_array(stage.form, weights)
+        if ford:
+            upper = _per_q_upper(radii, phi[b_vals])
         if not sweep:
             records.append(StageMeasure(
                 n, count, pairs, 0.0, upper, None, "per-q-upper"))
             continue
         if not full:
-            b_vals, radii = _truncate_plan(b_vals, radii, counts, subset_cap)
+            b_vals, radii = _truncate_plan(b_vals, radii, phi[b_vals],
+                                           subset_cap)
         value, swept = _cell_sweep(b_vals, radii, spf, strip)
         budget = farey.union_length_error_budget(swept)
         lower = max(0.0, value - budget)

@@ -20,11 +20,12 @@ The engine stores a stage as its blocks: the sorted packed int64 key
 blocks alone (two points or more), their block index and the key of
 their last point.  A centre's denominator is its key's low bitlen(Q)
 bits and its numerator is decoded off the key (farey.unpack_keys) where
-a query reads it.  The blocks come from one of two builders, picked
-before any per-point array is allocated from the size of the lattice
-region below against |F_Q| (_lattice_is_cheaper: the list is taken up
-to one point of the half b <= b' per 8 Farey points; the two measured
-even at 0.12-0.17):
+a query reads it.  One totient pass up to Q (_stage_sieve) fills the
+least-prime, strip and phi tables.  The blocks come from one of two
+builders, picked before any per-point array is allocated from the size
+of the lattice region below against |F_Q|, which phi counts
+(_lattice_is_cheaper: the list is taken up to one point of the half
+b <= b' per 4 Farey points; the two measured even near 0.3):
 
   * the open gaps, listed directly (_lattice_blocks).  The neighbour
     pairs a/b < a'/b' of F_Q are in bijection with the coprime (b, b')
@@ -34,10 +35,15 @@ even at 0.12-0.17):
     and b + b' > Q leave no fraction of denominator <= Q between them.
     So the open gaps are the coprime points of the lattice region
     {b, b' <= Q < b + b', bb' < theta}, each met once: the half
-    b <= b' is enumerated in numpy a few rows b at a time, with a from
-    a vectorised extended Euclid, and the mirror x -> 1 - x of each gap
-    is the gap of (b', b).  Every emitted pair is checked exactly
-    (a'b - ab' = 1, b + b' > Q, bb' < theta, both points in F_Q).
+    b <= b' is enumerated in numpy a few rows b at a time, and the
+    mirror x -> 1 - x of each gap is the gap of (b', b).  A row's b'
+    are consecutive, so striking the multiples of each prime of b
+    (farey.strike, the stage sweep's kernel, on primes read off the
+    strip table) leaves the coprime ones (_coprime_rows), and a =
+    (-b')^(phi(b) - 1) mod b is an exact float64 modular power
+    (_minus_inverse).  Every emitted pair is checked exactly
+    (a'b - ab' = 1, b + b' > Q, bb' < theta, both points in F_Q), so a
+    wrong residue raises rather than passing.
     Sorted once, the keys of 0/1, of both ends of every open gap and
     of 1/1 run block start, block end, next start, ..., and that list
     is checked to be strictly increasing from block to block with
@@ -108,7 +114,7 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
 # MB with 1.46e6 gaps joined (10^-8) and 0.99-1.16 s and 256 MB with 3.64e6
 # merged blocks (1/8192^2) on 2 vCPUs: the keys, 8 bytes a point, next to
 # the left half's mask or an index and end key per merged block.  10^-6
-# builds from its 2,325 open gaps alone in 0.14-0.16 s and 29 MB
+# builds from its 2,325 open gaps alone in 7-8 ms and 30 MB
 MAX_UNIFORM_Q = 8192
 # every ball is one exact query per stage, a stage's balls one batch:
 # 1000 balls at the README stages 3..5 of 6 r^-2 with k = 6 measured
@@ -142,9 +148,12 @@ class UniformStageEngine:
         self._db = q_max.bit_length()
         rn, rd = self.radius.numerator, self.radius.denominator
         theta = min(-((-rd) // (2 * rn)), q_max * q_max + 1)
-        build = (_lattice_blocks if _lattice_is_cheaper(q_max, theta)
-                 else _farey_blocks)
-        self._starts, self._merged, self._ends = build(q_max, theta)
+        sieve = _stage_sieve(q_max)
+        if _lattice_is_cheaper(q_max, theta, sieve[2]):
+            blocks = _lattice_blocks(q_max, theta, sieve)
+        else:
+            blocks = _farey_blocks(q_max, theta)
+        self._starts, self._merged, self._ends = blocks
 
     @property
     def block_count(self) -> int:
@@ -310,64 +319,116 @@ def _open_gap_rows(q_max: int, theta: int):
     return b, first, np.maximum(count, 0, out=count)
 
 
-def _lattice_is_cheaper(q_max: int, theta: int) -> bool:
+def _stage_sieve(q_max: int):
+    """(spf, strip, phi) up to q_max from one `farey.totient_sieve` pass:
+    phi counts F_Q for the builder choice, and the list reads its primes
+    off spf and strip and its exponents off phi."""
+    import numpy as np
+    from limsuplab import farey
+    spf = farey.smallest_prime_factors(q_max)
+    strip = np.empty_like(spf)
+    return spf, strip, farey.totient_sieve(q_max, spf, strip)
+
+
+def _lattice_is_cheaper(q_max: int, theta: int, phi) -> bool:
     """Pick the builder from the size of the lattice half-region against
-    |F_Q|.  Listing the open gaps measured 245-333 ns per point of the
-    half-region and building F_Q's blocks 30-47 ns per Farey point (2
-    vCPUs; Q = 1000, 3125 and 7776, theta from Q^2 / 10 to 3 Q^2 / 10):
-    at 0.087 half-region points per Farey point the list took 0.50-0.73
-    of F_Q's time, at 0.27 1.6-2.2 times it, so the two cross at
-    0.12-0.17, and the list is taken up to 1 in 8."""
-    from limsuplab import farey
+    |F_Q| = 1 + phi(1) + ... + phi(Q), phi the stage's totient table.
+    Listing the open gaps measured 87-126 ns per point of the
+    half-region and building F_Q's blocks 22-34 ns per Farey point (2
+    vCPUs; Q = 1000, 3125 and 7776, theta from Q^2 / 10 to 3 Q^2 / 10,
+    medians of 7 calls, 3 at Q = 7776): at 0.16 half-region points per
+    Farey point the list took 0.49-0.59 of F_Q's time, at 0.21
+    0.68-0.80 and at 0.27 0.88-0.90, so the two cross near 0.3, and the
+    list is taken up to 1 in 4."""
     candidates = int(_open_gap_rows(q_max, theta)[2].sum())
-    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
-    return 8 * candidates <= points
+    points = 1 + int(phi[1:].sum())
+    return 4 * candidates <= points
 
 
-def _minus_inverse(b, b2):
+def _minus_inverse(b, b2, phi):
     """a in [0, b) with a b2 = -1 (mod b), for coprime int64 arrays b, b2
-    >= 1: the extended Euclid of (b, b2 mod b), run over every pair at
-    once, keeps t_i b2 = r_i (mod b) and ends at r = 1 with t = b2^-1."""
+    with 1 <= b, b2 <= MAX_UNIFORM_Q = 2^13, phi a totient table reaching
+    max(b): a = c^(phi(b) - 1) mod b with c = b - b2 = -b2 (mod b),
+    since b2^phi(b) = 1 (mod b) and phi(b) - 1 is odd for b >= 3 (for
+    b <= 2, -1 = 1 mod b).
+
+    The power is taken by square and multiply, from the exponent's top
+    bit down, in float64, and it is exact.  Each step forms x = r^2 or
+    r^2 c from the running residue 0 <= r < b and |c| < 2^13: an integer
+    of magnitude below b^2 2^13 <= 2^39.  x / b, of magnitude below
+    2^26, lies at least 1/b >= 2^-13 from the nearest integer unless it
+    is one, and rounding moves it by at most 2^26 2^-53 = 2^-27, so the
+    floor of the rounded quotient is floor(x / b), and the new residue
+    x - b floor(x / b), in [0, b), is exact too."""
     import numpy as np
-    out = np.empty_like(b)
-    at = np.arange(len(b))
-    r0, r1 = b, b2 % b
-    t0, t1 = np.zeros_like(b), np.ones_like(b)
-    while len(at):
-        done = r1 == 0
-        out[at[done]] = t0[done]
-        live = ~done
-        at, r0, r1, t0, t1 = at[live], r0[live], r1[live], t0[live], t1[live]
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    return np.negative(out, out=out) % b
+    den = b.astype(np.float64)
+    quo = np.empty_like(den)
+    base = den - b2
+    # r starts at 1 mod b
+    res = np.minimum(den - 1.0, 1.0)
+    exp = phi[b] - 1
+    bit = np.empty_like(exp)
+    odd = np.empty(len(b), dtype=bool)
+    for k in reversed(range(int(exp.max(initial=0)).bit_length())):
+        res *= res
+        np.bitwise_and(exp, 1 << k, out=bit)
+        np.not_equal(bit, 0, out=odd)
+        np.multiply(res, base, out=res, where=odd)
+        np.divide(res, den, out=quo)
+        np.floor(quo, out=quo)
+        np.multiply(quo, den, out=quo)
+        res -= quo
+    return res.astype(np.int64)
 
 
-def _lattice_blocks(q_max: int, theta: int):
-    """(starts, merged, ends) from the open gaps alone: the coprime
-    points of the lattice region, a few rows at a time, checked and
-    sorted as the module docstring argues."""
+def _coprime_rows(b, first, count, spf, strip):
+    """The (b, b') of rows r = 0, 1, ... with b = b[r] and b' running
+    over first[r] .. first[r] + count[r] - 1, those with gcd(b, b') = 1
+    alone, as int64 arrays (den, den2) a few rows at a time: rows of at
+    most farey.BLOCK candidates in all, or one longer row.  b, first and
+    count are int64 arrays, b >= 1 and count >= 0; spf and strip are a
+    `farey.totient_sieve` pass's tables reaching max(b).  A row's
+    candidates are consecutive, so `farey.strike` clears the multiples
+    of each prime p | b, the first (-first[r]) mod p places in."""
     import numpy as np
     from limsuplab import farey
-    b, first, count = _open_gap_rows(q_max, theta)
     rows = np.flatnonzero(count)
-    before = np.concatenate(([0], np.cumsum(count[rows])))
-    keys = [np.array([farey.packed_keys(0, 1, q_max),
-                      farey.packed_keys(1, 1, q_max)], dtype=np.int64)]
+    b, first, count = b[rows], first[rows], count[rows]
+    # row r's candidates sit at flat positions before[r], ..., and its
+    # pairs (r, p) at pair_at[r]..pair_at[r + 1] - 1
+    before = np.concatenate(([0], np.cumsum(count)))
+    pair_row, primes = farey.prime_factor_pairs(b, spf, strip)
+    off = -first[pair_row] % primes
+    hit = before[pair_row] + off
+    strikes = (count[pair_row] - 1 - off) // primes + 1
+    pair_at = pair_row.searchsorted(np.arange(len(b) + 1))
     lo = 0
-    while lo < len(rows):
-        # rows lo..hi - 1 hold at most farey.BLOCK lattice points, or one
-        # row of at most q_max
+    while lo < len(b):
         hi = max(int(before.searchsorted(before[lo] + farey.BLOCK,
                                          side="right")) - 1, lo + 1)
-        row = rows[lo:hi]
-        den = np.repeat(b[row], count[row])
+        coprime = np.ones(before[hi] - before[lo], dtype=bool)
+        at = slice(pair_at[lo], pair_at[hi])
+        farey.strike(coprime, hit[at] - before[lo], primes[at], strikes[at])
+        den = np.repeat(b[lo:hi], count[lo:hi])
         den2 = np.arange(before[lo], before[hi])
-        den2 += np.repeat(first[row] - before[lo:hi], count[row])
-        coprime = np.gcd(den, den2) == 1
-        den, den2 = den[coprime], den2[coprime]
-        num = _minus_inverse(den, den2)
+        den2 += np.repeat(first[lo:hi] - before[lo:hi], count[lo:hi])
+        yield den[coprime], den2[coprime]
+        lo = hi
+
+
+def _lattice_blocks(q_max: int, theta: int, sieve):
+    """(starts, merged, ends) from the open gaps alone: the coprime
+    points of the lattice region, a few rows at a time, checked and
+    sorted as the module docstring argues.  sieve is the stage's
+    (spf, strip, phi) (_stage_sieve)."""
+    import numpy as np
+    from limsuplab import farey
+    spf, strip, phi = sieve
+    keys = [np.array([farey.packed_keys(0, 1, q_max),
+                      farey.packed_keys(1, 1, q_max)], dtype=np.int64)]
+    for den, den2 in _coprime_rows(*_open_gap_rows(q_max, theta), spf,
+                                   strip):
+        num = _minus_inverse(den, den2, phi)
         num2 = (1 + num * den2) // den
         # the mirror x -> 1 - x of the gap a/b < a'/b' is the gap
         # (b' - a')/b' < (b - a)/b, whose denominators swap
@@ -383,7 +444,6 @@ def _lattice_blocks(q_max: int, theta: int):
                 "uniform stage: a listed pair is no open Farey gap")
         keys += [farey.packed_keys(num, den, q_max),
                  farey.packed_keys(num2, den2, q_max)]
-        lo = hi
     keys = np.concatenate(keys)
     keys.sort()
     starts, ends = keys[0::2], keys[1::2]

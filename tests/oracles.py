@@ -13,9 +13,10 @@ and samples of G confirm what `functions.is_k_regular` and
 `farey.union_length`, sort keys and a decoder.  The geodesics helpers
 that no command runs live here too: the value of a quotient list, the
 Gauss-Kuzmin law and its seeded sampler, the hyperbolic distance and
-the Mobius action of a word.  Test modules import
-them as `from oracles import ...`; nothing under `src` may, because an
-installed package has no `tests/` next to it.
+the Mobius action of a word.  The uniform-stage list's modular inverses
+answer to the vectorised extended Euclid it used before.  Test modules
+import them as `from oracles import ...`; nothing under `src` may,
+because an installed package has no `tests/` next to it.
 """
 
 import math
@@ -729,7 +730,27 @@ def g_samples(outer, psi: fn.FunctionForm, rho: fn.FunctionForm, delta,
     return samples
 
 
-# -- uniform stages: one ratio, and the natural cover sum ------------------
+# -- uniform stages: one ratio, the list's inverses, the natural cover sum -
+
+def minus_inverse_euclid(b, b2):
+    """a in [0, b) with a b2 = -1 (mod b), for coprime int64 arrays b, b2
+    >= 1: the extended Euclid of (b, b2 mod b), run over every pair at
+    once, keeps t_i b2 = r_i (mod b) and ends at r = 1 with t = b2^-1.
+    The witness for `ubiquity._minus_inverse`'s modular powers."""
+    out = np.empty_like(b)
+    at = np.arange(len(b))
+    r0, r1 = b, b2 % b
+    t0, t1 = np.zeros_like(b), np.ones_like(b)
+    while len(at):
+        done = r1 == 0
+        out[at[done]] = t0[done]
+        live = ~done
+        at, r0, r1, t0, t1 = at[live], r0[live], r1[live], t0[live], t1[live]
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return np.negative(out, out=out) % b
+
 
 def ubiquity_ratio(system, rho: fn.FunctionForm, k, n: int, ball,
                    q_cap: int = ub.MAX_UNIFORM_Q) -> Fraction:

@@ -337,6 +337,59 @@ class TestStageMeasureScan:
             assert "np." not in repr(rec)
 
 
+class TestStageCount:
+    """A stage's reduced balls, counted off the phi table without its
+    plan."""
+
+    @staticmethod
+    def plan_count(system, phi, q_lo, q_hi):
+        b_vals, _ = sy._stage_ball_plan(system, q_lo, q_hi)
+        return int(phi[b_vals].sum())
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(k=st.sampled_from([Fraction(11, 10), Fraction(3, 2), 2,
+                              Fraction(5, 2), 6]),
+           n=st.integers(1, 120),
+           ford=st.booleans())
+    @example(k=Fraction(11, 10), n=1, ford=False)  # an empty window
+    @example(k=Fraction(3, 2), n=3, ford=False)    # b = 2 left out
+    def test_equals_the_plan_count(self, k, n, ford):
+        system = sy.ford_horoballs() if ford else sy.classical_rationals()
+        stage = sy.per_point_stage(fn.approximating(power=-2), k)
+        # stage n, or the last stage below q = 2^16
+        while system.q_interval(*stage.window(n))[1] > 2 ** 16:
+            n -= 1
+        q_lo, q_hi = system.q_interval(*stage.window(n))
+        phi = farey.totient_sieve(max(q_hi, 1))
+        phi[1:2] = 2
+        assert sy._stage_count(phi, q_lo, q_hi, ford) == \
+            self.plan_count(system, phi, q_lo, q_hi)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(q_lo=st.integers(1, 3000), span=st.integers(-2, 3000))
+    def test_equals_the_plan_count_on_any_window(self, q_lo, span):
+        q_hi = q_lo + span
+        phi = farey.totient_sieve(max(q_hi, 1))
+        phi[1:2] = 2
+        for system in (sy.classical_rationals(), sy.ford_horoballs()):
+            ford = system.kind is sy.SystemKind.FORD
+            assert sy._stage_count(phi, q_lo, q_hi, ford) == \
+                self.plan_count(system, phi, q_lo, q_hi)
+
+    def test_per_q_stages_build_no_plan(self, monkeypatch):
+        # the benchmark's per-q scans: no stage is swept, so none is
+        # planned
+        def no_plan(*args):
+            raise AssertionError("plan built for a per-q stage")
+        monkeypatch.setattr(sy, "_stage_ball_plan", no_plan)
+        stage = sy.per_point_stage(fn.approximating(power=-3), 2)
+        scan = sy.stage_measure_scan(sy.classical_rationals(), stage, 14, 15,
+                                     subset_cap=0)
+        assert [rec.method for rec in scan.records] == ["per-q-upper"] * 2
+
+
 class TestCountFloor:
     """The O(1) floor on a window's totient sum that lets a scan whose
     stages only take per-q bounds skip the strip table."""

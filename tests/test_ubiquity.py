@@ -21,8 +21,8 @@ import limsuplab.systems as sy
 import limsuplab.ubiquity as ub
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError)
-from oracles import (exact_union_measure, natural_cover_sum, ubiquity_ratio,
-                     window_pairs)
+from oracles import (exact_union_measure, minus_inverse_euclid,
+                     natural_cover_sum, ubiquity_ratio, window_pairs)
 
 RHO_LEMMA = fn.approximating(6, -2)          # 6/r^2 -> rho(k^n) = 6^(1-2n)
 HALF = Fraction(1, 2)
@@ -94,7 +94,7 @@ def both_builders(q_max, radius):
     for lattice in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ub, "_lattice_is_cheaper",
-                       lambda q, theta, pick=lattice: pick)
+                       lambda q, theta, phi, pick=lattice: pick)
             engines.append(ub.UniformStageEngine(q_max, radius))
     return engines
 
@@ -453,13 +453,14 @@ def test_builder_choice():
                             6, 9)
     assert (q_max, theta) == (2244, 2244 ** 2 + 1)
     assert int(ub._open_gap_rows(q_max, theta)[2].sum()) == 1_260_006
-    assert not ub._lattice_is_cheaper(q_max, theta)
+    assert not ub._lattice_is_cheaper(q_max, theta,
+                                      farey.totient_sieve(q_max))
     # criterion 1's largest stage at k = 5: 74,398 lattice points, half
     # of them with b <= b'
     q_max, _, theta = stage(sy.classical_rationals(), RHO_LEMMA, 5, 5)
     assert (q_max, theta) == (3125, 813_803)
     assert int(ub._open_gap_rows(q_max, theta)[2].sum()) == 74_398 // 2
-    assert ub._lattice_is_cheaper(q_max, theta)
+    assert ub._lattice_is_cheaper(q_max, theta, farey.totient_sieve(q_max))
 
 
 def test_largest_readme_stage_builds_without_f_q(monkeypatch):
@@ -487,14 +488,14 @@ def test_corrupted_gap_is_refused(monkeypatch):
     # one wrong numerator breaks a'b - ab' = 1 for its pair
     minus_inverse = ub._minus_inverse
 
-    def off_by_one(b, b2):
-        a = minus_inverse(b, b2)
+    def off_by_one(b, b2, phi):
+        a = minus_inverse(b, b2, phi)
         a[len(a) // 2] += 1
         return a
     monkeypatch.setattr(ub, "_minus_inverse", off_by_one)
     # criterion 1's stage k = 6, n = 3 is built from its open gaps
     q_max, radius, theta = stage(sy.classical_rationals(), RHO_LEMMA, 6, 3)
-    assert ub._lattice_is_cheaper(q_max, theta)
+    assert ub._lattice_is_cheaper(q_max, theta, farey.totient_sieve(q_max))
     with pytest.raises(InternalInvariantError, match="no open Farey gap"):
         ub.UniformStageEngine(q_max, radius)
 
@@ -505,7 +506,141 @@ def test_repeated_gaps_are_refused(monkeypatch):
     monkeypatch.setattr(ub, "_open_gap_rows", lambda q, theta: tuple(
         np.concatenate((x, x)) for x in rows(q, theta)))
     with pytest.raises(InternalInvariantError, match="do not order"):
-        ub._lattice_blocks(216, 3888)
+        ub._lattice_blocks(216, 3888, ub._stage_sieve(216))
+
+
+@functools.cache
+def list_sieve():
+    """(spf, strip, phi) up to MAX_UNIFORM_Q, as the engine sieves them."""
+    return ub._stage_sieve(ub.MAX_UNIFORM_Q)
+
+
+def prime_list(limit):
+    spf = farey.smallest_prime_factors(limit)
+    return np.flatnonzero(spf == np.arange(limit + 1))[2:].tolist()
+
+
+CAP = ub.MAX_UNIFORM_Q
+PRIMES = prime_list(CAP)
+PRIME_POWERS = sorted({p ** e for p in PRIMES[:30] for e in range(2, 14)
+                       if p ** e <= CAP})
+# b = 1, 2, primes, prime powers, b near the cap (b^2 up to 2^26), any b
+LIST_DEN = st.one_of(st.sampled_from([1, 2]), st.sampled_from(PRIMES),
+                     st.sampled_from(PRIME_POWERS),
+                     st.integers(CAP - 64, CAP), st.integers(1, CAP))
+
+
+@st.composite
+def coprime_pair(draw):
+    """(b, b') with 1 <= b, b' <= MAX_UNIFORM_Q and gcd(b, b') = 1:
+    b' = +-1 (mod b), b' > b, or any b'."""
+    b = draw(LIST_DEN)
+    kind = draw(st.sampled_from(["+1", "-1", "above", "any"]))
+    if kind in ("+1", "-1"):
+        j = draw(st.integers(1 if kind == "-1" else 0, CAP // b))
+        b2 = j * b + (1 if kind == "+1" else -1)
+    elif kind == "above":
+        b2 = draw(st.integers(min(b + 1, CAP), CAP))
+    else:
+        b2 = draw(st.integers(1, CAP))
+    b2 = min(max(b2, 1), CAP)
+    return (b, b2) if math.gcd(b, b2) == 1 else (b, 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pairs=st.lists(coprime_pair(), min_size=1, max_size=40))
+@example(pairs=[(1, 1), (1, CAP), (2, 1), (2, CAP - 1), (CAP, CAP - 1),
+                (CAP - 1, CAP), (CAP - 1, CAP - 2), (8191, 8190)])
+def test_minus_inverse_matches_euclid(pairs):
+    b = np.array([p for p, _ in pairs], dtype=np.int64)
+    b2 = np.array([p for _, p in pairs], dtype=np.int64)
+    got = ub._minus_inverse(b, b2, list_sieve()[2])
+    assert got.tolist() == minus_inverse_euclid(b, b2).tolist()
+    assert all(0 <= a < p and (a * q + 1) % p == 0
+               for a, p, q in zip(got.tolist(), b.tolist(), b2.tolist()))
+
+
+def test_minus_inverse_near_the_cap():
+    # every b' coprime to each b in [8129, 8192], where b^2 reaches 2^26,
+    # and to each b up to 64
+    dens = list(range(1, 65)) + list(range(CAP - 63, CAP + 1))
+    b = np.repeat(np.array(dens, dtype=np.int64), CAP)
+    b2 = np.tile(np.arange(1, CAP + 1, dtype=np.int64), len(dens))
+    b, b2 = b[np.gcd(b, b2) == 1], b2[np.gcd(b, b2) == 1]
+    got = ub._minus_inverse(b, b2, list_sieve()[2])
+    assert np.array_equal(got, minus_inverse_euclid(b, b2))
+
+
+def strike_pairs(rows, sieve):
+    """(den, den2) of every row's candidates, strike-masked a block of
+    rows at a time (`ub._coprime_rows`), and by np.gcd."""
+    b, first, count = rows
+    got = list(ub._coprime_rows(b, first, count, *sieve[:2]))
+    den = np.repeat(b, count)
+    den2 = np.concatenate([np.arange(f, f + c, dtype=np.int64)
+                           for f, c in zip(first.tolist(), count.tolist())]
+                          + [np.zeros(0, dtype=np.int64)])
+    keep = np.gcd(den, den2) == 1
+    return ((np.concatenate([d for d, _ in got] + [den[:0]]),
+             np.concatenate([d for _, d in got] + [den[:0]])),
+            (den[keep], den2[keep]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(q_max=st.integers(1, 700), theta_frac=st.fractions(0, 1))
+@example(q_max=700, theta_frac=Fraction(1))   # 122,850 points, two blocks
+@example(q_max=1, theta_frac=Fraction(1))
+def test_strike_mask_is_gcd_on_open_gap_rows(q_max, theta_frac):
+    theta = math.floor(theta_frac * (q_max * q_max + 1))
+    got, want = strike_pairs(ub._open_gap_rows(q_max, theta),
+                             ub._stage_sieve(q_max))
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rows=st.lists(st.tuples(st.integers(1, 3000), st.integers(1, 5000),
+                               st.integers(0, 4000)), min_size=1,
+                     max_size=40))
+# one row longer than farey.BLOCK, and spans of many times b
+@example(rows=[(30030, 1, farey.BLOCK + 5), (6, 7, 100), (1, 3, 9)])
+@example(rows=[(2, 1, 50), (12, 5, 3000), (9, 1, 0), (210, 209, 4000)])
+def test_strike_mask_is_gcd_on_long_rows(rows):
+    b, first, count = (np.array(x, dtype=np.int64) for x in zip(*rows))
+    got, want = strike_pairs((b, first, count),
+                             ub._stage_sieve(int(b.max())))
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+
+
+def threshold_theta(q_max, per):
+    """The least theta at which the half-region holds more than one
+    lattice point per `per` Farey points of F_Q."""
+    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    lo, hi = 1, q_max * q_max + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if per * int(ub._open_gap_rows(q_max, mid)[2].sum()) > points:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("q_max", [500, 1000])
+def test_builders_agree_at_the_crossovers(q_max):
+    # stages just either side of the list's old limit (1 lattice point
+    # per 8 Farey points) and of its new one (1 in 4)
+    phi = farey.totient_sieve(q_max)
+    new = threshold_theta(q_max, 4)
+    assert ub._lattice_is_cheaper(q_max, new - 1, phi)
+    assert not ub._lattice_is_cheaper(q_max, new, phi)
+    for theta in (threshold_theta(q_max, 8) - 1, threshold_theta(q_max, 8),
+                  new - 1, new):
+        lattice, full = both_builders(q_max, Fraction(1, 2 * theta - 1))
+        for name in ("_starts", "_merged", "_ends"):
+            assert getattr(lattice, name).tolist() == \
+                getattr(full, name).tolist(), (theta, name)
 
 
 def test_packed_keys_fit_int64_up_to_the_cap():
