@@ -17,10 +17,10 @@ the exactness argument spelled out where it matters:
   a = ceil(floor(a 2^kb / b) b / 2^kb) exactly, since b < 2^kb.  Every
   intermediate, and the key of 1/1 (the largest, 2^(3 db) + 1), stays
   below 2^63 while 3 db + 1 <= 63, i.e. for Q <= PACKED_KEY_QMAX;
-* the array's left slot holds the left half a/b <= 1/2: one boolean
-  mask over rows b and columns a <= b/2 strikes every pair sharing a
-  prime, its set entries become keys a block at a time, and the slot
-  is sorted in place;
+* the left slot holds the left half a/b <= 1/2, n_left = 1 + [Q >= 2]
+  + sum_{3 <= b <= Q} phi(b)/2 keys (any other count written raises):
+  rows b = 1..Q of candidates a = 0..floor(b/2) through the coprimality
+  strike below, kept a chunk at a time, then sorted in place;
 * the right slot is the reflection a/b -> (b - a)/b of the left, read
   backwards (1/2 is its own mirror and appears once), straight off the
   keys with no division: floor((b - a) 2^kb / b) = 2^kb -
@@ -29,24 +29,30 @@ the exactness argument spelled out where it matters:
   key((b - a)/b) = 2^(3 db) - key(a/b) + 2b - [b is no power of 2] 2^db;
 * the build then checks a'b - ab' = 1 over every gap of F_Q.  Each
   temporary of these passes spans one block of BLOCK points, so the
-  build holds 8 bytes per point next to the mask and a few blocks;
+  build holds 8 bytes per point and a few blocks;
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
 * one int32 sieve spf[n], the least prime of n, serves every prime and
-  totient read: F_Q's mask strikes the primes n = spf[n], and
-  `totient_sieve` takes phi(n) = phi(m) (p if p | m, else p - 1), p =
-  spf[n], m = n / p, over ranges [lo, lo + min(BLOCK, lo)), so m < lo.
-  m is the float64 quotient n / p, exact as p | n < 2^53, and p | m
-  exactly when spf[m] = p.  The same pass can fill a second int32
-  table, strip[n] = strip[m] if p | m, else m: n with every factor p
-  divided out.  `prime_factor_pairs` reads a denominator's distinct
-  primes off the two a level at a time, p = spf[rest] and then rest =
-  strip[rest], until rest = 1; `strike` clears their multiples from
-  runs of consecutive candidates.  That is the coprimality test of the
-  stage sweep's a/b (see `systems`) and of the uniform-stage list's
-  lattice points (b, b') (see `ubiquity`).  spf and strip take 4 bytes
-  per entry and phi 8.  The reader makes 5 numpy calls a level, and a
-  denominator below MAX_SIEVE has at most 8 distinct primes;
+  totient read: `totient_sieve` takes phi(n) = phi(m) (p if p | m, else
+  p - 1), p = spf[n], m = n / p, over ranges [lo, lo + min(BLOCK, lo)),
+  so m < lo.  m is the float64 quotient n / p, exact as p | n < 2^53,
+  and p | m exactly when spf[m] = p.  The same pass can fill a second
+  int32 table, strip[n] = strip[m] if p | m, else m: n with every
+  factor p divided out (`stage_sieve` fills all three).
+  `prime_factor_pairs` reads a denominator's distinct primes off the
+  two a level at a time, p = spf[rest] and then rest = strip[rest],
+  until rest = 1.  spf and strip take 4 bytes per entry and phi 8.  The
+  reader makes 5 numpy calls a level, and a denominator below
+  MAX_SIEVE has at most 8 distinct primes;
+* the coprimality strike (`coprime_runs`), the package's one test of
+  gcd(c, b) = 1: a row's candidates c = first + t, 0 <= t < count, are
+  consecutive, so the multiples of each prime p | b among them start
+  off = (-first) mod p places in and number (count - 1 - off) // p + 1,
+  and `strike` clears them; c = 0 falls for every b > 1, and b = 1 keeps
+  all.  Rows go a chunk at a time, at most BLOCK candidates or one
+  longer row.  F_Q's left half strikes rows b of candidates a, the
+  stage sweep (`systems`) rows b of a cell's a, and the open-gap list
+  (`ubiquity`) rows b of b';
 * float sweep measures carry an explicit error budget of a few ulps per
   interval, reported alongside the value.  `union_length` takes one
   sort key per ball and visits the balls in the (lo, code) order of a
@@ -104,7 +110,7 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError, size_text)
 
 # packed int64 sort keys of F_Q are exact up to this denominator bound
-# (bitlen(Q) <= 20); the mask there alone would take 550 GB
+# (bitlen(Q) <= 20); the keys there alone would take 2.7 TB
 PACKED_KEY_QMAX = 2 ** 20 - 1
 # largest sieve any caller may request: the int32 smallest-prime-factor
 # and strip tables take 4 bytes per entry, and the int64 phi 8
@@ -168,13 +174,15 @@ def totient_sieve(limit: int, spf: Optional[np.ndarray] = None,
     return phi
 
 
-def packed_keys(num, den, qmax: int):
+def packed_keys(num, den, qmax: int, out=None):
     """Value-ordered keys (floor(a 2^(2 db) / b) << db) | b, db =
     bitlen(qmax), of a/b in [0, 1] with b <= qmax: below 2^(3 db + 1)
     (1/1 has 2^(3 db) + 1), so exact in int64 for qmax <= 2^20 - 1.
-    Built in place on int64 arrays; the same values on Python ints."""
+    Built in place on int64 arrays, in out if given (an int64 array as
+    long as num); the same values on Python ints."""
     db = qmax.bit_length()
-    keys = num << 2 * db
+    keys = num << 2 * db if out is None else np.left_shift(num, 2 * db,
+                                                           out=out)
     keys //= den
     keys <<= db
     keys |= den
@@ -190,11 +198,20 @@ def unpack_keys(keys, qmax: int):
     return -((-(keys >> db) * den) >> 2 * db), den
 
 
-def farey_keys(qmax: int) -> np.ndarray:
+def stage_sieve(limit: int):
+    """(spf, strip, phi) up to limit from one `totient_sieve` pass: the
+    least-prime and strip tables `prime_factor_pairs` reads, and phi."""
+    spf = smallest_prime_factors(limit)
+    strip = np.empty_like(spf)
+    return spf, strip, totient_sieve(limit, spf, strip)
+
+
+def farey_keys(qmax: int, sieve=None) -> np.ndarray:
     """Packed keys (`packed_keys`) of all reduced fractions a/b in [0, 1]
     with b <= qmax, sorted, as one int64 array built in place (see the
-    module docstring).  Raises if qmax is past the bound where the keys
-    stay exact, before anything is allocated.
+    module docstring).  sieve is the caller's `stage_sieve(qmax)`, made
+    here if None.  Raises if qmax is past the bound where the keys stay
+    exact, before anything is allocated.
     """
     if qmax < 1:
         raise UsageError("qmax must be >= 1")
@@ -202,29 +219,26 @@ def farey_keys(qmax: int) -> np.ndarray:
         raise UsageError(
             "qmax=%s exceeds the packed-key order-exactness bound %d"
             % (size_text(qmax), PACKED_KEY_QMAX))
-    # ok[b, a] for 0 <= a <= b/2: strike the empty row b = 0, every a
-    # above b/2 and pairs sharing a prime (an n >= 2 with spf[n] = n)
-    width = qmax // 2 + 1
-    ok = np.ones((qmax + 1, width), dtype=bool)
-    ok[0] = False
-    for b in range(1, qmax + 1):
-        ok[b, b // 2 + 1:] = False
-    spf = smallest_prime_factors(qmax)
-    for p in np.flatnonzero(spf == np.arange(qmax + 1))[2:].tolist():
-        ok[p::p, 0::p] = False
-    n_left = int(np.count_nonzero(ok))
-    # 1/2 (qmax >= 2) ends the left half and is its own mirror
+    spf, strip, phi = stage_sieve(qmax) if sieve is None else sieve
+    # rows b with candidates a = 0..b/2: 0/1, 1/2 (qmax >= 2), which ends
+    # the left half and is its own mirror, and phi(b)/2 for each b >= 3
+    b = np.arange(1, qmax + 1, dtype=np.int64)
+    count = b // 2 + 1
+    flat = np.zeros(qmax + 1, dtype=np.int64)
+    count.cumsum(out=flat[1:])
+    n_left = 1 + (qmax >= 2) + int(phi[3:qmax + 1].sum()) // 2
     keys = np.empty(2 * n_left - (qmax >= 2), dtype=np.int64)
-    flat, pos = ok.reshape(-1), 0
-    for start in range(0, len(flat), BLOCK):
-        # flat position b * width + a of every set entry, then a
-        at = np.flatnonzero(flat[start:start + BLOCK])
-        at += start
-        den = at // width
-        at -= den * width
-        keys[pos:pos + len(at)] = packed_keys(at, den, qmax)
-        pos += len(at)
-    del ok, flat
+    n = 0
+    for i, j, a, kept in coprime_runs(np.zeros(qmax, dtype=np.int64), count,
+                                      flat, prime_factor_pairs(b, spf, strip)):
+        n, at = n + len(a), n
+        if n > n_left:
+            break
+        a -= (flat[i:j] - flat[i]).repeat(kept)
+        packed_keys(a, b[i:j].repeat(kept), qmax, keys[at:n])
+    if n != n_left:
+        raise InternalInvariantError(
+            "F_Q's left half is not the %d points phi counts" % n_left)
     keys[:n_left].sort()
     db = qmax.bit_length()
     top, low = 1 << 3 * db, (1 << db) - 1
@@ -320,6 +334,36 @@ def strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
         pos.cumsum(out=pos)
         keep[pos] = False
         j = stop
+
+
+def coprime_runs(first: np.ndarray, count: np.ndarray, flat: np.ndarray,
+                 pairs):
+    """The coprimality strike (module docstring) over rows r of
+    candidates first[r] + t, 0 <= t < count[r], at flat positions
+    flat[r] + t (first, count >= 0 and flat = [0, cumsum(count)], all
+    int64), pairs the rows' `prime_factor_pairs`.  Yields (i, j, pos,
+    kept) per chunk of rows i..j - 1: pos, ascending, the positions less
+    flat[i] of the candidates coprime to their row's denominator, and
+    kept, how many of them each row holds."""
+    rows, primes = pairs
+    starts = flat[:-1]
+    # the pairs of rows i..j - 1 are rows[pair_at[i]:pair_at[j]]
+    pair_at = rows.searchsorted(np.arange(len(count) + 1))
+    off = -first[rows] % primes
+    hit = starts[rows] + off
+    strikes = (count[rows] - 1 - off) // primes + 1
+    i = 0
+    while i < len(count):
+        base = int(starts[i])
+        j = max(i + 1, int(flat.searchsorted(base + BLOCK,
+                                             side="right")) - 1)
+        keep = np.ones(int(flat[j]) - base, dtype=bool)
+        at = slice(pair_at[i], pair_at[j])
+        strike(keep, hit[at] - base, primes[at], strikes[at])
+        pos = keep.nonzero()[0]
+        kept = pos.searchsorted(flat[i:j + 1] - base)
+        yield i, j, pos, kept[1:] - kept[:-1]
+        i = j
 
 
 class BallRows(NamedTuple):

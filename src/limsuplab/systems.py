@@ -25,17 +25,15 @@ the raw union exactly.
 
 The sweep lists, per denominator b, the candidates a in a window
 [a_lo, a_hi] in one flat b-major, a-ascending array and keeps a/b
-exactly when gcd(a, b) == 1, i.e. when no prime factor p of b divides
-a.  `farey.strike` clears the multiples of every such p inside each
-window, which is that test candidate for candidate: a = 0 is struck
-for every b > 1, and b = 1 has no prime, so 0/1 and 1/1 stay.  A kept
-ball is stored as one int64 alone, its `farey.union_length` sort key
-(its code, the order it gives and its decoding: `farey`'s paragraph on
-swept balls).  The key array is sized for the cell's candidates and
-built a block of them at a time, and only the kept balls' words are
-written: a cell holds 8 bytes per candidate, about 6/pi^2 of which are
-kept, and a few blocks: 14.6 bytes per ball traced on the 2.97M-ball
-stage of q^-2, k = 5, n = 5.
+exactly when gcd(a, b) == 1, by `farey`'s coprimality strike
+(`farey.coprime_runs`), so 0/1 and 1/1 stay.  A kept ball is stored as
+one int64 alone, its `farey.union_length` sort key (its code, the order
+it gives and its decoding: `farey`'s paragraph on swept balls).  The
+key array is sized for the cell's candidates and built a chunk of them
+at a time, and only the kept balls' words are written: a cell holds 8
+bytes per candidate, about 6/pi^2 of which are kept, and a few blocks:
+14.6 bytes per ball traced on the 2.97M-ball stage of q^-2, k = 5, n =
+5.
 
 numpy and `farey` are imported by the functions that build arrays, and
 the symbolic `functions` by the two that read a stage's form
@@ -281,9 +279,7 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray, spf: np.ndarray,
     ncells = max(1, math.ceil(flat_sweep /
                               max(_CELL_BUDGET - flat_fixed, _CELL_BUDGET / 8)))
     edges = _cell_edges(ncells)
-    rows, primes = farey.prime_factor_pairs(b_vals, spf, strip)
-    # the pairs of rows i..j-1 are rows[pair_at[i]:pair_at[j]]
-    pair_at = rows.searchsorted(np.arange(len(b_vals) + 1))
+    pairs = farey.prime_factor_pairs(b_vals, spf, strip)
     # candidate a/b has code (row << wb) | a, a <= b <= max(b_vals)
     balls = farey.BallRows(b_float, radii, int(b_vals[-1]).bit_length())
     # a cell's row spans a_lo..a_hi, a_lo = floor(b (clo - r)) - 1 and
@@ -314,8 +310,7 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray, spf: np.ndarray,
             raise ResourceCapError(
                 "sweep cell holds %d candidate balls; the stage radii are "
                 "too large for the configured cell budget" % tot)
-        keys = _cell_keys(balls, a_lo, counts, flat, (rows, primes, pair_at),
-                          clo, chi)
+        keys = _cell_keys(balls, a_lo, counts, flat, pairs, clo, chi)
         n_balls += len(keys)  # boundary balls counted per cell: budget
         total += farey.union_length(keys, balls, clo, chi)
         del keys
@@ -328,52 +323,30 @@ def _cell_keys(balls: farey.BallRows, a_lo: np.ndarray, counts: np.ndarray,
     """The `farey.sort_keys` of one cell's reduced balls, unsorted and in
     code order, as a prefix of one array sized for the counts[r]
     candidates a_lo[r], a_lo[r] + 1, ... of each row r, which sit at
-    flat positions flat[r]..flat[r + 1] - 1; pairs is (rows, primes,
-    pair_at), the plan's prime pairs in row order and where each row's
-    start.
+    flat positions flat[r]..flat[r + 1] - 1; pairs is the plan's
+    `farey.prime_factor_pairs`.
 
-    Built a chunk of rows at a time, at most farey.BLOCK candidates per
-    chunk unless one row holds more: the multiples of each prime p | b
-    are struck from the chunk's candidates, which leaves gcd(a, b) ==
-    1, and each kept ball's lo is written to its key's word, which then
-    becomes the key."""
+    `farey.coprime_runs` keeps the a with gcd(a, b) == 1 a chunk of rows
+    at a time, and each kept ball's lo is written to its key's word,
+    which then becomes the key."""
     import numpy as np
     from limsuplab import farey
-    rows, primes, pair_at = pairs
-    starts = flat[:-1]
-    # the multiples of p among row r's candidates start off = (-a_lo)
-    # mod p places in
-    off = -a_lo[rows] % primes
-    first = starts[rows] + off
-    strikes = (counts[rows] - 1 - off) // primes + 1
     # the candidate at flat position x of row r has code x + shift[r]
-    shift = a_lo - starts
+    shift = a_lo - flat[:-1]
     shift += np.arange(len(counts)) << balls.wb
     mask = (1 << balls.wb) - 1
     keys = np.empty(int(flat[-1]), dtype=np.int64)
-    n = i = 0
-    while i < len(counts):
-        base = int(starts[i])
-        j = max(i + 1, int(flat.searchsorted(base + farey.BLOCK,
-                                             side="right")) - 1)
-        keep = np.ones(int(flat[j]) - base, dtype=bool)
-        at = slice(pair_at[i], pair_at[j])
-        farey.strike(keep, first[at] - base, primes[at], strikes[at])
-        pos = keep.nonzero()[0]
-        del keep
-        # kept balls per row
-        kept = pos.searchsorted(flat[i:j + 1] - base)
-        kept = kept[1:] - kept[:-1]
+    n = 0
+    for i, j, pos, kept in farey.coprime_runs(a_lo, counts, flat, pairs):
         # pos becomes the code (r << wb) | a, and lo = a / b - r: the
         # operations and bits of balls.bounds
-        pos += (shift[i:j] + base).repeat(kept)
+        pos += (shift[i:j] + flat[i]).repeat(kept)
         key = keys[n:n + len(pos)]
         lo = key.view(np.float64)
         np.divide(pos & mask, balls.den[i:j].repeat(kept), out=lo)
         lo -= balls.radius[i:j].repeat(kept)
         farey.sort_keys(lo, pos, balls.ib, clo, chi, key)
         n += len(pos)
-        i = j
     return keys[:n]
 
 

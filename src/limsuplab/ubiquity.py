@@ -20,10 +20,11 @@ The engine stores a stage as its blocks: the sorted packed int64 key
 blocks alone (two points or more), their block index and the key of
 their last point.  A centre's denominator is its key's low bitlen(Q)
 bits and its numerator is decoded off the key (farey.unpack_keys) where
-a query reads it.  One totient pass up to Q (_stage_sieve) fills the
-least-prime, strip and phi tables.  The blocks come from one of two
-builders, picked before any per-point array is allocated from the size
-of the lattice region below against |F_Q|, which phi counts
+a query reads it.  One totient pass up to Q (farey.stage_sieve) fills
+the least-prime, strip and phi tables, which both builders read.  The
+blocks come from one of two builders, picked before any per-point array
+is allocated from the size of the lattice region below against |F_Q|,
+which phi counts
 (_lattice_is_cheaper: the list is taken up to one point of the half
 b <= b' per 4 Farey points; the two measured even near 0.3):
 
@@ -35,19 +36,20 @@ b <= b' per 4 Farey points; the two measured even near 0.3):
     and b + b' > Q leave no fraction of denominator <= Q between them.
     So the open gaps are the coprime points of the lattice region
     {b, b' <= Q < b + b', bb' < theta}, each met once: the half
-    b <= b' is enumerated in numpy a few rows b at a time, and the
-    mirror x -> 1 - x of each gap is the gap of (b', b).  A row's b'
-    are consecutive, so striking the multiples of each prime of b
-    (farey.strike, the stage sweep's kernel, on primes read off the
-    strip table) leaves the coprime ones (_coprime_rows), and a =
+    b <= b' is enumerated in numpy a chunk of rows b at a time, and
+    the mirror x -> 1 - x of each gap is the gap of (b', b).  A row's
+    b' are consecutive, so `farey`'s coprimality strike
+    (farey.coprime_runs) keeps the coprime ones, and a =
     (-b')^(phi(b) - 1) mod b is an exact float64 modular power
     (_minus_inverse).  Every emitted pair is checked exactly
     (a'b - ab' = 1, b + b' > Q, bb' < theta, both points in F_Q), so a
-    wrong residue raises rather than passing.
+    wrong residue raises rather than passing.  The keys go into one
+    array of 4 words per lattice candidate, 2 for 0/1 and 1/1, whose
+    unwritten tail is cut off.
     Sorted once, the keys of 0/1, of both ends of every open gap and
     of 1/1 run block start, block end, next start, ..., and that list
     is checked to be strictly increasing from block to block with
-    start <= end in each;
+    start <= end in each; the starts then move to its front;
   * F_Q's keys (farey.farey_keys, certified there), compacted in place
     to the block starts by one blocked pass that also takes each merged
     block's index and last key (_farey_blocks); with no joined gap, as
@@ -148,11 +150,11 @@ class UniformStageEngine:
         self._db = q_max.bit_length()
         rn, rd = self.radius.numerator, self.radius.denominator
         theta = min(-((-rd) // (2 * rn)), q_max * q_max + 1)
-        sieve = _stage_sieve(q_max)
+        sieve = farey.stage_sieve(q_max)
         if _lattice_is_cheaper(q_max, theta, sieve[2]):
             blocks = _lattice_blocks(q_max, theta, sieve)
         else:
-            blocks = _farey_blocks(q_max, theta)
+            blocks = _farey_blocks(q_max, theta, sieve)
         self._starts, self._merged, self._ends = blocks
 
     @property
@@ -319,17 +321,6 @@ def _open_gap_rows(q_max: int, theta: int):
     return b, first, np.maximum(count, 0, out=count)
 
 
-def _stage_sieve(q_max: int):
-    """(spf, strip, phi) up to q_max from one `farey.totient_sieve` pass:
-    phi counts F_Q for the builder choice, and the list reads its primes
-    off spf and strip and its exponents off phi."""
-    import numpy as np
-    from limsuplab import farey
-    spf = farey.smallest_prime_factors(q_max)
-    strip = np.empty_like(spf)
-    return spf, strip, farey.totient_sieve(q_max, spf, strip)
-
-
 def _lattice_is_cheaper(q_max: int, theta: int, phi) -> bool:
     """Pick the builder from the size of the lattice half-region against
     |F_Q| = 1 + phi(1) + ... + phi(Q), phi the stage's totient table.
@@ -381,53 +372,27 @@ def _minus_inverse(b, b2, phi):
     return res.astype(np.int64)
 
 
-def _coprime_rows(b, first, count, spf, strip):
-    """The (b, b') of rows r = 0, 1, ... with b = b[r] and b' running
-    over first[r] .. first[r] + count[r] - 1, those with gcd(b, b') = 1
-    alone, as int64 arrays (den, den2) a few rows at a time: rows of at
-    most farey.BLOCK candidates in all, or one longer row.  b, first and
-    count are int64 arrays, b >= 1 and count >= 0; spf and strip are a
-    `farey.totient_sieve` pass's tables reaching max(b).  A row's
-    candidates are consecutive, so `farey.strike` clears the multiples
-    of each prime p | b, the first (-first[r]) mod p places in."""
-    import numpy as np
-    from limsuplab import farey
-    rows = np.flatnonzero(count)
-    b, first, count = b[rows], first[rows], count[rows]
-    # row r's candidates sit at flat positions before[r], ..., and its
-    # pairs (r, p) at pair_at[r]..pair_at[r + 1] - 1
-    before = np.concatenate(([0], np.cumsum(count)))
-    pair_row, primes = farey.prime_factor_pairs(b, spf, strip)
-    off = -first[pair_row] % primes
-    hit = before[pair_row] + off
-    strikes = (count[pair_row] - 1 - off) // primes + 1
-    pair_at = pair_row.searchsorted(np.arange(len(b) + 1))
-    lo = 0
-    while lo < len(b):
-        hi = max(int(before.searchsorted(before[lo] + farey.BLOCK,
-                                         side="right")) - 1, lo + 1)
-        coprime = np.ones(before[hi] - before[lo], dtype=bool)
-        at = slice(pair_at[lo], pair_at[hi])
-        farey.strike(coprime, hit[at] - before[lo], primes[at], strikes[at])
-        den = np.repeat(b[lo:hi], count[lo:hi])
-        den2 = np.arange(before[lo], before[hi])
-        den2 += np.repeat(first[lo:hi] - before[lo:hi], count[lo:hi])
-        yield den[coprime], den2[coprime]
-        lo = hi
-
-
 def _lattice_blocks(q_max: int, theta: int, sieve):
     """(starts, merged, ends) from the open gaps alone: the coprime
-    points of the lattice region, a few rows at a time, checked and
+    points of the lattice region, a chunk of rows at a time, checked and
     sorted as the module docstring argues.  sieve is the stage's
-    (spf, strip, phi) (_stage_sieve)."""
+    `farey.stage_sieve`."""
     import numpy as np
     from limsuplab import farey
     spf, strip, phi = sieve
-    keys = [np.array([farey.packed_keys(0, 1, q_max),
-                      farey.packed_keys(1, 1, q_max)], dtype=np.int64)]
-    for den, den2 in _coprime_rows(*_open_gap_rows(q_max, theta), spf,
-                                   strip):
+    b, first, count = _open_gap_rows(q_max, theta)
+    flat = np.zeros(len(b) + 1, dtype=np.int64)
+    count.cumsum(out=flat[1:])
+    # 0/1, 1/1 and both ends of each gap and of its mirror: at most 4
+    # keys per candidate, in one array whose unwritten tail is never
+    # touched
+    keys = np.empty(2 + 4 * int(flat[-1]), dtype=np.int64)
+    keys[:2] = farey.packed_keys(0, 1, q_max), farey.packed_keys(1, 1, q_max)
+    n = 2
+    for i, j, den2, kept in farey.coprime_runs(
+            first, count, flat, farey.prime_factor_pairs(b, spf, strip)):
+        den = b[i:j].repeat(kept)
+        den2 += (first[i:j] - flat[i:j] + flat[i]).repeat(kept)
         num = _minus_inverse(den, den2, phi)
         num2 = (1 + num * den2) // den
         # the mirror x -> 1 - x of the gap a/b < a'/b' is the gap
@@ -442,25 +407,36 @@ def _lattice_blocks(q_max: int, theta: int, sieve):
                       & (den <= q_max) & (den2 <= q_max)):
             raise InternalInvariantError(
                 "uniform stage: a listed pair is no open Farey gap")
-        keys += [farey.packed_keys(num, den, q_max),
-                 farey.packed_keys(num2, den2, q_max)]
-    keys = np.concatenate(keys)
+        for part in (num, den), (num2, den2):
+            farey.packed_keys(*part, q_max, keys[n:n + len(num)])
+            n += len(num)
+    # the keys array is this function's own, and no view of it is left
+    keys.resize(n, refcheck=False)
     keys.sort()
     starts, ends = keys[0::2], keys[1::2]
     if not (np.all(starts <= ends) and np.all(ends[:-1] < starts[1:])):
         raise InternalInvariantError(
             "uniform stage: the open gaps do not order into blocks")
     merged = np.flatnonzero(starts != ends)
-    return np.ascontiguousarray(starts), merged, ends[merged]
+    ends = ends[merged]
+    # the starts move to the front in place: each block reads from twice
+    # its offset on, and numpy buffers the first, which overlaps
+    for at in range(0, len(starts), farey.BLOCK):
+        part = starts[at:at + farey.BLOCK]
+        keys[at:at + len(part)] = part
+    del starts, part
+    keys.resize(n // 2, refcheck=False)
+    return keys, merged, ends
 
 
-def _farey_blocks(q_max: int, theta: int):
+def _farey_blocks(q_max: int, theta: int, sieve):
     """(starts, merged, ends) from F_Q's keys in one blocked pass that
     compacts them in place to the block starts and takes each merged
-    block's index and last key; with no joined gap the keys are the starts."""
+    block's index and last key; with no joined gap the keys are the
+    starts.  sieve is the stage's `farey.stage_sieve`."""
     import numpy as np
     from limsuplab import farey
-    keys = farey.farey_keys(q_max)
+    keys = farey.farey_keys(q_max, sieve)
     merged, ends = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
     if theta > q_max * q_max:
         return keys, merged[0], ends[0]

@@ -60,9 +60,9 @@ def exact_union_measure(pairs, lo=0, hi=1) -> Fraction:
 
 def float_sorted_fractions(qmax):
     """F_Q as (num, den) int64 arrays, ordered by a float64 argsort of
-    a/b: the order the packed-key sort in `farey.reduced_fractions`
-    replaced.  Float keys are distinct, hence exact, while 1/Q^2 stays
-    far above the 2^-53 relative float error (Q up to about 3e6)."""
+    a/b: the order the packed-key sort in `farey.farey_keys` replaced.
+    Float keys are distinct, hence exact, while 1/Q^2 stays far above
+    the 2^-53 relative float error (Q up to about 3e6)."""
     half = qmax // 2
     ok = np.ones((qmax + 1, half + 1), dtype=bool)
     ok[0] = False

@@ -226,8 +226,9 @@ class TestReducedFractions:
         for victim in range(0, 245, 11):
             made = []  # every key of the left half, in the order made
 
-            def duplicated(num, den, qmax, victim=victim, made=made):
-                key = packed(num, den, qmax)
+            def duplicated(num, den, qmax, out=None, victim=victim,
+                           made=made):
+                key = packed(num, den, qmax, out)
                 first = len(made)
                 made.extend(key.tolist())
                 if first <= victim + 1 < len(made):
@@ -278,11 +279,38 @@ class TestReducedFractions:
             assert np.array_equal(den, want_den), qmax
 
     def test_rejects_oversized_qmax(self, monkeypatch):
-        # the mask alone would take 550 GB here: refused before numpy runs
+        # the keys alone would take 2.7 TB here: refused before numpy runs
         monkeypatch.setattr(farey, "np", None)
         for build in (farey.farey_keys, farey.reduced_fractions):
             with pytest.raises(UsageError):
                 build(farey.PACKED_KEY_QMAX + 1)
+
+    def test_left_half_count_is_checked(self, monkeypatch):
+        # a phi table off by one pair, or a strike that keeps everything:
+        # the left half written is not the count phi sizes it for
+        spf, strip, phi = farey.stage_sieve(50)
+        phi = phi.copy()
+        phi[7] += 2
+        with pytest.raises(InternalInvariantError, match="left half"):
+            farey.farey_keys(50, (spf, strip, phi))
+        monkeypatch.setattr(farey, "strike", lambda *args: None)
+        with pytest.raises(InternalInvariantError, match="left half"):
+            farey.farey_keys(50)
+
+    def test_farey_keys_peak_memory(self):
+        # 8 bytes per point and at most 8 words per BLOCK position of
+        # temporaries (4 MB), beside the caller's sieve
+        qmax = 4096
+        sieve = farey.stage_sieve(qmax)
+        points = 1 + int(sieve[2][1:].sum())
+        tracemalloc.start()
+        try:
+            keys = farey.farey_keys(qmax, sieve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == points
+        assert peak <= 8 * points + 8 * 8 * farey.BLOCK, peak - 8 * points
 
     def test_packed_keys_exact_at_the_bound(self):
         # Python ints, so nothing wraps: the int64 arrays see the same
@@ -344,6 +372,64 @@ class TestPrimeFactorPairs:
         # in row order, each row's primes ascending
         got = list(zip(rows.tolist(), primes.tolist()))
         assert got == [(i, p) for i, b in enumerate(dens) for p in primes_of(b)]
+
+
+def coprime_candidates(b, first, count):
+    """(row, candidate) of every candidate coprime to its row's b, by
+    np.gcd."""
+    row = np.repeat(np.arange(len(b)), count)
+    cand = np.concatenate([np.arange(f, f + c, dtype=np.int64)
+                           for f, c in zip(first.tolist(), count.tolist())]
+                          + [np.zeros(0, dtype=np.int64)])
+    keep = np.gcd(b[row], cand) == 1
+    return row[keep].tolist(), cand[keep].tolist()
+
+
+class TestCoprimeRuns:
+    # b = 1, empty rows, a row longer than BLOCK, chunks ending exactly
+    # at BLOCK candidates and one past it, trailing empty rows
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=80)
+    @given(rows=st.lists(st.tuples(st.integers(1, 3000),
+                                   st.integers(0, 10 ** 6),
+                                   st.integers(0, 4000)), max_size=40),
+           block=st.sampled_from([1, 7, 64, None]))
+    @example(rows=[], block=None)
+    @example(rows=[(1, 0, 5), (1, 7, 0), (2, 0, 1), (6, 0, 0)], block=None)
+    @example(rows=[(30030, 0, farey.BLOCK + 5), (6, 7, 100), (1, 3, 9)],
+             block=None)
+    @example(rows=[(6, 5, farey.BLOCK // 2), (10, 0, farey.BLOCK // 2),
+                   (7, 0, 0), (3, 1, 1)], block=None)
+    @example(rows=[(6, 5, farey.BLOCK // 2), (10, 0, farey.BLOCK // 2 + 1),
+                   (3, 1, 1)], block=None)
+    @example(rows=[(2, 0, 1), (2, 1, 1), (4, 3, 7), (1, 0, 0)], block=1)
+    def test_matches_gcd(self, rows, block):
+        b, first, count = (np.array(x, dtype=np.int64).reshape(len(rows))
+                           for x in (list(zip(*rows)) or [(), (), ()]))
+        flat = np.concatenate(([0], np.cumsum(count)))
+        spf, strip, _ = farey.stage_sieve(int(b.max(initial=1)))
+        pairs = farey.prime_factor_pairs(b, spf, strip)
+        with pytest.MonkeyPatch.context() as patch:
+            if block:
+                patch.setattr(farey, "BLOCK", block)
+            limit = farey.BLOCK
+            chunks = list(farey.coprime_runs(first, count, flat, pairs))
+        got_row, got_cand, i_next = [], [], 0
+        for i, j, pos, kept in chunks:
+            # rows in turn, as many as fit in BLOCK candidates, or one
+            size = int(flat[j] - flat[i])
+            assert i == i_next < j
+            assert size <= limit or j == i + 1
+            assert j == len(count) or flat[j + 1] - flat[i] > limit
+            assert len(kept) == j - i and int(kept.sum()) == len(pos)
+            assert np.all(np.diff(pos) > 0)
+            assert np.all((0 <= pos) & (pos < size))
+            row = np.repeat(np.arange(i, j), kept)
+            got_row += row.tolist()
+            got_cand += (pos + flat[i] - flat[row] + first[row]).tolist()
+            i_next = j
+        assert i_next == len(count)
+        assert (got_row, got_cand) == coprime_candidates(b, first, count)
 
 
 class TestMinMultiple:

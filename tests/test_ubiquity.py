@@ -506,13 +506,13 @@ def test_repeated_gaps_are_refused(monkeypatch):
     monkeypatch.setattr(ub, "_open_gap_rows", lambda q, theta: tuple(
         np.concatenate((x, x)) for x in rows(q, theta)))
     with pytest.raises(InternalInvariantError, match="do not order"):
-        ub._lattice_blocks(216, 3888, ub._stage_sieve(216))
+        ub._lattice_blocks(216, 3888, farey.stage_sieve(216))
 
 
 @functools.cache
 def list_sieve():
     """(spf, strip, phi) up to MAX_UNIFORM_Q, as the engine sieves them."""
-    return ub._stage_sieve(ub.MAX_UNIFORM_Q)
+    return farey.stage_sieve(ub.MAX_UNIFORM_Q)
 
 
 def prime_list(limit):
@@ -572,10 +572,15 @@ def test_minus_inverse_near_the_cap():
 
 
 def strike_pairs(rows, sieve):
-    """(den, den2) of every row's candidates, strike-masked a block of
-    rows at a time (`ub._coprime_rows`), and by np.gcd."""
+    """(den, den2) of every row's candidates, strike-masked a chunk of
+    rows at a time (`farey.coprime_runs`, as `ub._lattice_blocks` calls
+    it), and by np.gcd."""
     b, first, count = rows
-    got = list(ub._coprime_rows(b, first, count, *sieve[:2]))
+    flat = np.concatenate(([0], np.cumsum(count)))
+    got = [(b[i:j].repeat(kept),
+            pos + (first[i:j] - flat[i:j] + flat[i]).repeat(kept))
+           for i, j, pos, kept in farey.coprime_runs(
+               first, count, flat, farey.prime_factor_pairs(b, *sieve[:2]))]
     den = np.repeat(b, count)
     den2 = np.concatenate([np.arange(f, f + c, dtype=np.int64)
                            for f, c in zip(first.tolist(), count.tolist())]
@@ -593,7 +598,7 @@ def strike_pairs(rows, sieve):
 def test_strike_mask_is_gcd_on_open_gap_rows(q_max, theta_frac):
     theta = math.floor(theta_frac * (q_max * q_max + 1))
     got, want = strike_pairs(ub._open_gap_rows(q_max, theta),
-                             ub._stage_sieve(q_max))
+                             farey.stage_sieve(q_max))
     assert got[0].tolist() == want[0].tolist()
     assert got[1].tolist() == want[1].tolist()
 
@@ -608,7 +613,7 @@ def test_strike_mask_is_gcd_on_open_gap_rows(q_max, theta_frac):
 def test_strike_mask_is_gcd_on_long_rows(rows):
     b, first, count = (np.array(x, dtype=np.int64) for x in zip(*rows))
     got, want = strike_pairs((b, first, count),
-                             ub._stage_sieve(int(b.max())))
+                             farey.stage_sieve(int(b.max())))
     assert got[0].tolist() == want[0].tolist()
     assert got[1].tolist() == want[1].tolist()
 
@@ -742,16 +747,13 @@ def test_span_sweep_peak_memory():
 
 
 def test_engine_build_peak_memory():
-    # the bound: the keys of F_2244 (8 bytes per point), the prime-struck
-    # mask of the left half, a byte per point and a few blocks of
+    # the bound: the keys of F_2244 (8 bytes per point), an index and an
+    # end key per merged block, a byte per point and a few blocks of
     # temporaries.  The build stays inside it with no merged gap, from
-    # F_Q with 272,740 merged blocks (radius 1/(3 10^6)), whose indices
-    # and ends are taken after the mask is freed, and from the few open
-    # gaps at radius 10^-6
+    # F_Q with 272,740 merged blocks (radius 1/(3 10^6)) and from the
+    # few open gaps at radius 10^-6
     q_max = 2244
     points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
-    bound = (8 * points + (q_max + 1) * (q_max // 2 + 1) + points + 1
-             + 8 * 8 * farey.BLOCK)
     for radius in (Fraction(1, 6 ** 9), Fraction(1, 3 * 10 ** 6),
                    Fraction(1, 10 ** 6)):
         tracemalloc.start()
@@ -761,6 +763,8 @@ def test_engine_build_peak_memory():
         finally:
             tracemalloc.stop()
         assert len(eng._starts) == eng.block_count <= points
+        bound = (8 * points + 16 * len(eng._merged) + points + 1
+                 + 8 * 8 * farey.BLOCK)
         assert peak <= bound, (radius, peak, bound)
 
 
@@ -769,11 +773,12 @@ def test_farey_blocks_peak_memory():
     # compaction holds F_Q's keys, one index and one end key per merged
     # block and a few blocks of temporaries, and no list of block edges
     q_max, radius = 3125, Fraction(1, 5 ** 10)
-    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    sieve = farey.stage_sieve(q_max)
+    points = 1 + int(sieve[2][1:].sum())
     theta = -(-radius.denominator // (2 * radius.numerator))
     tracemalloc.start()
     try:
-        starts, merged, ends = ub._farey_blocks(q_max, theta)
+        starts, merged, ends = ub._farey_blocks(q_max, theta, sieve)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
