@@ -419,8 +419,9 @@ def _lattice_blocks(q_max: int, theta: int, sieve):
             "uniform stage: the open gaps do not order into blocks")
     merged = np.flatnonzero(starts != ends)
     ends = ends[merged]
-    # the starts move to the front in place: each block reads from twice
-    # its offset on, and numpy buffers the first, which overlaps
+    # the starts move to the front in place, so they are never held
+    # twice beside the keys: each block reads from twice its offset on,
+    # and numpy buffers the first, which overlaps
     for at in range(0, len(starts), farey.BLOCK):
         part = starts[at:at + farey.BLOCK]
         keys[at:at + len(part)] = part

@@ -748,10 +748,11 @@ def test_span_sweep_peak_memory():
 
 def test_engine_build_peak_memory():
     # the bound: the keys of F_2244 (8 bytes per point), an index and an
-    # end key per merged block, a byte per point and a few blocks of
-    # temporaries.  The build stays inside it with no merged gap, from
-    # F_Q with 272,740 merged blocks (radius 1/(3 10^6)) and from the
-    # few open gaps at radius 10^-6
+    # end key per merged block, and seven words per BLOCK position of
+    # temporaries (farey_keys' chunk: its strike mask, kept positions,
+    # row repeats and packed keys).  The build stays inside it with no
+    # merged gap, from F_Q with 272,740 merged blocks (radius
+    # 1/(3 10^6)) and from the few open gaps at radius 10^-6
     q_max = 2244
     points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
     for radius in (Fraction(1, 6 ** 9), Fraction(1, 3 * 10 ** 6),
@@ -763,8 +764,7 @@ def test_engine_build_peak_memory():
         finally:
             tracemalloc.stop()
         assert len(eng._starts) == eng.block_count <= points
-        bound = (8 * points + 16 * len(eng._merged) + points + 1
-                 + 8 * 8 * farey.BLOCK)
+        bound = 8 * points + 16 * len(eng._merged) + 7 * 8 * farey.BLOCK
         assert peak <= bound, (radius, peak, bound)
 
 
