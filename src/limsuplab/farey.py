@@ -22,14 +22,17 @@ the exactness argument spelled out where it matters:
   rows b = 1..Q of candidates a = 0..floor(b/2) through the coprimality
   strike below, kept a chunk at a time, then sorted in place;
 * the right slot is the reflection a/b -> (b - a)/b of the left, read
-  backwards (1/2 is its own mirror and appears once), straight off the
-  keys with no division: floor((b - a) 2^kb / b) = 2^kb -
-  floor(a 2^kb / b) - [b does not divide a 2^kb], and for gcd(a, b) = 1
-  and b < 2^kb, b divides a 2^kb iff b is a power of 2, so
+  backwards (1/2 is its own mirror and appears once), which
+  `mirror_keys`, also the open-gap list's mirror (`ubiquity`), writes
+  straight off the keys with no division: floor((b - a) 2^kb / b) =
+  2^kb - floor(a 2^kb / b) - [b does not divide a 2^kb], and for
+  gcd(a, b) = 1 and b < 2^kb, b divides a 2^kb iff b is a power of 2, so
   key((b - a)/b) = 2^(3 db) - key(a/b) + 2b - [b is no power of 2] 2^db;
 * the build then checks a'b - ab' = 1 over every gap of F_Q.  Each
   temporary of these passes spans one block of BLOCK points, so the
-  build holds 8 bytes per point and a few blocks;
+  build holds 8 bytes per point and a few blocks; the mirror and the
+  check go a quarter block at a time, so freeing their four or five live
+  temporaries never trims the heap, which refaulted each block's pages;
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
 * one int32 sieve spf[n], the least prime of n, serves every prime and
@@ -240,25 +243,29 @@ def farey_keys(qmax: int, sieve=None) -> np.ndarray:
         raise InternalInvariantError(
             "F_Q's left half is not the %d points phi counts" % n_left)
     keys[:n_left].sort()
-    db = qmax.bit_length()
-    top, low = 1 << 3 * db, (1 << db) - 1
-    # right[j] mirrors left[j], read backwards from the end of the left
-    # slot (before 1/2 when qmax >= 2)
-    right = keys[n_left:]
-    left = keys[len(right) - 1::-1]
-    for start in range(0, len(right), BLOCK):
-        key = left[start:start + BLOCK]
-        den = key & low
-        # [b is no power of 2] 2^db
-        odd = np.minimum(den & (den - 1), 1) << db
-        right[start:start + BLOCK] = top - key + 2 * den - odd
+    # the right slot mirrors the left read backwards from its end, before
+    # 1/2 when qmax >= 2
+    mirror_keys(keys[n_left - 1 - (qmax >= 2)::-1], qmax, keys[n_left:])
     # neighbours a/b < a'/b' satisfy a'b - ab' = 1 over every gap
-    for start in range(0, len(keys) - 1, BLOCK):
-        num, den = unpack_keys(keys[start:start + BLOCK + 1], qmax)
+    for start in range(0, len(keys) - 1, BLOCK >> 2):
+        num, den = unpack_keys(keys[start:start + (BLOCK >> 2) + 1], qmax)
         if not np.all(num[1:] * den[:-1] - num[:-1] * den[1:] == 1):
             raise InternalInvariantError(
                 "Farey adjacency failed: generation or sort is broken")
     return keys
+
+
+def mirror_keys(keys: np.ndarray, qmax: int, out: np.ndarray) -> None:
+    """out[i] = key((b - a)/b) for keys[i] = key(a/b), keys made with this
+    qmax, a quarter block at a time; int64, one length, no overlap."""
+    db = qmax.bit_length()
+    top, low, step = 1 << 3 * db, (1 << db) - 1, BLOCK >> 2
+    for start in range(0, len(keys), step):
+        key = keys[start:start + step]
+        den = key & low
+        # [b is no power of 2] 2^db
+        odd = np.minimum(den & (den - 1), 1) << db
+        out[start:start + step] = top - key + 2 * den - odd
 
 
 def reduced_fractions(qmax: int):
@@ -270,17 +277,6 @@ def reduced_fractions(qmax: int):
     because the benchmark's tracer wraps it by name.
     """
     return unpack_keys(farey_keys(qmax), qmax)
-
-
-def min_multiple_above(den: np.ndarray, window_lo: int,
-                       window_hi: int) -> np.ndarray:
-    """Per denominator b, the smallest multiple of b in (window_lo,
-    window_hi]; 0 where none exists."""
-    q = window_lo // den
-    q += 1
-    q *= den
-    q[q > window_hi] = 0
-    return q
 
 
 def prime_factor_pairs(den: np.ndarray, spf: np.ndarray,

@@ -233,15 +233,15 @@ def _stage_ball_plan(system: ResonantSystem, q_lo: int, q_hi: int):
     builds no plan.
     """
     import numpy as np
-    from limsuplab import farey
     if q_lo > q_hi:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     if system.kind is SystemKind.RATIONALS:
-        # all reduced denominators up to q_hi appear, via their smallest
+        # a reduced denominator b <= q_hi appears via its smallest
         # multiple inside the window, whose weights are q_lo..q_hi
         b_vals = np.arange(1, q_hi + 1, dtype=np.int64)
-        qmin = farey.min_multiple_above(b_vals, q_lo - 1, q_hi)
-        keep = qmin > 0
+        qmin = (q_lo - 1) // b_vals + 1
+        qmin *= b_vals
+        keep = qmin <= q_hi
         return b_vals[keep], qmin[keep]
     # Ford: reduced denominators live in the window themselves
     b_vals = np.arange(q_lo, q_hi + 1, dtype=np.int64)

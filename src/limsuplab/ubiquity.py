@@ -35,17 +35,20 @@ b <= b' per 4 Farey points; the two measured even near 0.3):
     a' = (1 + ab')/b <= b', so both points lie in [0, 1]; a'b - ab' = 1
     and b + b' > Q leave no fraction of denominator <= Q between them.
     So the open gaps are the coprime points of the lattice region
-    {b, b' <= Q < b + b', bb' < theta}, each met once: the half
-    b <= b' is enumerated in numpy a chunk of rows b at a time, and
-    the mirror x -> 1 - x of each gap is the gap of (b', b).  A row's
-    b' are consecutive, so `farey`'s coprimality strike
+    {b, b' <= Q < b + b', bb' < theta}, each met once.  The half
+    b <= b' is listed in numpy a chunk of rows b at a time: a row's b'
+    are consecutive, so `farey`'s coprimality strike
     (farey.coprime_runs) keeps the coprime ones, and a =
     (-b')^(phi(b) - 1) mod b is an exact float64 modular power
-    (_minus_inverse).  Every emitted pair is checked exactly
+    (_minus_inverse).  Every listed pair is checked exactly
     (a'b - ab' = 1, b + b' > Q, bb' < theta, both points in F_Q), so a
-    wrong residue raises rather than passing.  The keys go into one
-    array of 4 words per lattice candidate, 2 for 0/1 and 1/1, whose
-    unwritten tail is cut off.
+    wrong residue raises rather than passing.  One pass of F_Q's own
+    mirror (farey.mirror_keys) then adds each gap's mirror, the gap
+    (b' - a')/b' < (b - a)/b of (b', b), unlisted as b < b' once Q >= 2,
+    unchecked as its check would test the same integers reordered:
+    (b - a) b' - (b' - a') b = a'b - ab', and b' - a' >= 0 iff a' <= b'.
+    The keys go into one array of 4 words per lattice candidate, 2 for
+    0/1 and 1/1, whose unwritten tail is cut off.
     Sorted once, the keys of 0/1, of both ends of every open gap and
     of 1/1 run block start, block end, next start, ..., and that list
     is checked to be strictly increasing from block to block with
@@ -130,17 +133,8 @@ class UniformStageEngine:
     """Exact union-measure queries for one uniform stage: Farey centres
     up to q_max, common ball radius `radius`."""
 
-    def __init__(self, q_max: int, radius: Fraction,
-                 cap: int = MAX_UNIFORM_Q):
-        if cap > MAX_UNIFORM_Q:
-            raise UsageError("q cap %s above MAX_UNIFORM_Q = %d; the cap "
-                             "can only be lowered"
-                             % (size_text(cap), MAX_UNIFORM_Q))
-        if q_max > cap:
-            raise ResourceCapError(
-                "uniform stage needs denominators up to %s (cap %s)"
-                % (size_text(q_max), size_text(cap)))
-        self.q_max = q_max
+    def __init__(self, q_max: int, radius: Fraction):
+        self.q_max = _within_cap(q_max, MAX_UNIFORM_Q)
         self.radius = fn.exact(radius, "radius")
         self.empty = q_max < 1 or self.radius <= 0
         if self.empty:
@@ -383,9 +377,9 @@ def _lattice_blocks(q_max: int, theta: int, sieve):
     b, first, count = _open_gap_rows(q_max, theta)
     flat = np.zeros(len(b) + 1, dtype=np.int64)
     count.cumsum(out=flat[1:])
-    # 0/1, 1/1 and both ends of each gap and of its mirror: at most 4
-    # keys per candidate, in one array whose unwritten tail is never
-    # touched
+    # 0/1, 1/1, both ends of each listed gap and then their mirrors, but
+    # for F_1's one gap, 0/1 < 1/1, its own: at most 4 keys per candidate,
+    # in one array whose unwritten tail is never touched
     keys = np.empty(2 + 4 * int(flat[-1]), dtype=np.int64)
     keys[:2] = farey.packed_keys(0, 1, q_max), farey.packed_keys(1, 1, q_max)
     n = 2
@@ -395,13 +389,7 @@ def _lattice_blocks(q_max: int, theta: int, sieve):
         den2 += (first[i:j] - flat[i:j] + flat[i]).repeat(kept)
         num = _minus_inverse(den, den2, phi)
         num2 = (1 + num * den2) // den
-        # the mirror x -> 1 - x of the gap a/b < a'/b' is the gap
-        # (b' - a')/b' < (b - a)/b, whose denominators swap
-        flip = den < den2
-        num, num2 = (np.concatenate((num, den2[flip] - num2[flip])),
-                     np.concatenate((num2, den[flip] - num[flip])))
-        den, den2 = (np.concatenate((den, den2[flip])),
-                     np.concatenate((den2, den[flip])))
+        # the listed half alone: a mirror's check repeats it (module docstring)
         if not np.all((num2 * den - num * den2 == 1) & (den + den2 > q_max)
                       & (den * den2 < theta) & (num >= 0) & (num2 <= den2)
                       & (den <= q_max) & (den2 <= q_max)):
@@ -410,6 +398,9 @@ def _lattice_blocks(q_max: int, theta: int, sieve):
         for part in (num, den), (num2, den2):
             farey.packed_keys(*part, q_max, keys[n:n + len(num)])
             n += len(num)
+    if q_max >= 2:
+        farey.mirror_keys(keys[2:n], q_max, keys[n:2 * n - 2])
+        n = 2 * n - 2
     # the keys array is this function's own, and no view of it is left
     keys.resize(n, refcheck=False)
     keys.sort()
@@ -472,11 +463,23 @@ def _farey_blocks(q_max: int, theta: int, sieve):
     return keys, np.concatenate(merged), np.concatenate(ends)
 
 
+def _within_cap(q_max: int, cap: int) -> int:
+    if q_max > cap:
+        raise ResourceCapError(
+            "uniform stage needs denominators up to %s (cap %s)"
+            % (size_text(q_max), size_text(cap)))
+    return q_max
+
+
 def _uniform_q_max(system: sy.ResonantSystem, k: Fraction, n: int,
                    cap: int = MAX_UNIFORM_Q) -> int:
-    """Largest denominator of stage n; a stage far past `cap` is refused
-    before k^n is formed."""
-    return system.stage_q_top(k, n, cap, "uniform stage %s" % size_text(n))
+    """Largest denominator of stage n, refused far past `cap` before k^n
+    is formed, then for a cap above MAX_UNIFORM_Q, then past the cap."""
+    q_max = system.stage_q_top(k, n, cap, "uniform stage %s" % size_text(n))
+    if cap > MAX_UNIFORM_Q:
+        raise UsageError("q cap %s above MAX_UNIFORM_Q = %d; the cap can "
+                         "only be lowered" % (size_text(cap), MAX_UNIFORM_Q))
+    return _within_cap(q_max, cap)
 
 
 def _uniform_radius(rho: fn.FunctionForm, k: Fraction, n: int) -> Fraction:
@@ -550,7 +553,7 @@ def estimate_kappa(system: sy.ResonantSystem, rho: fn.FunctionForm,
     per_ball: list[list[tuple[int, Fraction]]] = [[] for _ in checked]
     for n in reversed(ns):
         engine = UniformStageEngine(_uniform_q_max(system, k, n, q_cap),
-                                    _uniform_radius(rho, k, n), cap=q_cap)
+                                    _uniform_radius(rho, k, n))
         measures = engine.union_measures([(c - r, c + r) for c, r in checked])
         for rows, (_, r), m in zip(per_ball, checked, measures):
             rows.append((n, m / (2 * r)))

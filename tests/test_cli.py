@@ -216,6 +216,24 @@ class TestExitStatuses:
         assert code == 3
         assert err.startswith("internal invariant violated: series verdict")
 
+    @pytest.mark.parametrize("n,q_cap,code,err", [
+        # the far-past test on the given cap comes first, then the cap
+        # itself, then the stage against it
+        (100, 8193, 2, "resource cap: uniform stage 100 needs weights up "
+         "to about 2^258, far past the denominator cap 8193"),
+        (6, 8193, 1, "error: q cap 8193 above MAX_UNIFORM_Q = 8192; the "
+         "cap can only be lowered"),
+        (3, 100, 2, "resource cap: uniform stage needs denominators up to "
+         "216 (cap 100)"),
+    ])
+    def test_uniform_stage_cap_order(self, tmp_path, capsys, n, q_cap, code,
+                                     err):
+        got = run_main(["ubiquity", "--rho", "6 * r^-2", "--k", "6",
+                        "--n-lo", str(n), "--n-hi", str(n), "--q-cap",
+                        str(q_cap), "--output", str(tmp_path / "u.csv")],
+                       capsys)
+        assert got == (code, "", err)
+
     def test_resource_cap_is_2(self, tmp_path, capsys):
         code, _, err = run_main(
             ["excursions", "--x", "1/2", "--T", "5", "--step", "1e-9",
@@ -396,8 +414,9 @@ class TestExitStatuses:
     ])
     def test_refused_before_allocating(self, tmp_path, capsys, monkeypatch,
                                        argv, code):
-        # both engine builders: the engine itself still runs, since it
-        # refuses a q cap above MAX_UNIFORM_Q and a stage past the cap
+        # both engine builders: the engine itself still runs, and
+        # _uniform_q_max refuses a q cap above MAX_UNIFORM_Q and a stage
+        # past the cap before it
         def no_build(*args):
             raise AssertionError("uniform stage built past a cap")
         monkeypatch.setattr(ub, "_lattice_blocks", no_build)

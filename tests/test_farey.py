@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limsuplab import farey
+from limsuplab import systems as sy
 from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError)
 from oracles import (ArrayRows, array_keys, array_union_length,
@@ -258,17 +259,24 @@ class TestReducedFractions:
     @example(2 ** 20 - 1, 1, 0)
     @example(3, 1, 2 ** 20)
     def test_mirror_identity(self, b, a, extra):
-        # key((b - a)/b) = 2^(3 db) - key(a/b) + 2b - [b is no power of
-        # 2] 2^db, on Python ints, for coprime a <= b <= qmax
+        # mirror_keys writes the keys of (b - a)/b, made on Python ints,
+        # for coprime a <= b <= qmax: a/b beside 0/1, 1/1, 1/b and
+        # (qmax - 1)/qmax, on a forward array, a reversed view and a run
+        # longer than BLOCK, which crosses the mirror's block edges
         a %= b + 1
         g = math.gcd(a, b)
         a, b = a // g, b // g
         qmax = min(b + extra, farey.PACKED_KEY_QMAX)
-        db = qmax.bit_length()
-        odd = b & (b - 1) != 0
-        assert farey.packed_keys(b - a, b, qmax) == (
-            2 ** (3 * db) - farey.packed_keys(a, b, qmax) + 2 * b
-            - odd * 2 ** db)
+        points = [(a, b), (0, 1), (1, 1), (1, b), (qmax - 1, qmax)]
+        keys = np.array([farey.packed_keys(p, q, qmax) for p, q in points])
+        want = np.array([farey.packed_keys(q - p, q, qmax)
+                         for p, q in points])
+        run = farey.BLOCK + len(points)
+        for got, wanted in ((keys, want), (keys[::-1], want[::-1]),
+                            (np.resize(keys, run), np.resize(want, run))):
+            out = np.full(len(got), -1, dtype=np.int64)
+            farey.mirror_keys(got, qmax, out)
+            assert np.array_equal(out, wanted)
 
     def test_matches_float_argsort_order(self):
         # the packed-key sort against the float64 argsort it replaced
@@ -434,19 +442,33 @@ class TestCoprimeRuns:
 
 class TestMinMultiple:
     def test_against_search(self):
+        # the rationals plan keeps each b <= q_hi with a multiple in
+        # [q_lo, q_hi], weighted by the smallest; the windows of k =
+        # 11/10 and 3/2 hold b between span = q_hi - q_lo + 1 and q_lo,
+        # some kept and some not, which k >= 2 never does
+        rationals = sy.classical_rationals()
+        windows = [rationals.q_interval(k ** (n - 1), k ** n)
+                   for k, top in ((Fraction(11, 10), 60),
+                                  (Fraction(3, 2), 16))
+                   for n in range(1, top)]
         rng = random.Random(7)
-        for _ in range(200):
-            b = rng.randint(1, 50)
-            lo = rng.randint(0, 400)
-            hi = lo + rng.randint(1, 400)
-            got = int(farey.min_multiple_above(
-                np.array([b], dtype=np.int64), lo, hi)[0])
-            want = 0
-            for m in range(lo + 1, hi + 1):
-                if m % b == 0:
-                    want = m
-                    break
-            assert got == want, (b, lo, hi)
+        for _ in range(100):
+            lo = rng.randint(1, 300)
+            windows.append((lo, lo + rng.randint(-1, 60)))
+        middle = set()
+        for q_lo, q_hi in windows:
+            b_vals, weights = sy._stage_ball_plan(rationals, q_lo, q_hi)
+            want = []
+            for b in range(1, q_hi + 1):
+                m = next((m for m in range(q_lo, q_hi + 1) if m % b == 0),
+                         None)
+                if m is not None:
+                    want.append((b, m))
+                if q_hi - q_lo + 1 < b < q_lo:
+                    middle.add(m is not None)
+            assert list(zip(b_vals.tolist(), weights.tolist())) == want, \
+                (q_lo, q_hi)
+        assert middle == {True, False}
 
 
 # a point on a 1/16 grid (so intervals touch, nest and vanish often) or

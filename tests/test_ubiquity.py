@@ -109,6 +109,8 @@ RADIUS_DEN = st.one_of(st.integers(1, 4 * 60 * 60), st.just(10 ** 30))
 @given(q_max=st.integers(1, 60), den=RADIUS_DEN)
 @example(q_max=1, den=1)            # F_1, theta = 1: one block [0, 1]
 @example(q_max=1, den=3)            # F_1's one open gap 0/1, 1/1
+@example(q_max=2, den=3)            # the smallest Q with mirrored gaps
+@example(q_max=2, den=10 ** 30)    # and all of them open
 @example(q_max=60, den=10 ** 30)    # every gap open
 @example(q_max=60, den=2)           # every gap joined
 def test_builders_give_the_same_blocks(q_max, den):
@@ -851,6 +853,10 @@ def test_ratio_resource_cap():
     with pytest.raises(ResourceCapError):
         ubiquity_ratio(sy.classical_rationals(), RHO_LEMMA, 6, 3, FULL_BALL,
                           q_cap=100)
+    # an engine built directly is held to MAX_UNIFORM_Q
+    with pytest.raises(ResourceCapError, match=r"^uniform stage needs "
+                       r"denominators up to 8193 \(cap 8192\)$"):
+        ub.UniformStageEngine(ub.MAX_UNIFORM_Q + 1, Fraction(1, 10 ** 9))
 
 
 # -- estimate_kappa ----------------------------------------------------------
