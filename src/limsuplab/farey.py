@@ -53,9 +53,11 @@ the exactness argument spelled out where it matters:
   off = (-first) mod p places in and number (count - 1 - off) // p + 1,
   and `strike` clears them; c = 0 falls for every b > 1, and b = 1 keeps
   all.  Rows go a chunk at a time, at most BLOCK candidates or one
-  longer row.  F_Q's left half strikes rows b of candidates a, the
-  stage sweep (`systems`) rows b of a cell's a, and the open-gap list
-  (`ubiquity`) rows b of b';
+  longer row, and a kept c comes out labelled: label + t, for its row's
+  label.  F_Q's left half strikes rows b of candidates a and the
+  open-gap list (`ubiquity`) rows b of b', both labelled by first, so c
+  itself; the stage sweep (`BallRows.keys`) strikes rows b of a cell's
+  a, labelled by first + (row << wb), so each ball's code;
 * float sweep measures carry an explicit error budget of a few ulps per
   interval, reported alongside the value.  `union_length` takes one
   sort key per ball and visits the balls in the (lo, code) order of a
@@ -93,13 +95,14 @@ the exactness argument spelled out where it matters:
   alone: its code is (row << wb) | a, row the plan index of b, wb =
   bitlen(max b) > bitlen(a), and ib = bitlen(rows - 1) + wb.  Codes
   sort in the flat b-major, a-ascending order of the balls, so they
-  tie-break as the balls' flat indices would.  `BallRows` decodes a
-  block of codes from per-row float64 tables: c = a / b and lo, hi = c
-  - r, c + r.  a and b are integers below 2^53, so c is their true
-  quotient rounded once, and lo is bit for bit the lo its key was made
-  from (`systems` builds it by the same operations).  Denominators stay
-  at most MAX_SIEVE < 2^27, so ib <= 54, and a key, a float's pattern
-  >= 0 with its low ib bits replaced, stays below 2^63.
+  tie-break as the balls' flat indices would.  `BallRows` builds the
+  keys and decodes a block of codes from the same per-row float64
+  tables: c = a / b and lo, hi = c - r, c + r.  a and b are integers
+  below 2^53, so c is their true quotient rounded once, and both take
+  lo by the same operations, so a decoded lo is bit for bit the lo its
+  key was made from.  Denominators stay at most MAX_SIEVE < 2^27, so ib
+  <= 54, and a key, a float's pattern >= 0 with its low ib bits
+  replaced, stays below 2^63.
 """
 
 from __future__ import annotations
@@ -227,17 +230,15 @@ def farey_keys(qmax: int, sieve=None) -> np.ndarray:
     # the left half and is its own mirror, and phi(b)/2 for each b >= 3
     b = np.arange(1, qmax + 1, dtype=np.int64)
     count = b // 2 + 1
-    flat = np.zeros(qmax + 1, dtype=np.int64)
-    count.cumsum(out=flat[1:])
+    first = np.zeros(qmax, dtype=np.int64)
     n_left = 1 + (qmax >= 2) + int(phi[3:qmax + 1].sum()) // 2
     keys = np.empty(2 * n_left - (qmax >= 2), dtype=np.int64)
     n = 0
-    for i, j, a, kept in coprime_runs(np.zeros(qmax, dtype=np.int64), count,
-                                      flat, prime_factor_pairs(b, spf, strip)):
+    pairs = prime_factor_pairs(b, spf, strip)
+    for i, j, a, kept in coprime_runs(first, count, pairs, first):
         n, at = n + len(a), n
         if n > n_left:
             break
-        a -= (flat[i:j] - flat[i]).repeat(kept)
         packed_keys(a, b[i:j].repeat(kept), qmax, keys[at:n])
     if n != n_left:
         raise InternalInvariantError(
@@ -332,17 +333,22 @@ def strike(keep: np.ndarray, first: np.ndarray, step: np.ndarray,
         j = stop
 
 
-def coprime_runs(first: np.ndarray, count: np.ndarray, flat: np.ndarray,
-                 pairs):
+def coprime_runs(first: np.ndarray, count: np.ndarray, pairs,
+                 label: np.ndarray):
     """The coprimality strike (module docstring) over rows r of
-    candidates first[r] + t, 0 <= t < count[r], at flat positions
-    flat[r] + t (first, count >= 0 and flat = [0, cumsum(count)], all
-    int64), pairs the rows' `prime_factor_pairs`.  Yields (i, j, pos,
-    kept) per chunk of rows i..j - 1: pos, ascending, the positions less
-    flat[i] of the candidates coprime to their row's denominator, and
-    kept, how many of them each row holds."""
+    candidates first[r] + t, 0 <= t < count[r] (first, count >= 0 and
+    label, one per row, all int64), pairs the rows' `prime_factor_pairs`.
+    Yields (i, j, got, kept) per chunk of rows i..j - 1: got holds
+    label[r] + t for each candidate first[r] + t coprime to its row's
+    denominator, in row order and ascending t, and kept, how many of
+    them each row holds."""
     rows, primes = pairs
+    # row r's candidates sit at flat positions flat[r] + t, and the one
+    # at position x yields x + shift[r]
+    flat = np.zeros(len(count) + 1, dtype=np.int64)
+    count.cumsum(out=flat[1:])
     starts = flat[:-1]
+    shift = label - starts
     # the pairs of rows i..j - 1 are rows[pair_at[i]:pair_at[j]]
     pair_at = rows.searchsorted(np.arange(len(count) + 1))
     off = -first[rows] % primes
@@ -356,9 +362,15 @@ def coprime_runs(first: np.ndarray, count: np.ndarray, flat: np.ndarray,
         keep = np.ones(int(flat[j]) - base, dtype=bool)
         at = slice(pair_at[i], pair_at[j])
         strike(keep, hit[at] - base, primes[at], strikes[at])
+        # positions less base, labelled in the repeat's array: adding the
+        # repeat into pos instead made F_Q builds refault the heap top more
         pos = keep.nonzero()[0]
         kept = pos.searchsorted(flat[i:j + 1] - base)
-        yield i, j, pos, kept[1:] - kept[:-1]
+        kept = kept[1:] - kept[:-1]
+        got = (shift[i:j] + base).repeat(kept)
+        got += pos
+        del pos
+        yield i, j, got, kept
         i = j
 
 
@@ -394,6 +406,31 @@ class BallRows(NamedTuple):
         np.subtract(lo, hi, out=low)
         np.add(lo, hi, out=hi)
         np.copyto(lo, low)
+
+    def keys(self, a_lo: np.ndarray, counts: np.ndarray, pairs,
+             clip_lo: float, clip_hi: float) -> np.ndarray:
+        """The `sort_keys` of the balls a/b with gcd(a, b) = 1 among the
+        counts[r] candidates a_lo[r], a_lo[r] + 1, ... of each row r
+        (int64 arrays), pairs the rows' `prime_factor_pairs`: unsorted,
+        in code order, a prefix of one array sized for every candidate.
+        Each kept ball's lo is written to its key's word, which then
+        becomes the key."""
+        label = np.arange(len(counts), dtype=np.int64)
+        label <<= self.wb
+        label += a_lo
+        mask = (1 << self.wb) - 1
+        keys = np.empty(int(counts.sum()), dtype=np.int64)
+        n = 0
+        for i, j, code, kept in coprime_runs(a_lo, counts, pairs, label):
+            # code is (row << wb) | a, and lo = a / b - r: the operations
+            # and bits of bounds
+            key = keys[n:n + len(code)]
+            lo = key.view(np.float64)
+            np.divide(code & mask, self.den[i:j].repeat(kept), out=lo)
+            lo -= self.radius[i:j].repeat(kept)
+            sort_keys(lo, code, self.ib, clip_lo, clip_hi, key)
+            n += len(code)
+        return keys[:n]
 
 
 def sort_keys(lo: np.ndarray, code: np.ndarray, ib: int, clip_lo: float,

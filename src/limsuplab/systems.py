@@ -23,14 +23,13 @@ from the smallest weight the centre attains in the window, so for a
 nonincreasing radius function the union over reduced centres equals
 the raw union exactly.
 
-The sweep lists, per denominator b, the candidates a in a window
-[a_lo, a_hi] in one flat b-major, a-ascending array and keeps a/b
-exactly when gcd(a, b) == 1, by `farey`'s coprimality strike
-(`farey.coprime_runs`), so 0/1 and 1/1 stay.  A kept ball is stored as
-one int64 alone, its `farey.union_length` sort key (its code, the order
-it gives and its decoding: `farey`'s paragraph on swept balls).  The
-key array is sized for the cell's candidates and built a chunk of them
-at a time, and only the kept balls' words are written: a cell holds 8
+The sweep takes, per denominator b, the candidates a in a window
+[a_lo, a_hi] of each cell, and `farey.BallRows.keys` keeps a/b exactly
+when gcd(a, b) == 1, so 0/1 and 1/1 stay, and stores each kept ball as
+its `farey.union_length` sort key alone (its code, the order it gives
+and its decoding: `farey`'s paragraph on swept balls).  The key array
+is sized for the cell's candidates and built a chunk of them at a
+time, and only the kept balls' words are written: a cell holds 8
 bytes per candidate, about 6/pi^2 of which are kept, and a few blocks:
 14.6 bytes per ball traced on the 2.97M-ball stage of q^-2, k = 5, n =
 5.
@@ -290,8 +289,6 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray, spf: np.ndarray,
     span = np.empty((2, len(b_vals)))
     least = np.zeros((2, len(b_vals)))
     np.negative(b_float, out=least[1])
-    # counts[r] candidates of row r sit at flat[r]..flat[r + 1] - 1
-    flat = np.zeros(len(b_vals) + 1, dtype=np.int64)
     total = 0.0
     n_balls = 0
     for i in range(ncells):
@@ -304,50 +301,16 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray, spf: np.ndarray,
         a_lo, counts = span.astype(np.int64)
         counts += a_lo
         np.subtract(1, counts, out=counts)
-        counts.cumsum(out=flat[1:])
-        tot = int(flat[-1])
+        tot = int(counts.sum())
         if tot > 10 * _CELL_BUDGET:
             raise ResourceCapError(
                 "sweep cell holds %d candidate balls; the stage radii are "
                 "too large for the configured cell budget" % tot)
-        keys = _cell_keys(balls, a_lo, counts, flat, pairs, clo, chi)
+        keys = balls.keys(a_lo, counts, pairs, clo, chi)
         n_balls += len(keys)  # boundary balls counted per cell: budget
         total += farey.union_length(keys, balls, clo, chi)
         del keys
     return total, n_balls
-
-
-def _cell_keys(balls: farey.BallRows, a_lo: np.ndarray, counts: np.ndarray,
-               flat: np.ndarray, pairs, clo: float,
-               chi: float) -> np.ndarray:
-    """The `farey.sort_keys` of one cell's reduced balls, unsorted and in
-    code order, as a prefix of one array sized for the counts[r]
-    candidates a_lo[r], a_lo[r] + 1, ... of each row r, which sit at
-    flat positions flat[r]..flat[r + 1] - 1; pairs is the plan's
-    `farey.prime_factor_pairs`.
-
-    `farey.coprime_runs` keeps the a with gcd(a, b) == 1 a chunk of rows
-    at a time, and each kept ball's lo is written to its key's word,
-    which then becomes the key."""
-    import numpy as np
-    from limsuplab import farey
-    # the candidate at flat position x of row r has code x + shift[r]
-    shift = a_lo - flat[:-1]
-    shift += np.arange(len(counts)) << balls.wb
-    mask = (1 << balls.wb) - 1
-    keys = np.empty(int(flat[-1]), dtype=np.int64)
-    n = 0
-    for i, j, pos, kept in farey.coprime_runs(a_lo, counts, flat, pairs):
-        # pos becomes the code (r << wb) | a, and lo = a / b - r: the
-        # operations and bits of balls.bounds
-        pos += (shift[i:j] + flat[i]).repeat(kept)
-        key = keys[n:n + len(pos)]
-        lo = key.view(np.float64)
-        np.divide(pos & mask, balls.den[i:j].repeat(kept), out=lo)
-        lo -= balls.radius[i:j].repeat(kept)
-        farey.sort_keys(lo, pos, balls.ib, clo, chi, key)
-        n += len(pos)
-    return keys[:n]
 
 
 def _per_q_upper(radii: np.ndarray, counts: np.ndarray) -> float:

@@ -375,18 +375,15 @@ def _lattice_blocks(q_max: int, theta: int, sieve):
     from limsuplab import farey
     spf, strip, phi = sieve
     b, first, count = _open_gap_rows(q_max, theta)
-    flat = np.zeros(len(b) + 1, dtype=np.int64)
-    count.cumsum(out=flat[1:])
     # 0/1, 1/1, both ends of each listed gap and then their mirrors, but
     # for F_1's one gap, 0/1 < 1/1, its own: at most 4 keys per candidate,
     # in one array whose unwritten tail is never touched
-    keys = np.empty(2 + 4 * int(flat[-1]), dtype=np.int64)
+    keys = np.empty(2 + 4 * int(count.sum()), dtype=np.int64)
     keys[:2] = farey.packed_keys(0, 1, q_max), farey.packed_keys(1, 1, q_max)
     n = 2
-    for i, j, den2, kept in farey.coprime_runs(
-            first, count, flat, farey.prime_factor_pairs(b, spf, strip)):
+    pairs = farey.prime_factor_pairs(b, spf, strip)
+    for i, j, den2, kept in farey.coprime_runs(first, count, pairs, first):
         den = b[i:j].repeat(kept)
-        den2 += (first[i:j] - flat[i:j] + flat[i]).repeat(kept)
         num = _minus_inverse(den, den2, phi)
         num2 = (1 + num * den2) // den
         # the listed half alone: a mirror's check repeats it (module docstring)

@@ -239,6 +239,16 @@ class TestReducedFractions:
             with pytest.raises(InternalInvariantError):
                 farey.reduced_fractions(40)
             assert len(made) == 246
+        monkeypatch.setattr(farey, "packed_keys", packed)
+        # the right half's last gap, 39/40 < 1/1, with 39/40 twice
+        mirror = farey.mirror_keys
+
+        def last_twice(keys, qmax, out):
+            mirror(keys, qmax, out)
+            out[-1] = out[-2]
+        monkeypatch.setattr(farey, "mirror_keys", last_twice)
+        with pytest.raises(InternalInvariantError):
+            farey.reduced_fractions(40)
 
     # 2^k - 1, 2^k and 2^k + 1: db changes between the first two, and the
     # mirror's power-of-2 term applies at every b = 2^j
@@ -414,6 +424,8 @@ class TestCoprimeRuns:
     def test_matches_gcd(self, rows, block):
         b, first, count = (np.array(x, dtype=np.int64).reshape(len(rows))
                            for x in (list(zip(*rows)) or [(), (), ()]))
+        # a label apart from first: each row's values are label[r] + t
+        label = first + (np.arange(len(rows), dtype=np.int64) << 20)
         flat = np.concatenate(([0], np.cumsum(count)))
         spf, strip, _ = farey.stage_sieve(int(b.max(initial=1)))
         pairs = farey.prime_factor_pairs(b, spf, strip)
@@ -421,23 +433,57 @@ class TestCoprimeRuns:
             if block:
                 patch.setattr(farey, "BLOCK", block)
             limit = farey.BLOCK
-            chunks = list(farey.coprime_runs(first, count, flat, pairs))
+            chunks = list(farey.coprime_runs(first, count, pairs, label))
         got_row, got_cand, i_next = [], [], 0
-        for i, j, pos, kept in chunks:
+        for i, j, got, kept in chunks:
             # rows in turn, as many as fit in BLOCK candidates, or one
-            size = int(flat[j] - flat[i])
             assert i == i_next < j
-            assert size <= limit or j == i + 1
+            assert flat[j] - flat[i] <= limit or j == i + 1
             assert j == len(count) or flat[j + 1] - flat[i] > limit
-            assert len(kept) == j - i and int(kept.sum()) == len(pos)
-            assert np.all(np.diff(pos) > 0)
-            assert np.all((0 <= pos) & (pos < size))
+            assert len(kept) == j - i and int(kept.sum()) == len(got)
             row = np.repeat(np.arange(i, j), kept)
+            t = got - label[row]
+            assert np.all((0 <= t) & (t < count[row]))
+            assert np.all(np.diff(t)[row[1:] == row[:-1]] > 0)
             got_row += row.tolist()
-            got_cand += (pos + flat[i] - flat[row] + first[row]).tolist()
+            got_cand += (t + first[row]).tolist()
             i_next = j
         assert i_next == len(count)
         assert (got_row, got_cand) == coprime_candidates(b, first, count)
+
+
+class TestBallRowsKeys:
+    @pytest.mark.parametrize("block", [7, 64, farey.BLOCK])
+    def test_keys_match_bounds(self, block, monkeypatch):
+        # rows b of candidates from a_lo > 0, up to 12 a row, so chunks of
+        # a patched BLOCK hold several rows or one longer.  Each row's
+        # radius sits just below its first kept c/b, so that ball's lo, in
+        # the window [0, 1], is near 0 where its key keeps nearly all its
+        # bits: a lo made by other operations than bounds' shows there
+        monkeypatch.setattr(farey, "BLOCK", block)
+        rng = np.random.default_rng(45)
+        b = np.arange(2, 400, dtype=np.int64)
+        a_lo = 1 + rng.integers(0, b // 2)
+        count = rng.integers(0, 13, len(b))
+        c = np.array([next(a for a in range(lo, 2 * bb)
+                           if math.gcd(a, bb) == 1)
+                      for lo, bb in zip(a_lo.tolist(), b.tolist())])
+        balls = farey.BallRows(b.astype(np.float64),
+                               c / b * (1 - 2.0 ** -40),
+                               int(b[-1]).bit_length())
+        spf, strip, _ = farey.stage_sieve(int(b[-1]))
+        pairs = farey.prime_factor_pairs(b, spf, strip)
+        keys = balls.keys(a_lo, count, pairs, 0.0, 1.0)
+        code = keys & (1 << balls.ib) - 1
+        row, a = code >> balls.wb, code & (1 << balls.wb) - 1
+        assert (row.tolist(), a.tolist()) == \
+            coprime_candidates(b, a_lo, count)
+        lo, hi = np.empty((2, len(keys)))
+        balls.bounds(code, lo, hi)
+        assert np.count_nonzero((lo > 0) & (lo < 2.0 ** -40)) > 100
+        want = np.empty_like(keys)
+        farey.sort_keys(lo, code, balls.ib, 0.0, 1.0, want)
+        assert keys.tolist() == want.tolist()
 
 
 class TestMinMultiple:

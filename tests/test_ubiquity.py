@@ -578,11 +578,9 @@ def strike_pairs(rows, sieve):
     rows at a time (`farey.coprime_runs`, as `ub._lattice_blocks` calls
     it), and by np.gcd."""
     b, first, count = rows
-    flat = np.concatenate(([0], np.cumsum(count)))
-    got = [(b[i:j].repeat(kept),
-            pos + (first[i:j] - flat[i:j] + flat[i]).repeat(kept))
-           for i, j, pos, kept in farey.coprime_runs(
-               first, count, flat, farey.prime_factor_pairs(b, *sieve[:2]))]
+    got = [(b[i:j].repeat(kept), den2)
+           for i, j, den2, kept in farey.coprime_runs(
+               first, count, farey.prime_factor_pairs(b, *sieve[:2]), first)]
     den = np.repeat(b, count)
     den2 = np.concatenate([np.arange(f, f + c, dtype=np.int64)
                            for f, c in zip(first.tolist(), count.tolist())]
