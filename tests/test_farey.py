@@ -181,6 +181,14 @@ class TestSmallestPrimeFactors:
         with pytest.raises(ResourceCapError):
             farey.smallest_prime_factors(farey.MAX_SIEVE + 1)
 
+    def test_sieve_check_at_the_cap(self):
+        # the check alone: a sieve of MAX_SIEVE passes, one more is refused
+        farey.check_sieve(farey.MAX_SIEVE, "edge")
+        with pytest.raises(ResourceCapError) as info:
+            farey.check_sieve(farey.MAX_SIEVE + 1, "edge")
+        assert str(info.value) == ("edge needs a totient sieve up to "
+                                   "100000001 (cap 100000000)")
+
 
 class TestReducedFractions:
     # Q = 1 has no middle term 1/2 to leave out of the mirror; Q = 2, 3
@@ -247,6 +255,15 @@ class TestReducedFractions:
             mirror(keys, qmax, out)
             out[-1] = out[-2]
         monkeypatch.setattr(farey, "mirror_keys", last_twice)
+        with pytest.raises(InternalInvariantError):
+            farey.reduced_fractions(40)
+
+        # and the first gap, 0/1 < 1/40, with 0/1 read as 0/2 after the
+        # mirror (the left half reaches the mirror reversed)
+        def first_off(keys, qmax, out):
+            mirror(keys, qmax, out)
+            keys[-1] = packed(np.array([0]), np.array([2]), qmax)[0]
+        monkeypatch.setattr(farey, "mirror_keys", first_off)
         with pytest.raises(InternalInvariantError):
             farey.reduced_fractions(40)
 

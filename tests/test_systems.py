@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from limsuplab import farey
+from limsuplab import cli, farey
 from limsuplab import functions as fn
 from limsuplab import systems as sy
 from limsuplab.errors import ResourceCapError, UsageError
@@ -76,6 +76,31 @@ class TestSystems:
         s = sy.ford_horoballs()
         with pytest.raises(ResourceCapError):
             s.count_window(0, 2 * (farey.MAX_SIEVE + 1) ** 2)
+
+    @pytest.mark.parametrize("m", [1, 10, 20])
+    def test_far_past_test_at_its_edge(self, m):
+        # k = 2, cap = 2^m - 1: n log2 k passes 2 log2(cap + 1) + 2 = 2m + 2
+        # only from n = 2m + 3
+        s, k, cap = sy.classical_rationals(), Fraction(2), 2 ** m - 1
+        assert s.stage_q_top(k, 2 * m + 2, cap, "edge") == 2 ** (2 * m + 2)
+        with pytest.raises(ResourceCapError) as info:
+            s.stage_q_top(k, 2 * m + 3, cap, "edge")
+        assert str(info.value) == ("edge needs weights up to about 2^%d, far "
+                                   "past the denominator cap %d"
+                                   % (2 * m + 3, cap))
+
+    def test_weight_bit_bound_at_its_edge(self):
+        # k = 3/2 spends 2 + 2 bits a stage: MAX_WEIGHT_BITS / 4 stages pass
+        # the bit bound (and meet the far-past test), one more does not
+        s, k = sy.classical_rationals(), Fraction(3, 2)
+        n = sy.MAX_WEIGHT_BITS // 4
+        with pytest.raises(ResourceCapError, match="far past"):
+            s.stage_q_top(k, n, 1, "edge")
+        with pytest.raises(ResourceCapError) as info:
+            s.stage_q_top(k, n + 1, 1, "edge")
+        assert str(info.value) == ("edge needs an exact weight k^n of up to "
+                                   "%d bits (cap %d)"
+                                   % (4 * n + 4, sy.MAX_WEIGHT_BITS))
 
 
 class TestStageSpec:
@@ -596,6 +621,25 @@ class TestStageByteBudget:
         assert 2 ** 25 < farey.MAX_SIEVE
         with pytest.raises(ResourceCapError, match="budget"):
             sy.stage_measure_scan(sy.classical_rationals(), stage, 25, 25)
+
+    def test_budget_edge(self, monkeypatch, tmp_path, capsys):
+        # the per-q scan of q^-3, k = 2, n = 16 reaches q = 2^16, 6 MB:
+        # passed at that budget, refused (exit 2) a byte under it
+        q_top = sy.classical_rationals().stage_q_top(Fraction(2), 16,
+                                                     farey.MAX_SIEVE, "")
+        assert q_top == 2 ** 16
+        argv = ["stage-scan", "--psi", "r^-3", "--k", "2", "--n-lo", "16",
+                "--n-hi", "16", "--subset-cap", "0",
+                "--output", str(tmp_path / "s.csv")]
+        budget = sy._STAGE_BYTES_PER_Q * q_top
+        monkeypatch.setattr(sy, "MAX_STAGE_BYTES", budget)
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(sy, "MAX_STAGE_BYTES", budget - 1)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "resource cap: stage 16 needs about 6 MB for denominators up to "
+            "65536 (budget 5 MB)\n")
 
     def test_documented_stages_far_below(self):
         # criterion 2 reaches q = 2^20, the benchmark's stages 2^19

@@ -906,6 +906,36 @@ def test_kappa_refuses_a_radius_that_does_not_decay(monkeypatch):
                               fn.parse_function(text), 6, [FULL_BALL], [2])
 
 
+# -- seeded_balls ------------------------------------------------------------
+
+@pytest.mark.parametrize("min_measure", ["1/1000", "1/3", "1"])
+def test_seeded_balls_lie_in_the_unit_interval(min_measure):
+    # radii run up to 1/2, so every centre's span must shrink with them
+    balls = ub.seeded_balls(ub.MAX_BALLS, min_measure, 7)
+    assert len(balls) == ub.MAX_BALLS
+    for c, r in balls:
+        assert 0 <= c - r and c + r <= 1
+        assert Fraction(min_measure) / 2 <= r <= HALF
+
+
+def test_seeded_balls_repeat_with_their_seed():
+    assert ub.seeded_balls(50, "1/100", 3) == ub.seeded_balls(50, "1/100", 3)
+    assert ub.seeded_balls(50, "1/100", 3) != ub.seeded_balls(50, "1/100", 4)
+
+
+@pytest.mark.parametrize("count,min_measure,error,message", [
+    (0, "1/10", UsageError, "need at least one ball"),
+    (ub.MAX_BALLS + 1, "1/10", ResourceCapError, "1001 balls (cap 1000)"),
+    (1, "0", UsageError, "min-measure must lie in (0, 1]"),
+    (1, "-1/10", UsageError, "min-measure must lie in (0, 1]"),
+    (1, "1001/1000", UsageError, "min-measure must lie in (0, 1]"),
+])
+def test_seeded_balls_refusals(count, min_measure, error, message):
+    with pytest.raises(error) as info:
+        ub.seeded_balls(count, min_measure, 7)
+    assert str(info.value) == message
+
+
 # -- natural_cover_sum -------------------------------------------------------
 
 def test_cover_sum_identity_matches_enumeration():
