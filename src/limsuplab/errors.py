@@ -59,10 +59,11 @@ class InternalInvariantError(AssertionError):
 
 def size_text(n: int) -> str:
     """An integer for a message: in decimal up to 64 bits, past that as
-    ~2^(bit length), since str() refuses integers past 4300 digits."""
+    ~2^(bit length), signed, since str() refuses integers past 4300
+    digits."""
     if n.bit_length() <= 64:
         return str(n)
-    return "~2^%d" % n.bit_length()
+    return "-~2^%d" % n.bit_length() if n < 0 else "~2^%d" % n.bit_length()
 
 
 def text_echo(text: str) -> str:

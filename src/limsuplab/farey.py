@@ -36,17 +36,17 @@ the exactness argument spelled out where it matters:
 * int64 products like b * b' stay below 2^62 for every Q the package
   accepts, so merge decisions on gaps are exact integer comparisons;
 * one int32 sieve spf[n], the least prime of n, serves every prime and
-  totient read: `totient_sieve` takes phi(n) = phi(m) (p if p | m, else
-  p - 1), p = spf[n], m = n / p, over ranges [lo, lo + min(BLOCK, lo)),
-  so m < lo.  m is the float64 quotient n / p, exact as p | n < 2^53,
-  and p | m exactly when spf[m] = p.  The same pass can fill a second
-  int32 table, strip[n] = strip[m] if p | m, else m: n with every
-  factor p divided out (`stage_sieve` fills all three).
-  `prime_factor_pairs` reads a denominator's distinct primes off the
-  two a level at a time, p = spf[rest] and then rest = strip[rest],
-  until rest = 1.  spf and strip take 4 bytes per entry and phi 8.  The
-  reader makes 5 numpy calls a level, and a denominator below
-  MAX_SIEVE has at most 8 distinct primes;
+  totient read, and `stage_sieve`, the package's one way to its tables,
+  fills it and then, in one `totient_sieve` pass, phi and a second int32
+  table, strip: phi(n) = phi(m) (p if p | m, else p - 1) and strip[n] =
+  strip[m] if p | m, else m (n with every factor p divided out), for p =
+  spf[n] and m = n / p, over ranges [lo, lo + min(BLOCK, lo)), so m <
+  lo.  m is the float64 quotient n / p, exact as p | n < 2^53, and p | m
+  exactly when spf[m] = p.  `prime_factor_pairs` reads a denominator's
+  distinct primes off spf and strip a level at a time, p = spf[rest] and
+  then rest = strip[rest], until rest = 1.  spf and strip take 4 bytes
+  per entry and phi 8.  The reader makes 5 numpy calls a level, and a
+  denominator below MAX_SIEVE has at most 8 distinct primes;
 * the coprimality strike (`coprime_runs`), the package's one test of
   gcd(c, b) = 1: a row's candidates c = first + t, 0 <= t < count, are
   consecutive, so the multiples of each prime p | b among them start
@@ -108,7 +108,7 @@ the exactness argument spelled out where it matters:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,23 +146,15 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
-def totient_sieve(limit: int, spf: Optional[np.ndarray] = None,
-                  strip: Optional[np.ndarray] = None) -> np.ndarray:
+def totient_sieve(limit: int, spf: np.ndarray,
+                  strip: np.ndarray) -> np.ndarray:
     """phi[0..limit] as int64 (phi[0] = 0), off spf, a
-    `smallest_prime_factors` table reaching limit, sieved here if None.
-
-    strip, an int32 array of limit + 1 words if given, receives in the
-    same pass strip[n]: n with every factor spf[n] divided out (strip[0]
-    = 0, strip[1] = 1), the table `prime_factor_pairs` reads."""
-    if limit < 0:
-        raise UsageError("limit must be nonnegative")
-    check_sieve(limit, "totient_sieve")
-    if spf is None:
-        spf = smallest_prime_factors(limit)
+    `smallest_prime_factors` table reaching limit, filling in the same
+    pass strip, an int32 array of limit + 1 words: strip[n] is n with
+    every factor spf[n] divided out (strip[0] = 0, strip[1] = 1), the
+    table `prime_factor_pairs` reads.  `stage_sieve` is its one caller."""
     phi = np.empty(limit + 1, dtype=np.int64)
-    phi[:2] = [0, 1][:limit + 1]
-    if strip is not None:
-        strip[:2] = [0, 1][:limit + 1]
+    phi[:2] = strip[:2] = [0, 1][:limit + 1]
     # over [lo, lo + min(BLOCK, lo)) every m <= n / 2 < lo is done
     lo = 2
     while lo <= limit:
@@ -173,9 +165,8 @@ def totient_sieve(limit: int, spf: Optional[np.ndarray] = None,
         # p divides m exactly when it is m's least prime too
         new = spf[m] != p
         np.multiply(phi[m], p - new, out=phi[lo:hi])
-        if strip is not None:
-            # strip[n] = strip[m] if p | m, else m
-            strip[lo:hi] = np.where(new, m, strip[m])
+        # strip[n] = strip[m] if p | m, else m
+        strip[lo:hi] = np.where(new, m, strip[m])
         lo = hi
     return phi
 
@@ -205,8 +196,12 @@ def unpack_keys(keys, qmax: int):
 
 
 def stage_sieve(limit: int):
-    """(spf, strip, phi) up to limit from one `totient_sieve` pass: the
-    least-prime and strip tables `prime_factor_pairs` reads, and phi."""
+    """(spf, strip, phi) up to limit, limit >= 0, from one
+    `totient_sieve` pass: the least-prime and strip tables
+    `prime_factor_pairs` reads, and phi.  Refused past MAX_SIEVE before
+    anything is allocated."""
+    if limit < 0:
+        raise UsageError("limit must be nonnegative")
     spf = smallest_prime_factors(limit)
     strip = np.empty_like(spf)
     return spf, strip, totient_sieve(limit, spf, strip)
@@ -284,10 +279,9 @@ def prime_factor_pairs(den: np.ndarray, spf: np.ndarray,
                        strip: np.ndarray):
     """(row, p) int64 arrays, in row order and each row's primes
     ascending: one pair for every row i and every distinct prime p
-    dividing den[i], read off spf and strip, a `smallest_prime_factors`
-    table and the strip table `totient_sieve` fills, both reaching
-    max(den).  den holds integers >= 1; a row with den[i] = 1 has no
-    pair."""
+    dividing den[i], read off spf and strip, the least-prime and strip
+    tables of a `stage_sieve` reaching max(den).  den holds integers
+    >= 1; a row with den[i] = 1 has no pair."""
     row = (den > 1).nonzero()[0]
     rest = den[row]
     rows, primes = [row], [spf[rest]]

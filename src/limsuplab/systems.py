@@ -58,15 +58,15 @@ FULL_SWEEP_CAP = 32_000_000
 SUBSET_SWEEP_CAP = 64_000_000
 _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
 # a stage scan holds at most 96 bytes per denominator up to its q_hi:
-# the plan's and the per-q bound's int64/float64 arrays, and one totient
-# sieve of exactly that length (int32 least primes, kept for the sweeps'
-# prime pairs, int64 phi, the stages' balls per denominator, and, if a
-# stage may be swept, the int32 strip table).  A one-stage q^-3 scan
-# with subset_cap=0, which builds no strip table and no plan, peaks in
-# its per-q bound: at 24 bytes per q of ru_maxrss above the interpreter
-# at q_hi = 2^22 (stage 22 of k = 2) and at 36 at 2^22 + 1 (stage 1 of
-# k = 2^22 + 1), 24 and 36 traced.  With subset_cap=1000, which sweeps,
-# it peaks in the plan and its radii, at 57 at both (56 traced).
+# the plan's and the per-q bound's int64/float64 arrays, and one
+# `farey.stage_sieve` of exactly that length (int32 least primes and
+# strip table, the sweeps' prime pairs, and int64 phi, the stages' balls
+# per denominator).  A one-stage q^-3 scan with subset_cap=0, which
+# builds no plan, peaks in its per-q bound: at 28 bytes per q of
+# ru_maxrss above the interpreter at q_hi = 2^22 (stage 22 of k = 2)
+# and at 40 at 2^22 + 1 (stage 1 of k = 2^22 + 1), 28 and 40 traced.
+# With subset_cap=1000, which sweeps, it peaks in the plan and its
+# radii, at 57 at both (56 traced).
 # The byte budget admits q_hi up to about 2.2e7, well inside
 # farey.MAX_SIEVE.
 _STAGE_BYTES_PER_Q = 96
@@ -141,7 +141,7 @@ class ResonantSystem(NamedTuple):
         if self.kind is SystemKind.RATIONALS:
             return (q_hi - q_lo + 1) * (q_lo + q_hi + 2) // 2  # sum of (q + 1)
         from limsuplab import farey
-        phi = farey.totient_sieve(q_hi)
+        phi = farey.stage_sieve(q_hi)[2]
         phi[1] = 2  # 0/1 alongside 1/1
         return int(phi[q_lo:].sum())
 
@@ -262,9 +262,8 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray, spf: np.ndarray,
     Chunked over x-cells so memory stays bounded: a cell holds one word
     per candidate ball, of which only the kept balls' are touched, and
     a few blocks of farey.BLOCK, besides the per-denominator arrays.
-    spf and strip are the scan's `farey.smallest_prime_factors` table
-    and the strip table its `farey.totient_sieve` filled, reaching
-    max(b_vals).
+    spf and strip are the least-prime and strip tables of the scan's
+    `farey.stage_sieve`, reaching max(b_vals).
 
     Returns (measure, number of reduced balls processed).
     """
@@ -349,24 +348,6 @@ def _stage_count(phi: np.ndarray, q_lo: int, q_hi: int, ford: bool) -> int:
             + int(phi[max(q_lo, span + 1):q_hi + 1].sum()))
 
 
-def _count_floor(q_lo: int, q_hi: int) -> int:
-    """A floor on phi(q_lo) + ... + phi(q_hi), 1 <= q_lo <= q_hi, in
-    O(1).  The sum counts the pairs 1 <= a <= q in the window with
-    gcd(a, q) = 1: all (q_lo + q_hi)(q_hi - q_lo + 1)/2 pairs but those
-    sharing a prime p <= q_hi.  Those are the j p, j <= q/p for q = J p,
-    J from ceil(q_lo/p) to floor(q_hi/p), fewer than (q_hi - q_lo)/p + 1
-    values of J averaging below ((q_lo + q_hi)/p + 1)/2, so at most
-    (q_lo + q_hi)(q_hi - q_lo)/(2 p^2) + q_hi/p + 1/2 pairs.  Summed
-    over 2 and the odd d >= 3 up to q_hi, a superset of the primes: sum
-    1/d^2 = pi^2/8 - 3/4 < 0.4838, sum 1/d <= 1/2 + ln(q_hi)/2 <= (1 +
-    bitlen(q_hi))/2, as 1/d <= (ln d - ln(d - 2))/2, and there are at
-    most (q_hi + 1)/2 of them."""
-    span = q_hi - q_lo
-    scaled = 20000 * (q_lo + q_hi) * (span + 1) - 9676 * (q_lo + q_hi) * span
-    scaled -= 20000 * q_hi * (1 + q_hi.bit_length()) + 10000 * (q_hi + 1)
-    return scaled // 40000
-
-
 def _truncate_plan(b_vals: np.ndarray, radii: np.ndarray,
                    counts: np.ndarray, cap: int):
     """Smallest-denominator prefix whose reduced-ball count fits cap;
@@ -395,9 +376,10 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     for oversized stages entirely and reports the trivial lower bound 0
     with the certified upper bound.  The caps can only be lowered: a
     full_cap above FULL_SWEEP_CAP or a subset_cap above SUBSET_SWEEP_CAP
-    is a UsageError.  Raises ResourceCapError, before any stage is
-    computed, when the last stage's arrays and totient sieve, all as
-    long as its denominator range, would pass MAX_STAGE_BYTES.
+    is a UsageError, as is a cap below 0.  Raises ResourceCapError,
+    before any stage is computed, when the last stage's arrays and
+    totient sieve, all as long as its denominator range, would pass
+    MAX_STAGE_BYTES.
     """
     import numpy as np
     from limsuplab import farey
@@ -410,6 +392,9 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         if cap > top:
             raise UsageError("%s sweep cap %s above %d; the cap can only "
                              "be lowered" % (name, size_text(cap), top))
+        if cap < 0:
+            raise UsageError("%s sweep cap %s below 0"
+                             % (name, size_text(cap)))
     # windows grow with n, so the last stage has the largest q_hi
     what = "stage %s" % size_text(n_hi)
     q_top = system.stage_q_top(stage.k, n_hi, farey.MAX_SIEVE, what)
@@ -418,28 +403,16 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
             "%s needs about %d MB for denominators up to %d (budget %d MB)"
             % (what, _STAGE_BYTES_PER_Q * q_top >> 20, q_top,
                MAX_STAGE_BYTES >> 20))
-    # one smallest-prime-factor sieve serves the totient pass, whose phi
-    # table gives every stage of the range its balls per denominator, and
-    # every sweep's primes with the strip table the same pass fills if a
-    # stage may be swept.  With subset_cap = 0 a stage is not swept when
-    # it holds more than full_cap balls, and it holds at least
-    # `_count_floor` of its window: the rationals' plan has every
-    # denominator of the window, and Ford's is the window
-    q_ranges = [system.q_interval(*stage.window(n))
-                for n in range(n_lo, n_hi + 1)]
-    spf = farey.smallest_prime_factors(q_top)
-    strip = None
-    if subset_cap > 0 or any(q_lo <= q_hi
-                             and _count_floor(q_lo, q_hi) <= full_cap
-                             for q_lo, q_hi in q_ranges):
-        strip = np.empty_like(spf)
-    phi = farey.totient_sieve(q_top, spf, strip)
+    # one sieve serves the range: phi gives every stage its balls per
+    # denominator, and spf and strip every sweep's primes
+    spf, strip, phi = farey.stage_sieve(q_top)
     # 0/1 alongside 1/1, set after the pass, whose recurrence reads
     # phi(1); the slice is empty when q_top = 0
     phi[1:2] = 2
     ford = system.kind is SystemKind.FORD
     records = []
-    for n, (q_lo, q_hi) in zip(range(n_lo, n_hi + 1), q_ranges):
+    for n in range(n_lo, n_hi + 1):
+        q_lo, q_hi = system.q_interval(*stage.window(n))
         count = _stage_count(phi, q_lo, q_hi, ford)
         # a Ford point has one weight, so its pairs are its balls
         pairs = count if ford else system.count_window(*stage.window(n))

@@ -471,11 +471,14 @@ def _within_cap(q_max: int, cap: int) -> int:
 def _uniform_q_max(system: sy.ResonantSystem, k: Fraction, n: int,
                    cap: int = MAX_UNIFORM_Q) -> int:
     """Largest denominator of stage n, refused far past `cap` before k^n
-    is formed, then for a cap above MAX_UNIFORM_Q, then past the cap."""
+    is formed, then for a cap above MAX_UNIFORM_Q or below 0, then past
+    the cap."""
     q_max = system.stage_q_top(k, n, cap, "uniform stage %s" % size_text(n))
     if cap > MAX_UNIFORM_Q:
         raise UsageError("q cap %s above MAX_UNIFORM_Q = %d; the cap can "
                          "only be lowered" % (size_text(cap), MAX_UNIFORM_Q))
+    if cap < 0:
+        raise UsageError("q cap %s below 0" % size_text(cap))
     return _within_cap(q_max, cap)
 
 

@@ -129,7 +129,7 @@ def test_criterion_06_ford_exactness(capsys):
     # independent oracles: point count from the totient sieve, tangency
     # count from mediant insertion (each new circle is tangent to the
     # two neighbours it splits, starting from the tangent pair 0/1, 1/1).
-    phi = fa.totient_sieve(201)
+    phi = fa.stage_sieve(201)[2]
     points = 1 + int(phi[1:201].sum())
     elapsed = time.time() - started
     ok = (rep.overlap_pairs == 0
@@ -145,7 +145,7 @@ def test_criterion_06_ford_exactness(capsys):
 def test_criterion_07_horoball_band(capsys):
     # lam = 1/4, R halved 11 times from 1/8: a hair over three decades.
     lam = Fraction(1, 4)
-    phi = fa.totient_sieve(1024)
+    phi = fa.stage_sieve(1024)[2]
     ratios = []
     R = Fraction(1, 8)
     for _ in range(11):

@@ -1,10 +1,12 @@
 """Driver tests: option merging, deterministic artifacts, exit statuses,
 plot extracts, and the documented summary lines."""
 
+import importlib
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -532,6 +534,30 @@ class TestExitStatuses:
         assert err.startswith("error:") and "can only be lowered" in err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("argv,err", [
+        (["stage-scan", "--psi", "r^-2", "--k", "2", "--n-lo", "1",
+          "--n-hi", "2", "--full-cap", "-1"], "full sweep cap -1 below 0"),
+        # past 64 bits a cap is named by its signed bit length
+        (["stage-scan", "--psi", "r^-2", "--k", "2", "--n-lo", "1",
+          "--n-hi", "2", "--full-cap", str(-10 ** 30)],
+         "full sweep cap -~2^100 below 0"),
+        (["stage-scan", "--psi", "r^-2", "--k", "2", "--n-lo", "1",
+          "--n-hi", "2", "--subset-cap", "-5"],
+         "subset sweep cap -5 below 0"),
+        (["ubiquity", "--rho", "r^-2", "--k", "2", "--n-lo", "1",
+          "--n-hi", "2", "--q-cap", "-3"], "q cap -3 below 0"),
+    ])
+    def test_negative_cap_is_1(self, tmp_path, capsys, argv, err):
+        out = tmp_path / "n.csv"
+        got = run_main(argv + ["--output", str(out)], capsys)
+        assert got == (1, "", "error: " + err)
+        assert not out.exists()
+        # a cap of 0 is a cap: it truncates every stage or refuses the
+        # uniform stage past it
+        code, _, _ = run_main(argv[:-1] + ["0", "--output", str(out)],
+                              capsys)
+        assert code == (2 if argv[0] == "ubiquity" else 0)
+
     def test_precision_exhausted_is_2(self, tmp_path, capsys):
         code, _, _ = run_main(
             ["loglaw", "--quotients", "1,1,1,1,1", "--T", "100",
@@ -658,7 +684,8 @@ print("loaded:", *(m for m in ("numpy", "concurrent.futures")
 LEAN_PROBE = """
 import sys
 from limsuplab import cli
-lazy = ("configparser", "csv", "dataclasses", "json", "limsuplab.functions")
+lazy = ("configparser", "csv", "dataclasses", "json", "limsuplab.functions",
+        "numpy")
 def loaded(stage):
     print("after", stage + ":", *(m for m in lazy if m in sys.modules))
 loaded("import")
@@ -724,9 +751,9 @@ class TestImportOnUse:
         assert done.stdout.splitlines()[-1] == "loaded:"
 
     def test_commands_load_only_their_layers(self, tmp_path):
-        # importing the CLI loads none of these; csv runs of the commands
-        # that parse no function load csv alone; jsonl output brings
-        # json, --config brings configparser
+        # importing the CLI loads none of these, numpy included; csv runs
+        # of the commands that parse no function load csv alone; jsonl
+        # output brings json, --config brings configparser
         config = tmp_path / "c.ini"
         config.write_text("[cf]\ndepth = 5\n")
         csv_runs = [["cf", "--x", "37/100"],
@@ -785,6 +812,63 @@ class TestImportOnUse:
         config = out.read_text().splitlines()[1].split()
         for item in echo:
             assert item in config
+
+
+# every cap of the package, module by module, at its literal value: a
+# check that reads a cap reads whatever value it holds, so only this
+# table notices a changed one
+CAP_VALUES = {
+    "cli": {"_FULL_SWEEP_CAP": "32000000", "_SUBSET_SWEEP_CAP": "64000000"},
+    "counting": {"MAX_N": 1000000, "MAX_SAMPLES": 2000},
+    "errors": {"MAX_PRINT_BITS": 14284},
+    "farey": {"MAX_SIEVE": 100000000},
+    "functions": {"MAX_EXACT_BITS": 3571},
+    "geodesics": {"_REDUCE_CAP": 100000, "MAX_SAMPLES": 2000000,
+                  "_BACKOFF_CAP": 64},
+    "horoballs": {"MAX_COUNT_BASES": 64000000, "MAX_MERTENS_TABLE": 4194304,
+                  "MAX_POINTS": 2048, "MAX_DISJOINTNESS_Q": 256,
+                  "MAX_IDENTITY_Q": 40},
+    "systems": {"FULL_SWEEP_CAP": 32000000, "SUBSET_SWEEP_CAP": 64000000,
+                "MAX_STAGE_BYTES": 2147483648, "MAX_WEIGHT_BITS": 1048576},
+    "ubiquity": {"MAX_UNIFORM_Q": 8192, "MAX_BALLS": 1000},
+}
+
+
+class TestCapValues:
+    def test_every_cap_at_its_value(self):
+        # a cap is a module-level MAX_* or *_CAP assignment
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        found = {}
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name)) as f:
+                    caps = [m.group(1) for m in map(
+                        re.compile(r"(MAX_\w+|\w*_CAP) = ").match, f)
+                        if m]
+                if caps:
+                    found[name[:-3]] = caps
+        assert found == {mod: list(caps) for mod, caps in CAP_VALUES.items()}
+        for mod, caps in CAP_VALUES.items():
+            module = importlib.import_module("limsuplab." + mod)
+            for name, value in caps.items():
+                assert getattr(module, name) == value, (mod, name)
+
+    @pytest.mark.parametrize("argv,at", [
+        (["schmidt", "--psi", "(1/4) * r^-1", "--N", None, "--samples", "1",
+          "--workers", "1"], ct.MAX_N),
+        (["schmidt", "--psi", "r^-2", "--N", "1", "--samples", None,
+          "--workers", "1"], ct.MAX_SAMPLES),
+        # windows from 2^2325 down by halves stay far above any horoball
+        (["horoballs", "--r-hi", "1e700", "--factor", "1/2", "--points",
+          None], hb.MAX_POINTS),
+    ])
+    def test_at_the_cap_accepted(self, tmp_path, capsys, argv, at):
+        out = tmp_path / "a.csv"
+        for value, code in ((at, 0), (at + 1, 2)):
+            run = [str(value) if a is None else a for a in argv]
+            got, _, err = run_main(run + ["--output", str(out)], capsys)
+            assert got == code, err
+        assert "(cap %d)" % at in err
 
 
 class TestArtifacts:

@@ -63,15 +63,19 @@ class TestTotients:
     @example(121)
     @example(200)
     def test_sieve_matches_brute_force(self, limit):
-        phi = farey.totient_sieve(limit)
+        phi = farey.stage_sieve(limit)[2]
         assert phi.dtype == np.int64
         assert phi.tolist() == [0] + [phi_brute(n)
                                       for n in range(1, limit + 1)]
 
     def test_sieve_refuses_beyond_cap_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(farey, "smallest_prime_factors", None)
+        monkeypatch.setattr(farey, "np", None)
         with pytest.raises(ResourceCapError):
-            farey.totient_sieve(farey.MAX_SIEVE + 1)
+            farey.stage_sieve(farey.MAX_SIEVE + 1)
+
+    def test_negative_limit_refused(self):
+        with pytest.raises(UsageError, match="nonnegative"):
+            farey.stage_sieve(-1)
 
     # limits around 2 BLOCK = 2^17, where the recurrence's ranges turn
     # from doubling to BLOCK wide, up to past 2^18
@@ -81,7 +85,7 @@ class TestTotients:
     @example(2 ** 17)
     @example(2 ** 18 + 3)
     def test_sieve_at_range_edges(self, limit):
-        phi = farey.totient_sieve(limit)
+        phi = farey.stage_sieve(limit)[2]
         assert phi.dtype == np.int64 and len(phi) == limit + 1
         edges, lo = [limit + 1], 2
         while lo <= limit:
@@ -98,26 +102,26 @@ class TestTotients:
         assert [int(phi[n]) for n in ns] == [phi_trial(n) for n in ns]
 
     def test_sieve_peak_memory_per_entry(self):
-        # phi (8 bytes) and the int32 smallest-prime-factor sieve (4)
-        # next to one range's temporaries
+        # phi (8 bytes) and the int32 least-prime and strip tables (4
+        # each) next to one range's temporaries
         limit = 4_000_000
         tracemalloc.start()
         try:
-            farey.totient_sieve(limit)
+            farey.stage_sieve(limit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * (limit + 1), peak / (limit + 1)
+        assert peak <= 20 * (limit + 1), peak / (limit + 1)
 
     def test_sum(self):
         # 1,1,2,2,4,2,6,4,6,4 for q = 1..10
-        assert int(farey.totient_sieve(10)[1:].sum()) == 32
-        assert int(farey.totient_sieve(1)[1:].sum()) == 1
-        assert int(farey.totient_sieve(0)[1:].sum()) == 0
+        assert int(farey.stage_sieve(10)[2][1:].sum()) == 32
+        assert int(farey.stage_sieve(1)[2][1:].sum()) == 1
+        assert int(farey.stage_sieve(0)[2][1:].sum()) == 0
 
     def test_coprime_count_is_farey_length(self):
         for qmax in (1, 2, 5, 13, 37):
-            assert 1 + int(farey.totient_sieve(qmax)[1:].sum()) == \
+            assert 1 + int(farey.stage_sieve(qmax)[2][1:].sum()) == \
                 len(farey_brute(qmax))
 
 
@@ -144,11 +148,7 @@ class TestStripTable:
     @example(2 ** 17)
     @example(2 ** 17 + 3)
     def test_phi_and_strip_match_trial_division(self, limit):
-        spf = farey.smallest_prime_factors(limit)
-        strip = np.empty_like(spf)
-        phi = farey.totient_sieve(limit, spf, strip)
-        # filling strip leaves phi as the plain sieve has it
-        assert phi.tolist() == farey.totient_sieve(limit).tolist()
+        spf, strip, phi = farey.stage_sieve(limit)
         ns = {0, 1, limit}
         for k in range(1, limit.bit_length() + 1):
             ns.update((2 ** k - 1, 2 ** k, 2 ** k + 1))
@@ -214,7 +214,7 @@ class TestReducedFractions:
             vals = num / den
             assert vals[0] == 0 and vals[-1] == 1
             assert np.all(np.diff(vals) > 0)
-            assert len(num) == 1 + int(farey.totient_sieve(qmax)[1:].sum())
+            assert len(num) == 1 + int(farey.stage_sieve(qmax)[2][1:].sum())
 
     def test_neighbour_determinant(self):
         num, den = farey.reduced_fractions(300)
@@ -398,9 +398,7 @@ class TestPrimeFactorPairs:
     @example([1, 2, 4, 1024, 2048, 3, 2310, 2999, 30030, 65536])
     def test_matches_trial_division(self, dens):
         limit = max(dens, default=1)
-        spf = farey.smallest_prime_factors(limit)
-        strip = np.empty_like(spf)
-        farey.totient_sieve(limit, spf, strip)
+        spf, strip, _ = farey.stage_sieve(limit)
         rows, primes = farey.prime_factor_pairs(np.array(dens, dtype=np.int64),
                                                 spf, strip)
         assert rows.dtype == primes.dtype == np.int64

@@ -76,7 +76,7 @@ def test_enumerate_half_open_bases():
 
 
 def test_count_matches_totient_sum():
-    phi = farey.totient_sieve(300)
+    phi = farey.stage_sieve(300)[2]
     got = hb.count_horoballs((0, 1), radius_of(300), radius_of(40))
     assert got == int(phi[41:301].sum())
 
@@ -174,7 +174,7 @@ def test_ball_at_validation():
 def test_ratio_totient_window():
     rep = hb.band_counts((0, 1), radius_of(100), HALF, 1,
                          Fraction(1, 4))[0]
-    phi = farey.totient_sieve(200)
+    phi = farey.stage_sieve(200)[2]
     assert (rep.q_min, rep.q_max) == (101, 200)
     assert rep.count == int(phi[101:201].sum())
     assert rep.ratio == pytest.approx(rep.count / (2 * 100 ** 2))

@@ -74,6 +74,10 @@ RUNS = [
     Run("classify --series 'r^(1/0)'", 1, "error:*"),
     Run("schmidt --psi '(1/4) * r^-1' --N 100000 --samples 200 --seed 7", 0,
         "mean ratio 0.999915, stddev 0.001062 over 200 samples (N=100000)"),
+    Run("schmidt --psi 'r^-3' --N 5 --samples 3", 0,
+        "mean ratio 0.797115, stddev 0.426076 over 3 samples (N=5; "
+        "multiplicity condition 2 q psi(q) < 1 fails at q = 1)",
+        "0d5e87da0f7f8473faedf32cc13fee8eeff5764f5395348bf05111f38223fab6"),
     Run("loglaw --x 37/100 --T 25", 0,
         "log-law statistic 0.351941 at T=25 (alpha=0)"),
     Run("loglaw --x 1e-300 --T 100", 0,
@@ -203,7 +207,7 @@ def engine_bytes(rho, k, n, listed):
     radius = ub._uniform_radius(fn.parse_function(rho), k, n)
     rn, rd = radius.numerator, radius.denominator
     theta = min(-((-rd) // (2 * rn)), q_max * q_max + 1)
-    phi = farey.totient_sieve(q_max)
+    phi = farey.stage_sieve(q_max)[2]
     assert ub._lattice_is_cheaper(q_max, theta, phi) == listed
     eng = ub.UniformStageEngine(q_max, radius)
     return b"".join(a.tobytes() for a in (eng._starts, eng._merged, eng._ends))

@@ -323,7 +323,7 @@ class TestStageMeasureScan:
         monkeypatch.setattr(farey, "smallest_prime_factors",
                             lambda limit: calls.append(limit) or sieve(limit))
 
-        def totient_pass(limit, spf=None, strip=None):
+        def totient_pass(limit, spf, strip):
             passes.append((limit, strip is not None))
             return totients(limit, spf, strip)
         monkeypatch.setattr(farey, "totient_sieve", totient_pass)
@@ -335,13 +335,14 @@ class TestStageMeasureScan:
         assert calls == [2 ** 12]
         assert passes == [(2 ** 12, True)]
         # stages 14 and 15 hold more than FULL_SWEEP_CAP balls each (the
-        # benchmark's per-q scans): no stage sweeps, so no strip table
+        # benchmark's per-q scans): no stage sweeps, and the one pass
+        # still fills the strip table
         del calls[:], passes[:]
         scan = sy.stage_measure_scan(sy.classical_rationals(), stage, 14, 15,
                                      subset_cap=0)
         assert [rec.method for rec in scan.records] == ["per-q-upper"] * 2
         assert calls == [2 ** 15]
-        assert passes == [(2 ** 15, False)]
+        assert passes == [(2 ** 15, True)]
 
     def test_brackets_are_plain_floats(self):
         # Ford r^-1, k = 2: stages 2 and 4 are empty, the others up to 8
@@ -386,7 +387,7 @@ class TestStageCount:
         while system.q_interval(*stage.window(n))[1] > 2 ** 16:
             n -= 1
         q_lo, q_hi = system.q_interval(*stage.window(n))
-        phi = farey.totient_sieve(max(q_hi, 1))
+        phi = farey.stage_sieve(max(q_hi, 1))[2]
         phi[1:2] = 2
         assert sy._stage_count(phi, q_lo, q_hi, ford) == \
             self.plan_count(system, phi, q_lo, q_hi)
@@ -396,7 +397,7 @@ class TestStageCount:
     @given(q_lo=st.integers(1, 3000), span=st.integers(-2, 3000))
     def test_equals_the_plan_count_on_any_window(self, q_lo, span):
         q_hi = q_lo + span
-        phi = farey.totient_sieve(max(q_hi, 1))
+        phi = farey.stage_sieve(max(q_hi, 1))[2]
         phi[1:2] = 2
         for system in (sy.classical_rationals(), sy.ford_horoballs()):
             ford = system.kind is sy.SystemKind.FORD
@@ -413,33 +414,6 @@ class TestStageCount:
         scan = sy.stage_measure_scan(sy.classical_rationals(), stage, 14, 15,
                                      subset_cap=0)
         assert [rec.method for rec in scan.records] == ["per-q-upper"] * 2
-
-
-class TestCountFloor:
-    """The O(1) floor on a window's totient sum that lets a scan whose
-    stages only take per-q bounds skip the strip table."""
-
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=60)
-    @given(st.integers(1, 4000), st.integers(0, 4000))
-    @example(1, 0)
-    @example(1, 1)
-    @example(2, 0)
-    @example(4000, 4000)
-    def test_below_the_totient_sum(self, q_lo, span):
-        q_hi = q_lo + span
-        phi = farey.totient_sieve(q_hi)
-        assert sy._count_floor(q_lo, q_hi) <= int(phi[q_lo:].sum())
-
-    def test_below_the_totient_sum_on_doubling_windows(self):
-        # the windows (2^(k-1), 2^k] of k = 2 stages, up to 2^21
-        cum = farey.totient_sieve(2 ** 21).cumsum()
-        for k in range(1, 22):
-            q_lo, q_hi = 2 ** (k - 1) + 1, 2 ** k
-            assert sy._count_floor(q_lo, q_hi) <= \
-                int(cum[q_hi] - cum[q_lo - 1])
-        # and it passes FULL_SWEEP_CAP from 2^14 on
-        assert sy._count_floor(2 ** 13 + 1, 2 ** 14) > sy.FULL_SWEEP_CAP
 
 
 class TestCellEdges:
@@ -465,10 +439,7 @@ def swept(sweep, plan):
 def cell_sweep(b_vals, radii):
     """`systems._cell_sweep` over a least-prime table and a strip table
     reaching max(b_vals), as a scan hands them."""
-    limit = int(b_vals.max(initial=1))
-    spf = farey.smallest_prime_factors(limit)
-    strip = np.empty_like(spf)
-    farey.totient_sieve(limit, spf, strip)
+    spf, strip, _ = farey.stage_sieve(int(b_vals.max(initial=1)))
     return sy._cell_sweep(b_vals, radii, spf, strip)
 
 

@@ -167,7 +167,7 @@ def test_tiny_radius_is_clamped_before_int64():
     # theta = 5 10^29 is past int64; clamped to q_max^2 + 1 it opens
     # every gap
     q_max, rad = 30, Fraction(1, 10 ** 30)
-    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    points = 1 + int(farey.stage_sieve(q_max)[2][1:].sum())
     for eng in both_builders(q_max, rad):
         assert eng.block_count == points
         assert eng.union_measure(Fraction(0), Fraction(1)) == \
@@ -456,13 +456,13 @@ def test_builder_choice():
     assert (q_max, theta) == (2244, 2244 ** 2 + 1)
     assert int(ub._open_gap_rows(q_max, theta)[2].sum()) == 1_260_006
     assert not ub._lattice_is_cheaper(q_max, theta,
-                                      farey.totient_sieve(q_max))
+                                      farey.stage_sieve(q_max)[2])
     # criterion 1's largest stage at k = 5: 74,398 lattice points, half
     # of them with b <= b'
     q_max, _, theta = stage(sy.classical_rationals(), RHO_LEMMA, 5, 5)
     assert (q_max, theta) == (3125, 813_803)
     assert int(ub._open_gap_rows(q_max, theta)[2].sum()) == 74_398 // 2
-    assert ub._lattice_is_cheaper(q_max, theta, farey.totient_sieve(q_max))
+    assert ub._lattice_is_cheaper(q_max, theta, farey.stage_sieve(q_max)[2])
 
 
 def test_largest_readme_stage_builds_without_f_q(monkeypatch):
@@ -497,7 +497,7 @@ def test_corrupted_gap_is_refused(monkeypatch):
     monkeypatch.setattr(ub, "_minus_inverse", off_by_one)
     # criterion 1's stage k = 6, n = 3 is built from its open gaps
     q_max, radius, theta = stage(sy.classical_rationals(), RHO_LEMMA, 6, 3)
-    assert ub._lattice_is_cheaper(q_max, theta, farey.totient_sieve(q_max))
+    assert ub._lattice_is_cheaper(q_max, theta, farey.stage_sieve(q_max)[2])
     with pytest.raises(InternalInvariantError, match="no open Farey gap"):
         ub.UniformStageEngine(q_max, radius)
 
@@ -621,7 +621,7 @@ def test_strike_mask_is_gcd_on_long_rows(rows):
 def threshold_theta(q_max, per):
     """The least theta at which the half-region holds more than one
     lattice point per `per` Farey points of F_Q."""
-    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    points = 1 + int(farey.stage_sieve(q_max)[2][1:].sum())
     lo, hi = 1, q_max * q_max + 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -636,7 +636,7 @@ def threshold_theta(q_max, per):
 def test_builders_agree_at_the_crossovers(q_max):
     # stages just either side of the list's old limit (1 lattice point
     # per 8 Farey points) and of its new one (1 in 4)
-    phi = farey.totient_sieve(q_max)
+    phi = farey.stage_sieve(q_max)[2]
     new = threshold_theta(q_max, 4)
     assert ub._lattice_is_cheaper(q_max, new - 1, phi)
     assert not ub._lattice_is_cheaper(q_max, new, phi)
@@ -661,7 +661,7 @@ def test_span_sums_fit_int64_up_to_the_cap():
     # at or below 2^27, and the first int64 level of _fraction_sum,
     # n1 (d2 / g) + n2 (d1 / g) with d1, d2 <= Q, stays below 2^54
     q = ub.MAX_UNIFORM_Q
-    points = 1 + int(farey.totient_sieve(q)[1:].sum())
+    points = 1 + int(farey.stage_sieve(q)[2][1:].sum())
     chunk = 1 << q.bit_length()
     assert points < 2 ** 25 and q <= 2 ** 13 and chunk <= 2 ** 14
     assert points * q < 2 ** 38
@@ -678,7 +678,7 @@ def test_ford_engine_matches_per_denominator_count():
     rad = ub._uniform_radius(fn.approximating(1, -1), k, n)
     assert (q_max, rad) == (152, Fraction(1, 6 ** 6))
     eng = ub.UniformStageEngine(q_max, rad)
-    assert eng.block_count == 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    assert eng.block_count == 1 + int(farey.stage_sieve(q_max)[2][1:].sum())
 
     def per_denominator(lo, hi):
         total = Fraction(0)
@@ -709,14 +709,14 @@ def test_engine_memory_is_one_word_per_point():
     system, k, n = sy.ford_horoballs(), Fraction(6), 9
     eng = ub.UniformStageEngine(ub._uniform_q_max(system, k, n),
                                 ub._uniform_radius(fn.approximating(1, -1), k, n))
-    points = 1 + int(farey.totient_sieve(eng.q_max)[1:].sum())
+    points = 1 + int(farey.stage_sieve(eng.q_max)[2][1:].sum())
     assert eng.block_count == points
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
     assert held <= 8 * points
     # with merging, only the merged blocks add to that
     eng = ub.UniformStageEngine(eng.q_max, Fraction(1, 10 ** 6))
-    merged = 1 + int(farey.totient_sieve(eng.q_max)[1:].sum()) - eng.block_count
+    merged = points - eng.block_count
     assert merged > 0
     held = sum(v.nbytes for v in vars(eng).values()
                if isinstance(v, np.ndarray))
@@ -754,7 +754,7 @@ def test_engine_build_peak_memory():
     # merged gap, from F_Q with 272,740 merged blocks (radius
     # 1/(3 10^6)) and from the few open gaps at radius 10^-6
     q_max = 2244
-    points = 1 + int(farey.totient_sieve(q_max)[1:].sum())
+    points = 1 + int(farey.stage_sieve(q_max)[2][1:].sum())
     for radius in (Fraction(1, 6 ** 9), Fraction(1, 3 * 10 ** 6),
                    Fraction(1, 10 ** 6)):
         tracemalloc.start()
