@@ -496,9 +496,10 @@ def _run_schmidt(o):
 def _run_cf(o):
     from . import geodesics as geo
     exp = geo.cf_expand(o["x"], o["depth"])
+    conv_p, conv_q = geo._convergent_arrays(exp.quotients)
     rows = []
     xv = o["x"]
-    for n, (a, p, q) in enumerate(zip(exp.quotients, exp.p[1:], exp.q[1:]),
+    for n, (a, p, q) in enumerate(zip(exp.quotients, conv_p[1:], conv_q[1:]),
                                   start=1):
         rows.append({"n": n, "a": a, "p": p, "q": q,
                      "error": abs(float(xv) - p / q)})

@@ -41,11 +41,10 @@ pair a chunk at a time off its leading bits, with one exact test of the
 chunk's last two remainders on the full pair certifying every quotient
 in it (_lead_chunk, _certified_state); short pairs and huge
 quotients take one ``divmod`` each.  The convergents p_n, q_n of a
-CFExpansion are built on first read and cached, so a caller reading
-only the quotients, as every stream here does, never builds them.  The
-other records are NamedTuples, GeodesicState and ExcursionRecord
-checking their fields in `__new__`; CFExpansion, which holds that
-cache, is a read-only slots class.  So no command loads `dataclasses`.
+CFExpansion are built each time they are read, so a caller reading
+only the quotients, as every stream here does, never builds them.
+Every record is a NamedTuple, GeodesicState and ExcursionRecord
+checking their fields in `__new__`, so no command loads `dataclasses`.
 
 Every returned float of an excursion peaking up to _H_MAX is the one
 the plain scalar evaluation gives, bit for bit (tests/oracles.py keeps
@@ -194,75 +193,30 @@ class StepTooCoarseWarning(UserWarning):
 # continued fractions
 
 
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """Partial quotients a_1..a_N with the convergents p_n/q_n.
 
     ``quotients`` come from chunked, certified Euclid
     (_euclid_quotients): about 55 per chunk off the leading bits of a
     long pair, one ``divmod`` each otherwise.  ``p`` and ``q`` are
-    built from them on first read and cached: a caller reading only
+    built from them each time they are read, so a caller reading only
     the quotients never pays the 2N big-integer multiply-adds.  They
     start at index 0 (p_0/q_0 = 0/1), so they are one longer than
     ``quotients``.  ``terminated`` marks an expansion that ended by
     itself within the requested depth.
-
-    A read-only record of the fields ``x``, ``quotients`` and
-    ``terminated``: it compares, hashes, prints and pickles by them
-    alone, and never equals a plain tuple.  The cache is a fourth slot,
-    which a NamedTuple could not hold.
     """
 
-    __slots__ = ("x", "quotients", "terminated", "_conv")
-    _fields = ("x", "quotients", "terminated")
-
-    def __init__(self, x: Fraction, quotients: Tuple[int, ...],
-                 terminated: bool):
-        put = object.__setattr__
-        put(self, "x", x)
-        put(self, "quotients", quotients)
-        put(self, "terminated", terminated)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CFExpansion is read-only: cannot set %r"
-                             % (name,))
-
-    def __delattr__(self, name):
-        raise AttributeError("CFExpansion is read-only: cannot delete %r"
-                             % (name,))
-
-    def _values(self) -> Tuple[Fraction, Tuple[int, ...], bool]:
-        return self.x, self.quotients, self.terminated
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return ("CFExpansion(x=%r, quotients=%r, terminated=%r)"
-                % self._values())
-
-    def __reduce__(self):
-        return CFExpansion, self._values()
-
-    def _convergents(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        try:
-            return self._conv
-        except AttributeError:
-            conv = _convergent_arrays(self.quotients)
-            object.__setattr__(self, "_conv", conv)
-            return conv
+    x: Fraction
+    quotients: Tuple[int, ...]
+    terminated: bool
 
     @property
     def p(self) -> Tuple[int, ...]:
-        return self._convergents()[0]
+        return _convergent_arrays(self.quotients)[0]
 
     @property
     def q(self) -> Tuple[int, ...]:
-        return self._convergents()[1]
+        return _convergent_arrays(self.quotients)[1]
 
 
 def _euclid_quotients(x: Fraction, depth: int) -> Tuple[List[int], bool]:

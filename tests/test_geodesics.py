@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import limsuplab.cli as cli
 import limsuplab.geodesics as geo
 import limsuplab.functions as fn
 from limsuplab.errors import (InternalInvariantError, PrecisionExhausted,
@@ -196,7 +197,9 @@ def test_cf_expand_builds_no_convergents(monkeypatch):
     assert len(cf.quotients) == 1000 and not cf.terminated
 
 
-def test_cf_convergents_built_once_on_first_read(monkeypatch):
+@pytest.fixture
+def convergent_calls(monkeypatch):
+    """The quotient lists passed to each _convergent_arrays call."""
     calls = []
     build = geo._convergent_arrays
 
@@ -205,13 +208,21 @@ def test_cf_convergents_built_once_on_first_read(monkeypatch):
         return build(quots)
 
     monkeypatch.setattr(geo, "_convergent_arrays", counted)
+    return calls
+
+
+def test_cf_convergents_built_once_on_first_read(convergent_calls):
     cf = cf_expand(Fraction(16, 113), 50)
-    assert calls == []
+    assert convergent_calls == []
     p = cf.p
     q = cf.q
-    assert calls == [cf.quotients]
-    assert cf.p is p and cf.q is q
     assert Fraction(p[-1], q[-1]) == Fraction(16, 113)
+
+
+def test_cf_command_builds_convergents_once(convergent_calls, tmp_path):
+    assert cli.main(["cf", "--x", "16/113",
+                     "--output", str(tmp_path / "c.csv")]) == 0
+    assert convergent_calls == [(7, 16)]
 
 
 def test_cf_expansions_compare_by_their_fields():
@@ -219,7 +230,7 @@ def test_cf_expansions_compare_by_their_fields():
     den = rnd.getrandbits(1024) | 1 << 1023
     x = Fraction(rnd.randrange(1, den), den)
     read, unread = cf_expand(x, 400), cf_expand(x, 400)
-    read.q  # the cached convergents are no field
+    read.q  # the convergents are no field
     assert read == unread and hash(read) == hash(unread)
     assert read != cf_expand(x, 399)
     assert repr(unread) == ("CFExpansion(x=%r, quotients=%r, terminated=False)"
