@@ -133,18 +133,6 @@ class ResonantSystem(NamedTuple):
                 "denominator cap %s" % (what, log2_weight, size_text(cap)))
         return self.q_interval(Fraction(0), k ** n)[1]
 
-    def count_window(self, w_lo: Fraction, w_hi: Fraction) -> int:
-        """Exact number of (point, weight) pairs with weight in (w_lo, w_hi]."""
-        q_lo, q_hi = self.q_interval(w_lo, w_hi)
-        if q_lo > q_hi:
-            return 0
-        if self.kind is SystemKind.RATIONALS:
-            return (q_hi - q_lo + 1) * (q_lo + q_hi + 2) // 2  # sum of (q + 1)
-        from limsuplab import farey
-        phi = farey.stage_sieve(q_hi)[2]
-        phi[1] = 2  # 0/1 alongside 1/1
-        return int(phi[q_lo:].sum())
-
 
 def classical_rationals() -> ResonantSystem:
     return ResonantSystem(SystemKind.RATIONALS)
@@ -414,8 +402,10 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     for n in range(n_lo, n_hi + 1):
         q_lo, q_hi = system.q_interval(*stage.window(n))
         count = _stage_count(phi, q_lo, q_hi, ford)
-        # a Ford point has one weight, so its pairs are its balls
-        pairs = count if ford else system.count_window(*stage.window(n))
+        # a Ford point has one weight, so its pairs are its balls; the
+        # rationals' are the sum of q + 1 over the window, 0 when empty
+        # (q_lo = q_hi + 1)
+        pairs = count if ford else (q_hi - q_lo + 1) * (q_lo + q_hi + 2) // 2
         if count == 0:
             records.append(StageMeasure(n, 0, pairs, 0.0, 0.0, 0.0, "empty"))
             continue

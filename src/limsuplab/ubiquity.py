@@ -84,8 +84,7 @@ span sums from one sweep (union_measures):
   * a segment's coef is bucketed K = 2^bitlen(Q) (> Q) blocks at a time,
     decoded from their keys; |coef_b| <= M Q < 2^25 2^13 = 2^38 for M
     merged blocks (M < |F_Q| < 2^25 and Q <= 2^13 up to MAX_UNIFORM_Q),
-    so int64 holds it, and a float64 bincount of at most K numerators
-    <= Q stays at or below 2^27, so it is exact;
+    so int64 holds it;
   * sum_b coef_b / b over the nonzero coef_b is added by a pairwise tree
     of (num, den) pairs over the lcm of their denominators
     (_fraction_sum), so no lcm(1..Q) is formed;
@@ -122,9 +121,9 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
 # builds from its 2,325 open gaps alone in 7-8 ms and 30 MB
 MAX_UNIFORM_Q = 8192
 # every ball is one exact query per stage, a stage's balls one batch:
-# 1000 balls at the README stages 3..5 of 6 r^-2 with k = 6 measured
-# 1.15-1.61 s (medians of 7 fresh runs 1.36-1.42 s) and 46 MB on 2
-# vCPUs, 0.88 s of a 1.72 s profile in the queries, 0.39 s of it in
+# 1000 balls at the README stages 3..5 of 6 r^-2 with k = 6 took
+# 0.81-1.25 s (median of 8 fresh CLI runs 1.15 s) and 45 MB on 2
+# vCPUs, 0.66 s of a 1.41 s profile in the queries, 0.34 s of it in
 # _fraction_sum
 MAX_BALLS = 1_000
 
@@ -174,19 +173,17 @@ class UniformStageEngine:
 
     def _numerator_sums(self, i: int, j: int):
         """Per-denominator sums a_e - a_s over merged blocks i..j - 1,
-        unpacked from their keys K = 2^db blocks at a time.  The float64
-        bincounts are exact: each adds at most K numerators <= q_max, at
-        most 2^14 * 2^13 = 2^27 below the cap."""
+        unpacked from their keys K = 2^db blocks at a time and bucketed
+        in int64."""
         import numpy as np
         q, chunk = self.q_max, 1 << self._db
         sums = np.zeros(q + 1, dtype=np.int64)
         for at in range(i, j, chunk):
             part = slice(at, min(at + chunk, j))
             ae, be = self._unpack(self._ends[part], q)
+            np.add.at(sums, be, ae)
             as_, bs = self._unpack(self._starts[self._merged[part]], q)
-            counts = np.bincount(be, ae, q + 1)
-            counts -= np.bincount(bs, as_, q + 1)
-            sums += counts.astype(np.int64)
+            np.subtract.at(sums, bs, as_)
         return sums
 
     def union_measure(self, lo: Fraction, hi: Fraction) -> Fraction:

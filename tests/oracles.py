@@ -14,9 +14,12 @@ and samples of G confirm what `functions.is_k_regular` and
 that no command runs live here too: the value of a quotient list, the
 Gauss-Kuzmin law and its seeded sampler, the hyperbolic distance and
 the Mobius action of a word.  The uniform-stage list's modular inverses
-answer to the vectorised extended Euclid it used before.  Test modules
-import them as `from oracles import ...`; nothing under `src` may,
-because an installed package has no `tests/` next to it.
+answer to the vectorised extended Euclid it used before.
+`window_count` counts a weight window's pairs without listing them, to
+size the stage tests and for `natural_cover_sum`; a scan's `pairs` are
+checked against the listing itself.  Test modules import them as
+`from oracles import ...`; nothing under `src` may, because an
+installed package has no `tests/` next to it.
 """
 
 import math
@@ -185,6 +188,32 @@ def window_pairs(system, w_lo, w_hi):
                       if not ford or math.gcd(p, q) == 1]
         q += 1
     return pairs
+
+
+def window_count(system, w_lo, w_hi) -> int:
+    """len(window_pairs(system, w_lo, w_hi)) without listing the pairs:
+    over the window's denominators (`q_interval`), q + 1 points each on
+    the rationals, summed in closed form, and the phi(q) reduced ones
+    for Ford circles, phi counted by trial division, with 0/1 next to
+    1/1 at q = 1."""
+    q_lo, q_hi = system.q_interval(w_lo, w_hi)
+    if q_lo > q_hi:
+        return 0
+    if system.kind is sy.SystemKind.RATIONALS:
+        return (q_hi - q_lo + 1) * (q_lo + q_hi + 2) // 2
+    return sum(totient(q) for q in range(q_lo, q_hi + 1)) + (q_lo == 1)
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n) off the trial-division factorisation of n, 0 at 0."""
+    phi, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            phi -= phi // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return phi - phi // m if m > 1 else phi
 
 
 def stage_balls(system, stage, n):
@@ -780,7 +809,7 @@ def natural_cover_sum(f, psi: fn.FunctionForm, system, k, m_start: int,
                                              "cover sum"), "cover sum")
     total = 0.0
     for n in range(m_start, m_end + 1):
-        count = system.count_window(k ** (n - 1), k ** n)
+        count = window_count(system, k ** (n - 1), k ** n)
         if count == 0:
             continue
         r_val = evaluate(psi, float(k) ** n)

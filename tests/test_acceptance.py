@@ -40,15 +40,7 @@ def test_criterion_01_ubiquity_constant(capsys):
     # k = 6, stage radius k^(1-2n) at weight k^n, i.e. rho(r) = 6 r^-2;
     # 20 seeded intervals with m(I) >= 0.1; every exact ratio >= 1/2.
     started = time.time()
-    rnd = random.Random(SEED)
-    balls = []
-    for _ in range(20):
-        radius = (Fraction(1, 20)
-                  + (Fraction(1, 2) - Fraction(1, 20))
-                  * Fraction(rnd.randrange(1000), 1000))
-        center = radius + (1 - 2 * radius) * Fraction(rnd.randrange(10 ** 6),
-                                                      10 ** 6)
-        balls.append((center, radius))
+    balls = ub.seeded_balls(20, Fraction(1, 10), SEED)
     assert all(2 * r >= Fraction(1, 10) for _, r in balls)
     reports = ub.estimate_kappa(sy.classical_rationals(),
                                 fn.power_log(6, -2), 6, balls, range(3, 6))

@@ -1174,8 +1174,7 @@ def grammar_argv(draw):
     return argv + LAST_OPTIONS.get(command, [])
 
 
-@settings(derandomize=True, database=None, max_examples=150,
-          deadline=timedelta(seconds=5),
+@settings(max_examples=150, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=grammar_argv())
 def test_exit_contract_over_the_option_grammar(argv, tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_exact_count_rejects_log_radii():
 # a / (b q^(e-1)) off the dyadic distances |q x - p|, by at least
 # 1 / (2^20 b q^(e-1)): a relative gap near 1e-7, far above the few ulps
 # of the float threshold, so no hit can flip
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(m=st.integers(0, 2 ** 20), N=st.integers(1, 400),
        c=st.sampled_from([Fraction(a, b) for b in (3, 5, 7, 11, 13)
                           for a in range(1, b)]),
@@ -184,7 +184,7 @@ GRID_FORMS = [PSI_QUARTER, PSI_CUBE, PSI_SQUARE,
 
 # each example interleaves several (psi, N) pairs, more than the cache
 # holds, so a stale or evicted entry answering for another pair shows
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        grids=st.lists(st.tuples(st.sampled_from(GRID_FORMS),
                                 st.integers(1, 3000)),
@@ -209,7 +209,7 @@ def test_count_chunks_cover_the_grid(monkeypatch):
 
 # one batch reuses one set of chunk buffers for every x: a count left
 # over from the x before, or from a longer chunk, would show here
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(xs=st.lists(st.floats(0.0, 1.0)
                    | st.fractions(0, 1, max_denominator=10 ** 6)
                    | st.integers(-10 ** 30, 10 ** 30), max_size=6),

@@ -16,11 +16,9 @@ from limsuplab.errors import (InternalInvariantError, ResourceCapError,
                               UsageError)
 from oracles import (ArrayRows, array_keys, array_union_length,
                      exact_union_measure, float_sorted_fractions,
-                     stable_union_length)
+                     stable_union_length, totient)
 
-# property tests replay the same examples on every run
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=25)
+PROPERTY = settings(max_examples=25)
 
 
 def phi_brute(n):
@@ -33,17 +31,6 @@ def least_prime(n):
 
 def is_prime(n):
     return n >= 2 and least_prime(n) == n
-
-
-def phi_trial(n):
-    """phi(n) off the trial-division factorisation of n."""
-    phi = n
-    while n > 1:
-        p = least_prime(n)
-        phi -= phi // p
-        while n % p == 0:
-            n //= p
-    return phi
 
 
 def farey_brute(qmax):
@@ -99,7 +86,7 @@ class TestTotients:
         near = [p for p in range(root - 60, root + 60) if is_prime(p)]
         ns.update(p * q for p in near for q in near)
         ns = sorted(n for n in ns if 0 <= n <= limit)
-        assert [int(phi[n]) for n in ns] == [phi_trial(n) for n in ns]
+        assert [int(phi[n]) for n in ns] == [totient(n) for n in ns]
 
     def test_sieve_peak_memory_per_entry(self):
         # phi (8 bytes) and the int32 least-prime and strip tables (4
@@ -157,7 +144,7 @@ class TestStripTable:
         ns.update(random.Random(limit).randrange(limit + 1)
                   for _ in range(50))
         ns = sorted(n for n in ns if n <= limit)
-        assert [int(phi[n]) for n in ns] == [phi_trial(n) for n in ns]
+        assert [int(phi[n]) for n in ns] == [totient(n) for n in ns]
         assert [int(strip[n]) for n in ns] == [strip_trial(n) for n in ns]
 
 
@@ -421,8 +408,7 @@ def coprime_candidates(b, first, count):
 class TestCoprimeRuns:
     # b = 1, empty rows, a row longer than BLOCK, chunks ending exactly
     # at BLOCK candidates and one past it, trailing empty rows
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=80)
+    @settings(max_examples=80)
     @given(rows=st.lists(st.tuples(st.integers(1, 3000),
                                    st.integers(0, 10 ** 6),
                                    st.integers(0, 4000)), max_size=40),
@@ -548,8 +534,7 @@ class TestUnionLength:
 
     # the sweep's value stays within its certified budget of the exact
     # measure of the same float intervals
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=200)
+    @settings(max_examples=200)
     @given(pieces=st.lists(st.tuples(POINT, LENGTH), min_size=1,
                            max_size=60),
            window=st.tuples(POINT, POINT).map(sorted))
@@ -569,8 +554,7 @@ class TestUnionLength:
     # the tie fix must give the stable sort's (lo, index) order: lo on a
     # coarse grid with both zeros, so ties are the rule, and clip windows
     # that cut many intervals to the same end
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=300)
+    @settings(max_examples=300)
     @given(pieces=st.lists(st.tuples(TIE_POINT, LENGTH), min_size=1,
                            max_size=80),
            window=st.tuples(POINT, POINT).map(sorted))

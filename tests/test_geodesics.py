@@ -171,7 +171,7 @@ def test_int_quotients_are_read_in_place(quots):
     assert geo._direction_data(quots).quots is quots
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.lists(st.one_of(st.integers(1, 5), st.integers(1, 10 ** 300)),
                 min_size=1, max_size=80))
 @example([1] * 80)
@@ -733,7 +733,7 @@ def _chunk_edges(x):
     return sorted(edges)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@settings(max_examples=250)
 @given(x=exact_directions(), depth=st.one_of(st.just(1 << 30),
                                              st.integers(1, 3000)),
        data=st.data())
@@ -801,7 +801,7 @@ def _certify(x, quots):
                                 quots[-1], *_last_convergents(quots))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(den=st.integers(3, 1 << 600), data=st.data())
 def test_certified_state_accepts_only_euclids_prefix(den, data):
     x = Fraction(data.draw(st.integers(1, den - 1)), den)
@@ -916,7 +916,7 @@ def test_score_caps_bound_every_excursion(alpha):
                                                          alpha, best)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(runs=st.lists(st.tuples(st.integers(0, 400), st.sampled_from(
            [2, 5, 50, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 40, 10 ** 200])),
            max_size=6),
@@ -945,7 +945,7 @@ def test_acosh_one_plus_continuous_at_branch():
             math.acosh(1.0 + math.exp(ln_x)), rel=1e-15)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.lists(st.integers(1, 40), min_size=geo._ALPHA_TAIL + 1,
                 max_size=geo._ALPHA_TAIL + 20))
 @example([1] * (geo._ALPHA_TAIL + 1))
@@ -1000,7 +1000,7 @@ def search_cases(draw):
     return f, lo, hi
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(case=search_cases(), steps=st.sampled_from([1, 5, 70, 90]))
 def test_early_stopping_searches_match_fixed_step(case, steps):
     # a search that stops where its bracket stops moving returns the
@@ -1064,7 +1064,7 @@ def near_tied_runs(draw):
     return run
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(run=near_tied_runs())
 @example(run=[1e10, math.nextafter(1e10, 2e10), 1e10])
 @example(run=[1.0 + 2 ** -52, 1.0 + 2 ** -51, 1.0 + 2 ** -52])
@@ -1087,7 +1087,7 @@ def test_grid_im_matches_scalar_reduction():
         assert geo._grid_im(x, np.array([1.0, t])) is None
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(k=st.integers(11, 40), m=st.integers(0, 2 ** 40),
        T=st.floats(2.0, 12.0))
 def test_predicted_matches_sampled_on_dyadics(k, m, T):
@@ -1199,7 +1199,7 @@ def _quotient_lists(draw):
     return quots
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(quots=_quotient_lists(), data=st.data(),
        margin=st.sampled_from([64, 64, 1, 2, 3, 5]))
 @example(quots=[1] * 300, data=None, margin=64)
@@ -1223,7 +1223,7 @@ def test_alpha_head_equals_full_sweep(quots, data, margin):
             assert geo._alpha_head(quots, m) == want[:m + 1]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(quots=_quotient_lists(), reads=st.lists(st.integers(0, 10 ** 6),
                                                min_size=1, max_size=8))
 @example(quots=[3, 1, 4, 1, 5, 9, 2, 6] * 10, reads=[5, 2, 40, 0, 41, 1, 79])
@@ -1311,7 +1311,7 @@ def test_excursion_on_each_side_of_h_max():
         _assert_close(got[0][1:], excursion_mp(quots, 5))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(before=st.lists(st.integers(1, 50), max_size=40),
        a=st.integers(2 ** 501 + 2 ** 449, 10 ** 307),
        after=st.lists(st.integers(1, 50), min_size=geo._ALPHA_TAIL + 1,
@@ -1331,7 +1331,7 @@ def test_deep_excursion_matches_mpmath(before, a, after):
     _assert_close(got[0][1:], excursion_mp(quots, n))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(before=st.lists(st.integers(1, 50), max_size=40),
        a=st.integers(2 ** 26, 2 ** 60),
        after=st.lists(st.integers(1, 50), min_size=geo._ALPHA_TAIL + 1,

@@ -88,7 +88,7 @@ def test_count_matches_enumeration_off_unit_window():
     assert balls and hb.count_horoballs(window, *r) == len(balls)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(lo=st.fractions(-5, 5, max_denominator=12),
        width=st.fractions(0, 3, max_denominator=30),
        shift=st.sampled_from([0, 1, -7, 10 ** 12, -10 ** 30]),
@@ -111,7 +111,7 @@ def test_counting_paths_match_enumeration(lo, width, shift, q_min, span):
     assert hb.count_horoballs((b_lo, b_hi), r_lo, r_hi) == want
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(n=st.integers(0, 80),
        m=st.one_of(st.integers(1, 60), st.integers(1, 10 ** 40)),
        a=st.one_of(st.integers(-100, 100), st.integers(-10 ** 40, 10 ** 40)),
@@ -249,7 +249,7 @@ def test_identity_gaps_match_fraction_oracle_on_f16():
         assert hb._scaled_gap(a, b) == _scaled_oracle_gap(*a, *b)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(q=st.integers(1, hb.MAX_IDENTITY_Q),
        q2=st.integers(1, hb.MAX_IDENTITY_Q), data=st.data())
 def test_identity_gaps_match_fraction_oracle_drawn(q, q2, data):
@@ -317,7 +317,7 @@ def test_disjointness_counts_match_full_square(identity, q_maxes):
         _assert_counts_match_full_square(q_max, identity)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@settings(max_examples=8)
 @given(q_max=st.integers(61, 100))
 def test_disjointness_counts_match_full_square_drawn(q_max):
     _assert_counts_match_full_square(q_max)
