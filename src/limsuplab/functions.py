@@ -23,10 +23,9 @@ and layers that parse no function never load this module; they are
 re-exported here.
 
 Convergence of sum_{r >= r0} r^A (log r)^B (loglog r)^C is decided by the
-integral test on the closed family:
+integral test on the closed family, which is one lexicographic order:
 
-    convergent  iff  A < -1,  or  A = -1 and B < -1,
-                 or  A = -1, B = -1 and C < -1.
+    convergent  iff  (A, B, C) < (-1, -1, -1).
 
 A factor exp(-kappa r^w) with kappa, w > 0 forces convergence regardless
 of the polynomial-logarithmic part.
@@ -176,7 +175,7 @@ class FunctionForm(_FormFields):
         if self.regime is Regime.LARGE:
             return (a, b, c) < (0, 0, 0)
         # small-r: r^a -> 0 for a > 0, logs of 1/r blow up
-        return (a > 0) or (a == 0 and (b, c) < (0, 0))
+        return (-a, b, c) < (0, 0, 0)
 
     def is_gauge(self) -> bool:
         """Valid dimension gauge: small-r regime, f(r) -> 0 as r -> 0+.
@@ -521,14 +520,6 @@ def reduce_series(series: SeriesSpec) -> ReducedSummand:
     return red._replace(A=red.A + series.weight_power)
 
 
-def _triple_convergent(A: Fraction, B: Fraction, C: Fraction) -> bool:
-    if A != -1:
-        return A < -1
-    if B != -1:
-        return B < -1
-    return C < -1
-
-
 def series_classify(series: SeriesSpec) -> Classification:
     """Convergent/Divergent verdict for the reduced series.
 
@@ -542,7 +533,7 @@ def series_classify(series: SeriesSpec) -> Classification:
             Verdict.CONVERGENT, red,
             "exponential decay factor exp(-%s r^%s) dominates"
             % (red.exp_coeff, red.exp_omega))
-    ok = _triple_convergent(red.A, red.B, red.C)
+    ok = (red.A, red.B, red.C) < (-1, -1, -1)
     reason = ("exponents (%s, %s, %s) against the (-1,-1,-1) boundary"
               % (red.A, red.B, red.C))
     return Classification(

@@ -21,7 +21,7 @@ Duplicate centres are collapsed before sweeping: every ball of the
 stage sits inside the ball at the reduced centre whose radius comes
 from the smallest weight the centre attains in the window, so for a
 nonincreasing radius function the union over reduced centres equals
-the raw union exactly.
+the raw union exactly; a whole sweep checks that psi does not rise.
 
 The sweep takes, per denominator b, the candidates a in a window
 [a_lo, a_hi] of each cell, and `farey.BallRows.keys` keeps a/b exactly
@@ -214,10 +214,10 @@ def _stage_ball_plan(system: ResonantSystem, q_lo: int, q_hi: int):
     the rationals, float64 for Ford).  The union of balls over reduced
     centres equals the stage set exactly (the raw ball at p/q = a/b has
     radius at most the reduced ball's, because the radius function is
-    nonincreasing on the window and the reduced ball uses the smallest
-    weight the centre attains).  The scan counts a stage's balls
-    without it (`_stage_count`), so a rationals stage that is not swept
-    builds no plan.
+    nonincreasing on the window, which the scan checks before a whole
+    sweep, and the reduced ball uses the smallest weight the centre
+    attains).  The scan counts a stage's balls without it
+    (`_stage_count`), so an unswept rationals stage builds no plan.
     """
     import numpy as np
     if q_lo > q_hi:
@@ -341,8 +341,9 @@ def _truncate_plan(b_vals: np.ndarray, radii: np.ndarray,
     """Smallest-denominator prefix whose reduced-ball count fits cap;
     counts holds the plan's reduced balls per denominator.
 
-    Small denominators carry the largest radii in every stage plan, so
-    the prefix is the mass-greedy choice for a union lower bound.
+    For a nonincreasing psi small denominators carry the largest radii,
+    so the prefix is the mass-greedy lower bound; as a subfamily, any
+    prefix bounds the stage from below for any psi, unchecked.
     """
     import numpy as np
     if len(b_vals) == 0:
@@ -364,10 +365,10 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
     for oversized stages entirely and reports the trivial lower bound 0
     with the certified upper bound.  The caps can only be lowered: a
     full_cap above FULL_SWEEP_CAP or a subset_cap above SUBSET_SWEEP_CAP
-    is a UsageError, as is a cap below 0.  Raises ResourceCapError,
-    before any stage is computed, when the last stage's arrays and
-    totient sieve, all as long as its denominator range, would pass
-    MAX_STAGE_BYTES.
+    is a UsageError, as is a cap below 0 or a wholly swept rationals
+    stage whose float psi rises.  Raises ResourceCapError, before any
+    stage is computed, when the last stage's arrays and totient sieve,
+    all as long as its denominator range, would pass MAX_STAGE_BYTES.
     """
     import numpy as np
     from limsuplab import farey
@@ -419,6 +420,14 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
         if not ford:
             q = np.arange(q_lo, q_hi + 1, dtype=np.float64)
             psi = fn.evaluate_array(stage.form, q)
+            # reduced centres give the raw union only for a psi that
+            # does not rise; a subset sweep or per-q bound holds for any
+            rise = np.flatnonzero(psi[1:] > psi[:-1]) if full else ()
+            if len(rise):
+                raise UsageError(
+                    "stage %d: psi rises from weight %d to weight %d; a swept "
+                    "stage needs psi nonincreasing over its weights"
+                    % (n, q_lo + rise[0], q_lo + rise[0] + 1))
             q += 1.0
             upper = _per_q_upper(psi, q)
             del q, psi  # not held through the sweep

@@ -221,9 +221,15 @@ def stage_balls(system, stage, n):
 
     Duplicate centres (2/4 next to 1/2) stay in, each with the radius of
     its own weight, so this knows nothing of the reduced-centre dedup
-    the scan relies on.
+    the scan relies on.  A form with no exact values (a log factor) gets
+    its float64 radius, read exactly.
     """
-    radius = cache(lambda w: fn.evaluate_rational(stage.form, w))
+    @cache
+    def radius(w):
+        try:
+            return fn.evaluate_rational(stage.form, w)
+        except UsageError:
+            return Fraction(float(fn.evaluate_array(stage.form, float(w))))
     return [(c, radius(w)) for c, w in window_pairs(system, *stage.window(n))]
 
 

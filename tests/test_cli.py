@@ -267,6 +267,17 @@ class TestExitStatuses:
         assert err.startswith("resource cap:") and "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_rising_psi_on_a_swept_stage_is_1(self, tmp_path, capsys):
+        # (1/1000) q^-1 (log q)^3 rises over the weights 5..8 of stage 3
+        got = run_main(
+            ["stage-scan", "--psi", "(1/1000) * r^-1 * log(r)^3", "--k",
+             "2", "--n-lo", "3", "--n-hi", "3",
+             "--output", str(tmp_path / "s.csv")], capsys)
+        assert got == (1, "", "error: stage 3: psi rises from weight 5 to "
+                       "weight 6; a swept stage needs psi nonincreasing "
+                       "over its weights")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_horoballs_beyond_count_cap_is_2(self, tmp_path, capsys,
                                              monkeypatch):
         # the 30th radius, 2^-32, bounds 3.2e9 candidate bases; the run

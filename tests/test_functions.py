@@ -129,6 +129,11 @@ class TestConstructors:
         assert g.is_gauge()
         g2 = F.dimension_gauge(log_power=-1)
         assert g2.is_gauge()
+        # the small-r order (-a, b, c) < (0, 0, 0) at and next to a = b = 0
+        assert F.dimension_gauge(loglog_power=-1).is_gauge()
+        for a, b, c in [(0, 0, 0), (0, 0, 1), (Fraction(-1, 100), -9, -9)]:
+            with pytest.raises(UsageError):
+                F.dimension_gauge(power=a, log_power=b, loglog_power=c)
 
     def test_exp_power_validation(self):
         with pytest.raises(UsageError):
@@ -150,6 +155,11 @@ VERDICT_TABLE = [
     ((1, 2, 3), False),
     ((Fraction(-101, 100), 9, 9), True),
     ((Fraction(-99, 100), -9, -9), False),
+    # one coordinate off the boundary, the later ones pulling the other way
+    ((-1, Fraction(-101, 100), 9), True),
+    ((-1, Fraction(-99, 100), -9), False),
+    ((-1, -1, Fraction(-101, 100)), True),
+    ((-1, -1, Fraction(-99, 100)), False),
 ]
 
 

@@ -150,6 +150,9 @@ RUNS = [
     Run("stage-scan --psi r^-3 --k 2 --n-lo 14 --n-hi 19 --subset-cap 0", 0,
         "stage measures n=14..19: partial sum 0 (6 truncated stages)",
         "d2119e0c094cb003f3a6a653705aad92c37df2d4a83f3bff6330da7f1a33f549"),
+    # a psi that rises over a stage swept whole is refused
+    Run("stage-scan --psi '(1/1000) * r^-1 * log(r)^3' --k 2 --n-lo 3 "
+        "--n-hi 3", 1, "error:*"),
     Run("disjointness --q-max 200", 0,
         "all 12233 horoball interiors disjoint up to q=200 (24463 tangent pairs)",
         "c2af76cf65313c79f9ee6457a6754821e1e5b05272c17dc15468abc2cac26c94"),
