@@ -33,7 +33,7 @@ from itertools import chain
 from typing import NamedTuple, Optional
 
 from limsuplab import functions as fn
-from limsuplab.errors import ResourceCapError, UsageError, size_text
+from limsuplab.errors import ResourceCapError, UsageError, size_text, text_echo
 
 # a (psi, N) grid is two float64 arrays of length N, built once; at
 # N = 10^6 the first count measured 0.02 s and 24 MB, each later one
@@ -160,12 +160,19 @@ def count_batch(xs, N: int, psi: fn.FunctionForm) -> list[int]:
 
 
 def schmidt_prediction(psi: fn.FunctionForm, N: int) -> SchmidtPrediction:
-    """2 sum_{q<=N} q psi(q), with the multiplicity condition flagged."""
+    """2 sum_{q<=N} q psi(q), with the multiplicity condition flagged; a
+    sum past float range is a ResourceCapError naming the form."""
     _, qpsi = _q_psi(psi, N)
     import numpy as np
-    bad = np.flatnonzero(2.0 * qpsi >= 1.0)
-    return SchmidtPrediction(float(2.0 * qpsi.sum()),
-                             int(bad[0]) + 1 if len(bad) else None)
+    # q psi(q) >= 1/2 picks the q of 2 q psi(q) >= 1 without doubling
+    bad = np.flatnonzero(qpsi >= 0.5)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        value = 2.0 * float(qpsi.sum())
+    if not math.isfinite(value):
+        raise ResourceCapError(
+            "the prediction 2 sum q psi(q) over q <= %d of %s is past "
+            "float range" % (N, text_echo(fn.format_function(psi))))
+    return SchmidtPrediction(value, int(bad[0]) + 1 if len(bad) else None)
 
 
 def sample_x(seed: int, index: int) -> float:

@@ -15,7 +15,8 @@ certified lower bound from a denominator-truncated subfamily (a subset
 of the union can only be smaller) and an upper bound from
 per-denominator ball counts (a union is at most the sum of lengths).
 Only a stage whose arrays and totient sieve would pass MAX_STAGE_BYTES
-is refused, before anything is allocated.
+is refused, before anything is allocated.  A stage evaluates psi once,
+over its window's weights, and only a swept stage builds its plan.
 
 Duplicate centres are collapsed before sweeping: every ball of the
 stage sits inside the ball at the reduced centre whose radius comes
@@ -65,8 +66,8 @@ _CELL_BUDGET = 8_000_000  # target flattened pairs per sweep cell
 # builds no plan, peaks in its per-q bound: at 28 bytes per q of
 # ru_maxrss above the interpreter at q_hi = 2^22 (stage 22 of k = 2)
 # and at 40 at 2^22 + 1 (stage 1 of k = 2^22 + 1), 28 and 40 traced.
-# With subset_cap=1000, which sweeps, it peaks in the plan and its
-# radii, at 57 at both (56 traced).
+# With subset_cap=1000, which sweeps, it peaks in the plan, built
+# beside psi alone: at 53 and 57 (53 and 57 traced).
 # The byte budget admits q_hi up to about 2.2e7, well inside
 # farey.MAX_SIEVE.
 _STAGE_BYTES_PER_Q = 96
@@ -209,30 +210,29 @@ def _stage_ball_plan(system: ResonantSystem, q_lo: int, q_hi: int):
     """Reduced-centre description of the stage whose window's
     denominators (`ResonantSystem.q_interval`) are q_lo..q_hi.
 
-    Returns (b_vals, weights): the denominators of the reduced centres
-    and the weight whose radius psi(weight) each ball takes (int64 on
-    the rationals, float64 for Ford).  The union of balls over reduced
-    centres equals the stage set exactly (the raw ball at p/q = a/b has
-    radius at most the reduced ball's, because the radius function is
-    nonincreasing on the window, which the scan checks before a whole
-    sweep, and the reduced ball uses the smallest weight the centre
-    attains).  The scan counts a stage's balls without it
-    (`_stage_count`), so an unswept rationals stage builds no plan.
+    Returns (b_vals, at), both int64: the denominators of the reduced
+    centres and the window position of the weight (q_lo + at, or
+    2 (q_lo + at)^2 for Ford) whose radius psi(weight) each ball takes,
+    which the scan gathers from its psi over the window.  The union of
+    balls over reduced centres equals the stage set exactly (the raw
+    ball at p/q = a/b has radius at most the reduced ball's, because
+    the radius function is nonincreasing on the window, which the scan
+    checks before a whole sweep, and the reduced ball uses the smallest
+    weight the centre attains).  Only a swept stage is planned.
     """
     import numpy as np
-    if q_lo > q_hi:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
     if system.kind is SystemKind.RATIONALS:
         # a reduced denominator b <= q_hi appears via its smallest
         # multiple inside the window, whose weights are q_lo..q_hi
         b_vals = np.arange(1, q_hi + 1, dtype=np.int64)
-        qmin = (q_lo - 1) // b_vals + 1
-        qmin *= b_vals
-        keep = qmin <= q_hi
-        return b_vals[keep], qmin[keep]
+        at = (q_lo - 1) // b_vals + 1
+        at *= b_vals
+        keep = at <= q_hi
+        at -= q_lo
+        return b_vals[keep], at[keep]
     # Ford: reduced denominators live in the window themselves
-    b_vals = np.arange(q_lo, q_hi + 1, dtype=np.int64)
-    return b_vals, 2.0 * b_vals.astype(np.float64) ** 2
+    return (np.arange(q_lo, q_hi + 1, dtype=np.int64),
+            np.arange(q_hi - q_lo + 1, dtype=np.int64))
 
 
 def _cell_edges(ncells: int) -> list:
@@ -259,7 +259,10 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray, spf: np.ndarray,
     from limsuplab import farey
     if len(b_vals) == 0:
         return 0.0, 0
-    flat_fixed = float((2.0 * radii * b_vals).sum() + 3 * len(b_vals))
+    # r capped at _CELL_BUDGET overflows no product, and a capped row
+    # alone takes the budget / 8 floor below, as an inf sum would
+    flat_fixed = float((2.0 * np.minimum(radii, _CELL_BUDGET) * b_vals).sum()
+                       + 3 * len(b_vals))
     b_float = b_vals.astype(np.float64)
     flat_sweep = float(b_float.sum())
     ncells = max(1, math.ceil(flat_sweep /
@@ -300,25 +303,12 @@ def _cell_sweep(b_vals: np.ndarray, radii: np.ndarray, spf: np.ndarray,
     return total, n_balls
 
 
-def _per_q_upper(radii: np.ndarray, counts: np.ndarray) -> float:
-    """Sum over i of counts[i] balls' length 2 radii[i], each term capped
-    at 1 and the sum at 1: a certified upper bound on the measure of the
-    union of those balls."""
-    import numpy as np
-    per_q = 2.0 * radii
-    per_q *= counts
-    np.minimum(per_q, 1.0, out=per_q)
-    # one-ulp-per-term slack keeps the bound certified despite rounding;
-    # per_q >= 0, so its max is its largest magnitude
-    slack = len(per_q) * 4e-16 + float(per_q.max(initial=0.0)) * 1e-12
-    return min(1.0, float(per_q.sum()) + slack)
-
-
 def _stage_count(phi: np.ndarray, q_lo: int, q_hi: int, ford: bool) -> int:
     """The reduced balls of the stage whose window's denominators are
     q_lo..q_hi: phi, the scan's table with phi[1] = 2, summed over its
-    plan's denominators (_stage_ball_plan) without building the plan.
-    Ford's plan is the window.  The rationals' holds every b <= q_hi
+    plan's denominators (_stage_ball_plan) without building the plan,
+    which only a swept stage does.  Ford's plan is the window.  The
+    rationals' holds every b <= q_hi
     with a multiple in [q_lo, q_hi]: every b <= span = q_hi - q_lo + 1
     and every b >= q_lo, and between them the b with q_hi // b >
     (q_lo - 1) // b.  For k >= 2, 2 floor(k^(n-1)) <= floor(k^n) puts
@@ -334,23 +324,6 @@ def _stage_count(phi: np.ndarray, q_lo: int, q_hi: int, ford: bool) -> int:
     mid = mid[q_hi // mid > (q_lo - 1) // mid]
     return (int(phi[1:span + 1].sum()) + int(phi[mid].sum())
             + int(phi[max(q_lo, span + 1):q_hi + 1].sum()))
-
-
-def _truncate_plan(b_vals: np.ndarray, radii: np.ndarray,
-                   counts: np.ndarray, cap: int):
-    """Smallest-denominator prefix whose reduced-ball count fits cap;
-    counts holds the plan's reduced balls per denominator.
-
-    For a nonincreasing psi small denominators carry the largest radii,
-    so the prefix is the mass-greedy lower bound; as a subfamily, any
-    prefix bounds the stage from below for any psi, unchecked.
-    """
-    import numpy as np
-    if len(b_vals) == 0:
-        return b_vals, radii
-    running = counts.cumsum()
-    idx = int(running.searchsorted(cap, side="right"))
-    return b_vals[:idx], radii[:idx]
 
 
 def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
@@ -412,37 +385,51 @@ def stage_measure_scan(system: ResonantSystem, stage: StageSpec,
             continue
         full = count <= full_cap
         sweep = full or subset_cap > 0
-        # the union over reduced centres is the stage set, so Ford's phi(q)
-        # balls per denominator bound it; the rationals' plan regroups
-        # denominators by their reduced form, so their bound takes the
-        # window's q + 1 raw balls of radius psi(q), and a stage that is
-        # not swept builds no plan
-        if not ford:
-            q = np.arange(q_lo, q_hi + 1, dtype=np.float64)
-            psi = fn.evaluate_array(stage.form, q)
-            # reduced centres give the raw union only for a psi that
-            # does not rise; a subset sweep or per-q bound holds for any
-            rise = np.flatnonzero(psi[1:] > psi[:-1]) if full else ()
-            if len(rise):
-                raise UsageError(
-                    "stage %d: psi rises from weight %d to weight %d; a swept "
-                    "stage needs psi nonincreasing over its weights"
-                    % (n, q_lo + rise[0], q_lo + rise[0] + 1))
-            q += 1.0
-            upper = _per_q_upper(psi, q)
-            del q, psi  # not held through the sweep
-        if sweep or ford:
-            b_vals, weights = _stage_ball_plan(system, q_lo, q_hi)
-            radii = fn.evaluate_array(stage.form, weights)
+        # psi once, over the window's weights: q, or 2q^2 for Ford
+        w = np.arange(q_lo, q_hi + 1, dtype=np.float64)
         if ford:
-            upper = _per_q_upper(radii, phi[b_vals])
+            w *= 2.0 * w
+        psi = fn.evaluate_array(stage.form, w)
+        # reduced centres give a rationals stage's raw union only for a
+        # psi that does not rise; a Ford point has one weight, and a
+        # subset sweep or per-q bound holds for any psi
+        rise = np.flatnonzero(psi[1:] > psi[:-1]) if full and not ford else ()
+        if len(rise):
+            raise UsageError(
+                "stage %d: psi rises from weight %d to weight %d; a swept "
+                "stage needs psi nonincreasing over its weights"
+                % (n, q_lo + rise[0], q_lo + rise[0] + 1))
+        # a union is at most the sum of its balls' lengths: 2 psi times
+        # the balls per weight, each term and the sum capped at 1.  Ford's
+        # reduced centres make the stage set, phi(q) balls per q; the
+        # rationals' plan regroups denominators by their reduced form, so
+        # their bound takes the window's q + 1 raw balls.  Capping psi at
+        # 1/2 before doubling keeps each capped term and overflows nothing
+        if not ford:
+            w += 1.0
+        per_q = np.minimum(psi, 0.5)
+        per_q *= 2.0
+        per_q *= phi[q_lo:q_hi + 1] if ford else w
+        np.minimum(per_q, 1.0, out=per_q)
+        # one-ulp-per-term slack keeps the bound certified despite
+        # rounding; per_q >= 0, so its max is its largest magnitude
+        slack = len(per_q) * 4e-16 + float(per_q.max(initial=0.0)) * 1e-12
+        upper = min(1.0, float(per_q.sum()) + slack)
+        del w, per_q  # not held through the sweep
         if not sweep:
             records.append(StageMeasure(
                 n, count, pairs, 0.0, upper, None, "per-q-upper"))
             continue
+        b_vals, at = _stage_ball_plan(system, q_lo, q_hi)
         if not full:
-            b_vals, radii = _truncate_plan(b_vals, radii, phi[b_vals],
-                                           subset_cap)
+            # the smallest-denominator prefix whose reduced balls fit
+            # subset_cap: the mass-greedy lower bound for a nonincreasing
+            # psi, and as a subfamily a lower bound for any psi, unchecked
+            cut = int(phi[b_vals].cumsum().searchsorted(subset_cap,
+                                                         side="right"))
+            b_vals, at = b_vals[:cut], at[:cut]
+        radii = psi[at]
+        del psi, at
         value, swept = _cell_sweep(b_vals, radii, spf, strip)
         budget = farey.union_length_error_budget(swept)
         lower = max(0.0, value - budget)

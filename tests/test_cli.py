@@ -278,6 +278,33 @@ class TestExitStatuses:
                        "over its weights")
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("psi,n_hi", [("1e308 * r^-1", 3),
+                                          ("1e308 * r^-2", 4)])
+    def test_radii_past_float_range_scan_at_0(self, tmp_path, capsys, psi,
+                                              n_hi):
+        # 2 psi(q) and 2 r b pass float range: the per-q bound and the
+        # cell count take the capped values an inf would, with no warning
+        out = tmp_path / "s.jsonl"
+        code, _, err = run_main(
+            ["stage-scan", "--psi", psi, "--k", "2", "--n-lo", "1",
+             "--n-hi", str(n_hi), "--format", "jsonl", "--output", str(out)],
+            capsys)
+        assert (code, err) == (0, "")
+        rows = [json.loads(ln) for ln in out.read_text().splitlines()[1:]]
+        assert [row["upper"] for row in rows] == [1.0] * n_hi
+
+    def test_prediction_past_float_range_is_2(self, tmp_path, capsys):
+        # each q psi(q) is 1e308, so 2 sum q psi(q) is inf
+        code, _, err = run_main(
+            ["schmidt", "--psi", "1e308 * r^-1", "--N", "100", "--samples",
+             "2", "--workers", "1", "--output", str(tmp_path / "c.csv")],
+            capsys)
+        assert code == 2
+        assert err.startswith("resource cap: the prediction 2 sum q psi(q) "
+                              "over q <= 100 of '1000")
+        assert err.endswith("(316 characters) is past float range")
+        assert not (tmp_path / "c.csv").exists()
+
     def test_horoballs_beyond_count_cap_is_2(self, tmp_path, capsys,
                                              monkeypatch):
         # the 30th radius, 2^-32, bounds 3.2e9 candidate bases; the run

@@ -504,7 +504,7 @@ class TestMinMultiple:
             windows.append((lo, lo + rng.randint(-1, 60)))
         middle = set()
         for q_lo, q_hi in windows:
-            b_vals, weights = sy._stage_ball_plan(rationals, q_lo, q_hi)
+            b_vals, at = sy._stage_ball_plan(rationals, q_lo, q_hi)
             want = []
             for b in range(1, q_hi + 1):
                 m = next((m for m in range(q_lo, q_hi + 1) if m % b == 0),
@@ -513,7 +513,7 @@ class TestMinMultiple:
                     want.append((b, m))
                 if q_hi - q_lo + 1 < b < q_lo:
                     middle.add(m is not None)
-            assert list(zip(b_vals.tolist(), weights.tolist())) == want, \
+            assert list(zip(b_vals.tolist(), (at + q_lo).tolist())) == want, \
                 (q_lo, q_hi)
         assert middle == {True, False}
 

@@ -14,7 +14,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limsuplab import functions as F
 from limsuplab.errors import CompositionError, DomainError, UsageError
@@ -112,6 +115,35 @@ class TestEvaluate:
     def test_floats_refused_as_exponents(self):
         with pytest.raises(UsageError):
             F.power_log(1, -2.5)
+
+
+# power, log, loglog and exp forms, evaluated on window weights
+GATHER_FORMS = ["r^-2", "6 * r^(-3/2)", "r^-1 * log(r)^-2",
+                "(1/1000) * r^-1 * log(r)^3", "r^-2 * loglog(r)^-1",
+                "r^-1 * log(r)^-1 * loglog(r)^(-5/2)", "exp(-r^(1/4))",
+                "exp(-r^(1/2))"]
+
+
+class TestEvaluateGather:
+    """A stage scan evaluates psi once over its window's weights and
+    gathers a sweep's radii from it: a gather of the window's values
+    must be the values at the gathered weights, bit for bit, wherever
+    the elements fall in numpy's vector loops."""
+
+    @settings(max_examples=300)
+    @given(text=st.sampled_from(GATHER_FORMS), ford=st.booleans(),
+           q_lo=st.integers(3, 10 ** 5), size=st.integers(1, 300),
+           data=st.data())
+    def test_gather_of_the_window_bit_for_bit(self, text, ford, q_lo, size,
+                                              data):
+        q = np.arange(q_lo, q_lo + size, dtype=np.float64)
+        weights = 2.0 * q * q if ford else q
+        idx = np.array(data.draw(st.lists(st.integers(0, size - 1),
+                                          max_size=size)), dtype=np.int64)
+        form = F.parse_function(text)
+        got = F.evaluate_array(form, weights)[idx]
+        want = F.evaluate_array(form, weights[idx])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestConstructors:

@@ -439,6 +439,10 @@ class TestStageCount:
         scan = sy.stage_measure_scan(sy.classical_rationals(), stage, 14, 15,
                                      subset_cap=0)
         assert [rec.method for rec in scan.records] == ["per-q-upper"] * 2
+        # Ford's bound reads phi off the window, not off a plan
+        scan = sy.stage_measure_scan(sy.ford_horoballs(), stage, 5, 12,
+                                     full_cap=0, subset_cap=0)
+        assert [rec.method for rec in scan.records] == ["per-q-upper"] * 8
 
 
 class TestCellEdges:
@@ -474,10 +478,13 @@ def assert_twins(plan):
 
 def ball_plan(system, stage, n):
     """(b_vals, radii) of stage n: the plan's denominators and the radii
-    of its weights, as the scan sweeps them."""
-    b_vals, weights = sy._stage_ball_plan(
-        system, *system.q_interval(*stage.window(n)))
-    return b_vals, fn.evaluate_array(stage.form, weights)
+    gathered from psi over the window's weights, as the scan sweeps
+    them."""
+    q_lo, q_hi = system.q_interval(*stage.window(n))
+    b_vals, at = sy._stage_ball_plan(system, q_lo, q_hi)
+    q = np.arange(q_lo, q_hi + 1, dtype=np.float64)
+    weights = q if system.kind is sy.SystemKind.RATIONALS else 2.0 * q * q
+    return b_vals, fn.evaluate_array(stage.form, weights)[at]
 
 
 @st.composite
